@@ -33,13 +33,14 @@ bench-json:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run=^$$ ./... \
 		| $(GO) run ./cmd/benchguard -json BENCH_$$(date +%F).json
 
-# Allocation guard: the hot-path and sharded-engine benchmarks must not
-# regress allocs/op against the committed baseline (tolerance:
-# baseline*1.25 + 2). This is the CI gate; -benchtime=1x keeps it fast
-# (allocs/op is near-deterministic, unlike ns/op). Benchmarks without a
-# baseline entry are reported as "new (no baseline)" and skipped.
+# Allocation guard: the hot-path, sharded-engine and per-host-memory
+# benchmarks must not regress allocs/op (tolerance: baseline*1.25 + 2) or
+# B/op (baseline*1.25 + 4 KiB) against the committed baseline. This is the
+# CI gate; -benchtime=1x keeps it fast (both are near-deterministic, unlike
+# ns/op). Benchmarks without a baseline entry are reported as "new (no
+# baseline)" and skipped.
 bench-guard:
-	$(GO) test -bench='BenchmarkAdmit$$|BenchmarkSweepWorkers|BenchmarkShardedRun|BenchmarkArenaPoint$$|BenchmarkHybridSteadyState|BenchmarkBuildHyperscale|BenchmarkColfmtWrite' -benchmem -benchtime=1x -run=^$$ ./... \
+	$(GO) test -bench='BenchmarkAdmit$$|BenchmarkSweepWorkers|BenchmarkShardedRun|BenchmarkArenaPoint$$|BenchmarkHybridSteadyState|BenchmarkBuildHyperscale|BenchmarkColfmtWrite|BenchmarkPoissonInstall' -benchmem -benchtime=1x -run=^$$ ./... \
 		| $(GO) run ./cmd/benchguard -baseline BENCH_BASELINE.json
 
 # The policy arena: every registered buffer-management policy (the paper's

@@ -1,8 +1,9 @@
 // Command benchguard parses `go test -bench` output from stdin and turns it
 // into the repo's perf trajectory: with -json it emits a BENCH_<date>.json
 // snapshot (name, ns/op, allocs/op, B/op, events/s per benchmark), and with
-// -baseline it compares the measured allocs/op against a committed baseline
-// file, exiting nonzero when any benchmark regresses beyond the tolerance.
+// -baseline it compares the measured allocs/op and B/op against a committed
+// baseline file, exiting nonzero when any benchmark regresses beyond the
+// tolerance.
 //
 // Usage:
 //
@@ -13,7 +14,9 @@
 // The allocs/op guard tolerates measured <= baseline*1.25 + 2: allocation
 // counts are near-deterministic but small fixed costs (map growth, one-time
 // lazy init) shift by a few allocations between runs, and ratio-only bounds
-// misfire on benchmarks whose baseline is ~0.
+// misfire on benchmarks whose baseline is ~0. B/op is guarded the same way
+// (baseline*1.25 + 4 KiB) wherever the baseline records it: a count of
+// allocations cannot see one that grew from 16 B to 4.9 kB.
 //
 // Wall-clock metrics regress too, so the guard optionally covers them with
 // separate, generous tolerances (disabled by default — CI machines vary):
@@ -140,7 +143,13 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	return nil
 }
 
-// guardOpts bundles the per-metric tolerances: allocs/op always guards;
+// bytesSlack is the absolute B/op slack over baseline*ratio: at
+// -benchtime=1x a benchmark's one-time lazy initialisation lands in its
+// single iteration and shifts B/op by a few hundred bytes between runs.
+const bytesSlack = 4096
+
+// guardOpts bundles the per-metric tolerances: allocs/op always guards,
+// B/op wherever the baseline records it (same ratio, bytesSlack absolute);
 // ns/op and events/s only when their ratio is > 0.
 type guardOpts struct {
 	AllocRatio, AllocSlack float64
@@ -185,6 +194,18 @@ func guard(benches []Benchmark, baselinePath string, opts guardOpts, stdout io.W
 		}
 		fmt.Fprintf(stdout, "benchguard: %s: %.1f allocs/op (baseline %.1f, limit %.1f) %s\n",
 			b.Name, b.AllocsPerOp, ref.AllocsPerOp, limit, verdict)
+		if ref.BytesPerOp > 0 {
+			bytesLimit := ref.BytesPerOp*opts.AllocRatio + bytesSlack
+			bytesVerdict := "ok"
+			if b.BytesPerOp > bytesLimit {
+				bytesVerdict = "FAIL"
+				failures = append(failures,
+					fmt.Sprintf("%s: %.0f B/op > limit %.0f (baseline %.0f)",
+						b.Name, b.BytesPerOp, bytesLimit, ref.BytesPerOp))
+			}
+			fmt.Fprintf(stdout, "benchguard: %s: %.0f B/op (baseline %.0f, limit %.0f) %s\n",
+				b.Name, b.BytesPerOp, ref.BytesPerOp, bytesLimit, bytesVerdict)
+		}
 		if opts.NsRatio > 0 && ref.NsPerOp > 0 {
 			nsLimit := ref.NsPerOp * opts.NsRatio
 			nsVerdict := "ok"

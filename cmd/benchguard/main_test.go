@@ -102,6 +102,37 @@ func TestGuardFailsOnRegression(t *testing.T) {
 	}
 }
 
+// TestGuardBytesPerOp: B/op is guarded wherever the baseline records it —
+// the regression an allocation count cannot see is an allocation that grew.
+func TestGuardBytesPerOp(t *testing.T) {
+	snap := Snapshot{Benchmarks: []Benchmark{
+		{Name: "BenchmarkPoissonInstall/10k", AllocsPerOp: 1000, BytesPerOp: 1 << 20},
+		{Name: "BenchmarkNoBytesRecorded", AllocsPerOp: 4},
+	}}
+	raw, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := filepath.Join(t.TempDir(), "baseline.json")
+	if err := os.WriteFile(base, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opts := guardOpts{AllocRatio: 1.25, AllocSlack: 2}
+
+	ok := []Benchmark{
+		{Name: "BenchmarkPoissonInstall/10k", AllocsPerOp: 1000, BytesPerOp: 1.25*(1<<20) + bytesSlack},
+		{Name: "BenchmarkNoBytesRecorded", AllocsPerOp: 4, BytesPerOp: 1e12}, // no baseline B/op: not guarded
+	}
+	if err := guard(ok, base, opts, &bytes.Buffer{}); err != nil {
+		t.Fatalf("guard failed within B/op tolerance: %v", err)
+	}
+	fat := []Benchmark{{Name: "BenchmarkPoissonInstall/10k", AllocsPerOp: 1000, BytesPerOp: 3 << 20}}
+	err = guard(fat, base, opts, &bytes.Buffer{})
+	if err == nil || !strings.Contains(err.Error(), "B/op") {
+		t.Fatalf("guard missed a 3x B/op regression at equal allocs/op: %v", err)
+	}
+}
+
 func TestRunWritesSnapshot(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "BENCH.json")
 	if err := run([]string{"-json", out}, strings.NewReader(sample), &bytes.Buffer{}); err != nil {

@@ -113,6 +113,10 @@ func (b WeightBounds) Validate() error {
 	}
 }
 
+// pinned reports whether the bounds fix the weight at a single value, so
+// that clamp's result does not depend on its argument.
+func (b WeightBounds) pinned() bool { return b.Max > 0 && b.Min == b.Max }
+
 // clamp applies the bounds to w.
 func (b WeightBounds) clamp(w float64) float64 {
 	if b.Max > 0 && w > b.Max {
@@ -204,7 +208,25 @@ func (l *L2BM) Sojourn() *SojournTable { return l.sojourn }
 
 // Weight returns the adaptive control parameter w_i^p(t) = C/τ·α (Eq. 4)
 // for ingress queue (port, prio).
+//
+// A class whose bounds pin the weight (the default lossless class) is
+// answered without evaluating τ or the aggregates: the PFC check asks for a
+// lossless threshold on every lossless enqueue and dequeue, and clamp would
+// discard the result. Skipping the evaluation also skips the sojourn
+// advances it performs, which is safe because a queue advanced lazily
+// reaches the same state as one advanced at every admission: advance is
+// exact integer arithmetic carried in float64 (every term is a whole number
+// of picoseconds, magnitudes ≪ 2⁵³), max(0, ·) composes across steps, and
+// EgressPausedTime is cumulative, so the pausedDelta > elapsed clamp cannot
+// fire for a resident port (TestSojournLazyEqualsEager).
 func (l *L2BM) Weight(s StateView, port, prio int) float64 {
+	bounds := l.cfg.BoundsLossy
+	if ClassOfPriority(prio) == pkt.ClassLossless {
+		bounds = l.cfg.BoundsLossless
+	}
+	if bounds.pinned() {
+		return bounds.Min
+	}
 	tau := l.sojourn.Tau(s, port, prio)
 	if tau < l.cfg.TauFloor {
 		tau = l.cfg.TauFloor
@@ -237,10 +259,7 @@ func (l *L2BM) Weight(s StateView, port, prio int) float64 {
 	}
 	// An idle switch degenerates to DT's uniform α, still subject to the
 	// per-class bounds so thresholds never jump when traffic appears.
-	if ClassOfPriority(prio) == pkt.ClassLossless {
-		return l.cfg.BoundsLossless.clamp(w)
-	}
-	return l.cfg.BoundsLossy.clamp(w)
+	return bounds.clamp(w)
 }
 
 // IngressThreshold implements Policy (Eq. 3).
@@ -269,13 +288,13 @@ type QueueSample struct {
 }
 
 // PeekSamples returns the adaptive state of every active ingress queue
-// WITHOUT advancing sojourn estimates or touching the aggregate cache.
-// Weight/Tau mutate the congestion-detection module (the advance write-back
-// plus the pausedDelta clamp make them non-idempotent), so the trace
-// sampler must go through this read-only path to keep traced runs
-// byte-identical to untraced runs. The math mirrors Weight and
-// IngressThreshold exactly: C per cfg.Normalization over the peeked floored
-// taus, w = C/τ·α clamped by the class bounds, T = w·max(0, B−Q(t)).
+// WITHOUT advancing sojourn estimates. Weight/Tau write their advance back
+// into the congestion-detection module, so the trace sampler goes through
+// this read-only path: traced runs stay byte-identical to untraced runs by
+// construction, not by the lazy == eager argument Weight relies on. The
+// math mirrors Weight and IngressThreshold exactly: C per cfg.Normalization
+// over the peeked floored taus, w = C/τ·α clamped by the class bounds,
+// T = w·max(0, B−Q(t)).
 // PeekSamples allocates its result; tick-driven samplers should use
 // PeekSamplesAppend with a reusable buffer.
 func (l *L2BM) PeekSamples(s StateView) []QueueSample {

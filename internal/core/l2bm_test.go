@@ -363,3 +363,82 @@ func TestPeekSamplesIdleIsNil(t *testing.T) {
 		t.Errorf("idle PeekSamples = %v, want nil", got)
 	}
 }
+
+func TestWeightBoundsPinned(t *testing.T) {
+	tests := []struct {
+		b    WeightBounds
+		want bool
+	}{
+		{WeightBounds{}, false},
+		{WeightBounds{Max: 0.5}, false},
+		{WeightBounds{Min: 0.5}, false},
+		{WeightBounds{Min: 0.1, Max: 0.5}, false},
+		{WeightBounds{Min: 0.5, Max: 0.5}, true},
+	}
+	for _, tt := range tests {
+		if got := tt.b.pinned(); got != tt.want {
+			t.Errorf("%+v.pinned() = %v, want %v", tt.b, got, tt.want)
+		}
+		if !tt.want {
+			continue
+		}
+		// What pinned promises: clamp ignores its argument.
+		for _, w := range []float64{0, 1e-12, tt.b.Min, 7, math.Inf(1)} {
+			if got := tt.b.clamp(w); got != tt.b.Min {
+				t.Errorf("%+v.clamp(%v) = %v, want the pin %v", tt.b, w, got, tt.b.Min)
+			}
+		}
+	}
+}
+
+// A class whose bounds pin the weight is answered without evaluating the
+// sojourn table — the PFC check asks on every lossless enqueue and dequeue —
+// while an adaptive class is still evaluated, and both agree with a twin
+// policy that evaluates everything and clamps afterwards.
+func TestL2BMPinnedClassSkipsEvaluation(t *testing.T) {
+	queues := []struct {
+		port, prio, egress int
+		tau                sim.Duration
+	}{
+		{0, pkt.PrioLossless, 4, 300 * sim.Microsecond},
+		{1, pkt.PrioLossy, 5, 20 * sim.Microsecond},
+		{2, pkt.PrioLossy, 6, 90 * sim.Microsecond},
+	}
+	// The twin evaluates every class unbounded; the default bounds are
+	// applied to its answers by hand below.
+	unbounded := DefaultL2BMConfig()
+	unbounded.BoundsLossless, unbounded.BoundsLossy = WeightBounds{}, WeightBounds{}
+	l, twin := NewDefaultL2BM(), NewL2BM(unbounded)
+	s, s2 := newFakeState(), newFakeState()
+	for _, q := range queues {
+		enqueueWithTau(s, l, q.port, q.prio, q.egress, q.tau)
+		enqueueWithTau(s2, twin, q.port, q.prio, q.egress, q.tau)
+	}
+	enqueuedAt := s.now
+	s.now += 3 * sim.Microsecond
+	s2.now = s.now
+
+	if got := l.Weight(s, 0, pkt.PrioLossless); got != AlphaDT2 {
+		t.Errorf("pinned lossless weight = %v, want %v", got, AlphaDT2)
+	}
+	for _, q := range l.Sojourn().active {
+		if q.lastUpdate != enqueuedAt {
+			t.Errorf("pinned Weight advanced queue prio %d to %v", q.prio, q.lastUpdate)
+		}
+	}
+
+	def := DefaultL2BMConfig()
+	for _, q := range queues {
+		bounds := def.BoundsLossy
+		if ClassOfPriority(q.prio) == pkt.ClassLossless {
+			bounds = def.BoundsLossless
+		}
+		want := bounds.clamp(twin.Weight(s2, q.port, q.prio))
+		if got := l.Weight(s, q.port, q.prio); got != want {
+			t.Errorf("Weight(%d,%d) = %v, evaluate-then-clamp twin = %v", q.port, q.prio, got, want)
+		}
+	}
+	if q := l.Sojourn().lookup(1, pkt.PrioLossy); q.lastUpdate != s.now {
+		t.Errorf("adaptive lossy Weight left its queue at %v, want advanced to %v", q.lastUpdate, s.now)
+	}
+}

@@ -35,6 +35,9 @@ type sojournQueue struct {
 	// skip the O(ports) resident scan on the admission fast path).
 	nzPorts int
 	hot     int
+
+	// activeIdx is this queue's slot in SojournTable.active while n > 0.
+	activeIdx int
 }
 
 func (q *sojournQueue) ensure(ports int) {
@@ -180,9 +183,11 @@ func (q *sojournQueue) tau(s StateView, prio int, excludePause bool) sim.Duratio
 // peekTau computes the τ that tau() would report as of now WITHOUT writing
 // the advance back: no field of q is mutated. The trace layer samples
 // through this path so that an armed recorder observes the same trajectory
-// an unarmed run would produce (the observer-effect guarantee — tau()'s
-// write-back plus the pausedDelta clamp make intermediate calls
-// non-idempotent, so sampling through tau() would perturb the simulation).
+// an unarmed run would produce (the observer-effect guarantee, held by
+// construction for any StateView: tau() writes its advance back, and an
+// extra write-back is unobservable only while the pausedDelta clamp never
+// fires — true of a switch's cumulative pause clock, see L2BM.Weight, but
+// not something a read-only path should lean on).
 func (q *sojournQueue) peekTau(s StateView, prio int, excludePause bool) sim.Duration {
 	if q.n == 0 {
 		return 0
@@ -211,29 +216,30 @@ func (q *sojournQueue) peekTau(s StateView, prio int, excludePause bool) sim.Dur
 	return sim.Duration(total / float64(q.n))
 }
 
-// active reports whether the queue currently holds packets.
-func (q *sojournQueue) active() bool { return q.n > 0 }
-
 // SojournTable is the per-switch congestion-detection module (paper §III-B):
 // one sojournQueue per (ingress port, priority). It is exported for tests
 // and for the L2BM policy; the MMU drives it through the Policy hooks.
 //
 // The table sits on the admission fast path, so queues live in a flat slice
-// indexed port·NumPriorities+prio, and the aggregate statistics (Σ τ, max τ
-// over active queues) are cached per simulated instant: admissions arrive in
-// bursts at identical timestamps, and between packets of the same instant
-// the aggregates only change through enqueue/dequeue, which invalidate the
-// cache.
+// indexed port·NumPriorities+prio, and the queues currently holding packets
+// are additionally kept in a dense active set: a wide switch provisions
+// hundreds of (port, priority) slots of which one or two are busy at any
+// instant, and the aggregate statistics (Σ τ, max τ over active queues) are
+// evaluated on almost every admission, so they must cost O(active), not
+// O(provisioned).
+//
+// Invariant: active == {q : q.n > 0}. OnEnqueue is the only creator of
+// queues and the only writer that adds to the set (at the 0→1 transition);
+// OnDequeue removes at 1→0 by swap-remove. The set's order therefore
+// depends on history, which is harmless: Σ and max over sim.Duration
+// (int64) are order-independent, and each queue's advance reads only its
+// own state and the StateView, so iterating the set in any order yields the
+// aggregates — and leaves every queue in the state — a (port, prio)-ordered
+// table walk would.
 type SojournTable struct {
 	queues       []*sojournQueue
+	active       []*sojournQueue
 	excludePause bool
-
-	cacheAt    sim.Time
-	cacheValid bool
-	cacheSum   sim.Duration
-	cacheMax   sim.Duration
-	cacheN     int
-	cacheFloor sim.Duration
 }
 
 // NewSojournTable returns an empty table. excludePause enables the §III-D
@@ -242,8 +248,19 @@ func NewSojournTable(excludePause bool) *SojournTable {
 	return &SojournTable{excludePause: excludePause}
 }
 
-func (t *SojournTable) queue(port, prio int) *sojournQueue {
+// lookup returns the queue for (port, prio), or nil if no packet was ever
+// enqueued there. Reads go through lookup so that they never allocate.
+func (t *SojournTable) lookup(port, prio int) *sojournQueue {
 	idx := port*pkt.NumPriorities + prio
+	if idx >= len(t.queues) {
+		return nil
+	}
+	return t.queues[idx]
+}
+
+// OnEnqueue records the admission of p (MMU has stamped InPort/InPrio/OutPort).
+func (t *SojournTable) OnEnqueue(s StateView, p *pkt.Packet) {
+	idx := p.InPort*pkt.NumPriorities + p.InPrio
 	if idx >= len(t.queues) {
 		// Grow to the exact size in one append (a one-at-a-time nil append
 		// loop re-walked the capacity ladder on every growth step).
@@ -251,74 +268,79 @@ func (t *SojournTable) queue(port, prio int) *sojournQueue {
 	}
 	q := t.queues[idx]
 	if q == nil {
-		q = &sojournQueue{prio: prio}
+		q = &sojournQueue{prio: p.InPrio}
 		t.queues[idx] = q
 	}
-	return q
-}
-
-// OnEnqueue records the admission of p (MMU has stamped InPort/InPrio/OutPort).
-func (t *SojournTable) OnEnqueue(s StateView, p *pkt.Packet) {
-	t.cacheValid = false
-	t.queue(p.InPort, p.InPrio).onEnqueue(s, p.OutPort, p.InPrio, t.excludePause)
+	q.onEnqueue(s, p.OutPort, p.InPrio, t.excludePause)
+	if q.n == 1 {
+		q.activeIdx = len(t.active)
+		t.active = append(t.active, q)
+	}
 }
 
 // OnDequeue records the departure of p from shared memory.
 func (t *SojournTable) OnDequeue(s StateView, p *pkt.Packet) {
-	t.cacheValid = false
-	t.queue(p.InPort, p.InPrio).onDequeue(s, p.OutPort, p.InPrio, t.excludePause)
+	q := t.lookup(p.InPort, p.InPrio)
+	if q == nil {
+		return
+	}
+	wasActive := q.n > 0
+	q.onDequeue(s, p.OutPort, p.InPrio, t.excludePause)
+	if wasActive && q.n == 0 {
+		last := len(t.active) - 1
+		moved := t.active[last]
+		t.active[q.activeIdx] = moved
+		moved.activeIdx = q.activeIdx
+		t.active[last] = nil
+		t.active = t.active[:last]
+	}
 }
 
 // Tau returns the average sojourn time of ingress queue (port, prio).
 func (t *SojournTable) Tau(s StateView, port, prio int) sim.Duration {
-	return t.queue(port, prio).tau(s, prio, t.excludePause)
+	q := t.lookup(port, prio)
+	if q == nil {
+		return 0
+	}
+	return q.tau(s, prio, t.excludePause)
 }
 
 // Resident returns the packet count tracked for ingress queue (port, prio).
 func (t *SojournTable) Resident(port, prio int) int {
-	return t.queue(port, prio).n
+	q := t.lookup(port, prio)
+	if q == nil {
+		return 0
+	}
+	return q.n
 }
 
-// refreshAggregates recomputes Σ τ, max τ and the active count, reusing the
-// cached values while neither the clock nor the queue population moved.
-func (t *SojournTable) refreshAggregates(s StateView, floor sim.Duration) {
-	now := s.Now()
-	if t.cacheValid && t.cacheAt == now && t.cacheFloor == floor {
-		return
+// flooredTau advances q and returns its τ, at least floor.
+func (t *SojournTable) flooredTau(s StateView, q *sojournQueue, floor sim.Duration) sim.Duration {
+	if tau := q.tau(s, q.prio, t.excludePause); tau > floor {
+		return tau
 	}
-	var sum, maxTau sim.Duration
-	active := 0
-	for _, q := range t.queues {
-		if q == nil || !q.active() {
-			continue
-		}
-		tau := q.tau(s, q.prio, t.excludePause)
-		if tau < floor {
-			tau = floor
-		}
-		sum += tau
-		if tau > maxTau {
-			maxTau = tau
-		}
-		active++
-	}
-	t.cacheAt, t.cacheValid, t.cacheFloor = now, true, floor
-	t.cacheSum, t.cacheMax, t.cacheN = sum, maxTau, active
+	return floor
 }
 
 // SumActiveTau returns Σ τ over all ingress queues currently holding
 // packets, with each τ floored at floor — the paper's normalization constant
 // C — together with the number of active queues.
 func (t *SojournTable) SumActiveTau(s StateView, floor sim.Duration) (sum sim.Duration, active int) {
-	t.refreshAggregates(s, floor)
-	return t.cacheSum, t.cacheN
+	for _, q := range t.active {
+		sum += t.flooredTau(s, q, floor)
+	}
+	return sum, len(t.active)
 }
 
 // MaxActiveTau returns max τ over active ingress queues (floored), used by
 // the normalization ablation.
 func (t *SojournTable) MaxActiveTau(s StateView, floor sim.Duration) (maxTau sim.Duration, active int) {
-	t.refreshAggregates(s, floor)
-	return t.cacheMax, t.cacheN
+	for _, q := range t.active {
+		if tau := t.flooredTau(s, q, floor); tau > maxTau {
+			maxTau = tau
+		}
+	}
+	return maxTau, len(t.active)
 }
 
 // ActiveQueue is one active ingress queue's peeked sojourn estimate.
@@ -328,10 +350,12 @@ type ActiveQueue struct {
 }
 
 // PeekActive returns every ingress queue currently holding packets together
-// with its τ as of now, floored at floor, WITHOUT advancing any estimate or
-// touching the aggregate cache. This is the trace layer's read-only window
-// into the congestion-detection module: a run sampled through PeekActive is
-// byte-identical to an unsampled run. Queues appear in (port, prio) order.
+// with its τ as of now, floored at floor, WITHOUT advancing any estimate.
+// This is the trace layer's read-only window into the congestion-detection
+// module: a run sampled through PeekActive is byte-identical to an unsampled
+// run. Queues appear in (port, prio) order — the order is part of the trace
+// bytes, which is why this walks the table rather than the active set (it
+// runs per sampler tick, not per admission).
 //
 // PeekActive allocates a fresh slice per call; samplers on a tick should use
 // PeekActiveAppend with a reusable scratch buffer instead.
@@ -345,7 +369,7 @@ func (t *SojournTable) PeekActive(s StateView, floor sim.Duration) []ActiveQueue
 // nothing.
 func (t *SojournTable) PeekActiveAppend(dst []ActiveQueue, s StateView, floor sim.Duration) []ActiveQueue {
 	for idx, q := range t.queues {
-		if q == nil || !q.active() {
+		if q == nil || q.n == 0 {
 			continue
 		}
 		tau := q.peekTau(s, q.prio, t.excludePause)

@@ -303,3 +303,70 @@ func TestPeekActiveMatchesTauWithoutMutation(t *testing.T) {
 		t.Errorf("Tau(1,4) = %v, peeked %v", got, peek1[1].Tau)
 	}
 }
+
+// Reads must not create state: OnEnqueue is the table's only creator, so a
+// queue that is merely asked about — Tau, Resident, or a threshold
+// evaluation for a port no packet ever entered — costs nothing and leaves
+// the table as it was. Each run reads a different never-enqueued port, so a
+// read that allocates on first touch cannot hide behind AllocsPerRun's
+// warm-up call.
+func TestSojournReadsDoNotAllocate(t *testing.T) {
+	s := newFakeState()
+	cfg := DefaultL2BMConfig()
+	cfg.BoundsLossless = WeightBounds{} // unpinned, so both classes evaluate τ
+	l := NewL2BM(cfg)
+	tab := l.Sojourn()
+	tab.OnEnqueue(s, admit(0, pkt.PrioLossy, 1)) // one live queue, so the aggregates have work
+	slots := len(tab.queues)
+
+	port := 1
+	allocs := testing.AllocsPerRun(200, func() {
+		port++
+		if tab.Tau(s, port, pkt.PrioLossy) != 0 || tab.Resident(port, pkt.PrioLossless) != 0 {
+			t.Fatal("never-enqueued queue reads as non-empty")
+		}
+		l.Weight(s, port, pkt.PrioLossy)
+		l.IngressThreshold(s, port, pkt.PrioLossless)
+	})
+	if allocs != 0 {
+		t.Errorf("reading never-enqueued queues allocates %v times per run, want 0", allocs)
+	}
+	if len(tab.queues) != slots || len(tab.active) != 1 {
+		t.Errorf("reads grew the table to %d slots / %d active, want %d / 1", len(tab.queues), len(tab.active), slots)
+	}
+}
+
+// BenchmarkSojournAggregatesWide prices Σ τ on a wide switch the way a long
+// run leaves it: 34 ports × 8 priorities have all carried traffic at some
+// point, two queues hold packets now. The clock moves every iteration, as
+// it does between admissions, so each call really advances the active
+// queues. The cost must follow the 2, not the 272.
+func BenchmarkSojournAggregatesWide(b *testing.B) {
+	const ports = 34
+	s := newFakeState()
+	s.ports = ports
+	tab := NewSojournTable(true)
+	for port := 0; port < ports; port++ {
+		for prio := 0; prio < pkt.NumPriorities; prio++ {
+			p := admit(port, prio, (port+1)%ports)
+			tab.OnEnqueue(s, p)
+			tab.OnDequeue(s, p)
+		}
+	}
+	s.qout[[2]int{5, pkt.PrioLossy}] = 200_000
+	tab.OnEnqueue(s, admit(3, pkt.PrioLossy, 5))
+	tab.OnEnqueue(s, admit(20, pkt.PrioLossless, 7))
+
+	floor := sim.TxTime(pkt.MTUBytes, 25e9)
+	var sum sim.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.now++
+		d, _ := tab.SumActiveTau(s, floor)
+		sum += d
+	}
+	benchSink = sum
+}
+
+var benchSink sim.Duration

@@ -12,6 +12,7 @@ package dctcp
 
 import (
 	"math"
+	"sort"
 
 	"l2bm/internal/pkt"
 	"l2bm/internal/sim"
@@ -331,9 +332,14 @@ type Receiver struct {
 	host   int // this host (ACK source)
 	peer   int // sender host (ACK destination)
 
-	recvNxt  int64
-	ooo      map[int64]int64 // seq -> end, out-of-order segments
-	expected int64           // total flow size, learned from the FIN segment
+	recvNxt int64
+	// ooo holds the bytes received beyond recvNxt as sorted, disjoint,
+	// non-touching ranges: its length is the number of holes in the stream,
+	// not the number of buffered segments. recvNxt is the closure of the
+	// union of everything received, so every ACK and the completion instant
+	// depend only on that union, never on how it is stored.
+	ooo      []byteRange
+	expected int64 // total flow size, learned from the FIN segment
 	complete bool
 	onDone   func(at sim.Time)
 }
@@ -347,7 +353,6 @@ func NewReceiver(env transport.Env, flowID pkt.FlowID, host, peer int, onDone fu
 		flowID: flowID,
 		host:   host,
 		peer:   peer,
-		ooo:    make(map[int64]int64),
 		onDone: onDone,
 	}
 }
@@ -368,8 +373,8 @@ func (r *Receiver) HandleData(p *pkt.Packet) {
 			r.recvNxt = p.End()
 		}
 		r.mergeOOO()
-	} else if end, ok := r.ooo[p.Seq]; !ok || p.End() > end {
-		r.ooo[p.Seq] = p.End()
+	} else {
+		r.insertOOO(p.Seq, p.End())
 	}
 
 	ack := r.pool.Ack(r.flowID, r.host, r.peer, r.recvNxt, p.CE)
@@ -383,21 +388,57 @@ func (r *Receiver) HandleData(p *pkt.Packet) {
 	}
 }
 
-// mergeOOO folds buffered segments into the contiguous prefix.
+// byteRange is the half-open span [seq, end) of buffered stream bytes.
+type byteRange struct{ seq, end int64 }
+
+// insertOOO buffers [seq, end), which starts beyond recvNxt, coalescing it
+// with every range it overlaps or touches.
+func (r *Receiver) insertOOO(seq, end int64) {
+	n := len(r.ooo)
+	// The common case after a loss: segments keep arriving in order behind
+	// the hole, each one extending (or following) the last range.
+	if n == 0 || seq > r.ooo[n-1].end {
+		r.ooo = append(r.ooo, byteRange{seq, end})
+		return
+	}
+	if last := &r.ooo[n-1]; seq >= last.seq {
+		if end > last.end {
+			last.end = end
+		}
+		return
+	}
+	// ooo[lo:hi] are the ranges [seq, end) overlaps or touches.
+	lo := sort.Search(n, func(i int) bool { return r.ooo[i].end >= seq })
+	hi := lo
+	for hi < n && r.ooo[hi].seq <= end {
+		hi++
+	}
+	if lo == hi {
+		r.ooo = append(r.ooo, byteRange{})
+		copy(r.ooo[lo+1:], r.ooo[lo:])
+		r.ooo[lo] = byteRange{seq, end}
+		return
+	}
+	if first := r.ooo[lo].seq; first < seq {
+		seq = first
+	}
+	if last := r.ooo[hi-1].end; last > end {
+		end = last
+	}
+	r.ooo[lo] = byteRange{seq, end}
+	r.ooo = append(r.ooo[:lo+1], r.ooo[hi:]...)
+}
+
+// mergeOOO folds buffered ranges into the contiguous prefix.
 func (r *Receiver) mergeOOO() {
-	for {
-		progressed := false
-		for seq, end := range r.ooo {
-			if seq <= r.recvNxt {
-				if end > r.recvNxt {
-					r.recvNxt = end
-				}
-				delete(r.ooo, seq)
-				progressed = true
-			}
+	i := 0
+	for i < len(r.ooo) && r.ooo[i].seq <= r.recvNxt {
+		if r.ooo[i].end > r.recvNxt {
+			r.recvNxt = r.ooo[i].end
 		}
-		if !progressed {
-			return
-		}
+		i++
+	}
+	if i > 0 {
+		r.ooo = append(r.ooo[:0], r.ooo[i:]...)
 	}
 }

@@ -120,6 +120,12 @@ func TestPoissonValidation(t *testing.T) {
 		{"no sources", func(c *PoissonConfig) { c.Sources = nil }},
 		{"one dest", func(c *PoissonConfig) { c.Dests = []int{1} }},
 		{"zero load", func(c *PoissonConfig) { c.Load = 0 }},
+		{"negative load", func(c *PoissonConfig) { c.Load = -0.5 }},
+		// NaN passes a bare `<= 0` test and Install then converts a NaN gap
+		// to sim.Duration; +Inf yields a 1 ps gap.
+		{"NaN load", func(c *PoissonConfig) { c.Load = math.NaN() }},
+		{"+Inf load", func(c *PoissonConfig) { c.Load = math.Inf(1) }},
+		{"-Inf load", func(c *PoissonConfig) { c.Load = math.Inf(-1) }},
 		{"zero rate", func(c *PoissonConfig) { c.HostRate = 0 }},
 		{"no sizes", func(c *PoissonConfig) { c.Sizes = nil }},
 		{"zero window", func(c *PoissonConfig) { c.Window = 0 }},
@@ -260,6 +266,10 @@ func TestIncastValidation(t *testing.T) {
 		{"fanout zero", func(c *IncastConfig) { c.Fanout = 0 }},
 		{"tiny request", func(c *IncastConfig) { c.RequestBytes = 2 }},
 		{"zero rate", func(c *IncastConfig) { c.QueryRate = 0 }},
+		{"negative rate", func(c *IncastConfig) { c.QueryRate = -1 }},
+		{"NaN rate", func(c *IncastConfig) { c.QueryRate = math.NaN() }},
+		{"+Inf rate", func(c *IncastConfig) { c.QueryRate = math.Inf(1) }},
+		{"-Inf rate", func(c *IncastConfig) { c.QueryRate = math.Inf(-1) }},
 		{"zero window", func(c *IncastConfig) { c.Window = 0 }},
 	}
 	for _, tt := range tests {
@@ -358,4 +368,28 @@ func TestIncastInstallMidRunGeneratesFullWindow(t *testing.T) {
 			t.Errorf("query issued at %v, outside [%v, %v)", q.Issued, install, install+sim.Time(window))
 		}
 	}
+}
+
+// BenchmarkPoissonInstall prices installing one traffic class on a
+// hyperscale fabric: every host gets its three named random streams and its
+// first arrival scheduled. Only the arrivals stream is drawn from here; the
+// sizes and dests streams of a host stay untouched until it launches a flow
+// (most hosts of a short window never do), so B/op is what an idle host
+// costs. Run with -benchmem; B/op and allocs/op are guarded in
+// BENCH_BASELINE.json.
+func BenchmarkPoissonInstall(b *testing.B) {
+	b.Run("10k", func(b *testing.B) {
+		cfg := poissonCfg()
+		cfg.Sources, cfg.Dests = hostsRange(10_240), hostsRange(10_240)
+		cfg.Load = 0.05
+		cfg.Window = 200 * sim.Microsecond
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			g, err := NewPoisson(sim.NewEngine(1), &captureSink{}, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			g.Install()
+		}
+	})
 }

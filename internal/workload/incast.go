@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"l2bm/internal/pkt"
 	"l2bm/internal/sim"
@@ -61,8 +62,8 @@ func (c *IncastConfig) Validate() error {
 		return fmt.Errorf("workload: fanout %d must be in [1, len(hosts))", c.Fanout)
 	case c.RequestBytes < int64(c.Fanout):
 		return fmt.Errorf("workload: request of %d bytes too small for fanout %d", c.RequestBytes, c.Fanout)
-	case c.QueryRate <= 0:
-		return fmt.Errorf("workload: query rate must be positive")
+	case math.IsNaN(c.QueryRate) || math.IsInf(c.QueryRate, 0) || c.QueryRate <= 0:
+		return fmt.Errorf("workload: query rate %v must be finite and positive", c.QueryRate)
 	case c.Window <= 0:
 		return fmt.Errorf("workload: window must be positive")
 	default:

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"l2bm/internal/pkt"
 	"l2bm/internal/sim"
@@ -85,8 +86,8 @@ func (c *PoissonConfig) Validate() error {
 		return fmt.Errorf("workload: no source hosts")
 	case len(c.Dests) < 2:
 		return fmt.Errorf("workload: need at least 2 destination candidates")
-	case c.Load <= 0:
-		return fmt.Errorf("workload: load %v must be positive", c.Load)
+	case math.IsNaN(c.Load) || math.IsInf(c.Load, 0) || c.Load <= 0:
+		return fmt.Errorf("workload: load %v must be finite and positive", c.Load)
 	case c.HostRate <= 0:
 		return fmt.Errorf("workload: host rate must be positive")
 	case c.Sizes == nil:
