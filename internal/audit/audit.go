@@ -31,6 +31,17 @@
 // live in a disjoint key space). Under the sharded conductor the sweep runs
 // as a barrier task, when all shard clocks agree and every cross-shard
 // mailbox is drained — the only instant a global read is coherent.
+//
+// A sweep costs what changed since the last one, not what is provisioned.
+// The per-switch checks are pure functions of the switch's MMU state and
+// its immutable configuration, and every write to that state moves
+// Switch.MMUVersion; the auditor remembers the version at which each switch
+// last passed and skips a switch that still shows it — the verdict cannot
+// differ. The memo lives in the auditor, so the sweep stays a pure read of
+// the fabric, and only a PASS is memoised: a switch that failed is
+// re-checked (and re-reported) every sweep until it is clean, exactly as an
+// ungated auditor would. Final re-checks every switch regardless, and the
+// pause-age, flow-byte and pool checks are never gated.
 package audit
 
 import (
@@ -39,6 +50,7 @@ import (
 	"l2bm/internal/netdev"
 	"l2bm/internal/pkt"
 	"l2bm/internal/sim"
+	"l2bm/internal/switchsim"
 	"l2bm/internal/topo"
 )
 
@@ -70,6 +82,12 @@ type Auditor struct {
 	cl  *topo.Cluster
 	eng *sim.Engine
 
+	// switches is cl.AllSwitches(), fixed at New. cleanAt[i] is
+	// switches[i].MMUVersion()+1 as of its last clean check, 0 when the
+	// switch has not been checked yet or failed its last check.
+	switches []*switchsim.Switch
+	cleanAt  []uint64
+
 	violations []string
 	total      uint64
 	checks     uint64
@@ -84,7 +102,8 @@ func New(cl *topo.Cluster, cfg Config) *Auditor {
 	if cfg.Limit <= 0 {
 		cfg.Limit = 64
 	}
-	return &Auditor{cfg: cfg, cl: cl, eng: cl.Eng}
+	switches := cl.AllSwitches()
+	return &Auditor{cfg: cfg, cl: cl, eng: cl.Eng, switches: switches, cleanAt: make([]uint64, len(switches))}
 }
 
 // Every returns the effective sweep period.
@@ -110,21 +129,25 @@ func (a *Auditor) tick() {
 	a.eng.Schedule(a.cfg.Every, a.tick)
 }
 
-// CheckOnce runs one full sweep at the given instant. Pure reads only.
-func (a *Auditor) CheckOnce(now sim.Time) {
+// CheckOnce runs one sweep at the given instant. Pure reads of the fabric
+// only; a switch whose MMU has not been written since it last passed is not
+// re-checked.
+func (a *Auditor) CheckOnce(now sim.Time) { a.sweep(now, false) }
+
+// sweep is one pass over every check; recheck ignores the clean-version
+// memo.
+func (a *Auditor) sweep(now sim.Time, recheck bool) {
 	a.checks++
 
-	// Per-switch MMU consistency plus the shared-pool capacity bound. The
-	// one-MTU slack is admission granularity: a single in-flight admission
-	// may carry the pool past B by at most one wire MTU before thresholds
-	// (all of the α·(B−Q) family) collapse to zero.
-	for _, sw := range a.cl.AllSwitches() {
-		if err := sw.CheckInvariants(); err != nil {
-			a.record(now, "%v", err)
+	for i, sw := range a.switches {
+		version := sw.MMUVersion() + 1
+		if a.cleanAt[i] == version && !recheck {
+			continue
 		}
-		if used, total := sw.SharedUsed(), sw.TotalShared(); used > total+pkt.MTUBytes {
-			a.record(now, "switch %s: sharedUsed=%d exceeds TotalShared=%d (+1 MTU slack)",
-				sw.Name(), used, total)
+		if a.checkSwitch(now, sw) {
+			a.cleanAt[i] = version
+		} else {
+			a.cleanAt[i] = 0
 		}
 	}
 
@@ -160,6 +183,25 @@ func (a *Auditor) CheckOnce(now sim.Time) {
 	}
 }
 
+// checkSwitch runs the per-switch checks — MMU consistency plus the
+// shared-pool capacity bound — and reports whether the switch passed both.
+// The one-MTU slack is admission granularity: a single in-flight admission
+// may carry the pool past B by at most one wire MTU before thresholds (all
+// of the α·(B−Q) family) collapse to zero.
+func (a *Auditor) checkSwitch(now sim.Time, sw *switchsim.Switch) bool {
+	clean := true
+	if err := sw.CheckInvariants(); err != nil {
+		a.record(now, "%v", err)
+		clean = false
+	}
+	if used, total := sw.SharedUsed(), sw.TotalShared(); used > total+pkt.MTUBytes {
+		a.record(now, "switch %s: sharedUsed=%d exceeds TotalShared=%d (+1 MTU slack)",
+			sw.Name(), used, total)
+		clean = false
+	}
+	return clean
+}
+
 // checkPauseAges scans every transmit direction in the fabric — switch
 // ports and host NICs — for pauses older than maxAge.
 func (a *Auditor) checkPauseAges(now sim.Time, maxAge sim.Duration) {
@@ -171,7 +213,7 @@ func (a *Auditor) checkPauseAges(now sim.Time, maxAge sim.Duration) {
 			}
 		}
 	}
-	for _, sw := range a.cl.AllSwitches() {
+	for _, sw := range a.switches {
 		for i := 0; i < sw.NumPorts(); i++ {
 			check(sw.Port(i))
 		}
@@ -181,15 +223,15 @@ func (a *Auditor) checkPauseAges(now sim.Time, maxAge sim.Duration) {
 	}
 }
 
-// Final runs the drain-time checks after the run has ended: one last sweep,
-// and — when every packet pool reads fully returned, i.e. nothing is in
-// flight anywhere — exact conservation: the flow-byte ledger must balance
-// to zero, every switch must be quiescent (CheckDrained), and no PFC pause
-// may remain asserted (unless the fault plan can legitimately strand one,
-// see Config.AllowLeakedPause).
+// Final runs the drain-time checks after the run has ended: one last sweep
+// that re-checks every switch whatever its version, and — when every packet
+// pool reads fully returned, i.e. nothing is in flight anywhere — exact
+// conservation: the flow-byte ledger must balance to zero, every switch must
+// be quiescent (CheckDrained), and no PFC pause may remain asserted (unless
+// the fault plan can legitimately strand one, see Config.AllowLeakedPause).
 func (a *Auditor) Final() {
 	now := a.eng.Now()
-	a.CheckOnce(now)
+	a.sweep(now, true)
 
 	drained := true
 	for _, pl := range a.cl.Pools {
@@ -204,7 +246,7 @@ func (a *Auditor) Final() {
 		a.record(now, "flow-byte ledger unbalanced after drain: injected=%d delivered=%d dropped=%d (in-flight %d, want 0)",
 			tx, rx, dropped, tx-rx-dropped)
 	}
-	for _, sw := range a.cl.AllSwitches() {
+	for _, sw := range a.switches {
 		if err := sw.CheckDrained(); err != nil {
 			a.record(now, "after drain: %v", err)
 		}

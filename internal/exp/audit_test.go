@@ -81,13 +81,17 @@ func runAuditVariant(t *testing.T, shards int, as *AuditSpec) (string, string) {
 
 // TestAuditorCleanUnderFaults: a faulty fabric (flaps, corruption, PFC
 // loss) stresses every kill site the flow-byte ledger must cover; the
-// auditor must still see conservation hold.
+// auditor must still see conservation hold. The run is required to lose
+// frames both ways and to drain, so that Final's exact balance check runs
+// with every ledger writer exercised: dropping any one write — a host's
+// injected or delivered bytes, a port's carrier or fault drops — fails this
+// test (the first mid-run, as a negative ledger; the others at the drain).
 func TestAuditorCleanUnderFaults(t *testing.T) {
 	for _, shards := range []int{0, 2} {
 		spec := auditSpec(shards)
 		spec.DrainOverride = 40 * sim.Millisecond
 		spec.Faults = &FaultSpec{Plan: faults.Plan{
-			FlapRate:     200,
+			FlapRate:     1000,
 			FlapDowntime: 300 * sim.Microsecond,
 			FlapWindow:   sim.Millisecond,
 			BER:          2e-7,
@@ -103,6 +107,10 @@ func TestAuditorCleanUnderFaults(t *testing.T) {
 		}
 		if res.AuditChecks == 0 {
 			t.Errorf("shards=%d: auditor never swept", shards)
+		}
+		if res.CarrierDrops == 0 || res.CorruptedFrames == 0 || res.PoolLive != 0 {
+			t.Errorf("shards=%d: want carrier drops, corrupted frames and a drained fabric, have %d, %d and %d live packets",
+				shards, res.CarrierDrops, res.CorruptedFrames, res.PoolLive)
 		}
 	}
 }

@@ -26,6 +26,10 @@ type Host struct {
 	name string
 	nic  *netdev.Port
 	pool *pkt.Pool
+	// ledger is the owning shard's flow-byte ledger: this host reports
+	// every data frame it injects into its NIC and every data frame
+	// delivered to its receivers. Nil outside a built fabric.
+	ledger *pkt.Ledger
 
 	// tc is the immutable transport descriptor, shared by every host of the
 	// fabric (NewShared): a 100k-host build stores the DCTCP/DCQCN knobs
@@ -49,14 +53,6 @@ type Host struct {
 	// DataReceived counts data packets delivered to this host's receivers —
 	// the fabric-wide progress signal the fault watchdog monitors.
 	DataReceived uint64
-	// TxDataBytes and RxDataBytes are the host's ends of the global
-	// flow-byte conservation ledger the invariant auditor checks: wire
-	// bytes (header + payload) of every data frame this host injected into
-	// its NIC, and of every data frame delivered to its receivers
-	// (including duplicates and out-of-order arrivals — the ledger closes
-	// over retransmissions at the wire level, not the application level).
-	TxDataBytes int64
-	RxDataBytes int64
 }
 
 var (
@@ -104,6 +100,10 @@ func (h *Host) SetNIC(p *netdev.Port) { h.nic = p }
 // their frames from it, and the host recycles every fully delivered packet
 // back into it. Nil (the default) keeps plain heap allocation.
 func (h *Host) SetPool(pl *pkt.Pool) { h.pool = pl }
+
+// SetLedger installs the flow-byte ledger this host reports injected and
+// delivered data frames to. Nil (the default) records nothing.
+func (h *Host) SetLedger(l *pkt.Ledger) { h.ledger = l }
 
 // NIC returns the host's port.
 func (h *Host) NIC() *netdev.Port { return h.nic }
@@ -199,7 +199,7 @@ func (h *Host) HandleArrival(p *pkt.Packet, port *netdev.Port) {
 
 func (h *Host) handleData(p *pkt.Packet) {
 	h.DataReceived++
-	h.RxDataBytes += int64(p.Size)
+	h.ledger.Delivered(p.Size)
 	switch p.Class {
 	case pkt.ClassLossless:
 		r, ok := h.rdmaRx[p.Flow]
@@ -335,7 +335,7 @@ func (h *Host) Now() sim.Time { return h.eng.Now() }
 // the single injection point of the flow-byte conservation ledger.
 func (h *Host) Send(p *pkt.Packet) {
 	if p.Kind == pkt.KindData {
-		h.TxDataBytes += int64(p.Size)
+		h.ledger.Injected(p.Size)
 	}
 	h.nic.Enqueue(p)
 }

@@ -1,6 +1,7 @@
 package netdev
 
 import (
+	"math/rand"
 	"testing"
 
 	"l2bm/internal/pkt"
@@ -110,4 +111,166 @@ func TestDWRRValidation(t *testing.T) {
 		}
 	}()
 	pa.EnableDWRR(-1)
+}
+
+// schedOracle is the scheduler as it was before Port kept its eligible set
+// as a bitmask: every decision walks all eight priorities and asks each
+// queue for its length and pause state. It survives here as the reference
+// the mask-based scheduler is checked against.
+type schedOracle struct {
+	queues  [pkt.NumPriorities][]*pkt.Packet
+	paused  [pkt.NumPriorities]bool
+	rr      int
+	quantum int
+	deficit [pkt.NumPriorities]int
+	granted [pkt.NumPriorities]bool
+}
+
+func (o *schedOracle) backlogged() int {
+	n := 0
+	for prio := 0; prio < pkt.NumPriorities; prio++ {
+		if len(o.queues[prio]) > 0 && !o.paused[prio] {
+			n++
+		}
+	}
+	return n
+}
+
+func (o *schedOracle) pop(prio int) *pkt.Packet {
+	q := o.queues[prio][0]
+	o.queues[prio] = o.queues[prio][1:]
+	return q
+}
+
+func (o *schedOracle) evictTail(prio int) *pkt.Packet {
+	n := len(o.queues[prio])
+	if n == 0 {
+		return nil
+	}
+	q := o.queues[prio][n-1]
+	o.queues[prio] = o.queues[prio][:n-1]
+	return q
+}
+
+func (o *schedOracle) next() *pkt.Packet {
+	if o.quantum > 0 {
+		return o.nextDWRR()
+	}
+	for i := 0; i < pkt.NumPriorities; i++ {
+		prio := (o.rr + i) % pkt.NumPriorities
+		if o.paused[prio] || len(o.queues[prio]) == 0 {
+			continue
+		}
+		o.rr = (prio + 1) % pkt.NumPriorities
+		return o.pop(prio)
+	}
+	return nil
+}
+
+func (o *schedOracle) nextDWRR() *pkt.Packet {
+	eligible := false
+	for prio := 0; prio < pkt.NumPriorities; prio++ {
+		if !o.paused[prio] && len(o.queues[prio]) > 0 {
+			eligible = true
+		} else {
+			o.deficit[prio] = 0
+		}
+	}
+	if !eligible {
+		return nil
+	}
+	for {
+		prio := o.rr
+		if o.paused[prio] || len(o.queues[prio]) == 0 {
+			o.deficit[prio] = 0
+			o.granted[prio] = false
+			o.rr = (o.rr + 1) % pkt.NumPriorities
+			continue
+		}
+		if !o.granted[prio] {
+			o.deficit[prio] += o.quantum
+			o.granted[prio] = true
+		}
+		if head := o.queues[prio][0]; o.deficit[prio] >= head.Size {
+			q := o.pop(prio)
+			o.deficit[prio] -= q.Size
+			if len(o.queues[prio]) == 0 {
+				o.deficit[prio] = 0
+				o.granted[prio] = false
+				o.rr = (o.rr + 1) % pkt.NumPriorities
+			}
+			return q
+		}
+		o.granted[prio] = false
+		o.rr = (o.rr + 1) % pkt.NumPriorities
+	}
+}
+
+// TestSchedulerMasksMatchEightWayScan drives one port and the oracle with
+// the same random script — enqueues, scheduling decisions, PFC pause and
+// resume frames, forced resumes, tail evictions — under packet round robin
+// and under DWRR, and requires the same packet from every decision and the
+// same scheduler state after every step. The port's transmitter is held
+// busy so that only the test takes scheduling decisions.
+func TestSchedulerMasksMatchEightWayScan(t *testing.T) {
+	for _, quantum := range []int{0, 600, 1500} {
+		for seed := int64(1); seed <= 8; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			eng := sim.NewEngine(1)
+			a := &captureNode{name: "a", eng: eng}
+			b := &captureNode{name: "b", eng: eng}
+			p, _ := Connect(eng, a, b, 25e9, 0)
+			p.EnableDWRR(quantum)
+			p.busy = true
+			o := &schedOracle{quantum: quantum}
+
+			// Most traffic lands on few priorities so queues keep emptying.
+			pickPrio := func() int {
+				if rng.Intn(4) > 0 {
+					return rng.Intn(3)
+				}
+				return rng.Intn(pkt.NumPriorities)
+			}
+			for step := 0; step < 3000; step++ {
+				prio := pickPrio()
+				switch roll := rng.Intn(100); {
+				case roll < 35:
+					q := data(prio, 40+rng.Intn(1400))
+					p.Enqueue(q)
+					o.queues[prio] = append(o.queues[prio], q)
+				case roll < 75:
+					if got, want := p.nextPacket(), o.next(); got != want {
+						t.Fatalf("quantum %d seed %d step %d: scheduled %v, eight-way scan picks %v", quantum, seed, step, got, want)
+					}
+				case roll < 90:
+					pause := rng.Intn(2) == 0
+					p.applyPFC(&pkt.Packet{Kind: pkt.KindPFC, PFCPriority: prio, PFCPause: pause})
+					o.paused[prio] = pause
+				case roll < 93:
+					p.ForceResume(prio)
+					o.paused[prio] = false
+				default:
+					if got, want := p.EvictTail(prio), o.evictTail(prio); got != want {
+						t.Fatalf("quantum %d seed %d step %d: evicted %v, want %v", quantum, seed, step, got, want)
+					}
+				}
+
+				if got, want := p.backloggedPriorities(), o.backlogged(); got != want {
+					t.Fatalf("quantum %d seed %d step %d: %d backlogged priorities, eight-way scan counts %d", quantum, seed, step, got, want)
+				}
+				for i := 0; i < pkt.NumPriorities; i++ {
+					if got, want := p.nonEmpty&(1<<uint(i)) != 0, len(o.queues[i]) > 0; got != want || p.QueuePackets(i) != len(o.queues[i]) {
+						t.Fatalf("quantum %d seed %d step %d: nonEmpty bit %d = %v with %d packets queued (oracle %d)", quantum, seed, step, i, got, p.QueuePackets(i), len(o.queues[i]))
+					}
+					if p.Paused(i) != o.paused[i] {
+						t.Fatalf("quantum %d seed %d step %d: paused bit %d = %v, oracle %v", quantum, seed, step, i, p.Paused(i), o.paused[i])
+					}
+				}
+				if p.rr != o.rr || p.deficit != o.deficit || p.granted != o.granted {
+					t.Fatalf("quantum %d seed %d step %d: scheduler state rr=%d deficit=%v granted=%v, oracle rr=%d deficit=%v granted=%v",
+						quantum, seed, step, p.rr, p.deficit, p.granted, o.rr, o.deficit, o.granted)
+				}
+			}
+		}
+	}
 }

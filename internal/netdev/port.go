@@ -9,6 +9,7 @@ package netdev
 
 import (
 	"fmt"
+	"math/bits"
 
 	"l2bm/internal/pkt"
 	"l2bm/internal/sim"
@@ -39,12 +40,6 @@ type PortStats struct {
 	// FaultDrops counts frames discarded by the RxFault hook (bit-error
 	// corruption or injected control-frame loss).
 	FaultDrops uint64
-	// CarrierDropDataBytes and FaultDropDataBytes restrict the two drop
-	// counters above to data frames, in wire bytes — the port-layer kill
-	// sites of the flow-byte conservation ledger (control frames are not
-	// part of the ledger).
-	CarrierDropDataBytes uint64
-	FaultDropDataBytes   uint64
 	// ForcedResumes counts PFC pause states cleared by ForceResume (the
 	// deadlock detector's documented degraded mode).
 	ForcedResumes uint64
@@ -55,6 +50,10 @@ type PortStats struct {
 // false to discard the frame as lost or corrupted. The fault-injection layer
 // installs these; a nil hook delivers everything.
 type FaultHook func(p *pkt.Packet) bool
+
+// The per-priority bitmasks are bytes and the round-robin scan rotates
+// them, so there must be exactly eight priorities (compile-time check).
+var _ = [1]struct{}{}[pkt.NumPriorities-8]
 
 // Port is one side of a full-duplex link: it transmits toward its peer and
 // receives what the peer transmits. Transmission is packet-granular
@@ -78,7 +77,14 @@ type Port struct {
 	qbytes [pkt.NumPriorities]int
 	ctrl   ring
 
-	paused      [pkt.NumPriorities]bool
+	// nonEmpty and paused are per-priority bitmasks (bit i = priority i):
+	// which data queues hold packets, and which are paused by peer PFC.
+	// The scheduler's eligible set is nonEmpty &^ paused, one byte, so a
+	// scheduling decision is a rotate and a bit scan rather than a walk
+	// over eight queues. nonEmpty is set by Enqueue and cleared wherever a
+	// pop empties a queue.
+	nonEmpty    uint8
+	paused      uint8
 	pausedSince [pkt.NumPriorities]sim.Time
 	cumPaused   [pkt.NumPriorities]sim.Duration
 
@@ -103,6 +109,12 @@ type Port struct {
 	// and sources PFC frames. Nil disables pooling: SendPFC heap-allocates
 	// and dead frames are left to the GC, exactly the pre-pool behaviour.
 	pool *pkt.Pool
+
+	// ledger is the owning shard's flow-byte ledger; the port reports the
+	// data frames it loses (carrier and fault drops — the port-layer kill
+	// sites; control frames are not part of the ledger). Nil outside a
+	// built fabric.
+	ledger *pkt.Ledger
 
 	// key is the port's wiring-order arrival key (1-based; 0 = unkeyed).
 	// When set, every frame this port transmits is delivered with the
@@ -235,6 +247,10 @@ func (p *Port) bindHandlers() {
 // A nil pool restores the pre-pool heap-allocating behaviour.
 func (p *Port) SetPool(pl *pkt.Pool) { p.pool = pl }
 
+// SetLedger installs the flow-byte ledger this port reports lost data
+// frames to. A nil ledger (the default) records nothing.
+func (p *Port) SetLedger(l *pkt.Ledger) { p.ledger = l }
+
 // Owner returns the node this port belongs to.
 func (p *Port) Owner() Node { return p.owner }
 
@@ -249,6 +265,12 @@ func (p *Port) PropDelay() sim.Duration { return p.class.Prop }
 
 // Stats returns a snapshot of the port counters.
 func (p *Port) Stats() PortStats { return p.stats }
+
+// PFCFramesSent returns the pause (XOFF) and resume (XON) frames this port
+// has sent, without copying the whole PortStats.
+func (p *Port) PFCFramesSent() (pauses, resumes uint64) {
+	return p.stats.PFCSent, p.stats.PFCResumes
+}
 
 // QueueBytes returns the bytes currently backlogged in priority queue prio.
 func (p *Port) QueueBytes(prio int) int { return p.qbytes[prio] }
@@ -266,7 +288,7 @@ func (p *Port) TotalBacklog() int {
 }
 
 // Paused reports whether transmission of prio is paused by peer PFC.
-func (p *Port) Paused(prio int) bool { return p.paused[prio] }
+func (p *Port) Paused(prio int) bool { return p.paused&(1<<uint(prio)) != 0 }
 
 // PausedSince returns when the current pause of prio began; meaningful only
 // while Paused(prio) is true.
@@ -286,10 +308,10 @@ func (p *Port) SetCarrier(up bool) { p.down = !up }
 // downstream switch may be pushed into headroom (or, exhausted, into a
 // lossless violation), which the stats record.
 func (p *Port) ForceResume(prio int) bool {
-	if !p.paused[prio] {
+	if !p.Paused(prio) {
 		return false
 	}
-	p.paused[prio] = false
+	p.paused &^= 1 << uint(prio)
 	p.cumPaused[prio] += p.eng.Now() - p.pausedSince[prio]
 	p.stats.ForcedResumes++
 	if p.OnPauseTransition != nil {
@@ -305,7 +327,7 @@ func (p *Port) ForceResume(prio int) bool {
 // estimate (paper §III-D).
 func (p *Port) CumPausedTime(prio int) sim.Duration {
 	total := p.cumPaused[prio]
-	if p.paused[prio] {
+	if p.Paused(prio) {
 		total += p.eng.Now() - p.pausedSince[prio]
 	}
 	return total
@@ -313,15 +335,7 @@ func (p *Port) CumPausedTime(prio int) sim.Duration {
 
 // backloggedPriorities counts data priorities with queued packets that are
 // not paused — the set competing for the line in round-robin.
-func (p *Port) backloggedPriorities() int {
-	n := 0
-	for prio := 0; prio < pkt.NumPriorities; prio++ {
-		if p.queues[prio].len() > 0 && !p.paused[prio] {
-			n++
-		}
-	}
-	return n
-}
+func (p *Port) backloggedPriorities() int { return bits.OnesCount8(p.nonEmpty &^ p.paused) }
 
 // DrainRate estimates the service rate (bits/s) priority prio currently
 // receives: the full line rate divided among the backlogged, unpaused data
@@ -333,7 +347,7 @@ func (p *Port) backloggedPriorities() int {
 // congestion was worst. Callers that need a post-resume estimate should fall
 // back to Rate() explicitly — see core.sojournQueue.onEnqueue.)
 func (p *Port) DrainRate(prio int) int64 {
-	if p.paused[prio] {
+	if p.Paused(prio) {
 		return 0
 	}
 	n := p.backloggedPriorities()
@@ -355,6 +369,7 @@ func (p *Port) Enqueue(q *pkt.Packet) {
 	}
 	p.queues[q.Priority].push(q)
 	p.qbytes[q.Priority] += q.Size
+	p.nonEmpty |= 1 << uint(q.Priority)
 	p.tryTransmit()
 }
 
@@ -367,8 +382,16 @@ func (p *Port) EvictTail(prio int) *pkt.Packet {
 	q := p.queues[prio].popTail()
 	if q != nil {
 		p.qbytes[prio] -= q.Size
+		p.popped(prio)
 	}
 	return q
+}
+
+// popped clears prio's nonEmpty bit if the pop just emptied the queue.
+func (p *Port) popped(prio int) {
+	if p.queues[prio].len() == 0 {
+		p.nonEmpty &^= 1 << uint(prio)
+	}
 }
 
 // SendPFC queues a pause (XOFF) or resume (XON) frame for prio toward the
@@ -409,17 +432,18 @@ func (p *Port) nextPacket() *pkt.Packet {
 	if p.quantum > 0 {
 		return p.nextDWRR()
 	}
-	for i := 0; i < pkt.NumPriorities; i++ {
-		prio := (p.rr + i) % pkt.NumPriorities
-		if p.paused[prio] || p.queues[prio].len() == 0 {
-			continue
-		}
-		q := p.queues[prio].pop()
-		p.qbytes[prio] -= q.Size
-		p.rr = (prio + 1) % pkt.NumPriorities
-		return q
+	ready := p.nonEmpty &^ p.paused
+	if ready == 0 {
+		return nil
 	}
-	return nil
+	// Rotating right by rr puts priority rr at bit 0, so the lowest set bit
+	// is the first eligible priority at or after rr, wrapping around.
+	prio := (p.rr + bits.TrailingZeros8(bits.RotateLeft8(ready, -p.rr))) % pkt.NumPriorities
+	q := p.queues[prio].pop()
+	p.qbytes[prio] -= q.Size
+	p.popped(prio)
+	p.rr = (prio + 1) % pkt.NumPriorities
+	return q
 }
 
 // EnableDWRR switches the port's data scheduler from packet-granular round
@@ -443,20 +467,18 @@ func (p *Port) EnableDWRR(quantumBytes int) {
 // stays parked on a queue while its deficit still covers the next head —
 // that is what makes the schedule byte-fair rather than packet-fair.
 func (p *Port) nextDWRR() *pkt.Packet {
-	eligible := false
+	ready := p.nonEmpty &^ p.paused
 	for prio := 0; prio < pkt.NumPriorities; prio++ {
-		if !p.paused[prio] && p.queues[prio].len() > 0 {
-			eligible = true
-		} else {
+		if ready&(1<<uint(prio)) == 0 {
 			p.deficit[prio] = 0 // idle/paused queues hold no credit
 		}
 	}
-	if !eligible {
+	if ready == 0 {
 		return nil
 	}
 	for {
 		prio := p.rr
-		if p.paused[prio] || p.queues[prio].len() == 0 {
+		if ready&(1<<uint(prio)) == 0 {
 			p.deficit[prio] = 0
 			p.granted[prio] = false
 			p.rr = (p.rr + 1) % pkt.NumPriorities
@@ -473,6 +495,7 @@ func (p *Port) nextDWRR() *pkt.Packet {
 			q := p.queues[prio].pop()
 			p.qbytes[prio] -= q.Size
 			p.deficit[prio] -= q.Size
+			p.popped(prio)
 			if p.queues[prio].len() == 0 {
 				p.deficit[prio] = 0
 				p.granted[prio] = false
@@ -523,7 +546,7 @@ func (p *Port) receive(q *pkt.Packet) {
 	if p.down {
 		p.stats.CarrierDrops++
 		if q.Kind == pkt.KindData {
-			p.stats.CarrierDropDataBytes += uint64(q.Size)
+			p.ledger.Lost(q.Size)
 		}
 		p.pool.Put(q) // sink: the frame died on a dark fiber
 		return
@@ -531,7 +554,7 @@ func (p *Port) receive(q *pkt.Packet) {
 	if p.RxFault != nil && !p.RxFault(q) {
 		p.stats.FaultDrops++
 		if q.Kind == pkt.KindData {
-			p.stats.FaultDropDataBytes += uint64(q.Size)
+			p.ledger.Lost(q.Size)
 		}
 		p.pool.Put(q) // sink: corrupted or injected-loss frame
 		return
@@ -551,15 +574,15 @@ func (p *Port) applyPFC(q *pkt.Packet) {
 	prio := q.PFCPriority
 	if q.PFCPause {
 		p.stats.PFCReceived++
-		if !p.paused[prio] {
-			p.paused[prio] = true
+		if !p.Paused(prio) {
+			p.paused |= 1 << uint(prio)
 			p.pausedSince[prio] = p.eng.Now()
 			if p.OnPauseTransition != nil {
 				p.OnPauseTransition(prio, true)
 			}
 		}
-	} else if p.paused[prio] {
-		p.paused[prio] = false
+	} else if p.Paused(prio) {
+		p.paused &^= 1 << uint(prio)
 		p.cumPaused[prio] += p.eng.Now() - p.pausedSince[prio]
 		if p.OnPauseTransition != nil {
 			p.OnPauseTransition(prio, false)

@@ -4,7 +4,8 @@ import "l2bm/internal/pkt"
 
 // ring is a growable FIFO of packets backed by a circular buffer. It avoids
 // the per-element allocation of container/list on the simulator's hottest
-// path.
+// path. The buffer's length is zero or a power of two (grow starts at 16
+// and doubles), so positions wrap with a mask rather than a division.
 type ring struct {
 	buf  []*pkt.Packet
 	head int
@@ -17,7 +18,7 @@ func (r *ring) push(p *pkt.Packet) {
 	if r.n == len(r.buf) {
 		r.grow()
 	}
-	r.buf[(r.head+r.n)%len(r.buf)] = p
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = p
 	r.n++
 }
 
@@ -27,7 +28,7 @@ func (r *ring) pop() *pkt.Packet {
 	}
 	p := r.buf[r.head]
 	r.buf[r.head] = nil
-	r.head = (r.head + 1) % len(r.buf)
+	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
 	return p
 }
@@ -39,7 +40,7 @@ func (r *ring) popTail() *pkt.Packet {
 	if r.n == 0 {
 		return nil
 	}
-	idx := (r.head + r.n - 1) % len(r.buf)
+	idx := (r.head + r.n - 1) & (len(r.buf) - 1)
 	p := r.buf[idx]
 	r.buf[idx] = nil
 	r.n--
@@ -60,7 +61,7 @@ func (r *ring) grow() {
 	}
 	buf := make([]*pkt.Packet, size)
 	for i := 0; i < r.n; i++ {
-		buf[i] = r.buf[(r.head+i)%len(r.buf)]
+		buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
 	}
 	r.buf = buf
 	r.head = 0

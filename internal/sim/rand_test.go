@@ -104,48 +104,129 @@ func TestEngineRandIsDeterministic(t *testing.T) {
 	}
 }
 
-// A stream is math/rand seeded with a value derived from (master seed,
-// name), and seeding on first draw must not be observable: for every
-// helper, the first 1,000 draws of a fresh stream equal those of a
-// math/rand generator seeded eagerly with the derived seed. The derivation
-// is restated here on purpose — it is part of the determinism contract
-// (change it and every experiment's traffic changes).
-func TestStreamDrawsMatchEagerlySeededMathRand(t *testing.T) {
-	master, name := int64(20230718), "host/17/sizes"
+// streamSeed restates Source.Stream's derivation on purpose — it is part of
+// the determinism contract (change it and every experiment's traffic
+// changes).
+func streamSeed(master int64, name string) int64 {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(name))
-	derived := int64(h.Sum64()) ^ (master * 0x4F1BBCDCBFA53E0B)
+	return int64(h.Sum64()) ^ (master * 0x4F1BBCDCBFA53E0B)
+}
 
-	helpers := map[string]func(r *Rand, ref *rand.Rand) bool{
-		"Float64": func(r *Rand, ref *rand.Rand) bool { return r.Float64() == ref.Float64() },
-		"Intn":    func(r *Rand, ref *rand.Rand) bool { return r.Intn(1009) == ref.Intn(1009) },
-		"Int63n":  func(r *Rand, ref *rand.Rand) bool { return r.Int63n(1<<40+7) == ref.Int63n(1<<40+7) },
-		"Uint64":  func(r *Rand, ref *rand.Rand) bool { return r.Uint64() == ref.Uint64() },
-		"Perm": func(r *Rand, ref *rand.Rand) bool {
-			got, want := r.Perm(9), ref.Perm(9)
-			for i := range want {
-				if got[i] != want[i] {
-					return false
-				}
+// streamHelpers pairs every Rand helper with the math/rand call it must
+// reproduce; each reports whether one draw of both agreed.
+var streamHelpers = []struct {
+	name string
+	same func(r *Rand, ref *rand.Rand) bool
+}{
+	{"Float64", func(r *Rand, ref *rand.Rand) bool { return r.Float64() == ref.Float64() }},
+	{"Intn", func(r *Rand, ref *rand.Rand) bool { return r.Intn(1009) == ref.Intn(1009) }},
+	// 2⁶²+1 rejects every other raw draw, so this helper's draw count varies.
+	{"Int63n", func(r *Rand, ref *rand.Rand) bool { return r.Int63n(1<<62+1) == ref.Int63n(1<<62+1) }},
+	{"Uint64", func(r *Rand, ref *rand.Rand) bool { return r.Uint64() == ref.Uint64() }},
+	{"Perm", func(r *Rand, ref *rand.Rand) bool {
+		got, want := r.Perm(9), ref.Perm(9)
+		for i := range want {
+			if got[i] != want[i] {
+				return false
 			}
-			return true
-		},
-		"ExpDuration": func(r *Rand, ref *rand.Rand) bool {
-			want := Duration(math.Round(ref.ExpFloat64() * float64(Microsecond)))
-			if want < 1 {
-				want = 1
-			}
-			return r.ExpDuration(Microsecond) == want
-		},
-	}
-	for helper, same := range helpers {
+		}
+		return true
+	}},
+	{"ExpDuration", func(r *Rand, ref *rand.Rand) bool {
+		want := Duration(math.Round(ref.ExpFloat64() * float64(Microsecond)))
+		if want < 1 {
+			want = 1
+		}
+		return r.ExpDuration(Microsecond) == want
+	}},
+}
+
+// A stream is math/rand seeded with a value derived from (master seed,
+// name), and neither building the generator on first draw nor computing
+// its first 273 outputs without state may be observable: for every helper,
+// the first 1,000 draws of a fresh stream — which cross the hand-over to
+// the real source — equal those of a math/rand generator seeded eagerly
+// with the derived seed.
+func TestStreamDrawsMatchEagerlySeededMathRand(t *testing.T) {
+	master, name := int64(20230718), "host/17/sizes"
+	for _, h := range streamHelpers {
 		// Each helper gets a fresh stream, so each one is the first to draw.
 		r := NewSource(master).Stream(name)
-		ref := rand.New(rand.NewSource(derived))
+		ref := rand.New(rand.NewSource(streamSeed(master, name)))
 		for i := 0; i < 1000; i++ {
-			if !same(r, ref) {
-				t.Errorf("%s: draw %d differs from rand.New(rand.NewSource(derived))", helper, i)
+			if !h.same(r, ref) {
+				t.Errorf("%s: draw %d differs from rand.New(rand.NewSource(derived))", h.name, i)
 				break
+			}
+		}
+	}
+}
+
+// The same identity with the helpers interleaved, over the seeds math/rand
+// folds specially (zero, the modulus and its multiples, both signs, the
+// int64 extremes) and with the stream pre-drawn to every offset around the
+// hand-over, so that the 273rd/274th raw draws fall inside multi-draw
+// helpers. The test reads the source's own state to prove they did: a
+// hand-over placed one draw early or late would otherwise only shift which
+// helper call straddles it.
+func TestStreamDrawsMatchAcrossHandOver(t *testing.T) {
+	const m = 1<<31 - 1
+	seeds := []int64{
+		0, 1, -1, m, -m, m + 1, m - 1, 2 * m, -2 * m, 12345 * m, -12345*m + 1,
+		math.MaxInt64, math.MinInt64, math.MinInt64 + 1,
+		streamSeed(1, "tcp/arrivals/0"), streamSeed(20230718, "rdma/sizes/10239"),
+	}
+	straddled := map[string]bool{}
+	for _, seed := range seeds {
+		for _, pre := range []int{0, 1, 260, 262, 264, 266, 268, 270, 271, 272, 273, 274} {
+			ps := &prefixSource{x0: foldSeed(seed)}
+			r := &Rand{seed: seed, rng: rand.New(ps)}
+			ref := rand.New(rand.NewSource(seed))
+			for i := 0; i < pre; i++ {
+				if r.Uint64() != ref.Uint64() {
+					t.Fatalf("seed %d: raw draw %d differs", seed, i+1)
+				}
+			}
+			for i := 0; i < 1000; i++ {
+				h := streamHelpers[i%len(streamHelpers)]
+				before := ps.drawn
+				stateless := ps.full == nil
+				if !h.same(r, ref) {
+					t.Fatalf("seed %d, %d pre-draws: interleaved draw %d (%s) differs", seed, pre, i, h.name)
+				}
+				if stateless && ps.full != nil && before < rngTap {
+					straddled[h.name] = true
+				}
+			}
+			if ps.full == nil || ps.drawn != rngTap {
+				t.Fatalf("seed %d: after >1000 draws the source is still stateless (drawn=%d)", seed, ps.drawn)
+			}
+		}
+	}
+	for _, name := range []string{"Int63n", "Perm"} {
+		if !straddled[name] {
+			t.Errorf("no %s call straddled the hand-over; the boundary is not exercised mid-helper", name)
+		}
+	}
+}
+
+// The additive table is derived at init from rand.NewSource(1)'s outputs.
+// It must be the table for every seed: a plain lagged-Fibonacci generator
+// over the vector seededWord describes reproduces rand.NewSource(s) for
+// two full laps of the vector.
+func TestPrefixTablesReproduceSeeding(t *testing.T) {
+	for _, seed := range []int64{1, 2, 0, -7, 1<<31 - 1, 89482311, 20230718, math.MinInt64, streamSeed(3, "switch/tor3/ecn")} {
+		var vec [rngLen]uint64
+		for i := range vec {
+			vec[i] = seededWord(foldSeed(seed), i)
+		}
+		ref := rand.NewSource(seed).(rand.Source64)
+		for k := 1; k <= 2*rngLen; k++ {
+			lap := (k-1)%rngLen + 1
+			vec[feedSlot(lap)] += vec[tapSlot(lap)]
+			if got, want := vec[feedSlot(lap)], ref.Uint64(); got != want {
+				t.Fatalf("seed %d: draw %d = %#x, math/rand gives %#x", seed, k, got, want)
 			}
 		}
 	}
@@ -170,4 +251,27 @@ func TestUndrawnStreamIsCheap(t *testing.T) {
 	if keep[0].rng != nil {
 		t.Error("Stream() built the generator before any draw")
 	}
+
+	// Nor does the first draw buy the 4.9 kB vector: every host draws its
+	// first Poisson gap, and most streams never draw a second number.
+	runtime.ReadMemStats(&before)
+	for _, r := range keep {
+		r.Uint64()
+	}
+	runtime.ReadMemStats(&after)
+	if perStream := (after.TotalAlloc - before.TotalAlloc) / n; perStream >= 128 {
+		t.Errorf("a stream's first draw allocates %d B, want < 128", perStream)
+	}
+}
+
+// BenchmarkStreamFirstDraw is what a fabric pays per host at install time:
+// name a stream and draw one exponential gap from it.
+func BenchmarkStreamFirstDraw(b *testing.B) {
+	src := NewSource(1)
+	b.ReportAllocs()
+	var sink Duration
+	for i := 0; i < b.N; i++ {
+		sink += src.Stream("tcp/arrivals/10239").ExpDuration(Microsecond)
+	}
+	runtime.KeepAlive(sink)
 }

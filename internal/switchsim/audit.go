@@ -85,7 +85,16 @@ func (s *Switch) CheckInvariants() error {
 // seeded accounting bug the chaos harness's mutation test plants to prove
 // the invariant auditor catches (and the shrinker minimizes) real
 // conservation violations. Production code must never call this.
-func (s *Switch) SkewSharedUsedForTest(delta int64) { s.mmu.sharedUsed += delta }
+func (s *Switch) SkewSharedUsedForTest(delta int64) {
+	s.mmu.sharedUsed += delta
+	s.mmu.version++
+}
+
+// MMUVersion returns a counter that moves whenever any MMU state
+// CheckInvariants reads is written. Two reads returning the same value
+// bracket an interval in which CheckInvariants' verdict cannot have
+// changed.
+func (s *Switch) MMUVersion() uint64 { return s.mmu.version }
 
 // CheckDrained audits that the MMU is fully quiescent — the state every
 // switch must reach after all traffic has drained, even across faults

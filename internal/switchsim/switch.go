@@ -101,6 +101,20 @@ type mmuState struct {
 	// resident is the total bytes resident in the switch (reserved +
 	// shared + headroom), the occupancy the paper plots.
 	resident int64
+	// version counts writes to anything above. CheckInvariants is a pure
+	// function of this struct and the immutable Config, so an observer that
+	// saw it pass at some version need not re-run it until the version
+	// moves (audit.Auditor does exactly that). Every write site bumps it:
+	// the charge in admitData, the release in onDequeue, each eviction in
+	// EvictLossyTail, setPaused, and SkewSharedUsedForTest —
+	// TestVersionCoversEveryMMUWrite holds the list to the code.
+	version uint64
+}
+
+// setPaused flips the PFC-pause bit of ingress queue (port, prio).
+func (m *mmuState) setPaused(port, prio int, on bool) {
+	m.ports[port].setPaused(prio, on)
+	m.version++
 }
 
 // ensurePorts grows the per-port table to cover port index n-1.
@@ -154,10 +168,21 @@ func (s *Switch) Config() Config { return *s.cfg }
 func (s *Switch) Stats() Stats {
 	out := s.stats
 	for _, p := range s.ports {
-		out.PauseFramesSent += p.Stats().PFCSent
-		out.ResumeFramesSent += p.Stats().PFCResumes
+		sent, resumes := p.PFCFramesSent()
+		out.PauseFramesSent += sent
+		out.ResumeFramesSent += resumes
 	}
 	return out
+}
+
+// DroppedDataBytes returns the wire bytes of data frames this switch's MMU
+// has killed — both admission-drop paths, lossless-violation discards and
+// policy evictions: the switch-side kill sites of the fabric's flow-byte
+// conservation ledger (frames lost on the wire are the ports' to report,
+// see pkt.Ledger).
+func (s *Switch) DroppedDataBytes() uint64 {
+	return s.stats.LossyDropBytesIngress + s.stats.LossyDropBytesEgress +
+		s.stats.LosslessViolationBytes + s.stats.LossyEvictionBytes
 }
 
 // AddPort registers a port (the switch side of a link) and returns its
@@ -189,6 +214,15 @@ func (s *Switch) SetPool(pl *pkt.Pool) {
 	s.pool = pl
 	for _, p := range s.ports {
 		p.SetPool(pl)
+	}
+}
+
+// SetLedger installs the flow-byte ledger this switch's ports report data
+// frames lost on the wire to (the MMU's own kills stay in Stats, see
+// DroppedDataBytes).
+func (s *Switch) SetLedger(l *pkt.Ledger) {
+	for _, p := range s.ports {
+		p.SetLedger(l)
 	}
 }
 
@@ -330,6 +364,7 @@ func (s *Switch) admitData(p *pkt.Packet, in, out int) {
 	}
 	s.bumpEgress(out, prio, size)
 	s.mmu.resident += size
+	s.mmu.version++
 	if s.mmu.resident > s.stats.PeakOccupancy {
 		s.stats.PeakOccupancy = s.mmu.resident
 	}
@@ -390,6 +425,7 @@ func (s *Switch) EvictLossyTail(port, prio int, want int64) int64 {
 		s.mmu.sharedUsed += sharedPart(inMMU.ing[q.InPrio], s.cfg.ReservedPerQueue) - before
 		s.bumpEgress(q.OutPort, q.InPrio, -size)
 		s.mmu.resident -= size
+		s.mmu.version++
 		s.stats.LossyEvictions++
 		s.stats.LossyEvictionBytes += uint64(q.Size)
 		if s.tracer != nil {
@@ -427,6 +463,7 @@ func (s *Switch) onDequeue(p *pkt.Packet) {
 	// egress cell negative and another positive forever).
 	s.bumpEgress(p.OutPort, p.InPrio, -size)
 	s.mmu.resident -= size
+	s.mmu.version++
 	s.stats.TxPackets++
 
 	s.policy.OnDequeue(s, p)
@@ -462,7 +499,7 @@ func (s *Switch) checkPFC(in, prio int, arrival bool) {
 	occ := inMMU.ing[prio] + inMMU.hr[prio]
 	if !inMMU.pausedOn(prio) {
 		if occ >= th {
-			inMMU.setPaused(prio, true)
+			s.mmu.setPaused(in, prio, true)
 			inMMU.pauseSentAt[prio] = s.eng.Now()
 			if s.tracer != nil {
 				s.recordPFC(trace.PFCAssert, in, prio)
@@ -476,7 +513,7 @@ func (s *Switch) checkPFC(in, prio int, arrival bool) {
 		release = 0
 	}
 	if occ <= release {
-		inMMU.setPaused(prio, false)
+		s.mmu.setPaused(in, prio, false)
 		if s.tracer != nil {
 			s.recordPFC(trace.PFCRelease, in, prio)
 		}

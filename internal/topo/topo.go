@@ -230,6 +230,14 @@ type shardState struct {
 	fabricDown int      // count of fabric links currently down (fast path)
 }
 
+// shardLedger is a pkt.Ledger alone on its cache lines: every shard writes
+// its ledger on every data frame, each from its own goroutine, and
+// neighbouring slice elements would otherwise share a line.
+type shardLedger struct {
+	pkt.Ledger
+	_ [128 - 3*8]byte
+}
+
 // Cluster is a built network.
 type Cluster struct {
 	// Eng is shard 0's engine — the only engine in a classic (unsharded)
@@ -255,6 +263,9 @@ type Cluster struct {
 	// so each shard owns its own and cross-shard frames change pools via
 	// Export/Import at the mailbox boundary.
 	Pools []*pkt.Pool
+	// ledgers holds one flow-byte ledger per shard, written by that shard's
+	// hosts and ports only (DataBytes sums them).
+	ledgers []shardLedger
 
 	// Lookahead is the minimum propagation delay over cross-shard links —
 	// the conductor's epoch bound. Zero when no link crosses a shard.
@@ -315,6 +326,7 @@ func BuildSharded(engines []*sim.Engine, part *Partition, cfg Config, newPolicy 
 		}
 	}
 	cl.Pool = cl.Pools[0]
+	cl.ledgers = make([]shardLedger, part.Shards)
 	cl.states = make([]*shardState, part.Shards)
 	for i := range cl.states {
 		cl.states[i] = &shardState{
@@ -371,8 +383,10 @@ func BuildSharded(engines []*sim.Engine, part *Partition, cfg Config, newPolicy 
 		eng := engines[sh]
 		hst := host.NewShared(eng, h, fmt.Sprintf("host%d", h), transportCfg)
 		hst.SetPool(cl.Pools[sh])
+		hst.SetLedger(&cl.ledgers[sh].Ledger)
 		hp, sp := connect(eng, engines[part.ToR[t]], hst, cl.ToRs[t], serverClass)
 		hp.SetPool(cl.Pools[sh])
+		hp.SetLedger(&cl.ledgers[sh].Ledger)
 		hst.SetNIC(hp)
 		cl.ToRs[t].AddPort(sp)
 		hst.SetCompletionHandler(onCompleteFor(sh))
@@ -436,17 +450,20 @@ func BuildSharded(engines []*sim.Engine, part *Partition, cfg Config, newPolicy 
 		}
 	}
 
-	// SetPool after AddPort so every switch port (including the switch side
-	// of the access links) is covered in one pass, each switch drawing from
-	// its own shard's pool.
+	// SetPool/SetLedger after AddPort so every switch port (including the
+	// switch side of the access links) is covered in one pass, each switch
+	// using its own shard's pool and ledger.
 	for i, sw := range cl.ToRs {
 		sw.SetPool(cl.Pools[part.ToR[i]])
+		sw.SetLedger(&cl.ledgers[part.ToR[i]].Ledger)
 	}
 	for i, sw := range cl.Aggs {
 		sw.SetPool(cl.Pools[part.Agg[i]])
+		sw.SetLedger(&cl.ledgers[part.Agg[i]].Ledger)
 	}
 	for i, sw := range cl.Cores {
 		sw.SetPool(cl.Pools[part.Core[i]])
+		sw.SetLedger(&cl.ledgers[part.Core[i]].Ledger)
 	}
 
 	cl.installRouting()
@@ -798,24 +815,23 @@ func (cl *Cluster) ResidentBytes() int64 {
 // conservation ledger, in wire bytes of data frames only: tx is what hosts
 // injected (first transmissions plus retransmissions), rx what hosts'
 // receivers took delivery of, and dropped what died at any kill site — the
-// switches' three admission-drop paths plus the ports' carrier and fault
-// (BER / injected-loss) drops. At any event boundary
-// tx - rx - dropped >= 0 (the difference is bytes in flight); after a full
-// drain the difference is exactly zero. The invariant auditor checks both.
+// switches' admission-drop, lossless-violation and eviction paths plus the
+// ports' carrier and fault (BER / injected-loss) drops. At any event
+// boundary tx - rx - dropped >= 0 (the difference is bytes in flight);
+// after a full drain the difference is exactly zero. The invariant auditor
+// checks both, every sweep, so this costs O(shards + switches): hosts and
+// ports write their shard's pkt.Ledger as the bytes move, and only the
+// switch MMUs' kill counters are gathered here.
 func (cl *Cluster) DataBytes() (tx, rx, dropped int64) {
-	for _, h := range cl.Hosts {
-		tx += h.TxDataBytes
-		rx += h.RxDataBytes
-		st := h.NIC().Stats()
-		dropped += int64(st.CarrierDropDataBytes + st.FaultDropDataBytes)
+	for i := range cl.ledgers {
+		l := &cl.ledgers[i]
+		tx += l.Tx
+		rx += l.Rx
+		dropped += l.Dropped
 	}
-	for _, sw := range cl.AllSwitches() {
-		st := sw.Stats()
-		dropped += int64(st.LossyDropBytesIngress + st.LossyDropBytesEgress +
-			st.LosslessViolationBytes + st.LossyEvictionBytes)
-		for i := 0; i < sw.NumPorts(); i++ {
-			ps := sw.Port(i).Stats()
-			dropped += int64(ps.CarrierDropDataBytes + ps.FaultDropDataBytes)
+	for _, tier := range [...][]*switchsim.Switch{cl.ToRs, cl.Aggs, cl.Cores} {
+		for _, sw := range tier {
+			dropped += int64(sw.DroppedDataBytes())
 		}
 	}
 	return tx, rx, dropped
