@@ -40,7 +40,7 @@ bench-json:
 # ns/op). Benchmarks without a baseline entry are reported as "new (no
 # baseline)" and skipped.
 bench-guard:
-	$(GO) test -bench='BenchmarkAdmit$$|BenchmarkSweepWorkers|BenchmarkShardedRun|BenchmarkArenaPoint$$|BenchmarkHybridSteadyState|BenchmarkBuildHyperscale|BenchmarkColfmtWrite|BenchmarkPoissonInstall' -benchmem -benchtime=1x -run=^$$ ./... \
+	$(GO) test -bench='BenchmarkAdmit$$|BenchmarkSweepWorkers|BenchmarkShardedRun|BenchmarkArenaPoint$$|BenchmarkHybridSteadyState|BenchmarkBuildHyperscale|BenchmarkColfmtWrite|BenchmarkPoissonInstall|BenchmarkHotResubmit|BenchmarkCacheLookup' -benchmem -benchtime=1x -run=^$$ ./... \
 		| $(GO) run ./cmd/benchguard -baseline BENCH_BASELINE.json
 
 # The policy arena: every registered buffer-management policy (the paper's

@@ -7,14 +7,19 @@
 // or a new/renamed policy invalidates every stale entry by missing, never
 // by misreading.
 //
-// Persistence reuses the checkpoint idioms: one file per point, a header
-// line naming version/registry/key, the result line after it, written to a
-// temp file, fsynced and renamed — a crash can abandon a temp file but
-// never publish a torn entry.
+// Two tiers. Disk is the durable one and the only one a restart sees: one
+// file per point, a header line naming version/registry/key, the result
+// line after it, written to a temp file, fsynced and renamed — a crash can
+// abandon a temp file but never publish a torn entry. In front of it sits a
+// byte-bounded in-memory LRU of the same canonical bytes, so a repeat hit
+// costs a map lookup: no read, no decode, no copy. Memory only ever holds
+// bytes the disk tier accepted (Put fills it after the rename) or bytes it
+// validated on the way up from disk.
 package exp
 
 import (
 	"bytes"
+	"container/list"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -23,17 +28,36 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"l2bm/internal/core"
 )
 
+// registryStamp is registryVersion's memo: the hash of the first n
+// registered names.
+type registryStamp struct {
+	n       int
+	version string
+}
+
+var registryMemo atomic.Pointer[registryStamp]
+
 // registryVersion content-hashes the policy registry (names, in
 // registration order): adding, removing or reordering policies changes
 // every cache key. Policy semantics changes must bump CheckpointVersion.
+// The registry is append-only, so the hash is memoised against its length:
+// a later core.Register lengthens it and the next call re-derives.
 func registryVersion() string {
+	names := core.RegisteredPolicies()
+	if m := registryMemo.Load(); m != nil && m.n == len(names) {
+		return m.version
+	}
 	h := fnv.New64a()
-	_, _ = h.Write([]byte(strings.Join(core.RegisteredPolicies(), ",")))
-	return fmt.Sprintf("%016x", h.Sum64())
+	_, _ = h.Write([]byte(strings.Join(names, ",")))
+	m := &registryStamp{n: len(names), version: fmt.Sprintf("%016x", h.Sum64())}
+	registryMemo.Store(m)
+	return m.version
 }
 
 // CacheKey derives the content-hash cache key for one spec: a hash over the
@@ -55,18 +79,36 @@ func cacheKeyAt(version int, spec HybridSpec) (string, error) {
 	return fmt.Sprintf("%016x", h.Sum64()), nil
 }
 
-// cacheHeader is the first line of every cache entry; Get refuses entries
-// whose header disagrees with the current derivation.
+// cacheHeader is the first line of every cache entry; a disk load refuses
+// entries whose header disagrees with the current derivation.
 type cacheHeader struct {
 	Version  int    `json:"version"`
 	Registry string `json:"registry"`
 	Key      string `json:"key"`
 }
 
-// ResultCache persists point results under Dir, one entry per cache key. A
-// nil cache ignores every call (Get always misses).
+// memTierBytes bounds the memory tier: the canonical point bytes it holds,
+// least recently used out first. A ScaleTiny point is ~2.4 kB, so 64 MiB is
+// ~27k points — every grid the scorecard resubmits, with room to spare.
+const memTierBytes = 64 << 20
+
+// memEntry is one memory-tier resident: the canonical bytes under key.
+type memEntry struct {
+	key string
+	raw json.RawMessage
+}
+
+// ResultCache persists point results under Dir, one entry per cache key,
+// behind an in-memory LRU of the hottest entries. A nil cache ignores every
+// call (Lookup and Get always miss); the zero value with Dir set is ready
+// to use. Safe for concurrent use.
 type ResultCache struct {
 	Dir string
+
+	mu       sync.Mutex
+	mem      map[string]*list.Element // of memEntry
+	lru      list.List                // front = most recently used
+	memBytes int
 }
 
 // NewResultCache opens (creating if needed) a cache rooted at dir.
@@ -81,45 +123,115 @@ func (c *ResultCache) path(key string) string {
 	return filepath.Join(c.Dir, "point-"+key+".json")
 }
 
-// Get returns the stored canonical Result bytes and the decoded Result for
-// spec, or ok=false on any miss: no entry, an uncacheable spec, or an entry
-// whose header no longer matches the current derivation (stale version or
-// registry — left on disk, simply unused). The decoded Result carries spec
-// reattached, exactly like a checkpoint restore.
-func (c *ResultCache) Get(spec HybridSpec) (raw json.RawMessage, res *Result, ok bool) {
+// memGet returns the memory tier's bytes for key and marks them used.
+func (c *ResultCache) memGet(key string) (json.RawMessage, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.mem[key]
+	if !ok {
+		return nil, false
+	}
+	c.lru.MoveToFront(el)
+	return el.Value.(memEntry).raw, true
+}
+
+// memPut makes raw the memory tier's entry for key, evicting from the cold
+// end until the tier fits its bound. An entry larger than the whole tier is
+// not admitted: it would evict everything and then itself.
+func (c *ResultCache) memPut(key string, raw json.RawMessage) {
+	if len(raw) > memTierBytes {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.mem == nil {
+		c.mem = make(map[string]*list.Element)
+	}
+	if el, ok := c.mem[key]; ok { // replaced: out with the old bytes first
+		c.memBytes -= len(c.lru.Remove(el).(memEntry).raw)
+	}
+	c.mem[key] = c.lru.PushFront(memEntry{key: key, raw: raw})
+	c.memBytes += len(raw)
+	for c.memBytes > memTierBytes {
+		cold := c.lru.Remove(c.lru.Back()).(memEntry)
+		delete(c.mem, cold.key)
+		c.memBytes -= len(cold.raw)
+	}
+}
+
+// Lookup returns the stored canonical Result bytes for spec without
+// decoding them, or ok=false on any miss: no entry, an uncacheable spec, or
+// a disk entry that fails validation (stale version or registry, another
+// key's header, a torn or malformed body — left on disk, simply unused,
+// until the re-run's Put overwrites it). The returned slice is shared with
+// the memory tier and every other caller: read it, never write it.
+func (c *ResultCache) Lookup(spec HybridSpec) (json.RawMessage, bool) {
 	if c == nil {
-		return nil, nil, false
+		return nil, false
 	}
 	key, err := CacheKey(spec)
 	if err != nil {
-		return nil, nil, false
+		return nil, false
 	}
+	if raw, ok := c.memGet(key); ok {
+		return raw, true
+	}
+	raw, ok := c.load(key)
+	if ok {
+		c.memPut(key, raw)
+	}
+	return raw, ok
+}
+
+// load reads key's disk entry and validates it. Hits are served as bytes,
+// never decoded, so this is the one place an entry is checked, once per
+// entry per process: the header must name this version, registry and key;
+// the body must be exactly one newline-terminated line holding one JSON
+// object that decodes as a Result, with nothing before, between or after.
+func (c *ResultCache) load(key string) (json.RawMessage, bool) {
 	data, err := os.ReadFile(c.path(key))
 	if err != nil {
-		return nil, nil, false
+		return nil, false
 	}
 	header, body, found := bytes.Cut(data, []byte{'\n'})
 	if !found {
-		return nil, nil, false
+		return nil, false
 	}
 	var hdr cacheHeader
 	if json.Unmarshal(header, &hdr) != nil ||
 		hdr.Version != CheckpointVersion || hdr.Registry != registryVersion() || hdr.Key != key {
+		return nil, false
+	}
+	body, terminated := bytes.CutSuffix(body, []byte{'\n'})
+	if !terminated || len(body) < 2 || body[0] != '{' || body[len(body)-1] != '}' ||
+		bytes.IndexByte(body, '\n') >= 0 || json.Unmarshal(body, new(Result)) != nil {
+		return nil, false
+	}
+	return json.RawMessage(body), true
+}
+
+// Get is Lookup plus a decode: the stored canonical bytes and the Result
+// they encode, with spec reattached exactly like a checkpoint restore.
+func (c *ResultCache) Get(spec HybridSpec) (raw json.RawMessage, res *Result, ok bool) {
+	raw, ok = c.Lookup(spec)
+	if !ok {
 		return nil, nil, false
 	}
-	body = bytes.TrimSuffix(body, []byte{'\n'})
 	res = new(Result)
-	if json.Unmarshal(body, res) != nil {
+	if json.Unmarshal(raw, res) != nil {
 		return nil, nil, false
 	}
 	res.Spec = spec
-	return json.RawMessage(body), res, true
+	return raw, res, true
 }
 
 // Put stores raw — the canonical json.Marshal bytes of spec's Result — under
 // the spec's key. Uncacheable specs are a silent no-op (the caller already
 // ran the point; there is nothing to salvage by failing it). The write is
-// temp-file + fsync + rename, so readers only ever see whole entries.
+// temp-file + fsync + rename, so readers only ever see whole entries; the
+// memory tier takes raw only once the rename has succeeded, so it never
+// holds bytes the disk tier refused and a restart can never know less than
+// a running process served. The cache keeps raw: do not modify it after.
 func (c *ResultCache) Put(spec HybridSpec, raw json.RawMessage) error {
 	if c == nil {
 		return nil
@@ -157,6 +269,7 @@ func (c *ResultCache) Put(spec HybridSpec, raw json.RawMessage) error {
 		os.Remove(tmp)
 		return fmt.Errorf("exp: cache: %w", err)
 	}
+	c.memPut(key, raw)
 	return nil
 }
 

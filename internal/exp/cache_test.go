@@ -138,8 +138,18 @@ func TestResultCacheRoundTrip(t *testing.T) {
 	if err := os.WriteFile(path, tampered, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := cache.Get(spec); ok {
+	// The disk tier is what a restart sees, so the tampered file is observed
+	// through a reopened cache; the handle that validated and stored the
+	// entry keeps answering from its memory tier.
+	reopened, err := NewResultCache(cache.Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := reopened.Get(spec); ok {
 		t.Error("stale-version entry still served")
+	}
+	if again, _, ok := cache.Get(spec); !ok || !bytes.Equal(again, raw) {
+		t.Error("memory tier lost the entry it validated when the file changed underneath it")
 	}
 
 	// Uncacheable specs: Put is a silent no-op, Get a miss.

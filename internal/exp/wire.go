@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"math"
 	"strings"
 
@@ -177,13 +178,46 @@ func MarshalResults(results []*Result) ([]byte, error) {
 // round trip that could perturb them).
 func MarshalRawResults(raws []json.RawMessage) []byte {
 	var buf bytes.Buffer
-	buf.WriteString(`{"points":[`)
+	buf.Grow(RawResultsLen(raws))
+	_ = WriteRawResults(&buf, raws) // a bytes.Buffer write cannot fail
+	return buf.Bytes()
+}
+
+// Envelope framing around the comma-joined points.
+const (
+	envelopeOpen  = `{"points":[`
+	envelopeClose = "]}\n"
+)
+
+var envelopeComma = []byte{','}
+
+// RawResultsLen is the exact byte length WriteRawResults writes for raws —
+// what lets an HTTP handler announce Content-Length and then splice.
+func RawResultsLen(raws []json.RawMessage) int {
+	n := len(envelopeOpen) + len(envelopeClose) + max(len(raws)-1, 0)
+	for _, raw := range raws {
+		n += len(raw)
+	}
+	return n
+}
+
+// WriteRawResults splices raws into the canonical envelope on w without
+// assembling it in memory first: the one implementation of the splice,
+// behind MarshalRawResults and the daemon's /result handler alike.
+func WriteRawResults(w io.Writer, raws []json.RawMessage) error {
+	if _, err := io.WriteString(w, envelopeOpen); err != nil {
+		return err
+	}
 	for i, raw := range raws {
 		if i > 0 {
-			buf.WriteByte(',')
+			if _, err := w.Write(envelopeComma); err != nil {
+				return err
+			}
 		}
-		buf.Write(raw)
+		if _, err := w.Write(raw); err != nil {
+			return err
+		}
 	}
-	buf.WriteString("]}\n")
-	return buf.Bytes()
+	_, err := io.WriteString(w, envelopeClose)
+	return err
 }

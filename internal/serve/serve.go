@@ -24,10 +24,18 @@
 // overlapping submissions. The content-hash result cache (exp.ResultCache)
 // makes repeated or overlapping sweeps free: a cache hit skips the
 // simulation and serves the stored canonical bytes, which are identical to
-// what the fresh run would have produced.
+// what the fresh run would have produced — as bytes, never decoded on the
+// way through.
+//
+// Retention: an id stays addressable while its sweep is queued or running,
+// and afterwards for as long as it is among the most recent
+// maxTerminalSweeps finished sweeps holding at most maxRetainedBytes
+// between them. An older id answers 404, exactly like one never issued;
+// resubmitting the sweep is a cache hit per point.
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -58,6 +66,17 @@ type Config struct {
 // QueueDepth zero.
 const DefaultQueueDepth = 8
 
+// Retention bounds for terminal (done, failed, cancelled) sweeps: the daemon
+// keeps the most recent maxTerminalSweeps of them, and fewer when together
+// they would pin more than maxRetainedBytes (see sweep.bytes for what is
+// counted) — but always the latest one, whatever its size. With the result
+// cache's memory tier this is what bounds a long-lived daemon's heap:
+// worst case tier bound + retention bound + the sweeps in flight.
+const (
+	maxTerminalSweeps = 256
+	maxRetainedBytes  = 64 << 20
+)
+
 // Sweep states reported by status and events.
 const (
 	StateQueued    = "queued"
@@ -87,6 +106,11 @@ type Server struct {
 	queue   []*sweep
 	running int
 	seq     int
+	// retired lists the terminal sweeps still in sweeps, oldest first;
+	// retainedBytes sums their charges. Queued and running sweeps are in
+	// neither, so they cannot be evicted.
+	retired       []*sweep
+	retainedBytes int
 }
 
 // New builds a server. When cfg.CacheDir is set the cache directory is
@@ -140,37 +164,76 @@ type sweep struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	mu         sync.Mutex
-	notify     chan struct{}
-	state      string
-	completed  int
-	cacheHits  int
-	errMsg     string
-	events     [][]byte      // NDJSON lines, no trailing newline
-	results    []*exp.Result // set on done (in-memory artifacts)
-	resultJSON []byte        // canonical MarshalRawResults bytes, set on done
+	// retained is what retirement charged against maxRetainedBytes and what
+	// eviction gives back; guarded by Server.mu.
+	retained int
+
+	mu        sync.Mutex
+	notify    chan struct{}
+	state     string
+	completed int
+	cacheHits int
+	errMsg    string
+	events    [][]byte // NDJSON lines, no trailing newline
+	results   *results // set on done
+	// bytes is what the sweep pins: the submission body (standing in for
+	// the decoded specs), the event lines and, once done, results.pinned.
+	bytes int
 }
 
-func newSweep(id string, req *exp.SweepRequest) *sweep {
+// results is what a done sweep serves.
+type results struct {
+	// raw holds every point's canonical bytes; a cache hit shares its slice
+	// with the cache's memory tier.
+	raw []json.RawMessage
+	// fresh holds the Results this sweep simulated itself (they may carry a
+	// flight recorder, which the bytes do not), nil at every cache hit.
+	fresh []*exp.Result
+	// pinned is the retention charge: every point's bytes, counted twice
+	// for a fresh point, whose decoded Result is no larger than its JSON. A
+	// flight recorder armed by a spec is not counted.
+	pinned int
+}
+
+func newSweep(id string, req *exp.SweepRequest, bodyBytes int) *sweep {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &sweep{
 		id: id, req: req, ctx: ctx, cancel: cancel,
-		notify: make(chan struct{}), state: StateQueued,
+		notify: make(chan struct{}), state: StateQueued, bytes: bodyBytes,
 	}
 }
 
-// event appends one NDJSON progress line and wakes streamers. Callers hold
-// no locks; event takes sw.mu itself.
+// appendLocked adds one NDJSON progress line and wakes streamers. Callers
+// hold sw.mu.
+func (sw *sweep) appendLocked(line []byte) {
+	sw.events = append(sw.events, line)
+	sw.bytes += len(line)
+	close(sw.notify)
+	sw.notify = make(chan struct{})
+}
+
+// event appends one NDJSON progress line, counted as a completed point
+// when it is one. Callers hold no locks. A terminal sweep is frozen — the
+// points still in flight when a DELETE lands report to nobody — so the
+// terminal line is the last line of every stream and the status stops
+// where that line says it did.
 func (sw *sweep) event(v any) {
 	line, err := json.Marshal(v)
 	if err != nil {
 		return
 	}
 	sw.mu.Lock()
-	sw.events = append(sw.events, line)
-	close(sw.notify)
-	sw.notify = make(chan struct{})
-	sw.mu.Unlock()
+	defer sw.mu.Unlock()
+	if terminal(sw.state) {
+		return
+	}
+	if pt, ok := v.(pointEvent); ok {
+		sw.completed++
+		if pt.Cached {
+			sw.cacheHits++
+		}
+	}
+	sw.appendLocked(line)
 }
 
 type stateEvent struct {
@@ -193,22 +256,41 @@ type pointEvent struct {
 
 // setState transitions the sweep and emits the matching state event
 // atomically, so a streamer that observes a terminal state has already
-// received every prior event.
+// received every prior event. A terminal sweep stays what it is: a sweep
+// cancelled while it waited to start does not become running.
 func (sw *sweep) setState(state, errMsg string) {
 	sw.mu.Lock()
-	if terminal(sw.state) {
-		sw.mu.Unlock()
-		return // a cancelled sweep stays cancelled
+	defer sw.mu.Unlock()
+	if !terminal(sw.state) {
+		sw.setStateLocked(state, errMsg)
 	}
+}
+
+func (sw *sweep) setStateLocked(state, errMsg string) {
 	sw.state = state
 	sw.errMsg = errMsg
 	ev := stateEvent{Type: "state", State: state, Completed: sw.completed,
 		Total: len(sw.req.Specs), CacheHits: sw.cacheHits, Error: errMsg}
-	line, _ := json.Marshal(ev)
-	sw.events = append(sw.events, line)
-	close(sw.notify)
-	sw.notify = make(chan struct{})
-	sw.mu.Unlock()
+	line, _ := json.Marshal(ev) // a struct of strings and ints cannot fail
+	sw.appendLocked(line)
+}
+
+// end is the terminal transition; res is non-nil exactly when state is
+// done, and is published in the same critical section as the state, so a
+// DELETE racing the last point either wins (nothing is published) or loses
+// (the sweep is done and stays done). It returns what the sweep now pins.
+func (sw *sweep) end(state, errMsg string, res *results) (pinned int, ok bool) {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	if terminal(sw.state) {
+		return 0, false
+	}
+	if res != nil {
+		sw.results = res
+		sw.bytes += res.pinned
+	}
+	sw.setStateLocked(state, errMsg)
+	return sw.bytes, true
 }
 
 type statusResponse struct {
@@ -260,11 +342,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// Hash outside the lock: SweepID encodes every spec, and a 100k-point
+	// submission must not stall every other sweep's status/result/events
+	// lookup meanwhile. Only the sequence number and the admission decision
+	// need s.mu.
+	fragment := req.SweepID()
+
 	s.mu.Lock()
 	s.seq++
-	id := fmt.Sprintf("sw-%03d-%.8s", s.seq, req.SweepID())
-	sw := newSweep(id, req)
-	s.sweeps[id] = sw
+	sw := newSweep(fmt.Sprintf("sw-%03d-%.8s", s.seq, fragment), req, len(body))
 	switch {
 	case s.running < s.cfg.MaxConcurrent:
 		s.running++
@@ -272,15 +358,44 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case len(s.queue) < s.cfg.QueueDepth:
 		s.queue = append(s.queue, sw)
 	default:
-		delete(s.sweeps, id)
 		queued := len(s.queue)
 		s.mu.Unlock()
 		jsonError(w, http.StatusTooManyRequests,
 			"admission queue full (%d running, %d queued); retry later", s.cfg.MaxConcurrent, queued)
 		return
 	}
+	s.sweeps[sw.id] = sw
 	s.mu.Unlock()
 	writeJSON(w, http.StatusAccepted, sw.status())
+}
+
+// settle ends a sweep — done with res, or failed/cancelled without — and
+// retires it: the sweep becomes evictable, and sweeps are evicted from the
+// old end while either retention bound is exceeded, always keeping the
+// latest. Transition and retirement share one critical section of s.mu, so
+// no request can find a terminal sweep that is not yet accounted for. The
+// callers are the run goroutine and DELETE — the only way out for a sweep
+// cancelled while queued, which never runs; whichever loses the race finds
+// the sweep terminal and does nothing. An evicted sweep is merely
+// forgotten: a streamer already attached holds the pointer and finishes
+// its stream.
+func (s *Server) settle(sw *sweep, state, errMsg string, res *results) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	pinned, ok := sw.end(state, errMsg, res)
+	if !ok {
+		return
+	}
+	sw.retained = pinned
+	s.retired = append(s.retired, sw)
+	s.retainedBytes += pinned
+	for len(s.retired) > 1 && (len(s.retired) > maxTerminalSweeps || s.retainedBytes > maxRetainedBytes) {
+		old := s.retired[0]
+		s.retired[0] = nil // the backing array must not pin what the map forgot
+		s.retired = s.retired[1:]
+		delete(s.sweeps, old.id)
+		s.retainedBytes -= old.retained
+	}
 }
 
 func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *sweep {
@@ -306,14 +421,16 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sw.mu.Lock()
-	state, result := sw.state, sw.resultJSON
+	state, res := sw.state, sw.results
 	sw.mu.Unlock()
 	if state != StateDone {
 		jsonError(w, http.StatusConflict, "sweep %s is %s, not done", sw.id, state)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(result)
+	w.Header().Set("Content-Length", strconv.Itoa(exp.RawResultsLen(res.raw)))
+	// Headers are out; on a write error all that is left is to stop.
+	_ = exp.WriteRawResults(w, res.raw)
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
@@ -327,14 +444,24 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sw.mu.Lock()
-	state, results := sw.state, sw.results
+	state, done := sw.state, sw.results
 	sw.mu.Unlock()
-	if state != StateDone || point >= len(results) || results[point] == nil {
+	if state != StateDone {
 		jsonError(w, http.StatusConflict, "sweep %s is %s; artifacts are served once done", sw.id, state)
 		return
 	}
+	res := done.fresh[point]
+	if res == nil {
+		// A cache hit was served as bytes; this is the one request that
+		// needs the struct, so it pays the decode.
+		res = &exp.Result{Spec: sw.req.Specs[point]}
+		if err := json.Unmarshal(done.raw[point], res); err != nil {
+			jsonError(w, http.StatusInternalServerError, "sweep %s point %d: %v", sw.id, point, err)
+			return
+		}
+	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	if err := results[point].WriteCol(w); err != nil {
+	if err := res.WriteCol(w); err != nil {
 		// Headers are out; all we can do is drop the connection mid-body.
 		return
 	}
@@ -353,7 +480,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.mu.Unlock()
-	sw.setState(StateCancelled, "cancelled by DELETE")
+	s.settle(sw, StateCancelled, "cancelled by DELETE", nil)
 	sw.cancel() // interrupts a running pool at the next poll boundary
 	writeJSON(w, http.StatusOK, sw.status())
 }
@@ -406,64 +533,87 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 // run executes one admitted sweep and then hands its slot to the next
-// queued one. Per-point flow: the cache is consulted in the worker (a hit
-// skips the simulation entirely), fresh results are marshaled and stored
-// from the collator (ascending order, single goroutine), and the final
-// envelope is spliced from the per-point bytes — cached or fresh, the same
-// bytes either way.
+// queued one. Per-point flow: the cache is consulted in the worker, and a
+// hit skips the simulation entirely and yields only bytes — no Result is
+// decoded for it, here or later, unless someone asks for its /trace. Fresh
+// results are marshaled and stored from the collator (ascending order,
+// single goroutine), and /result splices the per-point bytes — cached or
+// fresh, the same bytes either way.
 func (s *Server) run(sw *sweep) {
 	defer s.finish(sw)
 	sw.setState(StateRunning, "")
 	n := len(sw.req.Specs)
 	pointRaw := make([]json.RawMessage, n)
-	cached := make([]bool, n)
 
 	pool := &exp.Pool{Workers: s.cfg.Workers}
-	results, _, err := pool.Run(sw.ctx, n,
+	fresh, _, err := pool.Run(sw.ctx, n,
 		func(ctx context.Context, i int) (*exp.Result, error) {
 			spec := sw.req.Specs[i]
-			if raw, res, ok := s.cache.Get(spec); ok {
-				pointRaw[i], cached[i] = raw, true
-				return res, nil
+			if raw, ok := s.cache.Lookup(spec); ok {
+				pointRaw[i] = raw
+				return nil, nil
 			}
 			return s.runPoint(ctx, spec)
 		},
 		func(i int, res *exp.Result) {
-			if pointRaw[i] == nil {
+			spec := sw.req.Specs[i]
+			cached := res == nil
+			var fallback string
+			if cached {
+				fallback = fidelityFallback(pointRaw[i])
+			} else {
 				raw, merr := json.Marshal(res)
 				if merr != nil {
 					sw.event(map[string]string{"type": "error", "error": merr.Error()})
 					return
 				}
 				pointRaw[i] = raw
-				if err := s.cache.Put(sw.req.Specs[i], raw); err != nil {
+				if err := s.cache.Put(spec, raw); err != nil {
 					sw.event(map[string]string{"type": "cache-error", "error": err.Error()})
 				}
+				fallback = res.FidelityFallback
 			}
-			sw.mu.Lock()
-			sw.completed++
-			if cached[i] {
-				sw.cacheHits++
-			}
-			sw.mu.Unlock()
+			// Name and Policy come from the spec: a wire spec cannot carry a
+			// PolicyFactory, so its Policy is the Result's.
 			sw.event(pointEvent{
-				Type: "point", Index: i, Name: res.Spec.Name, Policy: res.Policy,
-				Cached: cached[i], FidelityFallback: res.FidelityFallback,
+				Type: "point", Index: i, Name: spec.Name, Policy: spec.Policy,
+				Cached: cached, FidelityFallback: fallback,
 			})
 		})
 
 	switch {
 	case err == nil:
-		sw.mu.Lock()
-		sw.results = results
-		sw.resultJSON = exp.MarshalRawResults(pointRaw)
-		sw.mu.Unlock()
-		sw.setState(StateDone, "")
+		res := &results{raw: pointRaw, fresh: fresh}
+		for i, raw := range pointRaw {
+			res.pinned += len(raw)
+			if fresh[i] != nil {
+				res.pinned += len(raw)
+			}
+		}
+		s.settle(sw, StateDone, "", res)
 	case sw.ctx.Err() != nil:
-		sw.setState(StateCancelled, "cancelled by DELETE")
+		s.settle(sw, StateCancelled, "cancelled by DELETE", nil)
 	default:
-		sw.setState(StateFailed, err.Error())
+		s.settle(sw, StateFailed, err.Error(), nil)
 	}
+}
+
+// fallbackKey is how Result.FidelityFallback (omitempty) appears in a
+// point's canonical bytes when it is set at all.
+var fallbackKey = []byte(`"FidelityFallback":`)
+
+// fidelityFallback reads a cached point's FidelityFallback for its progress
+// event. The field is rare, so the bytes are scanned for the key and only a
+// point that has it pays a decode — of that one field.
+func fidelityFallback(raw json.RawMessage) string {
+	if !bytes.Contains(raw, fallbackKey) {
+		return ""
+	}
+	var v struct{ FidelityFallback string }
+	if json.Unmarshal(raw, &v) != nil {
+		return ""
+	}
+	return v.FidelityFallback
 }
 
 // finish releases the sweep's slot and starts the next live queued sweep.
