@@ -65,7 +65,9 @@ type Benchmark struct {
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
-// Snapshot is the BENCH_<date>.json schema.
+// Snapshot is the BENCH_<date>.json schema. Keys the structs do not name are
+// ignored on load, so a hand-set baseline row may carry a "note" saying why
+// its value is what it is.
 type Snapshot struct {
 	Date       string      `json:"date"`
 	GoVersion  string      `json:"go_version"`

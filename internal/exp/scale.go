@@ -58,6 +58,27 @@ type ScaleResult struct {
 	Run    *Result
 }
 
+// scaleSpec is the smoke's one point: a short mixed RDMA+TCP window under
+// L2BM on the fabric cfg (HyperscaleFor(scale) lowered).
+func scaleSpec(scale Scale, cfg topo.Config) HybridSpec {
+	load := scaleLoad(scale)
+	return HybridSpec{
+		Name:           fmt.Sprintf("scale-%s", scale),
+		Policy:         "L2BM",
+		Scale:          scale,
+		TCPLoad:        load,
+		RDMALoad:       load,
+		InterRackOnly:  true,
+		WindowOverride: scaleWindow(scale),
+		TopoOverride:   func(c *topo.Config) { *c = cfg },
+		// The smoke always runs under the global invariant auditor: at
+		// hyperscale an MMU accounting leak is invisible in aggregate
+		// counters, so sweeps are the only way to catch one. Auditing is
+		// observer-free, so the determinism diffs are unaffected.
+		Audit: &AuditSpec{},
+	}
+}
+
 // RunScale is the hyperscale smoke experiment (-exp scale): it builds the
 // pod-structured Clos fabric the scale selects (1k/10k/100k hosts), offers a
 // short mixed RDMA+TCP window under L2BM with the invariant auditor armed
@@ -73,22 +94,7 @@ func (h *Harness) RunScale(scale Scale, w io.Writer) (*ScaleResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	load := scaleLoad(scale)
-	spec := HybridSpec{
-		Name:           fmt.Sprintf("scale-%s", scale),
-		Policy:         "L2BM",
-		Scale:          scale,
-		TCPLoad:        load,
-		RDMALoad:       load,
-		InterRackOnly:  true,
-		WindowOverride: scaleWindow(scale),
-		TopoOverride:   func(c *topo.Config) { *c = cfg },
-		// The smoke always runs under the global invariant auditor: at
-		// hyperscale an MMU accounting leak is invisible in aggregate
-		// counters, so sweeps are the only way to catch one. Auditing is
-		// observer-free, so the determinism diffs are unaffected.
-		Audit: &AuditSpec{},
-	}
+	spec := scaleSpec(scale, cfg)
 	results, err := h.runAll([]HybridSpec{spec}, nil)
 	if err != nil {
 		return nil, err

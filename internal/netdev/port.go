@@ -60,6 +60,13 @@ var _ = [1]struct{}{}[pkt.NumPriorities-8]
 // round-robin across backlogged priorities, with control frames (PFC)
 // preempting data, matching how commodity switches schedule pause frames
 // ahead of payload.
+//
+// A port pays only for the per-priority state it has used: a fabric
+// provisions every port for eight priorities, the model carries three, and
+// most ports of a large fabric never carry a frame at all. So the data
+// queues, the pause clocks and the DWRR credit are each allocated on first
+// use (nil until then), and Port itself fits the 320-byte size class
+// (TestPortFootprint holds it there).
 type Port struct {
 	eng   *sim.Engine
 	owner Node
@@ -73,8 +80,13 @@ type Port struct {
 	// ID is the port's index within its owner (set by the owner).
 	ID int
 
-	queues [pkt.NumPriorities]ring
-	qbytes [pkt.NumPriorities]int
+	// queues holds one data queue per priority this port has ever carried,
+	// in order of first use, allocated by the first Enqueue; slot maps a
+	// priority to its 1-based position there (0 = never carried). The
+	// scheduler never walks either: it decides on the bitmasks below and
+	// follows slot only to the queue it picked.
+	queues []prioQueue
+	slot   [pkt.NumPriorities]uint8
 	ctrl   ring
 
 	// nonEmpty and paused are per-priority bitmasks (bit i = priority i):
@@ -83,13 +95,10 @@ type Port struct {
 	// scheduling decision is a rotate and a bit scan rather than a walk
 	// over eight queues. nonEmpty is set by Enqueue and cleared wherever a
 	// pop empties a queue.
-	nonEmpty    uint8
-	paused      uint8
-	pausedSince [pkt.NumPriorities]sim.Time
-	cumPaused   [pkt.NumPriorities]sim.Duration
+	nonEmpty uint8
+	paused   uint8
 
 	busy bool
-	rr   int
 
 	// down is true while the link carrier is down on this side: frames
 	// arriving here are lost (the cable is dead). Transmission continues —
@@ -99,11 +108,16 @@ type Port struct {
 	// signal. Zero value (false) means the link is up.
 	down bool
 
-	// quantum > 0 selects DWRR scheduling; deficit carries per-priority
-	// byte credit and granted marks queues already credited this turn.
-	quantum int
-	deficit [pkt.NumPriorities]int
-	granted [pkt.NumPriorities]bool
+	rr int
+
+	// pause holds the per-priority pause clocks, allocated by the first
+	// XOFF that actually pauses this port (nil = never paused, every clock
+	// reads zero).
+	pause *pauseClocks
+
+	// dwrr is non-nil exactly while DWRR scheduling is selected; EnableDWRR
+	// owns it.
+	dwrr *dwrrState
 
 	// pool recycles consumed frames (PFC application, carrier/fault drops)
 	// and sources PFC frames. Nil disables pooling: SendPFC heap-allocates
@@ -159,6 +173,34 @@ type Port struct {
 	RxFault FaultHook
 }
 
+// prioQueue is one priority's data queue and its backlog in bytes.
+type prioQueue struct {
+	ring
+	bytes int
+}
+
+// queueSlots is the capacity the first Enqueue gives Port.queues: the model
+// carries three priorities (lossless, lossy, control), so the slice regrows
+// only on a port that sees a fourth.
+const queueSlots = 3
+
+// pauseClocks is a port's PFC pause bookkeeping: when each priority's
+// current pause began, and how long each has been paused in total over
+// completed pauses.
+type pauseClocks struct {
+	since [pkt.NumPriorities]sim.Time
+	cum   [pkt.NumPriorities]sim.Duration
+}
+
+// dwrrState is the DWRR scheduler's state: quantum is the bytes credited to
+// each backlogged priority per round, deficit carries per-priority byte
+// credit and granted marks queues already credited this turn.
+type dwrrState struct {
+	quantum int
+	deficit [pkt.NumPriorities]int
+	granted [pkt.NumPriorities]bool
+}
+
 // LinkClass is the immutable speed descriptor of a cable: line rate in
 // bits/s and one-way propagation delay. Cables of the same tier share one
 // descriptor (flyweight) — never mutate a LinkClass after wiring a link
@@ -166,6 +208,26 @@ type Port struct {
 type LinkClass struct {
 	Rate int64
 	Prop sim.Duration
+
+	// txMTU and txCtrl are sim.TxTime at Rate of the two frame sizes that
+	// are nearly every frame on the wire (full data frames and 64-byte
+	// ACK/CNP/PFC frames: 99.8 % of transmissions on the fig7 points and
+	// the 10k-host smoke), computed by ConnectClass. They live here, once
+	// per tier, so a port pays nothing for them.
+	txMTU, txCtrl sim.Duration
+}
+
+// txTime returns sim.TxTime(size, c.Rate), sparing the two usual sizes the
+// float division and rounding. sim.TxTime is the only source of either
+// value, so the result is bit-equal to calling it (TestLinkClassTxTime).
+func (c *LinkClass) txTime(size int) sim.Duration {
+	switch size {
+	case pkt.MTUBytes:
+		return c.txMTU
+	case pkt.CtrlBytes:
+		return c.txCtrl
+	}
+	return sim.TxTime(size, c.Rate)
 }
 
 // Connect wires a full-duplex link between nodes a and b with the given line
@@ -190,11 +252,15 @@ func ConnectOn(engA, engB *sim.Engine, a, b Node, rateBps int64, prop sim.Durati
 // next barrier, which is sound because the link's propagation delay is at
 // least the conductor's lookahead. Cross-engine ports MUST also be given
 // arrival keys (SetArrivalKey) before traffic flows; same-engine wiring
-// degrades to exactly Connect.
+// degrades to exactly Connect. Wiring also completes the descriptor: its two
+// serialization times are (re)computed from Rate here, before any frame can
+// ask for them.
 func ConnectClass(engA, engB *sim.Engine, a, b Node, class *LinkClass) (*Port, *Port) {
 	if class == nil || class.Rate <= 0 {
 		panic("netdev: link rate must be positive")
 	}
+	class.txMTU = sim.TxTime(pkt.MTUBytes, class.Rate)
+	class.txCtrl = sim.TxTime(pkt.CtrlBytes, class.Rate)
 	pa := &Port{eng: engA, owner: a, class: class}
 	pb := &Port{eng: engB, owner: b, class: class}
 	pa.peer, pb.peer = pb, pa
@@ -272,17 +338,46 @@ func (p *Port) PFCFramesSent() (pauses, resumes uint64) {
 	return p.stats.PFCSent, p.stats.PFCResumes
 }
 
+// queue returns prio's data queue, or nil when this port has never carried
+// that priority.
+func (p *Port) queue(prio int) *prioQueue {
+	if s := p.slot[prio]; s != 0 {
+		return &p.queues[s-1]
+	}
+	return nil
+}
+
+// addQueue gives prio its data queue on first use.
+func (p *Port) addQueue(prio int) *prioQueue {
+	if p.queues == nil {
+		p.queues = make([]prioQueue, 0, queueSlots)
+	}
+	p.queues = append(p.queues, prioQueue{})
+	p.slot[prio] = uint8(len(p.queues))
+	return &p.queues[len(p.queues)-1]
+}
+
 // QueueBytes returns the bytes currently backlogged in priority queue prio.
-func (p *Port) QueueBytes(prio int) int { return p.qbytes[prio] }
+func (p *Port) QueueBytes(prio int) int {
+	if q := p.queue(prio); q != nil {
+		return q.bytes
+	}
+	return 0
+}
 
 // QueuePackets returns the packet count backlogged in priority queue prio.
-func (p *Port) QueuePackets(prio int) int { return p.queues[prio].len() }
+func (p *Port) QueuePackets(prio int) int {
+	if q := p.queue(prio); q != nil {
+		return q.len()
+	}
+	return 0
+}
 
 // TotalBacklog returns the bytes backlogged across all data priorities.
 func (p *Port) TotalBacklog() int {
 	total := 0
-	for _, b := range p.qbytes {
-		total += b
+	for i := range p.queues {
+		total += p.queues[i].bytes
 	}
 	return total
 }
@@ -292,7 +387,12 @@ func (p *Port) Paused(prio int) bool { return p.paused&(1<<uint(prio)) != 0 }
 
 // PausedSince returns when the current pause of prio began; meaningful only
 // while Paused(prio) is true.
-func (p *Port) PausedSince(prio int) sim.Time { return p.pausedSince[prio] }
+func (p *Port) PausedSince(prio int) sim.Time {
+	if p.pause == nil {
+		return 0
+	}
+	return p.pause.since[prio]
+}
 
 // Up reports whether the link carrier is up on this side.
 func (p *Port) Up() bool { return !p.down }
@@ -311,8 +411,7 @@ func (p *Port) ForceResume(prio int) bool {
 	if !p.Paused(prio) {
 		return false
 	}
-	p.paused &^= 1 << uint(prio)
-	p.cumPaused[prio] += p.eng.Now() - p.pausedSince[prio]
+	p.resume(prio)
 	p.stats.ForcedResumes++
 	if p.OnPauseTransition != nil {
 		p.OnPauseTransition(prio, false)
@@ -321,14 +420,25 @@ func (p *Port) ForceResume(prio int) bool {
 	return true
 }
 
+// resume clears prio's pause bit and banks the pause that just ended. A set
+// pause bit implies the clocks exist: only applyPFC sets one, after
+// allocating them.
+func (p *Port) resume(prio int) {
+	p.paused &^= 1 << uint(prio)
+	p.pause.cum[prio] += p.eng.Now() - p.pause.since[prio]
+}
+
 // CumPausedTime returns the total simulated time priority prio has spent
 // paused, including the current pause interval if one is in progress. The
 // L2BM sojourn module uses this to exclude PFC stalls from its congestion
 // estimate (paper §III-D).
 func (p *Port) CumPausedTime(prio int) sim.Duration {
-	total := p.cumPaused[prio]
+	if p.pause == nil {
+		return 0
+	}
+	total := p.pause.cum[prio]
 	if p.Paused(prio) {
-		total += p.eng.Now() - p.pausedSince[prio]
+		total += p.eng.Now() - p.pause.since[prio]
 	}
 	return total
 }
@@ -351,10 +461,11 @@ func (p *Port) DrainRate(prio int) int64 {
 		return 0
 	}
 	n := p.backloggedPriorities()
-	if n == 0 || (p.queues[prio].len() > 0 && n == 1) {
+	backlogged := p.nonEmpty&(1<<uint(prio)) != 0
+	if n == 0 || (backlogged && n == 1) {
 		return p.class.Rate
 	}
-	if p.queues[prio].len() == 0 {
+	if !backlogged {
 		// Joining packet would add one more competitor.
 		n++
 	}
@@ -367,8 +478,12 @@ func (p *Port) Enqueue(q *pkt.Packet) {
 	if q.Kind == pkt.KindPFC {
 		panic("netdev: PFC frames go through SendPFC")
 	}
-	p.queues[q.Priority].push(q)
-	p.qbytes[q.Priority] += q.Size
+	pq := p.queue(q.Priority)
+	if pq == nil {
+		pq = p.addQueue(q.Priority)
+	}
+	pq.push(q)
+	pq.bytes += q.Size
 	p.nonEmpty |= 1 << uint(q.Priority)
 	p.tryTransmit()
 }
@@ -379,17 +494,20 @@ func (p *Port) Enqueue(q *pkt.Packet) {
 // so eviction can never yank a frame off the wire. The caller — the switch
 // MMU's preemption path — owns the returned packet and its accounting.
 func (p *Port) EvictTail(prio int) *pkt.Packet {
-	q := p.queues[prio].popTail()
-	if q != nil {
-		p.qbytes[prio] -= q.Size
-		p.popped(prio)
+	if p.nonEmpty&(1<<uint(prio)) == 0 {
+		return nil
 	}
+	pq := p.queue(prio)
+	q := pq.popTail()
+	p.popped(pq, prio, q)
 	return q
 }
 
-// popped clears prio's nonEmpty bit if the pop just emptied the queue.
-func (p *Port) popped(prio int) {
-	if p.queues[prio].len() == 0 {
+// popped settles the accounts after q left prio's queue pq: the byte
+// backlog, and the nonEmpty bit if the pop just emptied the queue.
+func (p *Port) popped(pq *prioQueue, prio int, q *pkt.Packet) {
+	pq.bytes -= q.Size
+	if pq.n == 0 {
 		p.nonEmpty &^= 1 << uint(prio)
 	}
 }
@@ -419,8 +537,7 @@ func (p *Port) tryTransmit() {
 		return
 	}
 	p.busy = true
-	txDone := sim.TxTime(q.Size, p.class.Rate)
-	p.eng.ScheduleArg(txDone, p.onTxDone, q)
+	p.eng.ScheduleArg(p.class.txTime(q.Size), p.onTxDone, q)
 }
 
 // nextPacket dequeues the packet to transmit, or nil when nothing is
@@ -429,7 +546,7 @@ func (p *Port) nextPacket() *pkt.Packet {
 	if p.ctrl.len() > 0 {
 		return p.ctrl.pop()
 	}
-	if p.quantum > 0 {
+	if p.dwrr != nil {
 		return p.nextDWRR()
 	}
 	ready := p.nonEmpty &^ p.paused
@@ -439,9 +556,9 @@ func (p *Port) nextPacket() *pkt.Packet {
 	// Rotating right by rr puts priority rr at bit 0, so the lowest set bit
 	// is the first eligible priority at or after rr, wrapping around.
 	prio := (p.rr + bits.TrailingZeros8(bits.RotateLeft8(ready, -p.rr))) % pkt.NumPriorities
-	q := p.queues[prio].pop()
-	p.qbytes[prio] -= q.Size
-	p.popped(prio)
+	pq := p.queue(prio) // a set nonEmpty bit implies the queue exists
+	q := pq.pop()
+	p.popped(pq, prio, q)
 	p.rr = (prio + 1) % pkt.NumPriorities
 	return q
 }
@@ -455,11 +572,11 @@ func (p *Port) EnableDWRR(quantumBytes int) {
 	if quantumBytes < 0 {
 		panic("netdev: DWRR quantum must be non-negative")
 	}
-	p.quantum = quantumBytes
-	for i := range p.deficit {
-		p.deficit[i] = 0
-		p.granted[i] = false
+	if quantumBytes == 0 {
+		p.dwrr = nil
+		return
 	}
+	p.dwrr = &dwrrState{quantum: quantumBytes}
 }
 
 // nextDWRR implements deficit round robin over the unpaused backlogged
@@ -467,10 +584,11 @@ func (p *Port) EnableDWRR(quantumBytes int) {
 // stays parked on a queue while its deficit still covers the next head —
 // that is what makes the schedule byte-fair rather than packet-fair.
 func (p *Port) nextDWRR() *pkt.Packet {
+	d := p.dwrr
 	ready := p.nonEmpty &^ p.paused
 	for prio := 0; prio < pkt.NumPriorities; prio++ {
 		if ready&(1<<uint(prio)) == 0 {
-			p.deficit[prio] = 0 // idle/paused queues hold no credit
+			d.deficit[prio] = 0 // idle/paused queues hold no credit
 		}
 	}
 	if ready == 0 {
@@ -479,33 +597,32 @@ func (p *Port) nextDWRR() *pkt.Packet {
 	for {
 		prio := p.rr
 		if ready&(1<<uint(prio)) == 0 {
-			p.deficit[prio] = 0
-			p.granted[prio] = false
+			d.deficit[prio] = 0
+			d.granted[prio] = false
 			p.rr = (p.rr + 1) % pkt.NumPriorities
 			continue
 		}
 		// One quantum per turn; the queue then transmits while its
 		// deficit covers the head packet.
-		if !p.granted[prio] {
-			p.deficit[prio] += p.quantum
-			p.granted[prio] = true
+		if !d.granted[prio] {
+			d.deficit[prio] += d.quantum
+			d.granted[prio] = true
 		}
-		head := p.queues[prio].peek()
-		if p.deficit[prio] >= head.Size {
-			q := p.queues[prio].pop()
-			p.qbytes[prio] -= q.Size
-			p.deficit[prio] -= q.Size
-			p.popped(prio)
-			if p.queues[prio].len() == 0 {
-				p.deficit[prio] = 0
-				p.granted[prio] = false
+		pq := p.queue(prio) // ready implies nonEmpty implies the queue exists
+		if head := pq.peek(); d.deficit[prio] >= head.Size {
+			q := pq.pop()
+			d.deficit[prio] -= q.Size
+			p.popped(pq, prio, q)
+			if pq.n == 0 {
+				d.deficit[prio] = 0
+				d.granted[prio] = false
 				p.rr = (p.rr + 1) % pkt.NumPriorities
 			}
 			return q
 		}
 		// Turn over: yield to the next priority. Deficits of backlogged
 		// queues accumulate across turns, so the loop terminates.
-		p.granted[prio] = false
+		d.granted[prio] = false
 		p.rr = (p.rr + 1) % pkt.NumPriorities
 	}
 }
@@ -575,15 +692,17 @@ func (p *Port) applyPFC(q *pkt.Packet) {
 	if q.PFCPause {
 		p.stats.PFCReceived++
 		if !p.Paused(prio) {
+			if p.pause == nil {
+				p.pause = new(pauseClocks)
+			}
 			p.paused |= 1 << uint(prio)
-			p.pausedSince[prio] = p.eng.Now()
+			p.pause.since[prio] = p.eng.Now()
 			if p.OnPauseTransition != nil {
 				p.OnPauseTransition(prio, true)
 			}
 		}
 	} else if p.Paused(prio) {
-		p.paused &^= 1 << uint(prio)
-		p.cumPaused[prio] += p.eng.Now() - p.pausedSince[prio]
+		p.resume(prio)
 		if p.OnPauseTransition != nil {
 			p.OnPauseTransition(prio, false)
 		}

@@ -2,6 +2,7 @@ package netdev
 
 import (
 	"testing"
+	"unsafe"
 
 	"l2bm/internal/pkt"
 	"l2bm/internal/sim"
@@ -65,6 +66,48 @@ func TestBackToBackSerialization(t *testing.T) {
 	}
 	if b.at[1] != 2*tx+sim.Microsecond {
 		t.Errorf("second arrival at %v, want %v (pipelined serialization)", b.at[1], 2*tx+sim.Microsecond)
+	}
+}
+
+// TestLinkClassTxTime holds LinkClass.txTime to sim.TxTime — for every frame
+// size up to two MTUs at usual, degraded and odd line rates, on a class
+// wired once and on one shared by several cables — and checks the value the
+// transmitter actually uses: full, control and odd-sized frames interleaved
+// on one port finish serializing exactly when sim.TxTime says.
+func TestLinkClassTxTime(t *testing.T) {
+	eng := sim.NewEngine(1)
+	node := &captureNode{name: "n", eng: eng}
+	for _, rate := range []int64{1e9, 10e9, 12_500_000_000, 25e9, 40e9, 100e9, 400e9, 1_000_000_007, 7} {
+		class := &LinkClass{Rate: rate}
+		for cables := 0; cables < 3; cables++ {
+			ConnectClass(eng, eng, node, node, class)
+		}
+		for size := 0; size <= 2*pkt.MTUBytes; size++ {
+			if got, want := class.txTime(size), sim.TxTime(size, rate); got != want {
+				t.Fatalf("txTime(%d) at %d bit/s = %v, sim.TxTime gives %v", size, rate, got, want)
+			}
+		}
+	}
+
+	eng, _, _, pa, _ := newPair(t, 25e9, sim.Microsecond)
+	var done []sim.Time
+	pa.OnDequeue = func(*pkt.Packet) { done = append(done, eng.Now()) }
+	payloads := []int{pkt.MTUPayload, pkt.CtrlBytes - pkt.HeaderBytes, 333, pkt.MTUPayload, 333, pkt.CtrlBytes - pkt.HeaderBytes, 0, pkt.MTUPayload}
+	var want []sim.Time
+	var at sim.Time
+	for _, payload := range payloads {
+		pa.Enqueue(data(pkt.PrioLossy, payload))
+		at += sim.TxTime(payload+pkt.HeaderBytes, 25e9)
+		want = append(want, at)
+	}
+	eng.RunAll()
+	if len(done) != len(want) {
+		t.Fatalf("%d frames serialized, want %d", len(done), len(want))
+	}
+	for i := range want {
+		if done[i] != want[i] {
+			t.Errorf("frame %d (%d-byte payload) left the wire at %v, want %v", i, payloads[i], done[i], want[i])
+		}
 	}
 }
 
@@ -388,5 +431,64 @@ func TestOnPauseTransitionFiresOnEdgesOnly(t *testing.T) {
 	}
 	if len(events) != 2 || !events[0] || events[1] {
 		t.Errorf("OnPauseTransition with ForceResume = %v, want [true false]", events)
+	}
+}
+
+// TestPortFootprint holds the port to what it has used. A fabric provisions
+// every port for eight priorities, carries three and leaves most ports of a
+// large fabric idle, so the struct must stay inside the 320-byte size class
+// and everything per-priority must wait for first use.
+func TestPortFootprint(t *testing.T) {
+	if size := unsafe.Sizeof(Port{}); size > 320 {
+		t.Errorf("Port is %d bytes, want <= 320 (the size class an idle port costs)", size)
+	}
+
+	_, _, _, p, _ := newPair(t, 25e9, 0)
+	p.busy = true // hold the transmitter: enqueues must not schedule events
+	if p.queues != nil || p.pause != nil || p.dwrr != nil {
+		t.Fatalf("idle port owns per-priority state: queues=%v pause=%v dwrr=%v", p.queues, p.pause, p.dwrr)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		for prio := 0; prio < pkt.NumPriorities; prio++ {
+			if p.QueueBytes(prio) != 0 || p.QueuePackets(prio) != 0 || p.EvictTail(prio) != nil ||
+				p.CumPausedTime(prio) != 0 || p.PausedSince(prio) != 0 || p.DrainRate(prio) != p.Rate() {
+				t.Fatalf("priority %d of an idle port does not read as an empty, never-paused queue", prio)
+			}
+		}
+		if p.TotalBacklog() != 0 {
+			t.Fatal("idle port reports a backlog")
+		}
+		p.applyPFC(&pkt.Packet{Kind: pkt.KindPFC, PFCPriority: pkt.PrioLossless}) // XON on a never-paused port
+		p.ForceResume(pkt.PrioLossless)
+		p.EnableDWRR(0)
+	}); allocs != 0 || p.queues != nil || p.pause != nil || p.dwrr != nil {
+		t.Fatalf("reading an idle port allocated (%v allocs/run): queues=%v pause=%v dwrr=%v", allocs, p.queues, p.pause, p.dwrr)
+	}
+
+	// The first frame of a priority brings that priority's queue, and only
+	// that: one slot of the queue table (sized for three).
+	p.Enqueue(data(pkt.PrioLossy, 100))
+	if len(p.queues) != 1 || cap(p.queues) != queueSlots || p.slot[pkt.PrioLossy] != 1 {
+		t.Fatalf("after one priority: %d queues (cap %d) at slot %d, want 1 (cap %d) at slot 1",
+			len(p.queues), cap(p.queues), p.slot[pkt.PrioLossy], queueSlots)
+	}
+	more := []*pkt.Packet{data(pkt.PrioLossy, 100), data(pkt.PrioLossy, 100)}
+	i := 0
+	if allocs := testing.AllocsPerRun(1, func() { p.Enqueue(more[i]); i++ }); allocs != 0 || len(p.queues) != 1 {
+		t.Fatalf("a second frame of a carried priority allocated (%v allocs) or took a queue (%d held)", allocs, len(p.queues))
+	}
+	if p.pause != nil || p.dwrr != nil {
+		t.Fatal("carrying traffic allocated pause clocks or DWRR credit")
+	}
+
+	// Pause clocks arrive with the first XOFF, DWRR credit with EnableDWRR.
+	p.applyPFC(&pkt.Packet{Kind: pkt.KindPFC, PFCPriority: pkt.PrioLossless, PFCPause: true})
+	p.EnableDWRR(1500)
+	if p.pause == nil || p.dwrr == nil || len(p.queues) != 1 {
+		t.Fatalf("after XOFF and EnableDWRR: pause=%v dwrr=%v queues=%d", p.pause, p.dwrr, len(p.queues))
+	}
+	p.EnableDWRR(0)
+	if p.dwrr != nil {
+		t.Fatal("EnableDWRR(0) kept the DWRR credit")
 	}
 }

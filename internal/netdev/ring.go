@@ -5,20 +5,24 @@ import "l2bm/internal/pkt"
 // ring is a growable FIFO of packets backed by a circular buffer. It avoids
 // the per-element allocation of container/list on the simulator's hottest
 // path. The buffer's length is zero or a power of two (grow starts at 16
-// and doubles), so positions wrap with a mask rather than a division.
+// and doubles), so positions wrap with a mask rather than a division; head
+// and n are uint32 (a queue of 2^32 frames is far beyond any buffer the
+// model admits), which keeps the struct at 32 bytes.
 type ring struct {
 	buf  []*pkt.Packet
-	head int
-	n    int
+	head uint32
+	n    uint32
 }
 
-func (r *ring) len() int { return r.n }
+func (r *ring) len() int { return int(r.n) }
+
+func (r *ring) mask() uint32 { return uint32(len(r.buf) - 1) }
 
 func (r *ring) push(p *pkt.Packet) {
-	if r.n == len(r.buf) {
+	if int(r.n) == len(r.buf) {
 		r.grow()
 	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = p
+	r.buf[(r.head+r.n)&r.mask()] = p
 	r.n++
 }
 
@@ -28,7 +32,7 @@ func (r *ring) pop() *pkt.Packet {
 	}
 	p := r.buf[r.head]
 	r.buf[r.head] = nil
-	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.head = (r.head + 1) & r.mask()
 	r.n--
 	return p
 }
@@ -40,7 +44,7 @@ func (r *ring) popTail() *pkt.Packet {
 	if r.n == 0 {
 		return nil
 	}
-	idx := (r.head + r.n - 1) & (len(r.buf) - 1)
+	idx := (r.head + r.n - 1) & r.mask()
 	p := r.buf[idx]
 	r.buf[idx] = nil
 	r.n--
@@ -60,8 +64,8 @@ func (r *ring) grow() {
 		size = 16
 	}
 	buf := make([]*pkt.Packet, size)
-	for i := 0; i < r.n; i++ {
-		buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+	for i := uint32(0); i < r.n; i++ {
+		buf[i] = r.buf[(r.head+i)&r.mask()]
 	}
 	r.buf = buf
 	r.head = 0

@@ -129,7 +129,7 @@ func TestRingGrowAndPopTailAcrossTheSeam(t *testing.T) {
 			r.push(mk(-1))
 			r.pop()
 		}
-		if r.head != head || len(r.buf) != 16 {
+		if int(r.head) != head || len(r.buf) != 16 {
 			t.Fatalf("set-up: head=%d len=%d, want %d/16", r.head, len(r.buf), head)
 		}
 		for i := 0; i < 16; i++ { // fill: the tail wraps past the end

@@ -133,16 +133,10 @@ type Packet struct {
 	Seq int64
 	// PayloadLen is the transport payload length of a data packet.
 	PayloadLen int
-	// CE is the ECN Congestion Experienced mark, set by switches.
-	CE bool
-	// ECE echoes CE back to the sender on ACKs (per-packet accurate echo).
-	ECE bool
-	// FlowFin marks the data packet carrying the last byte of its flow.
-	FlowFin bool
 
-	// PFC fields, meaningful when Kind == KindPFC.
+	// PFCPriority is the priority a PFC frame acts on, meaningful when
+	// Kind == KindPFC (as is PFCPause, below).
 	PFCPriority int
-	PFCPause    bool // true = pause (XOFF), false = resume (XON)
 
 	// SentAt is stamped by the transport when the packet first leaves the
 	// sender, for RTT estimation.
@@ -152,6 +146,21 @@ type Packet struct {
 	// switch's shared memory: the ingress port/priority it was admitted on
 	// and the egress port index it is queued at.
 	InPort, InPrio, OutPort int
+
+	// The flags sit together at the end so that they share one word: the
+	// struct is 120 bytes (the 128-byte size class, two cache lines), where
+	// a bool beside each field it annotates made it 136 (class 144).
+	// TestPacketFootprint holds the size.
+
+	// CE is the ECN Congestion Experienced mark, set by switches.
+	CE bool
+	// ECE echoes CE back to the sender on ACKs (per-packet accurate echo).
+	ECE bool
+	// FlowFin marks the data packet carrying the last byte of its flow.
+	FlowFin bool
+	// PFCPause tells a PFC frame's direction: true = pause (XOFF), false =
+	// resume (XON).
+	PFCPause bool
 	// InHeadroom records that the resident packet was charged to the PFC
 	// headroom pool rather than the shared service pool.
 	InHeadroom bool

@@ -3,6 +3,7 @@ package pkt
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestNewDataSizes(t *testing.T) {
@@ -87,5 +88,13 @@ func TestPriorityAssignmentsDistinct(t *testing.T) {
 		if p < 0 || p >= NumPriorities {
 			t.Errorf("priority %d out of range", p)
 		}
+	}
+}
+
+// TestPacketFootprint: every frame in flight is one of these, so the struct
+// must stay inside the 128-byte size class (two cache lines).
+func TestPacketFootprint(t *testing.T) {
+	if size := unsafe.Sizeof(Packet{}); size > 128 {
+		t.Errorf("Packet is %d bytes, want <= 128", size)
 	}
 }

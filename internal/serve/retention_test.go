@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"l2bm/internal/exp"
 )
@@ -445,10 +446,15 @@ func TestServeHammer(t *testing.T) {
 	}
 	wg.Wait()
 
+	// A client sees its sweep's terminal line before the run goroutine's
+	// deferred finish gives the slot back, so let the last one get there.
+	running, queued := 1, 0
+	for deadline := time.Now().Add(5 * time.Second); running != 0 && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		srv.mu.Lock()
+		running, queued = srv.running, len(srv.queue)
+		srv.mu.Unlock()
+	}
 	sweeps, retired, _ := retention(t, srv)
-	srv.mu.Lock()
-	running, queued := srv.running, len(srv.queue)
-	srv.mu.Unlock()
 	if running != 0 || queued != 0 || sweeps != retired || retired > maxTerminalSweeps {
 		t.Errorf("at rest: %d running, %d queued, %d addressable, %d retired", running, queued, sweeps, retired)
 	}

@@ -36,6 +36,23 @@ import "math/bits"
 // a slot can only ever hold ticks from a single block, so cascading a
 // level-k slot moves floor to the start of that block and re-places its
 // events one level down without ambiguity.
+//
+// What a bucket is. Order inside a bucket is free — the heap re-orders every
+// flushed tick — so a bucket is whatever bag is cheapest to fill and empty.
+// Levels 1 and 2 hold the bulk of the pending events for a long time and
+// hand them all back at once, so their buckets are linked lists of fixed-size
+// chunks drawn from one arena (chunkArena) and returned to it the moment the
+// slot cascades or is swept: the wheel then retains memory for the peak
+// number of events pending at once, not for the sum of every slot's
+// high-water mark (on the 10,240-host smoke: capacity for 733k entries
+// against a peak of 29k pending). Level 0 stays one plain slice per tick on
+// purpose, a second representation: every event passes through it, ~2.5 per
+// flushed slot (fig7_packet), so a tick's slice is a few dozen hot bytes
+// where a chunk is a 1 KiB line-set per occupied tick. Chunking it too, on
+// this code, measured +6 … +10 % wall time on the two fig7_packet points
+// (two sets of 12 alternated rounds, slower in 40 of 48; a prototype read
+// +3 … +7 %, and +2.6 … +5 % with 256-byte chunks), to save the ~0.3 MB its
+// 256 slices retain.
 
 const (
 	wheelBits  = 8
@@ -77,12 +94,98 @@ type wheelEntry struct {
 	idx uint32
 }
 
+// chunkEntries is how many entries one bucket chunk holds: 63 16-byte
+// entries and the 8-byte link make a chunk just under 1 KiB — large enough
+// that following links is rare, small enough that a slot holding one event
+// wastes little.
+const chunkEntries = 63
+
+// slabChunks is how many chunks the arena grows by (a 64 KiB slab). Growth
+// adds a slab and never moves one, so growing costs no copy — a doubling
+// slice would hold old and new at once, which at 100k hosts hands back part
+// of what the arena saves — and chunk pointers stay valid across growth.
+const (
+	slabBits   = 6
+	slabChunks = 1 << slabBits
+)
+
+// wheelChunk is one link of a level-1/2 bucket: pointer-free, like the
+// entries it holds.
+type wheelChunk struct {
+	ent [chunkEntries]wheelEntry
+	n   int32
+	// next is the id of the next chunk of the same bucket (or, for a chunk
+	// on the free list, of the free list); 0 ends the list.
+	next int32
+}
+
+// chunkArena owns every chunk of one wheel. Chunks are named by 1-based id
+// (0 = none, so a zero bucket head is an empty bucket); released chunks go
+// to a free list threaded through next and are handed out again before the
+// arena grows.
+type chunkArena struct {
+	slabs [][]wheelChunk
+	used  int32 // chunks ever handed out: ids 1..used exist
+	free  int32 // head of the free list
+}
+
+func (a *chunkArena) at(id int32) *wheelChunk {
+	i := id - 1
+	return &a.slabs[i>>slabBits][i&(slabChunks-1)]
+}
+
+// get hands out an empty chunk linked in front of next.
+func (a *chunkArena) get(next int32) int32 {
+	id := a.free
+	if id != 0 {
+		a.free = a.at(id).next
+	} else {
+		if int(a.used) == len(a.slabs)*slabChunks {
+			a.slabs = append(a.slabs, make([]wheelChunk, slabChunks))
+		}
+		a.used++
+		id = a.used
+	}
+	c := a.at(id)
+	c.n, c.next = 0, next
+	return id
+}
+
+// release returns chunk id to the free list and reports the chunk that
+// followed it in its bucket. A bucket is emptied by detaching its head and
+// walking `for id != 0 { ...entries of at(id)...; id = release(id) }`:
+// each chunk is released only after its entries were visited, so re-filing
+// them (which may take chunks from the free list) cannot overwrite them.
+func (a *chunkArena) release(id int32) int32 {
+	c := a.at(id)
+	next := c.next
+	c.next = a.free
+	a.free = id
+	return next
+}
+
+// add files en in the bucket whose head chunk is *head.
+func (a *chunkArena) add(head *int32, en wheelEntry) {
+	var c *wheelChunk
+	if *head != 0 {
+		c = a.at(*head)
+	}
+	if c == nil || c.n == chunkEntries {
+		*head = a.get(*head)
+		c = a.at(*head)
+	}
+	c.ent[c.n] = en
+	c.n++
+}
+
 type wheel struct {
 	shift uint   // tick width = 2^shift picoseconds
 	floor uint64 // first tick that may still live in a bucket
 	count int    // events resident in buckets (live + cancelled)
 
-	l0, l1, l2 [wheelSlots][]wheelEntry
+	l0         [wheelSlots][]wheelEntry
+	l1, l2     [wheelSlots]int32 // head chunk of each bucket, 0 = empty
+	arena      chunkArena
 	b0, b1, b2 [wheelWords]uint64 // slot-occupancy bitmaps
 	far        []wheelEntry
 	// farBlock is the level-2 block far has been filtered against: far
@@ -129,11 +232,11 @@ func (w *wheel) place(en wheelEntry) {
 		w.b0[i>>6] |= 1 << (i & 63)
 	case t>>(2*wheelBits) == w.floor>>(2*wheelBits):
 		i := (t >> wheelBits) & wheelMask
-		w.l1[i] = append(w.l1[i], en)
+		w.arena.add(&w.l1[i], en)
 		w.b1[i>>6] |= 1 << (i & 63)
 	case t>>(3*wheelBits) == w.floor>>(3*wheelBits):
 		i := (t >> (2 * wheelBits)) & wheelMask
-		w.l2[i] = append(w.l2[i], en)
+		w.arena.add(&w.l2[i], en)
 		w.b2[i>>6] |= 1 << (i & 63)
 	default:
 		w.far = append(w.far, en)
@@ -236,20 +339,27 @@ func (w *wheel) syncCovering(e *Engine) bool {
 		}
 	}
 	if i := (w.floor >> (2 * wheelBits)) & wheelMask; w.b2[i>>6]&(1<<(i&63)) != 0 {
-		s := w.l2[i]
-		w.l2[i] = s[:0]
-		w.b2[i>>6] &^= 1 << (i & 63)
-		for _, en := range s {
-			pushed = w.mergeDown(e, en) || pushed
-		}
+		pushed = w.mergeSlot(e, &w.l2[i], &w.b2, i) || pushed
 	}
 	if i := (w.floor >> wheelBits) & wheelMask; w.b1[i>>6]&(1<<(i&63)) != 0 {
-		s := w.l1[i]
-		w.l1[i] = s[:0]
-		w.b1[i>>6] &^= 1 << (i & 63)
-		for _, en := range s {
+		pushed = w.mergeSlot(e, &w.l1[i], &w.b1, i) || pushed
+	}
+	return pushed
+}
+
+// mergeSlot empties one level-1/2 slot through mergeDown, reading its
+// entries straight out of the chunks they sit in (see chunkArena.release).
+func (w *wheel) mergeSlot(e *Engine, slot *int32, bitmap *[wheelWords]uint64, i uint64) bool {
+	id := *slot
+	*slot = 0
+	bitmap[i>>6] &^= 1 << (i & 63)
+	pushed := false
+	for id != 0 {
+		c := w.arena.at(id)
+		for _, en := range c.ent[:c.n] {
 			pushed = w.mergeDown(e, en) || pushed
 		}
+		id = w.arena.release(id)
 	}
 	return pushed
 }
@@ -273,16 +383,12 @@ func (w *wheel) mergeDown(e *Engine, en wheelEntry) bool {
 }
 
 // cascade empties one higher-level slot: floor jumps to blockStart (every
-// resident tick is >= blockStart, so the heap/bucket invariant holds), and
-// the slot's events re-place into lower levels.
-func (w *wheel) cascade(e *Engine, slot *[]wheelEntry, bitmap *[wheelWords]uint64, i, blockStart uint64) {
-	s := *slot
-	*slot = s[:0]
-	bitmap[i>>6] &^= 1 << (i & 63)
+// resident tick is >= blockStart, so the heap/bucket invariant holds and
+// mergeDown only ever re-places), and the slot's events re-file into lower
+// levels.
+func (w *wheel) cascade(e *Engine, slot *int32, bitmap *[wheelWords]uint64, i, blockStart uint64) {
 	w.floor = blockStart
-	for _, en := range s {
-		w.place(en)
-	}
+	w.mergeSlot(e, slot, bitmap, i)
 }
 
 // rebase advances floor to the earliest far event's level-2 block and
@@ -318,45 +424,60 @@ func (w *wheel) rebase(e *Engine) bool {
 // Engine.compact), so rearm-heavy users that cancel far-future timers keep
 // Pending() proportional to the live count. The engine resets its
 // cancelled counter after compaction, so sweep recycles without touching it.
+// A chunked bucket is rebuilt from its live entries, so the chunks the dead
+// ones occupied go back to the arena.
 func (w *wheel) sweep(e *Engine) {
-	sweepLevel := func(slots *[wheelSlots][]wheelEntry, bitmap *[wheelWords]uint64) {
-		for i := range slots {
-			s := slots[i]
-			if len(s) == 0 {
-				continue
-			}
-			keep := s[:0]
-			for _, en := range s {
-				ev := e.all[en.idx]
-				if ev.live() {
-					keep = append(keep, en)
-					continue
-				}
-				w.count--
-				ev.clear()
-				ev.gen++
-				e.free = append(e.free, ev)
-			}
-			slots[i] = keep
-			if len(keep) == 0 {
-				bitmap[i>>6] &^= 1 << (i & 63)
-			}
-		}
-	}
-	sweepLevel(&w.l0, &w.b0)
-	sweepLevel(&w.l1, &w.b1)
-	sweepLevel(&w.l2, &w.b2)
-	keep := w.far[:0]
-	for _, en := range w.far {
+	// keep reports whether en is still live, recycling its record if not.
+	keep := func(en wheelEntry) bool {
 		ev := e.all[en.idx]
 		if ev.live() {
-			keep = append(keep, en)
-			continue
+			return true
 		}
 		w.count--
 		ev.clear()
 		ev.gen++
 		e.free = append(e.free, ev)
+		return false
 	}
-	w.far = keep
+	filter := func(s []wheelEntry) []wheelEntry {
+		kept := s[:0]
+		for _, en := range s {
+			if keep(en) {
+				kept = append(kept, en)
+			}
+		}
+		return kept
+	}
+	for i := range w.l0 {
+		if len(w.l0[i]) == 0 {
+			continue
+		}
+		if w.l0[i] = filter(w.l0[i]); len(w.l0[i]) == 0 {
+			w.b0[i>>6] &^= 1 << (uint(i) & 63)
+		}
+	}
+	sweepChunked := func(slots *[wheelSlots]int32, bitmap *[wheelWords]uint64) {
+		for i := range slots {
+			id := slots[i]
+			if id == 0 {
+				continue
+			}
+			slots[i] = 0
+			for id != 0 {
+				c := w.arena.at(id)
+				for _, en := range c.ent[:c.n] {
+					if keep(en) {
+						w.arena.add(&slots[i], en)
+					}
+				}
+				id = w.arena.release(id)
+			}
+			if slots[i] == 0 {
+				bitmap[i>>6] &^= 1 << (uint(i) & 63)
+			}
+		}
+	}
+	sweepChunked(&w.l1, &w.b1)
+	sweepChunked(&w.l2, &w.b2)
+	w.far = filter(w.far)
 }

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -308,5 +310,209 @@ func TestWheelBlockRolloverOrder(t *testing.T) {
 				t.Fatalf("second dispatch at %v, want the parked event at %v", got[1], Time(tc.tickA))
 			}
 		})
+	}
+}
+
+// bucketLen walks a level-1/2 bucket and returns how many entries and
+// chunks it holds.
+func bucketLen(w *wheel, head int32) (entries, chunks int) {
+	for id := head; id != 0; id = w.arena.at(id).next {
+		entries += int(w.arena.at(id).n)
+		chunks++
+	}
+	return entries, chunks
+}
+
+// freeChunks counts the arena's free list.
+func freeChunks(w *wheel) int {
+	n := 0
+	for id := w.arena.free; id != 0; id = w.arena.at(id).next {
+		n++
+	}
+	return n
+}
+
+// TestWheelFootprintFollowsPending: the wheel's bucket memory must follow
+// how many events are pending at once, not how many slots have ever been
+// busy. Two equal waves of events, each pending all at once across many
+// level-1 and level-2 slots, land in disjoint sets of slots; the second wave
+// must be filed in the chunks the first one gave back. A wheel whose slots
+// each kept their own high-water backing array would retain twice the
+// memory after the second wave.
+func TestWheelFootprintFollowsPending(t *testing.T) {
+	e := NewEngineWheel(1, 1) // 1 ps ticks: tick == timestamp
+	w := e.w
+	fired := 0
+	note := func(any) { fired++ }
+	// A wave files perSlot[i%len] events in each of 100 level-1 slots from
+	// l1From and 40 level-2 slots from l2From of the level-2 block at base.
+	perSlot := []int{1, 63, 64, 127, 200, 10}
+	wave := func(base uint64, l1From, l2From int) (events, slots int) {
+		for i := 0; i < 100; i++ {
+			for k := 0; k < perSlot[i%len(perSlot)]; k++ {
+				e.ScheduleArgAt(Time(base+uint64(l1From+i)<<wheelBits+uint64(k%wheelSlots)), note, nil)
+				events++
+			}
+		}
+		for i := 0; i < 40; i++ {
+			for k := 0; k < 3*perSlot[i%len(perSlot)]; k++ {
+				e.ScheduleArgAt(Time(base+uint64(l2From+i)<<(2*wheelBits)+uint64(k*97)), note, nil)
+				events++
+			}
+		}
+		return events, 140
+	}
+
+	n1, _ := wave(0, 1, 1)
+	if w.count != n1 {
+		t.Fatalf("first wave: %d events in buckets, scheduled %d", w.count, n1)
+	}
+	if entries, chunks := bucketLen(w, w.l1[3]); entries != 64 || chunks != 2 {
+		t.Fatalf("a 64-event slot holds %d entries in %d chunks, want 64 in 2", entries, chunks)
+	}
+	if filed, min := int(w.arena.used), (n1+chunkEntries-1)/chunkEntries; filed < min || filed > min+140 {
+		t.Fatalf("first wave of %d events took %d chunks, want %d plus at most one per slot", n1, filed, min)
+	}
+	e.RunAll()
+	// The high-water mark of one wave, cascades included (a level-2 slot
+	// re-files into level-1 chunks before its own are all released).
+	first := int(w.arena.used)
+	if fired != n1 || e.Pending() != 0 || freeChunks(w) != first {
+		t.Fatalf("after the first wave: fired %d of %d, %d pending, %d of %d chunks back in the arena",
+			fired, n1, e.Pending(), freeChunks(w), first)
+	}
+
+	// Floor now sits in level-2 slot 40; the second wave uses level-2 slots
+	// 60..99 and, once floor reaches their block, level-1 slots 128..227 of
+	// the level-1 block at 50<<16 — indices the first wave never touched.
+	e.ScheduleArgAt(Time(50<<(2*wheelBits)), note, nil)
+	e.RunAll()
+	before := fired
+	n2, touched := wave(50<<(2*wheelBits), 128, 10) // l2 slots 60..99
+	if n2 != n1 {
+		t.Fatalf("the waves differ: %d vs %d events", n1, n2)
+	}
+	if got := int(w.arena.used); got > first+touched {
+		t.Fatalf("second wave grew the arena from %d to %d chunks: bucket memory follows busy slots, not pending events", first, got)
+	}
+	e.RunAll()
+	if fired-before != n2 || e.Pending() != 0 || freeChunks(w) != int(w.arena.used) {
+		t.Fatalf("after the second wave: fired %d of %d, %d pending, %d of %d chunks back in the arena",
+			fired-before, n2, e.Pending(), freeChunks(w), w.arena.used)
+	}
+}
+
+// driveChunkBoundaryWorkload is a randomized schedule / cancel / compact /
+// NextEventTime script aimed at the chunked buckets: each round fills
+// level-1 and level-2 slots of one level-2 block with exactly 0, 1, 63, 64
+// and 127 entries (an empty bucket, one chunk, a chunk filled to its last
+// entry, the first entry of a second chunk, one short of a third), cancels
+// enough of them to force compaction sweeps, peeks, and lets callbacks file
+// more events into the half-drained slots. Rounds 0, 1 and 3 place directly
+// (the odd ones are the heavily cancelled ones, so the sweeps run over
+// chunked buckets); round 2 lands in far and reaches its slots through a
+// rebase. With fill set, it is called once the first round is scheduled. The engine must run on
+// 1 ps ticks for the slots to be the ones aimed at (any engine gives the
+// same dispatch order).
+func driveChunkBoundaryWorkload(e *Engine, seed int64, fill func()) []record {
+	rng := rand.New(rand.NewSource(seed))
+	var got []record
+	id := 0
+	var refs []EventRef
+	var at func(t Time, depth int)
+	at = func(t Time, depth int) {
+		id++
+		myID := id
+		refs = append(refs, e.ScheduleAt(t, func() {
+			got = append(got, record{myID, e.Now()})
+			if depth < 2 && rng.Intn(4) == 0 {
+				// Into the heap, level 0, or a later slot of this block.
+				at(e.Now()+Duration(rng.Int63n(1<<uint(1+rng.Intn(20)))), depth+1)
+			}
+		}))
+	}
+	counts := []int{0, 1, 63, 64, 127}
+	for round := 0; round < 4; round++ {
+		base := uint64(round) << (3 * wheelBits)
+		if round%2 == 1 {
+			// Bring floor into the block first, so this round is filed in
+			// its slots directly — and swept there by the cancels below.
+			at(Time(base), 0)
+			e.Run(Time(base))
+		}
+		refs = refs[:0]
+		for i, k := range rng.Perm(len(counts)) {
+			s1 := uint64(2 + 3*i) // level-1 slots 2, 5, 8, 11, 14 of the block's first level-1 block
+			for n := 0; n < counts[k]; n++ {
+				at(Time(base+s1<<wheelBits+uint64(rng.Intn(wheelSlots))), 0)
+			}
+		}
+		for i, k := range rng.Perm(len(counts)) {
+			// Level-2 slots 1..5, each aimed at one level-1 slot below it so
+			// the cascade re-files the same counts one level down.
+			s2, s1 := uint64(1+i), uint64(rng.Intn(wheelSlots))
+			for n := 0; n < counts[k]; n++ {
+				at(Time(base+s2<<(2*wheelBits)+s1<<wheelBits+uint64(rng.Intn(wheelSlots))), 0)
+			}
+		}
+		if round == 0 && fill != nil {
+			fill()
+		}
+		// Cancel most of the round on odd rounds (dead entries outnumber
+		// live ones: compaction sweeps the buckets), a few on even ones.
+		for _, ref := range refs {
+			if rng.Intn(8) < 1+5*(round%2) {
+				r := ref
+				r.Cancel()
+			}
+		}
+		// Drain the block in random strides, peeking in between.
+		for now := base; now < base+7<<(2*wheelBits); {
+			now += uint64(rng.Int63n(3 << (2 * wheelBits)))
+			e.Run(Time(now))
+			if next, ok := e.NextEventTime(); ok && next < Time(now) {
+				panic("NextEventTime returned a past event")
+			}
+		}
+	}
+	e.RunAll()
+	return got
+}
+
+// TestWheelChunkBoundariesMatchHeap: the script above dispatches exactly as
+// on the pure-heap engine, the slots it aims at hold the counts it aims
+// for, and every chunk is back in the arena when the queue is empty.
+func TestWheelChunkBoundariesMatchHeap(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3, 4, 5} {
+		want := driveChunkBoundaryWorkload(NewEngine(9), seed, nil)
+		e := NewEngineWheel(9, 1)
+		got := driveChunkBoundaryWorkload(e, seed, func() {
+			var l1, l2 []int
+			for _, s := range []int{2, 5, 8, 11, 14} {
+				n, _ := bucketLen(e.w, e.w.l1[s])
+				l1 = append(l1, n)
+			}
+			for s := 1; s <= 5; s++ {
+				n, _ := bucketLen(e.w, e.w.l2[s])
+				l2 = append(l2, n)
+			}
+			sort.Ints(l1)
+			sort.Ints(l2)
+			if fmt.Sprint(l1) != "[0 1 63 64 127]" || fmt.Sprint(l2) != "[0 1 63 64 127]" {
+				t.Fatalf("seed %d: slots hold %v and %v entries, want [0 1 63 64 127] on both levels", seed, l1, l2)
+			}
+		})
+		if len(got) != len(want) || len(got) < 1000 {
+			t.Fatalf("seed %d: dispatched %d events, heap dispatched %d", seed, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: dispatch %d = %+v, heap dispatched %+v", seed, i, got[i], want[i])
+			}
+		}
+		checkFreeListClean(t, e, "after the chunk-boundary script")
+		if e.Pending() != 0 || freeChunks(e.w) != int(e.w.arena.used) {
+			t.Fatalf("seed %d: %d events pending, %d of %d chunks back in the arena", seed, e.Pending(), freeChunks(e.w), e.w.arena.used)
+		}
 	}
 }

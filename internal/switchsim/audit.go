@@ -30,9 +30,9 @@ func (s *Switch) CheckInvariants() error {
 	for port := range s.ports {
 		pm := &s.mmu.ports[port]
 		for prio := 0; prio < pkt.NumPriorities; prio++ {
-			ing := pm.ing[prio]
-			eg := pm.eg[prio]
-			hr := pm.hr[prio]
+			ing := pm.q[prio].ing
+			eg := pm.q[prio].eg
+			hr := pm.q[prio].hr
 			if ing < 0 || eg < 0 || hr < 0 {
 				return fmt.Errorf("switch %s: negative counter at (%d,%d): ing=%d eg=%d hr=%d",
 					s.name, port, prio, ing, eg, hr)
@@ -131,13 +131,13 @@ func (s *Switch) CheckDrained() error {
 	for port := range s.ports {
 		pm := &s.mmu.ports[port]
 		for prio := 0; prio < pkt.NumPriorities; prio++ {
-			if v := pm.ing[prio]; v != 0 {
+			if v := pm.q[prio].ing; v != 0 {
 				return fmt.Errorf("switch %s: ingress (%d,%d)=%d after drain, want 0", s.name, port, prio, v)
 			}
-			if v := pm.eg[prio]; v != 0 {
+			if v := pm.q[prio].eg; v != 0 {
 				return fmt.Errorf("switch %s: egress (%d,%d)=%d after drain, want 0", s.name, port, prio, v)
 			}
-			if v := pm.hr[prio]; v != 0 {
+			if v := pm.q[prio].hr; v != 0 {
 				return fmt.Errorf("switch %s: headroom (%d,%d)=%d after drain, want 0", s.name, port, prio, v)
 			}
 			if pm.pausedOn(prio) {

@@ -105,8 +105,8 @@ func TestCheckDrainedDetectsLeaks(t *testing.T) {
 
 	// A balanced leak: bump both sides of the accounting so CheckInvariants
 	// passes but bytes are still "resident" after drain.
-	r.sw.mmu.ports[0].ing[pkt.PrioLossy] += pkt.MTUBytes
-	r.sw.mmu.ports[2].eg[pkt.PrioLossy] += pkt.MTUBytes
+	r.sw.mmu.ports[0].q[pkt.PrioLossy].ing += pkt.MTUBytes
+	r.sw.mmu.ports[2].q[pkt.PrioLossy].eg += pkt.MTUBytes
 	r.sw.mmu.poolUsed[pkt.ClassLossy] += pkt.MTUBytes
 	r.sw.mmu.resident += pkt.MTUBytes
 	if err := r.sw.CheckInvariants(); err != nil {
@@ -115,8 +115,8 @@ func TestCheckDrainedDetectsLeaks(t *testing.T) {
 	if err := r.sw.CheckDrained(); err == nil {
 		t.Error("drained auditor missed a balanced byte leak")
 	}
-	r.sw.mmu.ports[0].ing[pkt.PrioLossy] -= pkt.MTUBytes
-	r.sw.mmu.ports[2].eg[pkt.PrioLossy] -= pkt.MTUBytes
+	r.sw.mmu.ports[0].q[pkt.PrioLossy].ing -= pkt.MTUBytes
+	r.sw.mmu.ports[2].q[pkt.PrioLossy].eg -= pkt.MTUBytes
 	r.sw.mmu.poolUsed[pkt.ClassLossy] -= pkt.MTUBytes
 	r.sw.mmu.resident -= pkt.MTUBytes
 
@@ -146,9 +146,9 @@ func (m *mmuState) digest() uint64 {
 	for i := range m.ports {
 		pm := &m.ports[i]
 		for prio := 0; prio < pkt.NumPriorities; prio++ {
-			word(pm.ing[prio])
-			word(pm.eg[prio])
-			word(pm.hr[prio])
+			word(pm.q[prio].ing)
+			word(pm.q[prio].eg)
+			word(pm.q[prio].hr)
 		}
 		word(int64(pm.paused))
 	}
@@ -288,15 +288,15 @@ func TestVersionCoversPauseAsOnlyWrite(t *testing.T) {
 	}
 	r.eng.RunAll()
 	th := cfg.ReservedPerQueue + pol.IngressThreshold(r.sw, 0, pkt.PrioLossless)
-	if in.pausedOn(pkt.PrioLossless) || in.ing[pkt.PrioLossless] < th {
+	if in.pausedOn(pkt.PrioLossless) || in.q[pkt.PrioLossless].ing < th {
 		t.Fatalf("set-up: want an unpaused queue over its threshold, have occupancy %d, threshold %d, paused %v",
-			in.ing[pkt.PrioLossless], th, in.pausedOn(pkt.PrioLossless))
+			in.q[pkt.PrioLossless].ing, th, in.pausedOn(pkt.PrioLossless))
 	}
 
-	before, occupancy := w.digest, in.ing[pkt.PrioLossless]
+	before, occupancy := w.digest, in.q[pkt.PrioLossless].ing
 	r.send(0, 4, 1, pkt.PrioLossless, pkt.ClassLossless)
 	r.eng.RunAll() // the watch checks after every event
-	if !in.pausedOn(pkt.PrioLossless) || r.sw.Stats().LosslessViolations != 1 || in.ing[pkt.PrioLossless] != occupancy {
+	if !in.pausedOn(pkt.PrioLossless) || r.sw.Stats().LosslessViolations != 1 || in.q[pkt.PrioLossless].ing != occupancy {
 		t.Fatal("the arrival should have been discarded uncharged and have paused the queue")
 	}
 	if w.digest == before {

@@ -56,22 +56,28 @@ type Switch struct {
 var _ netdev.Node = (*Switch)(nil)
 
 // portMMU packs every per-(port,priority) counter into one contiguous
-// record: the admission path touches ing/eg/hr/paused for the same port
-// back to back, so one cache-friendly struct replaces five parallel slices
-// (and the paused booleans collapse to a single bitmask byte).
+// record, interleaved by priority: everything one side of an admission
+// touches for a (port, priority) — occupancy, headroom and the pause
+// re-issue clock on the ingress side, the egress counter on the other — is
+// one 32-byte cell, so each side costs one cache line plus the paused byte
+// instead of a line per counter array.
 type portMMU struct {
-	// ing and eg are the ingress- and egress-pool counters Q_in and Q_out
-	// per priority (bytes, normal path: reserved then shared).
-	ing [pkt.NumPriorities]int64
-	eg  [pkt.NumPriorities]int64
-	// hr is headroom usage per lossless ingress queue.
-	hr [pkt.NumPriorities]int64
-	// pauseSentAt records when the most recent XOFF for a paused ingress
-	// queue was emitted, for the lost-pause re-issue guard.
-	pauseSentAt [pkt.NumPriorities]sim.Time
+	q [pkt.NumPriorities]mmuCell
 	// paused is a per-priority bitmask of ingress queues we have XOFF'd
 	// upstream (bit i = priority i; NumPriorities <= 8 fits a byte).
 	paused uint8
+}
+
+// mmuCell is the MMU state of one (port, priority).
+type mmuCell struct {
+	// ing and eg are the ingress- and egress-pool counters Q_in and Q_out
+	// (bytes, normal path: reserved then shared).
+	ing, eg int64
+	// hr is headroom usage of the lossless ingress queue.
+	hr int64
+	// pauseSentAt records when the most recent XOFF for a paused ingress
+	// queue was emitted, for the lost-pause re-issue guard.
+	pauseSentAt sim.Time
 }
 
 func (pm *portMMU) pausedOn(prio int) bool { return pm.paused&(1<<uint(prio)) != 0 }
@@ -296,8 +302,8 @@ func (s *Switch) admitData(p *pkt.Packet, in, out int) {
 
 	inHeadroom := false
 	ingTh := s.policy.IngressThreshold(s, in, prio)
-	inMMU := &s.mmu.ports[in]
-	if inMMU.ing[prio]+size > s.cfg.ReservedPerQueue+ingTh {
+	inCell := &s.mmu.ports[in].q[prio]
+	if inCell.ing+size > s.cfg.ReservedPerQueue+ingTh {
 		// Over the ingress threshold: lossy drops; lossless goes to
 		// headroom (PFC is already, or is about to be, asserted).
 		if p.Class == pkt.ClassLossy {
@@ -313,7 +319,7 @@ func (s *Switch) admitData(p *pkt.Packet, in, out int) {
 			// Preemption freed enough pool for the check to pass now;
 			// proceed as a normal shared-pool admission.
 		} else {
-			if inMMU.hr[prio]+size > s.cfg.HeadroomPerQueue {
+			if inCell.hr+size > s.cfg.HeadroomPerQueue {
 				// Headroom exhausted: the lossless guarantee is broken.
 				// Still run the PFC check — if the upstream is flooding
 				// because the pause frame was lost, the re-issue guard is
@@ -333,7 +339,7 @@ func (s *Switch) admitData(p *pkt.Packet, in, out int) {
 
 	if p.Class == pkt.ClassLossy {
 		egTh := s.policy.EgressThreshold(s, out, prio)
-		if s.mmu.ports[out].eg[prio]+size > s.cfg.ReservedPerQueue+egTh {
+		if s.mmu.ports[out].q[prio].eg+size > s.cfg.ReservedPerQueue+egTh {
 			if !s.preemptRetryEgress(p, in, out, size) {
 				s.stats.LossyDropsEgress++
 				s.stats.LossyDropBytesEgress += uint64(p.Size)
@@ -352,15 +358,15 @@ func (s *Switch) admitData(p *pkt.Packet, in, out int) {
 	p.InPort, p.InPrio, p.OutPort = in, prio, out
 	p.InHeadroom = inHeadroom
 	if inHeadroom {
-		inMMU.hr[prio] += size
+		inCell.hr += size
 		s.stats.LosslessHeadroom++
 		if s.tracer != nil {
 			s.recordPacketEvent(trace.HeadroomEnter, in, prio, p)
 		}
 	} else {
-		before := sharedPart(inMMU.ing[prio], s.cfg.ReservedPerQueue)
-		inMMU.ing[prio] += size
-		s.mmu.sharedUsed += sharedPart(inMMU.ing[prio], s.cfg.ReservedPerQueue) - before
+		before := sharedPart(inCell.ing, s.cfg.ReservedPerQueue)
+		inCell.ing += size
+		s.mmu.sharedUsed += sharedPart(inCell.ing, s.cfg.ReservedPerQueue) - before
 	}
 	s.bumpEgress(out, prio, size)
 	s.mmu.resident += size
@@ -384,7 +390,7 @@ func (s *Switch) preemptRetryIngress(p *pkt.Packet, in, out int, size int64) boo
 		return false
 	}
 	ingTh := s.policy.IngressThreshold(s, in, p.Priority)
-	return s.mmu.ports[in].ing[p.Priority]+size <= s.cfg.ReservedPerQueue+ingTh
+	return s.mmu.ports[in].q[p.Priority].ing+size <= s.cfg.ReservedPerQueue+ingTh
 }
 
 // preemptRetryEgress is preemptRetryIngress for the egress-queue check.
@@ -393,7 +399,7 @@ func (s *Switch) preemptRetryEgress(p *pkt.Packet, in, out int, size int64) bool
 		return false
 	}
 	egTh := s.policy.EgressThreshold(s, out, p.Priority)
-	return s.mmu.ports[out].eg[p.Priority]+size <= s.cfg.ReservedPerQueue+egTh
+	return s.mmu.ports[out].q[p.Priority].eg+size <= s.cfg.ReservedPerQueue+egTh
 }
 
 var _ core.Evictor = (*Switch)(nil)
@@ -419,10 +425,10 @@ func (s *Switch) EvictLossyTail(port, prio int, want int64) int64 {
 		size := int64(q.Size)
 		// Lossy packets never sit in headroom, so the reversal is always
 		// the shared/reserved split (the mirror of admitData's else-branch).
-		inMMU := &s.mmu.ports[q.InPort]
-		before := sharedPart(inMMU.ing[q.InPrio], s.cfg.ReservedPerQueue)
-		inMMU.ing[q.InPrio] -= size
-		s.mmu.sharedUsed += sharedPart(inMMU.ing[q.InPrio], s.cfg.ReservedPerQueue) - before
+		inCell := &s.mmu.ports[q.InPort].q[q.InPrio]
+		before := sharedPart(inCell.ing, s.cfg.ReservedPerQueue)
+		inCell.ing -= size
+		s.mmu.sharedUsed += sharedPart(inCell.ing, s.cfg.ReservedPerQueue) - before
 		s.bumpEgress(q.OutPort, q.InPrio, -size)
 		s.mmu.resident -= size
 		s.mmu.version++
@@ -448,14 +454,14 @@ func (s *Switch) onDequeue(p *pkt.Packet) {
 	size := int64(p.Size)
 	in, prio := p.InPort, p.InPrio
 
-	inMMU := &s.mmu.ports[in]
+	inCell := &s.mmu.ports[in].q[prio]
 	if p.InHeadroom {
-		inMMU.hr[prio] -= size
+		inCell.hr -= size
 		p.InHeadroom = false
 	} else {
-		before := sharedPart(inMMU.ing[prio], s.cfg.ReservedPerQueue)
-		inMMU.ing[prio] -= size
-		s.mmu.sharedUsed += sharedPart(inMMU.ing[prio], s.cfg.ReservedPerQueue) - before
+		before := sharedPart(inCell.ing, s.cfg.ReservedPerQueue)
+		inCell.ing -= size
+		s.mmu.sharedUsed += sharedPart(inCell.ing, s.cfg.ReservedPerQueue) - before
 	}
 	// Decrement the same (port, priority) cell the admission path charged:
 	// the stamped p.OutPort/p.InPrio, never the mutable p.Priority (a
@@ -473,9 +479,10 @@ func (s *Switch) onDequeue(p *pkt.Packet) {
 // bumpEgress adjusts the egress counter, its class pool and the congestion
 // census by delta bytes.
 func (s *Switch) bumpEgress(out, prio int, delta int64) {
-	before := s.mmu.ports[out].eg[prio]
+	cell := &s.mmu.ports[out].q[prio]
+	before := cell.eg
 	after := before + delta
-	s.mmu.ports[out].eg[prio] = after
+	cell.eg = after
 	s.mmu.poolUsed[core.ClassOfPriority(prio)] += delta
 	mark := s.cfg.CongestionMark
 	switch {
@@ -496,11 +503,12 @@ func (s *Switch) checkPFC(in, prio int, arrival bool) {
 	}
 	th := s.cfg.ReservedPerQueue + s.policy.IngressThreshold(s, in, prio)
 	inMMU := &s.mmu.ports[in]
-	occ := inMMU.ing[prio] + inMMU.hr[prio]
+	inCell := &inMMU.q[prio]
+	occ := inCell.ing + inCell.hr
 	if !inMMU.pausedOn(prio) {
 		if occ >= th {
 			s.mmu.setPaused(in, prio, true)
-			inMMU.pauseSentAt[prio] = s.eng.Now()
+			inCell.pauseSentAt = s.eng.Now()
 			if s.tracer != nil {
 				s.recordPFC(trace.PFCAssert, in, prio)
 			}
@@ -528,8 +536,8 @@ func (s *Switch) checkPFC(in, prio int, arrival bool) {
 	// headroom burns. On a healthy fabric arrivals cease inside the guard
 	// window and this path never fires, keeping the paper's pause-frame
 	// counts untouched.
-	if arrival && s.eng.Now() >= inMMU.pauseSentAt[prio]+s.pfcGuard(in) {
-		inMMU.pauseSentAt[prio] = s.eng.Now()
+	if arrival && s.eng.Now() >= inCell.pauseSentAt+s.pfcGuard(in) {
+		inCell.pauseSentAt = s.eng.Now()
 		s.stats.PFCReissues++
 		if s.tracer != nil {
 			s.recordPFC(trace.PFCReissue, in, prio)
@@ -568,7 +576,7 @@ func (s *Switch) pfcGuard(in int) sim.Duration {
 // maybeMarkECN applies egress-queue ECN marking: DCTCP step marking on
 // lossy queues, DCQCN RED-style marking on lossless queues.
 func (s *Switch) maybeMarkECN(p *pkt.Packet, out, prio int) {
-	backlog := s.mmu.ports[out].eg[prio]
+	backlog := s.mmu.ports[out].q[prio].eg
 	switch p.Class {
 	case pkt.ClassLossy:
 		if s.cfg.ECNLossyThreshold > 0 && backlog > s.cfg.ECNLossyThreshold {
@@ -629,12 +637,12 @@ func (s *Switch) EgressPoolUsed(c pkt.Class) int64 { return s.mmu.poolUsed[int(c
 
 // IngressQueueBytes implements core.StateView.
 func (s *Switch) IngressQueueBytes(port, prio int) int64 {
-	return s.mmu.ports[port].ing[prio]
+	return s.mmu.ports[port].q[prio].ing
 }
 
 // EgressQueueBytes implements core.StateView.
 func (s *Switch) EgressQueueBytes(port, prio int) int64 {
-	return s.mmu.ports[port].eg[prio]
+	return s.mmu.ports[port].q[prio].eg
 }
 
 // EgressDrainRate implements core.StateView.

@@ -12,7 +12,6 @@ package topo
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"l2bm/internal/core"
 	"l2bm/internal/dcqcn"
@@ -539,20 +538,25 @@ func MustBuild(eng *sim.Engine, cfg Config, newPolicy PolicyFactory, onComplete 
 }
 
 // ecmpHash spreads flows over n parallel next hops, salted so consecutive
-// layers make independent choices.
+// layers make independent choices: FNV-1a (64-bit) over the flow id and the
+// salt, eight little-endian bytes each, computed inline rather than through
+// hash/fnv's hash.Hash64 (TestECMPHashMatchesHashFNV holds the two equal).
 func ecmpHash(f pkt.FlowID, salt uint64, n int) int {
 	if n == 1 {
 		return 0
 	}
-	h := fnv.New64a()
-	var buf [16]byte
-	v := uint64(f)
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(v >> (8 * i))
-		buf[8+i] = byte(salt >> (8 * i))
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for _, v := range [2]uint64{uint64(f), salt} {
+		for i := 0; i < 8; i++ {
+			h ^= v >> (8 * i) & 0xff
+			h *= prime64
+		}
 	}
-	_, _ = h.Write(buf[:])
-	return int(h.Sum64() % uint64(n))
+	return int(h % uint64(n))
 }
 
 // pickECMP is liveness-aware ECMP: it returns the plain hash choice when

@@ -1,6 +1,9 @@
 package topo
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math/rand"
 	"testing"
 
 	"l2bm/internal/core"
@@ -169,6 +172,38 @@ func TestECMPSpreadsFlows(t *testing.T) {
 	}
 	if ecmpHash(42, 0, 1) != 0 {
 		t.Error("single path must return 0")
+	}
+}
+
+// ecmpHashFNV is ecmpHash as it was written before the hash was inlined:
+// through hash/fnv's hash.Hash64 over the same 16 bytes. It survives as the
+// oracle.
+func ecmpHashFNV(f pkt.FlowID, salt uint64, n int) int {
+	if n == 1 {
+		return 0
+	}
+	h := fnv.New64a()
+	var buf [16]byte
+	binary.LittleEndian.PutUint64(buf[:8], uint64(f))
+	binary.LittleEndian.PutUint64(buf[8:], salt)
+	_, _ = h.Write(buf[:])
+	return int(h.Sum64() % uint64(n))
+}
+
+func TestECMPHashMatchesHashFNV(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	salts := []uint64{0, 0x746f72, 0x616767, 0x636f7265, ^uint64(0)}
+	for i := 0; i < 20000; i++ {
+		f, salt, n := pkt.FlowID(rng.Uint64()), salts[rng.Intn(len(salts))], 1+rng.Intn(64)
+		if i%3 == 0 {
+			salt = rng.Uint64()
+		}
+		if i%5 == 0 {
+			f = pkt.FlowID(i) // small sequential ids, as workloads issue them
+		}
+		if got, want := ecmpHash(f, salt, n), ecmpHashFNV(f, salt, n); got != want {
+			t.Fatalf("ecmpHash(%d, %#x, %d) = %d, hash/fnv form gives %d", f, salt, n, got, want)
+		}
 	}
 }
 
