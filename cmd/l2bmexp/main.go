@@ -42,8 +42,8 @@
 // Orthogonally, -shards N runs every individual point on the sharded
 // conservative-time engine (internal/psim): the Clos fabric is partitioned
 // across N per-shard engines synchronized by lookahead-bounded epochs.
-// Results are byte-identical to the classic engine and to every other
-// legal shard count, so -shards changes only the timing trailer.
+// Results are byte-identical for every legal shard count, 0 included, so
+// -shards changes only the timing trailer.
 //
 // -fidelity hybrid runs figure/table experiments on the hybrid-fidelity
 // engine (internal/fluid): steady-state spans advance analytically, bursts
@@ -52,15 +52,14 @@
 // for order-of-magnitude speedups on steady-state-heavy windows (`make
 // hybrid-demo`).
 //
-// -sched selects the event-scheduler backend: wheel (the default
-// hierarchical timer wheel) or heap (the plain 4-ary heap it replaced).
-// Both dispatch identically ordered events, so results are byte-identical;
-// only the timing trailer changes (DESIGN.md §15).
+// Every run schedules events on the hierarchical timer wheel; the 4-ary
+// heap it replaced survives in internal/sim as the reference scheduler the
+// identity tests compare against (DESIGN.md §15).
 //
 // -exp scale is the hyperscale smoke (not part of -exp all): it builds a
 // pod-structured Clos of 1k (-scale tiny), 10k (small) or 100k (full)
 // hosts via topo.HyperscaleConfig and runs a short mixed window through
-// the same harness, so -shards, -fidelity and -sched apply unchanged.
+// the same harness, so -shards and -fidelity apply unchanged.
 package main
 
 import (
@@ -92,9 +91,8 @@ func run(args []string, stdout io.Writer) error {
 	scaleName := fs.String("scale", "small", "simulation scale: tiny|small|full")
 	outPath := fs.String("out", "", "also append output to this file")
 	parallel := fs.Int("parallel", 0, "worker pool size for independent grid points (0 = GOMAXPROCS, 1 = sequential)")
-	shards := fs.Int("shards", 0, "run each point on the sharded conservative-time engine with N shards (0 = classic sequential engine); results are byte-identical for any legal N")
+	shards := fs.Int("shards", 0, "run each point on the sharded conservative-time engine with N shards (0 = one engine, global observers as engine events); results are byte-identical for any legal N")
 	fidelity := fs.String("fidelity", "", "execution engine for figure/table experiments: packet (every MTU simulated; the default) or hybrid (fluid fast-forward between bursts; results within the DESIGN.md §14 divergence bound)")
-	sched := fs.String("sched", "", "event-scheduler backend: wheel (hierarchical timer wheel; the default) or heap (plain 4-ary heap); results are byte-identical either way")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	traceOn := fs.Bool("trace", false, "arm the flight recorder on every run (occupancy, pause, weight, drop/ECN timelines)")
@@ -143,10 +141,13 @@ func run(args []string, stdout io.Writer) error {
 	// -spec replaces the named-experiment path entirely: the file is the
 	// sweep, so experiment-selection flags make no sense next to it.
 	if *specPath != "" {
-		for _, conflict := range []string{"exp", "scale", "trace", "resume", "fidelity", "shards", "sched"} {
+		for _, conflict := range []string{"exp", "scale", "trace", "resume", "fidelity", "shards"} {
 			if explicit[conflict] {
 				return fmt.Errorf("-spec is incompatible with -%s (the spec file pins every point's parameters)", conflict)
 			}
+		}
+		if *keepGoing {
+			return fmt.Errorf("-spec is incompatible with -keep-going (the canonical result envelope has no slot for a failed point)")
 		}
 		if _, err := os.Stat(*specPath); err != nil {
 			return fmt.Errorf("-spec: %w", err)
@@ -176,9 +177,6 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	if err := validateFidelity(*expName, *fidelity, *shards); err != nil {
-		return err
-	}
-	if err := validateSched(*sched); err != nil {
 		return err
 	}
 	if *resume != "" {
@@ -234,7 +232,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	opts := Options{
-		Workers: *parallel, Shards: *shards, Fidelity: *fidelity, Sched: *sched, Policies: policies,
+		Workers: *parallel, Shards: *shards, Fidelity: *fidelity, Policies: policies,
 		Resume: *resume, PointTimeout: *pointTimeout, KeepGoing: *keepGoing,
 		Seeds: *seeds, BaseSeed: *baseSeed, ReproDir: *reproOut, Replay: *replay,
 	}
@@ -246,7 +244,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 	var runErr error
 	if *specPath != "" {
-		runErr = runSpec(*specPath, *parallel, w)
+		runErr = runSpec(*specPath, *parallel, *pointTimeout, w)
 	} else {
 		runErr = RunOpts(*expName, *scaleName, opts, w)
 	}
@@ -270,14 +268,11 @@ type Options struct {
 	// Workers bounds the grid-point worker pool (0 = GOMAXPROCS).
 	Workers int
 	// Shards, when >= 1, runs every point on the sharded conservative-time
-	// engine with that many shards (0 = classic sequential engine).
+	// engine with that many shards (0 = one engine; see exp.HybridSpec).
 	Shards int
 	// Fidelity selects the execution engine for figure/table experiments
 	// ("" = packet; see exp.FidelityHybrid).
 	Fidelity string
-	// Sched selects the event-scheduler backend ("" = wheel; see
-	// exp.SchedWheel/SchedHeap). Results are byte-identical either way.
-	Sched string
 	// Policies restricts the arena to this subset of registered policies
 	// (nil = every registered policy, in registration order).
 	Policies []string
@@ -302,18 +297,6 @@ type Options struct {
 	BaseSeed int64
 	ReproDir string
 	Replay   string
-}
-
-// validateSched rejects unknown -sched values before any work begins. Both
-// backends dispatch identically ordered events, so the flag never changes
-// results — only the timing trailer.
-func validateSched(sched string) error {
-	switch sched {
-	case "", exp.SchedWheel, exp.SchedHeap:
-		return nil
-	default:
-		return fmt.Errorf("-sched: unknown value %q (want %s or %s)", sched, exp.SchedWheel, exp.SchedHeap)
-	}
 }
 
 // validateFidelity rejects -fidelity combinations before any work begins:
@@ -434,7 +417,6 @@ func RunOpts(expName, scaleName string, opts Options, w io.Writer) error {
 	harness, runners := experimentRunners(opts)
 	harness.Shards = opts.Shards
 	harness.Fidelity = opts.Fidelity
-	harness.Sched = opts.Sched
 	harness.CheckpointDir = opts.Resume
 	harness.PointTimeout = opts.PointTimeout
 	harness.KeepGoing = opts.KeepGoing

@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"regexp"
 	"strings"
 	"testing"
+
+	"l2bm/internal/exp"
 )
 
 // statFile returns the size of a file (helper for profile checks).
@@ -57,22 +60,26 @@ func TestCLIFlagParsing(t *testing.T) {
 }
 
 // TestParallelFlagDeterminism: the CLI's deterministic portion (everything
-// but the timing and memory trailers) must be byte-identical for any worker
-// count.
+// but the timing and memory trailers) must be byte-identical for every
+// execution strategy — any worker count and any shard count — on the Fig. 7
+// sweep. This is the gate CI used to run as shell diffs of the built binary.
 func TestParallelFlagDeterminism(t *testing.T) {
-	render := func(workers int) string {
+	// Strip the only process-state-dependent lines: the wall-clock timing
+	// trailer and the MemStats trailer (allocation counts shift with
+	// goroutine scheduling and GC timing, by design).
+	drop := regexp.MustCompile(`(?m)^\((?:.* finished in .*|mem: .*)\)$`)
+	render := func(flags ...string) string {
 		var buf bytes.Buffer
-		if err := Run("fig3a", "tiny", workers, &buf); err != nil {
+		if err := run(append([]string{"-exp", "fig7", "-scale", "tiny"}, flags...), &buf); err != nil {
 			t.Fatal(err)
 		}
-		// Strip the only process-state-dependent lines: the wall-clock
-		// timing trailer and the MemStats trailer (allocation counts shift
-		// with goroutine scheduling and GC timing, by design).
-		drop := regexp.MustCompile(`(?m)^\((?:.* finished in .*|mem: .*)\)$`)
 		return drop.ReplaceAllString(buf.String(), "")
 	}
-	if a, b := render(1), render(4); a != b {
-		t.Errorf("CLI output differs between workers=1 and workers=4:\n--- w1 ---\n%s\n--- w4 ---\n%s", a, b)
+	ref := render("-parallel", "1")
+	for _, flags := range [][]string{nil, {"-shards", "1"}, {"-shards", "2"}} {
+		if got := render(flags...); got != ref {
+			t.Errorf("CLI output with %v differs from -parallel 1:\n--- -parallel 1 ---\n%s\n--- %v ---\n%s", flags, ref, flags, got)
+		}
 	}
 }
 
@@ -107,6 +114,7 @@ func TestCLIUpfrontValidation(t *testing.T) {
 		{"-spec", "sweep.json", "-exp", "fig7"},                 // -spec pins the sweep
 		{"-spec", "sweep.json", "-scale", "tiny"},               // ditto
 		{"-spec", "sweep.json", "-trace"},                       // ditto
+		{"-spec", "sweep.json", "-keep-going"},                  // the envelope cannot carry a failed point
 		{"-spec", "nonexistent-sweep.json"},                     // missing spec file
 		{"-exp", "fig3a", "-resume", "ckpt", "-trace"},
 		{"-exp", "fig3a", "-point-timeout", "-1s"},
@@ -360,5 +368,20 @@ func TestCLISpec(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"-spec", bad}, &buf); err == nil || !strings.Contains(err.Error(), "unknown policy") {
 		t.Errorf("bad spec: want unknown-policy error, got %v", err)
+	}
+
+	// The failure-handling flags are honoured next to a valid spec file,
+	// not silently dropped: -keep-going is refused before any simulation
+	// and a per-point limit no point can meet fails the sweep.
+	buf.Reset()
+	if err := run([]string{"-spec", path, "-keep-going"}, &buf); err == nil || !strings.Contains(err.Error(), "-keep-going") {
+		t.Errorf("-spec -keep-going: want an upfront incompatibility error, got %v", err)
+	}
+	var timeout *exp.PointTimeoutError
+	if err := run([]string{"-spec", path, "-point-timeout", "1ns"}, &buf); !errors.As(err, &timeout) {
+		t.Errorf("-spec -point-timeout 1ns: want *exp.PointTimeoutError, got %v", err)
+	}
+	if buf.Len() != 0 {
+		t.Errorf("failed -spec runs still produced output:\n%.200s", buf.String())
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"time"
 
 	"l2bm/internal/chaos"
 	"l2bm/internal/exp"
@@ -59,8 +60,10 @@ func runChaos(opts Options, w io.Writer) error {
 
 // runSpec executes a sweep-request JSON file (the l2bmd wire format) and
 // writes the canonical result envelope to w — the same bytes the daemon
-// serves for the same request, which is exactly what CI diffs.
-func runSpec(path string, workers int, w io.Writer) error {
+// serves for the same request, which is exactly what CI diffs. A point that
+// overruns pointTimeout (0 = unbounded) fails the sweep with a
+// *exp.PointTimeoutError.
+func runSpec(path string, workers int, pointTimeout time.Duration, w io.Writer) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -71,7 +74,7 @@ func runSpec(path string, workers int, w io.Writer) error {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	pool := &exp.Pool{Workers: workers}
+	pool := &exp.Pool{Workers: workers, PointTimeout: pointTimeout}
 	results, _, err := pool.Run(ctx, len(req.Specs), func(ctx context.Context, i int) (*exp.Result, error) {
 		return exp.RunHybridCtx(ctx, req.Specs[i])
 	}, nil)

@@ -33,7 +33,6 @@ func run(args []string, w io.Writer) error {
 	tcp := fs.Float64("tcp", 0.8, "TCP offered load")
 	incast := fs.Int("incast", 0, "incast fan-in degree N (0 disables the query workload)")
 	seedSalt := fs.String("salt", "", "seed salt for independent repetitions")
-	sched := fs.String("sched", "", "event-scheduler backend: wheel (hierarchical timer wheel; the default) or heap (plain 4-ary heap); results are byte-identical either way")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -47,11 +46,6 @@ func run(args []string, w io.Writer) error {
 	if _, err := core.NewPolicy(*policy); err != nil {
 		return fmt.Errorf("-policy: %w", err)
 	}
-	switch *sched {
-	case "", exp.SchedWheel, exp.SchedHeap:
-	default:
-		return fmt.Errorf("-sched: unknown value %q (want %s or %s)", *sched, exp.SchedWheel, exp.SchedHeap)
-	}
 	spec := exp.HybridSpec{
 		Name:     "l2bmsim",
 		Policy:   *policy,
@@ -59,7 +53,6 @@ func run(args []string, w io.Writer) error {
 		RDMALoad: *rdma,
 		TCPLoad:  *tcp,
 		SeedSalt: *seedSalt,
-		Sched:    *sched,
 	}
 	if *incast > 0 {
 		spec.Incast = &exp.IncastSpec{Fanout: *incast, RequestBytes: 1 << 20, QueryRate: 752}

@@ -1,0 +1,518 @@
+// The run assembler: the one place a HybridSpec becomes a running fabric.
+// Every execution strategy — Shards 0, Shards N, and each packet segment of
+// a hybrid-fidelity run — goes through the same four steps, each written
+// once:
+//
+//	resolve   spec → plan (policy, topology, window, horizon, seed)
+//	workload  plan → fluid.Workload (rack split, rdma → tcp → incast)
+//	build     plan → fabric (engines, cluster, conductor, auditor, faults)
+//	harvest   fabric → Result counters
+//
+// Everything that must agree across shard counts is either a pure function
+// of the wiring (arrival keys), replicated per shard on identically-seeded
+// engines (workload generators, fault processes), or run as a global
+// observer (see fabric.every). Per-shard observability (FCT recorders,
+// incast bookkeeping, flight recorders) is merged deterministically after
+// the run, so results are byte-identical for every legal shard count.
+package exp
+
+import (
+	"context"
+	"fmt"
+	"sort"
+
+	"l2bm/internal/audit"
+	"l2bm/internal/core"
+	"l2bm/internal/dcqcn"
+	"l2bm/internal/faults"
+	"l2bm/internal/fluid"
+	"l2bm/internal/host"
+	"l2bm/internal/metrics"
+	"l2bm/internal/netdev"
+	"l2bm/internal/pkt"
+	"l2bm/internal/psim"
+	"l2bm/internal/sim"
+	"l2bm/internal/switchsim"
+	"l2bm/internal/topo"
+	"l2bm/internal/trace"
+	"l2bm/internal/workload"
+)
+
+// engineFunc builds one shard's engine. Production runs pass wheelEngine;
+// the scheduler-identity tests pass the reference heap through this seam,
+// which is deliberately not reachable from a spec: the backend can never
+// change a result, so it is not a run parameter.
+type engineFunc func(cfg *topo.Config, seed int64) *sim.Engine
+
+// wheelEngine builds the hierarchical timer wheel, tick-sized from the
+// fabric's minimum propagation delay. It dispatches every event in the
+// identical (at, seq | arrival-key) order as the heap (sim.NewEngine), which
+// survives as the reference scheduler.
+func wheelEngine(cfg *topo.Config, seed int64) *sim.Engine {
+	return sim.NewEngineWheel(seed, sim.WheelGranularityFor(cfg.MinPropDelay()))
+}
+
+// plan is everything a run derives from its spec before anything is built.
+type plan struct {
+	spec      HybridSpec
+	newEngine engineFunc
+	policy    string // Result.Policy label
+	factory   topo.PolicyFactory
+	topo      topo.Config  // overrides applied; DCQCN go-back-N under a fault plan
+	window    sim.Duration // traffic-generation window
+	horizon   sim.Time     // window + drain
+	every     sim.Duration // occupancy sampling period
+	seed      int64
+}
+
+// resolve derives the plan.
+func resolve(spec HybridSpec, newEngine engineFunc) *plan {
+	p := &plan{spec: spec, newEngine: newEngine, policy: spec.Policy, factory: spec.PolicyFactory}
+	if p.factory == nil {
+		name := spec.Policy
+		p.factory = func() core.Policy { return NewPolicy(name) }
+	} else if p.policy == "" {
+		p.policy = p.factory().Name()
+	}
+
+	p.topo = spec.Scale.Topo()
+	if spec.TopoOverride != nil {
+		spec.TopoOverride(&p.topo)
+	}
+	if spec.Faults != nil {
+		// Injected loss breaks the lossless assumption, so RDMA needs the
+		// go-back-N recovery path; fault-free runs keep it off to preserve
+		// the paper's baseline byte-for-byte.
+		if p.topo.DCQCN.LineRate == 0 {
+			p.topo.DCQCN = dcqcn.DefaultConfig(p.topo.ServerRate)
+		}
+		p.topo.DCQCN.GoBackN = true
+	}
+
+	p.window = spec.Scale.Window()
+	if spec.WindowOverride > 0 {
+		p.window = spec.WindowOverride
+	}
+	drain := spec.Scale.Drain()
+	if spec.DrainOverride > 0 {
+		drain = spec.DrainOverride
+	}
+	p.horizon = p.window + drain
+	p.every = spec.OccupancySampleEvery
+	if p.every <= 0 {
+		p.every = 100 * sim.Microsecond
+	}
+
+	// The seed deliberately excludes the policy, the shard count and the
+	// fidelity: the paper compares buffer management schemes under the same
+	// offered workload, so runs differ only in MMU decisions (common random
+	// numbers), and shard count and fidelity are execution strategies, not
+	// workload parameters.
+	p.seed = seedFor(spec.Name, spec.SeedSalt,
+		fmt.Sprintf("%v/%v/%v", spec.RDMALoad, spec.TCPLoad, spec.Scale))
+	return p
+}
+
+// Structured flow-ID tags, one per generator kind, carried in the ID's top
+// byte. Replicated generators mint IDs as pure functions of (tag,
+// source/query, sequence), so replicas on different shards agree without a
+// shared counter; distinct tags keep the ID spaces disjoint, and a flow's
+// generator can be read back off its ID.
+const (
+	tagRDMA   byte = 1
+	tagTCP    byte = 2
+	tagIncast byte = 3
+)
+
+// workload describes the run's offered traffic, once: the packet runner
+// installs this value on every shard and fluid.Extract replays it to derive
+// the hybrid launch schedule, so both see the same generators in the same
+// rdma → tcp → incast order by construction.
+func (p *plan) workload() fluid.Workload {
+	// Split each rack: first half RDMA senders, second half TCP senders.
+	var rdmaHosts, tcpHosts, allHosts []int
+	perRack := p.topo.ServersPerToR
+	for h := 0; h < p.topo.Hosts(); h++ {
+		allHosts = append(allHosts, h)
+		if h%perRack < perRack/2 {
+			rdmaHosts = append(rdmaHosts, h)
+		} else {
+			tcpHosts = append(tcpHosts, h)
+		}
+	}
+	var forbid func(src, dst int) bool
+	if p.spec.InterRackOnly {
+		forbid = func(src, dst int) bool { return p.topo.ToROf(src) == p.topo.ToROf(dst) }
+	}
+
+	var wl fluid.Workload
+	if p.spec.RDMALoad > 0 {
+		wl.Poisson = append(wl.Poisson, workload.PoissonConfig{
+			Sources:    rdmaHosts,
+			Dests:      allHosts,
+			Load:       p.spec.RDMALoad,
+			HostRate:   p.topo.ServerRate,
+			Sizes:      workload.WebSearchCDF(),
+			Priority:   pkt.PrioLossless,
+			Class:      pkt.ClassLossless,
+			Window:     p.window,
+			Forbid:     forbid,
+			StreamName: "rdma",
+			IDTag:      tagRDMA,
+		})
+	}
+	if p.spec.TCPLoad > 0 {
+		wl.Poisson = append(wl.Poisson, workload.PoissonConfig{
+			Sources:    tcpHosts,
+			Dests:      allHosts,
+			Load:       p.spec.TCPLoad,
+			HostRate:   p.topo.ServerRate,
+			Sizes:      workload.WebSearchCDF(),
+			Priority:   pkt.PrioLossy,
+			Class:      pkt.ClassLossy,
+			Window:     p.window,
+			Forbid:     forbid,
+			StreamName: "tcp",
+			IDTag:      tagTCP,
+		})
+	}
+	if in := p.spec.Incast; in != nil {
+		fanout := in.Fanout
+		if fanout >= len(allHosts) {
+			// Scaled-down topologies cannot host the full fan-in degree.
+			fanout = len(allHosts) - 1
+		}
+		// Queries target (and are answered by) any server, so fan-in
+		// bursts land on ports whose buffers the TCP background is
+		// already pressuring — the §IV-B contention the deep dive probes.
+		wl.Incast = &workload.IncastConfig{
+			Hosts:        allHosts,
+			Fanout:       fanout,
+			RequestBytes: in.RequestBytes,
+			QueryRate:    in.QueryRate,
+			Window:       p.window,
+			Priority:     pkt.PrioLossless,
+			Class:        pkt.ClassLossless,
+			StreamName:   "incast",
+			IDTag:        tagIncast,
+		}
+	}
+	return wl
+}
+
+// fabric is one built, observed cluster: a whole packet run, or one packet
+// segment of a hybrid run.
+type fabric struct {
+	p *plan
+	// shards is the execution strategy as asked for: 0 puts global observers
+	// on the engine's event chain, N ≥ 1 on the conductor's barrier. The
+	// fabric always has max(shards, 1) engines.
+	shards  int
+	engines []*sim.Engine
+	part    *topo.Partition
+	cl      *topo.Cluster
+	cond    *psim.Conductor
+
+	tracers []*trace.Recorder // one per shard (rings are single-threaded); nil when tracing is off
+	aud     *audit.Auditor
+	injs    []*faults.Injector // one replica per shard
+	det     *faults.DeadlockDetector
+	wd      *faults.Watchdog
+
+	// startLast, when set, is an engine-chain observer start parked until
+	// run: the auditor's first tick must be the last pre-run Schedule call.
+	startLast func()
+}
+
+// build wires the plan's cluster across max(shards, 1) engines seeded with
+// seed and arms everything that observes it apart from the flight recorder
+// (armTrace, after the workload is installed). All engines share the seed:
+// replicated generators and injectors rely on identical named streams.
+// onCompleteFor supplies each shard's flow-completion handler.
+//
+// Arming order is part of byte identity. Every pre-run Schedule call
+// consumes an engine sequence number, and on each engine the order is:
+// injector, [detector, watchdog — Shards 0 only], generators, occupancy
+// samplers, trace sampler, [auditor — Shards 0 only]. Barrier tasks dispatch
+// in registration order at coincident instants: auditor, detector, watchdog.
+func (p *plan) build(ctx context.Context, shards int, seed int64, onCompleteFor func(shard int) host.CompletionHandler) (*fabric, error) {
+	part, err := topo.ComputePartition(p.topo, max(shards, 1))
+	if err != nil {
+		return nil, err
+	}
+	engines := make([]*sim.Engine, part.Shards)
+	for i := range engines {
+		engines[i] = p.newEngine(&p.topo, seed)
+	}
+	cl, err := topo.BuildSharded(engines, part, p.topo, p.factory, onCompleteFor)
+	if err != nil {
+		return nil, err
+	}
+	if p.spec.Hooks != nil && p.spec.Hooks.PostBuild != nil {
+		p.spec.Hooks.PostBuild(cl)
+	}
+	f := &fabric{p: p, shards: shards, engines: engines, part: part, cl: cl, cond: psim.ForCluster(cl)}
+	if ctx.Done() != nil {
+		// ctx.Err is safe for concurrent use, as SetInterrupt requires of
+		// its poll (shard workers check it in parallel).
+		f.cond.SetInterrupt(interruptPollEvents, func() bool { return ctx.Err() != nil })
+	}
+
+	if a := p.spec.Audit; a != nil {
+		// Any active fault plan may legitimately strand a PFC pause (lost
+		// XON, cut carrier, blacked-out switch), so drain-time pause-leak
+		// checking is relaxed exactly then.
+		f.aud = audit.New(cl, audit.Config{
+			Every:            a.Every,
+			MaxPauseAge:      a.MaxPauseAge,
+			Limit:            a.Limit,
+			AllowLeakedPause: p.spec.Faults != nil,
+		})
+		// Registered ahead of the detector and watchdog (barrier dispatch
+		// order), started after everything else (engine-chain order).
+		f.every(f.aud.Every(), f.aud.CheckOnce, func() { f.startLast = f.aud.Start })
+	}
+	if p.spec.Faults != nil {
+		if err := f.armFaults(p.spec.Faults); err != nil {
+			f.cond.Close()
+			return nil, err
+		}
+	}
+	return f, nil
+}
+
+// every registers a global observer: one that reads state across every
+// shard (auditor sweeps, deadlock scans, the no-progress watchdog). It is
+// the one place the execution strategies legitimately differ.
+//
+// With Shards ≥ 1, and in every hybrid packet segment, the observer is a
+// conductor barrier task: tick runs at exact multiples of period, when all
+// shard clocks agree and no events are in flight — never as one shard's
+// engine event, which would read other shards' state mid-epoch.
+//
+// With Shards == 0 the observer rides the single engine's event chain
+// (start arms its self-rescheduling tick), so each firing is an executed
+// event and Result.Events counts it. That is the only difference between
+// Shards 0 and Shards 1: Events is higher on 0 by exactly the number of
+// observer firings, and cached results (burst_observed and scale_10k are
+// audited Shards-0 runs) depend on it staying that way.
+func (f *fabric) every(period sim.Duration, tick func(now sim.Time), start func()) {
+	if f.shards == 0 {
+		start()
+		return
+	}
+	f.cond.AddTask(period, tick)
+}
+
+// armFaults installs the fault plan and the detection machinery.
+func (f *fabric) armFaults(fs *FaultSpec) error {
+	plan := fs.Plan
+	if plan.LinkFilter == nil && plan.FlapRate > 0 {
+		tiers := make(map[string]topo.LinkTier)
+		for _, l := range f.cl.Links() {
+			tiers[l.Name] = l.Tier
+		}
+		plan.LinkFilter = func(name string) bool {
+			t := tiers[name]
+			return t == topo.TierTorAgg || t == topo.TierAggCore
+		}
+	}
+	// One injector replica per shard, all replaying the identical plan (same
+	// named streams on identically-seeded engines). Each replica applies
+	// carrier changes to its own liveness tables and touches only the ports
+	// it owns.
+	for s, eng := range f.engines {
+		inj, err := faults.NewInjector(eng, plan, faultLinks(f.cl, s))
+		if err != nil {
+			return err
+		}
+		inj.PortFilter = func(p *netdev.Port) bool { return p.Engine() == eng }
+		inj.Install()
+		f.injs = append(f.injs, inj)
+	}
+
+	f.det = faults.NewDeadlockDetector(f.engines[0], f.cl.AllSwitches())
+	if fs.DetectorPeriod > 0 {
+		f.det.Period = fs.DetectorPeriod
+	}
+	f.det.Break = fs.BreakDeadlocks
+	f.every(f.det.Period, func(sim.Time) { f.det.ScanOnce() }, f.det.Start)
+
+	f.wd = faults.NewWatchdog(f.engines[0], f.cl.DataReceived, f.cl.ResidentBytes)
+	if fs.WatchdogWindow > 0 {
+		f.wd.Window = fs.WatchdogWindow
+	}
+	f.wd.Prime()
+	f.every(f.wd.Window, func(sim.Time) { f.wd.TickOnce() }, f.wd.Start)
+	return nil
+}
+
+// faultLinks adapts the topology's link registry to one shard's injector
+// replica: SetLive mutates only that shard's liveness replica and owned
+// ports, through the cluster's liveness-aware routing update.
+func faultLinks(cl *topo.Cluster, shard int) []faults.Link {
+	links := cl.Links()
+	out := make([]faults.Link, 0, len(links))
+	for _, l := range links {
+		out = append(out, faults.Link{
+			Name: l.Name, A: l.A, B: l.B, AName: l.AName, BName: l.BName,
+			SetLive: func(up bool) { cl.SetLinkStateOn(shard, l.Index, up) },
+		})
+	}
+	return out
+}
+
+// armTrace arms the flight recorder when the spec asks for one: MMU probes
+// on every switch feeding its shard's recorder, and a periodic occupancy +
+// L2BM weight sampler per shard running for the next until of simulated time
+// (not started when until ≤ 0). Everything here is feed-forward (probes and
+// PeekSamples are pure reads), so arming it cannot change the run's results.
+func (f *fabric) armTrace(until sim.Duration) {
+	ts := f.p.spec.Trace
+	if ts == nil {
+		return
+	}
+	every := ts.SampleEvery
+	if every <= 0 {
+		every = f.p.every
+	}
+	f.tracers = make([]*trace.Recorder, len(f.engines))
+	samplers := make([]*trace.Sampler, len(f.engines))
+	for s, eng := range f.engines {
+		f.tracers[s] = trace.NewRecorder(ts.Capacity)
+		samplers[s] = trace.NewSampler(eng, f.tracers[s], every)
+	}
+	for i, sw := range f.cl.ToRs {
+		armSwitch(sw, f.tracers[f.part.ToR[i]], samplers[f.part.ToR[i]])
+	}
+	for i, sw := range f.cl.Aggs {
+		armSwitch(sw, f.tracers[f.part.Agg[i]], samplers[f.part.Agg[i]])
+	}
+	for i, sw := range f.cl.Cores {
+		armSwitch(sw, f.tracers[f.part.Core[i]], samplers[f.part.Core[i]])
+	}
+	if until > 0 {
+		for _, s := range samplers {
+			s.Start(until) // sample the loaded phase, like the metrics samplers
+		}
+	}
+}
+
+// armSwitch points one switch's probes at rec and adds it to the sampler,
+// with an L2BM weight/τ/threshold probe when that is its policy.
+func armSwitch(sw *switchsim.Switch, rec *trace.Recorder, ts *trace.Sampler) {
+	sw.SetTracer(rec)
+	ts.AddSwitch(sw)
+	l, ok := sw.Policy().(*core.L2BM)
+	if !ok {
+		return
+	}
+	name := sw.Name()
+	var scratch []core.QueueSample // reused across ticks: zero-alloc sampling
+	ts.AddProbe(func(now sim.Time, rec *trace.Recorder) {
+		scratch = l.PeekSamplesAppend(scratch[:0], sw)
+		for _, qs := range scratch {
+			rec.RecordWeight(trace.WeightSample{
+				At: now, Switch: name, Port: qs.Port, Prio: qs.Prio,
+				Tau: qs.Tau, Weight: qs.Weight, Threshold: qs.Threshold,
+			})
+		}
+	})
+}
+
+// run advances the fabric to horizon (inclusive). A one-engine conductor
+// with no barrier tasks is exactly engines[0].Run(horizon).
+func (f *fabric) run(horizon sim.Time) {
+	if f.startLast != nil {
+		f.startLast()
+		f.startLast = nil
+	}
+	f.cond.Run(horizon)
+}
+
+// harvest adds the fabric's counters and findings to res: a packet run calls
+// it once on a fresh Result, a hybrid run once per packet segment. final
+// marks the fabric the run ends in: only then are frames still checked out
+// of the pools "live at run end" and only then do the auditor's exact
+// drain-time checks apply — a quiescence cut legitimately leaves frames in
+// flight, which the fluid layer re-serves.
+func (f *fabric) harvest(res *Result, final bool) {
+	cl := f.cl
+	all := topo.SwitchStats(cl.AllSwitches())
+	res.PauseFrames += all.PauseFramesSent
+	res.LossyDrops += all.LossyDropsIngress + all.LossyDropsEgress
+	res.LossyEvictions += all.LossyEvictions
+	res.LosslessViolations += all.LosslessViolations
+	res.ECNMarked += all.ECNMarked
+	res.PFCReissues += all.PFCReissues
+	res.ToRPauseFrames += topo.SwitchStats(cl.ToRs).PauseFramesSent
+	res.AggPauseFrames += topo.SwitchStats(cl.Aggs).PauseFramesSent
+	res.CorePauseFrames += topo.SwitchStats(cl.Cores).PauseFramesSent
+
+	res.LosslessGaps += cl.LosslessGaps()
+	res.Events += f.cond.Events()
+	res.RecoveryBytes += cl.RecoveryBytes()
+	nacks, timeouts := cl.RDMARecoveryStats()
+	res.RDMANACKs += nacks
+	res.RDMATimeouts += timeouts
+	for _, pl := range cl.Pools {
+		if pl != nil {
+			res.PoolGets += pl.Stats().Gets
+			if final {
+				res.PoolLive += pl.Live()
+			}
+		}
+	}
+	for _, sw := range cl.AllSwitches() {
+		if err := sw.CheckInvariants(); err != nil {
+			res.AuditErrors = append(res.AuditErrors, err.Error())
+		}
+	}
+	if f.aud != nil {
+		if final {
+			f.aud.Final()
+		}
+		res.AuditErrors = append(res.AuditErrors, f.aud.Violations()...)
+		res.AuditChecks += f.aud.Checks()
+	}
+	if len(f.injs) > 0 {
+		// Process counters (flaps, blackouts) replay identically on every
+		// replica — read replica 0. Port-scoped counters (corruption, lost
+		// PFC) only count owned ports — sum them. CarrierDrops reads every
+		// port's counters, identical from any replica after the run.
+		res.LinkDownEvents += f.injs[0].Stats().LinkDownEvents
+		for _, inj := range f.injs {
+			s := inj.Stats()
+			res.CorruptedFrames += s.CorruptedFrames
+			res.LostPFC += s.LostPFC
+		}
+		res.CarrierDrops += f.injs[0].CarrierDrops()
+	}
+	if f.det != nil {
+		ds := f.det.Stats()
+		res.DeadlockScans += ds.Scans
+		res.DeadlockCycles += ds.CyclesDetected
+		res.DeadlocksBroken += ds.CyclesBroken
+	}
+	if f.wd != nil {
+		res.WatchdogStalls += f.wd.Stalls
+	}
+}
+
+// summarizeFlows fills res's per-flow outcome from the run's (merged)
+// recorder; the query-responder flows are the ones minted under tagIncast.
+func summarizeFlows(res *Result, rec *metrics.FCTRecorder) {
+	res.RDMASlowdowns = rec.Slowdowns(pkt.ClassLossless)
+	res.TCPSlowdowns = rec.Slowdowns(pkt.ClassLossy)
+	res.FlowsStarted, res.FlowsCompleted = rec.Counts()
+	res.Incomplete = rec.IncompleteRecords()
+	res.TruncatedFlows = len(res.Incomplete)
+	for _, fr := range rec.Records(pkt.ClassLossless) {
+		if byte(fr.Flow.ID>>56) == tagIncast {
+			res.IncastSlowdowns = append(res.IncastSlowdowns, fr.Slowdown())
+		}
+	}
+	// Keep the ascending invariant shared with the per-class slices so
+	// percentile readers can use the sorted fast path.
+	sort.Float64s(res.IncastSlowdowns)
+}

@@ -57,9 +57,8 @@ func checkpointIneligible(spec HybridSpec) string {
 // with equal keys produce byte-identical Results (determinism contract), so
 // the key — not the grid's source code — decides what a checkpoint matches.
 func specKey(spec HybridSpec) string {
-	// Sched is deliberately absent: both scheduler backends dispatch
-	// identically ordered events, so it can never change a result. Fidelity
-	// is present: hybrid fast-forward changes numbers within the §14 bound.
+	// Fidelity is present: hybrid fast-forward changes numbers within the
+	// §14 bound.
 	s := fmt.Sprintf("name=%s policy=%s scale=%d rdma=%v tcp=%v inter=%v occ=%d win=%d drain=%d salt=%q shards=%d fidelity=%q",
 		spec.Name, spec.Policy, spec.Scale, spec.RDMALoad, spec.TCPLoad,
 		spec.InterRackOnly, spec.OccupancySampleEvery, spec.WindowOverride,

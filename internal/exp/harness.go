@@ -32,10 +32,10 @@ type Harness struct {
 	// writes the per-channel CSV/JSONL files, TraceFormatCol one columnar
 	// .col file per point (see internal/colfmt).
 	TraceFormat string
-	// Shards, when >= 1, runs every point on the sharded conservative-time
-	// engine with that many shards (specs carrying their own Shards keep
-	// it). Results are byte-identical for any legal shard count, so tables
-	// and progress lines do not change — only wall clock does.
+	// Shards, when >= 1, runs every point on that many psim shards (specs
+	// carrying their own Shards keep it). Results are byte-identical for any
+	// legal shard count, so tables and progress lines do not change — only
+	// wall clock does.
 	Shards int
 	// Fidelity, when non-empty, selects the execution engine for every
 	// point (specs carrying their own Fidelity keep it): FidelityPacket
@@ -43,10 +43,6 @@ type Harness struct {
 	// through the fluid layer. Unlike Shards, hybrid fidelity changes
 	// results — within the divergence bound DESIGN.md §14 states.
 	Fidelity string
-	// Sched, when non-empty, selects the scheduler backend for every point
-	// (specs carrying their own Sched keep it): SchedWheel or SchedHeap.
-	// Like Shards, the backend never changes results — only wall clock.
-	Sched string
 	// CheckpointDir, when non-empty, makes every grid crash-resumable:
 	// completed points append to <dir>/sweep-<hash>.jsonl (hash = content
 	// hash of the grid's specs) and a rerun of the same grid restores them
@@ -103,13 +99,6 @@ func (h *Harness) runAll(specs []HybridSpec, emit EmitFunc) ([]*Result, error) {
 		for i := range specs {
 			if specs[i].Fidelity == "" {
 				specs[i].Fidelity = h.Fidelity
-			}
-		}
-	}
-	if h.Sched != "" {
-		for i := range specs {
-			if specs[i].Sched == "" {
-				specs[i].Sched = h.Sched
 			}
 		}
 	}

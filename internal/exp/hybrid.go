@@ -5,17 +5,14 @@ import (
 	"fmt"
 	"sort"
 
-	"l2bm/internal/audit"
-	"l2bm/internal/core"
 	"l2bm/internal/fluid"
+	"l2bm/internal/host"
 	"l2bm/internal/metrics"
 	"l2bm/internal/pkt"
-	"l2bm/internal/psim"
 	"l2bm/internal/sim"
 	"l2bm/internal/topo"
 	"l2bm/internal/trace"
 	"l2bm/internal/transport"
-	"l2bm/internal/workload"
 )
 
 // This file is the hybrid-fidelity driver (HybridSpec.Fidelity ==
@@ -30,11 +27,12 @@ import (
 //   - Fluid segments advance flows analytically until a fidelity trigger
 //     (incast burst within PreMargin, fan-in degree, occupancy guard band)
 //     fires; the triggering arrival is left for the packet segment.
-//   - Packet segments run a freshly built cluster on a fresh engine,
-//     injecting residual flows at their remaining sizes and scheduling the
-//     not-yet-consumed arrivals as they come due, until the quiescence
-//     predicate holds (no new pause frames, low resident bytes, no standing
-//     trigger, no imminent burst) for QuiesceDwell consecutive checks.
+//   - Packet segments run a freshly built one-shard fabric (plan.build, the
+//     same assembler as a packet run), injecting residual flows at their
+//     remaining sizes and scheduling the not-yet-consumed arrivals as they
+//     come due, until the quiescence predicate holds (no new pause frames,
+//     low resident bytes, no standing trigger, no imminent burst) for
+//     QuiesceDwell consecutive checks.
 //   - Hand-backs are residual-byte exact on the receive side: a flow leaves
 //     a packet segment with its receiver's contiguous delivered count
 //     (host.FlowProgress); frames still in flight at the cut (bounded by
@@ -61,15 +59,9 @@ type hybridResidual struct {
 
 // hybridRun carries the fidelity controller's cross-segment state.
 type hybridRun struct {
-	ctx     context.Context
-	spec    HybridSpec
-	topoCfg topo.Config
-	factory topo.PolicyFactory
-
-	window  sim.Time
-	horizon sim.Time
-	every   sim.Duration
-	params  fluid.Params
+	ctx    context.Context
+	p      *plan
+	params fluid.Params
 
 	model *fluid.Model
 	sched *fluid.Schedule
@@ -86,145 +78,38 @@ type hybridRun struct {
 	segIdx int
 }
 
-// hybridWorkload mirrors the classic path's generator configuration exactly
-// (same host split, same config fields, same install order: rdma, tcp,
-// incast) so fluid.Extract reproduces its launch schedule.
-func hybridWorkload(spec HybridSpec, topoCfg topo.Config, window sim.Duration) fluid.Workload {
-	var rdmaHosts, tcpHosts, allHosts []int
-	perRack := topoCfg.ServersPerToR
-	for h := 0; h < topoCfg.ToRCount*topoCfg.ServersPerToR; h++ {
-		allHosts = append(allHosts, h)
-		if h%perRack < perRack/2 {
-			rdmaHosts = append(rdmaHosts, h)
-		} else {
-			tcpHosts = append(tcpHosts, h)
-		}
-	}
-	var forbid func(src, dst int) bool
-	if spec.InterRackOnly {
-		forbid = func(src, dst int) bool { return topoCfg.ToROf(src) == topoCfg.ToROf(dst) }
-	}
-
-	var wl fluid.Workload
-	if spec.RDMALoad > 0 {
-		wl.Poisson = append(wl.Poisson, workload.PoissonConfig{
-			Sources:    rdmaHosts,
-			Dests:      allHosts,
-			Load:       spec.RDMALoad,
-			HostRate:   topoCfg.ServerRate,
-			Sizes:      workload.WebSearchCDF(),
-			Priority:   pkt.PrioLossless,
-			Class:      pkt.ClassLossless,
-			Window:     window,
-			Forbid:     forbid,
-			StreamName: "rdma",
-			IDTag:      tagRDMA,
-		})
-	}
-	if spec.TCPLoad > 0 {
-		wl.Poisson = append(wl.Poisson, workload.PoissonConfig{
-			Sources:    tcpHosts,
-			Dests:      allHosts,
-			Load:       spec.TCPLoad,
-			HostRate:   topoCfg.ServerRate,
-			Sizes:      workload.WebSearchCDF(),
-			Priority:   pkt.PrioLossy,
-			Class:      pkt.ClassLossy,
-			Window:     window,
-			Forbid:     forbid,
-			StreamName: "tcp",
-			IDTag:      tagTCP,
-		})
-	}
-	if spec.Incast != nil {
-		fanout := spec.Incast.Fanout
-		if fanout >= len(allHosts) {
-			fanout = len(allHosts) - 1
-		}
-		wl.Incast = &workload.IncastConfig{
-			Hosts:        allHosts,
-			Fanout:       fanout,
-			RequestBytes: spec.Incast.RequestBytes,
-			QueryRate:    spec.Incast.QueryRate,
-			Window:       window,
-			Priority:     pkt.PrioLossless,
-			Class:        pkt.ClassLossless,
-			StreamName:   "incast",
-			IDTag:        tagIncast,
-		}
-	}
-	return wl
-}
-
 // runHybridFluid executes one data point under the hybrid-fidelity
-// controller. Callers guarantee spec.Shards == 0 and spec.Faults == nil.
-func runHybridFluid(ctx context.Context, spec HybridSpec) (*Result, error) {
-	policyName := spec.Policy
-	factory := spec.PolicyFactory
-	if factory == nil {
-		name := spec.Policy
-		factory = func() core.Policy { return NewPolicy(name) }
-	} else if policyName == "" {
-		policyName = factory().Name()
-	}
-
-	topoCfg := spec.Scale.Topo()
-	if spec.TopoOverride != nil {
-		spec.TopoOverride(&topoCfg)
-	}
-	window := spec.Scale.Window()
-	if spec.WindowOverride > 0 {
-		window = spec.WindowOverride
-	}
-	drain := spec.Scale.Drain()
-	if spec.DrainOverride > 0 {
-		drain = spec.DrainOverride
-	}
-	every := spec.OccupancySampleEvery
-	if every <= 0 {
-		every = 100 * sim.Microsecond
-	}
-
-	// Same seed formula as the classic path (common random numbers across
-	// policies AND across fidelities: the offered workload is identical).
-	seed := seedFor(spec.Name, spec.SeedSalt,
-		fmt.Sprintf("%v/%v/%v", spec.RDMALoad, spec.TCPLoad, spec.Scale))
-	sched, err := fluid.Extract(seed, hybridWorkload(spec, topoCfg, window))
+// controller. Callers guarantee Shards == 0 and Faults == nil. The plan's
+// seed is the packet run's (common random numbers across policies AND
+// across fidelities: the offered workload is identical).
+func runHybridFluid(ctx context.Context, p *plan) (*Result, error) {
+	sched, err := fluid.Extract(p.seed, p.workload())
 	if err != nil {
 		return nil, err
 	}
 
 	// Every scheduled flow is "started" from the recorder's point of view,
-	// exactly as the classic path's launch observers would report.
+	// exactly as a packet run's launch observers would report.
 	rec := metrics.NewFCTRecorder()
-	incastIDs := make(map[pkt.FlowID]bool)
 	for i := range sched.Flows {
-		fa := &sched.Flows[i]
-		rec.Started(&fa.Flow, topoCfg.IdealFCT(fa.Flow.Src, fa.Flow.Dst, fa.Flow.Size))
-		if fa.Incast {
-			incastIDs[fa.Flow.ID] = true
-		}
+		fl := &sched.Flows[i].Flow
+		rec.Started(fl, p.topo.IdealFCT(fl.Src, fl.Dst, fl.Size))
 	}
 
-	res := &Result{Spec: spec, Policy: policyName}
+	res := &Result{Spec: p.spec, Policy: p.policy}
 	h := &hybridRun{
 		ctx:        ctx,
-		spec:       spec,
-		topoCfg:    topoCfg,
-		factory:    factory,
-		window:     sim.Time(window),
-		horizon:    sim.Time(window + drain),
-		every:      every,
+		p:          p,
 		params:     fluid.DefaultParams(),
-		model:      fluid.NewModel(topoCfg),
+		model:      fluid.NewModel(p.topo),
 		sched:      sched,
 		rec:        rec,
-		nextSample: sim.Time(every),
-		torOcc:     make([][]metrics.Reading, topoCfg.ToRCount),
+		nextSample: p.every,
+		torOcc:     make([][]metrics.Reading, p.topo.ToRCount),
 		res:        res,
 	}
-	if spec.Trace != nil {
-		h.tracer = trace.NewRecorder(spec.Trace.Capacity)
+	if p.spec.Trace != nil {
+		h.tracer = trace.NewRecorder(p.spec.Trace.Capacity)
 	}
 
 	onFluid := func(c fluid.Completion) {
@@ -236,7 +121,7 @@ func runHybridFluid(ctx context.Context, spec HybridSpec) (*Result, error) {
 	}
 
 	t := sim.Time(0)
-	for t < h.horizon {
+	for t < p.horizon {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -250,12 +135,12 @@ func runHybridFluid(ctx context.Context, spec HybridSpec) (*Result, error) {
 		segStart := t
 		var reason fluid.CutReason
 		for {
-			target := h.horizon
-			if h.nextSample <= h.window && h.nextSample < target {
+			target := p.horizon
+			if h.nextSample <= p.window && h.nextSample < target {
 				target = h.nextSample
 			}
 			t, reason = fs.Advance(target)
-			if reason != fluid.CutNone || t >= h.horizon {
+			if reason != fluid.CutNone || t >= p.horizon {
 				break
 			}
 			if t == h.nextSample {
@@ -264,7 +149,7 @@ func runHybridFluid(ctx context.Context, spec HybridSpec) (*Result, error) {
 		}
 		h.cursor += fs.Consumed()
 		res.FluidSteps += fs.Steps
-		res.FluidTime += sim.Duration(t - segStart)
+		res.FluidTime += t - segStart
 		if reason == fluid.CutNone {
 			break // horizon reached analytically; leftover actives are truncated
 		}
@@ -275,19 +160,9 @@ func runHybridFluid(ctx context.Context, spec HybridSpec) (*Result, error) {
 		}
 	}
 
-	res.EndTime = h.horizon
-	res.RDMASlowdowns = rec.Slowdowns(pkt.ClassLossless)
-	res.TCPSlowdowns = rec.Slowdowns(pkt.ClassLossy)
-	res.FlowsStarted, res.FlowsCompleted = rec.Counts()
-	res.Incomplete = rec.IncompleteRecords()
-	res.TruncatedFlows = len(res.Incomplete)
+	res.EndTime = p.horizon
+	summarizeFlows(res, rec)
 	if sched.Incast != nil {
-		for _, fr := range rec.Records(pkt.ClassLossless) {
-			if incastIDs[fr.Flow.ID] {
-				res.IncastSlowdowns = append(res.IncastSlowdowns, fr.Slowdown())
-			}
-		}
-		sort.Float64s(res.IncastSlowdowns)
 		res.QueryDelays = sched.Incast.CompletedResponseTimes()
 	}
 	res.TorOccupancy = h.torOcc
@@ -312,7 +187,7 @@ func (h *hybridRun) sampleFluid(fs *fluid.Sim) {
 			})
 		}
 	}
-	h.nextSample += sim.Time(h.every)
+	h.nextSample += h.p.every
 }
 
 // burstImminent reports whether the next scheduled incast burst is too
@@ -330,15 +205,9 @@ func (h *hybridRun) burstImminent(now sim.Time) bool {
 // instant. carried is the fluid layer's residual state; the segment starts
 // those flows at their remaining sizes at local time zero.
 func (h *hybridRun) packetSegment(segStart sim.Time, carried []*fluid.FlowState) (sim.Time, error) {
+	p := h.p
 	h.segIdx++
 	h.res.PacketSegments++
-	// Per-segment seed: packet-level tie-breaks inside a burst need their
-	// own stream, decorrelated from the extraction seed.
-	eng, err := newEngineFor(h.spec.Sched, &h.topoCfg, seedFor(h.spec.Name, h.spec.SeedSalt,
-		fmt.Sprintf("hybrid-seg/%d", h.segIdx)))
-	if err != nil {
-		return 0, err
-	}
 
 	type liveFlow struct {
 		flow     transport.Flow // pristine descriptor
@@ -358,13 +227,17 @@ func (h *hybridRun) packetSegment(segStart sim.Time, carried []*fluid.FlowState)
 		}
 	}
 
-	cl, err := topo.Build(eng, h.topoCfg, h.factory, onComplete)
+	// A segment is a one-shard run: its global observers fire at the slice
+	// loop's barriers, never as engine events, so Result.Events counts
+	// fabric work only. Per-segment seed: packet-level tie-breaks inside a
+	// burst need their own stream, decorrelated from the extraction seed.
+	f, err := p.build(h.ctx, 1, seedFor(p.spec.Name, p.spec.SeedSalt, fmt.Sprintf("hybrid-seg/%d", h.segIdx)),
+		func(int) host.CompletionHandler { return onComplete })
 	if err != nil {
 		return 0, err
 	}
-	if h.spec.Hooks != nil && h.spec.Hooks.PostBuild != nil {
-		h.spec.Hooks.PostBuild(cl)
-	}
+	defer f.cond.Close()
+	eng, cl := f.engines[0], f.cl
 
 	// start launches one flow at segment-local time at, carrying injected
 	// payload bytes. The descriptor keeps its original ID (ECMP affinity)
@@ -372,9 +245,9 @@ func (h *hybridRun) packetSegment(segStart sim.Time, carried []*fluid.FlowState)
 	// hands lossy senders an established window (fluid residuals were
 	// mid-transfer: restarting them in slow start would understate the
 	// queue pressure they exert).
-	start := func(f transport.Flow, injected int64, incast bool, at sim.Time, warmCwnd float64) {
-		live[f.ID] = &liveFlow{flow: f, injected: injected, incast: incast}
-		inj := f
+	start := func(fl transport.Flow, injected int64, incast bool, at sim.Time, warmCwnd float64) {
+		live[fl.ID] = &liveFlow{flow: fl, injected: injected, incast: incast}
+		inj := fl
 		inj.Size = injected
 		if warmCwnd > 0 {
 			eng.ScheduleAt(at, func() { cl.Hosts[inj.Src].StartFlowWarm(&inj, warmCwnd) })
@@ -392,8 +265,8 @@ func (h *hybridRun) packetSegment(segStart sim.Time, carried []*fluid.FlowState)
 		// its life has not built that queue yet (it is still in slow
 		// start, window ≈ initial window + bytes acked), so cap by served
 		// bytes.
-		rtt := 2 * h.topoCfg.BasePathDelay(fs.Flow.Src, fs.Flow.Dst)
-		queueDelay := float64(h.topoCfg.Switch.ECNLossyThreshold) * 8 / float64(h.topoCfg.ServerRate)
+		rtt := 2 * p.topo.BasePathDelay(fs.Flow.Src, fs.Flow.Dst)
+		queueDelay := float64(p.topo.Switch.ECNLossyThreshold) * 8 / float64(p.topo.ServerRate)
 		warm := fs.Rate() * (rtt.Seconds() + queueDelay) / 8
 		if ss := float64(10*pkt.MTUPayload) + float64(fs.Flow.Size-fs.RemainingPayload()); ss < warm {
 			warm = ss
@@ -405,7 +278,7 @@ func (h *hybridRun) packetSegment(segStart sim.Time, carried []*fluid.FlowState)
 	// tick reads real resident bytes. Ticks beyond the cut die with the
 	// engine, and h.nextSample only advances when a tick actually runs, so
 	// the fluid side resumes exactly where packet sampling stopped.
-	if h.nextSample <= h.window {
+	if h.nextSample <= p.window {
 		var tick func()
 		tick = func() {
 			for i, tor := range cl.ToRs {
@@ -413,59 +286,18 @@ func (h *hybridRun) packetSegment(segStart sim.Time, carried []*fluid.FlowState)
 				h.torOcc[i] = append(h.torOcc[i],
 					metrics.Reading{At: h.nextSample, Value: occ})
 			}
-			h.nextSample += sim.Time(h.every)
-			if h.nextSample <= h.window {
-				eng.Schedule(h.every, tick)
+			h.nextSample += p.every
+			if h.nextSample <= p.window {
+				eng.Schedule(p.every, tick)
 			}
 		}
 		eng.ScheduleAt(h.nextSample-segStart, tick)
 	}
 
-	// Flight recorder: a per-segment recorder armed exactly like the
-	// classic path, re-based into the global recorder at the cut.
-	var segTracer *trace.Recorder
-	if h.spec.Trace != nil {
-		segTracer = trace.NewRecorder(h.spec.Trace.Capacity)
-		tEvery := h.spec.Trace.SampleEvery
-		if tEvery <= 0 {
-			tEvery = h.every
-		}
-		ts := trace.NewSampler(eng, segTracer, tEvery)
-		for _, sw := range cl.AllSwitches() {
-			sw := sw
-			sw.SetTracer(segTracer)
-			ts.AddSwitch(sw)
-			if l, ok := sw.Policy().(*core.L2BM); ok {
-				name := sw.Name()
-				var scratch []core.QueueSample
-				ts.AddProbe(func(now sim.Time, rec *trace.Recorder) {
-					scratch = l.PeekSamplesAppend(scratch[:0], sw)
-					for _, qs := range scratch {
-						rec.RecordWeight(trace.WeightSample{
-							At: now, Switch: name, Port: qs.Port, Prio: qs.Prio,
-							Tau: qs.Tau, Weight: qs.Weight, Threshold: qs.Threshold,
-						})
-					}
-				})
-			}
-		}
-		if segStart < h.window {
-			ts.Start(sim.Duration(h.window - segStart))
-		}
-	}
-
-	// Single-engine conductor so the auditor runs as a barrier task, like
-	// the sharded path — the segment loop already runs in bounded slices.
-	cond := psim.New([]*sim.Engine{eng}, nil, 0)
-	defer cond.Close()
-	var aud *audit.Auditor
-	if h.spec.Audit != nil {
-		aud = newAuditor(h.spec, cl)
-		cond.AddTask(aud.Every(), func(now sim.Time) { aud.CheckOnce(now) })
-	}
-	if h.ctx.Done() != nil {
-		cond.SetInterrupt(interruptPollEvents, func() bool { return h.ctx.Err() != nil })
-	}
+	// Flight recorder: a per-segment recorder armed exactly like a packet
+	// run's, sampling what is left of the window, re-based into the global
+	// recorder at the cut.
+	f.armTrace(p.window - segStart)
 
 	maxLiveDegree := func() int {
 		up := make(map[int]int)
@@ -484,9 +316,9 @@ func (h *hybridRun) packetSegment(segStart sim.Time, carried []*fluid.FlowState)
 		return d
 	}
 
-	localHorizon := h.horizon - segStart
-	step := sim.Time(h.params.QuiesceStep)
-	minSeg := sim.Time(h.params.MinSegment)
+	localHorizon := p.horizon - segStart
+	step := h.params.QuiesceStep
+	minSeg := h.params.MinSegment
 	var prevPause, prevECN, prevDrops uint64
 	quiet := 0
 	localNow := sim.Time(0)
@@ -506,7 +338,7 @@ func (h *hybridRun) packetSegment(segStart sim.Time, carried []*fluid.FlowState)
 			start(fa.Flow, fa.Flow.Size, fa.Incast, local, 0)
 			h.cursor++
 		}
-		cond.Run(next)
+		f.run(next)
 		localNow = next
 		if err := h.ctx.Err(); err != nil {
 			return 0, err
@@ -517,7 +349,7 @@ func (h *hybridRun) packetSegment(segStart sim.Time, carried []*fluid.FlowState)
 		stats := topo.SwitchStats(cl.AllSwitches())
 		drops := stats.LossyDropsIngress + stats.LossyDropsEgress
 		throttled := 0
-		minCwnd := h.params.RecoveredFrac * float64(h.topoCfg.Switch.ECNLossyThreshold)
+		minCwnd := h.params.RecoveredFrac * float64(p.topo.Switch.ECNLossyThreshold)
 		for _, hs := range cl.Hosts {
 			throttled += hs.ThrottledRDMASenders(h.params.RecoveredFrac)
 			throttled += hs.ThrottledTCPSenders(minCwnd)
@@ -560,58 +392,25 @@ func (h *hybridRun) packetSegment(segStart sim.Time, carried []*fluid.FlowState)
 		return h.residual[i].flow.ID < h.residual[j].flow.ID
 	})
 
-	// Accumulate the segment's switch statistics into the run result.
-	all := topo.SwitchStats(cl.AllSwitches())
-	h.res.PauseFrames += all.PauseFramesSent
-	h.res.LossyDrops += all.LossyDropsIngress + all.LossyDropsEgress
-	h.res.LossyEvictions += all.LossyEvictions
-	h.res.LosslessViolations += all.LosslessViolations
-	h.res.ECNMarked += all.ECNMarked
-	h.res.PFCReissues += all.PFCReissues
-	h.res.ToRPauseFrames += topo.SwitchStats(cl.ToRs).PauseFramesSent
-	h.res.AggPauseFrames += topo.SwitchStats(cl.Aggs).PauseFramesSent
-	h.res.CorePauseFrames += topo.SwitchStats(cl.Cores).PauseFramesSent
-	h.res.LosslessGaps += cl.LosslessGaps()
-	h.res.Events += eng.Events()
-	h.res.RecoveryBytes += cl.RecoveryBytes()
-	nacks, tmo := cl.RDMARecoveryStats()
-	h.res.RDMANACKs += nacks
-	h.res.RDMATimeouts += tmo
-	if cl.Pool != nil {
-		h.res.PoolGets += cl.Pool.Stats().Gets
-		if segEnd >= h.horizon {
-			// Only the final segment's parked frames are "live at run end";
-			// a quiescence cut's in-flight frames are re-served as fluid.
-			h.res.PoolLive += cl.Pool.Live()
-		}
-	}
-	for _, sw := range cl.AllSwitches() {
-		if err := sw.CheckInvariants(); err != nil {
-			h.res.AuditErrors = append(h.res.AuditErrors, err.Error())
-		}
-	}
-	if aud != nil {
-		if segEnd >= h.horizon {
-			aud.Final()
-		}
-		h.res.AuditErrors = append(h.res.AuditErrors, aud.Violations()...)
-		h.res.AuditChecks += aud.Checks()
-	}
+	// Switch/pause/drop statistics accumulate across packet segments; only
+	// the segment the run ends in is final.
+	f.harvest(h.res, segEnd >= p.horizon)
 
-	if segTracer != nil {
-		for _, s := range segTracer.OccSamples() {
+	if f.tracers != nil {
+		seg := f.tracers[0]
+		for _, s := range seg.OccSamples() {
 			s.At += segStart
 			h.tracer.RecordOcc(s)
 		}
-		for _, e := range segTracer.PFCEvents() {
+		for _, e := range seg.PFCEvents() {
 			e.At += segStart
 			h.tracer.RecordPFC(e)
 		}
-		for _, s := range segTracer.WeightSamples() {
+		for _, s := range seg.WeightSamples() {
 			s.At += segStart
 			h.tracer.RecordWeight(s)
 		}
-		for _, e := range segTracer.PacketEvents() {
+		for _, e := range seg.PacketEvents() {
 			e.At += segStart
 			h.tracer.RecordPacketEvent(e)
 		}

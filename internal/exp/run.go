@@ -3,12 +3,9 @@ package exp
 import (
 	"context"
 	"fmt"
-	"sort"
 
-	"l2bm/internal/audit"
-	"l2bm/internal/core"
-	"l2bm/internal/dcqcn"
 	"l2bm/internal/faults"
+	"l2bm/internal/host"
 	"l2bm/internal/metrics"
 	"l2bm/internal/pkt"
 	"l2bm/internal/sim"
@@ -58,28 +55,25 @@ type HybridSpec struct {
 	TopoOverride func(*topo.Config) `json:"-"`
 	// SeedSalt decorrelates repeated runs of the same spec.
 	SeedSalt string
-	// Shards selects the execution strategy: 0 runs the classic
-	// single-engine path; N ≥ 1 runs the psim sharded conductor over N
-	// shards (N must not exceed the topology's ToR count). Results are
-	// byte-identical for every N ≥ 1 — the shard count is an execution
-	// strategy, not a workload parameter — and clean (fault-free) runs
-	// also match the classic path. Fault runs differ from classic only in
-	// detector/watchdog scheduling (barrier tasks vs engine events).
+	// Shards selects the execution strategy: the fabric runs on
+	// max(Shards, 1) psim shards (N must not exceed the topology's ToR
+	// count). Results are byte-identical for every value — the shard count
+	// is an execution strategy, not a workload parameter — with one
+	// documented exception: at 0, global observers (auditor, deadlock
+	// detector, watchdog) ride the engine's event chain instead of the
+	// conductor's barrier, so Result.Events is higher than at 1 by exactly
+	// the number of observer firings (DESIGN.md "Run assembly").
 	Shards int
 	// Fidelity selects the execution engine: "" or FidelityPacket runs
 	// every event through the packet engine; FidelityHybrid runs the fluid
 	// fast-forward controller (internal/fluid), which advances flows
 	// analytically between fidelity triggers and drops to full packet
 	// simulation around incast bursts, fan-in convergence and buffer
-	// pressure. Hybrid fidelity requires the classic engine (Shards must be
-	// 0); a fault plan forces packet fidelity for the whole run (fault
-	// injection is a standing trigger that never clears).
+	// pressure. Hybrid fidelity requires Shards == 0 (its packet segments
+	// are single-engine; see DESIGN.md "Run assembly"); a fault plan forces
+	// packet fidelity for the whole run (fault injection is a standing
+	// trigger that never clears).
 	Fidelity string
-	// Sched selects the scheduler backend: "" or SchedWheel runs the
-	// hierarchical timer wheel, SchedHeap the plain 4-ary heap. Both
-	// dispatch identically ordered events, so results are byte-identical;
-	// the wheel is simply faster once the pending-event population grows.
-	Sched string
 	// Faults, when non-nil, arms the fault-injection subsystem: the plan's
 	// events fire during the run, DCQCN switches to go-back-N recovery,
 	// and the deadlock detector plus no-progress watchdog observe the
@@ -96,8 +90,8 @@ type HybridSpec struct {
 	// flow-byte conservation and pool accounting, plus the drain-time exact
 	// checks. Violations land in Result.AuditErrors. Auditing is observer-free:
 	// an audited run produces byte-identical results and traces to an
-	// unaudited one (Result.Events differs on the classic path only, because
-	// audit ticks are engine events there).
+	// unaudited one (Result.Events differs at Shards == 0 only, where audit
+	// ticks are engine events; DESIGN.md "Run assembly").
 	Audit *AuditSpec
 	// Hooks, when non-nil, exposes test-only interception points. Excluded
 	// from JSON (it carries funcs).
@@ -111,31 +105,6 @@ const (
 	// FidelityHybrid alternates fluid fast-forward with packet bursts.
 	FidelityHybrid = "hybrid"
 )
-
-// Sched values for HybridSpec.Sched.
-const (
-	// SchedWheel runs event scheduling on the hierarchical timer wheel,
-	// tick-sized from the fabric's minimum propagation delay (the default:
-	// byte-identical to the heap, faster at scale).
-	SchedWheel = "wheel"
-	// SchedHeap selects the plain 4-ary heap scheduler.
-	SchedHeap = "heap"
-)
-
-// newEngineFor builds the scheduler backend a spec asked for. The wheel and
-// heap dispatch every event in the identical (at, seq | arrival-key) order,
-// so Sched — like Shards — is an execution strategy, not a workload
-// parameter: results are byte-identical either way.
-func newEngineFor(sched string, topoCfg *topo.Config, seed int64) (*sim.Engine, error) {
-	switch sched {
-	case "", SchedWheel:
-		return sim.NewEngineWheel(seed, sim.WheelGranularityFor(topoCfg.MinPropDelay())), nil
-	case SchedHeap:
-		return sim.NewEngine(seed), nil
-	default:
-		return nil, fmt.Errorf("exp: unknown sched %q (want %q or %q)", sched, SchedWheel, SchedHeap)
-	}
-}
 
 // AuditSpec configures the in-run invariant auditor.
 type AuditSpec struct {
@@ -241,7 +210,7 @@ type Result struct {
 	// TruncatedFlows counts flows the horizon cut short: started inside the
 	// window but still unfinished at window + drain. Always equals
 	// len(Incomplete); surfaced as a counter so sweep tables and the
-	// sharded-vs-classic equivalence tests can compare it without carrying
+	// shard-count equivalence tests can compare it without carrying
 	// the full records.
 	TruncatedFlows int
 
@@ -325,39 +294,23 @@ func (r *Result) QueryDelaySummary() metrics.Summary {
 // load per 4096 events) to leave always-on.
 const interruptPollEvents = 4096
 
-// newAuditor builds the in-run invariant auditor for a spec, deriving the
-// fault-tolerant settings: any active fault plan may legitimately strand a
-// PFC pause (lost XON, cut carrier, blacked-out switch), so drain-time
-// pause-leak checking is relaxed exactly then.
-func newAuditor(spec HybridSpec, cl *topo.Cluster) *audit.Auditor {
-	return audit.New(cl, audit.Config{
-		Every:            spec.Audit.Every,
-		MaxPauseAge:      spec.Audit.MaxPauseAge,
-		Limit:            spec.Audit.Limit,
-		AllowLeakedPause: spec.Faults != nil,
-	})
-}
-
-// finishAudit runs the drain-time checks and folds the auditor's findings
-// into the result.
-func finishAudit(aud *audit.Auditor, res *Result) {
-	aud.Final()
-	res.AuditErrors = append(res.AuditErrors, aud.Violations()...)
-	res.AuditChecks = aud.Checks()
-}
-
-// RunHybrid executes one hybrid data point, dispatching to the sharded
-// conductor when spec.Shards ≥ 1.
+// RunHybrid executes one data point.
 func RunHybrid(spec HybridSpec) (*Result, error) {
 	return RunHybridCtx(context.Background(), spec)
 }
 
 // RunHybridCtx is RunHybrid with cooperative cancellation: when ctx is
-// cancelled (or times out) mid-run, the engine abandons the event loop at
+// cancelled (or times out) mid-run, the engines abandon the event loop at
 // the next poll boundary and the call returns (nil, ctx.Err()) — the torn
 // partial state is discarded, never summarized. An uncancelled ctx is
 // observer-free: arming the poll changes no results.
 func RunHybridCtx(ctx context.Context, spec HybridSpec) (*Result, error) {
+	return runHybrid(ctx, spec, wheelEngine)
+}
+
+// runHybrid dispatches on fidelity; every path runs on engines newEngine
+// builds.
+func runHybrid(ctx context.Context, spec HybridSpec, newEngine engineFunc) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -369,363 +322,130 @@ func RunHybridCtx(ctx context.Context, spec HybridSpec) (*Result, error) {
 			return nil, fmt.Errorf("exp: hybrid fidelity requires the classic engine (got Shards=%d)", spec.Shards)
 		}
 		if spec.Faults == nil {
-			return runHybridFluid(ctx, spec)
+			return runHybridFluid(ctx, resolve(spec, newEngine))
 		}
 		// A fault plan is a standing fidelity trigger: the controller would
-		// never leave packet mode, so the run falls through to the classic
-		// path unchanged — recorded on the result so the fallback is never
-		// silent (CLI trailers and service events surface it).
+		// never leave packet mode, so the run is a plain packet run —
+		// recorded on the result so the fallback is never silent (CLI
+		// trailers and service events surface it).
 		fidelityFallback = "fault plan active: hybrid fidelity fell back to packet (faults are a standing fidelity trigger)"
 	default:
 		return nil, fmt.Errorf("exp: unknown fidelity %q (want %q or %q)",
 			spec.Fidelity, FidelityPacket, FidelityHybrid)
 	}
-	if spec.Shards >= 1 {
-		res, err := runHybridSharded(ctx, spec)
-		if res != nil {
-			res.FidelityFallback = fidelityFallback
-		}
-		return res, err
+	res, err := runPacket(ctx, resolve(spec, newEngine))
+	if res != nil {
+		res.FidelityFallback = fidelityFallback
 	}
-	policyName := spec.Policy
-	factory := spec.PolicyFactory
-	if factory == nil {
-		name := spec.Policy
-		factory = func() core.Policy { return NewPolicy(name) }
-	} else if policyName == "" {
-		policyName = factory().Name()
-	}
+	return res, err
+}
 
-	// The seed deliberately excludes the policy: the paper compares buffer
-	// management schemes under the same offered workload, so runs differ
-	// only in MMU decisions (common random numbers).
-	seed := seedFor(spec.Name, spec.SeedSalt,
-		fmt.Sprintf("%v/%v/%v", spec.RDMALoad, spec.TCPLoad, spec.Scale))
-	rec := metrics.NewFCTRecorder()
-
-	var incastGen *workload.Incast
-	incastIDs := make(map[pkt.FlowID]bool)
-
-	onComplete := func(id pkt.FlowID, at sim.Time) {
-		rec.Completed(id, at)
-		if incastGen != nil {
-			incastGen.OnFlowComplete(id, at)
-		}
-	}
-
-	topoCfg := spec.Scale.Topo()
-	if spec.TopoOverride != nil {
-		spec.TopoOverride(&topoCfg)
-	}
-	if spec.Faults != nil {
-		// Injected loss breaks the lossless assumption, so RDMA needs the
-		// go-back-N recovery path; fault-free runs keep it off to preserve
-		// the paper's baseline byte-for-byte.
-		if topoCfg.DCQCN.LineRate == 0 {
-			topoCfg.DCQCN = dcqcn.DefaultConfig(topoCfg.ServerRate)
-		}
-		topoCfg.DCQCN.GoBackN = true
-	}
-	eng, err := newEngineFor(spec.Sched, &topoCfg, seed)
-	if err != nil {
-		return nil, err
-	}
-	cl, err := topo.Build(eng, topoCfg, factory, onComplete)
-	if err != nil {
-		return nil, err
-	}
-	if spec.Hooks != nil && spec.Hooks.PostBuild != nil {
-		spec.Hooks.PostBuild(cl)
-	}
-
-	var inj *faults.Injector
-	var det *faults.DeadlockDetector
-	var wd *faults.Watchdog
-	if spec.Faults != nil {
-		links, tiers := clusterFaultLinks(cl)
-		plan := spec.Faults.Plan
-		if plan.LinkFilter == nil && plan.FlapRate > 0 {
-			plan.LinkFilter = func(name string) bool {
-				t := tiers[name]
-				return t == topo.TierTorAgg || t == topo.TierAggCore
+// runPacket executes one data point at packet fidelity on spec.Shards
+// shards (0 and 1 both mean one engine; see fabric.every for the
+// difference).
+func runPacket(ctx context.Context, p *plan) (*Result, error) {
+	// Per-shard observability: one FCT recorder and one incast replica per
+	// shard. Completions are receiver-side, so a flow started on the source
+	// host's shard may complete on the destination's — the recorder merge
+	// joins those orphans after the run.
+	n := max(p.spec.Shards, 1)
+	recs := make([]*metrics.FCTRecorder, n)
+	incastGens := make([]*workload.Incast, n)
+	onComplete := make([]host.CompletionHandler, n) // one per shard, shared by its hosts
+	for shard := range recs {
+		rec := metrics.NewFCTRecorder()
+		recs[shard] = rec
+		onComplete[shard] = func(id pkt.FlowID, at sim.Time) {
+			rec.Completed(id, at)
+			if g := incastGens[shard]; g != nil {
+				g.OnFlowComplete(id, at)
 			}
 		}
-		inj, err = faults.NewInjector(eng, plan, links)
-		if err != nil {
-			return nil, err
-		}
-		inj.Install()
+	}
+	f, err := p.build(ctx, p.spec.Shards, p.seed,
+		func(shard int) host.CompletionHandler { return onComplete[shard] })
+	if err != nil {
+		return nil, err
+	}
+	defer f.cond.Close()
+	cl := f.cl
 
-		det = faults.NewDeadlockDetector(eng, cl.AllSwitches())
-		if spec.Faults.DetectorPeriod > 0 {
-			det.Period = spec.Faults.DetectorPeriod
+	// Workload generators, replicated per shard. Poisson sources draw from
+	// per-source streams, so installing each shard's owned subset launches
+	// exactly the flows a single generator would have. The incast replica
+	// runs everywhere in lockstep (same queries, same draws) and its
+	// LaunchFilter restricts actual launches to owned responders.
+	wl := p.workload()
+	for s, eng := range f.engines {
+		rec := recs[s]
+		observe := func(fl *transport.Flow) {
+			rec.Started(fl, cl.IdealFCT(fl.Src, fl.Dst, fl.Size))
 		}
-		det.Break = spec.Faults.BreakDeadlocks
-		det.Start()
-
-		wd = faults.NewWatchdog(eng, cl.DataReceived, cl.ResidentBytes)
-		if spec.Faults.WatchdogWindow > 0 {
-			wd.Window = spec.Faults.WatchdogWindow
+		for _, cfg := range wl.Poisson {
+			if n > 1 { // a lone shard owns every sender: nothing to filter
+				var owned []int
+				for _, h := range cfg.Sources {
+					if f.part.Host[h] == s {
+						owned = append(owned, h)
+					}
+				}
+				if len(owned) == 0 {
+					continue // this shard owns none of the class's senders
+				}
+				cfg.Sources = owned
+			}
+			cfg.Observer = observe
+			g, err := workload.NewPoisson(eng, cl, cfg)
+			if err != nil {
+				return nil, err
+			}
+			g.Install()
 		}
-		wd.Start()
-	}
-
-	window := spec.Scale.Window()
-	if spec.WindowOverride > 0 {
-		window = spec.WindowOverride
-	}
-
-	observe := func(f *transport.Flow) {
-		rec.Started(f, cl.IdealFCT(f.Src, f.Dst, f.Size))
-	}
-
-	// Split each rack: first half RDMA senders, second half TCP senders.
-	var rdmaHosts, tcpHosts, allHosts []int
-	perRack := topoCfg.ServersPerToR
-	for h := 0; h < cl.NumHosts(); h++ {
-		allHosts = append(allHosts, h)
-		if h%perRack < perRack/2 {
-			rdmaHosts = append(rdmaHosts, h)
-		} else {
-			tcpHosts = append(tcpHosts, h)
+		if wl.Incast != nil {
+			cfg := *wl.Incast
+			cfg.Observer = observe
+			cfg.LaunchFilter = func(src int) bool { return f.part.Host[src] == s }
+			g, err := workload.NewIncast(eng, cl, cfg)
+			if err != nil {
+				return nil, err
+			}
+			g.Install()
+			incastGens[s] = g
 		}
-	}
-	var forbid func(src, dst int) bool
-	if spec.InterRackOnly {
-		forbid = func(src, dst int) bool { return cl.ToROf(src) == cl.ToROf(dst) }
-	}
-
-	if spec.RDMALoad > 0 {
-		g, err := workload.NewPoisson(eng, cl, workload.PoissonConfig{
-			Sources:    rdmaHosts,
-			Dests:      allHosts,
-			Load:       spec.RDMALoad,
-			HostRate:   topoCfg.ServerRate,
-			Sizes:      workload.WebSearchCDF(),
-			Priority:   pkt.PrioLossless,
-			Class:      pkt.ClassLossless,
-			Window:     window,
-			Observer:   observe,
-			Forbid:     forbid,
-			StreamName: "rdma",
-			IDTag:      tagRDMA,
-		})
-		if err != nil {
-			return nil, err
-		}
-		g.Install()
-	}
-	if spec.TCPLoad > 0 {
-		g, err := workload.NewPoisson(eng, cl, workload.PoissonConfig{
-			Sources:    tcpHosts,
-			Dests:      allHosts,
-			Load:       spec.TCPLoad,
-			HostRate:   topoCfg.ServerRate,
-			Sizes:      workload.WebSearchCDF(),
-			Priority:   pkt.PrioLossy,
-			Class:      pkt.ClassLossy,
-			Window:     window,
-			Observer:   observe,
-			Forbid:     forbid,
-			StreamName: "tcp",
-			IDTag:      tagTCP,
-		})
-		if err != nil {
-			return nil, err
-		}
-		g.Install()
-	}
-	if spec.Incast != nil {
-		fanout := spec.Incast.Fanout
-		if fanout >= len(allHosts) {
-			// Scaled-down topologies cannot host the full fan-in degree.
-			fanout = len(allHosts) - 1
-		}
-		// Queries target (and are answered by) any server, so fan-in
-		// bursts land on ports whose buffers the TCP background is
-		// already pressuring — the §IV-B contention the deep dive probes.
-		incastGen, err = workload.NewIncast(eng, cl, workload.IncastConfig{
-			Hosts:        allHosts,
-			Fanout:       fanout,
-			RequestBytes: spec.Incast.RequestBytes,
-			QueryRate:    spec.Incast.QueryRate,
-			Window:       window,
-			Priority:     pkt.PrioLossless,
-			Class:        pkt.ClassLossless,
-			Observer: func(f *transport.Flow) {
-				incastIDs[f.ID] = true
-				observe(f)
-			},
-			StreamName: "incast",
-			IDTag:      tagIncast,
-		})
-		if err != nil {
-			return nil, err
-		}
-		incastGen.Install()
 	}
 
-	// Occupancy samplers, one per ToR (the paper traces rack switches).
-	every := spec.OccupancySampleEvery
-	if every <= 0 {
-		every = 100 * sim.Microsecond
-	}
-	drain := spec.Scale.Drain()
-	if spec.DrainOverride > 0 {
-		drain = spec.DrainOverride
-	}
-	horizon := window + drain
+	// Occupancy samplers, one per ToR (the paper traces rack switches):
+	// engine-driven ticks on each ToR's own shard (pure shard-local reads,
+	// so no barrier needed).
 	samplers := make([]*metrics.Sampler, len(cl.ToRs))
 	for i, tor := range cl.ToRs {
-		tor := tor
-		samplers[i] = metrics.NewSampler(eng, every, tor.Occupancy)
-		samplers[i].Start(window) // trace the loaded phase, like the paper
+		samplers[i] = metrics.NewSampler(f.engines[f.part.ToR[i]], p.every, tor.Occupancy)
+		samplers[i].Start(p.window) // trace the loaded phase, like the paper
 	}
+	f.armTrace(p.window)
 
-	// Flight recorder: arm MMU probes on every switch and a periodic
-	// occupancy + L2BM weight sampler. Everything here is feed-forward
-	// (probes and PeekSamples are pure reads), so arming it cannot change
-	// the run's results.
-	var tracer *trace.Recorder
-	if spec.Trace != nil {
-		tracer = trace.NewRecorder(spec.Trace.Capacity)
-		tEvery := spec.Trace.SampleEvery
-		if tEvery <= 0 {
-			tEvery = every
-		}
-		ts := trace.NewSampler(eng, tracer, tEvery)
-		for _, sw := range cl.AllSwitches() {
-			sw := sw
-			sw.SetTracer(tracer)
-			ts.AddSwitch(sw)
-			if l, ok := sw.Policy().(*core.L2BM); ok {
-				name := sw.Name()
-				var scratch []core.QueueSample // reused across ticks: zero-alloc sampling
-				ts.AddProbe(func(now sim.Time, rec *trace.Recorder) {
-					scratch = l.PeekSamplesAppend(scratch[:0], sw)
-					for _, qs := range scratch {
-						rec.RecordWeight(trace.WeightSample{
-							At: now, Switch: name, Port: qs.Port, Prio: qs.Prio,
-							Tau: qs.Tau, Weight: qs.Weight, Threshold: qs.Threshold,
-						})
-					}
-				})
-			}
-		}
-		ts.Start(window) // sample the loaded phase, like the metrics samplers
-	}
-
-	var aud *audit.Auditor
-	if spec.Audit != nil {
-		aud = newAuditor(spec, cl)
-		aud.Start()
-	}
-	if ctx.Done() != nil {
-		eng.SetInterrupt(interruptPollEvents, func() bool { return ctx.Err() != nil })
-	}
-
-	eng.Run(horizon)
-
+	f.run(p.horizon)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
-	res := &Result{
-		Spec:             spec,
-		Policy:           policyName,
-		RDMASlowdowns:    rec.Slowdowns(pkt.ClassLossless),
-		TCPSlowdowns:     rec.Slowdowns(pkt.ClassLossy),
-		LosslessGaps:     cl.LosslessGaps(),
-		Events:           eng.Events(),
-		EndTime:          eng.Now(),
-		FidelityFallback: fidelityFallback,
+	res := &Result{Spec: p.spec, Policy: p.policy, EndTime: f.cond.Now()}
+	if f.tracers != nil {
+		// Merged canonically, so exported trace files are byte-identical
+		// across shard counts.
+		res.Trace = trace.Merge(f.tracers...)
 	}
-	if tracer != nil {
-		// Canonicalize through the same merge as the sharded runner so
-		// exported trace files are byte-identical across execution modes.
-		res.Trace = trace.Merge(tracer)
+	rec := recs[0]
+	if n > 1 { // a lone recorder has no orphans to join
+		rec = rec.Merge(recs[1:]...)
 	}
-	res.FlowsStarted, res.FlowsCompleted = rec.Counts()
-	res.Incomplete = rec.IncompleteRecords()
-	res.TruncatedFlows = len(res.Incomplete)
-
-	if incastGen != nil {
-		for _, fr := range rec.Records(pkt.ClassLossless) {
-			if incastIDs[fr.Flow.ID] {
-				res.IncastSlowdowns = append(res.IncastSlowdowns, fr.Slowdown())
-			}
-		}
-		// Keep the ascending invariant shared with the per-class slices so
-		// percentile readers can use the sorted fast path.
-		sort.Float64s(res.IncastSlowdowns)
-		res.QueryDelays = incastGen.CompletedResponseTimes()
+	summarizeFlows(res, rec)
+	if wl.Incast != nil {
+		res.QueryDelays = workload.MergeCompletedResponseTimes(incastGens...)
 	}
-
 	for _, s := range samplers {
 		res.TorOccupancy = append(res.TorOccupancy, s.Samples)
 	}
-
-	all := topo.SwitchStats(cl.AllSwitches())
-	res.PauseFrames = all.PauseFramesSent
-	res.LossyDrops = all.LossyDropsIngress + all.LossyDropsEgress
-	res.LossyEvictions = all.LossyEvictions
-	res.LosslessViolations = all.LosslessViolations
-	res.ECNMarked = all.ECNMarked
-	res.PFCReissues = all.PFCReissues
-	res.ToRPauseFrames = topo.SwitchStats(cl.ToRs).PauseFramesSent
-	res.AggPauseFrames = topo.SwitchStats(cl.Aggs).PauseFramesSent
-	res.CorePauseFrames = topo.SwitchStats(cl.Cores).PauseFramesSent
-
-	res.RecoveryBytes = cl.RecoveryBytes()
-	res.RDMANACKs, res.RDMATimeouts = cl.RDMARecoveryStats()
-	if cl.Pool != nil {
-		res.PoolGets = cl.Pool.Stats().Gets
-		res.PoolLive = cl.Pool.Live()
-	}
-	for _, sw := range cl.AllSwitches() {
-		if err := sw.CheckInvariants(); err != nil {
-			res.AuditErrors = append(res.AuditErrors, err.Error())
-		}
-	}
-	if aud != nil {
-		aud.Stop()
-		finishAudit(aud, res)
-	}
-	if inj != nil {
-		s := inj.Stats()
-		res.LinkDownEvents = s.LinkDownEvents
-		res.CorruptedFrames = s.CorruptedFrames
-		res.LostPFC = s.LostPFC
-		res.CarrierDrops = inj.CarrierDrops()
-	}
-	if det != nil {
-		det.Stop()
-		ds := det.Stats()
-		res.DeadlockScans = ds.Scans
-		res.DeadlockCycles = ds.CyclesDetected
-		res.DeadlocksBroken = ds.CyclesBroken
-	}
-	if wd != nil {
-		wd.Stop()
-		res.WatchdogStalls = wd.Stalls
-	}
+	f.harvest(res, true)
 	return res, nil
-}
-
-// clusterFaultLinks adapts the topology's link registry to the fault
-// injector's view, binding each SetLive to the cluster's liveness-aware
-// routing update.
-func clusterFaultLinks(cl *topo.Cluster) ([]faults.Link, map[string]topo.LinkTier) {
-	links := cl.Links()
-	out := make([]faults.Link, 0, len(links))
-	tiers := make(map[string]topo.LinkTier, len(links))
-	for _, l := range links {
-		idx := l.Index
-		out = append(out, faults.Link{
-			Name: l.Name, A: l.A, B: l.B, AName: l.AName, BName: l.BName,
-			SetLive: func(up bool) { cl.SetLinkState(idx, up) },
-		})
-		tiers[l.Name] = l.Tier
-	}
-	return out, tiers
 }

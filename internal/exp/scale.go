@@ -85,9 +85,9 @@ func scaleSpec(scale Scale, cfg topo.Config) HybridSpec {
 // (violations exit nonzero — this is the CI smoke), and renders fabric
 // dimensions, delivery counters and integrity in one deterministic table
 // pair. It runs
-// through the same harness as every figure, so -shards, -fidelity hybrid and
-// -sched apply unchanged; the point of the experiment is that the numbers do
-// NOT change when those execution strategies do.
+// through the same harness as every figure, so -shards and -fidelity hybrid
+// apply unchanged; the point of the experiment is that the numbers do NOT
+// change when those execution strategies do.
 func (h *Harness) RunScale(scale Scale, w io.Writer) (*ScaleResult, error) {
 	hyper := HyperscaleFor(scale)
 	cfg, err := hyper.Config()

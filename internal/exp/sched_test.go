@@ -1,11 +1,23 @@
 package exp
 
 import (
+	"context"
 	"testing"
 
 	"l2bm/internal/faults"
 	"l2bm/internal/sim"
+	"l2bm/internal/topo"
 )
+
+// The two scheduler backends, by name. No spec can select the heap: it is
+// the reference the production wheel is held to, reached through
+// runHybrid's engine-constructor parameter.
+const (
+	SchedWheel = "wheel"
+	SchedHeap  = "heap"
+)
+
+func heapEngine(_ *topo.Config, seed int64) *sim.Engine { return sim.NewEngine(seed) }
 
 // runSched executes one spec under the given scheduler backend and returns
 // its full deterministic fingerprint plus the executed-event count (which,
@@ -13,8 +25,11 @@ import (
 // re-orders nothing, it only re-homes pending events).
 func runSched(t *testing.T, spec HybridSpec, sched string) (string, uint64, *Result) {
 	t.Helper()
-	spec.Sched = sched
-	res, err := RunHybrid(spec)
+	newEngine := wheelEngine
+	if sched == SchedHeap {
+		newEngine = heapEngine
+	}
+	res, err := runHybrid(context.Background(), spec, newEngine)
 	if err != nil {
 		t.Fatalf("sched=%s: %v", sched, err)
 	}

@@ -200,26 +200,73 @@ func TestShardCountInvarianceUnderFaults(t *testing.T) {
 	}
 }
 
-// TestShardedMatchesClassicClean: for a clean (fault-free) run the sharded
-// path at one shard must reproduce the classic single-engine path exactly —
-// same flows, same counters, same executed-event count.
+// TestShardedMatchesClassicClean: Shards 0 and Shards 1 are the same run —
+// same flows, same counters, same traces — with one documented difference,
+// asserted here instead of excluded: at Shards 0 the global observers
+// (auditor, deadlock detector, watchdog) ride the engine's event chain, so
+// Result.Events is higher by exactly one per observer firing (fabric.every).
+// A clean run has no observers and matches to the event count.
 func TestShardedMatchesClassicClean(t *testing.T) {
-	classicSpec := shardSpec(0)
-	classic, err := RunHybrid(classicSpec)
-	if err != nil {
-		t.Fatal(err)
+	const watchdogWindow = 300 * sim.Microsecond
+	flaps := &FaultSpec{
+		Plan: faults.Plan{
+			FlapRate:     40,
+			FlapDowntime: 200 * sim.Microsecond,
+			FlapWindow:   2 * sim.Millisecond,
+			BER:          2e-9,
+			PFCLossRate:  0.02,
+		},
+		DetectorPeriod: 50 * sim.Microsecond,
+		WatchdogWindow: watchdogWindow,
 	}
-	shardedSpec := shardSpec(1)
-	sharded, err := RunHybrid(shardedSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shardFingerprint(classic) != shardFingerprint(sharded) {
-		t.Errorf("sharded(1) diverged from classic:\n--- classic ---\n%.2000s\n--- sharded ---\n%.2000s",
-			shardFingerprint(classic), shardFingerprint(sharded))
-	}
-	if classic.Events != sharded.Events {
-		t.Errorf("executed events: classic %d vs sharded(1) %d", classic.Events, sharded.Events)
+	for _, row := range []struct {
+		name   string
+		audit  *AuditSpec
+		faults *FaultSpec
+	}{
+		{name: "clean"},
+		{name: "audited", audit: &AuditSpec{}},
+		{name: "faulted", faults: flaps},
+		{name: "audited+faulted", audit: &AuditSpec{}, faults: flaps},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			if testing.Short() && row.name != "clean" {
+				t.Skip("multi-run determinism suite")
+			}
+			t.Parallel()
+			run := func(shards int) *Result {
+				spec := shardSpec(shards)
+				spec.Audit, spec.Faults = row.audit, row.faults
+				res, err := RunHybrid(spec)
+				if err != nil {
+					t.Fatalf("shards=%d: %v", shards, err)
+				}
+				return res
+			}
+			classic, sharded := run(0), run(1)
+			if shardFingerprint(classic) != shardFingerprint(sharded) {
+				t.Errorf("sharded(1) diverged from classic:\n--- classic ---\n%.2000s\n--- sharded ---\n%.2000s",
+					shardFingerprint(classic), shardFingerprint(sharded))
+			}
+			if classic.AuditChecks != sharded.AuditChecks || classic.DeadlockScans != sharded.DeadlockScans {
+				t.Errorf("observer firings: classic %d sweeps / %d scans vs sharded(1) %d / %d",
+					classic.AuditChecks, classic.DeadlockScans, sharded.AuditChecks, sharded.DeadlockScans)
+			}
+			var firings uint64
+			if row.audit != nil {
+				firings += classic.AuditChecks - 1 // Final's drain-time sweep is not a firing
+			}
+			if row.faults != nil {
+				firings += classic.DeadlockScans + uint64(classic.EndTime/watchdogWindow)
+			}
+			if (row.audit != nil || row.faults != nil) && firings == 0 {
+				t.Fatal("no observer ever fired")
+			}
+			if got := classic.Events - sharded.Events; got != firings {
+				t.Errorf("executed events: classic %d − sharded(1) %d = %d, want the %d observer firings",
+					classic.Events, sharded.Events, got, firings)
+			}
+		})
 	}
 }
 

@@ -80,7 +80,7 @@ func ParseSweepRequest(data []byte) (*SweepRequest, error) {
 }
 
 // Validate checks every spec against the same envelope the CLI enforces
-// upfront: registered policy, known fidelity/sched/scale values, sane
+// upfront: registered policy, known fidelity/scale values, sane
 // loads, and the hybrid/shards exclusion.
 func (r *SweepRequest) Validate() error {
 	if len(r.Specs) == 0 {
@@ -111,11 +111,6 @@ func (r *SweepRequest) Validate() error {
 		}
 		if sp.Fidelity == FidelityHybrid && sp.Shards >= 1 {
 			return fail("hybrid fidelity requires the classic engine (got Shards=%d)", sp.Shards)
-		}
-		switch sp.Sched {
-		case "", SchedWheel, SchedHeap:
-		default:
-			return fail("unknown sched %q (want %q or %q)", sp.Sched, SchedWheel, SchedHeap)
 		}
 		if sp.Shards < 0 {
 			return fail("Shards must be >= 0, got %d", sp.Shards)

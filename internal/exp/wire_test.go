@@ -64,7 +64,7 @@ func TestParseSweepRequest(t *testing.T) {
 		"unknown scale":   `{"specs":[{"Name":"p","Policy":"DT","Scale":99}]}`,
 		"bad fidelity":    `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Fidelity":"analytic"}]}`,
 		"hybrid sharded":  `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Fidelity":"hybrid","Shards":2}]}`,
-		"bad sched":       `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Sched":"lottery"}]}`,
+		"removed sched":   `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Sched":"wheel"}]}`, // the field is gone: strict parsing rejects even a once-valid value
 		"negative shards": `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Shards":-1}]}`,
 		"load too high":   `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","TCPLoad":1.5}]}`,
 		"load negative":   `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","RDMALoad":-0.1}]}`,

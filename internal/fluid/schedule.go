@@ -24,10 +24,12 @@ type Schedule struct {
 	Incast *workload.Incast
 }
 
-// Workload names the generators whose launch schedule Extract replays.
-// Configs are the same structs the packet path passes to
-// workload.NewPoisson/NewIncast; Observer fields are ignored (the extractor
-// installs its own collector).
+// Workload describes a run's offered traffic: the generators, in install
+// order (Poisson configs in slice order, then the incast stream). It is the
+// one description both fidelities consume — the packet runner installs this
+// value on every shard and Extract replays it — so the two cannot disagree
+// on what is offered. Observer fields are ignored by Extract (it installs
+// its own collector).
 type Workload struct {
 	Poisson []workload.PoissonConfig
 	Incast  *workload.IncastConfig
@@ -50,8 +52,7 @@ func (c *collector) StartFlow(f *transport.Flow) {
 // streams (sim.Source.Stream) depend only on the seed and the stream name,
 // and their tick chains are self-scheduling, so the (time, src, dst, size,
 // ID) sequence each generator produces is identical whether or not packet
-// events run in between. Install order must match the packet path's
-// (callers pass Poisson configs in the same order run.go installs them).
+// events run in between.
 func Extract(seed int64, wl Workload) (*Schedule, error) {
 	eng := sim.NewEngine(seed)
 	sch := &Schedule{}
