@@ -112,14 +112,15 @@ speedup-shards:
 	$(GO) test -bench='BenchmarkShardedRun' -benchmem -benchtime=1x -run=^$$ .
 
 # Flight-recorder demo: re-run the Fig. 8 burst deep-dive with the trace
-# recorder armed and point at the occupancy timeline CSVs (the data behind
-# the paper's buffer-occupancy-during-incast plot), plus pause intervals,
-# L2BM weight samples and drop/ECN events alongside.
+# recorder armed — one columnar .col file per point carrying the occupancy
+# timeline (the data behind the paper's buffer-occupancy-during-incast plot),
+# pause intervals, L2BM weight samples and drop/ECN events — then list the
+# first file's channels and print the head of its occupancy timeline as CSV.
 trace-demo:
 	$(GO) run ./cmd/l2bmexp -exp fig8 -scale tiny -trace -trace-out traces/fig8
-	@echo "== occupancy timelines (Fig. 8) =="
-	@ls traces/fig8/*-occupancy.csv
-	@head -5 $$(ls traces/fig8/*-occupancy.csv | head -1)
+	@echo "== channels of the first point, then its occupancy timeline (Fig. 8) =="
+	@$(GO) run ./cmd/l2bmtrace $$(ls traces/fig8/*.col | head -1)
+	@$(GO) run ./cmd/l2bmtrace $$(ls traces/fig8/*.col | head -1) trace/occupancy | head -5
 
 # Hybrid-fidelity demo: the same Fig. 7 sweep on the pure packet engine and
 # on the fluid-fast-forward hybrid engine (internal/fluid). Tables agree

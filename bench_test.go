@@ -125,7 +125,7 @@ func BenchmarkSweepWorkers(b *testing.B) {
 			var events uint64
 			for i := 0; i < b.N; i++ {
 				h := exp.NewHarness(tc.workers)
-				if _, err := h.RunTable2(exp.ScaleTiny, nil, io.Discard); err != nil {
+				if _, err := h.RunTable2(exp.ScaleTiny, io.Discard); err != nil {
 					b.Fatal(err)
 				}
 				events = h.TotalEvents()

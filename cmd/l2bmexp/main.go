@@ -28,11 +28,14 @@
 // -exp chaos fuzzes randomized scenarios (topology × hybrid workload ×
 // fault plan) under the global invariant auditor, shrinks any failure to a
 // minimal scenario and writes a runnable JSON reproducer; findings exit
-// nonzero. -resume makes long sweeps crash-safe: completed grid points are
-// checkpointed to the directory and a rerun of the same command restores
-// them byte-identically instead of recomputing. -point-timeout bounds each
-// point's wall clock and -keep-going records failed points without
-// abandoning the rest of the grid.
+// nonzero. -resume makes long sweeps crash-safe: every point is stored in
+// the directory the moment it finishes (the content-hash result cache
+// l2bmd -cache uses, so the two warm each other) and any later run that
+// asks for the same point — the same command again, another experiment
+// sharing the grid, a -spec file — restores it byte-identically instead of
+// recomputing. -point-timeout bounds each point's wall clock and
+// -keep-going records failed points without abandoning the rest of the
+// grid.
 //
 // Independent grid points fan out across -parallel workers (default: all
 // cores; 1 restores sequential execution). Tables and progress lines are
@@ -96,11 +99,10 @@ func run(args []string, stdout io.Writer) error {
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	traceOn := fs.Bool("trace", false, "arm the flight recorder on every run (occupancy, pause, weight, drop/ECN timelines)")
-	traceOut := fs.String("trace-out", "traces", "directory for per-run trace artifacts (with -trace)")
+	traceOut := fs.String("trace-out", "traces", "directory for the per-point columnar trace files (with -trace; read them with l2bmtrace)")
 	traceSample := fs.Duration("trace-sample", 0, "trace sampling period (wall units, e.g. 50us; 0 = the run's occupancy period)")
-	format := fs.String("format", "", "trace export format (with -trace): csv (per-channel CSVs + interleaved JSONL; the default) or col (one columnar binary .col file per point)")
 	specPath := fs.String("spec", "", "run the sweep-request JSON file (the l2bmd wire format) and write the canonical result JSON to stdout, instead of a named experiment")
-	resume := fs.String("resume", "", "checkpoint directory: completed grid points persist there and a rerun of the same sweep resumes instead of recomputing")
+	resume := fs.String("resume", "", "result-cache directory (the l2bmd -cache format): every finished point persists there and any run asking for it again restores it instead of recomputing")
 	pointTimeout := fs.Duration("point-timeout", 0, "per-point wall-clock limit (e.g. 5m; 0 = unbounded)")
 	keepGoing := fs.Bool("keep-going", false, "record failed grid points and keep running the rest instead of halting on the first failure")
 	policiesFlag := fs.String("policies", "", "arena: comma-separated subset of registered policies to race (default: all)")
@@ -125,12 +127,6 @@ func run(args []string, stdout io.Writer) error {
 	if !*traceOn && *traceSample != 0 {
 		return fmt.Errorf("-trace-sample requires -trace")
 	}
-	if err := validateFormat(*format); err != nil {
-		return err
-	}
-	if !*traceOn && *format != "" {
-		return fmt.Errorf("-format requires -trace (it selects the trace export format)")
-	}
 	if *seeds < 0 {
 		return fmt.Errorf("-seeds must be >= 0, got %d", *seeds)
 	}
@@ -141,7 +137,7 @@ func run(args []string, stdout io.Writer) error {
 	// -spec replaces the named-experiment path entirely: the file is the
 	// sweep, so experiment-selection flags make no sense next to it.
 	if *specPath != "" {
-		for _, conflict := range []string{"exp", "scale", "trace", "resume", "fidelity", "shards"} {
+		for _, conflict := range []string{"exp", "scale", "trace", "fidelity", "shards"} {
 			if explicit[conflict] {
 				return fmt.Errorf("-spec is incompatible with -%s (the spec file pins every point's parameters)", conflict)
 			}
@@ -180,14 +176,11 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	if *resume != "" {
-		if !explicit["exp"] {
-			return fmt.Errorf("-resume requires an explicit -exp (checkpoints are keyed per sweep; an implicit -exp all would silently mix them)")
-		}
 		if *expName == "chaos" {
 			return fmt.Errorf("-resume does not apply to -exp chaos (reproducer files are its persistence)")
 		}
 		if *traceOn {
-			return fmt.Errorf("-resume is incompatible with -trace (traced sweeps are not checkpointable)")
+			return fmt.Errorf("-resume is incompatible with -trace (a stored result cannot carry its flight recorder)")
 		}
 		if err := ensureWritableDir("-resume", *resume); err != nil {
 			return err
@@ -240,11 +233,10 @@ func run(args []string, stdout io.Writer) error {
 		opts.Trace = true
 		opts.TraceDir = *traceOut
 		opts.TraceSample = *traceSample
-		opts.TraceFormat = *format
 	}
 	var runErr error
 	if *specPath != "" {
-		runErr = runSpec(*specPath, *parallel, *pointTimeout, w)
+		runErr = runSpec(*specPath, opts, w)
 	} else {
 		runErr = RunOpts(*expName, *scaleName, opts, w)
 	}
@@ -278,15 +270,12 @@ type Options struct {
 	Policies []string
 	// Trace arms the flight recorder on every run.
 	Trace bool
-	// TraceDir receives the per-run CSV/JSONL trace artifacts.
+	// TraceDir receives one columnar .col trace file per point.
 	TraceDir string
 	// TraceSample overrides the trace sampling period (0 = run default).
 	TraceSample time.Duration
-	// TraceFormat selects the trace export format ("" = csv; see
-	// exp.TraceFormatCSV / exp.TraceFormatCol).
-	TraceFormat string
-	// Resume, when non-empty, checkpoints completed grid points to the
-	// directory and resumes matching sweeps from it (see exp.Harness).
+	// Resume, when non-empty, is the result-cache directory points persist
+	// to and are restored from; empty keeps the store in memory, for the run.
 	Resume string
 	// PointTimeout bounds each grid point's wall clock (0 = unbounded).
 	PointTimeout time.Duration
@@ -323,18 +312,6 @@ func validateFidelity(expName, fidelity string, shards int) error {
 		return fmt.Errorf("-fidelity hybrid requires the classic engine (drop -shards %d)", shards)
 	}
 	return nil
-}
-
-// validateFormat rejects unknown -format values before any work begins,
-// consistent with -exp/-policy/-fidelity validation.
-func validateFormat(format string) error {
-	switch format {
-	case "", exp.TraceFormatCSV, exp.TraceFormatCol:
-		return nil
-	default:
-		return fmt.Errorf("-format: unknown value %q (want %s or %s)",
-			format, exp.TraceFormatCSV, exp.TraceFormatCol)
-	}
 }
 
 // validateExp rejects unknown -exp values before any work begins.
@@ -403,8 +380,8 @@ func Run(expName, scaleName string, workers int, w io.Writer) error {
 	return RunOpts(expName, scaleName, Options{Workers: workers}, w)
 }
 
-// RunOpts is Run with the full option set (tracing, worker pool,
-// checkpointing, chaos).
+// RunOpts is Run with the full option set (tracing, worker pool, point
+// store, chaos).
 func RunOpts(expName, scaleName string, opts Options, w io.Writer) error {
 	scale, err := parseScale(scaleName)
 	if err != nil {
@@ -415,9 +392,17 @@ func RunOpts(expName, scaleName string, opts Options, w io.Writer) error {
 	}
 
 	harness, runners := experimentRunners(opts)
+	// The point store: the -resume directory when one was given, else
+	// memory-only, so experiments of one invocation that share points
+	// (Table II is a column of Fig. 7) simulate them once.
+	harness.Cache = &exp.ResultCache{}
+	if opts.Resume != "" {
+		if harness.Cache, err = exp.NewResultCache(opts.Resume); err != nil {
+			return err
+		}
+	}
 	harness.Shards = opts.Shards
 	harness.Fidelity = opts.Fidelity
-	harness.CheckpointDir = opts.Resume
 	harness.PointTimeout = opts.PointTimeout
 	harness.KeepGoing = opts.KeepGoing
 	if opts.Trace {
@@ -425,7 +410,6 @@ func RunOpts(expName, scaleName string, opts Options, w io.Writer) error {
 			SampleEvery: sim.Duration(opts.TraceSample.Nanoseconds()) * sim.Nanosecond,
 		}
 		harness.TraceDir = opts.TraceDir
-		harness.TraceFormat = opts.TraceFormat
 	}
 
 	var selected []string
@@ -444,6 +428,7 @@ func RunOpts(expName, scaleName string, opts Options, w io.Writer) error {
 	}
 	for _, name := range selected {
 		start := time.Now()
+		points0, restored0 := harness.TotalPoints(), harness.RestoredPoints()
 		events0 := harness.TotalEvents()
 		fallbacks0 := harness.FidelityFallbacks()
 		mem0 := exp.TakeMemSnapshot()
@@ -465,9 +450,15 @@ func RunOpts(expName, scaleName string, opts Options, w io.Writer) error {
 			// scheduling), so determinism diffs keep it.
 			fmt.Fprintf(w, "note: %d point(s) requested hybrid fidelity but ran at packet fidelity (fault plans are a standing fidelity trigger)\n", fb)
 		}
-		fmt.Fprintf(w, "(%s finished in %v: %s events, %s events/s aggregate across %d workers%s)\n",
+		restoredNote := ""
+		if n := harness.RestoredPoints() - restored0; n > 0 {
+			// Restored points cost no events; say so, or the rate reads as
+			// simulator speed.
+			restoredNote = fmt.Sprintf(", %d of %d points restored", n, harness.TotalPoints()-points0)
+		}
+		fmt.Fprintf(w, "(%s finished in %v: %s events, %s events/s aggregate across %d workers%s%s)\n",
 			name, wall.Round(time.Millisecond),
-			siCount(float64(events)), siCount(float64(events)/wall.Seconds()), effective, shardNote)
+			siCount(float64(events)), siCount(float64(events)/wall.Seconds()), effective, shardNote, restoredNote)
 		fmt.Fprintln(w, mem0.MemLine(events))
 	}
 	return nil

@@ -2,13 +2,22 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
+	"l2bm/internal/colfmt"
 	"l2bm/internal/exp"
+	"l2bm/internal/serve"
+	"l2bm/internal/trace"
 )
 
 // statFile returns the size of a file (helper for profile checks).
@@ -59,25 +68,33 @@ func TestCLIFlagParsing(t *testing.T) {
 	}
 }
 
+// trailers matches the only process-state-dependent lines of the CLI's
+// output: the wall-clock timing trailer and the MemStats trailer (allocation
+// counts shift with goroutine scheduling and GC timing, by design).
+var trailers = regexp.MustCompile(`(?m)^\((?:.* finished in .*|mem: .*)\)$`)
+
+// render runs the CLI and returns its deterministic portion.
+func render(t *testing.T, args ...string) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := run(args, &buf); err != nil {
+		t.Fatalf("%v: %v", args, err)
+	}
+	return trailers.ReplaceAllString(buf.String(), "")
+}
+
 // TestParallelFlagDeterminism: the CLI's deterministic portion (everything
 // but the timing and memory trailers) must be byte-identical for every
-// execution strategy — any worker count and any shard count — on the Fig. 7
-// sweep. This is the gate CI used to run as shell diffs of the built binary.
+// execution strategy — any worker count, any shard count, flight recorder
+// armed or not — on the Fig. 7 sweep. This is the gate CI used to run as
+// shell diffs of the built binary.
 func TestParallelFlagDeterminism(t *testing.T) {
-	// Strip the only process-state-dependent lines: the wall-clock timing
-	// trailer and the MemStats trailer (allocation counts shift with
-	// goroutine scheduling and GC timing, by design).
-	drop := regexp.MustCompile(`(?m)^\((?:.* finished in .*|mem: .*)\)$`)
-	render := func(flags ...string) string {
-		var buf bytes.Buffer
-		if err := run(append([]string{"-exp", "fig7", "-scale", "tiny"}, flags...), &buf); err != nil {
-			t.Fatal(err)
-		}
-		return drop.ReplaceAllString(buf.String(), "")
+	fig7 := func(flags ...string) string {
+		return render(t, append([]string{"-exp", "fig7", "-scale", "tiny"}, flags...)...)
 	}
-	ref := render("-parallel", "1")
-	for _, flags := range [][]string{nil, {"-shards", "1"}, {"-shards", "2"}} {
-		if got := render(flags...); got != ref {
+	ref := fig7("-parallel", "1")
+	for _, flags := range [][]string{nil, {"-shards", "1"}, {"-shards", "2"}, {"-trace", "-trace-out", t.TempDir()}} {
+		if got := fig7(flags...); got != ref {
 			t.Errorf("CLI output with %v differs from -parallel 1:\n--- -parallel 1 ---\n%s\n--- %v ---\n%s", flags, ref, flags, got)
 		}
 	}
@@ -105,18 +122,16 @@ func TestCLIUpfrontValidation(t *testing.T) {
 		{"-exp", "arena", "-replay", "x.json"}, // -replay is chaos-only
 		{"-exp", "chaos", "-replay", "nonexistent.json"},
 		{"-exp", "chaos", "-resume", "ckpt"},                    // chaos has its own persistence
-		{"-resume", "ckpt"},                                     // -resume needs an explicit -exp
 		{"-exp", "fig7", "-fidelity", "analytic"},               // unknown fidelity
 		{"-exp", "chaos", "-fidelity", "hybrid"},                // chaos pins its own engine
 		{"-exp", "fig7", "-fidelity", "hybrid", "-shards", "2"}, // hybrid needs classic engine
-		{"-exp", "fig3a", "-format", "col"},                     // -format requires -trace
-		{"-exp", "fig3a", "-trace", "-format", "parquet"},       // unknown format
 		{"-spec", "sweep.json", "-exp", "fig7"},                 // -spec pins the sweep
 		{"-spec", "sweep.json", "-scale", "tiny"},               // ditto
 		{"-spec", "sweep.json", "-trace"},                       // ditto
 		{"-spec", "sweep.json", "-keep-going"},                  // the envelope cannot carry a failed point
 		{"-spec", "nonexistent-sweep.json"},                     // missing spec file
-		{"-exp", "fig3a", "-resume", "ckpt", "-trace"},
+		{"-exp", "fig3a", "-resume", "ckpt", "-trace"},          // a stored result cannot carry its recorder
+		{"-exp", "fig3a", "-trace", "-format", "col"},           // the flag is gone: .col is the only format
 		{"-exp", "fig3a", "-point-timeout", "-1s"},
 		{"-exp", "fig3a", "-resume", blocker + "/sub"}, // unwritable
 		{"-exp", "fig3a", "-trace", "-trace-out", blocker + "/sub"},
@@ -182,26 +197,153 @@ func TestCLIChaos(t *testing.T) {
 	}
 }
 
-// TestCLIResume: -resume populates a checkpoint directory and a rerun of
-// the identical command restores from it, with identical deterministic
-// output.
+// pointFiles counts the result-cache entries in a -resume directory.
+func pointFiles(t *testing.T, dir string) int {
+	t.Helper()
+	n, err := (&exp.ResultCache{Dir: dir}).Len()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestCLIResume: -resume populates its directory, one entry per point, and
+// a rerun of the identical command restores from it — identical
+// deterministic output, and a trailer that bills the points as restored,
+// not as simulated.
 func TestCLIResume(t *testing.T) {
 	dir := t.TempDir()
-	render := func() string {
-		var buf bytes.Buffer
-		if err := run([]string{"-exp", "fig3a", "-scale", "tiny", "-resume", dir}, &buf); err != nil {
+	args := []string{"-exp", "fig3a", "-scale", "tiny", "-resume", dir}
+	first := render(t, args...)
+	if n := pointFiles(t, dir); n != 2 {
+		t.Fatalf("%d entries after a two-point experiment", n)
+	}
+	var second bytes.Buffer
+	if err := run(args, &second); err != nil {
+		t.Fatal(err)
+	}
+	if got := trailers.ReplaceAllString(second.String(), ""); got != first {
+		t.Errorf("resumed run diverged:\n--- first ---\n%s\n--- second ---\n%s", first, got)
+	}
+	if !strings.Contains(second.String(), ": 0 events, ") || !strings.Contains(second.String(), ", 2 of 2 points restored)") {
+		t.Errorf("fully restored run's trailer bills simulated work:\n%s", second.String())
+	}
+}
+
+// TestCLIResumeSharesPointsAcrossGrids: the store is keyed by point, not by
+// sweep, so Table II after Fig. 7 on one -resume directory finds all of its
+// 20 points there, simulates none and adds no entry.
+func TestCLIResumeSharesPointsAcrossGrids(t *testing.T) {
+	dir := t.TempDir()
+	render(t, "-exp", "fig7", "-scale", "tiny", "-resume", dir)
+	entries := pointFiles(t, dir)
+	if entries != 32 {
+		t.Fatalf("fig7 stored %d entries, want its 32 points", entries)
+	}
+	var buf bytes.Buffer
+	if err := run([]string{"-exp", "table2", "-scale", "tiny", "-resume", dir}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), ", 20 of 20 points restored)") {
+		t.Errorf("table2 after fig7 simulated points it could have restored:\n%s", buf.String())
+	}
+	if n := pointFiles(t, dir); n != entries {
+		t.Errorf("table2 after fig7 grew the directory from %d to %d entries", entries, n)
+	}
+}
+
+// TestCLIResumeImplicitAll: one directory serves a whole -exp all (the flag
+// pair used to be refused: checkpoints were per sweep). Table II is restored
+// from Fig. 7's points within the first run, and the rerun restores
+// everything and prints the same tables.
+func TestCLIResumeImplicitAll(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment")
+	}
+	dir := t.TempDir()
+	var first bytes.Buffer
+	if err := run([]string{"-scale", "tiny", "-resume", dir}, &first); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(first.String(), "(table2 finished in") || !strings.Contains(first.String(), ", 20 of 20 points restored)") {
+		t.Errorf("table2 inside -exp all did not restore Fig. 7's points:\n%s", first.String())
+	}
+	entries := pointFiles(t, dir)
+	second := render(t, "-scale", "tiny", "-resume", dir)
+	if want := trailers.ReplaceAllString(first.String(), ""); second != want {
+		t.Error("rerun of -exp all -resume printed different tables")
+	}
+	if n := pointFiles(t, dir); n != entries {
+		t.Errorf("a fully restored rerun grew the directory from %d to %d entries", entries, n)
+	}
+}
+
+// TestCLIResumeDirServesDaemon: a -resume directory and an l2bmd -cache
+// directory are the same thing. A sweep run by the CLI into a directory is
+// answered by a daemon on that directory entirely from it, with the bytes a
+// direct run marshals — the gate CI used to run as a shell script around
+// the two binaries.
+func TestCLIResumeDirServesDaemon(t *testing.T) {
+	dir := t.TempDir()
+	path := t.TempDir() + "/sweep.json"
+	body := `{"name":"cli-daemon","specs":[
+		{"Name":"cd-dt","Policy":"DT","Scale":"tiny","RDMALoad":0.4,"TCPLoad":0.4},
+		{"Name":"cd-l2bm","Policy":"L2BM","Scale":"tiny","RDMALoad":0.4,"TCPLoad":0.4}]}`
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	direct := render(t, "-spec", path)
+	for _, pass := range []string{"filling", "restoring"} {
+		if got := render(t, "-spec", path, "-resume", dir); got != direct {
+			t.Errorf("-spec -resume (%s the directory) differs from a direct -spec run", pass)
+		}
+		if n := pointFiles(t, dir); n != 2 {
+			t.Errorf("%s: %d entries for a two-point sweep", pass, n)
+		}
+	}
+
+	srv, err := serve.New(serve.Config{CacheDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	fetch := func(method, url string, into any) []byte {
+		t.Helper()
+		req, _ := http.NewRequest(method, ts.URL+url, strings.NewReader(body))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
 			t.Fatal(err)
 		}
-		drop := regexp.MustCompile(`(?m)^\((?:.* finished in .*|mem: .*)\)$`)
-		return drop.ReplaceAllString(buf.String(), "")
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode >= 300 {
+			t.Fatalf("%s %s: %d %v\n%s", method, url, resp.StatusCode, err, data)
+		}
+		if into != nil {
+			if err := json.Unmarshal(data, into); err != nil {
+				t.Fatalf("%s %s: %v\n%s", method, url, err, data)
+			}
+		}
+		return data
 	}
-	first := render()
-	entries, err := os.ReadDir(dir)
-	if err != nil || len(entries) == 0 {
-		t.Fatalf("no checkpoint files written (err=%v)", err)
+	var status struct {
+		ID, State string
+		CacheHits int
 	}
-	if second := render(); second != first {
-		t.Errorf("resumed run diverged:\n--- first ---\n%s\n--- second ---\n%s", first, second)
+	fetch("POST", "/v1/sweeps", &status)
+	for deadline := time.Now().Add(time.Minute); status.State != serve.StateDone; {
+		if time.Now().After(deadline) || status.State == serve.StateFailed || status.State == serve.StateCancelled {
+			t.Fatalf("sweep ended %q", status.State)
+		}
+		time.Sleep(5 * time.Millisecond)
+		fetch("GET", "/v1/sweeps/"+status.ID, &status)
+	}
+	if status.CacheHits != 2 {
+		t.Errorf("daemon on the CLI's directory hit %d of 2 points", status.CacheHits)
+	}
+	if got := fetch("GET", "/v1/sweeps/"+status.ID+"/result", nil); string(got) != direct {
+		t.Error("daemon served different bytes from the CLI's directory than a direct run marshals")
 	}
 }
 
@@ -224,9 +366,7 @@ func TestCLIFidelity(t *testing.T) {
 		{[]string{"-exp", "fig7", "-fidelity", "analytic"}, `unknown value "analytic"`},
 		{[]string{"-exp", "chaos", "-fidelity", "hybrid"}, "does not apply"},
 		{[]string{"-exp", "fig7", "-fidelity", "hybrid", "-shards", "2"}, "classic engine"},
-		{[]string{"-exp", "fig3a", "-trace", "-format", "parquet"}, `unknown value "parquet"`},
-		{[]string{"-format", "col"}, "requires -trace"},
-		{[]string{"-resume", "ckpt"}, "explicit -exp"},
+		{[]string{"-exp", "fig3a", "-resume", "ckpt", "-trace"}, "incompatible with -trace"},
 	} {
 		var out bytes.Buffer
 		err := run(tc.args, &out)
@@ -259,29 +399,7 @@ func TestCLIProfileFlags(t *testing.T) {
 }
 
 func TestCLITraceFlags(t *testing.T) {
-	dir := t.TempDir()
 	var buf bytes.Buffer
-	if err := run([]string{"-exp", "fig3a", "-scale", "tiny",
-		"-trace", "-trace-out", dir, "-trace-sample", "50us"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var csv, jsonl int
-	for _, e := range entries {
-		switch {
-		case strings.HasSuffix(e.Name(), ".csv"):
-			csv++
-		case strings.HasSuffix(e.Name(), ".jsonl"):
-			jsonl++
-		}
-	}
-	if csv == 0 || jsonl == 0 {
-		t.Errorf("-trace exported %d CSV and %d JSONL files, want both > 0", csv, jsonl)
-	}
-
 	if err := run([]string{"-trace-sample", "50us"}, &buf); err == nil {
 		t.Error("-trace-sample without -trace should fail")
 	}
@@ -290,32 +408,35 @@ func TestCLITraceFlags(t *testing.T) {
 	}
 }
 
-// TestCLITraceColFormat: -format col swaps the CSV/JSONL trace export for
-// one columnar .col artifact per point.
+// TestCLITraceColFormat: -trace writes one columnar .col file per point,
+// named by its running number and stem, and nothing else; each decodes and
+// carries the flight-recorder channels.
 func TestCLITraceColFormat(t *testing.T) {
 	dir := t.TempDir()
-	var buf bytes.Buffer
-	if err := run([]string{"-exp", "fig3a", "-scale", "tiny",
-		"-trace", "-trace-out", dir, "-trace-sample", "50us", "-format", "col"}, &buf); err != nil {
-		t.Fatal(err)
-	}
+	render(t, "-exp", "fig3a", "-scale", "tiny", "-trace", "-trace-out", dir, "-trace-sample", "50us")
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var col, other int
+	var names []string
 	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".col") {
-			col++
-		} else {
-			other++
+		names = append(names, e.Name())
+	}
+	if want := []string{"000-fig3a-tcp-dt-t40.col", "001-fig3a-rdma-dt-r40.col"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("-trace exported %v, want %v", names, want)
+	}
+	for _, name := range names {
+		data, err := os.ReadFile(dir + "/" + name)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if col == 0 {
-		t.Error("-format col exported no .col files")
-	}
-	if other != 0 {
-		t.Errorf("-format col also exported %d non-.col files", other)
+		d, err := colfmt.Decode(data)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if occ := d.Channel(trace.ColOccupancy); occ == nil || occ.Rows() == 0 {
+			t.Errorf("%s: no occupancy timeline (channels %v)", name, d.Channels())
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"time"
 
 	"l2bm/internal/chaos"
 	"l2bm/internal/exp"
@@ -60,10 +59,11 @@ func runChaos(opts Options, w io.Writer) error {
 
 // runSpec executes a sweep-request JSON file (the l2bmd wire format) and
 // writes the canonical result envelope to w — the same bytes the daemon
-// serves for the same request, which is exactly what CI diffs. A point that
-// overruns pointTimeout (0 = unbounded) fails the sweep with a
-// *exp.PointTimeoutError.
-func runSpec(path string, workers int, pointTimeout time.Duration, w io.Writer) error {
+// serves for the same request, which is exactly what the tests diff. With
+// opts.Resume the points come from and go to that result cache, like the
+// daemon's. A point that overruns opts.PointTimeout (0 = unbounded) fails
+// the sweep with a *exp.PointTimeoutError.
+func runSpec(path string, opts Options, w io.Writer) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -72,11 +72,18 @@ func runSpec(path string, workers int, pointTimeout time.Duration, w io.Writer) 
 	if err != nil {
 		return err
 	}
+	var cache *exp.ResultCache // nil without -resume: every point simply runs
+	if opts.Resume != "" {
+		if cache, err = exp.NewResultCache(opts.Resume); err != nil {
+			return err
+		}
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	pool := &exp.Pool{Workers: workers, PointTimeout: pointTimeout}
+	pool := &exp.Pool{Workers: opts.Workers, PointTimeout: opts.PointTimeout}
 	results, _, err := pool.Run(ctx, len(req.Specs), func(ctx context.Context, i int) (*exp.Result, error) {
-		return exp.RunHybridCtx(ctx, req.Specs[i])
+		res, _, err := cache.GetOrRun(ctx, req.Specs[i])
+		return res, err
 	}, nil)
 	if err != nil {
 		return err
@@ -90,14 +97,9 @@ func runSpec(path string, workers int, pointTimeout time.Duration, w io.Writer) 
 }
 
 // experimentRunners maps experiment names to their runners, all sharing
-// one harness (worker pool + aggregate event accounting). A Fig. 7 sweep
-// is cached so that Table II (the same grid) does not re-simulate when
-// both run in one invocation.
+// one harness (worker pool, point store, aggregate event accounting).
 func experimentRunners(opts Options) (*exp.Harness, map[string]func(exp.Scale, io.Writer) error) {
 	h := exp.NewHarness(opts.Workers)
-	var fig7Sweep *exp.SweepResult
-	var fig7Scale exp.Scale
-
 	return h, map[string]func(exp.Scale, io.Writer) error{
 		"fig3a": func(s exp.Scale, w io.Writer) error {
 			_, err := h.RunFig3a(s, w)
@@ -108,18 +110,11 @@ func experimentRunners(opts Options) (*exp.Harness, map[string]func(exp.Scale, i
 			return err
 		},
 		"fig7": func(s exp.Scale, w io.Writer) error {
-			sweep, err := h.RunFig7(s, w)
-			if err == nil {
-				fig7Sweep, fig7Scale = sweep, s
-			}
+			_, err := h.RunFig7(s, w)
 			return err
 		},
 		"table2": func(s exp.Scale, w io.Writer) error {
-			prior := fig7Sweep
-			if fig7Scale != s {
-				prior = nil
-			}
-			_, err := h.RunTable2(s, prior, w)
+			_, err := h.RunTable2(s, w)
 			return err
 		},
 		"fig8": func(s exp.Scale, w io.Writer) error {

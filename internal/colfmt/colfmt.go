@@ -266,7 +266,12 @@ type Decoded struct {
 }
 
 // Decode parses a serialized file. The returned Decoded aliases data;
-// column reads decode lazily from it.
+// column reads decode lazily from it. The footer is outside input and is
+// believed only as far as the file's own size bears it out: every block must
+// lie inside the data region, and a channel's row count must fit its blocks
+// (a varint or dictionary index is at least one byte a row, a float exactly
+// eight) — so no read can index past a block or allocate beyond a small
+// multiple of len(data), whatever the footer claims.
 func Decode(data []byte) (*Decoded, error) {
 	if len(data) < len(magic)*2+4 {
 		return nil, fmt.Errorf("colfmt: file too short (%d bytes)", len(data))
@@ -293,10 +298,21 @@ func Decode(data []byte) (*Decoded, error) {
 	d := &Decoded{data: data, channels: ft.Channels, byName: make(map[string]*footerChannel, len(ft.Channels))}
 	for i := range d.channels {
 		c := &d.channels[i]
+		if c.Rows < 0 {
+			return nil, fmt.Errorf("colfmt: channel %s claims %d rows", c.Name, c.Rows)
+		}
 		for _, col := range c.Columns {
-			if col.Off < int64(len(magic)) || col.Off+col.Len > fstart {
-				return nil, fmt.Errorf("colfmt: channel %s column %s block [%d,%d) escapes the data region",
-					c.Name, col.Name, col.Off, col.Off+col.Len)
+			if col.Len < 0 || col.Off < int64(len(magic)) || col.Off > fstart-col.Len {
+				return nil, fmt.Errorf("colfmt: channel %s column %s block (off %d, len %d) escapes the data region",
+					c.Name, col.Name, col.Off, col.Len)
+			}
+			fits := int64(c.Rows) <= col.Len
+			if col.Kind == KindFloat {
+				fits = col.Len%8 == 0 && int64(c.Rows) == col.Len/8
+			}
+			if !fits {
+				return nil, fmt.Errorf("colfmt: channel %s column %s: %d bytes cannot hold %d %s rows",
+					c.Name, col.Name, col.Len, c.Rows, col.Kind)
 			}
 		}
 		d.byName[c.Name] = c
@@ -338,6 +354,18 @@ func (r *ChannelReader) Columns() []string {
 		names[i] = col.Name
 	}
 	return names
+}
+
+// Kind returns the named column's kind (KindTime … KindStr, or whatever the
+// footer says), which names the typed read that decodes it; "" when the
+// channel has no such column.
+func (r *ChannelReader) Kind(name string) string {
+	for _, col := range r.c.Columns {
+		if col.Name == name {
+			return col.Kind
+		}
+	}
+	return ""
 }
 
 func (r *ChannelReader) find(name string, kinds ...string) (footerCol, error) {
@@ -410,10 +438,7 @@ func (r *ChannelReader) Floats(name string) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	buf := r.block(col)
-	if int64(8*r.c.Rows) != col.Len {
-		return nil, fmt.Errorf("colfmt: channel %s column %s: %d bytes for %d rows", r.c.Name, name, col.Len, r.c.Rows)
-	}
+	buf := r.block(col) // exactly 8 bytes a row: Decode checked
 	out := make([]float64, r.c.Rows)
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"strings"
@@ -38,8 +39,8 @@ func TestAuditorObserverFree(t *testing.T) {
 		t.Skip("multi-run determinism suite")
 	}
 	for _, shards := range []int{0, 2} {
-		ref, refDir := runAuditVariant(t, shards, nil)
-		aud, audDir := runAuditVariant(t, shards, &AuditSpec{
+		ref, refCol := runAuditVariant(t, shards, nil)
+		aud, audCol := runAuditVariant(t, shards, &AuditSpec{
 			Every:       200 * sim.Microsecond,
 			MaxPauseAge: 5 * sim.Millisecond,
 		})
@@ -47,13 +48,15 @@ func TestAuditorObserverFree(t *testing.T) {
 			t.Errorf("shards=%d: auditor perturbed the run:\n--- off ---\n%.2000s\n--- on ---\n%.2000s",
 				shards, ref, aud)
 		}
-		compareTraceDirs(t, refDir, audDir, shards)
+		if !bytes.Equal(refCol, audCol) {
+			t.Errorf("shards=%d: auditor perturbed the exported trace", shards)
+		}
 	}
 }
 
 // runAuditVariant runs the suite spec with/without the auditor and returns
-// the result fingerprint plus an exported trace directory.
-func runAuditVariant(t *testing.T, shards int, as *AuditSpec) (string, string) {
+// the result fingerprint plus the exported columnar trace.
+func runAuditVariant(t *testing.T, shards int, as *AuditSpec) (string, []byte) {
 	t.Helper()
 	spec := auditSpec(shards)
 	spec.Audit = as
@@ -72,11 +75,7 @@ func runAuditVariant(t *testing.T, shards int, as *AuditSpec) (string, string) {
 	if as != nil && res.AuditChecks == 0 {
 		t.Fatalf("shards=%d: auditor armed but never swept", shards)
 	}
-	dir := t.TempDir()
-	if _, err := res.WriteTrace(dir, "audit"); err != nil {
-		t.Fatalf("WriteTrace: %v", err)
-	}
-	return shardFingerprint(res), dir
+	return shardFingerprint(res), colBytes(t, res)
 }
 
 // TestAuditorCleanUnderFaults: a faulty fabric (flaps, corruption, PFC

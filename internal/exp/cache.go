@@ -14,12 +14,19 @@
 // byte-bounded in-memory LRU of the same canonical bytes, so a repeat hit
 // costs a map lookup: no read, no decode, no copy. Memory only ever holds
 // bytes the disk tier accepted (Put fills it after the rename) or bytes it
-// validated on the way up from disk.
+// validated on the way up from disk. A cache with Dir == "" has no disk
+// tier: the LRU is all there is, and it dies with the process.
+//
+// This is the only spec → Result persistence in the repo: l2bmd -cache DIR,
+// l2bmexp -resume DIR and the CLI's in-process reuse of overlapping grids
+// (Table II is a column of Fig. 7) are all this one type, so any of them
+// warms the others.
 package exp
 
 import (
 	"bytes"
 	"container/list"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -58,6 +65,60 @@ func registryVersion() string {
 	m := &registryStamp{n: len(names), version: fmt.Sprintf("%016x", h.Sum64())}
 	registryMemo.Store(m)
 	return m.version
+}
+
+// CheckpointVersion is baked into every cache key and entry header: bump it
+// whenever the Result schema or spec canonicalization changes incompatibly,
+// so stale entries miss instead of being misread. Version 2 added Fidelity
+// to specKey — under version 1 a hybrid-fidelity point hashed identically to
+// the packet point of the same grid and could cross-restore.
+const CheckpointVersion = 2
+
+// checkpointIneligible names the first non-serializable field set on the
+// spec, or "" when the spec is plain data and may be stored. Specs carrying
+// funcs — PolicyFactory, TopoOverride, Hooks, a fault LinkFilter — cannot be
+// hashed, and an armed flight recorder cannot be restored.
+func checkpointIneligible(spec HybridSpec) string {
+	switch {
+	case spec.PolicyFactory != nil:
+		return "PolicyFactory"
+	case spec.TopoOverride != nil:
+		return "TopoOverride"
+	case spec.Hooks != nil:
+		return "Hooks"
+	case spec.Trace != nil:
+		return "Trace"
+	case spec.Faults != nil && spec.Faults.Plan.LinkFilter != nil:
+		return "Faults.Plan.LinkFilter"
+	}
+	return ""
+}
+
+// specKey canonicalizes every field that shapes a point's result. Two specs
+// with equal keys produce byte-identical Results (determinism contract), so
+// the key — not the grid that asked, nor its source code — decides what a
+// stored entry matches.
+func specKey(spec HybridSpec) string {
+	// Fidelity is present: hybrid fast-forward changes numbers within the
+	// §14 bound.
+	s := fmt.Sprintf("name=%s policy=%s scale=%d rdma=%v tcp=%v inter=%v occ=%d win=%d drain=%d salt=%q shards=%d fidelity=%q",
+		spec.Name, spec.Policy, spec.Scale, spec.RDMALoad, spec.TCPLoad,
+		spec.InterRackOnly, spec.OccupancySampleEvery, spec.WindowOverride,
+		spec.DrainOverride, spec.SeedSalt, spec.Shards, spec.Fidelity)
+	if in := spec.Incast; in != nil {
+		s += fmt.Sprintf(" incast={%d %d %v}", in.Fanout, in.RequestBytes, in.QueryRate)
+	}
+	if f := spec.Faults; f != nil {
+		p := f.Plan
+		s += fmt.Sprintf(" faults={stream=%q flap=%v/%d/%v/%d sched=%v ber=%v pfcloss=%v blackouts=%v det=%d break=%v wd=%d}",
+			p.Stream, p.FlapRate, p.FlapDowntime, p.FlapFixed, p.FlapWindow,
+			p.Scheduled, p.BER, p.PFCLossRate, p.Blackouts,
+			f.DetectorPeriod, f.BreakDeadlocks, f.WatchdogWindow)
+	}
+	if a := spec.Audit; a != nil {
+		s += fmt.Sprintf(" audit={%d %d %d}", a.Every, a.MaxPauseAge, a.Limit)
+	}
+	return s
 }
 
 // CacheKey derives the content-hash cache key for one spec: a hash over the
@@ -100,8 +161,9 @@ type memEntry struct {
 
 // ResultCache persists point results under Dir, one entry per cache key,
 // behind an in-memory LRU of the hottest entries. A nil cache ignores every
-// call (Lookup and Get always miss); the zero value with Dir set is ready
-// to use. Safe for concurrent use.
+// call (Lookup and Get always miss). The zero value is ready to use: with
+// Dir set it is disk-backed, with Dir == "" it is memory-only — Put fills the
+// LRU and nothing ever touches the file system. Safe for concurrent use.
 type ResultCache struct {
 	Dir string
 
@@ -189,6 +251,9 @@ func (c *ResultCache) Lookup(spec HybridSpec) (json.RawMessage, bool) {
 // the body must be exactly one newline-terminated line holding one JSON
 // object that decodes as a Result, with nothing before, between or after.
 func (c *ResultCache) load(key string) (json.RawMessage, bool) {
+	if c.Dir == "" {
+		return nil, false
+	}
 	data, err := os.ReadFile(c.path(key))
 	if err != nil {
 		return nil, false
@@ -211,7 +276,7 @@ func (c *ResultCache) load(key string) (json.RawMessage, bool) {
 }
 
 // Get is Lookup plus a decode: the stored canonical bytes and the Result
-// they encode, with spec reattached exactly like a checkpoint restore.
+// they encode, with the in-memory spec that JSON could not carry reattached.
 func (c *ResultCache) Get(spec HybridSpec) (raw json.RawMessage, res *Result, ok bool) {
 	raw, ok = c.Lookup(spec)
 	if !ok {
@@ -231,13 +296,19 @@ func (c *ResultCache) Get(spec HybridSpec) (raw json.RawMessage, res *Result, ok
 // temp-file + fsync + rename, so readers only ever see whole entries; the
 // memory tier takes raw only once the rename has succeeded, so it never
 // holds bytes the disk tier refused and a restart can never know less than
-// a running process served. The cache keeps raw: do not modify it after.
+// a running process served. A memory-only cache (Dir == "") has no disk tier
+// to disagree with and takes raw at once. The cache keeps raw: do not modify
+// it after.
 func (c *ResultCache) Put(spec HybridSpec, raw json.RawMessage) error {
 	if c == nil {
 		return nil
 	}
 	key, err := CacheKey(spec)
 	if err != nil {
+		return nil
+	}
+	if c.Dir == "" {
+		c.memPut(key, raw)
 		return nil
 	}
 	hdr, err := json.Marshal(cacheHeader{Version: CheckpointVersion, Registry: registryVersion(), Key: key})
@@ -273,7 +344,32 @@ func (c *ResultCache) Put(spec HybridSpec, raw json.RawMessage) error {
 	return nil
 }
 
-// Len counts stored entries (test and status reporting).
+// GetOrRun is the one way a point is computed next to a store: the stored
+// Result when c holds spec's (hit — determinism makes it indistinguishable
+// from a recomputed one), otherwise a fresh run whose canonical bytes are Put
+// before it is handed back, by whichever goroutine ran it — so a point is
+// durable the moment it finishes, whatever its neighbours are still doing. A
+// spec the store cannot hold (nil cache, func-valued field, armed recorder)
+// simply runs.
+func (c *ResultCache) GetOrRun(ctx context.Context, spec HybridSpec) (res *Result, hit bool, err error) {
+	if _, res, ok := c.Get(spec); ok {
+		return res, true, nil
+	}
+	res, err = RunHybridCtx(ctx, spec)
+	if err != nil || c == nil || checkpointIneligible(spec) != "" {
+		return res, false, err
+	}
+	raw, err := json.Marshal(res)
+	if err != nil {
+		return nil, false, fmt.Errorf("exp: cache: spec %q: %w", spec.Name, err)
+	}
+	if err := c.Put(spec, raw); err != nil {
+		return nil, false, err
+	}
+	return res, false, nil
+}
+
+// Len counts the entries on disk (test and status reporting).
 func (c *ResultCache) Len() (int, error) {
 	if c == nil {
 		return 0, nil

@@ -232,6 +232,54 @@ func TestMemoryTierBound(t *testing.T) {
 	}
 }
 
+// TestMemoryOnlyCache: Dir == "" is a store without a disk tier. Put and Get
+// round-trip through the LRU alone, Put honours the tier's bound, and no
+// file appears anywhere — the zero value used to publish point-<key>.json
+// into the process's working directory.
+func TestMemoryOnlyCache(t *testing.T) {
+	key, body, _ := tierEntry(t)
+	c := &ResultCache{}
+	if _, ok := c.Lookup(tierSpec); ok {
+		t.Fatal("hit on an empty memory-only cache")
+	}
+	if err := c.Put(tierSpec, body); err != nil {
+		t.Fatal(err)
+	}
+	raw, res, ok := c.Get(tierSpec)
+	if !ok || !bytes.Equal(raw, body) || res.Events != 7 || res.Spec.Name != tierSpec.Name {
+		t.Fatalf("round trip: ok=%v raw=%q res=%+v", ok, raw, res)
+	}
+	if _, ok := (&ResultCache{}).Lookup(tierSpec); ok {
+		t.Error("a second memory-only cache sees the first one's entry")
+	}
+
+	// The bound holds through Put: fill past it with distinct points.
+	const chunk = 1 << 20
+	big := append(append([]byte(`{"Policy":"`), bytes.Repeat([]byte{'x'}, chunk)...), `"}`...)
+	for i := 0; i < memTierBytes/chunk+4; i++ {
+		spec := tierSpec
+		spec.SeedSalt = fmt.Sprint(i)
+		if err := c.Put(spec, big); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c.memBytes > memTierBytes {
+		t.Errorf("memory-only tier holds %d B, bound %d", c.memBytes, memTierBytes)
+	}
+	if _, ok := c.Lookup(tierSpec); ok {
+		t.Error("the coldest entry survived a full tier of younger ones")
+	}
+
+	if n, err := c.Len(); n != 0 || err != nil {
+		t.Errorf("Len = %d, %v on a cache with no directory", n, err)
+	}
+	litter := c.path(key) // relative: where the old Put renamed its temp file to
+	if _, err := os.Stat(litter); !os.IsNotExist(err) {
+		t.Errorf("memory-only Put left %s in the working directory (stat err %v)", litter, err)
+		os.Remove(litter)
+	}
+}
+
 // TestLookupMemHitAllocs: a memory-tier hit costs the key derivation and
 // nothing else — no read, no decode, no copy.
 func TestLookupMemHitAllocs(t *testing.T) {

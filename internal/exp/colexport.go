@@ -3,9 +3,9 @@ package exp
 // Columnar result export: one colfmt file carrying the run's flight-recorder
 // channels (when traced) plus the metrics series every run accumulates —
 // per-ToR occupancy readings, per-class slowdown distributions and incast
-// query delays. This is the artifact l2bmd serves per point and the -format
-// col path of the CLI trace export; the CSV exporters remain the escape
-// hatch.
+// query delays. This is the artifact l2bmd serves per point and l2bmexp
+// -trace writes per point, and the only encoding the recorder has;
+// cmd/l2bmtrace prints any channel of it as CSV.
 
 import (
 	"io"

@@ -3,7 +3,6 @@ package exp
 import (
 	"bytes"
 	"math"
-	"os"
 	"testing"
 
 	"l2bm/internal/colfmt"
@@ -222,28 +221,6 @@ func TestWriteColRoundTrip(t *testing.T) {
 			if !bytes.Equal(buf.Bytes(), again.Bytes()) {
 				t.Error("WriteCol is not deterministic")
 			}
-
-			// The columnar file carries every CSV channel plus the metrics
-			// series and still comes in smaller than the CSV export.
-			csvDir := t.TempDir()
-			paths, err := res.WriteTrace(csvDir, "")
-			if err != nil {
-				t.Fatal(err)
-			}
-			var csvTotal int64
-			for _, p := range paths {
-				fi, err := os.Stat(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				csvTotal += fi.Size()
-			}
-			if int64(buf.Len()) >= csvTotal {
-				t.Errorf("columnar file (%d B) is not smaller than the CSV export (%d B)",
-					buf.Len(), csvTotal)
-			}
-			t.Logf("%s: col %d B vs csv %d B (%.1f%%)",
-				spec.Name, buf.Len(), csvTotal, 100*float64(buf.Len())/float64(csvTotal))
 		})
 	}
 }

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"io"
-	"math"
 
 	"l2bm/internal/metrics"
 	"l2bm/internal/pkt"
@@ -18,10 +17,6 @@ var Table2Loads = []float64{0.4, 0.5, 0.6, 0.7, 0.8}
 
 // IncastFanouts is the x-axis of Fig. 11.
 var IncastFanouts = []int{5, 10, 15}
-
-// loadEpsilon is the tolerance for matching sweep loads: grid loads are
-// round decimals that may arrive via arithmetic (0.1*4 != 0.4 exactly).
-const loadEpsilon = 1e-9
 
 // bufferBytes returns the shared buffer size of the scale's switches, for
 // occupancy normalization.
@@ -93,28 +88,6 @@ type SweepResult struct {
 	Loads    []float64
 	// Cells[policy][load index]
 	Cells map[string][]*Result
-}
-
-// Lookup returns the cell for (policy, load), matching the load with an
-// epsilon compare, or nil when the sweep does not contain it (absent
-// policy, missing load, or a ragged/partial cell row).
-func (s *SweepResult) Lookup(policy string, load float64) *Result {
-	if s == nil {
-		return nil
-	}
-	cells, ok := s.Cells[policy]
-	if !ok {
-		return nil
-	}
-	for i, l := range s.Loads {
-		if math.Abs(l-load) < loadEpsilon {
-			if i < len(cells) {
-				return cells[i]
-			}
-			return nil
-		}
-	}
-	return nil
 }
 
 // runLoadSweep executes the Fig. 7 grid for the given policies, fanning
@@ -224,57 +197,27 @@ func (h *Harness) RunFig7(scale Scale, w io.Writer) (*SweepResult, error) {
 var table2Policies = []string{"ABM", "DT", "DT2", "L2BM"}
 
 // RunTable2 reproduces Table II: PFC pause-frame counts for loads 0.4–0.8.
-// When a Fig. 7 sweep is already available, pass it to avoid re-running:
-// cells present in the prior (matched by policy with an epsilon load
-// compare, so partial priors such as a DT/ABM-only Fig. 3(b) sweep are
-// safe) are reused, and only the missing cells are simulated — fanned out
-// across the worker pool.
-func (h *Harness) RunTable2(scale Scale, prior *SweepResult, w io.Writer) (*Table, error) {
-	// Resolve the grid: reuse prior cells, collect the missing ones.
-	grid := make([][]*Result, len(table2Policies))
-	type cellKey struct{ pi, li int }
-	var missing []HybridSpec
-	var missingAt []cellKey
-	for pi, pol := range table2Policies {
-		grid[pi] = make([]*Result, len(Table2Loads))
-		for li, load := range Table2Loads {
-			if res := prior.Lookup(pol, load); res != nil {
-				grid[pi][li] = res
-				continue
-			}
-			missing = append(missing, HybridSpec{
-				Name: "fig7", Policy: pol, Scale: scale,
-				RDMALoad: 0.4, TCPLoad: load,
-			})
-			missingAt = append(missingAt, cellKey{pi, li})
-		}
+// Table II is the pause-frame column of Fig. 7, so this asks for the
+// "fig7"-named grid at its own loads: a harness whose Cache already holds a
+// Fig. 7 sweep restores every cell, and only absent ones are simulated.
+func (h *Harness) RunTable2(scale Scale, w io.Writer) (*Table, error) {
+	sweep, err := h.runLoadSweep("fig7", scale, table2Policies, Table2Loads, nil)
+	if err != nil {
+		return nil, err
 	}
-	if len(missing) > 0 {
-		results, err := h.runAll(missing, nil)
-		if err != nil {
-			return nil, err
-		}
-		for k, res := range results {
-			grid[missingAt[k].pi][missingAt[k].li] = res
-		}
-	}
-
 	tab := NewTable("Table II: number of PFC pause frames",
 		"policy", "load=0.4", "load=0.5", "load=0.6", "load=0.7", "load=0.8")
-	integ := newIntegrityTable("Table II integrity: lossless gaps / violations / MMU audits")
-	for pi, pol := range table2Policies {
+	for _, pol := range sweep.Policies {
 		row := []string{pol}
-		for li, load := range Table2Loads {
-			res := grid[pi][li]
+		for _, res := range sweep.Cells[pol] {
 			row = append(row, fmt.Sprint(res.PauseFrames))
-			addIntegrityRow(integ, fmt.Sprintf("%s@%.1f", pol, load), res)
 		}
 		tab.AddRow(row...)
 	}
 	if err := tab.Fprint(w); err != nil {
 		return nil, err
 	}
-	if err := integ.Fprint(w); err != nil {
+	if err := sweepIntegrity("Table II integrity: lossless gaps / violations / MMU audits", sweep, w); err != nil {
 		return nil, err
 	}
 	return tab, nil
@@ -517,8 +460,8 @@ func RunFig7(scale Scale, w io.Writer) (*SweepResult, error) {
 }
 
 // RunTable2 runs Table II on a default harness; see Harness.RunTable2.
-func RunTable2(scale Scale, prior *SweepResult, w io.Writer) (*Table, error) {
-	return defaultHarness().RunTable2(scale, prior, w)
+func RunTable2(scale Scale, w io.Writer) (*Table, error) {
+	return defaultHarness().RunTable2(scale, w)
 }
 
 // RunFig8 runs Fig. 8 on a default harness; see Harness.RunFig8.

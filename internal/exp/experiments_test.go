@@ -2,7 +2,9 @@ package exp
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 )
@@ -35,7 +37,7 @@ func TestRunFig3aProducesOccupancyTable(t *testing.T) {
 
 func TestRunTable2Shape(t *testing.T) {
 	var buf bytes.Buffer
-	tab, err := RunTable2(ScaleTiny, nil, &buf)
+	tab, err := RunTable2(ScaleTiny, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,136 +54,100 @@ func TestRunTable2Shape(t *testing.T) {
 	}
 }
 
+// TestRunTable2ReusesPriorSweep: Table II is the pause-frame column of
+// Fig. 7, so on a harness with a store a finished Fig. 7 sweep leaves Table
+// II nothing to simulate — every cell is a store hit, no event is added —
+// and the table equals one computed from scratch.
 func TestRunTable2ReusesPriorSweep(t *testing.T) {
-	// A prior Fig. 7 sweep at the same scale must be reused without
-	// re-simulation: verify the cells come from the prior result set.
-	var buf bytes.Buffer
-	sweep, err := NewHarness(1).runLoadSweep("fig7", ScaleTiny, []string{"DT", "DT2", "ABM", "L2BM"}, Table2Loads, nil)
+	h := NewHarness(0)
+	h.Cache = &ResultCache{}
+	if _, err := h.RunFig7(ScaleTiny, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if h.RestoredPoints() != 0 {
+		t.Fatalf("Fig. 7 on an empty store restored %d points", h.RestoredPoints())
+	}
+	points, events := h.TotalPoints(), h.TotalEvents()
+
+	var reused bytes.Buffer
+	if _, err := h.RunTable2(ScaleTiny, &reused); err != nil {
+		t.Fatal(err)
+	}
+	cells := uint64(len(table2Policies) * len(Table2Loads))
+	if h.RestoredPoints() != cells || h.TotalPoints()-points != cells || h.TotalEvents() != events {
+		t.Errorf("Table II after Fig. 7: %d of %d points restored, %d events simulated; want %d of %d and 0",
+			h.RestoredPoints(), h.TotalPoints()-points, h.TotalEvents()-events, cells, cells)
+	}
+
+	var fresh bytes.Buffer
+	if _, err := RunTable2(ScaleTiny, &fresh); err != nil {
+		t.Fatal(err)
+	}
+	if reused.String() != fresh.String() {
+		t.Errorf("Table II from the Fig. 7 store differs from a fresh one:\n--- reused ---\n%s\n--- fresh ---\n%s",
+			reused.String(), fresh.String())
+	}
+}
+
+// TestRunTable2PartialPriorRegression: a store holding only part of the grid
+// (what a killed Fig. 7 leaves behind, or a Fig. 7 restricted to some
+// policies) is reused cell by cell and only the absent cells are simulated.
+// The stored cells are sentinels — pause counts no run produces — so reuse is
+// visible in the table.
+func TestRunTable2PartialPriorRegression(t *testing.T) {
+	cache := &ResultCache{}
+	sentinel := func(pol string, li int) uint64 {
+		if pol == "DT" {
+			return uint64(1000 + li)
+		}
+		return uint64(1100 + li)
+	}
+	stored := 0
+	for _, cell := range []struct {
+		pol   string
+		loads int // the first this many of Table2Loads
+	}{{"DT", len(Table2Loads)}, {"ABM", 2}} {
+		for li := 0; li < cell.loads; li++ {
+			raw, err := json.Marshal(&Result{Policy: cell.pol, PauseFrames: sentinel(cell.pol, li)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec := HybridSpec{Name: "fig7", Policy: cell.pol, Scale: ScaleTiny, RDMALoad: 0.4, TCPLoad: Table2Loads[li]}
+			if err := cache.Put(spec, raw); err != nil {
+				t.Fatal(err)
+			}
+			stored++
+		}
+	}
+
+	h := NewHarness(0)
+	h.Cache = cache
+	tab, err := h.RunTable2(ScaleTiny, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sweep.Loads = Table2Loads
-	tab, err := RunTable2(ScaleTiny, sweep, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Row order in RunTable2 is ABM, DT, DT2, L2BM; check one cell.
+	// Row order in RunTable2 is ABM, DT, DT2, L2BM.
 	for i, pol := range []string{"ABM", "DT", "DT2", "L2BM"} {
 		if tab.Rows[i][0] != pol {
 			t.Fatalf("row %d policy = %q, want %q", i, tab.Rows[i][0], pol)
 		}
 	}
-}
-
-// syntheticSweep builds a prior with sentinel results (distinct pause
-// counts) so reuse is observable without re-simulating.
-func syntheticSweep(policies []string, loads []float64) *SweepResult {
-	s := &SweepResult{Policies: policies, Loads: loads, Cells: make(map[string][]*Result)}
-	for pi, pol := range policies {
-		for li := range loads {
-			s.Cells[pol] = append(s.Cells[pol], &Result{PauseFrames: uint64(1000 + 100*pi + li)})
-		}
-	}
-	return s
-}
-
-// TestRunTable2PartialPriorRegression: a prior sweep lacking a policy (the
-// Fig. 3(b) shape: DT/ABM only) used to panic on nil-slice indexing, and
-// loads produced by arithmetic (0.1*4 != 0.4) used to miss via exact float
-// equality. The lookup must guard absent policies, epsilon-compare loads,
-// and stop at the first hit.
-func TestRunTable2PartialPriorRegression(t *testing.T) {
-	// Loads arrive via arithmetic so exact == comparison would miss.
-	loads := make([]float64, len(Table2Loads))
-	for i := range loads {
-		loads[i] = float64(4+i) * 0.1 // 0.4..0.8 with float error
-	}
-	prior := syntheticSweep([]string{"DT", "ABM"}, loads)
-	// Make one present policy ragged too: shorter Cells than Loads.
-	prior.Cells["ABM"] = prior.Cells["ABM"][:2]
-
-	var buf bytes.Buffer
-	tab, err := RunTable2(ScaleTiny, prior, &buf) // must not panic
-	if err != nil {
-		t.Fatal(err)
-	}
-	// DT row (index 1) must carry the sentinel pause counts from the prior.
 	for li := range Table2Loads {
-		want := fmt.Sprint(1000 + li) // pi=0 for DT in the synthetic sweep
-		if got := tab.Rows[1][1+li]; got != want {
-			t.Errorf("DT load %d: cell = %q, want sentinel %s (prior not reused)", li, got, want)
+		if got, want := tab.Rows[1][1+li], fmt.Sprint(sentinel("DT", li)); got != want {
+			t.Errorf("DT load %d: cell = %q, want sentinel %s (store not reused)", li, got, want)
 		}
 	}
-	// ABM's two surviving cells reused; the ragged tail re-simulated.
 	for li := 0; li < 2; li++ {
-		want := fmt.Sprint(1100 + li)
-		if got := tab.Rows[0][1+li]; got != want {
+		if got, want := tab.Rows[0][1+li], fmt.Sprint(sentinel("ABM", li)); got != want {
 			t.Errorf("ABM load %d: cell = %q, want sentinel %s", li, got, want)
 		}
 	}
-}
-
-func TestSweepLookup(t *testing.T) {
-	s := syntheticSweep([]string{"DT"}, []float64{0.4, 0.5})
-	if (*SweepResult)(nil).Lookup("DT", 0.4) != nil {
-		t.Error("nil sweep should return nil")
+	if got := tab.Rows[0][3]; got == fmt.Sprint(sentinel("ABM", 2)) {
+		t.Errorf("ABM load 2 shows a sentinel that was never stored: %q", got)
 	}
-	if s.Lookup("L2BM", 0.4) != nil {
-		t.Error("absent policy should return nil, not panic")
-	}
-	if s.Lookup("DT", 0.6) != nil {
-		t.Error("absent load should return nil")
-	}
-	if got := s.Lookup("DT", 0.1*4); got == nil || got.PauseFrames != 1000 {
-		t.Errorf("epsilon load match failed: %+v", got)
-	}
-	s.Cells["DT"] = s.Cells["DT"][:1]
-	if s.Lookup("DT", 0.5) != nil {
-		t.Error("ragged cell row should return nil, not panic")
-	}
-}
-
-// TestSweepLookupEdges covers the remaining degenerate shapes a partially
-// populated or hand-built sweep can take.
-func TestSweepLookupEdges(t *testing.T) {
-	// Zero value: no Cells map at all.
-	var zero SweepResult
-	if zero.Lookup("DT", 0.4) != nil {
-		t.Error("zero-value sweep should return nil, not panic")
-	}
-
-	s := syntheticSweep([]string{"DT"}, []float64{0.4, 0.5})
-
-	// Epsilon boundary: within loadEpsilon matches, at/beyond it does not.
-	if s.Lookup("DT", 0.4+loadEpsilon/2) == nil {
-		t.Error("load within epsilon should match")
-	}
-	if s.Lookup("DT", 0.4+2*loadEpsilon) != nil {
-		t.Error("load beyond epsilon should not match")
-	}
-
-	// Loads present but the cell row is empty (grid never ran).
-	s.Cells["DT"] = nil
-	if s.Lookup("DT", 0.4) != nil {
-		t.Error("empty cell row should return nil")
-	}
-
-	// A nil hole inside an otherwise populated row (failed point under
-	// KeepGoing) comes back as nil rather than a dangling dereference.
-	s2 := syntheticSweep([]string{"DT"}, []float64{0.4, 0.5})
-	s2.Cells["DT"][1] = nil
-	if s2.Lookup("DT", 0.5) != nil {
-		t.Error("nil cell should surface as nil")
-	}
-	if s2.Lookup("DT", 0.4) == nil {
-		t.Error("populated neighbor of a nil cell should still match")
-	}
-
-	// Empty Loads axis.
-	s3 := &SweepResult{Policies: []string{"DT"}, Loads: nil,
-		Cells: map[string][]*Result{"DT": {}}}
-	if s3.Lookup("DT", 0.4) != nil {
-		t.Error("empty loads axis should return nil")
+	if h.RestoredPoints() != uint64(stored) || h.TotalEvents() == 0 {
+		t.Errorf("restored %d points (stored %d), simulated %d events; want the stored ones restored and the rest run",
+			h.RestoredPoints(), stored, h.TotalEvents())
 	}
 }
 

@@ -3,6 +3,7 @@ package exp
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -24,14 +25,11 @@ type Harness struct {
 	// Trace, when non-nil, arms the flight recorder on every point the
 	// harness runs (specs with their own TraceSpec keep it).
 	Trace *TraceSpec
-	// TraceDir, when non-empty, exports each traced point's artifacts there
-	// after its grid completes, prefixed with a running point number so
-	// names are unique and worker-count independent.
+	// TraceDir, when non-empty, exports each traced point there after its
+	// grid completes as one columnar <NNN>-<stem>.col file (Result.WriteCol;
+	// read it with cmd/l2bmtrace), NNN a running point number so names are
+	// unique and worker-count independent.
 	TraceDir string
-	// TraceFormat selects the TraceDir export format: "" or TraceFormatCSV
-	// writes the per-channel CSV/JSONL files, TraceFormatCol one columnar
-	// .col file per point (see internal/colfmt).
-	TraceFormat string
 	// Shards, when >= 1, runs every point on that many psim shards (specs
 	// carrying their own Shards keep it). Results are byte-identical for any
 	// legal shard count, so tables and progress lines do not change — only
@@ -43,13 +41,16 @@ type Harness struct {
 	// through the fluid layer. Unlike Shards, hybrid fidelity changes
 	// results — within the divergence bound DESIGN.md §14 states.
 	Fidelity string
-	// CheckpointDir, when non-empty, makes every grid crash-resumable:
-	// completed points append to <dir>/sweep-<hash>.jsonl (hash = content
-	// hash of the grid's specs) and a rerun of the same grid restores them
-	// instead of recomputing, yielding byte-identical output. Grids whose
-	// specs carry funcs (PolicyFactory, TopoOverride, Hooks, a LinkFilter,
-	// or tracing — including Harness.Trace) refuse to checkpoint.
-	CheckpointDir string
+	// Cache, when non-nil, is consulted per point: a point it holds is
+	// restored instead of simulated (byte-identical output either way), and
+	// every point that does run is stored by the worker that finished it. A
+	// disk-backed cache (Cache.Dir != "") makes every grid crash-resumable —
+	// a kill loses only the points still running — and such a grid refuses
+	// upfront a spec the store cannot hold (PolicyFactory, TopoOverride,
+	// Hooks, a LinkFilter, or tracing — including Harness.Trace) rather than
+	// resume it wrongly. A memory-only cache serves overlapping grids within
+	// one process (Table II after Fig. 7) and lets unstorable points just run.
+	Cache *ResultCache
 	// KeepGoing degrades gracefully instead of halting: a failed point is
 	// recorded and skipped, the rest of the grid still runs and emits, and
 	// runAll returns a *FailureSummary. See Pool.KeepGoing.
@@ -59,6 +60,7 @@ type Harness struct {
 	PointTimeout time.Duration
 
 	points      atomic.Uint64
+	restored    atomic.Uint64
 	events      atomic.Uint64
 	fallbacks   atomic.Uint64
 	tracePoints int // points seen by trace export numbering (grids run sequentially)
@@ -102,54 +104,32 @@ func (h *Harness) runAll(specs []HybridSpec, emit EmitFunc) ([]*Result, error) {
 			}
 		}
 	}
-	pool := &Pool{Workers: h.Workers, KeepGoing: h.KeepGoing, PointTimeout: h.PointTimeout}
-
-	var restored []*Result
-	var ckpt *checkpointWriter
-	var ckptErr error
-	if h.CheckpointDir != "" {
-		hash, err := sweepHash(specs)
-		if err != nil {
-			return nil, err
-		}
-		restored, ckpt, err = openCheckpoint(h.CheckpointDir, hash, len(specs))
-		if err != nil {
-			return nil, err
-		}
-		defer ckpt.Close()
-		// Persist each newly computed success the moment the collator sees
-		// it (ascending order, single goroutine — no locking needed).
-		pool.Observe = func(i int, r *Result, err error) {
-			if err == nil && r != nil && (restored == nil || restored[i] == nil) {
-				if werr := ckpt.append(i, r); werr != nil && ckptErr == nil {
-					ckptErr = werr
-				}
+	if h.Cache != nil && h.Cache.Dir != "" {
+		for i, sp := range specs {
+			if why := checkpointIneligible(sp); why != "" {
+				return nil, fmt.Errorf("exp: point %d carries %s, which does not serialize — run without -resume or drop the field", i, why)
 			}
 		}
 	}
 
+	pool := &Pool{Workers: h.Workers, KeepGoing: h.KeepGoing, PointTimeout: h.PointTimeout}
+	var restoredEvents atomic.Uint64
 	results, stats, err := pool.Run(h.context(), len(specs),
 		func(ctx context.Context, i int) (*Result, error) {
-			if restored != nil && restored[i] != nil {
-				// Determinism makes the stored result indistinguishable
-				// from a recomputed one; reattach the in-memory spec that
-				// JSON could not carry.
-				r := restored[i]
-				r.Spec = specs[i]
-				return r, nil
+			res, hit, err := h.Cache.GetOrRun(ctx, specs[i])
+			if hit {
+				h.restored.Add(1)
+				restoredEvents.Add(res.Events)
 			}
-			return RunHybridCtx(ctx, specs[i])
+			return res, err
 		},
 		emit)
 	h.points.Add(uint64(stats.Points))
-	h.events.Add(stats.Events)
+	h.events.Add(stats.Events - restoredEvents.Load())
 	for _, res := range results {
 		if res != nil && res.FidelityFallback != "" {
 			h.fallbacks.Add(1)
 		}
-	}
-	if err == nil && ckptErr != nil {
-		return results, ckptErr
 	}
 	if err == nil && h.TraceDir != "" {
 		base := h.tracePoints
@@ -158,7 +138,8 @@ func (h *Harness) runAll(specs []HybridSpec, emit EmitFunc) ([]*Result, error) {
 			if res == nil || res.Trace == nil {
 				continue
 			}
-			if _, werr := res.WriteTraceFormat(h.TraceDir, fmt.Sprintf("%03d-", base+i), h.TraceFormat); werr != nil {
+			path := filepath.Join(h.TraceDir, fmt.Sprintf("%03d-%s.col", base+i, res.TraceFileStem()))
+			if werr := writeColFile(path, res); werr != nil {
 				return results, fmt.Errorf("exp: trace export: %w", werr)
 			}
 		}
@@ -169,8 +150,13 @@ func (h *Harness) runAll(specs []HybridSpec, emit EmitFunc) ([]*Result, error) {
 // TotalPoints returns how many simulation points completed so far.
 func (h *Harness) TotalPoints() uint64 { return h.points.Load() }
 
+// RestoredPoints returns how many of those points Cache served instead of
+// the simulator.
+func (h *Harness) RestoredPoints() uint64 { return h.restored.Load() }
+
 // TotalEvents returns the simulated-event count accumulated across all
-// completed points — divide by wall time for aggregate events/s.
+// points that actually ran (a restored point cost no events) — divide by
+// wall time for aggregate events/s.
 func (h *Harness) TotalEvents() uint64 { return h.events.Load() }
 
 // FidelityFallbacks returns how many completed points recorded a

@@ -2,8 +2,6 @@ package exp
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -30,8 +28,8 @@ func stripPoolFields(r *Result) Result {
 
 // TestPooledFig7PointByteIdentical is the tentpole's hard constraint on a
 // Fig. 7 point: a pooled run and a pool-disabled run must be byte-identical
-// — same Result down to every metric, and byte-for-byte identical exported
-// trace files. Pooling is a memory-management change, never a model change.
+// — same Result down to every metric, and a byte-for-byte identical exported
+// trace. Pooling is a memory-management change, never a model change.
 func TestPooledFig7PointByteIdentical(t *testing.T) {
 	base := HybridSpec{
 		Name: "fig7", Policy: "L2BM", Scale: ScaleTiny,
@@ -39,7 +37,7 @@ func TestPooledFig7PointByteIdentical(t *testing.T) {
 		Trace: &TraceSpec{SampleEvery: 50 * sim.Microsecond},
 	}
 
-	run := func(override func(*topo.Config)) (*Result, map[string][]byte) {
+	run := func(override func(*topo.Config)) (*Result, []byte) {
 		t.Helper()
 		spec := base
 		spec.TopoOverride = override
@@ -47,24 +45,11 @@ func TestPooledFig7PointByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dir := t.TempDir()
-		paths, err := res.WriteTrace(dir, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		files := make(map[string][]byte, len(paths))
-		for _, p := range paths {
-			b, err := os.ReadFile(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			files[filepath.Base(p)] = b
-		}
-		return res, files
+		return res, colBytes(t, res)
 	}
 
-	pooled, pooledFiles := run(nil)
-	plain, plainFiles := run(disablePool)
+	pooled, pooledCol := run(nil)
+	plain, plainCol := run(disablePool)
 
 	// The two arms must actually be different configurations.
 	if pooled.PoolGets == 0 {
@@ -77,19 +62,9 @@ func TestPooledFig7PointByteIdentical(t *testing.T) {
 	if a, b := stripPoolFields(pooled), stripPoolFields(plain); !reflect.DeepEqual(a, b) {
 		t.Errorf("pooled and pool-disabled results diverged:\n  pooled: %+v\n  plain:  %+v", a, b)
 	}
-	if len(pooledFiles) != len(plainFiles) || len(pooledFiles) == 0 {
-		t.Fatalf("trace file sets differ: %d vs %d", len(pooledFiles), len(plainFiles))
-	}
-	for name, pb := range pooledFiles {
-		qb, ok := plainFiles[name]
-		if !ok {
-			t.Errorf("pool-disabled run missing trace file %s", name)
-			continue
-		}
-		if !bytes.Equal(pb, qb) {
-			t.Errorf("trace file %s differs between pooled and pool-disabled runs (%d vs %d bytes)",
-				name, len(pb), len(qb))
-		}
+	if !bytes.Equal(pooledCol, plainCol) {
+		t.Errorf("exported columnar trace differs between pooled and pool-disabled runs (%d vs %d bytes)",
+			len(pooledCol), len(plainCol))
 	}
 }
 

@@ -119,7 +119,7 @@ type AuditSpec struct {
 }
 
 // RunHooks are test-only interception points; production specs leave this
-// nil. Specs carrying hooks cannot be checkpointed (funcs don't serialize).
+// nil. Specs carrying hooks cannot be stored or resumed (funcs don't serialize).
 type RunHooks struct {
 	// PostBuild runs once right after the cluster is built, before any
 	// traffic or observers are armed — the place a mutation test plants a
@@ -155,9 +155,9 @@ type IncastSpec struct {
 // Result is everything a figure/table needs from one run.
 type Result struct {
 	// Spec is carried for in-process consumers; it is excluded from JSON
-	// (checkpoints): its func-valued fields (PolicyFactory, TopoOverride,
-	// Hooks, Trace) do not serialize, and resume re-derives the spec from
-	// the sweep grid anyway.
+	// (cache entries): its func-valued fields (PolicyFactory, TopoOverride,
+	// Hooks, Trace) do not serialize, and a restore reattaches the spec that
+	// asked anyway.
 	Spec   HybridSpec `json:"-"`
 	Policy string
 
@@ -173,9 +173,8 @@ type Result struct {
 	TorOccupancy [][]metrics.Reading
 
 	// Trace is the flight recorder armed by Spec.Trace (nil when tracing
-	// was off). Export with WriteTrace or the trace.Recorder writers.
-	// Excluded from JSON checkpoints: traced sweeps are checkpoint-
-	// ineligible (the recorder is unbounded relative to point results).
+	// was off). Export with WriteCol. Excluded from JSON: a traced spec is
+	// never stored (the recorder is unbounded relative to point results).
 	Trace *trace.Recorder `json:"-"`
 
 	// PauseFrames is the total XOFF count across all switches (the Fig.

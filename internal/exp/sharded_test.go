@@ -1,9 +1,8 @@
 package exp
 
 import (
+	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"l2bm/internal/core"
@@ -56,12 +55,12 @@ func shardSpec(shards int) HybridSpec {
 
 // TestShardCountInvariance is the tentpole acceptance test: the same data
 // point run at 1, 2 and 4 shards must produce byte-identical results,
-// including exported trace files.
+// including the exported columnar trace.
 func TestShardCountInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run determinism suite")
 	}
-	dirs := map[int]string{}
+	cols := map[int][]byte{}
 	prints := map[int]string{}
 	for _, shards := range []int{1, 2, 4} {
 		spec := shardSpec(shards)
@@ -77,12 +76,7 @@ func TestShardCountInvariance(t *testing.T) {
 			t.Fatalf("shards=%d: audit errors: %v", shards, res.AuditErrors)
 		}
 		prints[shards] = shardFingerprint(res)
-
-		dir := t.TempDir()
-		if _, err := res.WriteTrace(dir, "det"); err != nil {
-			t.Fatalf("shards=%d: WriteTrace: %v", shards, err)
-		}
-		dirs[shards] = dir
+		cols[shards] = colBytes(t, res)
 	}
 
 	for _, shards := range []int{2, 4} {
@@ -90,7 +84,9 @@ func TestShardCountInvariance(t *testing.T) {
 			t.Errorf("shards=%d diverged from shards=1:\n--- 1 ---\n%.2000s\n--- %d ---\n%.2000s",
 				shards, prints[1], shards, prints[shards])
 		}
-		compareTraceDirs(t, dirs[1], dirs[shards], shards)
+		if !bytes.Equal(cols[shards], cols[1]) {
+			t.Errorf("shards=%d: columnar trace differs from shards=1", shards)
+		}
 	}
 }
 
@@ -139,27 +135,18 @@ func TestShardCountInvarianceRegistrySweep(t *testing.T) {
 	}
 }
 
-// compareTraceDirs byte-compares every exported trace file.
-func compareTraceDirs(t *testing.T, ref, got string, shards int) {
+// colBytes renders res's one export — every flight-recorder channel and
+// metrics series (WriteCol) — for byte comparison.
+func colBytes(t *testing.T, res *Result) []byte {
 	t.Helper()
-	refFiles, err := filepath.Glob(filepath.Join(ref, "*"))
-	if err != nil || len(refFiles) == 0 {
-		t.Fatalf("no trace files in %s (err=%v)", ref, err)
+	var buf bytes.Buffer
+	if err := res.WriteCol(&buf); err != nil {
+		t.Fatalf("WriteCol: %v", err)
 	}
-	for _, rf := range refFiles {
-		name := filepath.Base(rf)
-		want, err := os.ReadFile(rf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		have, err := os.ReadFile(filepath.Join(got, name))
-		if err != nil {
-			t.Fatalf("shards=%d: missing trace file %s", shards, name)
-		}
-		if string(want) != string(have) {
-			t.Errorf("shards=%d: trace file %s differs from shards=1", shards, name)
-		}
+	if res.Trace != nil && buf.Len() == 0 {
+		t.Fatal("traced run exported nothing")
 	}
+	return buf.Bytes()
 }
 
 // TestShardCountInvarianceUnderFaults re-runs the invariance check with the

@@ -1,9 +1,9 @@
 package exp
 
-// Flight-recorder wiring: arming a run's trace.Recorder and exporting its
-// channels as per-point CSV/JSONL files with deterministic names, so the
+// Flight-recorder wiring: arming a run's trace.Recorder and exporting it as
+// one columnar file per point with a deterministic name, so the
 // occupancy/pause/threshold timelines behind Figs. 7(c), 7(d), 8 and 10(c)
-// drop out of any figure runner.
+// drop out of any figure runner (cmd/l2bmtrace prints a channel as CSV).
 
 import (
 	"fmt"
@@ -49,94 +49,19 @@ func (r *Result) TraceFileStem() string {
 	}, stem)
 }
 
-// WriteTrace exports this run's retained trace as five files in dir:
-// <prefix><stem>-occupancy.csv, -pauses.csv, -weights.csv, -events.csv and
-// .jsonl (all channels interleaved in time order). Pause episodes are
-// closed at the run's EndTime. It returns the written paths; a run without
-// an armed recorder writes nothing.
-func (r *Result) WriteTrace(dir, prefix string) ([]string, error) {
-	if r.Trace == nil {
-		return nil, nil
+// writeColFile writes res's columnar artifact (WriteCol) to path, creating
+// the directory if needed.
+func writeColFile(path string, res *Result) error {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	stem := prefix + r.TraceFileStem()
-	var written []string
-	write := func(name string, fn func(f *os.File) error) error {
-		path := filepath.Join(dir, name)
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := fn(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		written = append(written, path)
-		return nil
-	}
-	steps := []struct {
-		suffix string
-		fn     func(f *os.File) error
-	}{
-		{"-occupancy.csv", func(f *os.File) error { return r.Trace.WriteOccupancyCSV(f) }},
-		{"-pauses.csv", func(f *os.File) error { return r.Trace.WritePauseIntervalsCSV(f, r.EndTime) }},
-		{"-weights.csv", func(f *os.File) error { return r.Trace.WriteWeightsCSV(f) }},
-		{"-events.csv", func(f *os.File) error { return r.Trace.WritePacketEventsCSV(f) }},
-		{".jsonl", func(f *os.File) error { return r.Trace.WriteJSONL(f) }},
-	}
-	for _, s := range steps {
-		if err := write(stem+s.suffix, s.fn); err != nil {
-			return written, err
-		}
-	}
-	return written, nil
-}
-
-// Trace export formats for WriteTraceFormat and the CLI -format flag.
-const (
-	// TraceFormatCSV is the row-wise export: five files per point
-	// (per-channel CSVs plus interleaved JSONL). The default.
-	TraceFormatCSV = "csv"
-	// TraceFormatCol is the columnar binary export: one <stem>.col file per
-	// point carrying every trace channel and metrics series (internal/colfmt).
-	TraceFormatCol = "col"
-)
-
-// WriteTraceFormat exports this run's artifacts in the named format: "" or
-// TraceFormatCSV behaves exactly like WriteTrace; TraceFormatCol writes a
-// single columnar <prefix><stem>.col file (see WriteCol). Like WriteTrace,
-// a run without an armed recorder writes nothing.
-func (r *Result) WriteTraceFormat(dir, prefix, format string) ([]string, error) {
-	switch format {
-	case "", TraceFormatCSV:
-		return r.WriteTrace(dir, prefix)
-	case TraceFormatCol:
-	default:
-		return nil, fmt.Errorf("exp: unknown trace format %q (want %q or %q)",
-			format, TraceFormatCSV, TraceFormatCol)
-	}
-	if r.Trace == nil {
-		return nil, nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	path := filepath.Join(dir, prefix+r.TraceFileStem()+".col")
 	f, err := os.Create(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if err := r.WriteCol(f); err != nil {
+	if err := res.WriteCol(f); err != nil {
 		f.Close()
-		return nil, err
+		return err
 	}
-	if err := f.Close(); err != nil {
-		return nil, err
-	}
-	return []string{path}, nil
+	return f.Close()
 }

@@ -2,12 +2,13 @@ package exp
 
 import (
 	"bytes"
-	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"l2bm/internal/colfmt"
 	"l2bm/internal/sim"
+	"l2bm/internal/trace"
 )
 
 // tracedTinySpec arms the flight recorder on the shared tiny smoke spec.
@@ -98,59 +99,33 @@ func TestTracedFigureOutputByteIdentical(t *testing.T) {
 }
 
 // TestTracedRunsProduceByteIdenticalTraceFiles replays one traced point and
-// diffs every exported artifact byte-for-byte: the recorder's rings, the
-// exporters' ordering and the file naming must all be deterministic.
+// diffs the exported artifact byte-for-byte: the recorder's rings and the
+// exporter's ordering must be deterministic.
 func TestTracedRunsProduceByteIdenticalTraceFiles(t *testing.T) {
 	spec := tracedTinySpec("L2BM")
 	spec.Trace.SampleEvery = 50 * sim.Microsecond
 
-	export := func(dir string) map[string][]byte {
+	export := func() []byte {
 		t.Helper()
 		res, err := RunHybrid(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		paths, err := res.WriteTrace(dir, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(paths) != 5 {
-			t.Fatalf("exported %d files, want 5 (occupancy, pauses, weights, events, jsonl)", len(paths))
-		}
-		out := make(map[string][]byte, len(paths))
-		for _, p := range paths {
-			b, err := os.ReadFile(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[filepath.Base(p)] = b
-		}
-		return out
+		return colBytes(t, res)
 	}
 
-	a := export(t.TempDir())
-	b := export(t.TempDir())
-	if len(a) != len(b) {
-		t.Fatalf("file sets differ: %d vs %d", len(a), len(b))
+	a, b := export(), export()
+	if !bytes.Equal(a, b) {
+		t.Errorf("exported trace differs between identical traced runs (%d vs %d bytes)", len(a), len(b))
 	}
-	for name, ab := range a {
-		bb, ok := b[name]
-		if !ok {
-			t.Errorf("second run missing %s", name)
-			continue
-		}
-		if !bytes.Equal(ab, bb) {
-			t.Errorf("%s differs between identical traced runs (%d vs %d bytes)", name, len(ab), len(bb))
-		}
+	// The occupancy timeline must carry data: an empty trace would make the
+	// byte-diff vacuous.
+	d, err := colfmt.Decode(a)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The occupancy timeline must carry data beyond its header: an empty
-	// trace would make the byte-diff vacuous.
-	for name, content := range a {
-		if filepath.Ext(name) == ".csv" && name == "smoke-l2bm-r40-t40-occupancy.csv" {
-			if bytes.Count(content, []byte("\n")) < 3 {
-				t.Errorf("occupancy CSV nearly empty:\n%s", content)
-			}
-		}
+	if occ := d.Channel(trace.ColOccupancy); occ == nil || occ.Rows() < 3 {
+		t.Errorf("occupancy channel nearly empty: %v", occ)
 	}
 }
 

@@ -50,7 +50,7 @@ func (s *Scale) UnmarshalJSON(data []byte) error {
 }
 
 // SweepRequest is one sweep submission: a named list of point specs. Specs
-// use their Go field names on the wire (the same encoding checkpoints use);
+// use their Go field names on the wire (the same encoding cache entries use);
 // func-valued fields are excluded by their json tags, so a wire spec is
 // always plain data.
 type SweepRequest struct {

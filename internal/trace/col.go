@@ -1,11 +1,11 @@
 package trace
 
-// Columnar export: the recorder's channels rendered into a colfmt.File,
-// mirroring the CSV exporters column-for-column (same names, same units,
-// same derived pause-interval view) so either format carries the full
-// flight-recorder story. Strings (switch names, event kinds, classes) are
-// dictionary-encoded and timestamps delta-encoded, which is where the
-// columnar file wins its size advantage over row-wise CSV.
+// Columnar export — the recorder's one encoding: its channels rendered into
+// a colfmt.File, one column per field plus the derived pause-interval view.
+// Timestamps are integer picoseconds (`*_ps`) so files from two runs diff
+// cleanly — no float formatting ambiguity. Strings (switch names, event
+// kinds, classes) are dictionary-encoded and timestamps delta-encoded, which
+// is where the columnar file wins its size advantage over row-wise text.
 
 import (
 	"l2bm/internal/colfmt"
@@ -22,8 +22,8 @@ const (
 )
 
 // AppendCol renders every retained channel into f. Pause episodes are
-// reconstructed up to horizon, exactly like WritePauseIntervalsCSV. A nil
-// recorder appends nothing.
+// reconstructed up to horizon (an episode still open there is closed at it
+// and flagged open). A nil recorder appends nothing.
 func (r *Recorder) AppendCol(f *colfmt.File, horizon sim.Time) {
 	if r == nil {
 		return

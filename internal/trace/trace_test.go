@@ -2,11 +2,9 @@ package trace
 
 import (
 	"bytes"
-	"encoding/json"
-	"strings"
 	"testing"
 
-	"l2bm/internal/pkt"
+	"l2bm/internal/colfmt"
 	"l2bm/internal/sim"
 )
 
@@ -69,9 +67,14 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	if r.PauseIntervals(0) != nil {
 		t.Fatal("nil recorder returned pause intervals")
 	}
+	f := colfmt.NewFile()
+	r.AppendCol(f, 0)
 	var buf bytes.Buffer
-	if err := r.WriteJSONL(&buf); err != nil || buf.Len() != 0 {
-		t.Fatalf("nil WriteJSONL: err=%v len=%d", err, buf.Len())
+	if _, err := f.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if d, err := colfmt.Decode(buf.Bytes()); err != nil || len(d.Channels()) != 0 {
+		t.Fatalf("nil AppendCol: err=%v channels=%v", err, d.Channels())
 	}
 }
 
@@ -187,78 +190,6 @@ func TestSamplerRejectsNonPositiveInterval(t *testing.T) {
 		}
 	}()
 	NewSampler(sim.NewEngine(1), NewRecorder(0), 0)
-}
-
-func TestCSVExporters(t *testing.T) {
-	r := NewRecorder(0)
-	r.RecordOcc(OccSample{At: 5, Switch: "s0", Resident: 100, SharedUsed: 60})
-	r.RecordPFC(PFCEvent{At: 7, Switch: "s0", Port: 2, Prio: 3, Kind: PFCAssert})
-	r.RecordPFC(PFCEvent{At: 9, Switch: "s0", Port: 2, Prio: 3, Kind: PFCRelease})
-	r.RecordWeight(WeightSample{At: 8, Switch: "s0", Port: 2, Prio: 3, Tau: 1500, Weight: 0.25, Threshold: 4096})
-	r.RecordPacketEvent(PacketEvent{At: 9, Switch: "s0", Port: 1, Prio: 0, Kind: DropLossyIngress, Size: 1500, Class: pkt.ClassLossy})
-
-	var occ, pause, wts, pkts bytes.Buffer
-	if err := r.WriteOccupancyCSV(&occ); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.WritePauseIntervalsCSV(&pause, 100); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.WriteWeightsCSV(&wts); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.WritePacketEventsCSV(&pkts); err != nil {
-		t.Fatal(err)
-	}
-	if got := occ.String(); got != "at_ps,switch,resident,shared_used\n5,s0,100,60\n" {
-		t.Fatalf("occupancy CSV:\n%s", got)
-	}
-	if got := pause.String(); got != "switch,port,prio,view,from_ps,to_ps,duration_ps,open\ns0,2,3,mmu,7,9,2,0\n" {
-		t.Fatalf("pause CSV:\n%s", got)
-	}
-	if !strings.Contains(wts.String(), "8,s0,2,3,1500,0.25,4096") {
-		t.Fatalf("weights CSV:\n%s", wts.String())
-	}
-	if !strings.Contains(pkts.String(), "9,s0,1,0,drop-ingress,1500,lossy") {
-		t.Fatalf("packet CSV:\n%s", pkts.String())
-	}
-}
-
-func TestJSONLInterleavesInTimeOrder(t *testing.T) {
-	r := NewRecorder(0)
-	r.RecordPacketEvent(PacketEvent{At: 30, Switch: "s0", Kind: ECNMark})
-	r.RecordOcc(OccSample{At: 10, Switch: "s0"})
-	r.RecordPFC(PFCEvent{At: 20, Switch: "s0", Kind: PFCAssert})
-	r.RecordWeight(WeightSample{At: 20, Switch: "s0"})
-	var buf bytes.Buffer
-	if err := r.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("got %d lines:\n%s", len(lines), buf.String())
-	}
-	var seen []struct {
-		Type string `json:"type"`
-		At   int64  `json:"at_ps"`
-	}
-	for _, ln := range lines {
-		var rec struct {
-			Type string `json:"type"`
-			At   int64  `json:"at_ps"`
-		}
-		if err := json.Unmarshal([]byte(ln), &rec); err != nil {
-			t.Fatalf("bad JSONL line %q: %v", ln, err)
-		}
-		seen = append(seen, rec)
-	}
-	wantOrder := []string{"occ", "pfc", "weight", "pkt"}
-	wantAt := []int64{10, 20, 20, 30}
-	for i := range seen {
-		if seen[i].Type != wantOrder[i] || seen[i].At != wantAt[i] {
-			t.Fatalf("line %d = %+v, want type=%s at=%d", i, seen[i], wantOrder[i], wantAt[i])
-		}
-	}
 }
 
 func TestStatsCountsEviction(t *testing.T) {
