@@ -1,23 +1,20 @@
-// Benchmarks regenerating every table and figure of the paper's evaluation
-// at ScaleTiny (so `go test -bench=.` completes in minutes — use
-// cmd/l2bmexp for larger scales). Each benchmark reports the experiment's
-// headline quantities via b.ReportMetric, so `-bench` output doubles as a
-// compact results table:
+// The Ablation* benchmarks quantify L2BM's design choices (DESIGN.md §6) on
+// the Fig. 7 headline point at ScaleTiny; each reports the point's headline
+// quantities via b.ReportMetric, so `-bench` output doubles as a compact
+// results table:
 //
-//	go test -bench=BenchmarkFig7 -benchtime=1x
+//	go test -bench=BenchmarkAblation -benchtime=1x
 //
-// The Ablation* benchmarks quantify L2BM's design choices (DESIGN.md §6).
+// The paper's figures and tables are `l2bmexp -exp <name>` (its trailer
+// prints events/s and allocs/event); speed across commits is bench/'s job.
 package l2bm_test
 
 import (
-	"io"
-	"sync"
 	"testing"
 
 	"l2bm"
 	"l2bm/internal/core"
 	"l2bm/internal/exp"
-	"l2bm/internal/sim"
 )
 
 // runPoint executes one hybrid data point and reports its metrics.
@@ -37,259 +34,6 @@ func runPoint(b *testing.B, spec exp.HybridSpec) *exp.Result {
 	b.ReportMetric(res.OccupancyP99Fraction(l2bm.DefaultSwitchConfig().TotalShared), "occ-p99-frac")
 	b.ReportMetric(float64(res.Events)/b.Elapsed().Seconds()*float64(b.N), "events/s")
 	return res
-}
-
-// BenchmarkFig3a regenerates the motivation occupancy comparison (TCP vs
-// RDMA under the same workload).
-func BenchmarkFig3a(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.RunFig3a(exp.ScaleTiny, io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig3b regenerates the motivation tail-latency sweep (DT and ABM).
-func BenchmarkFig3b(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.RunFig3b(exp.ScaleTiny, io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig7 regenerates one representative Fig. 7 grid point per
-// policy at the paper's highest load; the full sweep is
-// `l2bmexp -exp fig7`.
-func BenchmarkFig7(b *testing.B) {
-	for _, pol := range exp.PolicyNames {
-		b.Run(pol, func(b *testing.B) {
-			runPoint(b, exp.HybridSpec{
-				Name: "fig7", Policy: pol, Scale: exp.ScaleTiny,
-				RDMALoad: 0.4, TCPLoad: 0.8,
-			})
-		})
-	}
-}
-
-// BenchmarkTable2 regenerates Table II's pause-frame counts across its load
-// range for the two schemes it contrasts hardest (DT vs L2BM).
-func BenchmarkTable2(b *testing.B) {
-	for _, pol := range []string{"DT", "L2BM"} {
-		b.Run(pol, func(b *testing.B) {
-			var pauses uint64
-			for i := 0; i < b.N; i++ {
-				pauses = 0
-				for _, load := range exp.Table2Loads {
-					res, err := exp.RunHybrid(exp.HybridSpec{
-						Name: "fig7", Policy: pol, Scale: exp.ScaleTiny,
-						RDMALoad: 0.4, TCPLoad: load,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					pauses += res.PauseFrames
-				}
-			}
-			b.ReportMetric(float64(pauses), "pause-frames-total")
-		})
-	}
-}
-
-// BenchmarkArenaPoint prices one arena grid cell (the high-load burst
-// cell, the arena's most expensive clean configuration) on the policy with
-// the most machinery in the admission path: Occamy, whose preemption hook
-// sits inside the MMU's drop sites. Guarded in CI via benchguard so the
-// registry/preemption layers stay off the per-packet allocation path.
-func BenchmarkArenaPoint(b *testing.B) {
-	runPoint(b, exp.HybridSpec{
-		Name: "arena", Policy: "Occamy", Scale: exp.ScaleTiny,
-		RDMALoad: 0.4, TCPLoad: 0.8,
-		Incast: &exp.IncastSpec{Fanout: 5, RequestBytes: 1 << 20, QueryRate: 752},
-		Audit:  &exp.AuditSpec{},
-	})
-}
-
-// BenchmarkSweepWorkers measures the parallel experiment scheduler on a
-// multi-policy sweep (Table II's 4 policies x 5 loads): workers=1 is the
-// sequential baseline, workers=0 (GOMAXPROCS) fans the independent points
-// across all cores. On a >=4-core machine the parallel case should be
-// >=2x faster; the collated results are identical either way (see
-// exp.Pool's determinism contract and DESIGN.md §8).
-func BenchmarkSweepWorkers(b *testing.B) {
-	for _, tc := range []struct {
-		name    string
-		workers int
-	}{{"sequential-1", 1}, {"parallel-all", 0}} {
-		b.Run(tc.name, func(b *testing.B) {
-			var events uint64
-			for i := 0; i < b.N; i++ {
-				h := exp.NewHarness(tc.workers)
-				if _, err := h.RunTable2(exp.ScaleTiny, io.Discard); err != nil {
-					b.Fatal(err)
-				}
-				events = h.TotalEvents()
-			}
-			b.ReportMetric(float64(events)/b.Elapsed().Seconds()*float64(b.N), "events/s")
-		})
-	}
-}
-
-// BenchmarkShardedRun measures the sharded conservative-time engine
-// (internal/psim) against the classic sequential engine on one ScaleFull
-// hybrid point (the Fig. 7 headline load: RDMA 0.4 + TCP 0.8 on the
-// 128-server Clos). Results are byte-identical by construction — only
-// events/s changes. Target: >= 1.8x events/s at 4 shards on a >= 4-core
-// machine; single-core machines still see a modest win because four small
-// per-shard event heaps are cheaper to sift than one large one, but cannot
-// exhibit the parallel speedup. `make speedup-shards` runs exactly this
-// benchmark.
-func BenchmarkShardedRun(b *testing.B) {
-	for _, tc := range []struct {
-		name   string
-		shards int
-	}{{"sequential", 0}, {"shards4", 4}} {
-		b.Run(tc.name, func(b *testing.B) {
-			var events uint64
-			for i := 0; i < b.N; i++ {
-				res, err := exp.RunHybrid(exp.HybridSpec{
-					Name: "sharded-bench", Policy: "L2BM", Scale: exp.ScaleFull,
-					RDMALoad: 0.4, TCPLoad: 0.8,
-					Shards: tc.shards,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				events = res.Events
-			}
-			b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
-		})
-	}
-}
-
-// hybridSteadySpec is the steady-state-heavy operating point the
-// hybrid-fidelity benchmark measures: light hybrid traffic (2% RDMA + 2%
-// TCP) over a 40 ms window, where a packet engine grinds through ~500k
-// events of uncontended elephant drain that the fluid layer fast-forwards
-// analytically. Divergence on this spec is bounded by
-// exp.TestHybridDivergence (the "steady" scenario).
-func hybridSteadySpec(fidelity string) exp.HybridSpec {
-	return exp.HybridSpec{
-		Name: "steady", Policy: "L2BM", Scale: exp.ScaleTiny,
-		RDMALoad: 0.02, TCPLoad: 0.02, InterRackOnly: true,
-		WindowOverride: 40 * sim.Millisecond,
-		Fidelity:       fidelity,
-	}
-}
-
-// hybridSteadyPacketEvents lazily measures the packet engine's event count
-// on the steady spec — the denominator both BenchmarkHybridSteadyState
-// variants normalize against.
-var hybridSteadyPacketEvents = struct {
-	once   sync.Once
-	events uint64
-}{}
-
-func steadyPacketEvents(b *testing.B) uint64 {
-	b.Helper()
-	hybridSteadyPacketEvents.once.Do(func() {
-		res, err := exp.RunHybrid(hybridSteadySpec(exp.FidelityPacket))
-		if err != nil {
-			b.Fatal(err)
-		}
-		hybridSteadyPacketEvents.events = res.Events
-	})
-	return hybridSteadyPacketEvents.events
-}
-
-// BenchmarkHybridSteadyState prices the hybrid-fidelity engine against the
-// pure packet engine on the steady spec. Both variants report
-// events-equivalent/s: the PACKET engine's event count for the spec divided
-// by the variant's wall time — i.e. how fast each engine retires the same
-// simulated workload, in packet-engine event units. The hybrid variant's
-// figure must be ≥ 10× the packet variant's (the ISSUE 8 acceptance bar;
-// measured ~200× here, since this spec stays fluid end to end). Guarded in
-// CI via benchguard so the fluid fast path stays allocation-light.
-func BenchmarkHybridSteadyState(b *testing.B) {
-	for _, tc := range []struct {
-		name     string
-		fidelity string
-	}{{"packet", exp.FidelityPacket}, {"hybrid", exp.FidelityHybrid}} {
-		b.Run(tc.name, func(b *testing.B) {
-			pkEvents := steadyPacketEvents(b)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := exp.RunHybrid(hybridSteadySpec(tc.fidelity)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(pkEvents)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
-		})
-	}
-}
-
-// BenchmarkFig8 regenerates the per-ToR occupancy CDFs at load 0.8.
-func BenchmarkFig8(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.RunFig8(exp.ScaleTiny, io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig9 regenerates the high-load FCT slowdown CDFs.
-func BenchmarkFig9(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.RunFig9(exp.ScaleTiny, io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig10 regenerates the incast deep-dive (N=5) for each policy.
-func BenchmarkFig10(b *testing.B) {
-	for _, pol := range exp.PolicyNames {
-		b.Run(pol, func(b *testing.B) {
-			var res *exp.Result
-			var err error
-			for i := 0; i < b.N; i++ {
-				res, err = exp.RunHybrid(exp.HybridSpec{
-					Name: "fig10", Policy: pol, Scale: exp.ScaleTiny,
-					TCPLoad: 0.8,
-					Incast:  &exp.IncastSpec{Fanout: 5, RequestBytes: 1 << 20, QueryRate: 752},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(res.Incastp99(), "incast-p99-slowdown")
-			b.ReportMetric(res.QueryDelaySummary().Mean, "query-mean-ms")
-			b.ReportMetric(float64(res.PauseFrames), "pause-frames")
-		})
-	}
-}
-
-// BenchmarkFig11 regenerates the fan-in sweep (N = 5, 10, 15; clamped to
-// the tiny topology's responder pool).
-func BenchmarkFig11(b *testing.B) {
-	for _, n := range exp.IncastFanouts {
-		b.Run(map[int]string{5: "N5", 10: "N10", 15: "N15"}[n], func(b *testing.B) {
-			var res *exp.Result
-			var err error
-			for i := 0; i < b.N; i++ {
-				res, err = exp.RunHybrid(exp.HybridSpec{
-					Name: "fig11", Policy: "L2BM", Scale: exp.ScaleTiny,
-					TCPLoad: 0.8,
-					Incast:  &exp.IncastSpec{Fanout: n, RequestBytes: 1 << 20, QueryRate: 752},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(res.Incastp99(), "incast-p99-slowdown")
-			b.ReportMetric(res.QueryDelaySummary().Mean, "query-mean-ms")
-		})
-	}
 }
 
 // BenchmarkAblationNormalization compares L2BM's normalization constant

@@ -90,7 +90,7 @@ func main() {
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("l2bmexp", flag.ContinueOnError)
-	expName := fs.String("exp", "all", "experiment: fig3a|fig3b|fig7|table2|fig8|fig9|fig10|fig11|faults|arena|scale|all|chaos")
+	expName := fs.String("exp", "all", "experiment: "+strings.Join(experimentNames(), "|"))
 	scaleName := fs.String("scale", "small", "simulation scale: tiny|small|full")
 	outPath := fs.String("out", "", "also append output to this file")
 	parallel := fs.Int("parallel", 0, "worker pool size for independent grid points (0 = GOMAXPROCS, 1 = sequential)")
@@ -126,6 +126,9 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if !*traceOn && *traceSample != 0 {
 		return fmt.Errorf("-trace-sample requires -trace")
+	}
+	if !*traceOn && explicit["trace-out"] {
+		return fmt.Errorf("-trace-out requires -trace (without it nothing is recorded, so nothing would be written)")
 	}
 	if *seeds < 0 {
 		return fmt.Errorf("-seeds must be >= 0, got %d", *seeds)
@@ -314,23 +317,25 @@ func validateFidelity(expName, fidelity string, shards int) error {
 	return nil
 }
 
+// experimentNames is the -exp vocabulary: every row of exp.Experiments, then
+// "all" (its Paper rows, in table order) and the chaos soak.
+func experimentNames() []string {
+	var names []string
+	for _, e := range exp.Experiments {
+		names = append(names, e.Name)
+	}
+	return append(names, "all", "chaos")
+}
+
 // validateExp rejects unknown -exp values before any work begins.
 func validateExp(name string) error {
-	if name == "all" || name == "chaos" {
-		return nil
-	}
-	for _, n := range experimentOrder {
+	names := experimentNames()
+	for _, n := range names {
 		if n == name {
 			return nil
 		}
 	}
-	for _, n := range extraExperiments {
-		if n == name {
-			return nil
-		}
-	}
-	return fmt.Errorf("unknown experiment %q (have %s %s all chaos)",
-		name, strings.Join(experimentOrder, " "), strings.Join(extraExperiments, " "))
+	return fmt.Errorf("unknown experiment %q (have %s)", name, strings.Join(names, " "))
 }
 
 // parsePolicies validates the -policies selection against the policy
@@ -383,7 +388,7 @@ func Run(expName, scaleName string, workers int, w io.Writer) error {
 // RunOpts is Run with the full option set (tracing, worker pool, point
 // store, chaos).
 func RunOpts(expName, scaleName string, opts Options, w io.Writer) error {
-	scale, err := parseScale(scaleName)
+	scale, err := exp.ParseScale(scaleName)
 	if err != nil {
 		return err
 	}
@@ -391,7 +396,7 @@ func RunOpts(expName, scaleName string, opts Options, w io.Writer) error {
 		return runChaos(opts, w)
 	}
 
-	harness, runners := experimentRunners(opts)
+	harness := exp.NewHarness(opts.Workers)
 	// The point store: the -resume directory when one was given, else
 	// memory-only, so experiments of one invocation that share points
 	// (Table II is a column of Fig. 7) simulate them once.
@@ -413,13 +418,13 @@ func RunOpts(expName, scaleName string, opts Options, w io.Writer) error {
 	}
 
 	var selected []string
-	if expName == "all" {
-		selected = experimentOrder
-	} else {
-		if _, ok := runners[expName]; !ok {
-			return fmt.Errorf("unknown experiment %q", expName)
+	for _, e := range exp.Experiments {
+		if e.Name == expName || expName == "all" && e.Paper {
+			selected = append(selected, e.Name)
 		}
-		selected = []string{expName}
+	}
+	if len(selected) == 0 {
+		return validateExp(expName)
 	}
 
 	effective := opts.Workers
@@ -430,13 +435,13 @@ func RunOpts(expName, scaleName string, opts Options, w io.Writer) error {
 		start := time.Now()
 		points0, restored0 := harness.TotalPoints(), harness.RestoredPoints()
 		events0 := harness.TotalEvents()
-		fallbacks0 := harness.FidelityFallbacks()
+		fallbacks0, evicted0 := harness.FidelityFallbacks(), harness.TraceRowsEvicted()
 		mem0 := exp.TakeMemSnapshot()
 		// The banner and tables are deterministic for any worker count;
 		// only the timing and memory trailers below carry run-dependent
 		// numbers (determinism diffs exclude both lines).
 		fmt.Fprintf(w, "\n--- running %s at scale %s ---\n", name, scaleName)
-		if err := runners[name](scale, w); err != nil {
+		if _, _, err := harness.Run(name, scale, opts.Policies, w); err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
 		wall := time.Since(start)
@@ -456,9 +461,14 @@ func RunOpts(expName, scaleName string, opts Options, w io.Writer) error {
 			// simulator speed.
 			restoredNote = fmt.Sprintf(", %d of %d points restored", n, harness.TotalPoints()-points0)
 		}
-		fmt.Fprintf(w, "(%s finished in %v: %s events, %s events/s aggregate across %d workers%s%s)\n",
+		evictedNote := ""
+		if n := harness.TraceRowsEvicted() - evicted0; n > 0 {
+			// The exported traces hold only the newest rows of some run.
+			evictedNote = fmt.Sprintf(", %d trace rows evicted", n)
+		}
+		fmt.Fprintf(w, "(%s finished in %v: %s events, %s events/s aggregate across %d workers%s%s%s)\n",
 			name, wall.Round(time.Millisecond),
-			siCount(float64(events)), siCount(float64(events)/wall.Seconds()), effective, shardNote, restoredNote)
+			siCount(float64(events)), siCount(float64(events)/wall.Seconds()), effective, shardNote, restoredNote, evictedNote)
 		fmt.Fprintln(w, mem0.MemLine(events))
 	}
 	return nil

@@ -4,13 +4,18 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"flag"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"os/exec"
 	"reflect"
 	"regexp"
+	"runtime"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -86,17 +91,97 @@ func render(t *testing.T, args ...string) string {
 // TestParallelFlagDeterminism: the CLI's deterministic portion (everything
 // but the timing and memory trailers) must be byte-identical for every
 // execution strategy — any worker count, any shard count, flight recorder
-// armed or not — on the Fig. 7 sweep. This is the gate CI used to run as
-// shell diffs of the built binary.
+// armed or not — on the Fig. 7 sweep and on an arena that races the paper's
+// policy, a static one and the preemptive one over its load x burst x fault
+// grid with the auditor armed. These are the gates CI used to run as shell
+// diffs of the built binary.
 func TestParallelFlagDeterminism(t *testing.T) {
-	fig7 := func(flags ...string) string {
-		return render(t, append([]string{"-exp", "fig7", "-scale", "tiny"}, flags...)...)
-	}
-	ref := fig7("-parallel", "1")
-	for _, flags := range [][]string{nil, {"-shards", "1"}, {"-shards", "2"}, {"-trace", "-trace-out", t.TempDir()}} {
-		if got := fig7(flags...); got != ref {
-			t.Errorf("CLI output with %v differs from -parallel 1:\n--- -parallel 1 ---\n%s\n--- %v ---\n%s", flags, ref, flags, got)
+	for _, sel := range [][]string{
+		{"-exp", "fig7"},
+		{"-exp", "arena", "-policies", "L2BM,DT2,Occamy"},
+	} {
+		if testing.Short() && sel[1] == "arena" {
+			continue // +75 s under -race, which sees the arena in TestCLIArenaSmoke
 		}
+		run := func(flags ...string) string {
+			return render(t, append(append([]string{"-scale", "tiny"}, sel...), flags...)...)
+		}
+		ref := run("-parallel", "1")
+		for _, flags := range [][]string{nil, {"-shards", "1"}, {"-shards", "2"}, {"-trace", "-trace-out", t.TempDir()}} {
+			if got := run(flags...); got != ref {
+				t.Errorf("%v: CLI output with %v differs from -parallel 1:\n--- -parallel 1 ---\n%s\n--- %v ---\n%s", sel, flags, ref, flags, got)
+			}
+		}
+		if sel[1] == "arena" && !strings.Contains(ref, "arena: ranked scorecard") {
+			t.Errorf("arena output has no scorecard:\n%s", ref)
+		}
+	}
+}
+
+// TestExperimentTable: exp.Experiments is the one description of what -exp
+// accepts. Names are unique, the Paper rows are "-exp all" in the order it has
+// always run, the flag's usage text and the unknown-experiment error list
+// exactly the table — and a row appended to the table is a runnable
+// experiment with nothing else to register.
+func TestExperimentTable(t *testing.T) {
+	var names, paper []string
+	seen := map[string]bool{}
+	for _, e := range exp.Experiments {
+		if seen[e.Name] || e.Name == "all" || e.Name == "chaos" {
+			t.Errorf("experiment name %q is taken", e.Name)
+		}
+		seen[e.Name] = true
+		names = append(names, e.Name)
+		if e.Paper {
+			paper = append(paper, e.Name)
+		}
+	}
+	if want := "fig3a fig3b fig7 table2 fig8 fig9 fig10 fig11 faults arena"; strings.Join(paper, " ") != want {
+		t.Errorf("-exp all runs %v, want %s", paper, want)
+	}
+
+	saved := exp.Experiments
+	defer func() { exp.Experiments = saved }()
+	exp.Experiments = append(saved[:len(saved):len(saved)], exp.Experiment{
+		Name: "twelfth",
+		Grid: func(scale exp.Scale, _ []string) ([]exp.HybridSpec, error) {
+			return []exp.HybridSpec{{Name: "twelfth", Policy: "DT", Scale: scale, TCPLoad: 0.2}}, nil
+		},
+		Progress: func(sp exp.HybridSpec, r *exp.Result) string {
+			return fmt.Sprintf("  %s ran %d flows", sp.Name, r.FlowsStarted)
+		},
+		Render: func(w io.Writer, _ exp.Scale, specs []exp.HybridSpec, results []*exp.Result) error {
+			_, err := fmt.Fprintf(w, "twelfth: %d point(s) under %s\n", len(results), specs[0].Policy)
+			return err
+		},
+	})
+	names = append(names, "twelfth")
+
+	out := render(t, "-exp", "twelfth", "-scale", "tiny")
+	for _, want := range []string{"--- running twelfth at scale tiny ---", "  twelfth ran ", "twelfth: 1 point(s) under DT"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("appended experiment's output lacks %q:\n%s", want, out)
+		}
+	}
+
+	vocabulary := strings.Join(append(names, "all", "chaos"), " ")
+	err := run([]string{"-exp", "thirteenth"}, io.Discard)
+	if want := `unknown experiment "thirteenth" (have ` + vocabulary + ")"; err == nil || err.Error() != want {
+		t.Errorf("unknown -exp: %v, want %s", err, want)
+	}
+	// The flag package prints usage to os.Stderr, looked up when it prints.
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = w
+	err = run([]string{"-h"}, io.Discard)
+	os.Stderr = stderr
+	w.Close()
+	usage, _ := io.ReadAll(r)
+	if want := "experiment: " + strings.ReplaceAll(vocabulary, " ", "|"); !errors.Is(err, flag.ErrHelp) || !strings.Contains(string(usage), want) {
+		t.Errorf("-h (%v) does not list the table (%s):\n%s", err, want, usage)
 	}
 }
 
@@ -121,17 +206,18 @@ func TestCLIUpfrontValidation(t *testing.T) {
 		{"-replay", "x.json"},                  // ditto
 		{"-exp", "arena", "-replay", "x.json"}, // -replay is chaos-only
 		{"-exp", "chaos", "-replay", "nonexistent.json"},
-		{"-exp", "chaos", "-resume", "ckpt"},                    // chaos has its own persistence
-		{"-exp", "fig7", "-fidelity", "analytic"},               // unknown fidelity
-		{"-exp", "chaos", "-fidelity", "hybrid"},                // chaos pins its own engine
-		{"-exp", "fig7", "-fidelity", "hybrid", "-shards", "2"}, // hybrid needs classic engine
-		{"-spec", "sweep.json", "-exp", "fig7"},                 // -spec pins the sweep
-		{"-spec", "sweep.json", "-scale", "tiny"},               // ditto
-		{"-spec", "sweep.json", "-trace"},                       // ditto
-		{"-spec", "sweep.json", "-keep-going"},                  // the envelope cannot carry a failed point
-		{"-spec", "nonexistent-sweep.json"},                     // missing spec file
-		{"-exp", "fig3a", "-resume", "ckpt", "-trace"},          // a stored result cannot carry its recorder
-		{"-exp", "fig3a", "-trace", "-format", "col"},           // the flag is gone: .col is the only format
+		{"-exp", "chaos", "-resume", "ckpt"},                        // chaos has its own persistence
+		{"-exp", "fig7", "-fidelity", "analytic"},                   // unknown fidelity
+		{"-exp", "chaos", "-fidelity", "hybrid"},                    // chaos pins its own engine
+		{"-exp", "fig7", "-fidelity", "hybrid", "-shards", "2"},     // hybrid needs classic engine
+		{"-spec", "sweep.json", "-exp", "fig7"},                     // -spec pins the sweep
+		{"-spec", "sweep.json", "-scale", "tiny"},                   // ditto
+		{"-spec", "sweep.json", "-trace"},                           // ditto
+		{"-spec", "sweep.json", "-keep-going"},                      // the envelope cannot carry a failed point
+		{"-spec", "nonexistent-sweep.json"},                         // missing spec file
+		{"-exp", "fig3a", "-resume", "ckpt", "-trace"},              // a stored result cannot carry its recorder
+		{"-exp", "fig3a", "-trace", "-format", "col"},               // the flag is gone: .col is the only format
+		{"-exp", "fig3a", "-scale", "tiny", "-trace-out", "traces"}, // nothing is recorded without -trace
 		{"-exp", "fig3a", "-point-timeout", "-1s"},
 		{"-exp", "fig3a", "-resume", blocker + "/sub"}, // unwritable
 		{"-exp", "fig3a", "-trace", "-trace-out", blocker + "/sub"},
@@ -267,6 +353,9 @@ func TestCLIResumeImplicitAll(t *testing.T) {
 	}
 	if !strings.Contains(first.String(), "(table2 finished in") || !strings.Contains(first.String(), ", 20 of 20 points restored)") {
 		t.Errorf("table2 inside -exp all did not restore Fig. 7's points:\n%s", first.String())
+	}
+	if n := strings.Count(first.String(), "--- running "); n != 10 || strings.Contains(first.String(), "running scale") {
+		t.Errorf("-exp all ran %d experiments, want the table's 10 Paper rows and not the scale smoke", n)
 	}
 	entries := pointFiles(t, dir)
 	second := render(t, "-scale", "tiny", "-resume", dir)
@@ -504,5 +593,58 @@ func TestCLISpec(t *testing.T) {
 	}
 	if buf.Len() != 0 {
 		t.Errorf("failed -spec runs still produced output:\n%.200s", buf.String())
+	}
+}
+
+// beCLI makes this test binary behave as the l2bmexp command, so a test can
+// measure a run as a process of its own.
+const beCLI = "L2BMEXP_TEST_BE_CLI"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(beCLI) != "" {
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+// TestScaleSmokePeakRSS is the hyperscale smoke as CI ran it around the built
+// binary: the 10k- and 100k-host pod Clos fabrics build and run their short
+// mixed window with the invariant auditor armed (a violation exits nonzero)
+// inside a bounded footprint. The child's peak RSS is the kernel's own
+// figure (ru_maxrss), exact where the shell step polled /proc every 0.2 s.
+// Measured ~35 MB at 10k and ~265 MB at 100k hosts, so the bounds are ~3.5x /
+// ~2.8x headroom against flyweight regressions: an RNG stream that seeds its
+// 4.9 kB vector on first draw again costs +60 MB / +600 MB; ports that
+// provision eight queues, pause clocks and DWRR credits again and a wheel
+// that retains per slot cost +35 MB / +200 MB. The tight guards are
+// TestScale10kLiveHeap, TestHyperscaleBytesPerHost, TestPortFootprint and
+// TestIdleHostInstallBytes.
+func TestScaleSmokePeakRSS(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 100k-host fabric")
+	}
+	if runtime.GOOS != "linux" {
+		t.Skip("ru_maxrss is in kilobytes on Linux only")
+	}
+	for _, tc := range []struct {
+		scale    string
+		hosts    string
+		limitMiB int64
+	}{{"small", "10240-host", 128}, {"full", "102400-host", 768}} {
+		cmd := exec.Command(os.Args[0], "-exp", "scale", "-scale", tc.scale)
+		cmd.Env = append(os.Environ(), beCLI+"=1")
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("-exp scale -scale %s: %v\n%s", tc.scale, err, out)
+		}
+		if !strings.Contains(string(out), "Scale smoke: "+tc.hosts) {
+			t.Errorf("-scale %s did not render the %s table:\n%s", tc.scale, tc.hosts, out)
+		}
+		peakMiB := cmd.ProcessState.SysUsage().(*syscall.Rusage).Maxrss >> 10
+		t.Logf("-scale %s: peak RSS %d MiB (limit %d), user CPU %v", tc.scale, peakMiB, tc.limitMiB, cmd.ProcessState.UserTime())
+		if peakMiB > tc.limitMiB {
+			t.Errorf("-scale %s: peak RSS %d MiB, want <= %d", tc.scale, peakMiB, tc.limitMiB)
+		}
 	}
 }

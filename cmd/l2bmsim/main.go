@@ -14,7 +14,6 @@ import (
 	"io"
 	"os"
 
-	"l2bm/internal/core"
 	"l2bm/internal/exp"
 )
 
@@ -41,11 +40,6 @@ func run(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// Resolve the policy through the registry before building anything: an
-	// unknown name must be a clean CLI error, not a mid-run panic.
-	if _, err := core.NewPolicy(*policy); err != nil {
-		return fmt.Errorf("-policy: %w", err)
-	}
 	spec := exp.HybridSpec{
 		Name:     "l2bmsim",
 		Policy:   *policy,
@@ -54,8 +48,14 @@ func run(args []string, w io.Writer) error {
 		TCPLoad:  *tcp,
 		SeedSalt: *seedSalt,
 	}
-	if *incast > 0 {
+	if *incast != 0 {
 		spec.Incast = &exp.IncastSpec{Fanout: *incast, RequestBytes: 1 << 20, QueryRate: 752}
+	}
+	// The envelope l2bmd enforces on a submitted spec, before building
+	// anything: an unregistered policy or a load outside [0, 1] must be a
+	// clean CLI error, not a mid-run panic or a silently different run.
+	if err := spec.Validate(); err != nil {
+		return err
 	}
 
 	res, err := exp.RunHybrid(spec)

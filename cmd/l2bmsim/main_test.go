@@ -39,6 +39,25 @@ func TestSimCLIErrors(t *testing.T) {
 	if err := run([]string{"-bogus"}, &buf); err == nil {
 		t.Error("bad flag should fail")
 	}
+	// The envelope l2bmd enforces on a submitted spec (HybridSpec.Validate):
+	// these used to run — RDMA silently off, TCP offered at 700% of the link.
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-rdma", "-0.5"}, "RDMALoad = -0.5, want in [0, 1]"},
+		{[]string{"-tcp", "7"}, "TCPLoad = 7, want in [0, 1]"},
+		{[]string{"-tcp", "NaN"}, "TCPLoad = NaN"},
+		{[]string{"-incast", "-3"}, "Incast needs positive Fanout"},
+	} {
+		err := run(append([]string{"-scale", "tiny"}, tc.args...), &buf)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: error %v, want one containing %q", tc.args, err, tc.want)
+		}
+	}
+	if buf.Len() != 0 {
+		t.Errorf("rejected inputs still produced output:\n%s", buf.String())
+	}
 }
 
 // TestSimCLIRejectsUnknownPolicy: an unregistered -policy must be a clean

@@ -14,38 +14,21 @@ import (
 // faulted cell. Seeds exclude the policy name (common random numbers), so
 // every policy sees the identical offered workload in each cell and the
 // scorecard differences are attributable to buffer management alone.
-const (
-	// ArenaBaseLoad and ArenaHighLoad are the TCP offered loads of the
-	// clean grid columns (RDMA stays at the paper's fixed 0.4).
-	ArenaBaseLoad = 0.4
-	ArenaHighLoad = 0.8
-	// ArenaIncastFanout is N for the burst cells' query workload.
-	ArenaIncastFanout = 5
-)
 
-// ArenaCell is one point of the per-policy grid.
-type ArenaCell struct {
-	// Key labels the cell in tables and progress lines.
-	Key string
-	// TCPLoad is the background TCP offered load; RDMA is fixed at 0.4.
-	TCPLoad float64
-	// Burst adds the incast query stream (fanout ArenaIncastFanout).
-	Burst bool
-	// Fault arms DefaultFaultScenario with the extended fault drain.
-	Fault bool
-}
-
-// ArenaCells returns the grid every policy runs: base and high load, each
-// clean and bursty, plus a faulted base-load cell for the recovery
-// metrics. The slice order is the spec order (and so the emit order).
-func ArenaCells() []ArenaCell {
-	return []ArenaCell{
-		{Key: "l0.4", TCPLoad: ArenaBaseLoad},
-		{Key: "l0.8", TCPLoad: ArenaHighLoad},
-		{Key: "l0.4+burst", TCPLoad: ArenaBaseLoad, Burst: true},
-		{Key: "l0.8+burst", TCPLoad: ArenaHighLoad, Burst: true},
-		{Key: "l0.4+faults", TCPLoad: ArenaBaseLoad, Fault: true},
-	}
+// arenaCells is the grid every policy runs: base (0.4) and high (0.8) TCP
+// load with RDMA at the paper's fixed 0.4, each clean and with the incast
+// query stream (N = 5), plus a faulted base-load cell (DefaultFaultScenario
+// with the extended fault drain) for the recovery metrics. The slice order
+// is the spec order (and so the emit order).
+var arenaCells = []struct {
+	tcpLoad      float64
+	burst, fault bool
+}{
+	{tcpLoad: 0.4},
+	{tcpLoad: 0.8},
+	{tcpLoad: 0.4, burst: true},
+	{tcpLoad: 0.8, burst: true},
+	{tcpLoad: 0.4, fault: true},
 }
 
 // ArenaScore is one policy's scorecard row. All criteria are
@@ -71,99 +54,67 @@ type ArenaScore struct {
 	FaultCompletion float64
 }
 
-// ArenaResult holds the full grid plus the ranked scorecard.
-type ArenaResult struct {
-	// Policies is the raced list in registration order.
-	Policies []string
-	// Cells is the grid, shared by every policy.
-	Cells []ArenaCell
-	// Results[policy][i] is the run for Cells[i].
-	Results map[string][]*Result
-	// Ranked is the scorecard, best (lowest Score) first.
-	Ranked []ArenaScore
-}
-
-// RunArena races the given policies (nil/empty = every registered policy)
-// over the arena grid and writes per-cell detail, the ranked scorecard
-// (table + CSV), and the integrity table to w. Every point runs with the
-// invariant auditor armed. Output is deterministic: byte-identical across
-// harness worker counts and shard counts.
-func (h *Harness) RunArena(scale Scale, policies []string, w io.Writer) (*ArenaResult, error) {
+// arenaGrid is the arena experiment's policy × cell grid over the given
+// policies (nil/empty = every registered policy), every point with the
+// invariant auditor armed. Its render — per-cell detail, the ranked
+// scorecard (table + CSV) and the integrity table — is deterministic:
+// byte-identical across harness worker counts and shard counts.
+func arenaGrid(scale Scale, policies []string) ([]HybridSpec, error) {
 	if len(policies) == 0 {
-		policies = append([]string(nil), ExtendedPolicyNames...)
+		policies = ExtendedPolicyNames
 	}
+	specs := make([]HybridSpec, 0, len(policies)*len(arenaCells))
 	for _, pol := range policies {
 		if !core.IsRegistered(pol) {
 			return nil, fmt.Errorf("exp: arena: unknown policy %q (have %s)",
 				pol, strings.Join(core.RegisteredPolicies(), ", "))
 		}
-	}
-	cells := ArenaCells()
-	specs := make([]HybridSpec, 0, len(policies)*len(cells))
-	for _, pol := range policies {
-		for _, c := range cells {
+		for _, c := range arenaCells {
 			spec := HybridSpec{
 				Name:     "arena",
 				Policy:   pol,
 				Scale:    scale,
 				RDMALoad: 0.4,
-				TCPLoad:  c.TCPLoad,
+				TCPLoad:  c.tcpLoad,
 				Audit:    &AuditSpec{},
 			}
-			if c.Burst {
-				spec.Incast = incastSpecFor(ArenaIncastFanout)
+			if c.burst {
+				spec.Incast = incastSpecFor(5)
 			}
-			if c.Fault {
+			if c.fault {
 				spec.Faults = DefaultFaultScenario(scale)
 				spec.DrainOverride = FaultDrain * scale.Window()
 			}
 			specs = append(specs, spec)
 		}
 	}
-
-	var emit EmitFunc
-	if w != nil {
-		emit = func(i int, r *Result) {
-			pol, cell := policies[i/len(cells)], cells[i%len(cells)]
-			fmt.Fprintf(w, "  arena %s %s: flows %d/%d, pause=%d, losses=%d\n",
-				pol, cell.Key, r.FlowsCompleted, r.FlowsStarted,
-				r.PauseFrames, r.LossyDrops+r.LossyEvictions)
-		}
-	}
-	flat, err := h.runAll(specs, emit)
-	if err != nil {
-		return nil, err
-	}
-
-	res := &ArenaResult{
-		Policies: policies,
-		Cells:    cells,
-		Results:  make(map[string][]*Result, len(policies)),
-	}
-	for pi, pol := range policies {
-		res.Results[pol] = flat[pi*len(cells) : (pi+1)*len(cells)]
-	}
-	res.Ranked = rankArena(policies, cells, res.Results)
-
-	if w != nil {
-		if err := renderArena(w, res); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+	return specs, nil
 }
 
-// RunArena runs the arena on a default harness.
-func RunArena(scale Scale, policies []string, w io.Writer) (*ArenaResult, error) {
-	return defaultHarness().RunArena(scale, policies, w)
+// arenaCellKey labels a point's cell in tables and progress lines.
+func arenaCellKey(sp HybridSpec) string {
+	key := fmt.Sprintf("l%.1f", sp.TCPLoad)
+	if sp.Incast != nil {
+		key += "+burst"
+	}
+	if sp.Faults != nil {
+		key += "+faults"
+	}
+	return key
+}
+
+func arenaProgress(sp HybridSpec, r *Result) string {
+	return fmt.Sprintf("  arena %s %s: flows %d/%d, pause=%d, losses=%d",
+		sp.Policy, arenaCellKey(sp), r.FlowsCompleted, r.FlowsStarted,
+		r.PauseFrames, r.LossyDrops+r.LossyEvictions)
 }
 
 // arenaScoreFor condenses one policy's grid row into scorecard criteria.
-func arenaScoreFor(pol string, cells []ArenaCell, runs []*Result) ArenaScore {
-	sc := ArenaScore{Policy: pol, FaultCompletion: 1}
+func arenaScoreFor(cells []HybridSpec, runs []*Result) ArenaScore {
+	sc := ArenaScore{Policy: cells[0].Policy, FaultCompletion: 1}
 	for i, c := range cells {
 		r := runs[i]
-		if c.Fault {
+		if c.Faults != nil {
 			sc.FaultHorizonMs = r.EndTime.Millis()
 			if r.FlowsStarted > 0 {
 				sc.FaultCompletion = float64(r.FlowsCompleted) / float64(r.FlowsStarted)
@@ -176,7 +127,7 @@ func arenaScoreFor(pol string, cells []ArenaCell, runs []*Result) ArenaScore {
 		if v := r.TCPp99(); v > sc.TCPp99 {
 			sc.TCPp99 = v
 		}
-		if c.Burst {
+		if c.Incast != nil {
 			if v := r.Incastp99(); v > sc.IncastP99 {
 				sc.IncastP99 = v
 			}
@@ -192,10 +143,11 @@ func arenaScoreFor(pol string, cells []ArenaCell, runs []*Result) ArenaScore {
 // contributes zero to everyone), the score is the mean contribution, and
 // ties break on the input (registration) order, so the ranking is total
 // and deterministic.
-func rankArena(policies []string, cells []ArenaCell, results map[string][]*Result) []ArenaScore {
-	scores := make([]ArenaScore, len(policies))
-	for i, pol := range policies {
-		scores[i] = arenaScoreFor(pol, cells, results[pol])
+func rankArena(specs []HybridSpec, results []*Result) []ArenaScore {
+	n := len(arenaCells)
+	scores := make([]ArenaScore, len(specs)/n)
+	for i := range scores {
+		scores[i] = arenaScoreFor(specs[i*n:(i+1)*n], results[i*n:(i+1)*n])
 	}
 	criteria := []func(*ArenaScore) float64{
 		func(s *ArenaScore) float64 { return s.RDMAp99 },
@@ -241,41 +193,34 @@ func rankArena(policies []string, cells []ArenaCell, results map[string][]*Resul
 
 // renderArena writes the per-cell detail table, the ranked scorecard as a
 // table and as CSV, and the integrity table.
-func renderArena(w io.Writer, res *ArenaResult) error {
+func renderArena(w io.Writer, _ Scale, specs []HybridSpec, results []*Result) error {
 	detail := NewTable("arena: per-cell detail",
 		"policy", "cell", "rdma_p99", "tcp_p99", "incast_p99",
 		"pause", "drops", "evict", "flows", "end_ms")
-	integ := newIntegrityTable("arena: integrity")
-	for _, pol := range res.Policies {
-		for i, c := range res.Cells {
-			r := res.Results[pol][i]
-			detail.AddRow(pol, c.Key,
-				f2(r.RDMAp99()), f2(r.TCPp99()), f2(r.Incastp99()),
-				fmt.Sprint(r.PauseFrames), fmt.Sprint(r.LossyDrops),
-				fmt.Sprint(r.LossyEvictions),
-				fmt.Sprintf("%d/%d", r.FlowsCompleted, r.FlowsStarted),
-				f2(r.EndTime.Millis()))
-			addIntegrityRow(integ, pol+"/"+c.Key, r)
-		}
+	for i, r := range results {
+		detail.AddRow(specs[i].Policy, arenaCellKey(specs[i]),
+			f2(r.RDMAp99()), f2(r.TCPp99()), f2(r.Incastp99()),
+			fmt.Sprint(r.PauseFrames), fmt.Sprint(r.LossyDrops),
+			fmt.Sprint(r.LossyEvictions),
+			fmt.Sprintf("%d/%d", r.FlowsCompleted, r.FlowsStarted),
+			f2(r.EndTime.Millis()))
 	}
-	if err := detail.Fprint(w); err != nil {
-		return err
-	}
-
 	card := NewTable("arena: ranked scorecard",
 		"rank", "policy", "score", "rdma_p99", "tcp_p99", "incast_p99",
 		"pause", "losses", "fault_ms", "fault_done")
-	for i, s := range res.Ranked {
+	for i, s := range rankArena(specs, results) {
 		card.AddRow(fmt.Sprint(i+1), s.Policy, f3(s.Score),
 			f2(s.RDMAp99), f2(s.TCPp99), f2(s.IncastP99),
 			fmt.Sprint(s.PauseFrames), fmt.Sprint(s.Losses),
 			f2(s.FaultHorizonMs), f3(s.FaultCompletion))
 	}
-	if err := card.Fprint(w); err != nil {
+	if err := fprintTables(w, detail, card); err != nil {
 		return err
 	}
 	if _, err := fmt.Fprintf(w, "\narena scorecard CSV:\n%s", card.CSV()); err != nil {
 		return err
 	}
-	return integ.Fprint(w)
+	return integrity("arena: integrity", specs, results, func(sp HybridSpec) string {
+		return sp.Policy + "/" + arenaCellKey(sp)
+	}).Fprint(w)
 }

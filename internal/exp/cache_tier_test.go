@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -301,8 +302,58 @@ func TestLookupMemHitAllocs(t *testing.T) {
 			t.Fatal("miss on an entry just put")
 		}
 	})
-	if hitAllocs > keyAllocs {
+	// Under -race sync.Pool drops items at random, so fmt's printers make
+	// either average land one higher in about one run in five.
+	slack := 0.0
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				slack = 1
+			}
+		}
+	}
+	if hitAllocs > keyAllocs+slack {
 		t.Errorf("a memory-tier hit allocates %.0f times, the key derivation alone %.0f", hitAllocs, keyAllocs)
+	}
+}
+
+// lookupFixture is a disk-backed cache holding a real point's bytes (the Fig. 7
+// headline point, ~20 kB of JSON) under tierSpec.
+func lookupFixture(tb testing.TB) *ResultCache {
+	tb.Helper()
+	res, err := RunHybrid(HybridSpec{Name: "bench-cache", Policy: "L2BM", Scale: ScaleTiny, RDMALoad: 0.4, TCPLoad: 0.8})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	body, err := json.Marshal(res)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cache, err := NewResultCache(tb.TempDir())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := cache.Put(tierSpec, body); err != nil {
+		tb.Fatal(err)
+	}
+	return cache
+}
+
+// TestLookupDiskHitAllocs: the first hit after a restart reads the file,
+// checks its header and decodes the body once, to validate it — 67
+// allocations measured on a real point's ~20 kB, 84 allowed. A second decode
+// (the hit path handing out structs again) reads 103.
+func TestLookupDiskHitAllocs(t *testing.T) {
+	cache := lookupFixture(t)
+	allocs := testing.AllocsPerRun(50, func() {
+		cold := &ResultCache{Dir: cache.Dir}
+		if _, ok := cold.Lookup(tierSpec); !ok {
+			t.Fatal("miss on an entry on disk")
+		}
+	})
+	t.Logf("%.0f allocations per disk hit", allocs)
+	if allocs > 84 {
+		t.Errorf("a disk hit allocates %.0f times, want <= 84 (measured 67)", allocs)
 	}
 }
 
@@ -433,21 +484,7 @@ func TestWriteRawResults(t *testing.T) {
 // a hot daemon, disk what the first hit after a restart pays (read, header
 // check, one validating decode).
 func BenchmarkCacheLookup(b *testing.B) {
-	res, err := RunHybrid(HybridSpec{Name: "bench-cache", Policy: "L2BM", Scale: ScaleTiny, RDMALoad: 0.4, TCPLoad: 0.8})
-	if err != nil {
-		b.Fatal(err)
-	}
-	body, err := json.Marshal(res)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cache, err := NewResultCache(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := cache.Put(tierSpec, body); err != nil {
-		b.Fatal(err)
-	}
+	cache := lookupFixture(b)
 	b.Run("mem", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

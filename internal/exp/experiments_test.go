@@ -9,22 +9,39 @@ import (
 	"testing"
 )
 
+// tableRows returns the cells of the rendered table whose title starts with
+// the given prefix, header row excluded.
+func tableRows(t *testing.T, out, title string) [][]string {
+	t.Helper()
+	_, body, ok := strings.Cut(out, "\n== "+title)
+	if !ok {
+		t.Fatalf("no table titled %q in:\n%s", title, out)
+	}
+	body, _, _ = strings.Cut(body, "\n\n")
+	var rows [][]string
+	for _, line := range strings.Split(strings.TrimSpace(body), "\n")[2:] {
+		rows = append(rows, strings.Fields(line))
+	}
+	return rows
+}
+
 func TestRunFig3aProducesOccupancyTable(t *testing.T) {
 	var buf bytes.Buffer
-	res, err := RunFig3a(ScaleTiny, &buf)
+	specs, results, err := NewHarness(0).Run("fig3a", ScaleTiny, nil, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TCPOnly == nil || res.RDMAOnly == nil {
-		t.Fatal("missing per-protocol results")
+	if len(specs) != 2 || len(results) != 2 || specs[0].TCPLoad == 0 || specs[1].RDMALoad == 0 {
+		t.Fatalf("missing per-protocol results: specs %+v", specs)
 	}
-	if len(res.TCPOnly.TCPSlowdowns) == 0 {
+	tcpOnly, rdmaOnly := results[0], results[1]
+	if len(tcpOnly.TCPSlowdowns) == 0 {
 		t.Error("TCP-only run has no TCP flows")
 	}
-	if len(res.TCPOnly.RDMASlowdowns) != 0 {
+	if len(tcpOnly.RDMASlowdowns) != 0 {
 		t.Error("TCP-only run produced RDMA flows")
 	}
-	if len(res.RDMAOnly.RDMASlowdowns) == 0 {
+	if len(rdmaOnly.RDMASlowdowns) == 0 {
 		t.Error("RDMA-only run has no RDMA flows")
 	}
 	out := buf.String()
@@ -37,20 +54,26 @@ func TestRunFig3aProducesOccupancyTable(t *testing.T) {
 
 func TestRunTable2Shape(t *testing.T) {
 	var buf bytes.Buffer
-	tab, err := RunTable2(ScaleTiny, &buf)
+	specs, results, err := NewHarness(0).Run("table2", ScaleTiny, nil, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 4 {
-		t.Fatalf("rows = %d, want 4 policies", len(tab.Rows))
+	if len(specs) != 20 || len(results) != 20 {
+		t.Fatalf("%d specs, %d results, want 4 policies x 5 loads", len(specs), len(results))
 	}
-	for _, row := range tab.Rows {
+	rows := tableRows(t, buf.String(), "Table II:")
+	if len(rows) != 4 {
+		t.Fatalf("rows = %d, want 4 policies", len(rows))
+	}
+	for i, row := range rows {
 		if len(row) != 6 {
 			t.Fatalf("row %v has %d cells, want policy + 5 loads", row, len(row))
 		}
-	}
-	if !strings.Contains(buf.String(), "Table II") {
-		t.Error("missing table title")
+		for li := range Table2Loads {
+			if got, want := row[1+li], fmt.Sprint(results[i*5+li].PauseFrames); got != want {
+				t.Errorf("row %d load %d renders %s, its result has %s pause frames", i, li, got, want)
+			}
+		}
 	}
 }
 
@@ -61,7 +84,7 @@ func TestRunTable2Shape(t *testing.T) {
 func TestRunTable2ReusesPriorSweep(t *testing.T) {
 	h := NewHarness(0)
 	h.Cache = &ResultCache{}
-	if _, err := h.RunFig7(ScaleTiny, io.Discard); err != nil {
+	if _, _, err := h.Run("fig7", ScaleTiny, nil, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if h.RestoredPoints() != 0 {
@@ -70,7 +93,7 @@ func TestRunTable2ReusesPriorSweep(t *testing.T) {
 	points, events := h.TotalPoints(), h.TotalEvents()
 
 	var reused bytes.Buffer
-	if _, err := h.RunTable2(ScaleTiny, &reused); err != nil {
+	if _, _, err := h.Run("table2", ScaleTiny, nil, &reused); err != nil {
 		t.Fatal(err)
 	}
 	cells := uint64(len(table2Policies) * len(Table2Loads))
@@ -80,7 +103,7 @@ func TestRunTable2ReusesPriorSweep(t *testing.T) {
 	}
 
 	var fresh bytes.Buffer
-	if _, err := RunTable2(ScaleTiny, &fresh); err != nil {
+	if _, _, err := NewHarness(0).Run("table2", ScaleTiny, nil, &fresh); err != nil {
 		t.Fatal(err)
 	}
 	if reused.String() != fresh.String() {
@@ -122,27 +145,28 @@ func TestRunTable2PartialPriorRegression(t *testing.T) {
 
 	h := NewHarness(0)
 	h.Cache = cache
-	tab, err := h.RunTable2(ScaleTiny, io.Discard)
-	if err != nil {
+	var buf bytes.Buffer
+	if _, _, err := h.Run("table2", ScaleTiny, nil, &buf); err != nil {
 		t.Fatal(err)
 	}
-	// Row order in RunTable2 is ABM, DT, DT2, L2BM.
+	rows := tableRows(t, buf.String(), "Table II:")
+	// Table II's row order is ABM, DT, DT2, L2BM.
 	for i, pol := range []string{"ABM", "DT", "DT2", "L2BM"} {
-		if tab.Rows[i][0] != pol {
-			t.Fatalf("row %d policy = %q, want %q", i, tab.Rows[i][0], pol)
+		if rows[i][0] != pol {
+			t.Fatalf("row %d policy = %q, want %q", i, rows[i][0], pol)
 		}
 	}
 	for li := range Table2Loads {
-		if got, want := tab.Rows[1][1+li], fmt.Sprint(sentinel("DT", li)); got != want {
+		if got, want := rows[1][1+li], fmt.Sprint(sentinel("DT", li)); got != want {
 			t.Errorf("DT load %d: cell = %q, want sentinel %s (store not reused)", li, got, want)
 		}
 	}
 	for li := 0; li < 2; li++ {
-		if got, want := tab.Rows[0][1+li], fmt.Sprint(sentinel("ABM", li)); got != want {
+		if got, want := rows[0][1+li], fmt.Sprint(sentinel("ABM", li)); got != want {
 			t.Errorf("ABM load %d: cell = %q, want sentinel %s", li, got, want)
 		}
 	}
-	if got := tab.Rows[0][3]; got == fmt.Sprint(sentinel("ABM", 2)) {
+	if got := rows[0][3]; got == fmt.Sprint(sentinel("ABM", 2)) {
 		t.Errorf("ABM load 2 shows a sentinel that was never stored: %q", got)
 	}
 	if h.RestoredPoints() != uint64(stored) || h.TotalEvents() == 0 {

@@ -32,39 +32,30 @@ func DefaultFaultScenario(scale Scale) *FaultSpec {
 // lost. 48x suffices empirically at tiny scale; 64x adds margin.
 const FaultDrain = 64
 
-// RunFaultTolerance compares the four policies under the default link-flap
-// + corruption scenario on hybrid traffic (RDMA 0.4, TCP 0.4): do flows
-// still complete, what does recovery cost, and does the detection machinery
-// stay quiet on a deadlock-free fabric? Two tables: completion/recovery and
+// faultPoint is the faults experiment's per-policy point: the four policies
+// under the default link-flap + corruption scenario on hybrid traffic (RDMA
+// 0.4, TCP 0.4) — do flows still complete, what does recovery cost, and does
+// the detection machinery stay quiet on a deadlock-free fabric?
+func faultPoint(scale Scale) HybridSpec {
+	return HybridSpec{
+		Name:     "faults",
+		RDMALoad: 0.4, TCPLoad: 0.4,
+		DrainOverride: FaultDrain * scale.Window(),
+		Faults:        DefaultFaultScenario(scale),
+	}
+}
+
+// renderFaults writes two tables: completion/recovery and
 // detection/integrity.
-func (h *Harness) RunFaultTolerance(scale Scale, w io.Writer) (map[string]*Result, error) {
-	specs := make([]HybridSpec, len(PolicyNames))
-	for i, pol := range PolicyNames {
-		specs[i] = HybridSpec{
-			Name: "faults", Policy: pol, Scale: scale,
-			RDMALoad: 0.4, TCPLoad: 0.4,
-			DrainOverride: FaultDrain * scale.Window(),
-			Faults:        DefaultFaultScenario(scale),
-		}
-	}
-	results, err := h.runAll(specs, nil)
-	if err != nil {
-		return nil, err
-	}
-
-	out := make(map[string]*Result)
-
+func renderFaults(w io.Writer, _ Scale, specs []HybridSpec, results []*Result) error {
 	rec := NewTable("Fault tolerance: completion and recovery under 1% link flaps + 1e-6 BER",
 		"policy", "started", "completed", "completion", "rdma_p99", "tcp_p99",
 		"recovery_KB", "rdma_nacks", "rdma_rtos", "flaps", "corrupt")
 	det := NewTable("Fault tolerance: detection and integrity",
 		"policy", "pause", "reissue", "lost_pfc", "carrier_drops",
 		"deadlock_scans", "deadlock_cycles", "stalls", "gaps", "violations", "audit_errors")
-
-	for i, pol := range PolicyNames {
-		res := results[i]
-		out[pol] = res
-
+	for i, res := range results {
+		pol := specs[i].Policy
 		completion := 0.0
 		if res.FlowsStarted > 0 {
 			completion = float64(res.FlowsCompleted) / float64(res.FlowsStarted)
@@ -82,31 +73,5 @@ func (h *Harness) RunFaultTolerance(scale Scale, w io.Writer) (map[string]*Resul
 			fmt.Sprint(res.WatchdogStalls), fmt.Sprint(res.LosslessGaps),
 			fmt.Sprint(res.LosslessViolations), fmt.Sprint(len(res.AuditErrors)))
 	}
-
-	for _, tab := range []*Table{rec, det} {
-		if err := tab.Fprint(w); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// RunFaultTolerance runs the robustness ablation on a default harness; see
-// Harness.RunFaultTolerance.
-func RunFaultTolerance(scale Scale, w io.Writer) (map[string]*Result, error) {
-	return defaultHarness().RunFaultTolerance(scale, w)
-}
-
-// newIntegrityTable starts the violation-visibility table every runner
-// appends to its output: lossless gaps and violations must be zero on a
-// healthy fabric, so a regression shows up in experiment output, not only
-// in tests.
-func newIntegrityTable(title string) *Table {
-	return NewTable(title, "run", "lossless_gaps", "lossless_violations", "audit_errors")
-}
-
-// addIntegrityRow appends one run's integrity counters.
-func addIntegrityRow(tab *Table, label string, r *Result) {
-	tab.AddRow(label, fmt.Sprint(r.LosslessGaps),
-		fmt.Sprint(r.LosslessViolations), fmt.Sprint(len(r.AuditErrors)))
+	return fprintTables(w, rec, det)
 }

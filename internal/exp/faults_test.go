@@ -16,17 +16,17 @@ func TestFaultToleranceAcceptance(t *testing.T) {
 		t.Skip("fault sweep across all policies is slow")
 	}
 	var buf bytes.Buffer
-	out, err := RunFaultTolerance(ScaleTiny, &buf)
+	specs, out, err := NewHarness(0).Run("faults", ScaleTiny, nil, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != len(PolicyNames) {
 		t.Fatalf("got %d policies, want %d", len(out), len(PolicyNames))
 	}
-	for _, pol := range PolicyNames {
-		res := out[pol]
-		if res == nil {
-			t.Fatalf("%s: no result", pol)
+	for i, pol := range PolicyNames {
+		res := out[i]
+		if res == nil || specs[i].Policy != pol {
+			t.Fatalf("%s: no result (point %d ran %q)", pol, i, specs[i].Policy)
 		}
 		if res.FlowsStarted == 0 {
 			t.Fatalf("%s: no flows started", pol)
@@ -122,10 +122,10 @@ func TestFaultTablesAreByteIdentical(t *testing.T) {
 		t.Skip("runs the full fault sweep twice")
 	}
 	var a, b bytes.Buffer
-	if _, err := RunFaultTolerance(ScaleTiny, &a); err != nil {
+	if _, _, err := NewHarness(0).Run("faults", ScaleTiny, nil, &a); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunFaultTolerance(ScaleTiny, &b); err != nil {
+	if _, _, err := NewHarness(0).Run("faults", ScaleTiny, nil, &b); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {

@@ -3,14 +3,15 @@ package exp
 import (
 	"context"
 	"fmt"
+	"io"
 	"path/filepath"
 	"runtime"
 	"sync/atomic"
 	"time"
 )
 
-// Harness executes the paper's figure/table runners over a shared worker
-// pool and accumulates cross-experiment cost accounting (total points and
+// Harness executes the rows of Experiments over a shared worker pool and
+// accumulates cross-experiment cost accounting (total points and
 // simulated events), from which callers derive aggregate events/s across
 // workers. The zero value is valid and uses GOMAXPROCS workers.
 //
@@ -63,6 +64,7 @@ type Harness struct {
 	restored    atomic.Uint64
 	events      atomic.Uint64
 	fallbacks   atomic.Uint64
+	evicted     atomic.Uint64
 	tracePoints int // points seen by trace export numbering (grids run sequentially)
 }
 
@@ -70,14 +72,42 @@ type Harness struct {
 // GOMAXPROCS).
 func NewHarness(workers int) *Harness { return &Harness{Workers: workers} }
 
-// defaultHarness backs the package-level Run* convenience wrappers.
-func defaultHarness() *Harness { return &Harness{} }
-
 func (h *Harness) context() context.Context {
 	if h.Ctx != nil {
 		return h.Ctx
 	}
 	return context.Background()
+}
+
+// Run executes the named row of Experiments at the given scale: its grid
+// fans out across the pool (progress lines through the pool's in-order emit),
+// then its tables render to w. policies restricts the arena's field (nil =
+// every registered policy); other experiments ignore it. The specs come back
+// with the harness defaults applied, results[i] being specs[i]'s; tables are
+// rendered only when every point succeeded.
+func (h *Harness) Run(name string, scale Scale, policies []string, w io.Writer) ([]HybridSpec, []*Result, error) {
+	for _, e := range Experiments {
+		if e.Name == name {
+			return h.run(e, scale, policies, w)
+		}
+	}
+	return nil, nil, fmt.Errorf("exp: unknown experiment %q", name)
+}
+
+func (h *Harness) run(e Experiment, scale Scale, policies []string, w io.Writer) ([]HybridSpec, []*Result, error) {
+	specs, err := e.Grid(scale, policies)
+	if err != nil {
+		return nil, nil, err
+	}
+	var emit EmitFunc
+	if e.Progress != nil {
+		emit = func(i int, res *Result) { fmt.Fprintln(w, e.Progress(specs[i], res)) }
+	}
+	results, err := h.runAll(specs, emit)
+	if err != nil {
+		return nil, nil, err
+	}
+	return specs, results, e.Render(w, scale, specs, results)
 }
 
 // runAll fans the specs out across the pool and returns their results in
@@ -127,9 +157,13 @@ func (h *Harness) runAll(specs []HybridSpec, emit EmitFunc) ([]*Result, error) {
 	h.points.Add(uint64(stats.Points))
 	h.events.Add(stats.Events - restoredEvents.Load())
 	for _, res := range results {
-		if res != nil && res.FidelityFallback != "" {
+		if res == nil {
+			continue
+		}
+		if res.FidelityFallback != "" {
 			h.fallbacks.Add(1)
 		}
+		h.evicted.Add(res.Trace.Stats().Evicted())
 	}
 	if err == nil && h.TraceDir != "" {
 		base := h.tracePoints
@@ -164,6 +198,11 @@ func (h *Harness) TotalEvents() uint64 { return h.events.Load() }
 // fidelity because a fault plan pinned them there. CLI trailers print the
 // delta so the fallback is never silent.
 func (h *Harness) FidelityFallbacks() uint64 { return h.fallbacks.Load() }
+
+// TraceRowsEvicted returns how many flight-recorder rows the completed
+// points' rings discarded (TraceSpec.Capacity overflowed): non-zero means
+// some exported trace holds only the newest part of its run.
+func (h *Harness) TraceRowsEvicted() uint64 { return h.evicted.Load() }
 
 // MemSnapshot freezes the process-wide allocation counters so a caller can
 // report the memory cost of a bounded stretch of work (one experiment). The

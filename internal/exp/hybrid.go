@@ -397,23 +397,7 @@ func (h *hybridRun) packetSegment(segStart sim.Time, carried []*fluid.FlowState)
 	f.harvest(h.res, segEnd >= p.horizon)
 
 	if f.tracers != nil {
-		seg := f.tracers[0]
-		for _, s := range seg.OccSamples() {
-			s.At += segStart
-			h.tracer.RecordOcc(s)
-		}
-		for _, e := range seg.PFCEvents() {
-			e.At += segStart
-			h.tracer.RecordPFC(e)
-		}
-		for _, s := range seg.WeightSamples() {
-			s.At += segStart
-			h.tracer.RecordWeight(s)
-		}
-		for _, e := range seg.PacketEvents() {
-			e.At += segStart
-			h.tracer.RecordPacketEvent(e)
-		}
+		h.tracer.Absorb(f.tracers[0], segStart)
 	}
 	return segEnd, nil
 }

@@ -124,7 +124,7 @@ func TestHybridDivergence(t *testing.T) {
 // TestHybridSteadySpeedup pins the point of the whole exercise: on a
 // steady-state-heavy window the hybrid engine must do a small fraction of
 // the packet engine's event work. (The wall-clock version of this claim is
-// BenchmarkHybridSteadyState.)
+// the benchmark's ledger row fluid.speedup_x.)
 func TestHybridSteadySpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a 40ms packet-fidelity window")

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -156,33 +157,37 @@ func TestPoolEmptyAndSequential(t *testing.T) {
 // workers=1 and workers=8 renders byte-identical progress and tables, and
 // every grid cell's headline metrics match exactly.
 func TestSweepParallelDeterminism(t *testing.T) {
-	run := func(workers int) (string, *SweepResult) {
-		h := NewHarness(workers)
+	parDet := Experiment{
+		Name:     "par-det",
+		Grid:     loadGrid("par-det", []string{"DT", "L2BM"}, []float64{0.2, 0.4}),
+		Progress: loadProgress,
+		Render: func(w io.Writer, _ Scale, specs []HybridSpec, results []*Result) error {
+			return integrity("par-det integrity", specs, results, loadLabel).Fprint(w)
+		},
+	}
+	run := func(workers int) (string, []HybridSpec, []*Result) {
 		var buf bytes.Buffer
-		sweep, err := h.runLoadSweep("par-det", ScaleTiny,
-			[]string{"DT", "L2BM"}, []float64{0.2, 0.4}, &buf)
+		specs, results, err := NewHarness(workers).run(parDet, ScaleTiny, nil, &buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sweepIntegrity("par-det integrity", sweep, &buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String(), sweep
+		return buf.String(), specs, results
 	}
-	out1, s1 := run(1)
-	out8, s8 := run(8)
+	out1, specs, r1 := run(1)
+	out8, _, r8 := run(8)
 	if out1 != out8 {
 		t.Errorf("rendered output differs between workers=1 and workers=8:\n--- w1 ---\n%s\n--- w8 ---\n%s", out1, out8)
 	}
-	for _, pol := range s1.Policies {
-		for i := range s1.Loads {
-			a, b := s1.Cells[pol][i], s8.Cells[pol][i]
-			if a.Events != b.Events || a.PauseFrames != b.PauseFrames ||
-				a.FlowsCompleted != b.FlowsCompleted ||
-				a.RDMAp99() != b.RDMAp99() || a.TCPp99() != b.TCPp99() {
-				t.Errorf("%s@%.1f diverged: events %d vs %d, pause %d vs %d",
-					pol, s1.Loads[i], a.Events, b.Events, a.PauseFrames, b.PauseFrames)
-			}
+	if len(r1) != 4 || strings.Count(out1, "  par-det ") != 4 {
+		t.Fatalf("%d results and this output for a 2 x 2 grid:\n%s", len(r1), out1)
+	}
+	for i, a := range r1 {
+		b := r8[i]
+		if a.Events != b.Events || a.PauseFrames != b.PauseFrames ||
+			a.FlowsCompleted != b.FlowsCompleted ||
+			a.RDMAp99() != b.RDMAp99() || a.TCPp99() != b.TCPp99() {
+			t.Errorf("%s diverged: events %d vs %d, pause %d vs %d",
+				loadLabel(specs[i]), a.Events, b.Events, a.PauseFrames, b.PauseFrames)
 		}
 	}
 }
@@ -195,7 +200,7 @@ func TestFig3bTableByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 	render := func(workers int) string {
 		var buf bytes.Buffer
-		if _, err := NewHarness(workers).RunFig3b(ScaleTiny, &buf); err != nil {
+		if _, _, err := NewHarness(workers).Run("fig3b", ScaleTiny, nil, &buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()

@@ -50,14 +50,6 @@ func scaleLoad(scale Scale) float64 {
 	}
 }
 
-// ScaleResult carries the hyperscale smoke run plus the fabric's static
-// dimensions (for the rendered table and programmatic consumers).
-type ScaleResult struct {
-	Hyper  topo.HyperscaleConfig
-	Config topo.Config
-	Run    *Result
-}
-
 // scaleSpec is the smoke's one point: a short mixed RDMA+TCP window under
 // L2BM on the fabric cfg (HyperscaleFor(scale) lowered).
 func scaleSpec(scale Scale, cfg topo.Config) HybridSpec {
@@ -79,28 +71,26 @@ func scaleSpec(scale Scale, cfg topo.Config) HybridSpec {
 	}
 }
 
-// RunScale is the hyperscale smoke experiment (-exp scale): it builds the
-// pod-structured Clos fabric the scale selects (1k/10k/100k hosts), offers a
-// short mixed RDMA+TCP window under L2BM with the invariant auditor armed
-// (violations exit nonzero — this is the CI smoke), and renders fabric
-// dimensions, delivery counters and integrity in one deterministic table
-// pair. It runs
+// The hyperscale smoke experiment (-exp scale) builds the pod-structured
+// Clos fabric the scale selects (1k/10k/100k hosts), offers a short mixed
+// RDMA+TCP window under L2BM with the invariant auditor armed (violations
+// exit nonzero — this is the CI smoke), and renders fabric dimensions,
+// delivery counters and integrity in one deterministic table pair. It runs
 // through the same harness as every figure, so -shards and -fidelity hybrid
 // apply unchanged; the point of the experiment is that the numbers do NOT
 // change when those execution strategies do.
-func (h *Harness) RunScale(scale Scale, w io.Writer) (*ScaleResult, error) {
-	hyper := HyperscaleFor(scale)
-	cfg, err := hyper.Config()
+func scaleGrid(scale Scale, _ []string) ([]HybridSpec, error) {
+	cfg, err := HyperscaleFor(scale).Config()
 	if err != nil {
 		return nil, err
 	}
-	spec := scaleSpec(scale, cfg)
-	results, err := h.runAll([]HybridSpec{spec}, nil)
-	if err != nil {
-		return nil, err
-	}
-	res := results[0]
+	return []HybridSpec{scaleSpec(scale, cfg)}, nil
+}
 
+func renderScale(w io.Writer, scale Scale, specs []HybridSpec, results []*Result) error {
+	hyper, res := HyperscaleFor(scale), results[0]
+	var cfg topo.Config
+	specs[0].TopoOverride(&cfg) // the fabric the point ran on
 	tab := NewTable(fmt.Sprintf("Scale smoke: %d-host hyperscale Clos (%d pods x %d ToRs x %d servers, %g:1 oversub)",
 		cfg.Hosts(), hyper.Pods, hyper.ToRsPerPod, hyper.ServersPerToR, hyper.Oversubscription),
 		"hosts", "tors", "aggs", "cores", "flows_done", "trunc", "lossy_drops", "pauses")
@@ -113,29 +103,36 @@ func (h *Harness) RunScale(scale Scale, w io.Writer) (*ScaleResult, error) {
 		fmt.Sprintf("%d", res.TruncatedFlows),
 		fmt.Sprintf("%d", res.LossyDrops),
 		fmt.Sprintf("%d", res.PauseFrames))
-	if err := tab.Fprint(w); err != nil {
-		return nil, err
-	}
-	integ := newIntegrityTable("Scale smoke integrity: lossless gaps / violations / MMU audits")
-	addIntegrityRow(integ, fmt.Sprintf("L2BM@%s", scale), res)
-	if err := integ.Fprint(w); err != nil {
-		return nil, err
+	err := fprintTables(w, tab,
+		integrity("Scale smoke integrity: lossless gaps / violations / MMU audits", specs, results,
+			func(sp HybridSpec) string { return fmt.Sprintf("%s@%s", sp.Policy, scale) }))
+	if err != nil {
+		return err
 	}
 	// The smoke is a CI gate: an unhealthy fabric must exit nonzero, not
 	// just render a nonzero cell in the integrity table.
 	if res.AuditChecks == 0 {
-		return nil, fmt.Errorf("scale smoke: auditor armed but ran zero sweeps")
+		return fmt.Errorf("scale smoke: auditor armed but ran zero sweeps")
 	}
 	if n := len(res.AuditErrors); n > 0 {
-		return nil, fmt.Errorf("scale smoke: %d audit violation(s), first: %s", n, res.AuditErrors[0])
+		return fmt.Errorf("scale smoke: %d audit violation(s), first: %s", n, res.AuditErrors[0])
 	}
 	if res.LosslessViolations > 0 {
-		return nil, fmt.Errorf("scale smoke: %d lossless violation(s)", res.LosslessViolations)
+		return fmt.Errorf("scale smoke: %d lossless violation(s)", res.LosslessViolations)
 	}
-	return &ScaleResult{Hyper: hyper, Config: cfg, Run: res}, nil
+	return nil
 }
 
-// RunScale runs the hyperscale smoke on the default harness.
-func RunScale(scale Scale, w io.Writer) (*ScaleResult, error) {
-	return defaultHarness().RunScale(scale, w)
+// ScaleResult carries the hyperscale smoke's one point.
+type ScaleResult struct {
+	Run *Result
+}
+
+// RunScale is Run("scale") for callers that want the smoke's Result by name.
+func (h *Harness) RunScale(scale Scale, w io.Writer) (*ScaleResult, error) {
+	_, results, err := h.Run("scale", scale, nil, w)
+	if err != nil {
+		return nil, err
+	}
+	return &ScaleResult{Run: results[0]}, nil
 }

@@ -38,6 +38,16 @@ func (t *Table) Fprint(w io.Writer) error {
 	return tw.Flush()
 }
 
+// fprintTables renders the tables in order, stopping at the first error.
+func fprintTables(w io.Writer, tabs ...*Table) error {
+	for _, t := range tabs {
+		if err := t.Fprint(w); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // CSV renders the table as comma-separated values (quotes are not needed:
 // cells are numbers and identifiers).
 func (t *Table) CSV() string {

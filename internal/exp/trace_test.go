@@ -73,7 +73,7 @@ func TestTracedRunDoesNotPerturbSimulation(t *testing.T) {
 // on and off: the emitted tables and progress lines must be byte-identical.
 func TestTracedFigureOutputByteIdentical(t *testing.T) {
 	var plain bytes.Buffer
-	if _, err := NewHarness(1).RunFig3a(ScaleTiny, &plain); err != nil {
+	if _, _, err := NewHarness(1).Run("fig3a", ScaleTiny, nil, &plain); err != nil {
 		t.Fatal(err)
 	}
 
@@ -81,7 +81,7 @@ func TestTracedFigureOutputByteIdentical(t *testing.T) {
 	h.Trace = &TraceSpec{}
 	h.TraceDir = t.TempDir()
 	var traced bytes.Buffer
-	if _, err := h.RunFig3a(ScaleTiny, &traced); err != nil {
+	if _, _, err := h.Run("fig3a", ScaleTiny, nil, &traced); err != nil {
 		t.Fatal(err)
 	}
 
@@ -95,6 +95,35 @@ func TestTracedFigureOutputByteIdentical(t *testing.T) {
 	}
 	if len(files) == 0 {
 		t.Error("traced harness exported no artifacts")
+	}
+}
+
+// TestHarnessReportsTraceEvictions: a point whose rings overflowed says how
+// many rows it lost — on its Result (trace.Merge used to zero the counts) and,
+// summed, on the harness — and a recording that fits reports none.
+func TestHarnessReportsTraceEvictions(t *testing.T) {
+	for _, tc := range []struct {
+		capacity  int
+		fidelity  string
+		wantEvict bool
+	}{{8, FidelityPacket, true}, {8, FidelityHybrid, true}, {0, FidelityPacket, false}} {
+		h := NewHarness(1)
+		spec := tracedTinySpec("L2BM")
+		spec.Trace.Capacity, spec.Fidelity = tc.capacity, tc.fidelity
+		results, err := h.runAll([]HybridSpec{spec, spec}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := results[0].Trace.Stats()
+		if got := st.Evicted() > 0; got != tc.wantEvict {
+			t.Errorf("capacity %d, %s: point stats %+v, evictions reported = %v, want %v", tc.capacity, tc.fidelity, st, got, tc.wantEvict)
+		}
+		if tc.wantEvict && st.OccSamples != 8 {
+			t.Errorf("capacity 8 kept %d occupancy rows", st.OccSamples)
+		}
+		if got, want := h.TraceRowsEvicted(), 2*st.Evicted(); got != want {
+			t.Errorf("capacity %d: harness counts %d evicted rows over two identical points, want %d", tc.capacity, got, want)
+		}
 	}
 }
 

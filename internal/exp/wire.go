@@ -79,58 +79,62 @@ func ParseSweepRequest(data []byte) (*SweepRequest, error) {
 	return &req, nil
 }
 
-// Validate checks every spec against the same envelope the CLI enforces
-// upfront: registered policy, known fidelity/scale values, sane
-// loads, and the hybrid/shards exclusion.
+// Validate checks every spec (HybridSpec.Validate) before any simulation.
 func (r *SweepRequest) Validate() error {
 	if len(r.Specs) == 0 {
 		return fmt.Errorf("exp: sweep request: no specs")
 	}
 	for i, sp := range r.Specs {
-		fail := func(format string, args ...any) error {
-			return fmt.Errorf("exp: sweep request: spec %d: %s", i, fmt.Sprintf(format, args...))
+		if err := sp.Validate(); err != nil {
+			return fmt.Errorf("exp: sweep request: spec %d: %w", i, err)
 		}
-		if sp.Name == "" {
-			return fail("Name is required (it seeds the run)")
+	}
+	return nil
+}
+
+// Validate is the envelope every input surface enforces upfront — the
+// daemon, l2bmexp -spec and l2bmsim all call it: a name (it seeds the run), a
+// registered policy, known scale/fidelity values, loads in [0, 1], positive
+// incast parameters, a valid fault plan, and the hybrid/shards exclusion.
+func (sp HybridSpec) Validate() error {
+	if sp.Name == "" {
+		return fmt.Errorf("Name is required (it seeds the run)")
+	}
+	if sp.Policy == "" {
+		return fmt.Errorf("Policy is required")
+	}
+	if !core.IsRegistered(sp.Policy) {
+		return fmt.Errorf("unknown policy %q (have %s)", sp.Policy, strings.Join(core.RegisteredPolicies(), " "))
+	}
+	switch sp.Scale {
+	case ScaleTiny, ScaleSmall, ScaleFull:
+	default:
+		return fmt.Errorf("unknown scale %d (want tiny|small|full)", int(sp.Scale))
+	}
+	switch sp.Fidelity {
+	case "", FidelityPacket, FidelityHybrid:
+	default:
+		return fmt.Errorf("unknown fidelity %q (want %q or %q)", sp.Fidelity, FidelityPacket, FidelityHybrid)
+	}
+	if sp.Fidelity == FidelityHybrid && sp.Shards >= 1 {
+		return fmt.Errorf("hybrid fidelity requires the classic engine (got Shards=%d)", sp.Shards)
+	}
+	if sp.Shards < 0 {
+		return fmt.Errorf("Shards must be >= 0, got %d", sp.Shards)
+	}
+	for _, load := range []struct {
+		name string
+		v    float64
+	}{{"RDMALoad", sp.RDMALoad}, {"TCPLoad", sp.TCPLoad}} {
+		if math.IsNaN(load.v) || math.IsInf(load.v, 0) || load.v < 0 || load.v > 1 {
+			return fmt.Errorf("%s = %v, want in [0, 1]", load.name, load.v)
 		}
-		if sp.Policy == "" {
-			return fail("Policy is required")
-		}
-		if !core.IsRegistered(sp.Policy) {
-			return fail("unknown policy %q (have %s)", sp.Policy, strings.Join(core.RegisteredPolicies(), " "))
-		}
-		switch sp.Scale {
-		case ScaleTiny, ScaleSmall, ScaleFull:
-		default:
-			return fail("unknown scale %d (want tiny|small|full)", int(sp.Scale))
-		}
-		switch sp.Fidelity {
-		case "", FidelityPacket, FidelityHybrid:
-		default:
-			return fail("unknown fidelity %q (want %q or %q)", sp.Fidelity, FidelityPacket, FidelityHybrid)
-		}
-		if sp.Fidelity == FidelityHybrid && sp.Shards >= 1 {
-			return fail("hybrid fidelity requires the classic engine (got Shards=%d)", sp.Shards)
-		}
-		if sp.Shards < 0 {
-			return fail("Shards must be >= 0, got %d", sp.Shards)
-		}
-		for _, load := range []struct {
-			name string
-			v    float64
-		}{{"RDMALoad", sp.RDMALoad}, {"TCPLoad", sp.TCPLoad}} {
-			if math.IsNaN(load.v) || math.IsInf(load.v, 0) || load.v < 0 || load.v > 1 {
-				return fail("%s = %v, want in [0, 1]", load.name, load.v)
-			}
-		}
-		if sp.Incast != nil && (sp.Incast.Fanout <= 0 || sp.Incast.RequestBytes <= 0 || sp.Incast.QueryRate <= 0) {
-			return fail("Incast needs positive Fanout, RequestBytes and QueryRate")
-		}
-		if sp.Faults != nil {
-			if err := sp.Faults.Plan.Validate(); err != nil {
-				return fail("%v", err)
-			}
-		}
+	}
+	if sp.Incast != nil && (sp.Incast.Fanout <= 0 || sp.Incast.RequestBytes <= 0 || sp.Incast.QueryRate <= 0) {
+		return fmt.Errorf("Incast needs positive Fanout, RequestBytes and QueryRate")
+	}
+	if sp.Faults != nil {
+		return sp.Faults.Plan.Validate()
 	}
 	return nil
 }

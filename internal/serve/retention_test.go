@@ -541,36 +541,60 @@ func TestHotResubmitHeapFlat(t *testing.T) {
 	}
 }
 
-// BenchmarkHotResubmit is one cached round trip — submit, events, result —
-// through the handlers in process (no sockets), so B/op and allocs/op are
-// the daemon's own.
+// hotRoundTrip is one closed-loop round trip — submit, events, result —
+// through the handlers in process (no sockets), so what it allocates is the
+// daemon's own. It returns the result's size.
+func hotRoundTrip(tb testing.TB, srv *Server, body string) int {
+	w := httptest.NewRecorder()
+	srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/sweeps", strings.NewReader(body)))
+	var st statusResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil || w.Code != http.StatusAccepted {
+		tb.Fatalf("submit: %d, %v", w.Code, err)
+	}
+	for _, path := range []string{"/events", "/result"} {
+		w = httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/sweeps/"+st.ID+path, nil))
+		if w.Code != http.StatusOK {
+			tb.Fatalf("%s: %d", path, w.Code)
+		}
+	}
+	return w.Body.Len()
+}
+
+// TestHotResubmitAllocs: a cached eight-point resubmission costs the request
+// parse, the sweep's bookkeeping and the response buffers — 316 allocations
+// measured, 412 under -race (whose sync.Pool drops items on purpose), 500
+// allowed — and no decode of a stored point: decoding the eight reads 584.
+func TestHotResubmitAllocs(t *testing.T) {
+	srv, err := New(Config{CacheDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := hotSweep()
+	size := hotRoundTrip(t, srv, body) // the one fresh run fills the cache
+	allocs := testing.AllocsPerRun(200, func() {
+		if got := hotRoundTrip(t, srv, body); got != size {
+			t.Fatalf("a resubmission served %d B, the fresh run %d", got, size)
+		}
+	})
+	t.Logf("%.0f allocations per cached resubmission (%d B result)", allocs, size)
+	if allocs > 500 {
+		t.Errorf("a cached resubmission allocates %.0f times, want <= 500 (measured 316)", allocs)
+	}
+}
+
+// BenchmarkHotResubmit prices hotRoundTrip on a filled cache.
 func BenchmarkHotResubmit(b *testing.B) {
 	srv, err := New(Config{CacheDir: b.TempDir()})
 	if err != nil {
 		b.Fatal(err)
 	}
 	body := hotSweep()
-	roundTrip := func() int {
-		w := httptest.NewRecorder()
-		srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/sweeps", strings.NewReader(body)))
-		var st statusResponse
-		if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil || w.Code != http.StatusAccepted {
-			b.Fatalf("submit: %d, %v", w.Code, err)
-		}
-		for _, path := range []string{"/events", "/result"} {
-			w = httptest.NewRecorder()
-			srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/sweeps/"+st.ID+path, nil))
-			if w.Code != http.StatusOK {
-				b.Fatalf("%s: %d", path, w.Code)
-			}
-		}
-		return w.Body.Len()
-	}
-	size := roundTrip() // the one fresh run fills the cache
+	size := hotRoundTrip(b, srv, body) // the one fresh run fills the cache
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := roundTrip(); got != size {
+		if got := hotRoundTrip(b, srv, body); got != size {
 			b.Fatalf("resubmission %d served %d B, the fresh run %d", i, got, size)
 		}
 	}

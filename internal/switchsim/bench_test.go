@@ -28,15 +28,14 @@ func (h *benchSink) HandleArrival(p *pkt.Packet, _ *netdev.Port) {
 
 func (h *benchSink) Name() string { return h.name }
 
-// benchAdmit drives a sustained hybrid (lossless + lossy) fan-in through a
-// 5-port L2BM switch — the admission/dequeue/PFC hot path — with the given
-// recorder and pool installed (pl == nil benchmarks the heap-allocating
-// control arm). One benchmark op is one injected MTU packet; the engine
-// drains in batches so the switch stays backlogged (thresholds, ECN and PFC
-// all exercised) without unbounded queue growth.
-func benchAdmit(b *testing.B, rec *trace.Recorder, pl *pkt.Pool) {
-	b.Helper()
-	eng := sim.NewEngine(42)
+// admitFixture builds a 5-port L2BM switch with the given recorder and pool
+// installed (pl == nil is the heap-allocating control arm) and returns the
+// driver of its admission/dequeue/PFC hot path: inject(i) offers the i-th MTU
+// packet of a sustained hybrid (lossless + lossy) fan-in, and the engine
+// drains every 128 packets so the switch stays backlogged (thresholds, ECN
+// and PFC all exercised) without unbounded queue growth.
+func admitFixture(rec *trace.Recorder, pl *pkt.Pool) (inject func(i int), eng *sim.Engine) {
+	eng = sim.NewEngine(42)
 	sw := NewSwitch(eng, "sw", DefaultConfig(), core.NewDefaultL2BM())
 	sw.SetTracer(rec)
 	sinks := make([]*benchSink, 5)
@@ -50,9 +49,7 @@ func benchAdmit(b *testing.B, rec *trace.Recorder, pl *pkt.Pool) {
 	}
 	sw.SetPool(pl)
 	sw.SetRouter(func(p *pkt.Packet, _ int) int { return p.Dst })
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func(i int) {
 		src := i & 3
 		prio, class := pkt.PrioLossy, pkt.ClassLossy
 		if i&1 == 0 {
@@ -64,13 +61,50 @@ func benchAdmit(b *testing.B, rec *trace.Recorder, pl *pkt.Pool) {
 		if i&127 == 127 {
 			eng.RunAll()
 		}
+	}, eng
+}
+
+// benchAdmit prices the fixture: one benchmark op is one injected packet.
+func benchAdmit(b *testing.B, rec *trace.Recorder, pl *pkt.Pool) {
+	b.Helper()
+	inject, eng := admitFixture(rec, pl)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		inject(i)
 	}
 	eng.RunAll()
 }
 
+// TestAdmitSteadyStateAllocs: once the pools, rings and first-use queue
+// tables are warm, admitting, queueing, transmitting and delivering a packet
+// allocates nothing — with no recorder installed and with one armed (on
+// two-row rings, so a probe that fires overwrites). One run is a 128-packet
+// batch including its drain.
+func TestAdmitSteadyStateAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rec  *trace.Recorder
+	}{{"tracer nil", nil}, {"tracer armed", trace.NewRecorder(2)}} {
+		inject, _ := admitFixture(tc.rec, pkt.NewPool())
+		next := 0
+		batch := func() {
+			for end := next + 128; next < end; next++ {
+				inject(next)
+			}
+		}
+		for i := 0; i < 64; i++ {
+			batch()
+		}
+		if allocs := testing.AllocsPerRun(100, batch); allocs != 0 {
+			t.Errorf("%s: %.0f allocations per 128-packet batch in steady state, want 0", tc.name, allocs)
+		}
+	}
+}
+
 // BenchmarkAdmit is the production configuration: packet pool wired (as
 // topo.Build wires every cluster), probes compiled in, no recorder ever
-// installed. This is the allocs/op-guarded benchmark.
+// installed. TestAdmitSteadyStateAllocs holds its allocs/op at zero.
 func BenchmarkAdmit(b *testing.B) { benchAdmit(b, nil, pkt.NewPool()) }
 
 // BenchmarkAdmitUnpooled is the heap-allocating control arm (the pre-pool
@@ -80,9 +114,10 @@ func BenchmarkAdmitUnpooled(b *testing.B) { benchAdmit(b, nil, nil) }
 
 // BenchmarkAdmitTraceOff measures the branch-on-nil guard with tracing
 // explicitly disarmed (benchAdmit calls SetTracer(nil)): the
-// disabled-tracing hot path. CI runs this next to BenchmarkAdmitTraceOn;
-// the flight recorder's design budget for disabled tracing is ≤1% against
-// a probe-free switch, so TraceOff must sit at the noise floor.
+// disabled-tracing hot path, to read next to BenchmarkAdmitTraceOn. The
+// flight recorder's design budget for disabled tracing is ≤1% against a
+// probe-free switch, so TraceOff must sit at the noise floor (the benchmark's
+// ledger rows switchsim.admit_ns.L2BM / admit_traced_ns.L2BM track both).
 func BenchmarkAdmitTraceOff(b *testing.B) { benchAdmit(b, nil, pkt.NewPool()) }
 
 // BenchmarkAdmitTraceOn prices enabled tracing (ring pushes on every drop,

@@ -51,22 +51,41 @@ func benchRecorder() (*Recorder, sim.Time) {
 	return r, at + 1
 }
 
-// BenchmarkColfmtWrite measures the columnar export of that recorder:
-// throughput via ns/op and the artifact size via the artifact-B metric. The
-// one arm keeps its sub-benchmark name so BENCH_BASELINE.json's row still
-// guards it.
+// exportCol is the columnar export the run harness performs per traced point
+// (exp.Result.WriteCol): the recorder's channels appended to a fresh file,
+// the file encoded into buf.
+func exportCol(tb testing.TB, r *Recorder, horizon sim.Time, buf *bytes.Buffer) {
+	buf.Reset()
+	f := colfmt.NewFile()
+	r.AppendCol(f, horizon)
+	if _, err := f.WriteTo(buf); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// TestExportColAllocBudget: exporting the 67,000-row synthetic recording
+// allocates per column and per block, not per row — 500 allocations measured
+// into a warm buffer (659 into a cold one, which is what a -benchtime=1x run
+// reads), 625 allowed; one allocation per row would be 67,000.
+func TestExportColAllocBudget(t *testing.T) {
+	r, horizon := benchRecorder()
+	var buf bytes.Buffer
+	allocs := testing.AllocsPerRun(5, func() { exportCol(t, r, horizon, &buf) })
+	t.Logf("%.0f allocations for a %d-byte artifact", allocs, buf.Len())
+	if allocs > 625 {
+		t.Errorf("columnar export allocates %.0f times, want <= 625 (measured 500)", allocs)
+	}
+}
+
+// BenchmarkColfmtWrite measures that export: throughput via ns/op and the
+// artifact size via the artifact-B metric.
 func BenchmarkColfmtWrite(b *testing.B) {
 	r, horizon := benchRecorder()
 
 	b.Run("col", func(b *testing.B) {
 		var buf bytes.Buffer
 		for i := 0; i < b.N; i++ {
-			buf.Reset()
-			f := colfmt.NewFile()
-			r.AppendCol(f, horizon)
-			if _, err := f.WriteTo(&buf); err != nil {
-				b.Fatal(err)
-			}
+			exportCol(b, r, horizon, &buf)
 		}
 		b.ReportMetric(float64(buf.Len()), "artifact-B")
 	})

@@ -6,7 +6,11 @@
 // byte-identical across shard counts.
 package trace
 
-import "sort"
+import (
+	"sort"
+
+	"l2bm/internal/sim"
+)
 
 // Merge combines the retained events of the given recorders into one new
 // recorder in canonical order: each channel is stably sorted by (time,
@@ -16,9 +20,11 @@ import "sort"
 // across switches — the result depends only on what was recorded, never on
 // how the recording was split across shards. Nil inputs are skipped; the
 // output's channels are sized to hold everything (no eviction during the
-// merge). Note that per-shard rings only hold identical content for every
-// shard count as long as no input ring evicted history; size capacities
-// accordingly when byte-identical traces matter.
+// merge) and carry the inputs' summed eviction counts, so Stats on the
+// result still says how much history the run lost. Note that per-shard rings
+// only hold identical content for every shard count as long as no input ring
+// evicted history; size capacities accordingly when byte-identical traces
+// matter.
 func Merge(recorders ...*Recorder) *Recorder {
 	var occ []OccSample
 	var pfc []PFCEvent
@@ -80,5 +86,46 @@ func Merge(recorders ...*Recorder) *Recorder {
 	for _, e := range pkts {
 		out.RecordPacketEvent(e)
 	}
+	for _, r := range recorders {
+		if r != nil {
+			out.addEvictions(r)
+		}
+	}
 	return out
+}
+
+// Absorb appends seg's retained rows to r with their timestamps shifted by
+// shift — how the hybrid driver re-bases a packet segment's recording onto
+// the run's clock — and adds what seg's rings had already evicted to r's
+// counts, so rows lost inside a segment are still reported. A nil r or seg
+// is a no-op.
+func (r *Recorder) Absorb(seg *Recorder, shift sim.Time) {
+	if r == nil || seg == nil {
+		return
+	}
+	for _, s := range seg.occ.slice() {
+		s.At += shift
+		r.occ.push(s)
+	}
+	for _, e := range seg.pfc.slice() {
+		e.At += shift
+		r.pfc.push(e)
+	}
+	for _, s := range seg.weights.slice() {
+		s.At += shift
+		r.weights.push(s)
+	}
+	for _, e := range seg.pkts.slice() {
+		e.At += shift
+		r.pkts.push(e)
+	}
+	r.addEvictions(seg)
+}
+
+// addEvictions counts what from's rings discarded as discarded by r too.
+func (r *Recorder) addEvictions(from *Recorder) {
+	r.occ.evicted += from.occ.evicted
+	r.pfc.evicted += from.pfc.evicted
+	r.weights.evicted += from.weights.evicted
+	r.pkts.evicted += from.pkts.evicted
 }

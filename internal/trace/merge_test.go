@@ -3,6 +3,8 @@ package trace
 import (
 	"reflect"
 	"testing"
+
+	"l2bm/internal/sim"
 )
 
 // TestMergeCanonicalOrder: two recorders holding interleaved per-switch
@@ -70,5 +72,57 @@ func TestMergePreservesPerSwitchOrder(t *testing.T) {
 	ev := out.PFCEvents()
 	if len(ev) != 2 || ev[0].Kind != PFCAssert || ev[1].Kind != PFCRelease {
 		t.Errorf("same-switch same-time order not preserved: %v", ev)
+	}
+}
+
+// TestMergeCarriesEvictions: a merged recorder is sized to hold everything it
+// was handed, so it evicts nothing itself — but what its inputs had already
+// lost must still be reported, or a truncated recording reads as complete.
+func TestMergeCarriesEvictions(t *testing.T) {
+	a, b := NewRecorder(3), NewRecorder(3)
+	for i := 0; i < 5; i++ { // 2 over the ring
+		a.RecordOcc(OccSample{At: sim.Time(i), Switch: "tor0"})
+	}
+	for i := 0; i < 7; i++ { // 4 over
+		b.RecordOcc(OccSample{At: sim.Time(i), Switch: "tor1"})
+		b.RecordPacketEvent(PacketEvent{At: sim.Time(i), Switch: "tor1", Kind: ECNMark})
+	}
+	b.RecordPFC(PFCEvent{At: 1, Switch: "tor1", Kind: PFCAssert})
+
+	st := Merge(a, nil, b).Stats()
+	want := Stats{OccSamples: 6, OccEvicted: 6, PFCEvents: 1, PacketEvents: 3, PacketEvicted: 4}
+	if st != want {
+		t.Errorf("merged stats %+v, want %+v", st, want)
+	}
+	if st.Evicted() != 10 {
+		t.Errorf("Evicted() = %d, want 10", st.Evicted())
+	}
+	if again := Merge(Merge(a, b)).Stats(); again != want {
+		t.Errorf("re-merging lost the counts: %+v, want %+v", again, want)
+	}
+}
+
+// TestAbsorbShiftsAndCarriesEvictions: re-basing a segment's recording keeps
+// its rows in order at shifted instants, and rows the segment's own rings had
+// dropped count as lost in the recorder that absorbed it.
+func TestAbsorbShiftsAndCarriesEvictions(t *testing.T) {
+	run, seg := NewRecorder(8), NewRecorder(2)
+	run.RecordOcc(OccSample{At: 5, Switch: "tor0"})
+	for i := 0; i < 5; i++ { // 3 over the segment's ring
+		seg.RecordOcc(OccSample{At: sim.Time(i), Switch: "tor0", Resident: int64(i)})
+	}
+	seg.RecordPFC(PFCEvent{At: 1, Switch: "tor0", Kind: PFCAssert})
+	run.Absorb(seg, 100)
+	run.Absorb(nil, 100)
+
+	want := []OccSample{{At: 5, Switch: "tor0"}, {At: 103, Switch: "tor0", Resident: 3}, {At: 104, Switch: "tor0", Resident: 4}}
+	if got := run.OccSamples(); !reflect.DeepEqual(got, want) {
+		t.Errorf("absorbed occupancy rows %v, want %v", got, want)
+	}
+	if ev := run.PFCEvents(); len(ev) != 1 || ev[0].At != 101 {
+		t.Errorf("absorbed PFC rows %v, want one at 101", ev)
+	}
+	if st := run.Stats(); st.OccEvicted != 3 || st.Evicted() != 3 {
+		t.Errorf("stats after absorbing %+v, want the segment's 3 lost occupancy rows", st)
 	}
 }

@@ -273,6 +273,12 @@ type Stats struct {
 	PacketEvents, PacketEvicted  uint64
 }
 
+// Evicted returns the rows the rings discarded, summed over the channels: a
+// non-zero count means the recording holds only the newest part of the run.
+func (s Stats) Evicted() uint64 {
+	return s.OccEvicted + s.PFCEvicted + s.WeightEvicted + s.PacketEvicted
+}
+
 // Stats returns the channel accounting; the zero Stats for a nil recorder.
 func (r *Recorder) Stats() Stats {
 	if r == nil {

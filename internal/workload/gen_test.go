@@ -2,6 +2,8 @@ package workload
 
 import (
 	"math"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"l2bm/internal/pkt"
@@ -370,26 +372,53 @@ func TestIncastInstallMidRunGeneratesFullWindow(t *testing.T) {
 	}
 }
 
-// BenchmarkPoissonInstall prices installing one traffic class on a
-// hyperscale fabric: every host gets its three named random streams and its
-// first arrival scheduled. Only the arrivals stream is drawn from here; the
-// sizes and dests streams of a host stay untouched until it launches a flow
-// (most hosts of a short window never do), so B/op is what an idle host
-// costs. Run with -benchmem; B/op and allocs/op are guarded in
-// BENCH_BASELINE.json.
+// install10k installs one traffic class on a 10,240-host fabric: every host
+// gets its three named random streams and its first arrival scheduled. Only
+// the arrivals stream is drawn from here; the sizes and dests streams of a
+// host stay untouched until it launches a flow (most hosts of a short window
+// never do), so what it allocates is what an idle host costs.
+func install10k(tb testing.TB) {
+	cfg := poissonCfg()
+	cfg.Sources, cfg.Dests = hostsRange(10_240), hostsRange(10_240)
+	cfg.Load = 0.05
+	cfg.Window = 200 * sim.Microsecond
+	g, err := NewPoisson(sim.NewEngine(1), &captureSink{}, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	g.Install()
+}
+
+// TestIdleHostInstallBytes: an installed, idle host costs at most 600 B
+// (measured 446 B). A random stream that seeds its 4.9 kB state vector at
+// its first draw costs 5.8 kB per host and one that seeds it at creation
+// 16.6 kB; at 100k hosts that is 45 MB against 0.6 or 1.7 GB.
+func TestIdleHostInstallBytes(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("the race detector's allocator pads small objects (665 B per host)")
+			}
+		}
+	}
+	install10k(t) // warm-up
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	install10k(t)
+	runtime.ReadMemStats(&after)
+	perHost := float64(after.TotalAlloc-before.TotalAlloc) / 10_240
+	t.Logf("%.0f B allocated per installed host", perHost)
+	if perHost > 600 {
+		t.Errorf("installing a traffic class allocates %.0f B per host, want <= 600", perHost)
+	}
+}
+
+// BenchmarkPoissonInstall prices install10k; run with -benchmem.
 func BenchmarkPoissonInstall(b *testing.B) {
 	b.Run("10k", func(b *testing.B) {
-		cfg := poissonCfg()
-		cfg.Sources, cfg.Dests = hostsRange(10_240), hostsRange(10_240)
-		cfg.Load = 0.05
-		cfg.Window = 200 * sim.Microsecond
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			g, err := NewPoisson(sim.NewEngine(1), &captureSink{}, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			g.Install()
+			install10k(b)
 		}
 	})
 }

@@ -27,8 +27,6 @@
 package l2bm
 
 import (
-	"io"
-
 	"l2bm/internal/core"
 	"l2bm/internal/exp"
 	"l2bm/internal/faults"
@@ -267,10 +265,11 @@ type Result = exp.Result
 // RunHybrid executes one hybrid-traffic data point.
 func RunHybrid(spec HybridSpec) (*Result, error) { return exp.RunHybrid(spec) }
 
-// Harness executes figure/table runners over a bounded worker pool:
-// independent grid points fan out across cores while results are collated
-// in spec order, so rendered artifacts are byte-identical for any worker
-// count. See exp.Harness.
+// Harness executes experiments by name — Run("fig7", scale, nil, w), any row
+// of the evaluation, the faults ablation and the policy arena included —
+// over a bounded worker pool: independent grid points fan out across cores
+// while results are collated in spec order, so rendered artifacts are
+// byte-identical for any worker count. See exp.Harness.
 type Harness = exp.Harness
 
 // NewHarness returns an experiment harness bounded to the given worker
@@ -296,12 +295,6 @@ type FaultSpec = exp.FaultSpec
 // link-flap duty cycle plus BER 1e-6 frame corruption during the traffic
 // window.
 func DefaultFaultScenario(scale Scale) *FaultSpec { return exp.DefaultFaultScenario(scale) }
-
-// RunFaultTolerance compares all four policies under the default fault
-// scenario and writes the completion/recovery and detection tables to w.
-func RunFaultTolerance(scale Scale, w io.Writer) (map[string]*Result, error) {
-	return exp.RunFaultTolerance(scale, w)
-}
 
 // FrameCorruptionProb converts a bit-error rate into a per-frame corruption
 // probability for a frame of sizeBytes.
