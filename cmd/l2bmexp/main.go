@@ -4,7 +4,7 @@
 // Usage:
 //
 //	l2bmexp -exp fig7 -scale small
-//	l2bmexp -exp all -scale full -out results.txt
+//	l2bmexp -exp all -scale full | tee -a results.txt
 //	l2bmexp -exp fig7 -scale full -parallel 8 -cpuprofile cpu.pprof
 //
 // Experiments: fig3a fig3b fig7 table2 fig8 fig9 fig10 fig11 faults arena
@@ -45,8 +45,8 @@
 // Orthogonally, -shards N runs every individual point on the sharded
 // conservative-time engine (internal/psim): the Clos fabric is partitioned
 // across N per-shard engines synchronized by lookahead-bounded epochs.
-// Results are byte-identical for every legal shard count, 0 included, so
-// -shards changes only the timing trailer.
+// Results are byte-identical for every legal shard count (0 and 1 both mean
+// one engine), so -shards changes only the timing trailer.
 //
 // -fidelity hybrid runs figure/table experiments on the hybrid-fidelity
 // engine (internal/fluid): steady-state spans advance analytically, bursts
@@ -76,6 +76,7 @@ import (
 	"strings"
 	"time"
 
+	"l2bm/internal/chaos"
 	"l2bm/internal/core"
 	"l2bm/internal/exp"
 	"l2bm/internal/sim"
@@ -88,13 +89,12 @@ func main() {
 	}
 }
 
-func run(args []string, stdout io.Writer) error {
+func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("l2bmexp", flag.ContinueOnError)
 	expName := fs.String("exp", "all", "experiment: "+strings.Join(experimentNames(), "|"))
 	scaleName := fs.String("scale", "small", "simulation scale: tiny|small|full")
-	outPath := fs.String("out", "", "also append output to this file")
 	parallel := fs.Int("parallel", 0, "worker pool size for independent grid points (0 = GOMAXPROCS, 1 = sequential)")
-	shards := fs.Int("shards", 0, "run each point on the sharded conservative-time engine with N shards (0 = one engine, global observers as engine events); results are byte-identical for any legal N")
+	shards := fs.Int("shards", 0, "run each point on the sharded conservative-time engine with N shards (0 and 1 both mean one engine); results are byte-identical for any legal N")
 	fidelity := fs.String("fidelity", "", "execution engine for figure/table experiments: packet (every MTU simulated; the default) or hybrid (fluid fast-forward between bursts; results within the DESIGN.md §14 divergence bound)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
@@ -136,15 +136,35 @@ func run(args []string, stdout io.Writer) error {
 	if *pointTimeout < 0 {
 		return fmt.Errorf("-point-timeout must be >= 0, got %v", *pointTimeout)
 	}
+	scale, err := exp.ParseScale(*scaleName)
+	if err != nil {
+		return err
+	}
 
-	// -spec replaces the named-experiment path entirely: the file is the
-	// sweep, so experiment-selection flags make no sense next to it.
-	if *specPath != "" {
-		for _, conflict := range []string{"exp", "scale", "trace", "fidelity", "shards"} {
+	// -spec replaces the named-experiment path entirely (the file is the
+	// sweep, so experiment-selection flags make no sense next to it), and a
+	// chaos scenario pins its own topology, engine and observers. A flag the
+	// selected mode cannot honour is refused, never silently dropped.
+	for _, mode := range []struct {
+		on        bool
+		name, why string
+		conflicts []string
+	}{
+		{*specPath != "", "-spec", "the spec file pins every point's parameters",
+			[]string{"exp", "scale", "trace", "fidelity", "shards"}},
+		{*expName == "chaos", "-exp chaos", "scenarios pin their own execution model",
+			[]string{"scale", "shards", "trace", "trace-out", "trace-sample", "keep-going"}},
+	} {
+		if !mode.on {
+			continue
+		}
+		for _, conflict := range mode.conflicts {
 			if explicit[conflict] {
-				return fmt.Errorf("-spec is incompatible with -%s (the spec file pins every point's parameters)", conflict)
+				return fmt.Errorf("%s is incompatible with -%s (%s)", mode.name, conflict, mode.why)
 			}
 		}
+	}
+	if *specPath != "" {
 		if *keepGoing {
 			return fmt.Errorf("-spec is incompatible with -keep-going (the canonical result envelope has no slot for a failed point)")
 		}
@@ -178,6 +198,7 @@ func run(args []string, stdout io.Writer) error {
 	if err := validateFidelity(*expName, *fidelity, *shards); err != nil {
 		return err
 	}
+	var cache *exp.ResultCache
 	if *resume != "" {
 		if *expName == "chaos" {
 			return fmt.Errorf("-resume does not apply to -exp chaos (reproducer files are its persistence)")
@@ -186,6 +207,9 @@ func run(args []string, stdout io.Writer) error {
 			return fmt.Errorf("-resume is incompatible with -trace (a stored result cannot carry its flight recorder)")
 		}
 		if err := ensureWritableDir("-resume", *resume); err != nil {
+			return err
+		}
+		if cache, err = exp.NewResultCache(*resume); err != nil {
 			return err
 		}
 	}
@@ -205,16 +229,6 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	w := stdout
-	if *outPath != "" {
-		f, err := os.OpenFile(*outPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("-out: %w", err)
-		}
-		defer f.Close()
-		w = io.MultiWriter(stdout, f)
-	}
-
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -227,21 +241,31 @@ func run(args []string, stdout io.Writer) error {
 		defer pprof.StopCPUProfile()
 	}
 
-	opts := Options{
-		Workers: *parallel, Shards: *shards, Fidelity: *fidelity, Policies: policies,
-		Resume: *resume, PointTimeout: *pointTimeout, KeepGoing: *keepGoing,
-		Seeds: *seeds, BaseSeed: *baseSeed, ReproDir: *reproOut, Replay: *replay,
-	}
-	if *traceOn {
-		opts.Trace = true
-		opts.TraceDir = *traceOut
-		opts.TraceSample = *traceSample
-	}
 	var runErr error
-	if *specPath != "" {
-		runErr = runSpec(*specPath, opts, w)
-	} else {
-		runErr = RunOpts(*expName, *scaleName, opts, w)
+	switch {
+	case *specPath != "":
+		// Without -resume the cache is nil: every point simply runs.
+		runErr = runSpec(*specPath, cache, &exp.Pool{Workers: *parallel, PointTimeout: *pointTimeout}, w)
+	case *expName == "chaos":
+		runErr = runChaos(chaos.Options{
+			Seeds: *seeds, BaseSeed: *baseSeed, Workers: *parallel,
+			PointTimeout: *pointTimeout, ReproDir: *reproOut, Out: w,
+		}, *replay)
+	default:
+		harness := &exp.Harness{
+			Workers: *parallel, Shards: *shards, Fidelity: *fidelity,
+			PointTimeout: *pointTimeout, KeepGoing: *keepGoing, Cache: cache,
+		}
+		if cache == nil {
+			// Memory-only, so experiments of one invocation that share
+			// points (Table II is a column of Fig. 7) simulate them once.
+			harness.Cache = &exp.ResultCache{}
+		}
+		if *traceOn {
+			harness.Trace = &exp.TraceSpec{SampleEvery: sim.Duration(traceSample.Nanoseconds()) * sim.Nanosecond}
+			harness.TraceDir = *traceOut
+		}
+		runErr = runExperiments(harness, *expName, scale, policies, w)
 	}
 
 	if *memprofile != "" {
@@ -258,43 +282,10 @@ func run(args []string, stdout io.Writer) error {
 	return runErr
 }
 
-// Options parameterizes RunOpts beyond the experiment/scale selection.
-type Options struct {
-	// Workers bounds the grid-point worker pool (0 = GOMAXPROCS).
-	Workers int
-	// Shards, when >= 1, runs every point on the sharded conservative-time
-	// engine with that many shards (0 = one engine; see exp.HybridSpec).
-	Shards int
-	// Fidelity selects the execution engine for figure/table experiments
-	// ("" = packet; see exp.FidelityHybrid).
-	Fidelity string
-	// Policies restricts the arena to this subset of registered policies
-	// (nil = every registered policy, in registration order).
-	Policies []string
-	// Trace arms the flight recorder on every run.
-	Trace bool
-	// TraceDir receives one columnar .col trace file per point.
-	TraceDir string
-	// TraceSample overrides the trace sampling period (0 = run default).
-	TraceSample time.Duration
-	// Resume, when non-empty, is the result-cache directory points persist
-	// to and are restored from; empty keeps the store in memory, for the run.
-	Resume string
-	// PointTimeout bounds each grid point's wall clock (0 = unbounded).
-	PointTimeout time.Duration
-	// KeepGoing records failed points instead of halting the grid.
-	KeepGoing bool
-	// Seeds, BaseSeed, ReproDir and Replay parameterize -exp chaos.
-	Seeds    int
-	BaseSeed int64
-	ReproDir string
-	Replay   string
-}
-
 // validateFidelity rejects -fidelity combinations before any work begins:
 // unknown values, the chaos soak (its scenarios pin their own execution
-// model) and the sharded engine (the hybrid controller needs the classic
-// engine). Fault-plan experiments (faults, arena, parts of all) are
+// model) and more than one shard (the hybrid controller's packet segments
+// are single-engine). Fault-plan experiments (faults, arena, parts of all) are
 // accepted: those points run at packet fidelity anyway — a fault plan is a
 // standing fidelity trigger — and the fallback is recorded per point
 // (Result.FidelityFallback) and summarized in the experiment trailer
@@ -311,8 +302,8 @@ func validateFidelity(expName, fidelity string, shards int) error {
 	if expName == "chaos" {
 		return fmt.Errorf("-fidelity does not apply to -exp chaos (scenarios pin their own execution model)")
 	}
-	if fidelity == exp.FidelityHybrid && shards >= 1 {
-		return fmt.Errorf("-fidelity hybrid requires the classic engine (drop -shards %d)", shards)
+	if fidelity == exp.FidelityHybrid && shards > 1 {
+		return fmt.Errorf("-fidelity hybrid runs on at most one engine (drop -shards %d)", shards)
 	}
 	return nil
 }
@@ -378,56 +369,18 @@ func ensureWritableDir(flagName, dir string) error {
 	return os.Remove(name)
 }
 
-// Run executes one named experiment (or all) at the given scale with the
-// given worker count (0 = GOMAXPROCS), writing the tables to w. It is
-// exported for tests.
-func Run(expName, scaleName string, workers int, w io.Writer) error {
-	return RunOpts(expName, scaleName, Options{Workers: workers}, w)
-}
-
-// RunOpts is Run with the full option set (tracing, worker pool, point
-// store, chaos).
-func RunOpts(expName, scaleName string, opts Options, w io.Writer) error {
-	scale, err := exp.ParseScale(scaleName)
-	if err != nil {
-		return err
-	}
-	if expName == "chaos" {
-		return runChaos(opts, w)
-	}
-
-	harness := exp.NewHarness(opts.Workers)
-	// The point store: the -resume directory when one was given, else
-	// memory-only, so experiments of one invocation that share points
-	// (Table II is a column of Fig. 7) simulate them once.
-	harness.Cache = &exp.ResultCache{}
-	if opts.Resume != "" {
-		if harness.Cache, err = exp.NewResultCache(opts.Resume); err != nil {
-			return err
-		}
-	}
-	harness.Shards = opts.Shards
-	harness.Fidelity = opts.Fidelity
-	harness.PointTimeout = opts.PointTimeout
-	harness.KeepGoing = opts.KeepGoing
-	if opts.Trace {
-		harness.Trace = &exp.TraceSpec{
-			SampleEvery: sim.Duration(opts.TraceSample.Nanoseconds()) * sim.Nanosecond,
-		}
-		harness.TraceDir = opts.TraceDir
-	}
-
+// runExperiments runs the named row of exp.Experiments — or, for "all", its
+// Paper rows in table order — on harness, writing each one's banner, tables
+// and trailers to w.
+func runExperiments(harness *exp.Harness, expName string, scale exp.Scale, policies []string, w io.Writer) error {
 	var selected []string
 	for _, e := range exp.Experiments {
 		if e.Name == expName || expName == "all" && e.Paper {
 			selected = append(selected, e.Name)
 		}
 	}
-	if len(selected) == 0 {
-		return validateExp(expName)
-	}
 
-	effective := opts.Workers
+	effective := harness.Workers
 	if effective <= 0 {
 		effective = runtime.GOMAXPROCS(0)
 	}
@@ -440,15 +393,15 @@ func RunOpts(expName, scaleName string, opts Options, w io.Writer) error {
 		// The banner and tables are deterministic for any worker count;
 		// only the timing and memory trailers below carry run-dependent
 		// numbers (determinism diffs exclude both lines).
-		fmt.Fprintf(w, "\n--- running %s at scale %s ---\n", name, scaleName)
-		if _, _, err := harness.Run(name, scale, opts.Policies, w); err != nil {
+		fmt.Fprintf(w, "\n--- running %s at scale %s ---\n", name, scale)
+		if _, _, err := harness.Run(name, scale, policies, w); err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
 		wall := time.Since(start)
 		events := harness.TotalEvents() - events0
 		shardNote := ""
-		if opts.Shards >= 1 {
-			shardNote = fmt.Sprintf(", %d shards/point", opts.Shards)
+		if harness.Shards >= 1 {
+			shardNote = fmt.Sprintf(", %d shards/point", harness.Shards)
 		}
 		if fb := harness.FidelityFallbacks() - fallbacks0; fb > 0 {
 			// Deterministic for any worker count (it counts results, not

@@ -36,7 +36,7 @@ func statFile(path string) (int64, error) {
 
 func TestRunSingleExperiment(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Run("fig3a", "tiny", 0, &buf); err != nil {
+	if err := run([]string{"-exp", "fig3a", "-scale", "tiny"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -49,10 +49,10 @@ func TestRunSingleExperiment(t *testing.T) {
 
 func TestRunRejectsUnknownInputs(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Run("fig99", "tiny", 0, &buf); err == nil {
+	if err := run([]string{"-exp", "fig99", "-scale", "tiny"}, &buf); err == nil {
 		t.Error("unknown experiment should fail")
 	}
-	if err := Run("fig7", "galactic", 0, &buf); err == nil {
+	if err := run([]string{"-exp", "fig7", "-scale", "galactic"}, &buf); err == nil {
 		t.Error("unknown scale should fail")
 	}
 }
@@ -209,7 +209,7 @@ func TestCLIUpfrontValidation(t *testing.T) {
 		{"-exp", "chaos", "-resume", "ckpt"},                        // chaos has its own persistence
 		{"-exp", "fig7", "-fidelity", "analytic"},                   // unknown fidelity
 		{"-exp", "chaos", "-fidelity", "hybrid"},                    // chaos pins its own engine
-		{"-exp", "fig7", "-fidelity", "hybrid", "-shards", "2"},     // hybrid needs classic engine
+		{"-exp", "fig7", "-fidelity", "hybrid", "-shards", "2"},     // hybrid segments are single-engine
 		{"-spec", "sweep.json", "-exp", "fig7"},                     // -spec pins the sweep
 		{"-spec", "sweep.json", "-scale", "tiny"},                   // ditto
 		{"-spec", "sweep.json", "-trace"},                           // ditto
@@ -227,6 +227,33 @@ func TestCLIUpfrontValidation(t *testing.T) {
 		var buf bytes.Buffer
 		if err := run(args, &buf); err == nil {
 			t.Errorf("args %v: want validation error, got success", args)
+		}
+	}
+
+	// A flag the chaos soak cannot honour is refused with the reason, not
+	// dropped, before any scenario is fuzzed; a shard count the fabric cannot
+	// hold is refused before any point runs (only the banner is out).
+	const pinned = "scenarios pin their own execution model"
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-exp", "chaos", "-seeds", "2", "-shards", "2"}, pinned},
+		{[]string{"-exp", "chaos", "-seeds", "2", "-scale", "full"}, pinned},
+		{[]string{"-exp", "chaos", "-seeds", "2", "-keep-going"}, pinned},
+		{[]string{"-exp", "chaos", "-seeds", "2", "-trace"}, pinned},
+		{[]string{"-exp", "chaos", "-seeds", "2", "-trace", "-trace-out", t.TempDir()}, pinned},
+		{[]string{"-exp", "chaos", "-seeds", "2", "-trace", "-trace-sample", "50us"}, pinned},
+		{[]string{"-exp", "fig7", "-scale", "tiny", "-shards", "5"}, "point 0: Shards = 5, but the fabric has 2 ToRs"},
+		{[]string{"-exp", "scale", "-scale", "tiny", "-shards", "33"}, "point 0: Shards = 33, but the fabric has 32 ToRs"},
+	} {
+		var buf bytes.Buffer
+		err := run(tc.args, &buf)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("args %v: error %v, want one naming %q", tc.args, err, tc.want)
+		}
+		if out := buf.String(); strings.Contains(out, "chaos:") || strings.Contains(out, "load=") || strings.Contains(out, "==") {
+			t.Errorf("args %v: work was done before the refusal:\n%s", tc.args, out)
 		}
 	}
 }
@@ -447,6 +474,11 @@ func TestCLIFidelity(t *testing.T) {
 	if !strings.Contains(buf.String(), "running fig3a") {
 		t.Errorf("hybrid run produced no experiment output:\n%s", buf.String())
 	}
+	// One engine is one engine: -shards 1 is no reason to refuse hybrid
+	// fidelity, and prints what no -shards prints.
+	if got := render(t, "-exp", "fig3a", "-scale", "tiny", "-fidelity", "hybrid", "-shards", "1"); got != trailers.ReplaceAllString(buf.String(), "") {
+		t.Errorf("-fidelity hybrid -shards 1 differs from -fidelity hybrid:\n%s", got)
+	}
 
 	for _, tc := range []struct {
 		args []string
@@ -454,7 +486,7 @@ func TestCLIFidelity(t *testing.T) {
 	}{
 		{[]string{"-exp", "fig7", "-fidelity", "analytic"}, `unknown value "analytic"`},
 		{[]string{"-exp", "chaos", "-fidelity", "hybrid"}, "does not apply"},
-		{[]string{"-exp", "fig7", "-fidelity", "hybrid", "-shards", "2"}, "classic engine"},
+		{[]string{"-exp", "fig7", "-fidelity", "hybrid", "-shards", "2"}, "at most one engine"},
 		{[]string{"-exp", "fig3a", "-resume", "ckpt", "-trace"}, "incompatible with -trace"},
 	} {
 		var out bytes.Buffer
@@ -579,6 +611,15 @@ func TestCLISpec(t *testing.T) {
 	if err := run([]string{"-spec", bad}, &buf); err == nil || !strings.Contains(err.Error(), "unknown policy") {
 		t.Errorf("bad spec: want unknown-policy error, got %v", err)
 	}
+	// A later point naming more shards than its fabric has ToRs fails the
+	// file when it is read, not after the points before it have run.
+	wide := strings.Replace(spec, `"Policy":"L2BM",`, `"Policy":"L2BM","Shards":5,`, 1)
+	if err := os.WriteFile(bad, []byte(wide), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-spec", bad}, &buf); err == nil || !strings.Contains(err.Error(), "spec 1: Shards = 5, but the fabric has 2 ToRs") {
+		t.Errorf("over-sharded spec: want an upfront refusal naming spec 1, got %v", err)
+	}
 
 	// The failure-handling flags are honoured next to a valid spec file,
 	// not silently dropped: -keep-going is refused before any simulation
@@ -616,7 +657,7 @@ func TestMain(m *testing.M) {
 // Measured ~35 MB at 10k and ~265 MB at 100k hosts, so the bounds are ~3.5x /
 // ~2.8x headroom against flyweight regressions: an RNG stream that seeds its
 // 4.9 kB vector on first draw again costs +60 MB / +600 MB; ports that
-// provision eight queues, pause clocks and DWRR credits again and a wheel
+// provision eight queues and pause clocks again and a wheel
 // that retains per slot cost +35 MB / +200 MB. The tight guards are
 // TestScale10kLiveHeap, TestHyperscaleBytesPerHost, TestPortFootprint and
 // TestIdleHostInstallBytes.

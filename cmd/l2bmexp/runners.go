@@ -11,30 +11,22 @@ import (
 	"l2bm/internal/exp"
 )
 
-// runChaos executes the -exp chaos soak (or, with -replay, re-runs a saved
-// reproducer). Findings are a nonzero exit: the soak is a CI gate.
-func runChaos(opts Options, w io.Writer) error {
+// runChaos executes the -exp chaos soak (or, with replay set, re-runs that
+// saved reproducer). Findings are a nonzero exit: the soak is a CI gate.
+func runChaos(opts chaos.Options, replay string) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	copts := chaos.Options{
-		Seeds:        opts.Seeds,
-		BaseSeed:     opts.BaseSeed,
-		Workers:      opts.Workers,
-		PointTimeout: opts.PointTimeout,
-		ReproDir:     opts.ReproDir,
-		Out:          w,
-	}
-	if opts.Replay != "" {
-		reason, err := chaos.Replay(ctx, opts.Replay, copts)
+	if replay != "" {
+		reason, err := chaos.Replay(ctx, replay, opts)
 		if err != nil {
 			return err
 		}
 		if reason != "" {
-			return fmt.Errorf("reproducer %s still fails", opts.Replay)
+			return fmt.Errorf("reproducer %s still fails", replay)
 		}
 		return nil
 	}
-	rep, err := chaos.Run(ctx, copts)
+	rep, err := chaos.Run(ctx, opts)
 	if err != nil {
 		return err
 	}
@@ -46,11 +38,11 @@ func runChaos(opts Options, w io.Writer) error {
 
 // runSpec executes a sweep-request JSON file (the l2bmd wire format) and
 // writes the canonical result envelope to w — the same bytes the daemon
-// serves for the same request, which is exactly what the tests diff. With
-// opts.Resume the points come from and go to that result cache, like the
-// daemon's. A point that overruns opts.PointTimeout (0 = unbounded) fails
-// the sweep with a *exp.PointTimeoutError.
-func runSpec(path string, opts Options, w io.Writer) error {
+// serves for the same request, which is exactly what the tests diff. The
+// points come from and go to cache (the -resume directory; nil without
+// one), like the daemon's. A point that overruns pool.PointTimeout (0 =
+// unbounded) fails the sweep with a *exp.PointTimeoutError.
+func runSpec(path string, cache *exp.ResultCache, pool *exp.Pool, w io.Writer) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -59,15 +51,8 @@ func runSpec(path string, opts Options, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var cache *exp.ResultCache // nil without -resume: every point simply runs
-	if opts.Resume != "" {
-		if cache, err = exp.NewResultCache(opts.Resume); err != nil {
-			return err
-		}
-	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	pool := &exp.Pool{Workers: opts.Workers, PointTimeout: opts.PointTimeout}
 	results, _, err := pool.Run(ctx, len(req.Specs), func(ctx context.Context, i int) (*exp.Result, error) {
 		res, _, err := cache.GetOrRun(ctx, req.Specs[i])
 		return res, err

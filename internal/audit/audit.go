@@ -25,12 +25,9 @@
 // from no RNG stream, schedules nothing that runs simulation code, and
 // mutates nothing outside the auditor itself — so an auditor-on run
 // produces byte-identical results and trace files to an auditor-off run
-// (enforced by test in internal/exp). In the classic engine the sweep rides
-// an ordinary periodic event (consuming sequence numbers does not reorder
-// other events: the (time, seq) tie-break is monotone, and keyed arrivals
-// live in a disjoint key space). Under the sharded conductor the sweep runs
-// as a barrier task, when all shard clocks agree and every cross-shard
-// mailbox is drained — the only instant a global read is coherent.
+// (enforced by test in internal/exp). The sweep runs as a psim barrier task,
+// when all shard clocks agree and every cross-shard mailbox is drained — the
+// only instant a global read is coherent — never as one engine's event.
 //
 // A sweep costs what changed since the last one, not what is provisioned.
 // The per-switch checks are pure functions of the switch's MMU state and
@@ -74,13 +71,12 @@ type Config struct {
 	Limit int
 }
 
-// Auditor sweeps one built cluster. Build with New, then either Start (the
-// classic engine's periodic event chain) or wire CheckOnce as a psim
-// barrier task; call Final after the run for the drain-time checks.
+// Auditor sweeps one built cluster. Build with New, wire CheckOnce as a psim
+// barrier task every Every(), and call Final after the run for the
+// drain-time checks.
 type Auditor struct {
 	cfg Config
 	cl  *topo.Cluster
-	eng *sim.Engine
 
 	// switches is cl.AllSwitches(), fixed at New. cleanAt[i] is
 	// switches[i].MMUVersion()+1 as of its last clean check, 0 when the
@@ -91,7 +87,6 @@ type Auditor struct {
 	violations []string
 	total      uint64
 	checks     uint64
-	stopped    bool
 }
 
 // New builds an auditor over cl, applying Config defaults.
@@ -103,31 +98,11 @@ func New(cl *topo.Cluster, cfg Config) *Auditor {
 		cfg.Limit = 64
 	}
 	switches := cl.AllSwitches()
-	return &Auditor{cfg: cfg, cl: cl, eng: cl.Eng, switches: switches, cleanAt: make([]uint64, len(switches))}
+	return &Auditor{cfg: cfg, cl: cl, switches: switches, cleanAt: make([]uint64, len(switches))}
 }
 
 // Every returns the effective sweep period.
 func (a *Auditor) Every() sim.Duration { return a.cfg.Every }
-
-// Start arms the periodic sweep on the cluster's engine (classic,
-// single-engine runs). Sharded runs must NOT Start: they register CheckOnce
-// as a conductor barrier task instead, because an engine event on one shard
-// reads other shards' state mid-epoch.
-func (a *Auditor) Start() {
-	a.stopped = false
-	a.eng.Schedule(a.cfg.Every, a.tick)
-}
-
-// Stop halts the periodic sweep after the current tick.
-func (a *Auditor) Stop() { a.stopped = true }
-
-func (a *Auditor) tick() {
-	if a.stopped {
-		return
-	}
-	a.CheckOnce(a.eng.Now())
-	a.eng.Schedule(a.cfg.Every, a.tick)
-}
 
 // CheckOnce runs one sweep at the given instant. Pure reads of the fabric
 // only; a switch whose MMU has not been written since it last passed is not
@@ -164,8 +139,8 @@ func (a *Auditor) sweep(now sim.Time, recheck bool) {
 	}
 
 	// Pool accounting. Barrier tasks run with every cross-shard mailbox
-	// drained and the classic engine has no mailboxes, so at a sweep
-	// instant every live packet is owned by exactly one pool.
+	// drained, so at a sweep instant every live packet is owned by exactly
+	// one pool.
 	for shard, pl := range a.cl.Pools {
 		if pl == nil {
 			continue
@@ -223,14 +198,13 @@ func (a *Auditor) checkPauseAges(now sim.Time, maxAge sim.Duration) {
 	}
 }
 
-// Final runs the drain-time checks after the run has ended: one last sweep
-// that re-checks every switch whatever its version, and — when every packet
-// pool reads fully returned, i.e. nothing is in flight anywhere — exact
+// Final runs the drain-time checks once the run has ended, at now: one last
+// sweep that re-checks every switch whatever its version, and — when every
+// packet pool reads fully returned, i.e. nothing is in flight anywhere — exact
 // conservation: the flow-byte ledger must balance to zero, every switch must
 // be quiescent (CheckDrained), and no PFC pause may remain asserted (unless
 // the fault plan can legitimately strand one, see Config.AllowLeakedPause).
-func (a *Auditor) Final() {
-	now := a.eng.Now()
+func (a *Auditor) Final(now sim.Time) {
 	a.sweep(now, true)
 
 	drained := true

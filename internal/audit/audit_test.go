@@ -9,6 +9,7 @@ import (
 
 	"l2bm/internal/core"
 	"l2bm/internal/pkt"
+	"l2bm/internal/psim"
 	"l2bm/internal/sim"
 	"l2bm/internal/topo"
 	"l2bm/internal/transport"
@@ -45,7 +46,7 @@ func TestConfigDefaults(t *testing.T) {
 func TestCleanIdleSweep(t *testing.T) {
 	a := New(buildTiny(t), Config{MaxPauseAge: sim.Duration(sim.Millisecond)})
 	a.CheckOnce(0)
-	a.Final()
+	a.Final(0)
 	if len(a.Violations()) != 0 || a.Total() != 0 {
 		t.Fatalf("idle cluster flagged: %v", a.Violations())
 	}
@@ -74,20 +75,26 @@ func TestCatchesSkewAndCapsRetention(t *testing.T) {
 	}
 }
 
-// TestStartStop: the engine-driven chain sweeps once per period and stops
-// cleanly when asked.
-func TestStartStop(t *testing.T) {
+// TestSweepsAsBarrierTask drives the auditor the way a run does — CheckOnce
+// as a task of a one-engine conductor: one sweep per period, each stamped
+// with its barrier instant, none as an engine event.
+func TestSweepsAsBarrierTask(t *testing.T) {
 	cl := buildTiny(t)
+	cl.ToRs[0].SkewSharedUsedForTest(1 << 20)
 	a := New(cl, Config{Every: 100 * sim.Microsecond})
-	a.Start()
-	cl.Eng.Run(sim.Time(1050 * sim.Microsecond))
-	if a.Checks() != 10 {
-		t.Errorf("checks after 1.05ms at 100µs = %d, want 10", a.Checks())
+	cond := psim.ForCluster(cl)
+	defer cond.Close()
+	cond.AddTask(a.Every(), a.CheckOnce)
+	cond.Run(sim.Time(1050 * sim.Microsecond))
+	if a.Checks() != 10 || cond.Stats().TaskFirings != 10 {
+		t.Errorf("after 1.05ms at 100µs: %d checks, %d task firings, want 10 and 10",
+			a.Checks(), cond.Stats().TaskFirings)
 	}
-	a.Stop()
-	cl.Eng.Run(sim.Time(2 * sim.Millisecond))
-	if a.Checks() != 10 {
-		t.Errorf("sweeps continued after Stop: %d", a.Checks())
+	if cl.Eng.Events() != 0 {
+		t.Errorf("sweeps executed %d engine events, want 0", cl.Eng.Events())
+	}
+	if v := a.Violations()[9]; !strings.Contains(v, "audit t=1ms") {
+		t.Errorf("tenth sweep not stamped with its barrier instant: %q", v)
 	}
 }
 
@@ -180,8 +187,8 @@ func TestGatedSweepMatchesUngated(t *testing.T) {
 			}
 			cl.Eng.Run(cl.Eng.Now() + 50*sim.Millisecond)
 			before := gated.Total()
-			gated.Final()
-			ungated.Final()
+			gated.Final(cl.Eng.Now())
+			ungated.Final(cl.Eng.Now())
 			compare("after Final")
 			if gated.Total() != before {
 				t.Fatalf("clean drained fabric: Final recorded %v", tail(gated.Violations()))

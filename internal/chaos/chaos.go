@@ -52,7 +52,7 @@ type Scenario struct {
 	// Schedule.
 	Window sim.Duration
 	Drain  sim.Duration
-	Shards int // 0 = classic engine, >= 1 = sharded conductor
+	Shards int // psim shards; 0 and 1 both mean one engine
 
 	// Fault plan (all zero = clean fabric).
 	FlapRate     float64 // link flaps/s over fabric links

@@ -1,6 +1,6 @@
 // The run assembler: the one place a HybridSpec becomes a running fabric.
-// Every execution strategy — Shards 0, Shards N, and each packet segment of
-// a hybrid-fidelity run — goes through the same four steps, each written
+// Every execution strategy — one engine, N shards, and each packet segment
+// of a hybrid-fidelity run — goes through the same four steps, each written
 // once:
 //
 //	resolve   spec → plan (policy, topology, window, horizon, seed)
@@ -10,8 +10,8 @@
 //
 // Everything that must agree across shard counts is either a pure function
 // of the wiring (arrival keys), replicated per shard on identically-seeded
-// engines (workload generators, fault processes), or run as a global
-// observer (see fabric.every). Per-shard observability (FCT recorders,
+// engines (workload generators, fault processes), or run as a conductor
+// barrier task (the global observers, see plan.build). Per-shard observability (FCT recorders,
 // incast bookkeeping, flight recorders) is merged deterministically after
 // the run, so results are byte-identical for every legal shard count.
 package exp
@@ -203,11 +203,7 @@ func (p *plan) workload() fluid.Workload {
 // fabric is one built, observed cluster: a whole packet run, or one packet
 // segment of a hybrid run.
 type fabric struct {
-	p *plan
-	// shards is the execution strategy as asked for: 0 puts global observers
-	// on the engine's event chain, N ≥ 1 on the conductor's barrier. The
-	// fabric always has max(shards, 1) engines.
-	shards  int
+	p       *plan
 	engines []*sim.Engine
 	part    *topo.Partition
 	cl      *topo.Cluster
@@ -218,13 +214,9 @@ type fabric struct {
 	injs    []*faults.Injector // one replica per shard
 	det     *faults.DeadlockDetector
 	wd      *faults.Watchdog
-
-	// startLast, when set, is an engine-chain observer start parked until
-	// run: the auditor's first tick must be the last pre-run Schedule call.
-	startLast func()
 }
 
-// build wires the plan's cluster across max(shards, 1) engines seeded with
+// build wires the plan's cluster across shards engines (≥ 1) seeded with
 // seed and arms everything that observes it apart from the flight recorder
 // (armTrace, after the workload is installed). All engines share the seed:
 // replicated generators and injectors rely on identical named streams.
@@ -232,11 +224,19 @@ type fabric struct {
 //
 // Arming order is part of byte identity. Every pre-run Schedule call
 // consumes an engine sequence number, and on each engine the order is:
-// injector, [detector, watchdog — Shards 0 only], generators, occupancy
-// samplers, trace sampler, [auditor — Shards 0 only]. Barrier tasks dispatch
-// in registration order at coincident instants: auditor, detector, watchdog.
+// injector, generators, occupancy samplers, trace sampler.
+//
+// The global observers — the ones that read state across every shard: auditor
+// sweeps, deadlock scans, the no-progress watchdog — are conductor barrier
+// tasks at every shard count. A task runs at exact multiples of its period,
+// when all shard clocks agree and no events are in flight; as one shard's
+// engine event it would read the other shards' state mid-epoch. At coincident
+// instants tasks dispatch in registration order, auditor → detector →
+// watchdog. The order is fixed, not free: the detector is the one observer
+// that can write (a forced resume), so the auditor's pause-age check reads
+// the fabric before that write, and the pinned digests were captured so.
 func (p *plan) build(ctx context.Context, shards int, seed int64, onCompleteFor func(shard int) host.CompletionHandler) (*fabric, error) {
-	part, err := topo.ComputePartition(p.topo, max(shards, 1))
+	part, err := topo.ComputePartition(p.topo, shards)
 	if err != nil {
 		return nil, err
 	}
@@ -251,7 +251,7 @@ func (p *plan) build(ctx context.Context, shards int, seed int64, onCompleteFor 
 	if p.spec.Hooks != nil && p.spec.Hooks.PostBuild != nil {
 		p.spec.Hooks.PostBuild(cl)
 	}
-	f := &fabric{p: p, shards: shards, engines: engines, part: part, cl: cl, cond: psim.ForCluster(cl)}
+	f := &fabric{p: p, engines: engines, part: part, cl: cl, cond: psim.ForCluster(cl)}
 	if ctx.Done() != nil {
 		// ctx.Err is safe for concurrent use, as SetInterrupt requires of
 		// its poll (shard workers check it in parallel).
@@ -268,9 +268,7 @@ func (p *plan) build(ctx context.Context, shards int, seed int64, onCompleteFor 
 			Limit:            a.Limit,
 			AllowLeakedPause: p.spec.Faults != nil,
 		})
-		// Registered ahead of the detector and watchdog (barrier dispatch
-		// order), started after everything else (engine-chain order).
-		f.every(f.aud.Every(), f.aud.CheckOnce, func() { f.startLast = f.aud.Start })
+		f.cond.AddTask(f.aud.Every(), f.aud.CheckOnce)
 	}
 	if p.spec.Faults != nil {
 		if err := f.armFaults(p.spec.Faults); err != nil {
@@ -279,29 +277,6 @@ func (p *plan) build(ctx context.Context, shards int, seed int64, onCompleteFor 
 		}
 	}
 	return f, nil
-}
-
-// every registers a global observer: one that reads state across every
-// shard (auditor sweeps, deadlock scans, the no-progress watchdog). It is
-// the one place the execution strategies legitimately differ.
-//
-// With Shards ≥ 1, and in every hybrid packet segment, the observer is a
-// conductor barrier task: tick runs at exact multiples of period, when all
-// shard clocks agree and no events are in flight — never as one shard's
-// engine event, which would read other shards' state mid-epoch.
-//
-// With Shards == 0 the observer rides the single engine's event chain
-// (start arms its self-rescheduling tick), so each firing is an executed
-// event and Result.Events counts it. That is the only difference between
-// Shards 0 and Shards 1: Events is higher on 0 by exactly the number of
-// observer firings, and cached results (burst_observed and scale_10k are
-// audited Shards-0 runs) depend on it staying that way.
-func (f *fabric) every(period sim.Duration, tick func(now sim.Time), start func()) {
-	if f.shards == 0 {
-		start()
-		return
-	}
-	f.cond.AddTask(period, tick)
 }
 
 // armFaults installs the fault plan and the detection machinery.
@@ -331,19 +306,18 @@ func (f *fabric) armFaults(fs *FaultSpec) error {
 		f.injs = append(f.injs, inj)
 	}
 
-	f.det = faults.NewDeadlockDetector(f.engines[0], f.cl.AllSwitches())
+	f.det = faults.NewDeadlockDetector(f.cl.AllSwitches())
 	if fs.DetectorPeriod > 0 {
 		f.det.Period = fs.DetectorPeriod
 	}
 	f.det.Break = fs.BreakDeadlocks
-	f.every(f.det.Period, func(sim.Time) { f.det.ScanOnce() }, f.det.Start)
+	f.cond.AddTask(f.det.Period, f.det.ScanOnce)
 
-	f.wd = faults.NewWatchdog(f.engines[0], f.cl.DataReceived, f.cl.ResidentBytes)
+	f.wd = faults.NewWatchdog(f.cl.DataReceived, f.cl.ResidentBytes)
 	if fs.WatchdogWindow > 0 {
 		f.wd.Window = fs.WatchdogWindow
 	}
-	f.wd.Prime()
-	f.every(f.wd.Window, func(sim.Time) { f.wd.TickOnce() }, f.wd.Start)
+	f.cond.AddTask(f.wd.Window, f.wd.TickOnce)
 	return nil
 }
 
@@ -420,16 +394,6 @@ func armSwitch(sw *switchsim.Switch, rec *trace.Recorder, ts *trace.Sampler) {
 	})
 }
 
-// run advances the fabric to horizon (inclusive). A one-engine conductor
-// with no barrier tasks is exactly engines[0].Run(horizon).
-func (f *fabric) run(horizon sim.Time) {
-	if f.startLast != nil {
-		f.startLast()
-		f.startLast = nil
-	}
-	f.cond.Run(horizon)
-}
-
 // harvest adds the fabric's counters and findings to res: a packet run calls
 // it once on a fresh Result, a hybrid run once per packet segment. final
 // marks the fabric the run ends in: only then are frames still checked out
@@ -450,7 +414,7 @@ func (f *fabric) harvest(res *Result, final bool) {
 	res.CorePauseFrames += topo.SwitchStats(cl.Cores).PauseFramesSent
 
 	res.LosslessGaps += cl.LosslessGaps()
-	res.Events += f.cond.Events()
+	res.Events += f.cond.Events() + f.cond.Stats().TaskFirings
 	res.RecoveryBytes += cl.RecoveryBytes()
 	nacks, timeouts := cl.RDMARecoveryStats()
 	res.RDMANACKs += nacks
@@ -470,7 +434,7 @@ func (f *fabric) harvest(res *Result, final bool) {
 	}
 	if f.aud != nil {
 		if final {
-			f.aud.Final()
+			f.aud.Final(f.cond.Now())
 		}
 		res.AuditErrors = append(res.AuditErrors, f.aud.Violations()...)
 		res.AuditChecks += f.aud.Checks()

@@ -32,8 +32,8 @@ func auditSpec(shards int) HybridSpec {
 
 // TestAuditorObserverFree is the tentpole contract: an auditor-on run must
 // produce byte-identical results and trace files to an auditor-off run, on
-// the classic path and under the sharded conductor. (Result.Events is
-// excluded by shardFingerprint: classic audit ticks are engine events.)
+// one engine and on two shards. (Result.Events is excluded by
+// shardFingerprint: it counts the sweeps.)
 func TestAuditorObserverFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run determinism suite")

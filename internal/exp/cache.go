@@ -71,8 +71,12 @@ func registryVersion() string {
 // whenever the Result schema or spec canonicalization changes incompatibly,
 // so stale entries miss instead of being misread. Version 2 added Fidelity
 // to specKey — under version 1 a hybrid-fidelity point hashed identically to
-// the packet point of the same grid and could cross-restore.
-const CheckpointVersion = 2
+// the packet point of the same grid and could cross-restore. Version 3 made
+// Shards 0 a synonym of 1 (specKey writes max(Shards, 1)) and counts
+// barrier-task firings in Result.Events, so version-2 entries stored at
+// Shards >= 1, or by hybrid runs, under an auditor or a fault plan hold the
+// old count.
+const CheckpointVersion = 3
 
 // checkpointIneligible names the first non-serializable field set on the
 // spec, or "" when the spec is plain data and may be stored. Specs carrying
@@ -100,11 +104,11 @@ func checkpointIneligible(spec HybridSpec) string {
 // stored entry matches.
 func specKey(spec HybridSpec) string {
 	// Fidelity is present: hybrid fast-forward changes numbers within the
-	// §14 bound.
+	// §14 bound. Shards 0 and 1 are the same run, so they share a key.
 	s := fmt.Sprintf("name=%s policy=%s scale=%d rdma=%v tcp=%v inter=%v occ=%d win=%d drain=%d salt=%q shards=%d fidelity=%q",
 		spec.Name, spec.Policy, spec.Scale, spec.RDMALoad, spec.TCPLoad,
 		spec.InterRackOnly, spec.OccupancySampleEvery, spec.WindowOverride,
-		spec.DrainOverride, spec.SeedSalt, spec.Shards, spec.Fidelity)
+		spec.DrainOverride, spec.SeedSalt, max(spec.Shards, 1), spec.Fidelity)
 	if in := spec.Incast; in != nil {
 		s += fmt.Sprintf(" incast={%d %d %v}", in.Fanout, in.RequestBytes, in.QueryRate)
 	}

@@ -67,6 +67,18 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 		t.Error("version bump did not change the cache key")
 	}
 
+	// Version 3 counts barrier-task firings in Result.Events, so an entry
+	// stored under version 2 must miss: its key is not the one asked for now.
+	if v2, err := cacheKeyAt(2, base); err != nil || CheckpointVersion != 3 || v2 == baseKey {
+		t.Errorf("CheckpointVersion %d: version-2 key %s (%v) vs current %s, want version 3 and a miss", CheckpointVersion, v2, err, baseKey)
+	}
+	// Shards 0 and 1 are the same run and share an entry.
+	one := base
+	one.Shards = 1
+	if key, _ := CacheKey(one); key != baseKey {
+		t.Errorf("Shards 1 keyed %s, Shards 0 %s, want equal", key, baseKey)
+	}
+
 	// Func-carrying specs have no canonical serialization and must refuse a
 	// key rather than collide.
 	carrying := base

@@ -113,32 +113,26 @@ func (h *Harness) run(e Experiment, scale Scale, policies []string, w io.Writer)
 // runAll fans the specs out across the pool and returns their results in
 // spec order; emit (optional) observes points in spec order.
 func (h *Harness) runAll(specs []HybridSpec, emit EmitFunc) ([]*Result, error) {
-	if h.Trace != nil {
-		for i := range specs {
-			if specs[i].Trace == nil {
-				specs[i].Trace = h.Trace
-			}
+	// One upfront pass: the harness's defaults land on every spec that does
+	// not set its own, then what no point could survive is refused before
+	// the pool starts.
+	storing := h.Cache != nil && h.Cache.Dir != ""
+	for i := range specs {
+		sp := &specs[i]
+		if sp.Trace == nil {
+			sp.Trace = h.Trace
 		}
-	}
-	if h.Shards >= 1 {
-		for i := range specs {
-			if specs[i].Shards == 0 {
-				specs[i].Shards = h.Shards
-			}
+		if sp.Shards == 0 && h.Shards >= 1 { // a spec with no shard count takes the harness's
+			sp.Shards = h.Shards
 		}
-	}
-	if h.Fidelity != "" {
-		for i := range specs {
-			if specs[i].Fidelity == "" {
-				specs[i].Fidelity = h.Fidelity
-			}
+		if sp.Fidelity == "" {
+			sp.Fidelity = h.Fidelity
 		}
-	}
-	if h.Cache != nil && h.Cache.Dir != "" {
-		for i, sp := range specs {
-			if why := checkpointIneligible(sp); why != "" {
-				return nil, fmt.Errorf("exp: point %d carries %s, which does not serialize — run without -resume or drop the field", i, why)
-			}
+		if why := checkpointIneligible(*sp); storing && why != "" {
+			return nil, fmt.Errorf("exp: point %d carries %s, which does not serialize — run without -resume or drop the field", i, why)
+		}
+		if err := sp.checkShards(); err != nil {
+			return nil, fmt.Errorf("exp: point %d: %w", i, err)
 		}
 	}
 

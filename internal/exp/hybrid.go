@@ -79,7 +79,7 @@ type hybridRun struct {
 }
 
 // runHybridFluid executes one data point under the hybrid-fidelity
-// controller. Callers guarantee Shards == 0 and Faults == nil. The plan's
+// controller. Callers guarantee Shards <= 1 and Faults == nil. The plan's
 // seed is the packet run's (common random numbers across policies AND
 // across fidelities: the offered workload is identical).
 func runHybridFluid(ctx context.Context, p *plan) (*Result, error) {
@@ -227,9 +227,8 @@ func (h *hybridRun) packetSegment(segStart sim.Time, carried []*fluid.FlowState)
 		}
 	}
 
-	// A segment is a one-shard run: its global observers fire at the slice
-	// loop's barriers, never as engine events, so Result.Events counts
-	// fabric work only. Per-segment seed: packet-level tie-breaks inside a
+	// A segment is a one-shard run; its global observers fire at the slice
+	// loop's barriers. Per-segment seed: packet-level tie-breaks inside a
 	// burst need their own stream, decorrelated from the extraction seed.
 	f, err := p.build(h.ctx, 1, seedFor(p.spec.Name, p.spec.SeedSalt, fmt.Sprintf("hybrid-seg/%d", h.segIdx)),
 		func(int) host.CompletionHandler { return onComplete })
@@ -338,7 +337,7 @@ func (h *hybridRun) packetSegment(segStart sim.Time, carried []*fluid.FlowState)
 			start(fa.Flow, fa.Flow.Size, fa.Incast, local, 0)
 			h.cursor++
 		}
-		f.run(next)
+		f.cond.Run(next)
 		localNow = next
 		if err := h.ctx.Err(); err != nil {
 			return 0, err

@@ -56,23 +56,20 @@ type HybridSpec struct {
 	// SeedSalt decorrelates repeated runs of the same spec.
 	SeedSalt string
 	// Shards selects the execution strategy: the fabric runs on
-	// max(Shards, 1) psim shards (N must not exceed the topology's ToR
-	// count). Results are byte-identical for every value — the shard count
-	// is an execution strategy, not a workload parameter — with one
-	// documented exception: at 0, global observers (auditor, deadlock
-	// detector, watchdog) ride the engine's event chain instead of the
-	// conductor's barrier, so Result.Events is higher than at 1 by exactly
-	// the number of observer firings (DESIGN.md "Run assembly").
+	// max(Shards, 1) psim shards (0 and 1 both mean one engine; N must not
+	// exceed the topology's ToR count). The shard count is an execution
+	// strategy, not a workload parameter: results are byte-identical for
+	// every value, Result.Events aside (see the field).
 	Shards int
 	// Fidelity selects the execution engine: "" or FidelityPacket runs
 	// every event through the packet engine; FidelityHybrid runs the fluid
 	// fast-forward controller (internal/fluid), which advances flows
 	// analytically between fidelity triggers and drops to full packet
 	// simulation around incast bursts, fan-in convergence and buffer
-	// pressure. Hybrid fidelity requires Shards == 0 (its packet segments
-	// are single-engine; see DESIGN.md "Run assembly"); a fault plan forces
-	// packet fidelity for the whole run (fault injection is a standing
-	// trigger that never clears).
+	// pressure. Hybrid fidelity runs on at most one engine, Shards <= 1 (its
+	// packet segments are single-engine; see DESIGN.md "Run assembly"); a
+	// fault plan forces packet fidelity for the whole run (fault injection
+	// is a standing trigger that never clears).
 	Fidelity string
 	// Faults, when non-nil, arms the fault-injection subsystem: the plan's
 	// events fire during the run, DCQCN switches to go-back-N recovery,
@@ -90,8 +87,7 @@ type HybridSpec struct {
 	// flow-byte conservation and pool accounting, plus the drain-time exact
 	// checks. Violations land in Result.AuditErrors. Auditing is observer-free:
 	// an audited run produces byte-identical results and traces to an
-	// unaudited one (Result.Events differs at Shards == 0 only, where audit
-	// ticks are engine events; DESIGN.md "Run assembly").
+	// unaudited one, apart from the sweeps Result.Events counts.
 	Audit *AuditSpec
 	// Hooks, when non-nil, exposes test-only interception points. Excluded
 	// from JSON (it carries funcs).
@@ -198,7 +194,11 @@ type Result struct {
 	// LosslessGaps must be zero in a healthy run; under go-back-N faults it
 	// counts recovered out-of-sequence events.
 	LosslessGaps uint64
-	// Events is the engine's executed-event count (cost accounting).
+	// Events is the run's cost: events the engines executed plus
+	// barrier-task firings (auditor sweeps, deadlock scans, watchdog ticks).
+	// Equal at 0 and 1 shards; higher at N >= 2, where every shard runs its
+	// own replica of the workload generators and fault injectors and each
+	// replica's timer events are counted.
 	Events uint64
 	// EndTime is the simulated instant the run stopped.
 	EndTime sim.Time
@@ -317,8 +317,8 @@ func runHybrid(ctx context.Context, spec HybridSpec, newEngine engineFunc) (*Res
 	switch spec.Fidelity {
 	case "", FidelityPacket:
 	case FidelityHybrid:
-		if spec.Shards >= 1 {
-			return nil, fmt.Errorf("exp: hybrid fidelity requires the classic engine (got Shards=%d)", spec.Shards)
+		if spec.Shards > 1 {
+			return nil, fmt.Errorf("exp: hybrid fidelity runs on at most one engine (got Shards=%d)", spec.Shards)
 		}
 		if spec.Faults == nil {
 			return runHybridFluid(ctx, resolve(spec, newEngine))
@@ -340,8 +340,7 @@ func runHybrid(ctx context.Context, spec HybridSpec, newEngine engineFunc) (*Res
 }
 
 // runPacket executes one data point at packet fidelity on spec.Shards
-// shards (0 and 1 both mean one engine; see fabric.every for the
-// difference).
+// shards (0 and 1 both mean one engine).
 func runPacket(ctx context.Context, p *plan) (*Result, error) {
 	// Per-shard observability: one FCT recorder and one incast replica per
 	// shard. Completions are receiver-side, so a flow started on the source
@@ -361,7 +360,7 @@ func runPacket(ctx context.Context, p *plan) (*Result, error) {
 			}
 		}
 	}
-	f, err := p.build(ctx, p.spec.Shards, p.seed,
+	f, err := p.build(ctx, n, p.seed,
 		func(shard int) host.CompletionHandler { return onComplete[shard] })
 	if err != nil {
 		return nil, err
@@ -423,7 +422,7 @@ func runPacket(ctx context.Context, p *plan) (*Result, error) {
 	}
 	f.armTrace(p.window)
 
-	f.run(p.horizon)
+	f.cond.Run(p.horizon)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -16,7 +16,7 @@ import (
 // pools — and it must stay proportional to what the run used, not to what
 // the fabric provisions: 21,840 ports of which under a tenth carry a frame.
 // Measured 23 MB against a 32 MB limit; with every port provisioning eight
-// queues, eight pause clocks and eight DWRR credits and every wheel slot
+// queues, eight pause clocks and eight scheduler credits and every wheel slot
 // keeping its high-water array it was 45 MB, and either of the two alone
 // still reads 33-34 MB and fails.
 func TestScale10kLiveHeap(t *testing.T) {

@@ -95,7 +95,8 @@ func (r *SweepRequest) Validate() error {
 // Validate is the envelope every input surface enforces upfront — the
 // daemon, l2bmexp -spec and l2bmsim all call it: a name (it seeds the run), a
 // registered policy, known scale/fidelity values, loads in [0, 1], positive
-// incast parameters, a valid fault plan, and the hybrid/shards exclusion.
+// incast parameters, a valid fault plan, the hybrid/shards exclusion and a
+// shard count the fabric can hold.
 func (sp HybridSpec) Validate() error {
 	if sp.Name == "" {
 		return fmt.Errorf("Name is required (it seeds the run)")
@@ -116,11 +117,14 @@ func (sp HybridSpec) Validate() error {
 	default:
 		return fmt.Errorf("unknown fidelity %q (want %q or %q)", sp.Fidelity, FidelityPacket, FidelityHybrid)
 	}
-	if sp.Fidelity == FidelityHybrid && sp.Shards >= 1 {
-		return fmt.Errorf("hybrid fidelity requires the classic engine (got Shards=%d)", sp.Shards)
+	if sp.Fidelity == FidelityHybrid && sp.Shards > 1 {
+		return fmt.Errorf("hybrid fidelity runs on at most one engine (got Shards=%d)", sp.Shards)
 	}
 	if sp.Shards < 0 {
 		return fmt.Errorf("Shards must be >= 0, got %d", sp.Shards)
+	}
+	if err := sp.checkShards(); err != nil {
+		return err
 	}
 	for _, load := range []struct {
 		name string
@@ -135,6 +139,24 @@ func (sp HybridSpec) Validate() error {
 	}
 	if sp.Faults != nil {
 		return sp.Faults.Plan.Validate()
+	}
+	return nil
+}
+
+// checkShards refuses a shard count the spec's fabric cannot hold: every
+// shard owns at least one rack (topo.ComputePartition), so the resolved
+// topology's ToR count is the cap. Checked when a sweep is submitted, not
+// when the point is reached.
+func (sp HybridSpec) checkShards() error {
+	if sp.Shards <= 1 {
+		return nil // one engine fits any fabric
+	}
+	cfg := sp.Scale.Topo()
+	if sp.TopoOverride != nil {
+		sp.TopoOverride(&cfg)
+	}
+	if sp.Shards > cfg.ToRCount {
+		return fmt.Errorf("Shards = %d, but the fabric has %d ToRs (every shard owns at least one)", sp.Shards, cfg.ToRCount)
 	}
 	return nil
 }

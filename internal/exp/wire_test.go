@@ -53,6 +53,18 @@ func TestParseSweepRequest(t *testing.T) {
 		t.Errorf("parsed request wrong: %+v", req)
 	}
 
+	// One engine is legal everywhere, hybrid fidelity included, and a fabric
+	// holds as many shards as it has racks.
+	for _, body := range []string{
+		`{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Fidelity":"hybrid","Shards":1}]}`,
+		`{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Shards":2}]}`,
+		`{"specs":[{"Name":"p","Policy":"DT","Scale":"small","Shards":4}]}`,
+	} {
+		if _, err := ParseSweepRequest([]byte(body)); err != nil {
+			t.Errorf("%s: %v", body, err)
+		}
+	}
+
 	for name, body := range map[string]string{
 		"syntax":          `{"specs":`,
 		"unknown field":   `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Polciy":"DT"}]}`,
@@ -66,6 +78,7 @@ func TestParseSweepRequest(t *testing.T) {
 		"hybrid sharded":  `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Fidelity":"hybrid","Shards":2}]}`,
 		"removed sched":   `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Sched":"wheel"}]}`, // the field is gone: strict parsing rejects even a once-valid value
 		"negative shards": `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Shards":-1}]}`,
+		"shards > ToRs":   `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny"},{"Name":"q","Policy":"DT","Scale":"tiny","Shards":5}]}`, // tiny has two racks
 		"load too high":   `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","TCPLoad":1.5}]}`,
 		"load negative":   `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","RDMALoad":-0.1}]}`,
 		"bad incast":      `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Incast":{"Fanout":0,"RequestBytes":1,"QueryRate":1}}]}`,

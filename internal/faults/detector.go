@@ -22,7 +22,7 @@ type DetectorStats struct {
 	CyclesBroken uint64
 }
 
-// DeadlockDetector periodically rebuilds the paused-queue wait-for graph:
+// DeadlockDetector rebuilds, once per ScanOnce, the paused-queue wait-for graph:
 // an edge S→T means some egress port of switch S is PFC-paused by its peer
 // port on switch T — S cannot drain until T uncongests. A cycle among
 // switches is the classic PFC deadlock signature. To keep false positives
@@ -31,7 +31,8 @@ type DetectorStats struct {
 // cycle must additionally be seen on Confirm consecutive scans before it is
 // reported.
 type DeadlockDetector struct {
-	// Period is the scan interval.
+	// Period is the scan interval: the cadence at which the run's conductor
+	// calls ScanOnce.
 	Period sim.Duration
 	// MinPauseAge filters transient pauses out of the graph.
 	MinPauseAge sim.Duration
@@ -46,11 +47,9 @@ type DeadlockDetector struct {
 	// wait-for order).
 	OnCycle func(cycle []string)
 
-	eng      *sim.Engine
 	switches []*switchsim.Switch
 	index    map[*switchsim.Switch]int
 	streak   int
-	stopped  bool
 	stats    DetectorStats
 	last     []string
 }
@@ -58,12 +57,11 @@ type DeadlockDetector struct {
 // NewDeadlockDetector builds a detector over the given switches with
 // defaults: 100 µs period, 3-scan confirmation, 300 µs minimum pause age,
 // detection only (no breaking).
-func NewDeadlockDetector(eng *sim.Engine, switches []*switchsim.Switch) *DeadlockDetector {
+func NewDeadlockDetector(switches []*switchsim.Switch) *DeadlockDetector {
 	d := &DeadlockDetector{
 		Period:      100 * sim.Microsecond,
 		MinPauseAge: 300 * sim.Microsecond,
 		Confirm:     3,
-		eng:         eng,
 		switches:    switches,
 		index:       make(map[*switchsim.Switch]int, len(switches)),
 	}
@@ -80,15 +78,6 @@ func (d *DeadlockDetector) Stats() DetectorStats { return d.stats }
 // nil if none was ever confirmed.
 func (d *DeadlockDetector) LastCycle() []string { return d.last }
 
-// Start arms the periodic scan.
-func (d *DeadlockDetector) Start() {
-	d.stopped = false
-	d.eng.Schedule(d.Period, d.scan)
-}
-
-// Stop halts scanning after the current tick.
-func (d *DeadlockDetector) Stop() { d.stopped = true }
-
 // waitEdge is one persistent pause: from's egress port is paused by its
 // peer on switch to.
 type waitEdge struct {
@@ -97,24 +86,14 @@ type waitEdge struct {
 	prio     int
 }
 
-// scan is one self-rescheduling detection sweep (engine-driven mode).
-func (d *DeadlockDetector) scan() {
-	if d.stopped {
-		return
-	}
-	d.ScanOnce()
-	d.eng.Schedule(d.Period, d.scan)
-}
-
-// ScanOnce runs exactly one detection sweep at the current simulated time
-// without rescheduling. The sharded conductor calls this at every
-// Period-multiple barrier — when all shard clocks agree and no events are
-// in flight, so the cross-shard port reads are race-free — instead of
-// letting one shard's engine drive the scan chain.
-func (d *DeadlockDetector) ScanOnce() {
+// ScanOnce runs one detection sweep at now. It is a conductor barrier task,
+// fired at every Period multiple — when all shard clocks agree and no events
+// are in flight, so the cross-shard port reads are race-free — never one
+// engine's event.
+func (d *DeadlockDetector) ScanOnce(now sim.Time) {
 	d.stats.Scans++
 
-	edges := d.collectEdges()
+	edges := d.collectEdges(now)
 	cycle := findCycle(len(d.switches), edges)
 	if cycle == nil {
 		d.streak = 0
@@ -129,8 +108,7 @@ func (d *DeadlockDetector) ScanOnce() {
 
 // collectEdges builds the wait-for edge list from pauses older than
 // MinPauseAge whose upstream peer is another monitored switch.
-func (d *DeadlockDetector) collectEdges() []waitEdge {
-	now := d.eng.Now()
+func (d *DeadlockDetector) collectEdges(now sim.Time) []waitEdge {
 	var edges []waitEdge
 	for i, sw := range d.switches {
 		for pi := 0; pi < sw.NumPorts(); pi++ {

@@ -8,6 +8,7 @@ import (
 	"l2bm/internal/core"
 	"l2bm/internal/netdev"
 	"l2bm/internal/pkt"
+	"l2bm/internal/psim"
 	"l2bm/internal/sim"
 	"l2bm/internal/switchsim"
 )
@@ -175,6 +176,14 @@ func TestFlapProcessDeterministicPerSeedAndStream(t *testing.T) {
 	}
 }
 
+// runObserved runs eng to horizon the way a run drives the detector and the
+// watchdog: as a one-engine conductor with tick as a barrier task.
+func runObserved(eng *sim.Engine, every sim.Duration, tick func(now sim.Time), horizon sim.Time) {
+	cond := psim.New([]*sim.Engine{eng}, nil, 0)
+	cond.AddTask(every, tick)
+	cond.Run(horizon)
+}
+
 func TestWatchdogDistinguishesStallFromIdle(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -189,9 +198,8 @@ func TestWatchdogDistinguishesStallFromIdle(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := sim.NewEngine(1)
 			var delivered uint64
-			wd := NewWatchdog(eng, func() uint64 { return delivered }, func() int64 { return tc.resident })
+			wd := NewWatchdog(func() uint64 { return delivered }, func() int64 { return tc.resident })
 			wd.Window = sim.Millisecond
-			wd.Start()
 			if tc.progress {
 				var tick func()
 				tick = func() {
@@ -200,13 +208,12 @@ func TestWatchdogDistinguishesStallFromIdle(t *testing.T) {
 				}
 				eng.Schedule(wd.Window/2, tick)
 			}
-			eng.Run(10 * sim.Millisecond)
-			wd.Stop()
+			runObserved(eng, wd.Window, wd.TickOnce, 10*sim.Millisecond)
 			if got := wd.Stalls > 0; got != tc.wantStalls {
 				t.Errorf("stalls = %d, want stalls? %v", wd.Stalls, tc.wantStalls)
 			}
-			if tc.wantStalls && wd.FirstStallAt == 0 {
-				t.Error("first stall time not recorded")
+			if tc.wantStalls && (wd.Stalls != 10 || wd.FirstStallAt != sim.Millisecond) {
+				t.Errorf("%d stalls, first at %v, want one per window from 1ms", wd.Stalls, wd.FirstStallAt)
 			}
 		})
 	}
@@ -246,11 +253,9 @@ func TestDeadlockDetectorConfirmsCycle(t *testing.T) {
 	pauseRing(fwd)
 
 	var seen [][]string
-	det := NewDeadlockDetector(eng, sws)
+	det := NewDeadlockDetector(sws)
 	det.OnCycle = func(c []string) { seen = append(seen, append([]string(nil), c...)) }
-	det.Start()
-	eng.Run(2 * sim.Millisecond)
-	det.Stop()
+	runObserved(eng, det.Period, det.ScanOnce, 2*sim.Millisecond)
 
 	st := det.Stats()
 	if st.CyclesDetected == 0 {
@@ -278,11 +283,9 @@ func TestDeadlockDetectorBreaksCycleWhenAsked(t *testing.T) {
 	sws, fwd := ringOfSwitches(eng, 3)
 	pauseRing(fwd)
 
-	det := NewDeadlockDetector(eng, sws)
+	det := NewDeadlockDetector(sws)
 	det.Break = true
-	det.Start()
-	eng.Run(2 * sim.Millisecond)
-	det.Stop()
+	runObserved(eng, det.Period, det.ScanOnce, 2*sim.Millisecond)
 
 	if det.Stats().CyclesBroken == 0 {
 		t.Fatal("Break mode never forced a resume")
@@ -305,10 +308,8 @@ func TestDeadlockDetectorQuietWithoutCycle(t *testing.T) {
 	fwd[0].Peer().SendPFC(pkt.PrioLossless, true)
 	fwd[1].Peer().SendPFC(pkt.PrioLossless, true)
 
-	det := NewDeadlockDetector(eng, sws)
-	det.Start()
-	eng.Run(2 * sim.Millisecond)
-	det.Stop()
+	det := NewDeadlockDetector(sws)
+	runObserved(eng, det.Period, det.ScanOnce, 2*sim.Millisecond)
 
 	st := det.Stats()
 	if st.Scans == 0 {
@@ -331,75 +332,10 @@ func TestDeadlockDetectorIgnoresTransientPauses(t *testing.T) {
 		}
 	})
 
-	det := NewDeadlockDetector(eng, sws)
-	det.Start()
-	eng.Run(2 * sim.Millisecond)
-	det.Stop()
+	det := NewDeadlockDetector(sws)
+	runObserved(eng, det.Period, det.ScanOnce, 2*sim.Millisecond)
 
 	if n := det.Stats().CyclesDetected; n != 0 {
 		t.Errorf("transient pause reported as deadlock (%d cycles)", n)
-	}
-}
-
-// TestWatchdogRestartDoesNotDoubleChain: before the fix, Stop only set a
-// flag and left the pending tick queued; a later Start then ran TWO tick
-// chains, phase-shifted by the stop interval — doubling the cadence,
-// halving the effective no-progress window, and double-counting stalls.
-func TestWatchdogRestartDoesNotDoubleChain(t *testing.T) {
-	eng := sim.NewEngine(1)
-	var delivered uint64
-	ticks := 0
-	wd := NewWatchdog(eng, func() uint64 { return delivered }, func() int64 { return 1 << 20 })
-	wd.Window = sim.Millisecond
-	wd.OnStall = func(sim.Time) { ticks++ }
-
-	wd.Start()
-	eng.Run(sim.Time(2500 * sim.Microsecond)) // ticks at 1ms, 2ms
-	wd.Stop()
-	eng.Run(sim.Time(5500 * sim.Microsecond)) // stopped: old chain must die
-	wd.Start()                                // restart at 5.5ms: ticks at 6.5, 7.5, ...
-	eng.Run(sim.Time(10 * sim.Millisecond))
-	wd.Stop()
-
-	// One chain: 2 ticks before the stop + ticks at 6.5/7.5/8.5/9.5 ms.
-	// A doubled chain would also fire at 3/4/.../10 ms.
-	if ticks != 6 {
-		t.Errorf("observed %d stalled ticks, want 6 (single chain)", ticks)
-	}
-	if wd.Stalls != 6 {
-		t.Errorf("Stalls = %d, want 6", wd.Stalls)
-	}
-}
-
-// TestWatchdogRestartRePrimes: progress made while the watchdog is stopped
-// must not be compared against the pre-stop snapshot — the first window
-// after a restart is measured fresh, so a resumed interval cannot be
-// misread. Conversely a genuine post-restart stall is still caught.
-func TestWatchdogRestartRePrimes(t *testing.T) {
-	eng := sim.NewEngine(1)
-	var delivered uint64
-	wd := NewWatchdog(eng, func() uint64 { return delivered }, func() int64 { return 1 << 20 })
-	wd.Window = sim.Millisecond
-
-	wd.Start()
-	// Healthy progress through the first window.
-	eng.Schedule(500*sim.Microsecond, func() { delivered++ })
-	eng.Run(sim.Time(1500 * sim.Microsecond))
-	if wd.Stalls != 0 {
-		t.Fatalf("healthy window stalled (%d)", wd.Stalls)
-	}
-	wd.Stop()
-
-	// Progress happens while paused; then restart with NO further progress.
-	delivered += 10
-	eng.Run(sim.Time(3500 * sim.Microsecond))
-	wd.Start()
-	eng.Run(sim.Time(4200 * sim.Microsecond)) // restart was at 3.5ms; first tick due 4.5ms
-	if wd.Stalls != 0 {
-		t.Fatalf("stall declared before a full post-restart window elapsed (%d)", wd.Stalls)
-	}
-	eng.Run(sim.Time(6 * sim.Millisecond)) // windows at 4.5ms and 5.5ms: no progress → stalls
-	if wd.Stalls != 2 {
-		t.Errorf("post-restart stalls = %d, want 2", wd.Stalls)
 	}
 }

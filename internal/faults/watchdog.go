@@ -10,16 +10,17 @@ import (
 	"l2bm/internal/sim"
 )
 
-// Watchdog periodically compares a monotone progress counter (delivered
-// data packets) against the previous sample. A window with zero progress
-// while switch buffers still hold bytes is a stall: buffered traffic that
-// is not moving. RTO quiet periods do not trip it — when every packet has
+// Watchdog compares, once per TickOnce, a monotone progress counter
+// (delivered data packets) against the previous sample. A window with zero
+// progress while switch buffers still hold bytes is a stall: buffered traffic
+// that is not moving. RTO quiet periods do not trip it — when every packet has
 // either been delivered or dropped, residency is zero and silence is
 // legitimate.
 type Watchdog struct {
-	// Window is the sampling interval; it should comfortably exceed the
-	// longest legitimate pause a draining fabric can take (PFC pause
-	// bursts, multi-hop serialization), so defaults are milliseconds.
+	// Window is the sampling interval, the cadence at which the run's
+	// conductor calls TickOnce; it should comfortably exceed the longest
+	// legitimate pause a draining fabric can take (PFC pause bursts,
+	// multi-hop serialization), so defaults are milliseconds.
 	Window sim.Duration
 	// Progress returns the monotone delivered-packet counter.
 	Progress func() uint64
@@ -28,11 +29,7 @@ type Watchdog struct {
 	// OnStall, if set, observes each stalled window.
 	OnStall func(at sim.Time)
 
-	eng     *sim.Engine
-	last    uint64
-	primed  bool
-	stopped bool
-	pending sim.EventRef // the armed tick, cancelled on Stop/restart
+	last uint64
 
 	// Stalls counts no-progress windows observed.
 	Stalls uint64
@@ -40,68 +37,30 @@ type Watchdog struct {
 	FirstStallAt sim.Time
 }
 
-// NewWatchdog builds a watchdog with a 2 ms default window.
-func NewWatchdog(eng *sim.Engine, progress func() uint64, resident func() int64) *Watchdog {
+// NewWatchdog builds a watchdog with a 2 ms default window, snapshotting the
+// progress counter so the first window is measured from install time.
+func NewWatchdog(progress func() uint64, resident func() int64) *Watchdog {
 	return &Watchdog{
 		Window:   2 * sim.Millisecond,
 		Progress: progress,
 		Resident: resident,
-		eng:      eng,
+		last:     progress(),
 	}
 }
 
-// Start arms the periodic check (engine-driven mode). Restarting after a
-// Stop re-primes: the first full Window after the resume is measured fresh,
-// so a pause spanning an otherwise-stalled interval cannot produce a
-// spurious stall, and any tick left pending from the previous incarnation
-// is cancelled rather than resuming as a second, phase-shifted chain.
-func (w *Watchdog) Start() {
-	w.pending.Cancel()
-	w.stopped = false
-	w.Prime()
-	w.pending = w.eng.Schedule(w.Window, w.tick)
-}
-
-// Stop halts checking and disarms the pending tick, so a later Start
-// cannot inherit the old chain (which would double the cadence and halve
-// the effective no-progress window).
-func (w *Watchdog) Stop() {
-	w.stopped = true
-	w.pending.Cancel()
-	w.pending = sim.EventRef{}
-}
-
-// Prime snapshots the progress counter without arming the engine-driven
-// tick chain — the sharded conductor's replacement for Start: it primes
-// once at install time and then calls TickOnce at every Window-multiple
-// barrier.
-func (w *Watchdog) Prime() {
-	w.last = w.Progress()
-	w.primed = true
-}
-
-// TickOnce runs exactly one no-progress check at the current simulated
-// time without rescheduling. Safe to call at a sharded barrier: all shard
-// clocks agree, no events are in flight, and Progress/Resident closures
-// may aggregate across shards.
-func (w *Watchdog) TickOnce() {
+// TickOnce runs one no-progress check at now. It is a conductor barrier
+// task, fired at every Window multiple: all shard clocks agree, no events
+// are in flight, and Progress/Resident closures may aggregate across shards.
+func (w *Watchdog) TickOnce(now sim.Time) {
 	cur := w.Progress()
-	if w.primed && cur == w.last && w.Resident() > 0 {
+	if cur == w.last && w.Resident() > 0 {
 		if w.Stalls == 0 {
-			w.FirstStallAt = w.eng.Now()
+			w.FirstStallAt = now
 		}
 		w.Stalls++
 		if w.OnStall != nil {
-			w.OnStall(w.eng.Now())
+			w.OnStall(now)
 		}
 	}
 	w.last = cur
-}
-
-func (w *Watchdog) tick() {
-	if w.stopped {
-		return
-	}
-	w.TickOnce()
-	w.pending = w.eng.Schedule(w.Window, w.tick)
 }

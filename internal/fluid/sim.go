@@ -137,21 +137,6 @@ func (s *Sim) wouldTrigger(f *transport.Flow) CutReason {
 	return CutNone
 }
 
-// TriggersNow reports whether the standing trigger predicates hold for the
-// current active set alone (no candidate arrival) — the driver's quiescence
-// check asks this before cutting a packet segment back to fluid.
-func (s *Sim) TriggersNow() CutReason {
-	for _, fs := range s.active {
-		if s.degree(fs.Flow.Src, fs.Flow.Dst) >= s.p.DegreeTrigger {
-			return CutDegree
-		}
-	}
-	if s.guardExceeded(nil) {
-		return CutGuard
-	}
-	return CutNone
-}
-
 // degree returns the larger of the sharing degrees on src's uplink and
 // dst's downlink.
 func (s *Sim) degree(src, dst int) int {
@@ -174,8 +159,7 @@ func (s *Sim) degree(src, dst int) int {
 }
 
 // guardExceeded reports whether the synthesized occupancy estimate of any
-// switch — with candidate cand added, when non-nil — crosses the guard
-// band.
+// switch, with candidate cand added, crosses the guard band.
 func (s *Sim) guardExceeded(cand *transport.Flow) bool {
 	limit := int64(s.p.GuardFrac * float64(s.m.Cfg.Switch.TotalShared))
 	if limit <= 0 {
@@ -183,12 +167,10 @@ func (s *Sim) guardExceeded(cand *transport.Flow) bool {
 	}
 	occ := make([]int64, s.m.NumSwitches())
 	s.chargeOccupancy(occ)
-	if cand != nil {
-		var buf [6]int
-		for _, l := range s.m.AppendLinks(buf[:0], cand.ID, cand.Src, cand.Dst) {
-			if sw := s.m.owner[l]; sw >= 0 {
-				occ[sw] += s.p.QFlow
-			}
+	var buf [6]int
+	for _, l := range s.m.AppendLinks(buf[:0], cand.ID, cand.Src, cand.Dst) {
+		if sw := s.m.owner[l]; sw >= 0 {
+			occ[sw] += s.p.QFlow
 		}
 	}
 	for _, o := range occ {

@@ -293,62 +293,6 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-// CDFPoint is one (value, cumulative fraction) coordinate.
-type CDFPoint struct {
-	Value float64
-	Frac  float64
-}
-
-// EmpiricalCDF reduces xs to at most n evenly spaced CDF coordinates.
-//
-// The output is always a well-formed monotone CDF or nil, never a
-// degenerate in-between (the zero-not-NaN contract Summarize follows):
-//
-//   - empty xs → nil (the only nil case);
-//   - the first point is the sample minimum and the last is the maximum
-//     with Frac exactly 1, so the plotted support is never clipped;
-//   - Value is non-decreasing and Frac strictly increasing — no duplicate
-//     coordinates, whatever ties xs contains;
-//   - n is clamped to [2, len(xs)] (a distribution's support needs two
-//     points; more points than samples would force duplicates). A single
-//     sample yields the single point (x, 1).
-func EmpiricalCDF(xs []float64, n int) []CDFPoint {
-	if len(xs) == 0 {
-		return nil
-	}
-	sorted := sortedCopy(xs)
-	m := len(sorted)
-	if n > m {
-		n = m
-	}
-	if n < 2 {
-		n = 2
-		if m == 1 {
-			n = 1
-		}
-	}
-	out := make([]CDFPoint, 0, n)
-	prev := -1
-	for i := 0; i < n; i++ {
-		idx := m - 1
-		if n > 1 {
-			idx = i * (m - 1) / (n - 1)
-		}
-		// Evenly spaced ranks can collide after integer division; keeping
-		// the index strictly increasing keeps Frac strictly increasing.
-		// Safe because n ≤ m: there is always a fresh rank left.
-		if idx <= prev {
-			idx = prev + 1
-		}
-		prev = idx
-		out = append(out, CDFPoint{
-			Value: sorted[idx],
-			Frac:  float64(idx+1) / float64(m),
-		})
-	}
-	return out
-}
-
 // Sampler polls a gauge on a fixed period — the paper records switch
 // occupancy every 1 ms (Fig. 8).
 type Sampler struct {

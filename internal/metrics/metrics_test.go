@@ -262,96 +262,6 @@ func TestSummarizeSingleSortEquivalence(t *testing.T) {
 	}
 }
 
-func TestEmpiricalCDF(t *testing.T) {
-	xs := make([]float64, 100)
-	for i := range xs {
-		xs[i] = float64(i + 1)
-	}
-	pts := EmpiricalCDF(xs, 10)
-	if len(pts) != 10 {
-		t.Fatalf("points = %d, want 10", len(pts))
-	}
-	if pts[9].Value != 100 || pts[9].Frac != 1 {
-		t.Errorf("last point = %+v, want (100, 1)", pts[9])
-	}
-	if !sort.SliceIsSorted(pts, func(i, j int) bool { return pts[i].Value <= pts[j].Value }) {
-		t.Error("CDF values not sorted")
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Frac <= pts[i-1].Frac {
-			t.Error("CDF fractions not increasing")
-		}
-	}
-	if pts[0].Value != 1 {
-		t.Errorf("first point = %+v, want the sample minimum 1", pts[0])
-	}
-	if EmpiricalCDF(nil, 10) != nil {
-		t.Error("empty input should yield nil")
-	}
-	if got := EmpiricalCDF([]float64{1, 2}, 10); len(got) != 2 {
-		t.Errorf("n > len should clamp: got %d points", len(got))
-	}
-}
-
-// TestEmpiricalCDFEdgeCases pins the well-formedness contract on the
-// degenerate inputs: n ≤ 1, n > len(xs), single samples, and heavy ties
-// must all yield a monotone CDF ending at (max, 1) — or nil only on empty.
-func TestEmpiricalCDFEdgeCases(t *testing.T) {
-	checkWellFormed := func(t *testing.T, pts []CDFPoint, min, max float64) {
-		t.Helper()
-		if len(pts) == 0 {
-			t.Fatal("no points for non-empty input")
-		}
-		if pts[0].Value != min {
-			t.Errorf("first point %+v, want Value %g", pts[0], min)
-		}
-		last := pts[len(pts)-1]
-		if last.Value != max || last.Frac != 1 {
-			t.Errorf("last point %+v, want (%g, 1)", last, max)
-		}
-		for i := 1; i < len(pts); i++ {
-			if pts[i].Value < pts[i-1].Value {
-				t.Errorf("Value not monotone at %d: %+v after %+v", i, pts[i], pts[i-1])
-			}
-			if pts[i].Frac <= pts[i-1].Frac {
-				t.Errorf("Frac not strictly increasing at %d: %+v after %+v", i, pts[i], pts[i-1])
-			}
-		}
-	}
-
-	xs := []float64{5, 1, 3, 2, 4}
-	for _, n := range []int{-1, 0, 1} {
-		pts := EmpiricalCDF(xs, n)
-		if len(pts) != 2 {
-			t.Errorf("n=%d: got %d points, want 2 (min and max)", n, len(pts))
-		}
-		checkWellFormed(t, pts, 1, 5)
-	}
-
-	if pts := EmpiricalCDF(xs, 100); len(pts) != len(xs) {
-		t.Errorf("n > len(xs): got %d points, want %d", len(pts), len(xs))
-	} else {
-		checkWellFormed(t, pts, 1, 5)
-	}
-
-	single := EmpiricalCDF([]float64{7}, 10)
-	if len(single) != 1 || single[0] != (CDFPoint{Value: 7, Frac: 1}) {
-		t.Errorf("single sample: got %+v, want [(7, 1)]", single)
-	}
-	if single = EmpiricalCDF([]float64{7}, 0); len(single) != 1 || single[0].Frac != 1 {
-		t.Errorf("single sample with n=0: got %+v, want [(7, 1)]", single)
-	}
-
-	// All-ties input: Frac must still strictly increase (no duplicate
-	// coordinates), and every Value is the tie.
-	ties := EmpiricalCDF([]float64{2, 2, 2, 2}, 4)
-	checkWellFormed(t, ties, 2, 2)
-
-	if EmpiricalCDF(nil, 0) != nil || EmpiricalCDF([]float64{}, 5) != nil {
-		t.Error("empty input must yield nil for every n")
-	}
-}
-
 func TestSamplerPolls(t *testing.T) {
 	eng := sim.NewEngine(1)
 	v := int64(0)

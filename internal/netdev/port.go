@@ -64,9 +64,9 @@ var _ = [1]struct{}{}[pkt.NumPriorities-8]
 // A port pays only for the per-priority state it has used: a fabric
 // provisions every port for eight priorities, the model carries three, and
 // most ports of a large fabric never carry a frame at all. So the data
-// queues, the pause clocks and the DWRR credit are each allocated on first
-// use (nil until then), and Port itself fits the 320-byte size class
-// (TestPortFootprint holds it there).
+// queues and the pause clocks are each allocated on first use (nil until
+// then), and Port itself fits the 320-byte size class (TestPortFootprint
+// holds it there).
 type Port struct {
 	eng   *sim.Engine
 	owner Node
@@ -114,10 +114,6 @@ type Port struct {
 	// XOFF that actually pauses this port (nil = never paused, every clock
 	// reads zero).
 	pause *pauseClocks
-
-	// dwrr is non-nil exactly while DWRR scheduling is selected; EnableDWRR
-	// owns it.
-	dwrr *dwrrState
 
 	// pool recycles consumed frames (PFC application, carrier/fault drops)
 	// and sources PFC frames. Nil disables pooling: SendPFC heap-allocates
@@ -190,15 +186,6 @@ const queueSlots = 3
 type pauseClocks struct {
 	since [pkt.NumPriorities]sim.Time
 	cum   [pkt.NumPriorities]sim.Duration
-}
-
-// dwrrState is the DWRR scheduler's state: quantum is the bytes credited to
-// each backlogged priority per round, deficit carries per-priority byte
-// credit and granted marks queues already credited this turn.
-type dwrrState struct {
-	quantum int
-	deficit [pkt.NumPriorities]int
-	granted [pkt.NumPriorities]bool
 }
 
 // LinkClass is the immutable speed descriptor of a cable: line rate in
@@ -541,13 +528,10 @@ func (p *Port) tryTransmit() {
 }
 
 // nextPacket dequeues the packet to transmit, or nil when nothing is
-// eligible: control frames first, then the configured data scheduler.
+// eligible: control frames first, then round-robin over the data queues.
 func (p *Port) nextPacket() *pkt.Packet {
 	if p.ctrl.len() > 0 {
 		return p.ctrl.pop()
-	}
-	if p.dwrr != nil {
-		return p.nextDWRR()
 	}
 	ready := p.nonEmpty &^ p.paused
 	if ready == 0 {
@@ -561,70 +545,6 @@ func (p *Port) nextPacket() *pkt.Packet {
 	p.popped(pq, prio, q)
 	p.rr = (prio + 1) % pkt.NumPriorities
 	return q
-}
-
-// EnableDWRR switches the port's data scheduler from packet-granular round
-// robin to byte-fair Deficit Weighted Round Robin with the given quantum
-// (bytes credited to each backlogged priority per round). Packet RR slightly
-// favours small-packet classes; DWRR equalizes bytes. Pass 0 to return to
-// packet RR.
-func (p *Port) EnableDWRR(quantumBytes int) {
-	if quantumBytes < 0 {
-		panic("netdev: DWRR quantum must be non-negative")
-	}
-	if quantumBytes == 0 {
-		p.dwrr = nil
-		return
-	}
-	p.dwrr = &dwrrState{quantum: quantumBytes}
-}
-
-// nextDWRR implements deficit round robin over the unpaused backlogged
-// priorities. The transmitter takes one packet per call, so the scheduler
-// stays parked on a queue while its deficit still covers the next head —
-// that is what makes the schedule byte-fair rather than packet-fair.
-func (p *Port) nextDWRR() *pkt.Packet {
-	d := p.dwrr
-	ready := p.nonEmpty &^ p.paused
-	for prio := 0; prio < pkt.NumPriorities; prio++ {
-		if ready&(1<<uint(prio)) == 0 {
-			d.deficit[prio] = 0 // idle/paused queues hold no credit
-		}
-	}
-	if ready == 0 {
-		return nil
-	}
-	for {
-		prio := p.rr
-		if ready&(1<<uint(prio)) == 0 {
-			d.deficit[prio] = 0
-			d.granted[prio] = false
-			p.rr = (p.rr + 1) % pkt.NumPriorities
-			continue
-		}
-		// One quantum per turn; the queue then transmits while its
-		// deficit covers the head packet.
-		if !d.granted[prio] {
-			d.deficit[prio] += d.quantum
-			d.granted[prio] = true
-		}
-		pq := p.queue(prio) // ready implies nonEmpty implies the queue exists
-		if head := pq.peek(); d.deficit[prio] >= head.Size {
-			q := pq.pop()
-			d.deficit[prio] -= q.Size
-			p.popped(pq, prio, q)
-			if pq.n == 0 {
-				d.deficit[prio] = 0
-				d.granted[prio] = false
-				p.rr = (p.rr + 1) % pkt.NumPriorities
-			}
-			return q
-		}
-		// Turn over: yield to the next priority. Deficits of backlogged
-		// queues accumulate across turns, so the loop terminates.
-		d.granted[prio] = false
-		p.rr = (p.rr + 1) % pkt.NumPriorities
-	}
 }
 
 // finishTransmit runs when the last bit of q hits the wire: release the

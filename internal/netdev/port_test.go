@@ -445,8 +445,8 @@ func TestPortFootprint(t *testing.T) {
 
 	_, _, _, p, _ := newPair(t, 25e9, 0)
 	p.busy = true // hold the transmitter: enqueues must not schedule events
-	if p.queues != nil || p.pause != nil || p.dwrr != nil {
-		t.Fatalf("idle port owns per-priority state: queues=%v pause=%v dwrr=%v", p.queues, p.pause, p.dwrr)
+	if p.queues != nil || p.pause != nil {
+		t.Fatalf("idle port owns per-priority state: queues=%v pause=%v", p.queues, p.pause)
 	}
 	if allocs := testing.AllocsPerRun(10, func() {
 		for prio := 0; prio < pkt.NumPriorities; prio++ {
@@ -460,9 +460,8 @@ func TestPortFootprint(t *testing.T) {
 		}
 		p.applyPFC(&pkt.Packet{Kind: pkt.KindPFC, PFCPriority: pkt.PrioLossless}) // XON on a never-paused port
 		p.ForceResume(pkt.PrioLossless)
-		p.EnableDWRR(0)
-	}); allocs != 0 || p.queues != nil || p.pause != nil || p.dwrr != nil {
-		t.Fatalf("reading an idle port allocated (%v allocs/run): queues=%v pause=%v dwrr=%v", allocs, p.queues, p.pause, p.dwrr)
+	}); allocs != 0 || p.queues != nil || p.pause != nil {
+		t.Fatalf("reading an idle port allocated (%v allocs/run): queues=%v pause=%v", allocs, p.queues, p.pause)
 	}
 
 	// The first frame of a priority brings that priority's queue, and only
@@ -477,18 +476,13 @@ func TestPortFootprint(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1, func() { p.Enqueue(more[i]); i++ }); allocs != 0 || len(p.queues) != 1 {
 		t.Fatalf("a second frame of a carried priority allocated (%v allocs) or took a queue (%d held)", allocs, len(p.queues))
 	}
-	if p.pause != nil || p.dwrr != nil {
-		t.Fatal("carrying traffic allocated pause clocks or DWRR credit")
+	if p.pause != nil {
+		t.Fatal("carrying traffic allocated pause clocks")
 	}
 
-	// Pause clocks arrive with the first XOFF, DWRR credit with EnableDWRR.
+	// Pause clocks arrive with the first XOFF.
 	p.applyPFC(&pkt.Packet{Kind: pkt.KindPFC, PFCPriority: pkt.PrioLossless, PFCPause: true})
-	p.EnableDWRR(1500)
-	if p.pause == nil || p.dwrr == nil || len(p.queues) != 1 {
-		t.Fatalf("after XOFF and EnableDWRR: pause=%v dwrr=%v queues=%d", p.pause, p.dwrr, len(p.queues))
-	}
-	p.EnableDWRR(0)
-	if p.dwrr != nil {
-		t.Fatal("EnableDWRR(0) kept the DWRR credit")
+	if p.pause == nil || len(p.queues) != 1 {
+		t.Fatalf("after XOFF: pause=%v queues=%d", p.pause, len(p.queues))
 	}
 }

@@ -51,13 +51,6 @@ func (r *ring) popTail() *pkt.Packet {
 	return p
 }
 
-func (r *ring) peek() *pkt.Packet {
-	if r.n == 0 {
-		return nil
-	}
-	return r.buf[r.head]
-}
-
 func (r *ring) grow() {
 	size := len(r.buf) * 2
 	if size == 0 {

@@ -23,10 +23,11 @@
 // everything else that could diverge (workload generators, fault processes)
 // is replicated per shard on identically-seeded engines.
 //
-// Global observers that read state across shards (deadlock detector sweeps,
-// the no-progress watchdog) cannot run as one shard's engine events; they
-// register as barrier tasks, executed by the conductor at exact multiples of
-// their period when all shard clocks agree and no events are in flight.
+// Global observers that read state across shards (auditor sweeps, deadlock
+// detector scans, the no-progress watchdog) cannot run as one shard's engine
+// events; they register as barrier tasks, executed by the conductor at exact
+// multiples of their period when all shard clocks agree and no events are in
+// flight — at every shard count, one engine included.
 package psim
 
 import (

@@ -343,6 +343,7 @@ func TestServeValidation(t *testing.T) {
 		"unknown field":  {`{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Polciy":"x"}]}`, http.StatusBadRequest},
 		"unknown policy": {`{"specs":[{"Name":"p","Policy":"Nope","Scale":"tiny"}]}`, http.StatusBadRequest},
 		"no specs":       {`{"specs":[]}`, http.StatusBadRequest},
+		"shards > ToRs":  {`{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny"},{"Name":"q","Policy":"DT","Scale":"tiny","Shards":5}]}`, http.StatusBadRequest},
 	} {
 		resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(tc.body))
 		if err != nil {

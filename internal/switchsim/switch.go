@@ -256,9 +256,6 @@ func (s *Switch) SetTracer(rec *trace.Recorder) {
 	}
 }
 
-// Tracer returns the armed flight recorder, or nil when tracing is off.
-func (s *Switch) Tracer() *trace.Recorder { return s.tracer }
-
 // Occupancy returns the total bytes resident in the switch buffer
 // (reserved + shared + headroom), the quantity Figs. 7(c), 8 and 10(c) plot.
 func (s *Switch) Occupancy() int64 { return s.mmu.resident }

@@ -1,9 +1,8 @@
-// Canonical trace merging: the sharded runner gives every shard its own
-// Recorder (rings are single-threaded like the engine that feeds them), so
-// a run's trace arrives as N per-shard recorders. Merge folds them into one
-// canonically-ordered recorder; the classic runner routes its single
-// recorder through the same function so exported trace files are
-// byte-identical across shard counts.
+// Canonical trace merging: a run gives every shard its own Recorder (rings
+// are single-threaded like the engine that feeds them), so its trace arrives
+// as N per-shard recorders. Merge folds them into one canonically-ordered
+// recorder; a one-engine run routes its single recorder through the same
+// function so exported trace files are byte-identical across shard counts.
 package trace
 
 import (
