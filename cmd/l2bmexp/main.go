@@ -42,11 +42,15 @@
 // byte-identical for any worker count — only wall clock changes. The
 // timing trailer reports aggregate simulated events/s across workers.
 //
-// Orthogonally, -shards N runs every individual point on the sharded
+// Orthogonally, every individual point can run on the sharded
 // conservative-time engine (internal/psim): the Clos fabric is partitioned
-// across N per-shard engines synchronized by lookahead-bounded epochs.
-// Results are byte-identical for every legal shard count (0 and 1 both mean
-// one engine), so -shards changes only the timing trailer.
+// across per-shard engines, one pinned thread each, synchronized by
+// lookahead-bounded epochs. -shards N >= 1 asks for exactly N; the default
+// 0 lets each point size itself to the cores the worker pool leaves idle — a
+// one-point -exp scale takes them all, a Fig. 7 grid that already fills the
+// machine runs one engine per point. Results are byte-identical for every
+// legal shard count, so -shards changes only the timing trailer, which says
+// what the conductors did (shards, epochs, inline epochs, parks).
 //
 // -fidelity hybrid runs figure/table experiments on the hybrid-fidelity
 // engine (internal/fluid): steady-state spans advance analytically, bursts
@@ -94,7 +98,7 @@ func run(args []string, w io.Writer) error {
 	expName := fs.String("exp", "all", "experiment: "+strings.Join(experimentNames(), "|"))
 	scaleName := fs.String("scale", "small", "simulation scale: tiny|small|full")
 	parallel := fs.Int("parallel", 0, "worker pool size for independent grid points (0 = GOMAXPROCS, 1 = sequential)")
-	shards := fs.Int("shards", 0, "run each point on the sharded conservative-time engine with N shards (0 and 1 both mean one engine); results are byte-identical for any legal N")
+	shards := fs.Int("shards", 0, "run each point on the sharded conservative-time engine with N shards (0 = sized to the cores the worker pool leaves idle, 1 = one engine); results are byte-identical for any legal N")
 	fidelity := fs.String("fidelity", "", "execution engine for figure/table experiments: packet (every MTU simulated; the default) or hybrid (fluid fast-forward between bursts; results within the DESIGN.md §14 divergence bound)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
@@ -399,10 +403,6 @@ func runExperiments(harness *exp.Harness, expName string, scale exp.Scale, polic
 		}
 		wall := time.Since(start)
 		events := harness.TotalEvents() - events0
-		shardNote := ""
-		if harness.Shards >= 1 {
-			shardNote = fmt.Sprintf(", %d shards/point", harness.Shards)
-		}
 		if fb := harness.FidelityFallbacks() - fallbacks0; fb > 0 {
 			// Deterministic for any worker count (it counts results, not
 			// scheduling), so determinism diffs keep it.
@@ -421,7 +421,7 @@ func runExperiments(harness *exp.Harness, expName string, scale exp.Scale, polic
 		}
 		fmt.Fprintf(w, "(%s finished in %v: %s events, %s events/s aggregate across %d workers%s%s%s)\n",
 			name, wall.Round(time.Millisecond),
-			siCount(float64(events)), siCount(float64(events)/wall.Seconds()), effective, shardNote, restoredNote, evictedNote)
+			siCount(float64(events)), siCount(float64(events)/wall.Seconds()), effective, harness.Sharded(), restoredNote, evictedNote)
 		fmt.Fprintln(w, mem0.MemLine(events))
 	}
 	return nil

@@ -1,6 +1,7 @@
 // Command l2bmsim runs a single hybrid-traffic scenario with custom
 // parameters and prints its headline metrics — the quickest way to poke at
-// one configuration.
+// one configuration. The one point takes every core the fabric can use (one
+// shard per pod, see exp.HybridSpec.Shards); the numbers do not depend on it.
 //
 // Usage:
 //
@@ -79,6 +80,10 @@ func run(args []string, w io.Writer) error {
 		fmt.Fprintf(w, "incast: flows=%d p99 slowdown=%.2f queries=%d mean=%.2fms max=%.2fms\n",
 			len(res.IncastSlowdowns), res.Incastp99(), s.N, s.Mean, s.Max)
 	}
-	fmt.Fprintf(w, "simulated %v in %d events\n", res.EndTime, res.Events)
+	// The run sizes itself to the machine's cores (Shards: 0); what its
+	// conductor did there is the one machine-dependent part of the output.
+	var sharded exp.ShardedRuns
+	sharded.Add(res)
+	fmt.Fprintf(w, "simulated %v in %d events%s\n", res.EndTime, res.Events, sharded)
 	return nil
 }

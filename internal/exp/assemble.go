@@ -209,11 +209,13 @@ type fabric struct {
 	cl      *topo.Cluster
 	cond    *psim.Conductor
 
-	tracers []*trace.Recorder // one per shard (rings are single-threaded); nil when tracing is off
-	aud     *audit.Auditor
-	injs    []*faults.Injector // one replica per shard
-	det     *faults.DeadlockDetector
-	wd      *faults.Watchdog
+	tracers  []*trace.Recorder // one per shard (rings are single-threaded); nil when tracing is off
+	samplers []*trace.Sampler  // one per shard, beside its recorder
+	aud      *audit.Auditor
+	injs     []*faults.Injector // one replica per shard
+	incast   []*workload.Incast // one replica per shard (runPacket); nil without an incast stream
+	det      *faults.DeadlockDetector
+	wd       *faults.Watchdog
 }
 
 // build wires the plan's cluster across shards engines (≥ 1) seeded with
@@ -351,22 +353,22 @@ func (f *fabric) armTrace(until sim.Duration) {
 		every = f.p.every
 	}
 	f.tracers = make([]*trace.Recorder, len(f.engines))
-	samplers := make([]*trace.Sampler, len(f.engines))
+	f.samplers = make([]*trace.Sampler, len(f.engines))
 	for s, eng := range f.engines {
 		f.tracers[s] = trace.NewRecorder(ts.Capacity)
-		samplers[s] = trace.NewSampler(eng, f.tracers[s], every)
+		f.samplers[s] = trace.NewSampler(eng, f.tracers[s], every)
 	}
 	for i, sw := range f.cl.ToRs {
-		armSwitch(sw, f.tracers[f.part.ToR[i]], samplers[f.part.ToR[i]])
+		armSwitch(sw, f.tracers[f.part.ToR[i]], f.samplers[f.part.ToR[i]])
 	}
 	for i, sw := range f.cl.Aggs {
-		armSwitch(sw, f.tracers[f.part.Agg[i]], samplers[f.part.Agg[i]])
+		armSwitch(sw, f.tracers[f.part.Agg[i]], f.samplers[f.part.Agg[i]])
 	}
 	for i, sw := range f.cl.Cores {
-		armSwitch(sw, f.tracers[f.part.Core[i]], samplers[f.part.Core[i]])
+		armSwitch(sw, f.tracers[f.part.Core[i]], f.samplers[f.part.Core[i]])
 	}
 	if until > 0 {
-		for _, s := range samplers {
+		for _, s := range f.samplers {
 			s.Start(until) // sample the loaded phase, like the metrics samplers
 		}
 	}
@@ -414,7 +416,7 @@ func (f *fabric) harvest(res *Result, final bool) {
 	res.CorePauseFrames += topo.SwitchStats(cl.Cores).PauseFramesSent
 
 	res.LosslessGaps += cl.LosslessGaps()
-	res.Events += f.cond.Events() + f.cond.Stats().TaskFirings
+	res.Events += f.cond.Events() + f.cond.Stats().TaskFirings - f.replicaEvents()
 	res.RecoveryBytes += cl.RecoveryBytes()
 	nacks, timeouts := cl.RDMARecoveryStats()
 	res.RDMANACKs += nacks
@@ -461,6 +463,28 @@ func (f *fabric) harvest(res *Result, final bool) {
 	if f.wd != nil {
 		res.WatchdogStalls += f.wd.Stalls
 	}
+}
+
+// replicaEvents counts the engine events that exist only because the fabric
+// is sharded: the tick chains every shard runs its own copy of — the incast
+// query stream, the fault injector, the trace sampler — fire once per shard
+// where one engine fires them once. One simulated event, one count: replicas
+// 2…N are taken back out, so Result.Events is the same number at every shard
+// count and the result's bytes never depend on how many cores the run found.
+func (f *fabric) replicaEvents() uint64 {
+	var n uint64
+	for s := 1; s < len(f.engines); s++ {
+		if f.incast != nil {
+			n += f.incast[s].Ticks
+		}
+		if f.injs != nil {
+			n += f.injs[s].Stats().Firings
+		}
+		if f.samplers != nil {
+			n += f.samplers[s].Ticks
+		}
+	}
+	return n
 }
 
 // summarizeFlows fills res's per-flow outcome from the run's (merged)

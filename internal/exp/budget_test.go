@@ -18,8 +18,10 @@ import (
 // point — and on nothing else. The runtime.MemStats delta around RunHybrid
 // is what `go test -benchmem` reports per op.
 func TestPointAllocBudget(t *testing.T) {
-	fig7 := HybridSpec{Name: "fig7", Scale: ScaleTiny, RDMALoad: 0.4, TCPLoad: 0.8}
-	steady := HybridSpec{Name: "steady", Policy: "L2BM", Scale: ScaleTiny,
+	// Shards: 1 — the budgets are the one-engine build's (a self-sized run adds
+	// the second engine's wheel and pool).
+	fig7 := HybridSpec{Name: "fig7", Scale: ScaleTiny, RDMALoad: 0.4, TCPLoad: 0.8, Shards: 1}
+	steady := HybridSpec{Name: "steady", Policy: "L2BM", Scale: ScaleTiny, Shards: 1,
 		RDMALoad: 0.02, TCPLoad: 0.02, InterRackOnly: true, WindowOverride: 40 * sim.Millisecond}
 	with := func(sp HybridSpec, edit func(*HybridSpec)) HybridSpec {
 		edit(&sp)

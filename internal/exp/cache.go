@@ -72,11 +72,14 @@ func registryVersion() string {
 // so stale entries miss instead of being misread. Version 2 added Fidelity
 // to specKey — under version 1 a hybrid-fidelity point hashed identically to
 // the packet point of the same grid and could cross-restore. Version 3 made
-// Shards 0 a synonym of 1 (specKey writes max(Shards, 1)) and counts
-// barrier-task firings in Result.Events, so version-2 entries stored at
-// Shards >= 1, or by hybrid runs, under an auditor or a fault plan hold the
-// old count.
-const CheckpointVersion = 3
+// Shards 0 a synonym of 1 and counts barrier-task firings in Result.Events, so
+// version-2 entries stored at Shards >= 1, or by hybrid runs, under an auditor
+// or a fault plan hold the old count. Version 4 counts a replicated tick chain
+// once (Result.Events is the same at every shard count, so specKey no longer
+// writes Shards at all): version-3 entries stored at Shards >= 2 with an
+// incast stream, a fault plan or — never stored, but for the record — a trace
+// hold the old count.
+const CheckpointVersion = 4
 
 // checkpointIneligible names the first non-serializable field set on the
 // spec, or "" when the spec is plain data and may be stored. Specs carrying
@@ -104,11 +107,12 @@ func checkpointIneligible(spec HybridSpec) string {
 // stored entry matches.
 func specKey(spec HybridSpec) string {
 	// Fidelity is present: hybrid fast-forward changes numbers within the
-	// §14 bound. Shards 0 and 1 are the same run, so they share a key.
-	s := fmt.Sprintf("name=%s policy=%s scale=%d rdma=%v tcp=%v inter=%v occ=%d win=%d drain=%d salt=%q shards=%d fidelity=%q",
+	// §14 bound. Shards is absent: every shard count produces the same bytes,
+	// so an entry stored at one serves all the others.
+	s := fmt.Sprintf("name=%s policy=%s scale=%d rdma=%v tcp=%v inter=%v occ=%d win=%d drain=%d salt=%q fidelity=%q",
 		spec.Name, spec.Policy, spec.Scale, spec.RDMALoad, spec.TCPLoad,
 		spec.InterRackOnly, spec.OccupancySampleEvery, spec.WindowOverride,
-		spec.DrainOverride, spec.SeedSalt, max(spec.Shards, 1), spec.Fidelity)
+		spec.DrainOverride, spec.SeedSalt, spec.Fidelity)
 	if in := spec.Incast; in != nil {
 		s += fmt.Sprintf(" incast={%d %d %v}", in.Fanout, in.RequestBytes, in.QueryRate)
 	}

@@ -42,7 +42,6 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 	for name, mutate := range map[string]func(*HybridSpec){
 		"SeedSalt": func(s *HybridSpec) { s.SeedSalt = "rerun" },
 		"Policy":   func(s *HybridSpec) { s.Policy = "L2BM" },
-		"Shards":   func(s *HybridSpec) { s.Shards = 2 },
 		"Fidelity": func(s *HybridSpec) { s.Fidelity = FidelityHybrid },
 		"Scale":    func(s *HybridSpec) { s.Scale = ScaleSmall },
 		"TCPLoad":  func(s *HybridSpec) { s.TCPLoad = 0.6 },
@@ -67,16 +66,20 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 		t.Error("version bump did not change the cache key")
 	}
 
-	// Version 3 counts barrier-task firings in Result.Events, so an entry
-	// stored under version 2 must miss: its key is not the one asked for now.
-	if v2, err := cacheKeyAt(2, base); err != nil || CheckpointVersion != 3 || v2 == baseKey {
-		t.Errorf("CheckpointVersion %d: version-2 key %s (%v) vs current %s, want version 3 and a miss", CheckpointVersion, v2, err, baseKey)
+	// Version 4 counts a replicated tick chain once in Result.Events, so an
+	// entry stored under version 3 must miss: its key is not the one asked
+	// for now.
+	if v3, err := cacheKeyAt(3, base); err != nil || CheckpointVersion != 4 || v3 == baseKey {
+		t.Errorf("CheckpointVersion %d: version-3 key %s (%v) vs current %s, want version 4 and a miss", CheckpointVersion, v3, err, baseKey)
 	}
-	// Shards 0 and 1 are the same run and share an entry.
-	one := base
-	one.Shards = 1
-	if key, _ := CacheKey(one); key != baseKey {
-		t.Errorf("Shards 1 keyed %s, Shards 0 %s, want equal", key, baseKey)
+	// Every shard count produces the same bytes, so they all share an entry
+	// (TestResultBytesShardInvariant is why that is sound).
+	for _, shards := range []int{1, 2} {
+		sharded := base
+		sharded.Shards = shards
+		if key, _ := CacheKey(sharded); key != baseKey {
+			t.Errorf("Shards %d keyed %s, Shards 0 %s, want equal", shards, key, baseKey)
+		}
 	}
 
 	// Func-carrying specs have no canonical serialization and must refuse a

@@ -32,9 +32,11 @@ type Harness struct {
 	// unique and worker-count independent.
 	TraceDir string
 	// Shards, when >= 1, runs every point on that many psim shards (specs
-	// carrying their own Shards keep it). Results are byte-identical for any
-	// legal shard count, so tables and progress lines do not change — only
-	// wall clock does.
+	// carrying their own Shards keep it); 0 leaves each point to size itself
+	// to the cores the pool leaves idle — one engine per point when the grid
+	// fills the machine. Results are byte-identical for any legal shard
+	// count, so tables and progress lines do not change — only wall clock
+	// does.
 	Shards int
 	// Fidelity, when non-empty, selects the execution engine for every
 	// point (specs carrying their own Fidelity keep it): FidelityPacket
@@ -66,6 +68,37 @@ type Harness struct {
 	fallbacks   atomic.Uint64
 	evicted     atomic.Uint64
 	tracePoints int // points seen by trace export numbering (grids run sequentially)
+
+	// What the conductors of the last grid's points that ran on several
+	// engines did (collated after the grid, so plain fields).
+	sharded ShardedRuns
+}
+
+// ShardedRuns sums, over a grid's points that ran on more than one engine, what
+// their conductors did. Shards is the widest of them (0: no point was
+// sharded); the rest are psim.Stats fields added up.
+type ShardedRuns struct {
+	Shards                      int
+	Epochs, InlineEpochs, Parks uint64
+}
+
+// Add counts res when it ran on more than one engine.
+func (s *ShardedRuns) Add(res *Result) {
+	if res.Shards <= 1 {
+		return
+	}
+	s.Shards = max(s.Shards, res.Shards)
+	s.Epochs += res.Conductor.Epochs
+	s.InlineEpochs += res.Conductor.InlineEpochs
+	s.Parks += res.Conductor.Parks
+}
+
+// String renders the timing-trailer note, "" when no point was sharded.
+func (s ShardedRuns) String() string {
+	if s.Shards == 0 {
+		return ""
+	}
+	return fmt.Sprintf(", %d shards, %d epochs (%d inline, %d parks)", s.Shards, s.Epochs, s.InlineEpochs, s.Parks)
 }
 
 // NewHarness returns a harness with the given worker bound (<= 0 means
@@ -150,6 +183,7 @@ func (h *Harness) runAll(specs []HybridSpec, emit EmitFunc) ([]*Result, error) {
 		emit)
 	h.points.Add(uint64(stats.Points))
 	h.events.Add(stats.Events - restoredEvents.Load())
+	h.sharded = ShardedRuns{}
 	for _, res := range results {
 		if res == nil {
 			continue
@@ -158,6 +192,7 @@ func (h *Harness) runAll(specs []HybridSpec, emit EmitFunc) ([]*Result, error) {
 			h.fallbacks.Add(1)
 		}
 		h.evicted.Add(res.Trace.Stats().Evicted())
+		h.sharded.Add(res)
 	}
 	if err == nil && h.TraceDir != "" {
 		base := h.tracePoints
@@ -197,6 +232,11 @@ func (h *Harness) FidelityFallbacks() uint64 { return h.fallbacks.Load() }
 // points' rings discarded (TraceSpec.Capacity overflowed): non-zero means
 // some exported trace holds only the newest part of its run.
 func (h *Harness) TraceRowsEvicted() uint64 { return h.evicted.Load() }
+
+// Sharded returns what the conductors of the last grid's points that ran on
+// more than one engine did — how a user on an oversubscribed box sees why a
+// run was not faster (call between grids).
+func (h *Harness) Sharded() ShardedRuns { return h.sharded }
 
 // MemSnapshot freezes the process-wide allocation counters so a caller can
 // report the memory cost of a bounded stretch of work (one experiment). The

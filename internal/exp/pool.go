@@ -12,9 +12,12 @@ import (
 )
 
 // Pool is a bounded scheduler for independent simulation points. Every
-// point of a figure/table grid is a self-contained single-goroutine
-// simulation (its own engine, cluster, RNG streams and recorder), so a
-// grid can fan out across cores with no coordination beyond collation.
+// point of a figure/table grid is a self-contained simulation (its own
+// engines, cluster, RNG streams and recorder), so a grid can fan out across
+// cores with no coordination beyond collation. Each point's context says how
+// many cores are its to take — GOMAXPROCS over the workers actually running
+// — so a point that sizes itself (HybridSpec.Shards == 0) spreads over the
+// machine only when the grid is too small to fill it.
 //
 // Determinism contract: results are collated in point-index order and the
 // emit callback fires from the collator in strictly ascending index order,
@@ -161,6 +164,7 @@ func (p *Pool) Run(ctx context.Context, n int, point PointFunc, emit EmitFunc) (
 	start := time.Now()
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	ctx = context.WithValue(ctx, coresKey{}, max(1, coresAvailable(ctx)/stats.Workers))
 
 	results := make([]*Result, n)
 	errs := make([]error, n)

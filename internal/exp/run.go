@@ -3,11 +3,13 @@ package exp
 import (
 	"context"
 	"fmt"
+	"runtime"
 
 	"l2bm/internal/faults"
 	"l2bm/internal/host"
 	"l2bm/internal/metrics"
 	"l2bm/internal/pkt"
+	"l2bm/internal/psim"
 	"l2bm/internal/sim"
 	"l2bm/internal/topo"
 	"l2bm/internal/trace"
@@ -55,11 +57,13 @@ type HybridSpec struct {
 	TopoOverride func(*topo.Config) `json:"-"`
 	// SeedSalt decorrelates repeated runs of the same spec.
 	SeedSalt string
-	// Shards selects the execution strategy: the fabric runs on
-	// max(Shards, 1) psim shards (0 and 1 both mean one engine; N must not
-	// exceed the topology's ToR count). The shard count is an execution
-	// strategy, not a workload parameter: results are byte-identical for
-	// every value, Result.Events aside (see the field).
+	// Shards selects the execution strategy: N >= 1 runs the fabric on
+	// exactly N psim shards (N must not exceed the topology's ToR count), and
+	// 0 lets a packet run size itself to the cores its caller leaves idle
+	// (autoShards; one engine inside a pool that already fills the machine,
+	// and on a fabric too small to be worth a barrier).
+	// The shard count is an execution strategy, not a workload parameter:
+	// results are byte-identical for every value, Result.Events included.
 	Shards int
 	// Fidelity selects the execution engine: "" or FidelityPacket runs
 	// every event through the packet engine; FidelityHybrid runs the fluid
@@ -172,6 +176,12 @@ type Result struct {
 	// was off). Export with WriteCol. Excluded from JSON: a traced spec is
 	// never stored (the recorder is unbounded relative to point results).
 	Trace *trace.Recorder `json:"-"`
+	// Shards is the engine count a packet run executed on and Conductor what
+	// its conductor did there (epochs, inline epochs, parks). How the machine
+	// let a run execute is not part of its result: excluded from JSON, zero
+	// on a restored point and on a hybrid-fidelity one.
+	Shards    int        `json:"-"`
+	Conductor psim.Stats `json:"-"`
 
 	// PauseFrames is the total XOFF count across all switches (the Fig.
 	// 7(d)/Table II metric); the per-layer counters break it down.
@@ -196,9 +206,8 @@ type Result struct {
 	LosslessGaps uint64
 	// Events is the run's cost: events the engines executed plus
 	// barrier-task firings (auditor sweeps, deadlock scans, watchdog ticks).
-	// Equal at 0 and 1 shards; higher at N >= 2, where every shard runs its
-	// own replica of the workload generators and fault injectors and each
-	// replica's timer events are counted.
+	// One simulated event, one count: the same at every shard count (the
+	// timer chains a sharded run replicates per shard are counted once).
 	Events uint64
 	// EndTime is the simulated instant the run stopped.
 	EndTime sim.Time
@@ -339,14 +348,53 @@ func runHybrid(ctx context.Context, spec HybridSpec, newEngine engineFunc) (*Res
 	return res, err
 }
 
+// coresKey carries the cores a run may take (an int) down a context:
+// exp.Pool sets it to its share of the machine per worker, and a context
+// without it means the caller is the only run there is.
+type coresKey struct{}
+
+// coresAvailable reads how many cores a run under ctx may occupy.
+func coresAvailable(ctx context.Context) int {
+	if n, ok := ctx.Value(coresKey{}).(int); ok {
+		return n
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
+// minShardHosts is the fewest hosts a shard of a self-sized run has behind it.
+// Being split at all has a price — lanes, a second wheel, lookahead-bound
+// epochs where one engine runs to the next barrier task — that a small fabric
+// never earns back: the 8-host ScaleTiny point split in two read 44–46 ms
+// against one engine's 38–42 (3,296 epochs of a few hundred events), the
+// 128-host ScaleSmall Fig. 7 points 17–25 % less than one engine's.
+const minShardHosts = 16
+
+// autoShards is what Shards: 0 resolves to: the largest n <= cores that
+// divides the pod count and leaves every shard minShardHosts. A whole number
+// of pods per shard keeps every cross-shard cable on the agg–core tier, so
+// the lookahead stays AggCoreDelay; a split pod would drop it to TorAggDelay
+// — a fifth of it on the paper's fabric, five times the epochs. n <= Pods <=
+// ToRCount, so every shard owns a rack.
+func autoShards(cfg *topo.Config, cores int) int {
+	for n := min(cores, cfg.Pods, cfg.Hosts()/minShardHosts); n > 1; n-- {
+		if cfg.Pods%n == 0 {
+			return n
+		}
+	}
+	return 1
+}
+
 // runPacket executes one data point at packet fidelity on spec.Shards
-// shards (0 and 1 both mean one engine).
+// shards, or on autoShards of them when the spec leaves the count at 0.
 func runPacket(ctx context.Context, p *plan) (*Result, error) {
 	// Per-shard observability: one FCT recorder and one incast replica per
 	// shard. Completions are receiver-side, so a flow started on the source
 	// host's shard may complete on the destination's — the recorder merge
 	// joins those orphans after the run.
-	n := max(p.spec.Shards, 1)
+	n := p.spec.Shards
+	if n == 0 {
+		n = autoShards(&p.topo, coresAvailable(ctx))
+	}
 	recs := make([]*metrics.FCTRecorder, n)
 	incastGens := make([]*workload.Incast, n)
 	onComplete := make([]host.CompletionHandler, n) // one per shard, shared by its hosts
@@ -411,6 +459,9 @@ func runPacket(ctx context.Context, p *plan) (*Result, error) {
 			incastGens[s] = g
 		}
 	}
+	if wl.Incast != nil {
+		f.incast = incastGens
+	}
 
 	// Occupancy samplers, one per ToR (the paper traces rack switches):
 	// engine-driven ticks on each ToR's own shard (pure shard-local reads,
@@ -445,5 +496,6 @@ func runPacket(ctx context.Context, p *plan) (*Result, error) {
 		res.TorOccupancy = append(res.TorOccupancy, s.Samples)
 	}
 	f.harvest(res, true)
+	res.Shards, res.Conductor = n, f.cond.Stats()
 	return res, nil
 }

@@ -11,15 +11,15 @@ import (
 	"l2bm/internal/sim"
 )
 
-// shardFingerprint serializes every deterministic observable of a Result.
-// It excludes Events (generator tick chains are replicated per shard, so
-// the executed-event count grows with the shard count by design) and the
-// raw Trace pointer (compared separately via exported files).
+// shardFingerprint serializes every deterministic observable of a Result,
+// Events included (one simulated event, one count — whatever the shard
+// count), apart from the raw Trace pointer (compared separately via exported
+// files).
 func shardFingerprint(res *Result) string {
 	s := fmt.Sprintf("rdma=%v tcp=%v incast=%v queries=%v\n",
 		res.RDMASlowdowns, res.TCPSlowdowns, res.IncastSlowdowns, res.QueryDelays)
-	s += fmt.Sprintf("flows=%d/%d gaps=%d end=%v\n",
-		res.FlowsStarted, res.FlowsCompleted, res.LosslessGaps, res.EndTime)
+	s += fmt.Sprintf("flows=%d/%d gaps=%d end=%v events=%d\n",
+		res.FlowsStarted, res.FlowsCompleted, res.LosslessGaps, res.EndTime, res.Events)
 	s += fmt.Sprintf("pause=%d/%d/%d/%d drops=%d evict=%d viol=%d ecn=%d reissue=%d\n",
 		res.PauseFrames, res.ToRPauseFrames, res.AggPauseFrames, res.CorePauseFrames,
 		res.LossyDrops, res.LossyEvictions, res.LosslessViolations, res.ECNMarked, res.PFCReissues)
@@ -188,9 +188,12 @@ func TestShardCountInvarianceUnderFaults(t *testing.T) {
 	}
 }
 
-// TestShardsZeroIsOne: Shards 0 and Shards 1 are one execution strategy, so
-// the whole Result — Events included — and the exported trace are equal byte
-// for byte, and the two specs share a cache entry. The rows are the pinned
+// TestShardsZeroIsOne: a self-sized run (Shards 0: one engine per pod where
+// the machine has the cores and the fabric the hosts; see
+// TestResultBytesShardInvariant for fabrics that do) and Shards 1 differ in
+// execution strategy only,
+// so the whole Result — Events included — and the exported trace are equal
+// byte for byte, and the two specs share a cache entry. The rows are the pinned
 // shapes that arm global observers: audited + traced, faulted with the
 // detector's forced resumes on, and both at once.
 func TestShardsZeroIsOne(t *testing.T) {
@@ -239,7 +242,8 @@ func TestShardsZeroIsOne(t *testing.T) {
 }
 
 // TestShardedMatchesClassicClean: TestShardsZeroIsOne's equality at
-// ScaleSmall (four ToRs), clean and under each kind of global observer.
+// ScaleSmall (four ToRs), clean and under each kind of global observer
+// (Events rides in the fingerprint).
 func TestShardedMatchesClassicClean(t *testing.T) {
 	flaps := &FaultSpec{
 		Plan: faults.Plan{
@@ -331,5 +335,75 @@ func TestTruncatedFlowsAcrossShards(t *testing.T) {
 			t.Errorf("shards=%d: flow counts (%d started, %d completed) diverged from classic (%d, %d)",
 				shards, res.FlowsStarted, res.FlowsCompleted, classic.FlowsStarted, classic.FlowsCompleted)
 		}
+	}
+}
+
+// TestResultBytesShardInvariant: the shard count — which a self-sized run
+// takes from the machine — never reaches a result's bytes. json.Marshal(Result)
+// and the WriteCol export are equal at Shards 0, 1, 2 and 4 (0, 1 and 2 on the
+// two-ToR tiny fabric) for the traced incast point of the determinism suite
+// (incast replica + per-shard trace sampler), the pinned zz-observed point
+// (auditor on the barrier) and an audited + faulted point (injector replica,
+// detector, watchdog). Before Result.Events counted a replicated tick chain
+// once, every row here differed in Events alone.
+func TestResultBytesShardInvariant(t *testing.T) {
+	traced := shardSpec(0)
+	traced.Trace = &TraceSpec{SampleEvery: 100 * sim.Microsecond, Capacity: 1 << 17}
+	faulted := shardSpec(0)
+	faulted.Name, faulted.Audit = "shards-det-audited-faults", &AuditSpec{}
+	faulted.Faults = &FaultSpec{
+		Plan: faults.Plan{
+			FlapRate:     40,
+			FlapDowntime: 200 * sim.Microsecond,
+			FlapWindow:   2 * sim.Millisecond,
+			BER:          2e-9,
+			PFCLossRate:  0.02,
+		},
+		DetectorPeriod: 50 * sim.Microsecond,
+		WatchdogWindow: 300 * sim.Microsecond,
+	}
+	var observed HybridSpec
+	for _, p := range pinnedPoints() {
+		if p.spec.Name == "zz-observed" {
+			observed = p.spec
+		}
+	}
+	for _, row := range []struct {
+		spec   HybridSpec
+		counts []int
+	}{
+		{traced, []int{0, 1, 2, 4}},
+		{observed, []int{0, 1, 2}},
+		{faulted, []int{0, 1, 2, 4}},
+	} {
+		t.Run(row.spec.Name, func(t *testing.T) {
+			t.Parallel()
+			var body, col []byte
+			var events uint64
+			for _, shards := range row.counts {
+				spec := row.spec
+				spec.Shards = shards
+				res, err := RunHybrid(spec)
+				if err != nil {
+					t.Fatalf("shards=%d: %v", shards, err)
+				}
+				b, err := json.Marshal(res)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c := colBytes(t, res)
+				if shards == row.counts[0] {
+					body, col, events = b, c, res.Events
+					continue
+				}
+				if !bytes.Equal(b, body) {
+					t.Errorf("shards=%d: json.Marshal(Result) differs from shards=%d (Events %d vs %d)",
+						shards, row.counts[0], res.Events, events)
+				}
+				if !bytes.Equal(c, col) {
+					t.Errorf("shards=%d: WriteCol bytes differ from shards=%d", shards, row.counts[0])
+				}
+			}
+		})
 	}
 }

@@ -19,7 +19,11 @@ type TraceSpec struct {
 	// SampleEvery is the occupancy / L2BM-weight sampling period. Zero
 	// falls back to the run's occupancy sampling period (default 100 µs).
 	SampleEvery sim.Duration
-	// Capacity is the per-channel ring capacity (0 = trace.DefaultCapacity).
+	// Capacity is the per-channel ring capacity (0 = trace.DefaultCapacity)
+	// of each shard's recorder. Size it to hold the run: rings that overflow
+	// keep their newest rows shard by shard (Result.Trace.Stats().Evicted()
+	// says how many were lost), which is the one way an exported trace can
+	// depend on the shard count.
 	Capacity int
 }
 

@@ -110,6 +110,7 @@ func TestHarnessReportsTraceEvictions(t *testing.T) {
 		h := NewHarness(1)
 		spec := tracedTinySpec("L2BM")
 		spec.Trace.Capacity, spec.Fidelity = tc.capacity, tc.fidelity
+		spec.Shards = 1 // the row count below is one recorder's; each shard has its own
 		results, err := h.runAll([]HybridSpec{spec, spec}, nil)
 		if err != nil {
 			t.Fatal(err)

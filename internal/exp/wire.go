@@ -149,7 +149,7 @@ func (sp HybridSpec) Validate() error {
 // when the point is reached.
 func (sp HybridSpec) checkShards() error {
 	if sp.Shards <= 1 {
-		return nil // one engine fits any fabric
+		return nil // one engine fits any fabric, and a self-sized run (0) fits itself
 	}
 	cfg := sp.Scale.Topo()
 	if sp.TopoOverride != nil {

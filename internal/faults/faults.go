@@ -129,6 +129,10 @@ type Stats struct {
 	LostPFC uint64
 	// BlackoutEvents counts whole-switch outages that fired.
 	BlackoutEvents uint64
+	// Firings counts the injector's executed engine events (flap, recovery,
+	// scheduled and blackout callbacks alike). Identical on every replica of
+	// a sharded run, and Result.Events counts one replica's.
+	Firings uint64
 }
 
 // Injector drives one Plan against one set of links on one engine.
@@ -242,7 +246,7 @@ func (in *Injector) Install() {
 	for _, ev := range in.plan.Scheduled {
 		ev := ev
 		l := in.byName[ev.Link]
-		in.eng.ScheduleAt(ev.At, func() { in.setLink(l, ev.Up) })
+		in.eng.ScheduleAt(ev.At, func() { in.stats.Firings++; in.setLink(l, ev.Up) })
 	}
 
 	for _, b := range in.plan.Blackouts {
@@ -254,12 +258,14 @@ func (in *Injector) Install() {
 			}
 		}
 		in.eng.ScheduleAt(b.At, func() {
+			in.stats.Firings++
 			in.stats.BlackoutEvents++
 			for _, l := range hit {
 				in.setLink(l, false)
 			}
 		})
 		in.eng.ScheduleAt(b.At+b.Duration, func() {
+			in.stats.Firings++
 			for _, l := range hit {
 				in.setLink(l, true)
 			}
@@ -287,6 +293,7 @@ func (in *Injector) scheduleFlap(l Link, r *sim.Rand) {
 // fireFlap takes l down, schedules its recovery, and re-arms the process
 // while the flap window is open.
 func (in *Injector) fireFlap(l Link, r *sim.Rand) {
+	in.stats.Firings++
 	if in.plan.FlapWindow > 0 && in.eng.Now() >= in.installAt+in.plan.FlapWindow {
 		return // window closed: no new outages, traffic drains
 	}
@@ -298,7 +305,7 @@ func (in *Injector) fireFlap(l Link, r *sim.Rand) {
 		}
 	}
 	in.setLink(l, false)
-	in.eng.Schedule(down, func() { in.setLink(l, true) })
+	in.eng.Schedule(down, func() { in.stats.Firings++; in.setLink(l, true) })
 	meanGap := sim.Duration(float64(sim.Second) / in.plan.FlapRate)
 	gap := r.ExpDuration(meanGap)
 	in.eng.Schedule(down+gap, func() { in.fireFlap(l, r) })

@@ -2,11 +2,12 @@
 // (shards), frames cannot be scheduled on the peer's event queue directly —
 // the peer's shard may be executing concurrently. Instead the transmitting
 // port appends each frame, with its precomputed arrival time and ordering
-// key, to an Outbox that the epoch conductor drains at the next barrier,
-// when every shard is parked. This is sound because the conductor's epoch
-// length never exceeds the minimum cross-shard propagation delay: a frame
-// sent during an epoch always arrives strictly after the epoch's bound, so
-// delivering it at the barrier is never late.
+// key, to the Lane its shard shares with the receiving shard, and the
+// receiving shard schedules the lane's frames on its own engine at the start
+// of its next epoch. This is sound because the conductor's epoch length never
+// exceeds the minimum cross-shard propagation delay: a frame sent during an
+// epoch always arrives strictly after the epoch's bound, so delivering it
+// after the barrier is never late.
 package netdev
 
 import (
@@ -16,59 +17,97 @@ import (
 )
 
 // Xmsg is one cross-shard frame in flight: the absolute arrival time at
-// the peer, the wiring-derived ordering key, and the frame itself (owned
-// by the mailbox between Export and Import).
+// the peer, the wiring-derived ordering key, the frame itself (owned by the
+// lane between Export and Import) and the port it arrives on.
 type Xmsg struct {
 	At  sim.Time
 	Key uint64
 	Pkt *pkt.Packet
+	dst *Port
 }
 
-// Outbox is the single-producer mailbox of one direction of a cross-shard
-// link. The transmitting shard appends during its epoch (it is the only
-// writer); the conductor drains between epochs (when no shard is running),
-// so no locking is needed — the barrier's happens-before edge publishes
-// the appends.
+// Outbox is the transmitting end of one direction of a cross-shard link: it
+// names the receiving port and the lane the frames travel in. The conductor
+// binds the lane (Bind) before any traffic flows.
 type Outbox struct {
-	src *Port // transmitting port (owns the mailbox)
-	dst *Port // receiving port, on the other shard's engine
-
-	msgs []Xmsg
-
-	// Delivered counts frames drained over the run (observability).
-	Delivered uint64
+	src  *Port // transmitting port (owns the mailbox)
+	dst  *Port // receiving port, on the other shard's engine
+	lane *Lane
 }
 
-// add enqueues one frame; called by src.finishTransmit on the
-// transmitting shard's goroutine.
-func (o *Outbox) add(at sim.Time, key uint64, q *pkt.Packet) {
-	o.msgs = append(o.msgs, Xmsg{At: at, Key: key, Pkt: q})
-}
-
-// Len returns the number of frames waiting to be drained.
-func (o *Outbox) Len() int { return len(o.msgs) }
+// Src returns the transmitting port.
+func (o *Outbox) Src() *Port { return o.src }
 
 // Dst returns the receiving port.
 func (o *Outbox) Dst() *Port { return o.dst }
 
-// Drain imports every waiting frame into the receiving port's pool and
-// schedules its arrival on the receiving engine under its wiring-derived
-// key, then empties the mailbox. It returns the number of frames
-// delivered. Call only at a barrier: the receiving engine must not be
-// running, and every arrival time must still be in its future (guaranteed
-// by the lookahead bound). Drain order across outboxes is immaterial —
-// the (timestamp, key) total order of the receiving heap, not insertion
-// order, decides dispatch — but the conductor still iterates outboxes in
-// wiring order so any failure is reproducible.
-func (o *Outbox) Drain() int {
-	n := len(o.msgs)
-	for i := range o.msgs {
-		m := o.msgs[i]
-		o.dst.pool.Import(m.Pkt)
-		o.dst.eng.ScheduleArrivalAt(m.At, o.dst.onArrive, m.Pkt, m.Key)
-		o.msgs[i] = Xmsg{} // drop the reference; the event record owns it now
+// Bind routes the mailbox's frames through l, the lane from the
+// transmitting port's shard to the receiving port's.
+func (o *Outbox) Bind(l *Lane) { o.lane = l }
+
+// add enqueues one frame; called by src.finishTransmit on the
+// transmitting shard's goroutine.
+func (o *Outbox) add(at sim.Time, key uint64, q *pkt.Packet) {
+	s := &o.lane.side[o.lane.cur]
+	if len(s.msgs) == 0 || at < s.first {
+		s.first = at
 	}
-	o.msgs = o.msgs[:0]
-	o.Delivered += uint64(n)
+	s.msgs = append(s.msgs, Xmsg{At: at, Key: key, Pkt: q, dst: o.dst})
+}
+
+// Lane carries every frame one shard sends another: one list per ordered
+// shard pair, so a barrier costs what crossed it, not one visit per cable.
+// It is double-buffered by epoch parity, because the receiving shard
+// delivers the last epoch's frames at the start of its epoch while the
+// sending shard is already appending this epoch's:
+//
+//   - during an epoch the sending shard alone appends to side[cur];
+//   - at the barrier, with every shard parked, the conductor Seals the lane
+//     (cur flips) and learns the earliest arrival waiting in it;
+//   - at the start of its next epoch the receiving shard alone Delivers
+//     side[cur^1] — on its own thread, so its event queue is only ever
+//     written from the core that runs it.
+//
+// The barrier's happens-before edges publish each hand-over; no locking is
+// needed. The sides are padded apart so the two shards' concurrent writes
+// never share a cache line.
+type Lane struct {
+	cur  int // side being written this epoch; flipped only at a barrier
+	_    [56]byte
+	side [2]laneSide
+}
+
+type laneSide struct {
+	msgs  []Xmsg
+	first sim.Time // earliest At in msgs (valid when msgs is non-empty)
+	_     [32]byte
+}
+
+// Seal closes the epoch's writing side and reports the earliest arrival
+// time among the frames it holds, ok=false when nothing was sent. Call only
+// at a barrier, after the previous sealed side was Delivered.
+func (l *Lane) Seal() (first sim.Time, ok bool) {
+	s := &l.side[l.cur]
+	l.cur ^= 1
+	return s.first, len(s.msgs) > 0
+}
+
+// Deliver imports every sealed frame into its receiving port's pool and
+// schedules its arrival on the receiving engine under its wiring-derived
+// key, then empties the side. It returns the number of frames delivered.
+// The receiving engine must not be running on another thread, and every
+// arrival time is still in its future (guaranteed by the lookahead bound).
+// Order across frames and lanes is immaterial: the (timestamp, key) total
+// order of the receiving queue, not insertion order, decides dispatch.
+func (l *Lane) Deliver() int {
+	s := &l.side[l.cur^1]
+	n := len(s.msgs)
+	for i := range s.msgs {
+		m := &s.msgs[i]
+		m.dst.pool.Import(m.Pkt)
+		m.dst.eng.ScheduleArrivalAt(m.At, m.dst.onArrive, m.Pkt, m.Key)
+		*m = Xmsg{} // drop the references; the event record owns the frame now
+	}
+	s.msgs = s.msgs[:0]
 	return n
 }

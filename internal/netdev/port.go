@@ -137,8 +137,8 @@ type Port struct {
 
 	// outbox, when set, diverts this port's transmissions into a
 	// cross-shard mailbox instead of scheduling the arrival on the peer's
-	// engine directly (the peer lives on a different shard). The epoch
-	// conductor drains it at every barrier.
+	// engine directly (the peer lives on a different shard). The peer's
+	// shard delivers it after the next barrier.
 	outbox *Outbox
 
 	// onTxDone and onArrive are the port's two hot-path event bodies,
@@ -235,9 +235,9 @@ func ConnectOn(engA, engB *sim.Engine, a, b Node, rateBps int64, prop sim.Durati
 // ConnectClass is ConnectOn with an explicit shared link descriptor: every
 // cable of a tier points at the same immutable LinkClass. When the engines
 // differ, each direction gets a cross-shard Outbox — transmissions enqueue
-// there and the epoch conductor delivers them on the peer's engine at the
-// next barrier, which is sound because the link's propagation delay is at
-// least the conductor's lookahead. Cross-engine ports MUST also be given
+// there and the peer's shard delivers them on its own engine after the next
+// barrier, which is sound because the link's propagation delay is at least
+// the conductor's lookahead. Cross-engine ports MUST also be given
 // arrival keys (SetArrivalKey) before traffic flows; same-engine wiring
 // degrades to exactly Connect. Wiring also completes the descriptor: its two
 // serialization times are (re)computed from Rate here, before any frame can
@@ -282,8 +282,8 @@ func (p *Port) ArrivalKey() uint64 { return p.key }
 func (p *Port) Engine() *sim.Engine { return p.eng }
 
 // Outbox returns the port's cross-shard mailbox, or nil for a same-engine
-// port. The conductor collects these at wiring time and drains them at
-// every barrier.
+// port. The conductor collects these at wiring time and binds each to the
+// lane between its two shards.
 func (p *Port) Outbox() *Outbox { return p.outbox }
 
 // bindHandlers builds the port's two pre-bound event bodies exactly once.

@@ -1,48 +1,116 @@
 // Package psim is the sharded conservative-time parallel simulation core: a
-// conductor that runs N per-shard engines (one goroutine each) in barrier
-// epochs whose length never exceeds the cluster's lookahead — the minimum
-// propagation delay over cross-shard links (Chandy–Misra–Bryant style
-// conservative synchronization).
+// conductor that runs N per-shard engines in barrier epochs whose length
+// never exceeds the cluster's lookahead — the minimum propagation delay over
+// cross-shard links (Chandy–Misra–Bryant style conservative synchronization).
 //
 // Soundness. Let T be the global minimum next-event time and L > 0 the
 // lookahead. During an epoch bounded at T+L−1, a shard can only transmit
 // frames at times ≥ T, which arrive at the peer shard at ≥ T+L — strictly
 // after the bound (engines execute events at exactly the bound, hence the
 // −1). Cross-shard frames therefore never need to be inserted into a peer's
-// past: they sit in single-producer mailboxes (netdev.Outbox) the conductor
-// drains at the barrier, when every shard is parked. Each epoch executes at
-// least the event at T, so the bound strictly increases and the run
-// terminates.
+// past: they sit in single-producer lanes (netdev.Lane) the conductor seals
+// at the barrier, when every shard is parked, and the receiving shard
+// delivers at the start of its next epoch. A sealed frame is a pending event
+// like any other: its arrival time enters T. Each epoch executes at least
+// the event at T, so the bound strictly increases and the run terminates.
 //
 // Determinism. Results are byte-identical for every shard count because the
 // dispatch order of same-tick frame arrivals is a mode-invariant function of
 // the wiring: every port carries a global wiring-order arrival key, and the
 // engine orders keyed arrivals after plain same-tick events and among
-// themselves by key (see sim.ScheduleArrivalAt). Mailbox drain order is
-// immaterial — the receiving heap's (time, key) total order decides — and
+// themselves by key (see sim.ScheduleArrivalAt). Lane delivery order is
+// immaterial — the receiving queue's (time, key) total order decides — and
 // everything else that could diverge (workload generators, fault processes)
-// is replicated per shard on identically-seeded engines.
+// is replicated per shard on identically-seeded engines. Which thread ran an
+// epoch never matters either: the conductor's choice between running the
+// shards side by side or one after another (below) moves wall time only.
 //
 // Global observers that read state across shards (auditor sweeps, deadlock
 // detector scans, the no-progress watchdog) cannot run as one shard's engine
 // events; they register as barrier tasks, executed by the conductor at exact
 // multiples of their period when all shard clocks agree and no events are in
 // flight — at every shard count, one engine included.
+//
+// Execution. Shard 0 runs on the goroutine that called Run; shards 1…N−1
+// each get one worker goroutine, started the first time an epoch is worth
+// running in parallel and joined by Close. Conductor and workers stay on
+// their OS threads (runtime.LockOSThread), so a shard's working set stays in
+// one core's cache, and hand each epoch over through one generation word per
+// direction, waiting by a bounded spin and then parking (gate). Epochs too
+// quiet to be worth a hand-over — the drain tail of every run — and epochs on
+// a machine whose cores are taken run inline instead: the conductor steps
+// every engine itself with the workers parked (see steer).
 package psim
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"time"
 
 	"l2bm/internal/netdev"
 	"l2bm/internal/sim"
 	"l2bm/internal/topo"
 )
 
+// spinBound is how long either side of a hand-over polls the other's
+// generation word before it parks on a channel. A parked pinned thread takes
+// 50–100 µs to wake (two futex round trips: the runtime wakes a thread to
+// wake the locked one), and the lighter shard of a 64/36 event split finishes
+// ~150 µs before the heavier one every epoch, so the bound has to sit well
+// above that: on the two fig7_packet points ISSUE 24's prototype read 540 ms
+// at ~100 µs (the whole gain gone: one engine reads 470–520), 420 ms at
+// ~300 µs, 400 ms at ~1 ms. It must still be a bound: an unbounded spin
+// showed a 22 ms stop-the-world in gctrace, and on an oversubscribed machine
+// the thread being waited for may need this very core.
+const spinBound = time.Millisecond
+
+// spinPoll is how many polls of the word pass between reads of the clock.
+const spinPoll = 64
+
+// The steering constants (see steer). Set from the 10k-host smoke (8,604
+// epochs, 7,173 of them its drain tail) and the fig7_packet points (3,424
+// epochs; held-out seeds 6,000–8,300): a hand-over is ≈ 1–2 µs of spinning
+// when both sides are on core, and an epoch whose second-busiest shard runs
+// fewer than ~100 events (≈ 10–20 µs of work) has nothing to overlap with
+// it; the gap up to 300 is hysteresis, which kept every run measured to 1–5
+// mode switches.
+const (
+	inlineBelow   = 100 // smoothed events/epoch under which epochs run inline
+	parallelAbove = 300 // … and over which they go back to parallel
+	// overflowRun consecutive epochs in which a worker was not done within
+	// the conductor's spin bound mean its thread is not getting a core — the
+	// vCPU is oversubscribed or descheduled, or the collector is marking on
+	// it (20–40 ms a cycle on the 10k fabric, where a cycle used to park 60
+	// epochs in a row) — and every such epoch costs at least spinBound, up to
+	// two scheduler quanta (10 ms each) when it is a Go proc the two lack,
+	// so stop paying at the second.
+	overflowRun = 2
+)
+
+// The conductor then stays inline for reprobeMin before it probes parallel
+// again (a collector cycle is usually over by then), and after every probe
+// that ends the same way twice as long, up to reprobeMax, until one works:
+// cleanRun epochs in a row without an outwaited one. On a box where a worker
+// is late in one epoch in three (a two-vCPU VM in the first seconds after it
+// sat idle read 469 of 1,424) that many in a row do not happen by luck, while
+// an isolated late epoch (1 in 100 on the same box once warm) neither ends a
+// parallel stretch nor keeps the hold from shrinking back. Four self-sized
+// runs sharing two procs read 1.6–1.7× four one-engine runs when a probe was
+// four epochs and the next came 32 epochs later, 1.15–1.3× with this schedule.
+const (
+	reprobeMin = 20 * time.Millisecond
+	reprobeMax = 2 * time.Second
+	cleanRun   = 16
+)
+
 // Task is a global barrier task: Fn runs at every multiple of Every, after
 // all events up to (and including) that instant have executed on every
-// shard and all mailboxes are drained. Fn must not schedule events in the
-// past and must not touch engines concurrently — it runs on the conductor's
-// goroutine while every shard is parked.
+// shard and every cross-shard frame is scheduled on its receiving engine.
+// Fn must not schedule events in the past and must not touch engines
+// concurrently — it runs on the conductor's goroutine while every shard is
+// parked.
 type Task struct {
 	Every sim.Duration
 	Fn    func(now sim.Time)
@@ -50,33 +118,68 @@ type Task struct {
 	next sim.Time
 }
 
-// Stats counts conductor activity over a run.
+// Stats counts conductor activity over a run. Epochs, Delivered and
+// TaskFirings are functions of the simulation alone; InlineEpochs, Parks and
+// ModeSwitches say how the machine let it be executed and vary run to run —
+// they never enter a Result's bytes.
 type Stats struct {
 	// Epochs is the number of barrier intervals executed.
 	Epochs uint64
-	// Delivered is the number of cross-shard frames drained from mailboxes.
+	// Delivered is the number of cross-shard frames handed over.
 	Delivered uint64
 	// TaskFirings counts barrier-task executions.
 	TaskFirings uint64
+	// InlineEpochs counts the epochs the conductor's goroutine ran every
+	// engine itself (all of them with one engine); the rest ran in parallel.
+	InlineEpochs uint64
+	// Parks counts waits that outlasted the spin bound and slept, on either
+	// side of a hand-over. A handful per run is mode switching; one per
+	// epoch means the shards were fighting over a core.
+	Parks uint64
+	// ModeSwitches counts changes between parallel and inline execution.
+	ModeSwitches uint64
 }
 
 // Conductor synchronizes a set of per-shard engines. Build one per run with
-// New or ForCluster, register barrier tasks, then Run to a horizon. The
-// zero value is not usable.
+// New or ForCluster, register barrier tasks, then Run to a horizon and Close.
+// The zero value is not usable.
 type Conductor struct {
 	engines   []*sim.Engine
-	boxes     []*netdev.Outbox
+	lanes     []*netdev.Lane   // every cross-shard lane
+	inbound   [][]*netdev.Lane // inbound[s]: the lanes shard s receives on
+	delivered []shardCount     // frames shard s delivered, written by its thread
 	lookahead sim.Duration
 	tasks     []*Task
 	stats     Stats
 
-	// worker plumbing: one persistent goroutine per shard when sharded.
-	start []chan sim.Time
-	done  chan int
+	// sealedAt is the earliest arrival among sealed, undelivered frames.
+	sealedAt   sim.Time
+	haveSealed bool
+
+	// Parallel execution (see steer). procs is GOMAXPROCS at construction:
+	// with one proc there is no second core and epochs always run inline.
+	procs    int
+	spin     time.Duration  // spinBound; a test zeroes it so every wait parks
+	workers  []*worker      // shard i+1's worker; nil until first needed
+	exited   sync.WaitGroup // the workers' goroutines
+	gen      uint64         // hand-over generation
+	parallel bool
+	density  float64       // smoothed events/epoch of the second-busiest shard
+	seen     []uint64      // engine event counts at the last barrier
+	overflow int           // consecutive parallel epochs a worker outwaited the spin bound
+	clean    int           // consecutive parallel epochs none did
+	held     time.Time     // when not zero: no parallel epoch before this instant
+	backoff  time.Duration // the hold the next overflow will impose
 
 	// intr, when set, is polled between epochs (and inside each shard's
 	// engine loop); returning true abandons the run early.
 	intr func() bool
+}
+
+// shardCount is a counter padded to its own cache line.
+type shardCount struct {
+	n uint64
+	_ [56]byte
 }
 
 // New builds a conductor over the given engines and cross-shard mailboxes.
@@ -89,14 +192,27 @@ func New(engines []*sim.Engine, boxes []*netdev.Outbox, lookahead sim.Duration) 
 	if len(engines) > 1 && lookahead <= 0 {
 		panic(fmt.Sprintf("psim: %d shards need positive lookahead, got %v", len(engines), lookahead))
 	}
-	c := &Conductor{engines: engines, boxes: boxes, lookahead: lookahead}
-	if len(engines) > 1 {
-		c.done = make(chan int, len(engines))
-		for i := range engines {
-			ch := make(chan sim.Time, 1)
-			c.start = append(c.start, ch)
-			go c.worker(i, ch)
+	n := len(engines)
+	c := &Conductor{
+		engines: engines, lookahead: lookahead,
+		inbound: make([][]*netdev.Lane, n), delivered: make([]shardCount, n), seen: make([]uint64, n),
+		procs: runtime.GOMAXPROCS(0), spin: spinBound, backoff: reprobeMin,
+	}
+	shardOf := make(map[*sim.Engine]int, n)
+	for s, e := range engines {
+		shardOf[e] = s
+	}
+	lanes := make(map[[2]int]*netdev.Lane)
+	for _, b := range boxes {
+		pair := [2]int{shardOf[b.Src().Engine()], shardOf[b.Dst().Engine()]}
+		l := lanes[pair]
+		if l == nil {
+			l = new(netdev.Lane)
+			lanes[pair] = l
+			c.lanes = append(c.lanes, l)
+			c.inbound[pair[1]] = append(c.inbound[pair[1]], l)
 		}
+		b.Bind(l)
 	}
 	return c
 }
@@ -137,8 +253,14 @@ func (c *Conductor) SetInterrupt(every uint64, fn func() bool) {
 	}
 }
 
-// Stats returns a snapshot of the conductor counters.
-func (c *Conductor) Stats() Stats { return c.stats }
+// Stats returns a snapshot of the conductor counters (valid between epochs).
+func (c *Conductor) Stats() Stats {
+	st := c.stats
+	for i := range c.delivered {
+		st.Delivered += c.delivered[i].n
+	}
+	return st
+}
 
 // Events sums executed events across all shard engines.
 func (c *Conductor) Events() uint64 {
@@ -152,22 +274,107 @@ func (c *Conductor) Events() uint64 {
 // Now returns the common shard clock (valid between epochs).
 func (c *Conductor) Now() sim.Time { return c.engines[0].Now() }
 
-// worker is one shard's run loop: it executes epochs on demand until its
-// start channel closes.
-func (c *Conductor) worker(i int, start <-chan sim.Time) {
-	for bound := range start {
-		c.engines[i].Run(bound)
-		c.done <- i
+// gate is one direction of a hand-over: a generation word one side sets and
+// the other awaits, by a bounded spin and then a park. It fills a cache line
+// so the two directions of a worker never share one.
+type gate struct {
+	word   atomic.Uint64
+	asleep atomic.Uint32 // 1 while the awaiting side is (about to be) parked
+	wake   chan struct{} // capacity 1: a token outlives the set that sent it
+	_      [40]byte
+}
+
+// set publishes v and reports whether the awaiting side had to be woken.
+func (g *gate) set(v uint64) (woke bool) {
+	g.word.Store(v)
+	if !g.asleep.CompareAndSwap(1, 0) {
+		return false
+	}
+	select {
+	case g.wake <- struct{}{}:
+	default: // an unconsumed token is already there and will do
+	}
+	return true
+}
+
+// await returns once the word reads want, reporting whether it had to park.
+// The park is the usual announce-then-recheck: either the recheck sees the
+// new word or set sees asleep and sends a token. A token left over from a
+// recheck that won the race wakes a later park early; the loop re-checks.
+func (g *gate) await(want uint64, spin time.Duration) (parked bool) {
+	if g.word.Load() == want {
+		return false
+	}
+	if spin > 0 {
+		deadline := time.Now().Add(spin)
+		for i := 1; g.word.Load() != want; i++ {
+			if i%spinPoll == 0 && !time.Now().Before(deadline) {
+				break
+			}
+		}
+	}
+	for g.word.Load() != want {
+		g.asleep.Store(1)
+		if g.word.Load() == want {
+			g.asleep.Store(0)
+			break
+		}
+		<-g.wake
+		parked = true
+	}
+	return parked
+}
+
+// worker runs one shard's epochs on its own pinned thread.
+type worker struct {
+	start gate // conductor → worker: epoch generation to run
+	done  gate // worker → conductor: epoch generation finished
+
+	// Written by the conductor before start.set publishes them.
+	bound sim.Time
+	quit  bool
+}
+
+// loop is the one worker loop: await a generation, run the shard's epoch,
+// report it, until Close publishes quit. The thread stays locked for the
+// goroutine's lifetime and dies with it.
+func (c *Conductor) loop(shard int, w *worker) {
+	runtime.LockOSThread()
+	defer c.exited.Done()
+	for gen := uint64(1); ; gen++ {
+		w.start.await(gen, c.spin)
+		if w.quit {
+			return
+		}
+		c.runShard(shard, w.bound)
+		w.done.set(gen)
 	}
 }
 
-// Close releases the worker goroutines. The conductor must not be used
-// afterwards. Safe to call once, even if Run was never called.
-func (c *Conductor) Close() {
-	for _, ch := range c.start {
-		close(ch)
+// startWorkers launches one worker per shard beyond the conductor's own.
+func (c *Conductor) startWorkers() {
+	for s := 1; s < len(c.engines); s++ {
+		w := new(worker)
+		w.start.wake = make(chan struct{}, 1)
+		w.done.wake = make(chan struct{}, 1)
+		c.workers = append(c.workers, w)
+		c.exited.Add(1)
+		go c.loop(s, w)
 	}
-	c.start = nil
+}
+
+// Close stops the workers and returns once every one of them has exited, so
+// nothing of the fabric stays reachable from a worker's stack after the run.
+// The conductor must not be used afterwards. Safe to call once, even if Run
+// was never called.
+func (c *Conductor) Close() {
+	c.gen++
+	for _, w := range c.workers {
+		w.quit = true
+		w.start.set(c.gen)
+	}
+	c.exited.Wait()
+	c.workers = nil
 }
 
 // EpochBound is the conservative epoch-bound arithmetic, factored out so it
@@ -182,7 +389,7 @@ func (c *Conductor) Close() {
 // the bound, hence the −1). Pass lookahead ≤ 0 or haveEvent == false to
 // skip the lookahead clamp (single-shard mode, or an idle fabric where
 // jumping straight to the next task or the horizon is safe: no pending
-// event anywhere means the mailboxes are empty too).
+// event anywhere, sealed frames included).
 func EpochBound(horizon, nextTask, minEvent sim.Time, haveTask, haveEvent bool, lookahead sim.Duration) sim.Time {
 	bound := horizon
 	if haveTask && nextTask < bound {
@@ -197,11 +404,22 @@ func EpochBound(horizon, nextTask, minEvent sim.Time, haveTask, haveEvent bool, 
 }
 
 // Run executes the simulation up to and including horizon: repeated barrier
-// epochs of engine execution, mailbox drains and due barrier tasks. On
-// return every shard clock reads horizon and no event at or before horizon
+// epochs of engine execution, lane hand-overs and due barrier tasks. On
+// return every shard clock reads horizon, no event at or before horizon
 // remains (events scheduled beyond the horizon stay pending, exactly like
-// sim.Engine.Run).
+// sim.Engine.Run) and every cross-shard frame is scheduled on its receiving
+// engine.
 func (c *Conductor) Run(horizon sim.Time) {
+	steered := len(c.engines) > 1 && c.procs > 1
+	if steered {
+		// Shard 0 stays on this thread for the whole run. With only the
+		// workers pinned, the first 10k-host sweep of a process read
+		// 1.2–1.6 s against 0.6 in 3 of 8 processes of ISSUE 24's prototype
+		// (both threads time-sliced on one vCPU, every hand-over a
+		// timeslice); with the conductor pinned too, 0 of 36 sweeps did.
+		runtime.LockOSThread()
+		defer runtime.UnlockOSThread()
+	}
 	for {
 		if c.intr != nil && c.intr() {
 			return
@@ -215,8 +433,7 @@ func (c *Conductor) Run(horizon sim.Time) {
 			}
 		}
 
-		var minT sim.Time
-		haveEvent := false
+		minT, haveEvent := c.sealedAt, c.haveSealed
 		la := sim.Duration(0)
 		if len(c.engines) > 1 {
 			la = c.lookahead
@@ -229,10 +446,11 @@ func (c *Conductor) Run(horizon sim.Time) {
 
 		bound := EpochBound(horizon, nextTask, minT, haveTask, haveEvent, la)
 
-		c.runEpoch(bound)
+		outwaited := c.runEpoch(bound)
 		c.stats.Epochs++
-		for _, b := range c.boxes {
-			c.stats.Delivered += uint64(b.Drain())
+		c.seal()
+		if bound >= horizon || haveTask && nextTask == bound {
+			c.deliver() // tasks and callers see no frame between pools
 		}
 		for _, t := range c.tasks {
 			if t.next == bound {
@@ -244,19 +462,125 @@ func (c *Conductor) Run(horizon sim.Time) {
 		if bound >= horizon {
 			return
 		}
+		if steered {
+			c.steer(outwaited)
+		}
 	}
 }
 
-// runEpoch advances every engine to bound, in parallel when sharded.
-func (c *Conductor) runEpoch(bound sim.Time) {
-	if c.start == nil {
-		c.engines[0].Run(bound)
-		return
+// seal closes every lane's epoch and notes the earliest frame now waiting.
+func (c *Conductor) seal() {
+	c.haveSealed = false
+	for _, l := range c.lanes {
+		if at, ok := l.Seal(); ok && (!c.haveSealed || at < c.sealedAt) {
+			c.haveSealed, c.sealedAt = true, at
+		}
 	}
-	for _, ch := range c.start {
-		ch <- bound
+}
+
+// deliver hands every sealed frame over on the conductor's thread, for the
+// barriers where someone is about to look: a due task, or Run returning.
+func (c *Conductor) deliver() {
+	for _, l := range c.lanes {
+		c.stats.Delivered += uint64(l.Deliver())
 	}
-	for range c.start {
-		<-c.done
+	c.haveSealed = false
+}
+
+// runShard is one shard's epoch, on whichever thread owns the shard for it:
+// schedule the frames the last epoch sent it, then execute up to bound.
+func (c *Conductor) runShard(s int, bound sim.Time) {
+	for _, l := range c.inbound[s] {
+		c.delivered[s].n += uint64(l.Deliver())
+	}
+	c.engines[s].Run(bound)
+}
+
+// runEpoch advances every engine to bound — side by side when parallel,
+// one after another on this goroutine otherwise (the one inline loop, which
+// is all a single engine ever runs) — and reports whether a worker outwaited
+// the conductor's spin bound.
+func (c *Conductor) runEpoch(bound sim.Time) (outwaited bool) {
+	if !c.parallel {
+		for s := range c.engines {
+			c.runShard(s, bound)
+		}
+		c.stats.InlineEpochs++
+		return false
+	}
+	c.gen++
+	for _, w := range c.workers {
+		w.bound = bound
+		if w.start.set(c.gen) {
+			c.stats.Parks++ // the worker's: it outwaited its own bound
+		}
+	}
+	c.runShard(0, bound)
+	for _, w := range c.workers {
+		if w.done.await(c.gen, c.spin) {
+			c.stats.Parks++
+			outwaited = true
+		}
+	}
+	return outwaited
+}
+
+// steer picks the next epoch's mode from what the last one did. One
+// mechanism, two triggers:
+//
+//   - Density. An epoch is worth a hand-over only if there is work to
+//     overlap, and what can overlap is what the second-busiest shard has, so
+//     the conductor smooths that count (EWMA, α = 1/8) and runs inline while
+//     it is under inlineBelow, parallel again once it is over parallelAbove.
+//     60–85 % of a run's epochs are its drain tail, where only the barrier
+//     would be paid.
+//   - Overflow. overflowRun parallel epochs in a row in which a worker
+//     outwaited the conductor's spin bound mean a shard's thread is not on a
+//     core; the conductor drops inline and holds there before it probes
+//     again, reprobeMin at first and twice as long after each failed probe.
+//
+// Mode is invisible to the simulation: both run the same runShard per shard
+// per epoch.
+func (c *Conductor) steer(outwaited bool) {
+	var top, second uint64
+	for s, e := range c.engines {
+		n := e.Events()
+		d := n - c.seen[s]
+		c.seen[s] = n
+		if d > top {
+			top, second = d, top
+		} else if d > second {
+			second = d
+		}
+	}
+	c.density += (float64(second) - c.density) / 8
+
+	was := c.parallel
+	switch {
+	case c.parallel:
+		if outwaited {
+			c.overflow, c.clean = c.overflow+1, 0
+		} else if c.overflow, c.clean = 0, c.clean+1; c.clean == cleanRun {
+			c.backoff = reprobeMin // the cores are there
+		}
+		if c.overflow >= overflowRun {
+			c.parallel, c.overflow = false, 0
+			c.held = time.Now().Add(c.backoff)
+			c.backoff = min(2*c.backoff, reprobeMax)
+		} else if c.density < inlineBelow {
+			c.parallel, c.overflow = false, 0
+		}
+	case !c.held.IsZero():
+		if !time.Now().Before(c.held) {
+			c.held = time.Time{}
+		}
+	case c.density > parallelAbove:
+		c.parallel = true
+		if c.workers == nil {
+			c.startWorkers()
+		}
+	}
+	if c.parallel != was {
+		c.stats.ModeSwitches++
 	}
 }

@@ -2,7 +2,9 @@ package psim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"l2bm/internal/core"
 	"l2bm/internal/host"
@@ -22,12 +24,19 @@ type fingerprint struct {
 	gaps        uint64
 }
 
-// runTiny builds the tiny cluster over the given shard count, launches one
-// cross-pod flow per host at t=0 (every frame crosses the fabric; half the
-// paths cross shards at 2 shards), runs to a horizon and fingerprints.
+// runTiny is runFabric on the tiny cluster with the conductor as built.
 func runTiny(t *testing.T, shards int, seed int64) fingerprint {
 	t.Helper()
-	cfg := topo.TinyConfig()
+	fp, _ := runFabric(t, topo.TinyConfig(), shards, seed, nil)
+	return fp
+}
+
+// runFabric builds cfg's cluster over the given shard count, launches one
+// cross-pod flow per host at t=0 (every frame crosses the fabric; half the
+// paths cross shards at 2 shards), runs to a horizon and fingerprints. tweak,
+// when non-nil, adjusts the conductor before Run.
+func runFabric(t *testing.T, cfg topo.Config, shards int, seed int64, tweak func(*Conductor)) (fingerprint, Stats) {
+	t.Helper()
 	cfg.PacketPoolDebug = true
 	part, err := topo.ComputePartition(cfg, shards)
 	if err != nil {
@@ -61,6 +70,9 @@ func runTiny(t *testing.T, shards int, seed int64) fingerprint {
 
 	c := ForCluster(cl)
 	defer c.Close()
+	if tweak != nil {
+		tweak(c)
+	}
 	c.Run(20 * sim.Millisecond)
 
 	fp := fingerprint{completions: map[pkt.FlowID]sim.Time{}, gaps: cl.LosslessGaps()}
@@ -92,32 +104,99 @@ func runTiny(t *testing.T, shards int, seed int64) fingerprint {
 			t.Fatalf("shards=%d: shard %d pool has %d live packets after drain", shards, i, pl.Live())
 		}
 	}
-	return fp
+	return fp, c.Stats()
 }
 
 // TestShardedMatchesSequential: the tiny cluster must produce identical
 // completions and switch counters at 1 and 2 shards (TinyConfig has two
 // ToRs, so two is the maximum legal shard count).
 func TestShardedMatchesSequential(t *testing.T) {
-	seq := runTiny(t, 1, 42)
-	par := runTiny(t, 2, 42)
+	equalFingerprints(t, "tiny, 2 shards", runTiny(t, 1, 42), runTiny(t, 2, 42))
+}
 
-	if len(seq.completions) == 0 {
-		t.Fatal("no flows completed in the sequential run")
+// equalFingerprints fails the test when two runs of one fabric diverged.
+func equalFingerprints(t *testing.T, what string, want, got fingerprint) {
+	t.Helper()
+	if len(want.completions) == 0 || len(want.completions) != len(got.completions) {
+		t.Fatalf("%s: %d completions, want %d (and some)", what, len(got.completions), len(want.completions))
 	}
-	if len(seq.completions) != len(par.completions) {
-		t.Fatalf("completions: %d sequential vs %d sharded", len(seq.completions), len(par.completions))
-	}
-	for id, at := range seq.completions {
-		if par.completions[id] != at {
-			t.Errorf("flow %d: completion %v sequential vs %v sharded", id, at, par.completions[id])
+	for id, at := range want.completions {
+		if got.completions[id] != at {
+			t.Errorf("%s: flow %d completed at %v, want %v", what, id, got.completions[id], at)
 		}
 	}
-	if seq.switches != par.switches {
-		t.Errorf("switch counters diverged:\n seq: %s\n par: %s", seq.switches, par.switches)
+	if want.switches != got.switches {
+		t.Errorf("%s: switch counters diverged:\n want: %s\n  got: %s", what, want.switches, got.switches)
 	}
-	if seq.gaps != 0 || par.gaps != 0 {
-		t.Errorf("lossless gaps: seq=%d par=%d", seq.gaps, par.gaps)
+	if got.gaps != 0 {
+		t.Errorf("%s: %d lossless gaps", what, got.gaps)
+	}
+}
+
+// twoProcs gives the test a second core for its duration: with one, the
+// conductor never leaves its inline loop.
+func twoProcs(t *testing.T) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(2)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// TestParallelAndParkPaths drives the hand-over on the paper's 128-host
+// fabric, dense enough for the conductor to leave its inline loop: two shards
+// must reproduce one engine's run both as built (waits spin) and with the
+// spin bound at zero, where every wait on either side goes through the
+// announce-recheck-park path; and the run must use both modes — parallel
+// through the transfer, inline once it drains.
+func TestParallelAndParkPaths(t *testing.T) {
+	twoProcs(t)
+	cfg := topo.DefaultConfig()
+	seq, _ := runFabric(t, cfg, 1, 42, nil)
+
+	spun, st := runFabric(t, cfg, 2, 42, nil)
+	equalFingerprints(t, "2 shards, spinning", seq, spun)
+	// A run whose waits parked was disturbed by the box and probed for its
+	// core, which switches too: only an undisturbed one is held to a handful.
+	if par := st.Epochs - st.InlineEpochs; par == 0 || st.InlineEpochs == 0 || st.Parks <= 4 && st.ModeSwitches > 10 {
+		t.Errorf("a dense transfer and its drain ran %d parallel and %d inline epochs in %d switches (%d parks), want both modes and <= 10 switches",
+			par, st.InlineEpochs, st.ModeSwitches, st.Parks)
+	}
+
+	parked, st := runFabric(t, cfg, 2, 42, func(c *Conductor) { c.spin = 0 })
+	equalFingerprints(t, "2 shards, parking", seq, parked)
+	if st.Parks == 0 {
+		t.Errorf("spin bound 0 and no wait parked: %+v", st)
+	}
+}
+
+// TestCloseJoinsWorkers: Close returns only once every worker goroutine has
+// exited, so nothing of a finished fabric is still reachable from a worker's
+// stack when the caller moves on; and with one proc no worker ever starts.
+func TestCloseJoinsWorkers(t *testing.T) {
+	twoProcs(t)
+	before := runtime.NumGoroutine()
+	for i := 0; i < 4; i++ {
+		_, st := runFabric(t, topo.DefaultConfig(), 2, 7, nil)
+		if st.Epochs == st.InlineEpochs {
+			t.Fatal("no parallel epoch: the workers never started")
+		}
+		// Close has seen the worker's last statement run; give the runtime
+		// the instant it needs to retire the goroutine behind it.
+		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+			runtime.Gosched()
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Fatalf("run %d: %d goroutines after Close, %d before the run", i, n, before)
+		}
+	}
+
+	runtime.GOMAXPROCS(1)
+	peak := before
+	_, st := runFabric(t, topo.DefaultConfig(), 2, 7, func(c *Conductor) {
+		c.AddTask(100*sim.Microsecond, func(sim.Time) { peak = max(peak, runtime.NumGoroutine()) })
+	})
+	if st.Epochs != st.InlineEpochs || peak > before {
+		t.Errorf("one proc: %d of %d epochs inline, %d goroutines at peak (%d before), want every epoch inline and no goroutine",
+			st.InlineEpochs, st.Epochs, peak, before)
 	}
 }
 

@@ -34,6 +34,11 @@ type Sampler struct {
 	probes  []Probe
 	stopped bool
 
+	// Ticks counts the sampler's executed engine events. A sharded run arms
+	// one sampler per shard where one engine arms one, and Result.Events
+	// counts one chain.
+	Ticks uint64
+
 	// until is the sampling horizon; tickFn is the pre-bound tick body so
 	// each rescheduling tick costs zero allocations instead of a fresh
 	// closure per tick.
@@ -69,6 +74,7 @@ func (s *Sampler) Start(until sim.Time) {
 func (s *Sampler) Stop() { s.stopped = true }
 
 func (s *Sampler) tick() {
+	s.Ticks++
 	if s.stopped {
 		return
 	}

@@ -102,6 +102,10 @@ type Incast struct {
 	flowToQ map[pkt.FlowID]*Query
 	// FlowsGenerated counts responder flows started.
 	FlowsGenerated uint64
+	// Ticks counts the query chain's executed engine events. A sharded run
+	// replicates the chain on every shard, and Result.Events counts one
+	// replica's.
+	Ticks uint64
 }
 
 // NewIncast builds the generator; call Install to schedule queries, and
@@ -141,6 +145,7 @@ func (g *Incast) Install() {
 	start := g.eng.Now()
 	var tick func()
 	tick = func() {
+		g.Ticks++
 		if g.eng.Now()-start >= g.cfg.Window {
 			return
 		}
