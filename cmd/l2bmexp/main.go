@@ -59,9 +59,9 @@
 // for order-of-magnitude speedups on steady-state-heavy windows (`make
 // hybrid-demo`).
 //
-// Every run schedules events on the hierarchical timer wheel; the 4-ary
-// heap it replaced survives in internal/sim as the reference scheduler the
-// identity tests compare against (DESIGN.md §15).
+// Every run schedules events on sim.Engine's hierarchical timer wheel, tick
+// sized from the fabric; the tick width never changes a result (DESIGN.md
+// §15).
 //
 // -exp scale is the hyperscale smoke (not part of -exp all): it builds a
 // pod-structured Clos of 1k (-scale tiny), 10k (small) or 100k (full)

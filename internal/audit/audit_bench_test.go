@@ -52,14 +52,14 @@ func BenchmarkAuditSweep(b *testing.B) {
 			}
 			cl.Hosts[src].StartFlow(f)
 		}
-		cl.Eng.Run(100 * sim.Microsecond) // past slow start
+		cl.Engines[0].Run(100 * sim.Microsecond) // past slow start
 		a := New(cl, Config{})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			cl.Eng.Run(cl.Eng.Now() + 2*sim.Microsecond)
+			cl.Engines[0].Run(cl.Engines[0].Now() + 2*sim.Microsecond)
 			b.StartTimer()
-			a.CheckOnce(cl.Eng.Now())
+			a.CheckOnce(cl.Engines[0].Now())
 		}
 		if a.Total() != 0 {
 			b.Fatal(a.Violations())

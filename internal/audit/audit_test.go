@@ -90,8 +90,8 @@ func TestSweepsAsBarrierTask(t *testing.T) {
 		t.Errorf("after 1.05ms at 100µs: %d checks, %d task firings, want 10 and 10",
 			a.Checks(), cond.Stats().TaskFirings)
 	}
-	if cl.Eng.Events() != 0 {
-		t.Errorf("sweeps executed %d engine events, want 0", cl.Eng.Events())
+	if cl.Engines[0].Events() != 0 {
+		t.Errorf("sweeps executed %d engine events, want 0", cl.Engines[0].Events())
 	}
 	if v := a.Violations()[9]; !strings.Contains(v, "audit t=1ms") {
 		t.Errorf("tenth sweep not stamped with its barrier instant: %q", v)
@@ -157,9 +157,9 @@ func TestGatedSweepMatchesUngated(t *testing.T) {
 					switches[i].SkewSharedUsedForTest(-skew[i])
 					skew[i] = 0
 				}
-				cl.Eng.Run(cl.Eng.Now() + sim.Duration(1+rng.Intn(30))*sim.Microsecond)
+				cl.Engines[0].Run(cl.Engines[0].Now() + sim.Duration(1+rng.Intn(30))*sim.Microsecond)
 
-				now := cl.Eng.Now()
+				now := cl.Engines[0].Now()
 				gated.CheckOnce(now)
 				ungated.sweep(now, true)
 				compare(fmt.Sprintf("step %d (t=%v)", step, now))
@@ -185,10 +185,10 @@ func TestGatedSweepMatchesUngated(t *testing.T) {
 			for i := range switches {
 				switches[i].SkewSharedUsedForTest(-skew[i])
 			}
-			cl.Eng.Run(cl.Eng.Now() + 50*sim.Millisecond)
+			cl.Engines[0].Run(cl.Engines[0].Now() + 50*sim.Millisecond)
 			before := gated.Total()
-			gated.Final(cl.Eng.Now())
-			ungated.Final(cl.Eng.Now())
+			gated.Final(cl.Engines[0].Now())
+			ungated.Final(cl.Engines[0].Now())
 			compare("after Final")
 			if gated.Total() != before {
 				t.Fatalf("clean drained fabric: Final recorded %v", tail(gated.Violations()))

@@ -1,77 +1,29 @@
 package core
 
 import (
-	"fmt"
-	"math"
-
 	"l2bm/internal/pkt"
 	"l2bm/internal/sim"
 )
 
-// BShareConfig parameterizes the BShare policy. The zero value is not
-// valid; use DefaultBShareConfig.
-type BShareConfig struct {
-	// Alpha is the base ingress control factor scaled by the delay ratio.
-	Alpha float64
-	// AlphaEgressPool is the egress-pool DT factor (BShare, like L2BM, is
-	// an ingress-pool algorithm).
-	AlphaEgressPool float64
-	// TargetDelay is the absolute per-queue queueing-delay objective D:
-	// a queue measuring exactly D gets weight Alpha, faster queues earn
-	// more, slower queues are squeezed.
-	TargetDelay sim.Duration
-	// DelayFloor is the minimum measured delay used in the ratio,
-	// preventing division blow-ups for queues that drain immediately.
-	DelayFloor sim.Duration
-	// ExcludePauseTime keeps downstream-PFC stall time out of the delay
-	// estimate (same mitigation as L2BM §III-D — a paused queue is not a
-	// congested queue).
-	ExcludePauseTime bool
-	// BoundsLossless and BoundsLossy clamp the delay-driven weight per
-	// class, with the same rationale as L2BM's bounds: lossless queues are
-	// pinned at the common factor so PFC behaviour stays predictable, and
-	// lossy queues can never be boosted past the base factor.
-	BoundsLossless WeightBounds
-	BoundsLossy    WeightBounds
-}
-
-// DefaultBShareConfig returns the evaluation defaults: α = 0.5 with a
-// 16-MTU-serialization delay target at 25 Gb/s.
-func DefaultBShareConfig() BShareConfig {
-	floor := sim.TxTime(pkt.MTUBytes, 25e9)
-	return BShareConfig{
-		Alpha:            AlphaDT2,
-		AlphaEgressPool:  AlphaEgress,
-		TargetDelay:      16 * floor,
-		DelayFloor:       floor,
-		ExcludePauseTime: true,
-		BoundsLossless:   WeightBounds{Min: AlphaDT2, Max: AlphaDT2},
-		BoundsLossy:      WeightBounds{Min: AlphaDT2 / 8, Max: AlphaDT2},
-	}
-}
-
-// Validate rejects configurations that would silently corrupt thresholds:
-// NaN/Inf/non-positive control factors, non-positive delay parameters, and
-// malformed weight bounds.
-func (cfg *BShareConfig) Validate() error {
-	switch {
-	case math.IsNaN(cfg.Alpha) || math.IsInf(cfg.Alpha, 0) || cfg.Alpha <= 0:
-		return fmt.Errorf("core: BShare Alpha = %v, want finite > 0", cfg.Alpha)
-	case math.IsNaN(cfg.AlphaEgressPool) || math.IsInf(cfg.AlphaEgressPool, 0) || cfg.AlphaEgressPool <= 0:
-		return fmt.Errorf("core: BShare AlphaEgressPool = %v, want finite > 0", cfg.AlphaEgressPool)
-	case cfg.TargetDelay <= 0:
-		return fmt.Errorf("core: BShare TargetDelay = %v, want > 0", cfg.TargetDelay)
-	case cfg.DelayFloor <= 0:
-		return fmt.Errorf("core: BShare DelayFloor = %v, want > 0 (zero divides the ratio)", cfg.DelayFloor)
-	}
-	if err := cfg.BoundsLossless.Validate(); err != nil {
-		return fmt.Errorf("lossless %w", err)
-	}
-	if err := cfg.BoundsLossy.Validate(); err != nil {
-		return fmt.Errorf("lossy %w", err)
-	}
-	return nil
-}
+// BShare's evaluation settings: the delay-ratio weight scales α = 0.5
+// (AlphaDT2), and the egress pool runs DT at AlphaEgress (BShare, like L2BM,
+// is an ingress-pool algorithm).
+var (
+	// bshareDelayFloor is the minimum measured delay used in the ratio, one
+	// MTU serialization at 25 Gb/s: it keeps the ratio finite for queues
+	// that drain immediately.
+	bshareDelayFloor = sim.TxTime(pkt.MTUBytes, 25e9)
+	// bshareTargetDelay is the absolute per-queue queueing-delay objective
+	// D: a queue measuring exactly D gets weight α, faster queues earn more,
+	// slower queues are squeezed.
+	bshareTargetDelay = 16 * bshareDelayFloor
+	// The weight is clamped per class, with the same rationale as L2BM's
+	// bounds: lossless queues are pinned at the common factor so PFC
+	// behaviour stays predictable, and lossy queues can never be boosted
+	// past the base factor.
+	bshareBoundsLossless = WeightBounds{Min: AlphaDT2, Max: AlphaDT2}
+	bshareBoundsLossy    = WeightBounds{Min: AlphaDT2 / 8, Max: AlphaDT2}
+)
 
 // BShare reimplements packet-queueing-delay-driven buffer sharing
 // (arXiv 2605.24178) — philosophically the closest rival to L2BM: both
@@ -85,23 +37,15 @@ func (cfg *BShareConfig) Validate() error {
 // Queues whose measured queueing delay sits below the target earn a
 // proportionally larger share of the free pool; queues exceeding it are
 // squeezed toward the class minimum. The per-queue delay estimate τ reuses
-// the sojourn module's machinery (Algorithm 1) unchanged.
+// the sojourn module's machinery (Algorithm 1) unchanged, with downstream-PFC
+// stall time kept out of it (same mitigation as L2BM §III-D — a paused queue
+// is not a congested queue).
 type BShare struct {
-	cfg     BShareConfig
 	sojourn *SojournTable
 }
 
-// NewBShareConfig returns a BShare policy with the given configuration,
-// panicking on invalid configurations like NewL2BM.
-func NewBShareConfig(cfg BShareConfig) *BShare {
-	if err := cfg.Validate(); err != nil {
-		panic(err.Error())
-	}
-	return &BShare{cfg: cfg, sojourn: NewSojournTable(cfg.ExcludePauseTime)}
-}
-
-// NewBShare returns BShare with the evaluation defaults.
-func NewBShare() *BShare { return NewBShareConfig(DefaultBShareConfig()) }
+// NewBShare returns BShare with the evaluation settings.
+func NewBShare() *BShare { return &BShare{sojourn: NewSojournTable(true)} }
 
 // Name implements Policy.
 func (b *BShare) Name() string { return "BShare" }
@@ -115,14 +59,14 @@ func (b *BShare) Sojourn() *SojournTable { return b.sojourn }
 // class's max weight, and thresholds never jump when traffic appears.
 func (b *BShare) Weight(s StateView, port, prio int) float64 {
 	tau := b.sojourn.Tau(s, port, prio)
-	if tau < b.cfg.DelayFloor {
-		tau = b.cfg.DelayFloor
+	if tau < bshareDelayFloor {
+		tau = bshareDelayFloor
 	}
-	w := float64(b.cfg.TargetDelay) / float64(tau) * b.cfg.Alpha
+	w := float64(bshareTargetDelay) / float64(tau) * AlphaDT2
 	if ClassOfPriority(prio) == pkt.ClassLossless {
-		return b.cfg.BoundsLossless.clamp(w)
+		return bshareBoundsLossless.clamp(w)
 	}
-	return b.cfg.BoundsLossy.clamp(w)
+	return bshareBoundsLossy.clamp(w)
 }
 
 // IngressThreshold implements Policy: the delay-weighted DT share.
@@ -136,7 +80,7 @@ func (b *BShare) IngressThreshold(s StateView, port, prio int) int64 {
 
 // EgressThreshold implements Policy: standard egress-pool DT.
 func (b *BShare) EgressThreshold(s StateView, _, prio int) int64 {
-	return egressDT(s, prio, b.cfg.AlphaEgressPool)
+	return egressDT(s, prio, AlphaEgress)
 }
 
 // OnEnqueue implements Policy, feeding the delay estimator.

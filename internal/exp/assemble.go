@@ -44,10 +44,10 @@ import (
 // change a result, so it is not a run parameter.
 type engineFunc func(cfg *topo.Config, seed int64) *sim.Engine
 
-// wheelEngine builds the hierarchical timer wheel, tick-sized from the
-// fabric's minimum propagation delay. It dispatches every event in the
-// identical (at, seq | arrival-key) order as the heap (sim.NewEngine), which
-// survives as the reference scheduler.
+// wheelEngine builds the engine with its timer-wheel tick sized from the
+// fabric's minimum propagation delay. Every tick width dispatches in the
+// identical (at, seq | arrival-key) order; a tick spanning the whole run (one
+// exact heap) survives in the tests as the reference scheduler.
 func wheelEngine(cfg *topo.Config, seed int64) *sim.Engine {
 	return sim.NewEngineWheel(seed, sim.WheelGranularityFor(cfg.MinPropDelay()))
 }

@@ -32,11 +32,11 @@ import (
 //     remaining sizes and scheduling the not-yet-consumed arrivals as they
 //     come due, until the quiescence predicate holds (no new pause frames,
 //     low resident bytes, no standing trigger, no imminent burst) for
-//     QuiesceDwell consecutive checks.
+//     quiesceDwell consecutive checks.
 //   - Hand-backs are residual-byte exact on the receive side: a flow leaves
 //     a packet segment with its receiver's contiguous delivered count
 //     (host.FlowProgress); frames still in flight at the cut (bounded by
-//     QuiesceResident) are re-served by the fluid layer, a deliberate
+//     quiesceResident) are re-served by the fluid layer, a deliberate
 //     epsilon-budgeted approximation.
 //
 // Accounting: switch/pause/drop statistics accumulate across packet
@@ -48,6 +48,27 @@ import (
 // barrier tasks); its exact drain-time checks run only when the run ends
 // inside a packet segment, since a quiescence cut legitimately leaves
 // frames in flight.
+
+// The packet → fluid direction of the fidelity controller.
+const (
+	// quiesceStep is how often a running packet segment re-evaluates the
+	// quiescence predicate.
+	quiesceStep = 100 * sim.Microsecond
+	// quiesceDwell is how many consecutive quiet checks end a segment.
+	quiesceDwell = 2
+	// quiesceResident is the resident-byte bound under which the fabric
+	// counts as quiet.
+	quiesceResident = 64 * pkt.MTUBytes
+	// recoveredFrac gates quiescence on rate recovery: the fabric is not
+	// quiet while any in-progress lossless sender's current rate sits below
+	// this fraction of line rate (or a lossy sender's window below it of the
+	// ECN threshold). The fluid solver serves every flow at its
+	// instantaneous max-min share; handing it a sender that is still paying
+	// off a congestion cut forgets ~milliseconds of throttling.
+	recoveredFrac = 0.9
+	// minSegment is the minimum packet-segment length.
+	minSegment = 200 * sim.Microsecond
+)
 
 // hybridResidual is one mid-transfer flow handed from a packet segment back
 // to the fluid layer.
@@ -197,7 +218,7 @@ func (h *hybridRun) burstImminent(now sim.Time) bool {
 	if !ok {
 		return false
 	}
-	return at-now <= sim.Time(h.params.PreMargin+h.params.QuiesceStep)
+	return at-now <= sim.Time(h.params.PreMargin+quiesceStep)
 }
 
 // packetSegment runs full packet simulation from segStart until the
@@ -316,13 +337,11 @@ func (h *hybridRun) packetSegment(segStart sim.Time, carried []*fluid.FlowState)
 	}
 
 	localHorizon := p.horizon - segStart
-	step := h.params.QuiesceStep
-	minSeg := h.params.MinSegment
 	var prevPause, prevECN, prevDrops uint64
 	quiet := 0
 	localNow := sim.Time(0)
 	for localNow < localHorizon {
-		next := localNow + step
+		next := localNow + quiesceStep
 		if next > localHorizon {
 			next = localHorizon
 		}
@@ -348,15 +367,15 @@ func (h *hybridRun) packetSegment(segStart sim.Time, carried []*fluid.FlowState)
 		stats := topo.SwitchStats(cl.AllSwitches())
 		drops := stats.LossyDropsIngress + stats.LossyDropsEgress
 		throttled := 0
-		minCwnd := h.params.RecoveredFrac * float64(p.topo.Switch.ECNLossyThreshold)
+		minCwnd := recoveredFrac * float64(p.topo.Switch.ECNLossyThreshold)
 		for _, hs := range cl.Hosts {
-			throttled += hs.ThrottledRDMASenders(h.params.RecoveredFrac)
+			throttled += hs.ThrottledRDMASenders(recoveredFrac)
 			throttled += hs.ThrottledTCPSenders(minCwnd)
 		}
 		calm := stats.PauseFramesSent == prevPause &&
 			stats.ECNMarked == prevECN &&
 			drops == prevDrops &&
-			cl.ResidentBytes() <= h.params.QuiesceResident &&
+			cl.ResidentBytes() <= quiesceResident &&
 			maxLiveDegree() < h.params.DegreeTrigger &&
 			throttled == 0 &&
 			!h.burstImminent(segStart+localNow)
@@ -366,7 +385,7 @@ func (h *hybridRun) packetSegment(segStart sim.Time, carried []*fluid.FlowState)
 		} else {
 			quiet = 0
 		}
-		if localNow >= minSeg && quiet >= h.params.QuiesceDwell && localNow < localHorizon {
+		if localNow >= minSegment && quiet >= quiesceDwell && localNow < localHorizon {
 			break
 		}
 	}

@@ -46,7 +46,8 @@ type Pool struct {
 	// Observe, when non-nil, fires from the collator goroutine in strictly
 	// ascending index order — exactly once per point, successes and
 	// failures alike, never concurrently — regardless of KeepGoing or
-	// halting. Checkpoint writers hang off this hook.
+	// halting. The chaos soak tallies events and reports failed seeds from
+	// this hook.
 	Observe func(i int, r *Result, err error)
 }
 

@@ -10,15 +10,17 @@ import (
 	"l2bm/internal/topo"
 )
 
-// The two scheduler backends, by name. No spec can select the heap: it is
-// the reference the production wheel is held to, reached through
+// The two scheduler configurations, by name. No spec can select the heap:
+// it is the reference the production wheel is held to, reached through
 // runHybrid's engine-constructor parameter.
 const (
 	SchedWheel = "wheel"
 	SchedHeap  = "heap"
 )
 
-func heapEngine(_ *topo.Config, seed int64) *sim.Engine { return sim.NewEngine(seed) }
+// heapEngine is the reference scheduler: a wheel whose single tick spans any
+// run, so every event is dispatched out of one exact heap.
+func heapEngine(_ *topo.Config, seed int64) *sim.Engine { return sim.NewEngineWheel(seed, 1<<62) }
 
 // runSched executes one spec under the given scheduler backend and returns
 // its full deterministic fingerprint plus the executed-event count (which,

@@ -161,3 +161,53 @@ func TestMarshalResultsEnvelope(t *testing.T) {
 		t.Errorf("envelope has %d points, want 2", len(decoded.Points))
 	}
 }
+
+// FuzzParseSweepRequest feeds arbitrary bodies to the daemon's submission
+// parser. The seeds (replayed by plain `go test`) are a valid request and
+// the rejection classes TestParseSweepRequest names. Parsing never panics;
+// a request it accepts holds only valid specs, and re-marshaling it parses
+// back to the same sweep ID and the same cache key for every spec — what
+// the daemon stores under is a function of the request's content alone.
+func FuzzParseSweepRequest(f *testing.F) {
+	valid := `{"name":"ok","specs":[{"Name":"p0","Policy":"DT","Scale":"tiny","TCPLoad":0.4}]}`
+	for _, seed := range []string{
+		valid,
+		`{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Polciy":"DT"}]}`,
+		valid + `{"more":1}`,
+		`{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","TCPLoad":1.5}]}`,
+		`{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Shards":1000}]}`,
+		`{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Fidelity":"hybrid","Shards":2}]}`,
+		`{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Faults":{"Plan":{"FlapRate":-1}}}]}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		req, err := ParseSweepRequest(data)
+		if err != nil {
+			return
+		}
+		for i, sp := range req.Specs {
+			if err := sp.Validate(); err != nil {
+				t.Fatalf("accepted spec %d fails Validate: %v", i, err)
+			}
+		}
+		wire, err := json.Marshal(req)
+		if err != nil {
+			t.Fatalf("marshal an accepted request: %v", err)
+		}
+		back, err := ParseSweepRequest(wire)
+		if err != nil {
+			t.Fatalf("re-parse of %s: %v", wire, err)
+		}
+		if back.SweepID() != req.SweepID() || len(back.Specs) != len(req.Specs) {
+			t.Fatalf("round trip moved the sweep ID: %s -> %s (%s)", req.SweepID(), back.SweepID(), wire)
+		}
+		for i := range req.Specs {
+			want, wantErr := CacheKey(req.Specs[i])
+			got, gotErr := CacheKey(back.Specs[i])
+			if got != want || (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("spec %d cache key %q (%v) came back %q (%v)", i, want, wantErr, got, gotErr)
+			}
+		}
+	})
+}

@@ -31,9 +31,9 @@
 // Fault injection disables fluid mode entirely — the whole run is a packet
 // segment. PFC pause transitions can only exist inside packet segments
 // (fluid rates are feasible by construction), so the packet→fluid direction
-// is guarded instead by the driver's quiescence dwell: no new pause frames,
-// low resident bytes, and no trigger predicate holding for QuiesceDwell
-// consecutive QuiesceStep checks.
+// is guarded instead by the driver's quiescence dwell (exp/hybrid.go): no new
+// pause frames, low resident bytes, and no trigger predicate holding for a
+// few consecutive checks.
 //
 // Accuracy model. A flow served alone completes in exactly its ideal FCT
 // (slowdown 1.0) by construction: service time is TxTime(wireBytes,
@@ -45,14 +45,12 @@
 // divergence-bound invariance test budgets its epsilon for.
 package fluid
 
-import (
-	"l2bm/internal/pkt"
-	"l2bm/internal/sim"
-)
+import "l2bm/internal/sim"
 
-// Params are the fidelity-controller tunables. Zero values are replaced by
-// DefaultParams in NewSim; the defaults were calibrated against the pure
-// packet engine on the Fig. 3/7/8 scenarios (see TestHybridDivergence).
+// Params are the fidelity-controller triggers (fluid → packet). Start from
+// DefaultParams, whose values were calibrated against the pure packet engine
+// on the Fig. 3/7/8 scenarios (see TestHybridDivergence); every field must be
+// set.
 type Params struct {
 	// DegreeTrigger cuts to packet fidelity when an arrival would bring the
 	// number of active flows sharing one access link (source uplink or
@@ -68,81 +66,13 @@ type Params struct {
 	// GuardFrac cuts to packet fidelity when any switch's synthesized
 	// occupancy estimate exceeds this fraction of its shared buffer.
 	GuardFrac float64
-	// QCong is the synthesized standing-queue size, in bytes, charged to a
-	// saturated (max-min bottleneck) link's switch.
-	QCong int64
-	// QFlow is the synthesized per-flow residency, in bytes, charged to
-	// every switch a flow traverses.
-	QFlow int64
-
-	// The remaining knobs steer the driver's packet→fluid direction.
-
-	// QuiesceStep is how often a running packet segment re-evaluates the
-	// quiescence predicate.
-	QuiesceStep sim.Duration
-	// QuiesceDwell is how many consecutive quiet checks end a segment.
-	QuiesceDwell int
-	// QuiesceResident is the resident-byte bound under which the fabric
-	// counts as quiet.
-	QuiesceResident int64
-	// RecoveredFrac gates quiescence on DCQCN rate recovery: the fabric is
-	// not quiet while any in-progress lossless sender's current rate sits
-	// below this fraction of line rate. The fluid solver serves every flow
-	// at its instantaneous max-min share; handing it a sender that is still
-	// paying off a congestion cut forgets ~milliseconds of throttling.
-	RecoveredFrac float64
-	// MinSegment is the minimum packet-segment length.
-	MinSegment sim.Duration
 }
 
 // DefaultParams returns the calibrated controller settings.
 func DefaultParams() Params {
 	return Params{
-		DegreeTrigger:   2,
-		PreMargin:       50 * sim.Microsecond,
-		GuardFrac:       0.5,
-		QCong:           150_000,
-		QFlow:           pkt.MTUBytes,
-		QuiesceStep:     100 * sim.Microsecond,
-		QuiesceDwell:    2,
-		QuiesceResident: 64 * pkt.MTUBytes,
-		RecoveredFrac:   0.9,
-		MinSegment:      200 * sim.Microsecond,
+		DegreeTrigger: 2,
+		PreMargin:     50 * sim.Microsecond,
+		GuardFrac:     0.5,
 	}
-}
-
-// withDefaults fills zero fields from DefaultParams.
-func (p Params) withDefaults() Params {
-	d := DefaultParams()
-	if p.DegreeTrigger <= 0 {
-		p.DegreeTrigger = d.DegreeTrigger
-	}
-	if p.PreMargin <= 0 {
-		p.PreMargin = d.PreMargin
-	}
-	if p.GuardFrac <= 0 {
-		p.GuardFrac = d.GuardFrac
-	}
-	if p.QCong <= 0 {
-		p.QCong = d.QCong
-	}
-	if p.QFlow <= 0 {
-		p.QFlow = d.QFlow
-	}
-	if p.QuiesceStep <= 0 {
-		p.QuiesceStep = d.QuiesceStep
-	}
-	if p.QuiesceDwell <= 0 {
-		p.QuiesceDwell = d.QuiesceDwell
-	}
-	if p.QuiesceResident <= 0 {
-		p.QuiesceResident = d.QuiesceResident
-	}
-	if p.RecoveredFrac <= 0 {
-		p.RecoveredFrac = d.RecoveredFrac
-	}
-	if p.MinSegment <= 0 {
-		p.MinSegment = d.MinSegment
-	}
-	return p
 }

@@ -26,7 +26,7 @@ func mkFlow(id uint64, src, dst int, size int64, class pkt.Class, start sim.Time
 func TestSoloFlowCompletesAtIdealFCT(t *testing.T) {
 	m := tinyModel()
 	cfg := m.Cfg
-	s := NewSim(m, Params{}, nil, 0)
+	s := NewSim(m, DefaultParams(), nil, 0)
 	var got []Completion
 	s.OnComplete = func(c Completion) { got = append(got, c) }
 
@@ -120,7 +120,9 @@ func TestDegreeTriggerCutsBeforeArrival(t *testing.T) {
 			Flow: mkFlow(uint64(10+i), i+1, 0, big, pkt.ClassLossless, sim.Time(i+1)*sim.Time(sim.Microsecond)),
 		})
 	}
-	s := NewSim(m, Params{DegreeTrigger: 4}, arrivals, 0)
+	p := DefaultParams()
+	p.DegreeTrigger = 4
+	s := NewSim(m, p, arrivals, 0)
 	at, reason := s.Advance(sim.Second)
 	if reason != CutDegree {
 		t.Fatalf("reason = %v, want degree", reason)
@@ -140,7 +142,8 @@ func TestBurstPreTrigger(t *testing.T) {
 		Flow:   mkFlow(1, 1, 0, 1000, pkt.ClassLossless, burstAt),
 		Incast: true,
 	}}
-	p := Params{PreMargin: 50 * sim.Microsecond}
+	p := DefaultParams()
+	p.PreMargin = 50 * sim.Microsecond
 	s := NewSim(m, p, arrivals, 0)
 	at, reason := s.Advance(sim.Second)
 	if reason != CutBurst {

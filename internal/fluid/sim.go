@@ -82,7 +82,7 @@ type Sim struct {
 func NewSim(m *Model, p Params, arrivals []FlowArrival, now sim.Time) *Sim {
 	return &Sim{
 		m:        m,
-		p:        p.withDefaults(),
+		p:        p,
 		arrivals: arrivals,
 		scratch:  newSolveScratch(m.nLinks),
 		now:      now,
@@ -170,7 +170,7 @@ func (s *Sim) guardExceeded(cand *transport.Flow) bool {
 	var buf [6]int
 	for _, l := range s.m.AppendLinks(buf[:0], cand.ID, cand.Src, cand.Dst) {
 		if sw := s.m.owner[l]; sw >= 0 {
-			occ[sw] += s.p.QFlow
+			occ[sw] += qFlow
 		}
 	}
 	for _, o := range occ {
@@ -181,22 +181,22 @@ func (s *Sim) guardExceeded(cand *transport.Flow) bool {
 	return false
 }
 
-// chargeOccupancy accumulates the synthesized per-switch occupancy: QFlow
-// per active flow per traversed switch queue, plus QCong per saturated
+// chargeOccupancy accumulates the synthesized per-switch occupancy: qFlow
+// per active flow per traversed switch queue, plus qCong per saturated
 // (max-min bottleneck) link.
 func (s *Sim) chargeOccupancy(occ []int64) {
 	s.resolve()
 	for _, fs := range s.active {
 		for _, l := range fs.links[:fs.nLink] {
 			if sw := s.m.owner[l]; sw >= 0 {
-				occ[sw] += s.p.QFlow
+				occ[sw] += qFlow
 			}
 		}
 	}
 	for _, l := range s.scratch.used {
 		if s.scratch.sat[l] && s.scratch.cnt[l] > 0 {
 			if sw := s.m.owner[l]; sw >= 0 {
-				occ[sw] += s.p.QCong
+				occ[sw] += qCong
 			}
 		}
 	}
@@ -229,6 +229,14 @@ func (s *Sim) resolve() {
 }
 
 const farFuture = sim.Time(math.MaxInt64)
+
+// The guard band's synthesized occupancy: qFlow bytes of residency charged to
+// every switch a flow traverses, and a qCong-byte standing queue charged to
+// the switch of every saturated (max-min bottleneck) link.
+const (
+	qFlow = pkt.MTUBytes
+	qCong = 150_000
+)
 
 // drainsAt returns when fs finishes serving at its current rate.
 func (s *Sim) drainsAt(fs *FlowState) sim.Time {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 )
 
 // Callback is the body of a scheduled event. It runs on the engine goroutine
@@ -59,11 +60,12 @@ type EventRef struct {
 // already fired, was already cancelled, or was never scheduled is a no-op.
 // It reports whether the event was actually descheduled.
 //
-// A cancelled event's heap slot is reclaimed lazily: either when its
-// timestamp pops, or by compaction once dead entries outnumber live ones
-// (see Engine.maybeCompact) — so rearm-heavy users (DCQCN RTO backoff) keep
-// Pending() proportional to the number of *live* timers, not to the rearm
-// rate times the backoff horizon.
+// A cancelled event's slot (in a wheel bucket or the near-heap) is reclaimed
+// lazily: either when its tick is flushed or its timestamp pops, or by
+// compaction once dead entries outnumber live ones (see Engine.maybeCompact)
+// — so rearm-heavy users (DCQCN RTO backoff) keep Pending() proportional to
+// the number of *live* timers, not to the rearm rate times the backoff
+// horizon.
 func (r *EventRef) Cancel() bool {
 	if r.ev == nil || r.ev.gen != r.gen || !r.ev.live() {
 		r.ev = nil
@@ -83,12 +85,14 @@ func (r *EventRef) Pending() bool {
 	return r.ev != nil && r.ev.gen == r.gen && r.ev.live()
 }
 
-// Engine is a deterministic discrete-event scheduler built on a 4-ary heap
-// with pooled event records.
+// Engine is a deterministic discrete-event scheduler with pooled event
+// records: a hierarchical timer wheel (wheel.go) parks future events in O(1)
+// buckets and flushes them a tick at a time into a 4-ary micro-heap, from
+// which every event is dispatched in exact (at, seq) order.
 //
-// The zero value is not usable; construct with NewEngine. All methods must
-// be called from the goroutine running the simulation (event callbacks or
-// the caller of Run between runs).
+// The zero value is not usable; construct with NewEngine or NewEngineWheel.
+// All methods must be called from the goroutine running the simulation
+// (event callbacks or the caller of Run between runs).
 type Engine struct {
 	now     Time
 	queue   []*event
@@ -98,8 +102,8 @@ type Engine struct {
 	fired   uint64
 	rng     *Source
 
-	// cancelled counts events cancelled but still occupying heap slots
-	// (reclaimed lazily on pop or by compaction).
+	// cancelled counts events cancelled but still occupying bucket or heap
+	// slots (reclaimed lazily on flush/pop or by compaction).
 	cancelled int
 
 	// Interrupt polling (SetInterrupt): intrFn is consulted every intrEvery
@@ -110,45 +114,32 @@ type Engine struct {
 	intrEvery uint64
 	intrCount uint64
 
-	// w, when non-nil, is the hierarchical timer-wheel backend (see
-	// wheel.go): far-future events park in O(1) buckets and are flushed
-	// into the heap a tick at a time, so the heap stays cache-resident no
-	// matter how many events are pending. Dispatch always happens from the
-	// heap in (at, seq) order, so results are byte-identical either way.
+	// w is the timer wheel: future events park in its buckets and are
+	// flushed into queue a tick at a time, so the heap stays cache-resident
+	// no matter how many events are pending.
 	w *wheel
 
-	// all registers every event record ever allocated (wheel backend only).
-	// Records are pooled and never released, so the registry both keeps
-	// bucket-resident events reachable and lets buckets refer to them by
-	// uint32 index instead of by pointer.
+	// all registers every event record ever allocated. Records are pooled
+	// and never released, so the registry both keeps bucket-resident events
+	// reachable and lets buckets refer to them by uint32 index instead of by
+	// pointer.
 	all []*event
 }
 
 // NewEngine returns an engine whose clock starts at zero and whose master
-// random source is seeded with seed. Events are queued on the exact 4-ary
-// heap; NewEngineWheel selects the timer-wheel backend instead.
-func NewEngine(seed int64) *Engine {
-	return &Engine{rng: NewSource(seed)}
-}
+// random source is seeded with seed, on DefaultWheelGranularity ticks.
+func NewEngine(seed int64) *Engine { return NewEngineWheel(seed, 0) }
 
-// NewEngineWheel returns an engine backed by the hierarchical timer wheel:
-// same API, same byte-identical dispatch order, O(1) scheduling instead of
-// O(log n) once hundreds of thousands of events are pending. granularity is
-// the wheel's tick width (rounded down to a power of two of picoseconds);
-// size it from the fabric with WheelGranularityFor, or pass <= 0 for
-// DefaultWheelGranularity.
+// NewEngineWheel is NewEngine with an explicit wheel tick width (rounded
+// down to a power of two of picoseconds): size it from the fabric with
+// WheelGranularityFor, or pass <= 0 for DefaultWheelGranularity. The tick
+// width never changes the dispatch order, only where pending events wait.
 func NewEngineWheel(seed int64, granularity Duration) *Engine {
 	return &Engine{rng: NewSource(seed), w: newWheel(granularity)}
 }
 
-// WheelGranularity returns the wheel tick width, or 0 when the engine runs
-// on the plain heap.
-func (e *Engine) WheelGranularity() Duration {
-	if e.w == nil {
-		return 0
-	}
-	return e.w.granularity()
-}
+// WheelGranularity returns the wheel tick width.
+func (e *Engine) WheelGranularity() Duration { return e.w.granularity() }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
@@ -161,13 +152,7 @@ func (e *Engine) Events() uint64 { return e.fired }
 // buckets combined — including cancelled events whose slots have not been
 // reclaimed yet (compaction bounds those at roughly the live count plus a
 // constant).
-func (e *Engine) Pending() int {
-	n := len(e.queue)
-	if e.w != nil {
-		n += e.w.count
-	}
-	return n
-}
+func (e *Engine) Pending() int { return len(e.queue) + e.w.count }
 
 // NextEventTime returns the timestamp of the earliest live event still
 // queued, or (0, false) when no live event is pending. Cancelled records
@@ -191,7 +176,7 @@ func (e *Engine) NextEventTime() (Time, bool) {
 		// Heap dry: flush the wheel's next bucket into the heap. The flush
 		// only re-homes events (order is restored by the heap), so peeking
 		// stays observer-free.
-		if e.w == nil || !e.w.advance(e) {
+		if !e.w.advance(e) {
 			return 0, false
 		}
 	}
@@ -209,8 +194,8 @@ func (e *Engine) recycleDead(ev *event) {
 	e.free = append(e.free, ev)
 }
 
-// Cancelled returns the number of cancelled events still occupying heap
-// slots (observability for the compaction policy).
+// Cancelled returns the number of cancelled events still occupying bucket or
+// heap slots (observability for the compaction policy).
 func (e *Engine) Cancelled() int { return e.cancelled }
 
 // Rand returns a named deterministic random stream derived from the engine
@@ -230,7 +215,7 @@ func (e *Engine) ScheduleAt(at Time, fn Callback) EventRef {
 	}
 	ev := e.alloc(at)
 	ev.fn = fn
-	e.enqueue(ev)
+	e.w.insert(e, ev)
 	return EventRef{eng: e, ev: ev, gen: ev.gen}
 }
 
@@ -251,7 +236,7 @@ func (e *Engine) ScheduleArgAt(at Time, fn ArgCallback, arg any) EventRef {
 	ev := e.alloc(at)
 	ev.afn = fn
 	ev.arg = arg
-	e.enqueue(ev)
+	e.w.insert(e, ev)
 	return EventRef{eng: e, ev: ev, gen: ev.gen}
 }
 
@@ -286,19 +271,8 @@ func (e *Engine) ScheduleArrivalAt(at Time, fn ArgCallback, arg any, key uint64)
 	ev.seq = key // override the stamped sequence with the wiring-derived key
 	ev.afn = fn
 	ev.arg = arg
-	e.enqueue(ev)
+	e.w.insert(e, ev)
 	return EventRef{eng: e, ev: ev, gen: ev.gen}
-}
-
-// enqueue routes a stamped event to the active backend: straight onto the
-// heap, or through the wheel's tick router (which itself falls back to the
-// heap for past-or-current ticks, keeping the heap the exact total order).
-func (e *Engine) enqueue(ev *event) {
-	if e.w != nil {
-		e.w.insert(e, ev)
-		return
-	}
-	e.push(ev)
 }
 
 // alloc pops a recycled event record (or heap-allocates one) and stamps the
@@ -316,11 +290,8 @@ func (e *Engine) alloc(at Time) *event {
 		e.free = e.free[:n-1]
 		ev.clear()
 	} else {
-		ev = &event{}
-		if e.w != nil {
-			ev.idx = uint32(len(e.all))
-			e.all = append(e.all, ev)
-		}
+		ev = &event{idx: uint32(len(e.all))}
+		e.all = append(e.all, ev)
 	}
 	ev.at = at
 	ev.seq = e.seq
@@ -352,36 +323,12 @@ func (e *Engine) SetInterrupt(every uint64, fn func() bool) {
 }
 
 // Run executes events in timestamp order until the queue empties, the clock
-// would pass until, or Stop is called. It returns the simulated time at exit
-// (== until when the horizon was reached, even if no event fired there).
+// would pass until, or Stop is called. It returns the simulated time at exit:
+// until when the horizon was reached (even if no event fired there), and
+// never less than Now() — a horizon the clock already passed executes
+// nothing and leaves the clock where it is.
 func (e *Engine) Run(until Time) Time {
-	e.stopped = false
-	for !e.stopped {
-		if len(e.queue) == 0 {
-			// Heap dry: pull the wheel's next bucket in. All wheel events
-			// sit at strictly later ticks than anything the heap held, so
-			// the flushed bucket's head is the global minimum.
-			if e.w == nil || !e.w.advance(e) {
-				break
-			}
-			continue
-		}
-		next := e.queue[0]
-		if next.at > until {
-			e.now = until
-			return e.now
-		}
-		e.pop()
-		e.dispatch(next)
-		if e.intrFn != nil {
-			if e.intrCount++; e.intrCount >= e.intrEvery {
-				e.intrCount = 0
-				if e.intrFn() {
-					e.stopped = true
-				}
-			}
-		}
-	}
+	e.run(until)
 	if !e.stopped && e.now < until {
 		e.now = until
 	}
@@ -391,15 +338,29 @@ func (e *Engine) Run(until Time) Time {
 // RunAll executes events until the queue is empty or Stop is called, with no
 // time horizon. It returns the time of the last event.
 func (e *Engine) RunAll() Time {
+	e.run(math.MaxInt64) // no event can be scheduled past it
+	return e.now
+}
+
+// run is the dispatch loop behind Run and RunAll: it fires events with
+// at <= until in (at, seq) order until none is left, the next one lies past
+// until, or Stop (or the interrupt poll) sets stopped.
+func (e *Engine) run(until Time) {
 	e.stopped = false
 	for !e.stopped {
 		if len(e.queue) == 0 {
-			if e.w == nil || !e.w.advance(e) {
-				break
+			// Heap dry: pull the wheel's next bucket in. All wheel events
+			// sit at strictly later ticks than anything the heap held, so
+			// the flushed bucket's head is the global minimum.
+			if !e.w.advance(e) {
+				return
 			}
 			continue
 		}
 		next := e.queue[0]
+		if next.at > until {
+			return
+		}
 		e.pop()
 		e.dispatch(next)
 		if e.intrFn != nil {
@@ -411,7 +372,6 @@ func (e *Engine) RunAll() Time {
 			}
 		}
 	}
-	return e.now
 }
 
 // dispatch fires (or skips, when cancelled) one popped event and recycles it.
@@ -445,7 +405,8 @@ func less(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// push inserts into the 4-ary min-heap.
+// push inserts into the 4-ary min-heap (the wheel's near-heap: the current
+// tick or two).
 func (e *Engine) push(ev *event) {
 	q := append(e.queue, ev)
 	i := len(q) - 1
@@ -501,33 +462,27 @@ func (e *Engine) siftDown(i int) {
 }
 
 // compactThreshold is the minimum number of cancelled slots before
-// compaction is even considered; below it the lazy pop-side reclamation is
-// cheaper than rebuilding the heap.
+// compaction is even considered; below it lazy reclamation on flush and pop
+// is cheaper than sweeping the buckets and rebuilding the heap.
 const compactThreshold = 64
 
-// maybeCompact rebuilds the heap without dead entries once cancelled slots
+// maybeCompact drops dead entries from buckets and heap once cancelled slots
 // outnumber live ones (and there are enough of them to be worth the O(n)
 // pass). This bounds Pending() at ~2× the live event count for rearm-heavy
 // users that cancel far-future timers much faster than those timers pop.
 func (e *Engine) maybeCompact() {
-	total := len(e.queue)
-	if e.w != nil {
-		total += e.w.count
-	}
-	if e.cancelled < compactThreshold || 2*e.cancelled < total {
+	if e.cancelled < compactThreshold || 2*e.cancelled < e.Pending() {
 		return
 	}
 	e.compact()
 }
 
-// compact removes cancelled entries from the heap (and, on the wheel
-// backend, from every bucket) and re-heapifies. Live events keep firing in
-// exactly the same order: dispatch order is the total order (at, seq),
-// which is independent of heap layout and bucket residency.
+// compact removes cancelled entries from every bucket and from the heap, and
+// re-heapifies. Live events keep firing in exactly the same order: dispatch
+// order is the total order (at, seq), which is independent of heap layout
+// and bucket residency.
 func (e *Engine) compact() {
-	if e.w != nil {
-		e.w.sweep(e)
-	}
+	e.w.sweep(e)
 	old := e.queue
 	q := old[:0]
 	for _, ev := range old {

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -124,6 +126,37 @@ func TestEngineStop(t *testing.T) {
 	e.Run(Second)
 	if fired != 2 {
 		t.Fatalf("fired %d after resume, want 2", fired)
+	}
+}
+
+// TestEngineRunNeverRewinds: a horizon behind the clock executes nothing
+// and leaves the clock where it is — for Run and for RunAll's shared loop —
+// so time the engine already executed stays closed to ScheduleAt.
+func TestEngineRunNeverRewinds(t *testing.T) {
+	e := NewEngine(1)
+	fired := 0
+	e.ScheduleAt(10, func() { fired++ })
+	e.Run(10)
+	e.ScheduleAt(20, func() { fired++ })
+	if got := e.Run(5); got != 10 || e.Now() != 10 {
+		t.Fatalf("Run(5) at 10 ps returned %v, Now() = %v; want 10 ps for both", got, e.Now())
+	}
+	if fired != 1 {
+		t.Fatalf("Run(5) fired %d events, want only the one at 10 ps", fired)
+	}
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "into the past") {
+				t.Errorf("ScheduleAt(7) after Run(5): recover() = %v, want an \"into the past\" panic", r)
+			}
+		}()
+		e.ScheduleAt(7, func() {})
+	}()
+	if got := e.RunAll(); got != 20 || fired != 2 {
+		t.Fatalf("RunAll ended at %v with %d events fired, want 20 ps and 2", got, fired)
+	}
+	if got := e.Run(15); got != 20 || e.Now() != 20 {
+		t.Fatalf("Run(15) after RunAll returned %v, Now() = %v; want 20 ps for both", got, e.Now())
 	}
 }
 

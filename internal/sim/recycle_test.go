@@ -76,7 +76,7 @@ func TestCancelledArgEventsDropArgs(t *testing.T) {
 	if !ref.Cancel() {
 		t.Fatal("Cancel returned false for a live event")
 	}
-	for _, ev := range e.queue {
+	for _, ev := range e.all {
 		if ev.arg != nil || ev.fn != nil || ev.afn != nil {
 			t.Fatal("cancelled event still holds its callback or argument")
 		}

@@ -2,12 +2,11 @@ package sim
 
 import "math/bits"
 
-// This file implements the hierarchical timer-wheel backend for Engine
-// (selected with NewEngineWheel; NewEngine keeps the plain 4-ary heap).
+// This file implements Engine's hierarchical timer wheel.
 //
-// The wheel is an overflow structure in front of the exact heap, never a
-// replacement for it: every event is dispatched FROM the heap, in the heap's
-// total (at, seq | arrival-key) order. Time is quantised into ticks of
+// The wheel is an overflow structure in front of the engine's exact 4-ary
+// near-heap: every event is dispatched FROM the heap, in the heap's total
+// (at, seq | arrival-key) order. Time is quantised into ticks of
 // 2^shift picoseconds, and the engine maintains one invariant:
 //
 //	events with tick(at) <  floor  live in the heap (exactly ordered),
@@ -19,8 +18,10 @@ import "math/bits"
 // occupied bucket (one tick's worth of events) into the heap in one go and
 // moves floor past it; because a bucket is emptied *entirely* before any of
 // its events can run, same-instant ties are re-ordered by the heap exactly
-// as the pure-heap engine would have, and results stay byte-identical for
-// every experiment, fault plan, and shard count.
+// as a heap holding every pending event would have, and results are
+// byte-identical at every tick width. A tick spanning the whole run
+// (granularity 1<<62) is that all-heap reference: the identity tests hold
+// every production tick width to it.
 //
 // Why it is fast: the heap only ever holds the current tick or two (a
 // handful of events), so push/pop touch a cache-resident micro-heap instead
@@ -61,8 +62,8 @@ const (
 	wheelWords = wheelSlots / 64
 )
 
-// DefaultWheelGranularity is the tick width used when NewEngineWheel is
-// given a non-positive granularity: ~16 ns (2^14 ps, already a power of
+// DefaultWheelGranularity is NewEngine's tick width, and NewEngineWheel's
+// for a non-positive granularity: ~16 ns (2^14 ps, already a power of
 // two) spreads microsecond-scale fabric events over ~64 ticks per
 // propagation delay, keeping the near-heap tiny.
 const DefaultWheelGranularity = Duration(1) << 14 * Picosecond

@@ -12,6 +12,11 @@ import (
 // whole runs share one bucket (the wheel degenerates to the heap).
 var wheelTestGranularities = []Duration{1, 8 * Nanosecond, DefaultWheelGranularity, Millisecond}
 
+// heapEngine is the reference scheduler every tick width is held to: one
+// tick spans any run, so after the first flush every event is filed straight
+// into the exact heap — a heap-only engine without a second code path.
+func heapEngine(seed int64) *Engine { return NewEngineWheel(seed, 1<<62) }
+
 // record is one observed dispatch for order comparison.
 type record struct {
 	id int
@@ -110,7 +115,7 @@ func driveRandomWorkload(e *Engine, seed int64) []record {
 // granularity.
 func TestWheelByteIdenticalToHeap(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
-		want := driveRandomWorkload(NewEngine(99), seed)
+		want := driveRandomWorkload(heapEngine(99), seed)
 		for _, g := range wheelTestGranularities {
 			e := NewEngineWheel(99, g)
 			got := driveRandomWorkload(e, seed)
@@ -135,7 +140,7 @@ func TestWheelByteIdenticalToHeap(t *testing.T) {
 // TestWheelCountersMatchHeap checks the observable accounting (events
 // fired, final clock) agrees between backends.
 func TestWheelCountersMatchHeap(t *testing.T) {
-	h := NewEngine(3)
+	h := heapEngine(3)
 	driveRandomWorkload(h, 11)
 	w := NewEngineWheel(3, 0)
 	driveRandomWorkload(w, 11)
@@ -244,9 +249,6 @@ func TestWheelRunHorizon(t *testing.T) {
 
 // TestWheelGranularityReporting pins the constructor's rounding contract.
 func TestWheelGranularityReporting(t *testing.T) {
-	if g := NewEngine(1).WheelGranularity(); g != 0 {
-		t.Fatalf("heap engine WheelGranularity = %v, want 0", g)
-	}
 	if g := NewEngineWheel(1, 0).WheelGranularity(); g != DefaultWheelGranularity {
 		t.Fatalf("default granularity = %v, want %v", g, DefaultWheelGranularity)
 	}
@@ -295,7 +297,7 @@ func TestWheelBlockRolloverOrder(t *testing.T) {
 				e.RunAll()
 				return got
 			}
-			want := run(NewEngine(7))
+			want := run(heapEngine(7))
 			got := run(NewEngineWheel(7, 1)) // 1 ps ticks: tick == timestamp
 			if len(got) != 3 || len(want) != 3 {
 				t.Fatalf("fired wheel=%v heap=%v, want 3 events each", got, want)
@@ -480,11 +482,11 @@ func driveChunkBoundaryWorkload(e *Engine, seed int64, fill func()) []record {
 }
 
 // TestWheelChunkBoundariesMatchHeap: the script above dispatches exactly as
-// on the pure-heap engine, the slots it aims at hold the counts it aims
+// on the reference heap engine, the slots it aims at hold the counts it aims
 // for, and every chunk is back in the arena when the queue is empty.
 func TestWheelChunkBoundariesMatchHeap(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4, 5} {
-		want := driveChunkBoundaryWorkload(NewEngine(9), seed, nil)
+		want := driveChunkBoundaryWorkload(heapEngine(9), seed, nil)
 		e := NewEngineWheel(9, 1)
 		got := driveChunkBoundaryWorkload(e, seed, func() {
 			var l1, l2 []int

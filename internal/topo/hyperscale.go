@@ -1,20 +1,14 @@
 package topo
 
-import (
-	"fmt"
-
-	"l2bm/internal/dcqcn"
-	"l2bm/internal/dctcp"
-	"l2bm/internal/sim"
-	"l2bm/internal/switchsim"
-)
+import "fmt"
 
 // HyperscaleConfig describes a production-shaped multi-pod Clos by the
 // knobs an operator actually turns — pod count, rack count, rack size and
 // the rack oversubscription ratio — and derives the switch-layer widths
 // from them. It is the front door for the 10k–100k-host fabrics the scale
 // experiments run on; Config() lowers it to the explicit per-layer Config
-// that Build understands.
+// that Build understands, with DefaultConfig's link rates and delays (the
+// paper's 25/100 Gbps and 1/1/5 µs).
 type HyperscaleConfig struct {
 	// Pods is the number of pods.
 	Pods int
@@ -26,59 +20,26 @@ type HyperscaleConfig struct {
 	// 4:1 — hosts can inject four times what the ToR uplinks carry). It
 	// determines the aggregation layer width: each ToR gets
 	// ServersPerToR*ServerRate / (Oversubscription*FabricRate) uplinks,
-	// which must come out a whole number.
+	// which must come out a whole number. The spine is as wide as a pod's
+	// aggregation layer (every aggregation switch gets one uplink per core,
+	// matching the paper's 2-agg/2-core shape).
 	Oversubscription float64
-	// CoreCount is the spine width. 0 derives it as the per-pod
-	// aggregation width (every aggregation switch gets one uplink per
-	// core, matching the paper's 2-agg/2-core shape).
-	CoreCount int
-
-	// ServerRate and FabricRate are link speeds in bits/s; 0 defaults to
-	// the paper's 25/100 Gbps.
-	ServerRate int64
-	FabricRate int64
-	// ServerDelay, TorAggDelay and AggCoreDelay default to the paper's
-	// 1 µs / 1 µs / 5 µs when zero.
-	ServerDelay  sim.Duration
-	TorAggDelay  sim.Duration
-	AggCoreDelay sim.Duration
 }
 
 // Hosts returns the total number of servers the fabric will carry.
 func (h HyperscaleConfig) Hosts() int { return h.Pods * h.ToRsPerPod * h.ServersPerToR }
 
-// withDefaults fills the zero-valued rate/delay knobs.
-func (h HyperscaleConfig) withDefaults() HyperscaleConfig {
-	if h.ServerRate == 0 {
-		h.ServerRate = 25e9
-	}
-	if h.FabricRate == 0 {
-		h.FabricRate = 100e9
-	}
-	if h.ServerDelay == 0 {
-		h.ServerDelay = sim.Microsecond
-	}
-	if h.TorAggDelay == 0 {
-		h.TorAggDelay = sim.Microsecond
-	}
-	if h.AggCoreDelay == 0 {
-		h.AggCoreDelay = 5 * sim.Microsecond
-	}
-	return h
-}
-
 // aggsPerPod derives the aggregation width per pod from the
-// oversubscription ratio. The fractional remainder is returned so
-// Validate can name the offending field when it does not divide evenly.
-func (h HyperscaleConfig) aggsPerPod() (int, bool) {
-	rack := float64(h.ServersPerToR) * float64(h.ServerRate)
-	uplink := h.Oversubscription * float64(h.FabricRate)
-	n := rack / uplink
-	rounded := int(n + 0.5)
-	if rounded < 1 || absFloat(n-float64(rounded)) > 1e-9 {
+// oversubscription ratio over base's link rates. ok is false when the rack
+// does not divide into a whole number of uplinks.
+func (h HyperscaleConfig) aggsPerPod(base *Config) (n int, ok bool) {
+	rack := float64(h.ServersPerToR) * float64(base.ServerRate)
+	exact := rack / (h.Oversubscription * float64(base.FabricRate))
+	n = int(exact + 0.5)
+	if n < 1 || absFloat(exact-float64(n)) > 1e-9 {
 		return 0, false
 	}
-	return rounded, true
+	return n, true
 }
 
 func absFloat(f float64) float64 {
@@ -91,7 +52,6 @@ func absFloat(f float64) float64 {
 // Validate reports sizing errors with one-line messages naming the field,
 // before any switch or cable is built.
 func (h HyperscaleConfig) Validate() error {
-	h = h.withDefaults()
 	switch {
 	case h.Pods <= 0:
 		return fmt.Errorf("topo: hyperscale Pods = %d, want > 0", h.Pods)
@@ -101,12 +61,11 @@ func (h HyperscaleConfig) Validate() error {
 		return fmt.Errorf("topo: hyperscale ServersPerToR = %d, want > 0", h.ServersPerToR)
 	case h.Oversubscription <= 0:
 		return fmt.Errorf("topo: hyperscale Oversubscription = %g, want > 0", h.Oversubscription)
-	case h.CoreCount < 0:
-		return fmt.Errorf("topo: hyperscale CoreCount = %d, want >= 0", h.CoreCount)
 	}
-	if _, ok := h.aggsPerPod(); !ok {
+	base := DefaultConfig()
+	if _, ok := h.aggsPerPod(&base); !ok {
 		return fmt.Errorf("topo: hyperscale Oversubscription = %g does not divide the rack: ServersPerToR*ServerRate = %g bps needs a whole number of %g bps uplinks",
-			h.Oversubscription, float64(h.ServersPerToR)*float64(h.ServerRate), h.Oversubscription*float64(h.FabricRate))
+			h.Oversubscription, float64(h.ServersPerToR)*float64(base.ServerRate), h.Oversubscription*float64(base.FabricRate))
 	}
 	return nil
 }
@@ -118,26 +77,13 @@ func (h HyperscaleConfig) Config() (Config, error) {
 	if err := h.Validate(); err != nil {
 		return Config{}, err
 	}
-	h = h.withDefaults()
-	aggs, _ := h.aggsPerPod()
-	cores := h.CoreCount
-	if cores == 0 {
-		cores = aggs
-	}
 	cfg := DefaultConfig()
+	aggs, _ := h.aggsPerPod(&cfg)
 	cfg.Pods = h.Pods
 	cfg.ToRCount = h.Pods * h.ToRsPerPod
 	cfg.AggCount = h.Pods * aggs
-	cfg.CoreCount = cores
+	cfg.CoreCount = aggs
 	cfg.ServersPerToR = h.ServersPerToR
-	cfg.ServerRate = h.ServerRate
-	cfg.FabricRate = h.FabricRate
-	cfg.ServerDelay = h.ServerDelay
-	cfg.TorAggDelay = h.TorAggDelay
-	cfg.AggCoreDelay = h.AggCoreDelay
-	cfg.Switch = switchsim.DefaultConfig()
-	cfg.DCTCP = dctcp.DefaultConfig()
-	cfg.DCQCN = dcqcn.DefaultConfig(h.ServerRate)
 	if err := cfg.Validate(); err != nil {
 		return Config{}, err
 	}

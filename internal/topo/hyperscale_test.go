@@ -23,7 +23,6 @@ func TestHyperscaleValidate(t *testing.T) {
 		{"negative-tors", func(h *HyperscaleConfig) { h.ToRsPerPod = -1 }, "ToRsPerPod = -1"},
 		{"zero-servers", func(h *HyperscaleConfig) { h.ServersPerToR = 0 }, "ServersPerToR = 0"},
 		{"zero-oversub", func(h *HyperscaleConfig) { h.Oversubscription = 0 }, "Oversubscription = 0"},
-		{"negative-cores", func(h *HyperscaleConfig) { h.CoreCount = -2 }, "CoreCount = -2"},
 		// 32 servers × 25G / (3 × 100G) = 2.67 uplinks: not whole.
 		{"indivisible-oversub", func(h *HyperscaleConfig) { h.Oversubscription = 3 },
 			"does not divide the rack"},
@@ -84,7 +83,8 @@ func TestHyperscalePresets(t *testing.T) {
 }
 
 // TestHyperscaleDerivedWidths pins the oversubscription arithmetic: a rack of
-// 32 × 25 Gbps servers at 4:1 over 100 Gbps uplinks gets exactly 2 uplinks.
+// 32 × 25 Gbps servers at 4:1 over 100 Gbps uplinks gets exactly 2 uplinks,
+// and the spine is as wide as a pod's aggregation layer.
 func TestHyperscaleDerivedWidths(t *testing.T) {
 	cfg, err := Hyperscale10k().Config()
 	if err != nil {
@@ -94,17 +94,7 @@ func TestHyperscaleDerivedWidths(t *testing.T) {
 		t.Fatalf("aggs per pod = %d, want 2", aggs)
 	}
 	if cfg.CoreCount != 2 {
-		t.Fatalf("derived CoreCount = %d, want 2 (defaults to aggs per pod)", cfg.CoreCount)
-	}
-	// An explicit core width overrides the derivation.
-	h := Hyperscale10k()
-	h.CoreCount = 8
-	cfg, err = h.Config()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.CoreCount != 8 {
-		t.Fatalf("explicit CoreCount = %d, want 8", cfg.CoreCount)
+		t.Fatalf("derived CoreCount = %d, want 2 (aggs per pod)", cfg.CoreCount)
 	}
 }
 

@@ -239,10 +239,7 @@ type shardLedger struct {
 
 // Cluster is a built network.
 type Cluster struct {
-	// Eng is shard 0's engine — the only engine in a classic (unsharded)
-	// build, kept as an alias so single-engine callers stay unchanged.
-	Eng *sim.Engine
-	// Engines holds one engine per shard (length 1 in a classic build).
+	// Engines holds one engine per shard (length 1 for a Build).
 	// All engines must share the same seed: replicated generators rely on
 	// identical named streams across shards.
 	Engines []*sim.Engine
@@ -255,12 +252,10 @@ type Cluster struct {
 	Aggs  []*switchsim.Switch
 	Cores []*switchsim.Switch
 
-	// Pool is shard 0's packet free list — nil when Cfg.DisablePacketPool.
-	// An alias of Pools[0] for single-engine callers.
-	Pool *pkt.Pool
-	// Pools holds one free list per shard: a pool is single-threaded state,
-	// so each shard owns its own and cross-shard frames change pools via
-	// Export/Import at the mailbox boundary.
+	// Pools holds one free list per shard (nil entries when
+	// Cfg.DisablePacketPool): a pool is single-threaded state, so each shard
+	// owns its own and cross-shard frames change pools via Export/Import at
+	// the mailbox boundary.
 	Pools []*pkt.Pool
 	// ledgers holds one flow-byte ledger per shard, written by that shard's
 	// hosts and ports only (DataBytes sums them).
@@ -290,8 +285,8 @@ func Build(eng *sim.Engine, cfg Config, newPolicy PolicyFactory, onComplete host
 // BuildSharded wires the cluster across len(engines) shards following part:
 // every node lives on its shard's engine, shard-local links are ordinary
 // same-engine cables, and cross-shard links get mailboxes (netdev.Outbox)
-// the psim conductor drains at barriers. Every port — in both classic and
-// sharded builds — receives a global wiring-order arrival key, so frame
+// the psim conductor drains at barriers. Every port, at every shard count,
+// receives a global wiring-order arrival key, so frame
 // dispatch order is a function of the wiring alone and identical results
 // fall out for every shard count. onCompleteFor returns the completion
 // handler for each shard's hosts (per-shard recorders; may return nil), so
@@ -313,7 +308,7 @@ func BuildSharded(engines []*sim.Engine, part *Partition, cfg Config, newPolicy 
 	if cfg.DCQCN.LineRate == 0 {
 		cfg.DCQCN = dcqcn.DefaultConfig(cfg.ServerRate)
 	}
-	cl := &Cluster{Eng: engines[0], Engines: engines, Part: part, Cfg: cfg}
+	cl := &Cluster{Engines: engines, Part: part, Cfg: cfg}
 	cl.Pools = make([]*pkt.Pool, part.Shards)
 	if !cfg.DisablePacketPool {
 		for i := range cl.Pools {
@@ -324,7 +319,6 @@ func BuildSharded(engines []*sim.Engine, part *Partition, cfg Config, newPolicy 
 			}
 		}
 	}
-	cl.Pool = cl.Pools[0]
 	cl.ledgers = make([]shardLedger, part.Shards)
 	cl.states = make([]*shardState, part.Shards)
 	for i := range cl.states {
@@ -484,11 +478,11 @@ func (cl *Cluster) addLink(l *Link) {
 func (cl *Cluster) Links() []*Link { return cl.links }
 
 // Outboxes returns every cross-shard mailbox in deterministic wiring order
-// (both directions of each cross-shard cable). Empty in a classic build.
+// (both directions of each cross-shard cable). Empty on one shard.
 func (cl *Cluster) Outboxes() []*netdev.Outbox { return cl.outboxes }
 
 // SetLinkState raises or cuts the carrier on link index across every shard
-// replica. Single-threaded use only (classic builds, or between epochs):
+// replica. Single-threaded use only (one shard, or between epochs):
 // under the sharded conductor each shard's injector replica calls
 // SetLinkStateOn for itself instead.
 func (cl *Cluster) SetLinkState(index int, up bool) {
