@@ -52,13 +52,9 @@ func run(args []string, w io.Writer) error {
 	if *incast != 0 {
 		spec.Incast = &exp.IncastSpec{Fanout: *incast, RequestBytes: 1 << 20, QueryRate: 752}
 	}
-	// The envelope l2bmd enforces on a submitted spec, before building
-	// anything: an unregistered policy or a load outside [0, 1] must be a
-	// clean CLI error, not a mid-run panic or a silently different run.
-	if err := spec.Validate(); err != nil {
-		return err
-	}
 
+	// RunHybrid enforces the envelope l2bmd does before building anything:
+	// an unregistered policy or a load outside [0, 1] is a clean CLI error.
 	res, err := exp.RunHybrid(spec)
 	if err != nil {
 		return err

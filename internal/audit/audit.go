@@ -26,7 +26,7 @@
 // mutates nothing outside the auditor itself — so an auditor-on run
 // produces byte-identical results and trace files to an auditor-off run
 // (enforced by test in internal/exp). The sweep runs as a psim barrier task,
-// when all shard clocks agree and every cross-shard mailbox is drained — the
+// when all shard clocks agree and every cross-shard lane is drained — the
 // only instant a global read is coherent — never as one engine's event.
 //
 // A sweep costs what changed since the last one, not what is provisioned.
@@ -138,7 +138,7 @@ func (a *Auditor) sweep(now sim.Time, recheck bool) {
 			tx, rx, dropped, tx-rx-dropped)
 	}
 
-	// Pool accounting. Barrier tasks run with every cross-shard mailbox
+	// Pool accounting. Barrier tasks run with every cross-shard lane
 	// drained, so at a sweep instant every live packet is owned by exactly
 	// one pool.
 	for shard, pl := range a.cl.Pools {

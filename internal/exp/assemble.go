@@ -61,16 +61,20 @@ type plan struct {
 	topo      topo.Config  // overrides applied; DCQCN go-back-N under a fault plan
 	window    sim.Duration // traffic-generation window
 	horizon   sim.Time     // window + drain
-	every     sim.Duration // occupancy sampling period
 	seed      int64
 }
+
+// occupancyEvery is the ToR occupancy sampling period (the paper samples
+// every 1 ms; the shorter windows here want 100 µs), and the flight
+// recorder's default one.
+const occupancyEvery = 100 * sim.Microsecond
 
 // resolve derives the plan.
 func resolve(spec HybridSpec, newEngine engineFunc) *plan {
 	p := &plan{spec: spec, newEngine: newEngine, policy: spec.Policy, factory: spec.PolicyFactory}
 	if p.factory == nil {
 		name := spec.Policy
-		p.factory = func() core.Policy { return NewPolicy(name) }
+		p.factory = func() core.Policy { return core.MustNewPolicy(name) }
 	} else if p.policy == "" {
 		p.policy = p.factory().Name()
 	}
@@ -98,10 +102,6 @@ func resolve(spec HybridSpec, newEngine engineFunc) *plan {
 		drain = spec.DrainOverride
 	}
 	p.horizon = p.window + drain
-	p.every = spec.OccupancySampleEvery
-	if p.every <= 0 {
-		p.every = 100 * sim.Microsecond
-	}
 
 	// The seed deliberately excludes the policy, the shard count and the
 	// fidelity: the paper compares buffer management schemes under the same
@@ -267,7 +267,6 @@ func (p *plan) build(ctx context.Context, shards int, seed int64, onCompleteFor 
 		f.aud = audit.New(cl, audit.Config{
 			Every:            a.Every,
 			MaxPauseAge:      a.MaxPauseAge,
-			Limit:            a.Limit,
 			AllowLeakedPause: p.spec.Faults != nil,
 		})
 		f.cond.AddTask(f.aud.Every(), f.aud.CheckOnce)
@@ -350,7 +349,7 @@ func (f *fabric) armTrace(until sim.Duration) {
 	}
 	every := ts.SampleEvery
 	if every <= 0 {
-		every = f.p.every
+		every = occupancyEvery
 	}
 	f.tracers = make([]*trace.Recorder, len(f.engines))
 	f.samplers = make([]*trace.Sampler, len(f.engines))

@@ -78,8 +78,11 @@ func registryVersion() string {
 // once (Result.Events is the same at every shard count, so specKey no longer
 // writes Shards at all): version-3 entries stored at Shards >= 2 with an
 // incast stream, a fault plan or — never stored, but for the record — a trace
-// hold the old count.
-const CheckpointVersion = 4
+// hold the old count. Version 5 hashes the spec's JSON encoding instead of a
+// hand-kept field list (specKey), so a field added later joins the key by
+// itself; the encoding differs from the list's, so every version-4 entry
+// misses.
+const CheckpointVersion = 5
 
 // checkpointIneligible names the first non-serializable field set on the
 // spec, or "" when the spec is plain data and may be stored. Specs carrying
@@ -101,32 +104,17 @@ func checkpointIneligible(spec HybridSpec) string {
 	return ""
 }
 
-// specKey canonicalizes every field that shapes a point's result. Two specs
-// with equal keys produce byte-identical Results (determinism contract), so
-// the key — not the grid that asked, nor its source code — decides what a
-// stored entry matches.
-func specKey(spec HybridSpec) string {
-	// Fidelity is present: hybrid fast-forward changes numbers within the
-	// §14 bound. Shards is absent: every shard count produces the same bytes,
-	// so an entry stored at one serves all the others.
-	s := fmt.Sprintf("name=%s policy=%s scale=%d rdma=%v tcp=%v inter=%v occ=%d win=%d drain=%d salt=%q fidelity=%q",
-		spec.Name, spec.Policy, spec.Scale, spec.RDMALoad, spec.TCPLoad,
-		spec.InterRackOnly, spec.OccupancySampleEvery, spec.WindowOverride,
-		spec.DrainOverride, spec.SeedSalt, spec.Fidelity)
-	if in := spec.Incast; in != nil {
-		s += fmt.Sprintf(" incast={%d %d %v}", in.Fanout, in.RequestBytes, in.QueryRate)
-	}
-	if f := spec.Faults; f != nil {
-		p := f.Plan
-		s += fmt.Sprintf(" faults={stream=%q flap=%v/%d/%v/%d sched=%v ber=%v pfcloss=%v blackouts=%v det=%d break=%v wd=%d}",
-			p.Stream, p.FlapRate, p.FlapDowntime, p.FlapFixed, p.FlapWindow,
-			p.Scheduled, p.BER, p.PFCLossRate, p.Blackouts,
-			f.DetectorPeriod, f.BreakDeadlocks, f.WatchdogWindow)
-	}
-	if a := spec.Audit; a != nil {
-		s += fmt.Sprintf(" audit={%d %d %d}", a.Every, a.MaxPauseAge, a.Limit)
-	}
-	return s
+// specKey is the spec's canonical form: its wire encoding (json.Marshal, the
+// bytes SweepID hashes) with Shards cleared — every shard count produces the
+// same bytes, so an entry stored at one serves all the others. Two specs with
+// equal keys produce byte-identical Results (determinism contract), so the
+// key — not the grid that asked, nor its source code — decides what a stored
+// entry matches. Every field the encoding carries is in it, one added later
+// included, so a forgotten field can cost a miss but never a misread; the
+// fields it cannot carry make a spec checkpointIneligible instead.
+func specKey(spec HybridSpec) ([]byte, error) {
+	spec.Shards = 0
+	return json.Marshal(spec)
 }
 
 // CacheKey derives the content-hash cache key for one spec: a hash over the
@@ -143,8 +131,13 @@ func cacheKeyAt(version int, spec HybridSpec) (string, error) {
 	if why := checkpointIneligible(spec); why != "" {
 		return "", fmt.Errorf("exp: cache: spec %q carries %s, which does not serialize", spec.Name, why)
 	}
+	key, err := specKey(spec)
+	if err != nil {
+		return "", fmt.Errorf("exp: cache: spec %q: %w", spec.Name, err)
+	}
 	h := fnv.New64a()
-	fmt.Fprintf(h, "cachev%d registry=%s %s", version, registryVersion(), specKey(spec))
+	fmt.Fprintf(h, "cachev%d registry=%s ", version, registryVersion())
+	_, _ = h.Write(key)
 	return fmt.Sprintf("%016x", h.Sum64()), nil
 }
 

@@ -40,11 +40,17 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, mutate := range map[string]func(*HybridSpec){
-		"SeedSalt": func(s *HybridSpec) { s.SeedSalt = "rerun" },
-		"Policy":   func(s *HybridSpec) { s.Policy = "L2BM" },
-		"Fidelity": func(s *HybridSpec) { s.Fidelity = FidelityHybrid },
-		"Scale":    func(s *HybridSpec) { s.Scale = ScaleSmall },
-		"TCPLoad":  func(s *HybridSpec) { s.TCPLoad = 0.6 },
+		"SeedSalt":       func(s *HybridSpec) { s.SeedSalt = "rerun" },
+		"Policy":         func(s *HybridSpec) { s.Policy = "L2BM" },
+		"Fidelity":       func(s *HybridSpec) { s.Fidelity = FidelityHybrid },
+		"Scale":          func(s *HybridSpec) { s.Scale = ScaleSmall },
+		"TCPLoad":        func(s *HybridSpec) { s.TCPLoad = 0.6 },
+		"Incast":         func(s *HybridSpec) { s.Incast = incastSpecFor(5) },
+		"Faults":         func(s *HybridSpec) { s.Faults = DefaultFaultScenario(ScaleTiny) },
+		"Audit":          func(s *HybridSpec) { s.Audit = &AuditSpec{} },
+		"WindowOverride": func(s *HybridSpec) { s.WindowOverride = ScaleTiny.Window() / 2 },
+		"DrainOverride":  func(s *HybridSpec) { s.DrainOverride = FaultDrain * ScaleTiny.Window() },
+		"InterRackOnly":  func(s *HybridSpec) { s.InterRackOnly = true },
 	} {
 		spec := base
 		mutate(&spec)
@@ -66,15 +72,14 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 		t.Error("version bump did not change the cache key")
 	}
 
-	// Version 4 counts a replicated tick chain once in Result.Events, so an
-	// entry stored under version 3 must miss: its key is not the one asked
-	// for now.
-	if v3, err := cacheKeyAt(3, base); err != nil || CheckpointVersion != 4 || v3 == baseKey {
-		t.Errorf("CheckpointVersion %d: version-3 key %s (%v) vs current %s, want version 4 and a miss", CheckpointVersion, v3, err, baseKey)
+	// Version 5 keys the spec's JSON encoding, so an entry stored under the
+	// version-4 field list must miss: its key is not the one asked for now.
+	if v4, err := cacheKeyAt(4, base); err != nil || CheckpointVersion != 5 || v4 == baseKey {
+		t.Errorf("CheckpointVersion %d: version-4 key %s (%v) vs current %s, want version 5 and a miss", CheckpointVersion, v4, err, baseKey)
 	}
 	// Every shard count produces the same bytes, so they all share an entry
 	// (TestResultBytesShardInvariant is why that is sound).
-	for _, shards := range []int{1, 2} {
+	for _, shards := range []int{0, 1, 2} {
 		sharded := base
 		sharded.Shards = shards
 		if key, _ := CacheKey(sharded); key != baseKey {

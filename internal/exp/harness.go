@@ -164,7 +164,7 @@ func (h *Harness) runAll(specs []HybridSpec, emit EmitFunc) ([]*Result, error) {
 		if why := checkpointIneligible(*sp); storing && why != "" {
 			return nil, fmt.Errorf("exp: point %d carries %s, which does not serialize — run without -resume or drop the field", i, why)
 		}
-		if err := sp.checkShards(); err != nil {
+		if err := sp.Validate(); err != nil {
 			return nil, fmt.Errorf("exp: point %d: %w", i, err)
 		}
 	}

@@ -41,7 +41,7 @@ import (
 //
 // Accounting: switch/pause/drop statistics accumulate across packet
 // segments; fluid segments contribute no switch events by construction.
-// Occupancy sampling stays on the global k·OccupancySampleEvery grid across
+// Occupancy sampling stays on the global k·occupancyEvery grid across
 // segment boundaries — packet segments read real resident bytes, fluid
 // segments synthesize an estimate — so Result.TorOccupancy remains
 // plottable. The invariant auditor runs per packet segment (as conductor
@@ -125,7 +125,7 @@ func runHybridFluid(ctx context.Context, p *plan) (*Result, error) {
 		model:      fluid.NewModel(p.topo),
 		sched:      sched,
 		rec:        rec,
-		nextSample: p.every,
+		nextSample: occupancyEvery,
 		torOcc:     make([][]metrics.Reading, p.topo.ToRCount),
 		res:        res,
 	}
@@ -208,7 +208,7 @@ func (h *hybridRun) sampleFluid(fs *fluid.Sim) {
 			})
 		}
 	}
-	h.nextSample += h.p.every
+	h.nextSample += occupancyEvery
 }
 
 // burstImminent reports whether the next scheduled incast burst is too
@@ -306,9 +306,9 @@ func (h *hybridRun) packetSegment(segStart sim.Time, carried []*fluid.FlowState)
 				h.torOcc[i] = append(h.torOcc[i],
 					metrics.Reading{At: h.nextSample, Value: occ})
 			}
-			h.nextSample += p.every
+			h.nextSample += occupancyEvery
 			if h.nextSample <= p.window {
-				eng.Schedule(p.every, tick)
+				eng.Schedule(occupancyEvery, tick)
 			}
 		}
 		eng.ScheduleAt(h.nextSample-segStart, tick)

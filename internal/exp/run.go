@@ -42,9 +42,6 @@ type HybridSpec struct {
 	InterRackOnly bool
 	// Incast, when non-nil, adds the §IV-B query workload.
 	Incast *IncastSpec
-	// OccupancySampleEvery is the buffer-trace period (paper: 1 ms;
-	// default 100 µs for the shorter windows here).
-	OccupancySampleEvery sim.Duration
 	// WindowOverride, if positive, replaces the scale's window.
 	WindowOverride sim.Duration
 	// DrainOverride, if positive, replaces the scale's post-window drain
@@ -114,8 +111,6 @@ type AuditSpec struct {
 	// mid-run. Leave zero for fault scenarios: injected PFC loss or carrier
 	// cuts legitimately delay or destroy resumes.
 	MaxPauseAge sim.Duration
-	// Limit caps retained violation strings (0 = auditor default).
-	Limit int
 }
 
 // RunHooks are test-only interception points; production specs leave this
@@ -316,34 +311,26 @@ func RunHybridCtx(ctx context.Context, spec HybridSpec) (*Result, error) {
 	return runHybrid(ctx, spec, wheelEngine)
 }
 
-// runHybrid dispatches on fidelity; every path runs on engines newEngine
-// builds.
+// runHybrid validates the spec and dispatches on fidelity; every path runs on
+// engines newEngine builds.
 func runHybrid(ctx context.Context, spec HybridSpec, newEngine engineFunc) (*Result, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, fmt.Errorf("exp: spec %q: %w", spec.Name, err)
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var fidelityFallback string
-	switch spec.Fidelity {
-	case "", FidelityPacket:
-	case FidelityHybrid:
-		if spec.Shards > 1 {
-			return nil, fmt.Errorf("exp: hybrid fidelity runs on at most one engine (got Shards=%d)", spec.Shards)
-		}
-		if spec.Faults == nil {
-			return runHybridFluid(ctx, resolve(spec, newEngine))
-		}
+	hybrid := spec.Fidelity == FidelityHybrid
+	if hybrid && spec.Faults == nil {
+		return runHybridFluid(ctx, resolve(spec, newEngine))
+	}
+	res, err := runPacket(ctx, resolve(spec, newEngine))
+	if res != nil && hybrid {
 		// A fault plan is a standing fidelity trigger: the controller would
 		// never leave packet mode, so the run is a plain packet run —
 		// recorded on the result so the fallback is never silent (CLI
 		// trailers and service events surface it).
-		fidelityFallback = "fault plan active: hybrid fidelity fell back to packet (faults are a standing fidelity trigger)"
-	default:
-		return nil, fmt.Errorf("exp: unknown fidelity %q (want %q or %q)",
-			spec.Fidelity, FidelityPacket, FidelityHybrid)
-	}
-	res, err := runPacket(ctx, resolve(spec, newEngine))
-	if res != nil {
-		res.FidelityFallback = fidelityFallback
+		res.FidelityFallback = "fault plan active: hybrid fidelity fell back to packet (faults are a standing fidelity trigger)"
 	}
 	return res, err
 }
@@ -468,7 +455,7 @@ func runPacket(ctx context.Context, p *plan) (*Result, error) {
 	// so no barrier needed).
 	samplers := make([]*metrics.Sampler, len(cl.ToRs))
 	for i, tor := range cl.ToRs {
-		samplers[i] = metrics.NewSampler(f.engines[f.part.ToR[i]], p.every, tor.Occupancy)
+		samplers[i] = metrics.NewSampler(f.engines[f.part.ToR[i]], occupancyEvery, tor.Occupancy)
 		samplers[i].Start(p.window) // trace the loaded phase, like the paper
 	}
 	f.armTrace(p.window)

@@ -1,9 +1,14 @@
 package exp
 
 import (
+	"math"
+	"strings"
 	"testing"
 
+	"l2bm/internal/core"
+	"l2bm/internal/faults"
 	"l2bm/internal/sim"
+	"l2bm/internal/topo"
 )
 
 func tinySpec(policy string) HybridSpec {
@@ -96,19 +101,44 @@ func TestScaleParsing(t *testing.T) {
 	}
 }
 
-func TestNewPolicyNames(t *testing.T) {
-	for _, name := range PolicyNames {
-		p := NewPolicy(name)
-		if p.Name() != name {
-			t.Errorf("NewPolicy(%q).Name() = %q", name, p.Name())
-		}
+// TestRunHybridRefusesInvalidSpec: a library call passes the same envelope
+// as a daemon submission. Each spec here fails Validate, and RunHybrid must
+// return that error before it builds a fabric — a load of 1.5 used to run
+// to completion, and a zero Scale to run the paper's 128-server fabric.
+func TestRunHybridRefusesInvalidSpec(t *testing.T) {
+	for name, edit := range map[string]func(*HybridSpec){
+		"TCPLoad 1.5":         func(s *HybridSpec) { s.TCPLoad = 1.5 },
+		"unknown policy":      func(s *HybridSpec) { s.Policy = "nope" },
+		"hybrid, 2 shards":    func(s *HybridSpec) { s.Fidelity, s.Shards = FidelityHybrid, 2 },
+		"Scale 0":             func(s *HybridSpec) { s.Scale = 0 },
+		"NaN FlapRate":        func(s *HybridSpec) { s.Faults = &FaultSpec{Plan: faults.Plan{FlapRate: math.NaN()}} },
+		"incast below fanout": func(s *HybridSpec) { s.Incast = &IncastSpec{Fanout: 5, RequestBytes: 3, QueryRate: 100} },
+	} {
+		t.Run(name, func(t *testing.T) {
+			spec := tinySpec("DT")
+			edit(&spec)
+			want := spec.Validate()
+			if want == nil {
+				t.Fatal("Validate accepted the spec")
+			}
+			built := false
+			spec.Hooks = &RunHooks{PostBuild: func(*topo.Cluster) { built = true }}
+			res, err := RunHybrid(spec)
+			if err == nil || !strings.Contains(err.Error(), want.Error()) || res != nil {
+				t.Errorf("RunHybrid = %v, %v; want Validate's error %q", res, err, want)
+			}
+			if built {
+				t.Error("a fabric was built for an invalid spec")
+			}
+		})
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("unknown policy should panic")
-		}
-	}()
-	NewPolicy("nope")
+
+	// A PolicyFactory stands in for a registered name.
+	spec := tinySpec("")
+	spec.PolicyFactory = func() core.Policy { return core.NewDT() }
+	if err := spec.Validate(); err != nil {
+		t.Errorf("spec with a PolicyFactory and no Policy: %v", err)
+	}
 }
 
 func TestSeedForStableAndDistinct(t *testing.T) {

@@ -97,13 +97,6 @@ var PolicyNames = []string{"L2BM", "DT", "DT2", "ABM"}
 // Occamy, FB). The arena races exactly this list.
 var ExtendedPolicyNames = core.RegisteredPolicies()
 
-// NewPolicy returns a fresh policy instance by name, resolved through the
-// core registry. It panics on unknown names (experiment configuration is
-// static; CLIs validate against the registry before any run starts).
-func NewPolicy(name string) core.Policy {
-	return core.MustNewPolicy(name)
-}
-
 // seedFor derives a stable per-scenario seed so every (experiment, policy,
 // parameter) point is reproducible yet decorrelated.
 func seedFor(parts ...string) int64 {

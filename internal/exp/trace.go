@@ -17,7 +17,7 @@ import (
 // TraceSpec arms the flight recorder for a run.
 type TraceSpec struct {
 	// SampleEvery is the occupancy / L2BM-weight sampling period. Zero
-	// falls back to the run's occupancy sampling period (default 100 µs).
+	// falls back to the run's occupancy sampling period, 100 µs.
 	SampleEvery sim.Duration
 	// Capacity is the per-channel ring capacity (0 = trace.DefaultCapacity)
 	// of each shard's recorder. Size it to hold the run: rings that overflow

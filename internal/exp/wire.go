@@ -92,20 +92,24 @@ func (r *SweepRequest) Validate() error {
 	return nil
 }
 
-// Validate is the envelope every input surface enforces upfront — the
-// daemon, l2bmexp -spec and l2bmsim all call it: a name (it seeds the run), a
-// registered policy, known scale/fidelity values, loads in [0, 1], positive
-// incast parameters, a valid fault plan, the hybrid/shards exclusion and a
-// shard count the fabric can hold.
+// Validate is the envelope every run passes: RunHybrid checks it before
+// building anything, and the daemon, l2bmexp -spec and the harness check it
+// upfront so a bad point fails before any other runs. It asks for a name (it
+// seeds the run), a registered policy unless a PolicyFactory stands in for
+// one, known scale/fidelity values, loads in [0, 1], incast parameters every
+// responder can send at least a byte of, a valid fault plan, the
+// hybrid/shards exclusion and a shard count the fabric can hold.
 func (sp HybridSpec) Validate() error {
 	if sp.Name == "" {
 		return fmt.Errorf("Name is required (it seeds the run)")
 	}
-	if sp.Policy == "" {
-		return fmt.Errorf("Policy is required")
-	}
-	if !core.IsRegistered(sp.Policy) {
-		return fmt.Errorf("unknown policy %q (have %s)", sp.Policy, strings.Join(core.RegisteredPolicies(), " "))
+	if sp.PolicyFactory == nil {
+		if sp.Policy == "" {
+			return fmt.Errorf("Policy is required")
+		}
+		if !core.IsRegistered(sp.Policy) {
+			return fmt.Errorf("unknown policy %q (have %s)", sp.Policy, strings.Join(core.RegisteredPolicies(), " "))
+		}
 	}
 	switch sp.Scale {
 	case ScaleTiny, ScaleSmall, ScaleFull:
@@ -123,8 +127,17 @@ func (sp HybridSpec) Validate() error {
 	if sp.Shards < 0 {
 		return fmt.Errorf("Shards must be >= 0, got %d", sp.Shards)
 	}
-	if err := sp.checkShards(); err != nil {
-		return err
+	if sp.Shards > 1 {
+		// Every shard owns at least one rack (topo.ComputePartition), so the
+		// resolved topology's ToR count is the cap; one engine fits any
+		// fabric, and a self-sized run (0) fits itself.
+		cfg := sp.Scale.Topo()
+		if sp.TopoOverride != nil {
+			sp.TopoOverride(&cfg)
+		}
+		if sp.Shards > cfg.ToRCount {
+			return fmt.Errorf("Shards = %d, but the fabric has %d ToRs (every shard owns at least one)", sp.Shards, cfg.ToRCount)
+		}
 	}
 	for _, load := range []struct {
 		name string
@@ -134,29 +147,16 @@ func (sp HybridSpec) Validate() error {
 			return fmt.Errorf("%s = %v, want in [0, 1]", load.name, load.v)
 		}
 	}
-	if sp.Incast != nil && (sp.Incast.Fanout <= 0 || sp.Incast.RequestBytes <= 0 || sp.Incast.QueryRate <= 0) {
-		return fmt.Errorf("Incast needs positive Fanout, RequestBytes and QueryRate")
+	if in := sp.Incast; in != nil {
+		if in.Fanout <= 0 || in.RequestBytes <= 0 || in.QueryRate <= 0 {
+			return fmt.Errorf("Incast needs positive Fanout, RequestBytes and QueryRate")
+		}
+		if in.RequestBytes < int64(in.Fanout) {
+			return fmt.Errorf("Incast.RequestBytes = %d is fewer than Fanout = %d (every responder sends at least one byte)", in.RequestBytes, in.Fanout)
+		}
 	}
 	if sp.Faults != nil {
 		return sp.Faults.Plan.Validate()
-	}
-	return nil
-}
-
-// checkShards refuses a shard count the spec's fabric cannot hold: every
-// shard owns at least one rack (topo.ComputePartition), so the resolved
-// topology's ToR count is the cap. Checked when a sweep is submitted, not
-// when the point is reached.
-func (sp HybridSpec) checkShards() error {
-	if sp.Shards <= 1 {
-		return nil // one engine fits any fabric, and a self-sized run (0) fits itself
-	}
-	cfg := sp.Scale.Topo()
-	if sp.TopoOverride != nil {
-		sp.TopoOverride(&cfg)
-	}
-	if sp.Shards > cfg.ToRCount {
-		return fmt.Errorf("Shards = %d, but the fabric has %d ToRs (every shard owns at least one)", sp.Shards, cfg.ToRCount)
 	}
 	return nil
 }

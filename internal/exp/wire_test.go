@@ -43,6 +43,11 @@ func TestScaleJSON(t *testing.T) {
 	}
 }
 
+// incastBelowFanout is a submission the daemon used to accept (202) and then
+// fail inside the workload generator: a request too small to give every
+// responder a byte.
+const incastBelowFanout = `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","TCPLoad":0.4,"Incast":{"Fanout":5,"RequestBytes":3,"QueryRate":100}}]}`
+
 func TestParseSweepRequest(t *testing.T) {
 	valid := `{"name":"ok","specs":[{"Name":"p0","Policy":"DT","Scale":"tiny","TCPLoad":0.4}]}`
 	req, err := ParseSweepRequest([]byte(valid))
@@ -82,6 +87,7 @@ func TestParseSweepRequest(t *testing.T) {
 		"load too high":   `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","TCPLoad":1.5}]}`,
 		"load negative":   `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","RDMALoad":-0.1}]}`,
 		"bad incast":      `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Incast":{"Fanout":0,"RequestBytes":1,"QueryRate":1}}]}`,
+		"incast < fanout": incastBelowFanout, // 3 bytes cannot give 5 responders a byte each
 	} {
 		if _, err := ParseSweepRequest([]byte(body)); err == nil {
 			t.Errorf("%s: want error, got success", name)
@@ -178,6 +184,7 @@ func FuzzParseSweepRequest(f *testing.F) {
 		`{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Shards":1000}]}`,
 		`{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Fidelity":"hybrid","Shards":2}]}`,
 		`{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Faults":{"Plan":{"FlapRate":-1}}}]}`,
+		incastBelowFanout,
 	} {
 		f.Add([]byte(seed))
 	}

@@ -42,22 +42,17 @@ type Blackout struct {
 	Duration sim.Duration
 }
 
-// Plan declares the faults to inject. The zero value injects nothing.
+// Plan declares the faults to inject. The zero value injects nothing. The
+// injector draws only from its own "faults/..." RNG streams, and only when
+// a fault rate is nonzero, so arming a plan never perturbs the workload's
+// streams: common random numbers hold across clean and faulted scenarios.
 type Plan struct {
-	// Stream namespaces the RNG streams ("faults" when empty). Different
-	// stream names must not perturb the workload streams — the injector
-	// draws only from "<Stream>/..." streams and only when a fault rate is
-	// nonzero, preserving common random numbers across scenarios.
-	Stream string
-
 	// FlapRate is the mean link-down events per second per eligible link
 	// (Poisson process); zero disables flapping.
 	FlapRate float64
-	// FlapDowntime is the mean outage duration per flap; exponentially
-	// distributed unless FlapFixed pins it exactly.
+	// FlapDowntime is the mean of the exponentially distributed outage
+	// duration per flap.
 	FlapDowntime sim.Duration
-	// FlapFixed selects a fixed (rather than exponential) downtime.
-	FlapFixed bool
 	// FlapWindow stops scheduling new flaps this long after Install, so
 	// in-flight traffic can drain and complete; zero flaps forever.
 	FlapWindow sim.Duration
@@ -107,14 +102,6 @@ func (p *Plan) Validate() error {
 func (p *Plan) Active() bool {
 	return p.FlapRate > 0 || p.BER > 0 || p.PFCLossRate > 0 ||
 		len(p.Scheduled) > 0 || len(p.Blackouts) > 0
-}
-
-// stream returns the RNG namespace.
-func (p *Plan) stream() string {
-	if p.Stream == "" {
-		return "faults"
-	}
-	return p.Stream
 }
 
 // Stats counts injected faults.
@@ -224,10 +211,10 @@ func (in *Injector) Install() {
 			// wall-arrival order, which differs between the sequential and
 			// sharded engines when the link crosses a shard boundary.)
 			if in.owns(l.A) {
-				l.A.RxFault = in.frameHook(in.eng.Rand(in.plan.stream() + "/frame/" + l.Name + "/a"))
+				l.A.RxFault = in.frameHook(in.eng.Rand("faults/frame/" + l.Name + "/a"))
 			}
 			if in.owns(l.B) {
-				l.B.RxFault = in.frameHook(in.eng.Rand(in.plan.stream() + "/frame/" + l.Name + "/b"))
+				l.B.RxFault = in.frameHook(in.eng.Rand("faults/frame/" + l.Name + "/b"))
 			}
 		}
 	}
@@ -238,7 +225,7 @@ func (in *Injector) Install() {
 				continue
 			}
 			l := l
-			r := in.eng.Rand(in.plan.stream() + "/flap/" + l.Name)
+			r := in.eng.Rand("faults/flap/" + l.Name)
 			in.scheduleFlap(l, r)
 		}
 	}
@@ -297,13 +284,7 @@ func (in *Injector) fireFlap(l Link, r *sim.Rand) {
 	if in.plan.FlapWindow > 0 && in.eng.Now() >= in.installAt+in.plan.FlapWindow {
 		return // window closed: no new outages, traffic drains
 	}
-	down := in.plan.FlapDowntime
-	if !in.plan.FlapFixed {
-		down = r.ExpDuration(in.plan.FlapDowntime)
-		if down <= 0 {
-			down = 1 // at least one tick of outage
-		}
-	}
+	down := r.ExpDuration(in.plan.FlapDowntime) // at least one tick of outage
 	in.setLink(l, false)
 	in.eng.Schedule(down, func() { in.stats.Firings++; in.setLink(l, true) })
 	meanGap := sim.Duration(float64(sim.Second) / in.plan.FlapRate)

@@ -140,11 +140,10 @@ func TestZeroRatePlanInstallsNoHooks(t *testing.T) {
 
 // flapTimes runs a Poisson flap plan and returns the carrier transition
 // sequence (as observed by SetLive).
-func flapTimes(seed int64, stream string) []bool {
+func flapTimes(seed int64) []bool {
 	eng := sim.NewEngine(seed)
 	l, states := testLink(eng, "l1")
 	plan := Plan{
-		Stream:   stream,
 		FlapRate: 2000, FlapDowntime: 20 * sim.Microsecond,
 		FlapWindow: 5 * sim.Millisecond,
 	}
@@ -158,7 +157,7 @@ func flapTimes(seed int64, stream string) []bool {
 }
 
 func TestFlapProcessDeterministicPerSeedAndStream(t *testing.T) {
-	a, b := flapTimes(7, ""), flapTimes(7, "")
+	a, b := flapTimes(7), flapTimes(7)
 	if len(a) == 0 {
 		t.Fatal("flap process produced no transitions")
 	}

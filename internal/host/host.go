@@ -172,7 +172,7 @@ func (h *Host) StartFlowWarm(f *transport.Flow, cwndBytes float64) {
 func (h *Host) HandleArrival(p *pkt.Packet, port *netdev.Port) {
 	// Engine-affinity audit (debug pools only): hosts live on their ToR's
 	// shard, so a delivery from a port bound to another shard's engine
-	// means the topology wiring bypassed the cross-shard mailbox path.
+	// means the topology wiring bypassed the cross-shard lane path.
 	if h.pool.Debug() && port != nil && port.Engine() != h.eng {
 		panic(fmt.Sprintf("host: %s received a frame on a foreign engine", h.name))
 	}

@@ -299,7 +299,6 @@ type Sampler struct {
 	eng      *sim.Engine
 	interval sim.Duration
 	gauge    func() int64
-	stopped  bool
 
 	// Samples accumulates readings in time order.
 	Samples []Reading
@@ -319,27 +318,15 @@ func NewSampler(eng *sim.Engine, interval sim.Duration, gauge func() int64) *Sam
 	return &Sampler{eng: eng, interval: interval, gauge: gauge}
 }
 
-// Start begins sampling until the horizon (exclusive) or Stop.
+// Start begins sampling until the horizon (inclusive).
 func (s *Sampler) Start(until sim.Time) {
 	var tick func()
 	tick = func() {
-		if s.stopped || s.eng.Now() > until {
+		if s.eng.Now() > until {
 			return
 		}
 		s.Samples = append(s.Samples, Reading{At: s.eng.Now(), Value: s.gauge()})
 		s.eng.Schedule(s.interval, tick)
 	}
 	s.eng.Schedule(s.interval, tick)
-}
-
-// Stop halts sampling.
-func (s *Sampler) Stop() { s.stopped = true }
-
-// Values extracts the samples as float64s.
-func (s *Sampler) Values() []float64 {
-	out := make([]float64, len(s.Samples))
-	for i, r := range s.Samples {
-		out[i] = float64(r.Value)
-	}
-	return out
 }

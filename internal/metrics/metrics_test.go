@@ -279,19 +279,8 @@ func TestSamplerPolls(t *testing.T) {
 	if s.Samples[3].Value != 0 || s.Samples[5].Value != 42 {
 		t.Error("sampler did not observe the gauge transition")
 	}
-	if got := s.Values(); len(got) != 10 || got[9] != 42 {
-		t.Error("Values() extraction wrong")
-	}
-}
-
-func TestSamplerStop(t *testing.T) {
-	eng := sim.NewEngine(1)
-	s := NewSampler(eng, sim.Millisecond, func() int64 { return 1 })
-	s.Start(100 * sim.Millisecond)
-	eng.Schedule(3500*sim.Microsecond, s.Stop)
-	eng.RunAll()
-	if len(s.Samples) != 3 {
-		t.Errorf("samples = %d after early stop, want 3", len(s.Samples))
+	if last := s.Samples[9]; last.At != 10*sim.Millisecond || last.Value != 42 {
+		t.Errorf("last sample %+v, want 42 at the 10ms horizon", last)
 	}
 }
 

@@ -1,4 +1,4 @@
-// Cross-shard mailboxes: when a link's two ports live on different engines
+// Cross-shard lanes: when a link's two ports live on different engines
 // (shards), frames cannot be scheduled on the peer's event queue directly —
 // the peer's shard may be executing concurrently. Instead the transmitting
 // port appends each frame, with its precomputed arrival time and ordering
@@ -26,40 +26,13 @@ type Xmsg struct {
 	dst *Port
 }
 
-// Outbox is the transmitting end of one direction of a cross-shard link: it
-// names the receiving port and the lane the frames travel in. The conductor
-// binds the lane (Bind) before any traffic flows.
-type Outbox struct {
-	src  *Port // transmitting port (owns the mailbox)
-	dst  *Port // receiving port, on the other shard's engine
-	lane *Lane
-}
-
-// Src returns the transmitting port.
-func (o *Outbox) Src() *Port { return o.src }
-
-// Dst returns the receiving port.
-func (o *Outbox) Dst() *Port { return o.dst }
-
-// Bind routes the mailbox's frames through l, the lane from the
-// transmitting port's shard to the receiving port's.
-func (o *Outbox) Bind(l *Lane) { o.lane = l }
-
-// add enqueues one frame; called by src.finishTransmit on the
-// transmitting shard's goroutine.
-func (o *Outbox) add(at sim.Time, key uint64, q *pkt.Packet) {
-	s := &o.lane.side[o.lane.cur]
-	if len(s.msgs) == 0 || at < s.first {
-		s.first = at
-	}
-	s.msgs = append(s.msgs, Xmsg{At: at, Key: key, Pkt: q, dst: o.dst})
-}
-
 // Lane carries every frame one shard sends another: one list per ordered
 // shard pair, so a barrier costs what crossed it, not one visit per cable.
-// It is double-buffered by epoch parity, because the receiving shard
-// delivers the last epoch's frames at the start of its epoch while the
-// sending shard is already appending this epoch's:
+// The wiring layer creates one per crossed ordered pair and hands it to
+// ConnectClass for every cable between the two shards. It is double-buffered
+// by epoch parity, because the receiving shard delivers the last epoch's
+// frames at the start of its epoch while the sending shard is already
+// appending this epoch's:
 //
 //   - during an epoch the sending shard alone appends to side[cur];
 //   - at the barrier, with every shard parked, the conductor Seals the lane
@@ -81,6 +54,16 @@ type laneSide struct {
 	msgs  []Xmsg
 	first sim.Time // earliest At in msgs (valid when msgs is non-empty)
 	_     [32]byte
+}
+
+// add enqueues one frame bound for dst; called by the transmitting port's
+// finishTransmit on the sending shard's goroutine.
+func (l *Lane) add(at sim.Time, key uint64, q *pkt.Packet, dst *Port) {
+	s := &l.side[l.cur]
+	if len(s.msgs) == 0 || at < s.first {
+		s.first = at
+	}
+	s.msgs = append(s.msgs, Xmsg{At: at, Key: key, Pkt: q, dst: dst})
 }
 
 // Seal closes the epoch's writing side and reports the earliest arrival

@@ -135,11 +135,11 @@ type Port struct {
 	key   uint64
 	txSeq uint64
 
-	// outbox, when set, diverts this port's transmissions into a
-	// cross-shard mailbox instead of scheduling the arrival on the peer's
-	// engine directly (the peer lives on a different shard). The peer's
-	// shard delivers it after the next barrier.
-	outbox *Outbox
+	// lane, when set, diverts this port's transmissions into the lane from
+	// its shard to the peer's instead of scheduling the arrival on the
+	// peer's engine directly (the peer lives on a different shard). The
+	// peer's shard delivers it after the next barrier.
+	lane *Lane
 
 	// onTxDone and onArrive are the port's two hot-path event bodies,
 	// bound ONCE here so the per-packet schedule calls allocate nothing:
@@ -221,28 +221,23 @@ func (c *LinkClass) txTime(size int) sim.Duration {
 // rate (bits/s) and one-way propagation delay, returning the port on each
 // side. Both directions share rate and delay, like a real cable.
 func Connect(eng *sim.Engine, a, b Node, rateBps int64, prop sim.Duration) (*Port, *Port) {
-	return ConnectOn(eng, eng, a, b, rateBps, prop)
+	return ConnectClass(eng, eng, a, b, &LinkClass{Rate: rateBps, Prop: prop}, nil, nil)
 }
 
-// ConnectOn wires a full-duplex link whose two sides live on different
-// engines (shards): a's port schedules its local events (serialization,
-// receive processing) on engA, b's on engB. The link gets a private
-// LinkClass; bulk wiring should share one per tier via ConnectClass.
-func ConnectOn(engA, engB *sim.Engine, a, b Node, rateBps int64, prop sim.Duration) (*Port, *Port) {
-	return ConnectClass(engA, engB, a, b, &LinkClass{Rate: rateBps, Prop: prop})
-}
-
-// ConnectClass is ConnectOn with an explicit shared link descriptor: every
-// cable of a tier points at the same immutable LinkClass. When the engines
-// differ, each direction gets a cross-shard Outbox — transmissions enqueue
-// there and the peer's shard delivers them on its own engine after the next
-// barrier, which is sound because the link's propagation delay is at least
-// the conductor's lookahead. Cross-engine ports MUST also be given
-// arrival keys (SetArrivalKey) before traffic flows; same-engine wiring
-// degrades to exactly Connect. Wiring also completes the descriptor: its two
-// serialization times are (re)computed from Rate here, before any frame can
-// ask for them.
-func ConnectClass(engA, engB *sim.Engine, a, b Node, class *LinkClass) (*Port, *Port) {
+// ConnectClass wires a full-duplex link whose two sides may live on
+// different engines (shards) — a's port schedules its local events
+// (serialization, receive processing) on engA, b's on engB — over an
+// explicit shared link descriptor: every cable of a tier points at the same
+// immutable LinkClass. When the engines differ, a's transmissions travel in
+// ab, the lane from a's shard to b's, and b's in ba; the peer's shard
+// delivers them on its own engine after the next barrier, which is sound
+// because the link's propagation delay is at least the conductor's
+// lookahead. Cross-engine ports MUST also be given arrival keys
+// (SetArrivalKey) before traffic flows; same-engine wiring ignores the lanes
+// and degrades to exactly Connect. Wiring also completes the descriptor: its
+// two serialization times are (re)computed from Rate here, before any frame
+// can ask for them.
+func ConnectClass(engA, engB *sim.Engine, a, b Node, class *LinkClass, ab, ba *Lane) (*Port, *Port) {
 	if class == nil || class.Rate <= 0 {
 		panic("netdev: link rate must be positive")
 	}
@@ -257,8 +252,10 @@ func ConnectClass(engA, engB *sim.Engine, a, b Node, class *LinkClass) (*Port, *
 		if class.Prop <= 0 {
 			panic("netdev: cross-engine links need positive propagation delay (the conservative lookahead)")
 		}
-		pa.outbox = &Outbox{src: pa, dst: pb}
-		pb.outbox = &Outbox{src: pb, dst: pa}
+		if ab == nil || ba == nil {
+			panic("netdev: cross-engine links need a lane per direction")
+		}
+		pa.lane, pb.lane = ab, ba
 	}
 	return pa, pb
 }
@@ -280,11 +277,6 @@ func (p *Port) ArrivalKey() uint64 { return p.key }
 
 // Engine returns the engine this port's local events run on.
 func (p *Port) Engine() *sim.Engine { return p.eng }
-
-// Outbox returns the port's cross-shard mailbox, or nil for a same-engine
-// port. The conductor collects these at wiring time and binds each to the
-// lane between its two shards.
-func (p *Port) Outbox() *Outbox { return p.outbox }
 
 // bindHandlers builds the port's two pre-bound event bodies exactly once.
 // Each wrapper closes over the port only — the per-packet state arrives via
@@ -551,7 +543,7 @@ func (p *Port) nextPacket() *pkt.Packet {
 // buffer (OnDequeue), hand the packet to the peer after propagation, and
 // keep the line busy with the next packet. Keyed ports deliver with the
 // wiring-derived ordering key (mode-invariant tie-break); cross-shard
-// ports additionally route through the outbox with an ownership transfer
+// ports additionally route through their lane with an ownership transfer
 // out of the local pool.
 func (p *Port) finishTransmit(q *pkt.Packet) {
 	p.stats.TxPackets++
@@ -560,13 +552,13 @@ func (p *Port) finishTransmit(q *pkt.Packet) {
 		p.OnDequeue(q)
 	}
 	switch {
-	case p.outbox != nil:
+	case p.lane != nil:
 		if p.key == 0 {
 			panic(fmt.Sprintf("netdev: cross-engine port %s transmitting without an arrival key", p))
 		}
 		p.txSeq++
-		p.pool.Export(q) // ownership moves to the mailbox, then the peer's pool
-		p.outbox.add(p.eng.Now()+p.class.Prop, sim.ArrivalKeyBit|p.key<<43|p.txSeq, q)
+		p.pool.Export(q) // ownership moves to the lane, then the peer's pool
+		p.lane.add(p.eng.Now()+p.class.Prop, sim.ArrivalKeyBit|p.key<<43|p.txSeq, q, p.peer)
 	case p.key != 0:
 		p.txSeq++
 		p.eng.ScheduleArrivalAt(p.eng.Now()+p.class.Prop, p.peer.onArrive, q,

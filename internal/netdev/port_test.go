@@ -80,7 +80,7 @@ func TestLinkClassTxTime(t *testing.T) {
 	for _, rate := range []int64{1e9, 10e9, 12_500_000_000, 25e9, 40e9, 100e9, 400e9, 1_000_000_007, 7} {
 		class := &LinkClass{Rate: rate}
 		for cables := 0; cables < 3; cables++ {
-			ConnectClass(eng, eng, node, node, class)
+			ConnectClass(eng, eng, node, node, class, nil, nil)
 		}
 		for size := 0; size <= 2*pkt.MTUBytes; size++ {
 			if got, want := class.txTime(size), sim.TxTime(size, rate); got != want {
@@ -353,6 +353,33 @@ func TestConnectValidation(t *testing.T) {
 		}
 	}()
 	Connect(eng, a, b, 0, 0)
+}
+
+// TestConnectClassCrossEngineNeedsLanes: a cable between two engines has no
+// way to reach its peer but the lanes it is wired with, so wiring one
+// without a lane for each direction panics there, not at the first frame.
+func TestConnectClassCrossEngineNeedsLanes(t *testing.T) {
+	engA, engB := sim.NewEngine(1), sim.NewEngine(1)
+	a := &captureNode{name: "a", eng: engA}
+	b := &captureNode{name: "b", eng: engB}
+	for name, lanes := range map[string][2]*Lane{
+		"no lanes": {nil, nil},
+		"a→b only": {new(Lane), nil},
+		"b→a only": {nil, new(Lane)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Error("cross-engine ConnectClass without both lanes did not panic")
+				}
+			}()
+			ConnectClass(engA, engB, a, b, &LinkClass{Rate: 100e9, Prop: sim.Microsecond}, lanes[0], lanes[1])
+		})
+	}
+	pa, pb := ConnectClass(engA, engB, a, b, &LinkClass{Rate: 100e9, Prop: sim.Microsecond}, new(Lane), new(Lane))
+	if pa.Engine() != engA || pb.Engine() != engB {
+		t.Error("ports not on their engines")
+	}
 }
 
 func TestPortStringAndAccessors(t *testing.T) {

@@ -42,7 +42,7 @@ type PoolStats struct {
 	Foreign uint64
 	// Exported and Imported count ownership transfers across pools: a
 	// packet crossing a shard boundary is Exported from the source port's
-	// pool when it enters the cross-shard mailbox and Imported into the
+	// pool when it enters the cross-shard lane and Imported into the
 	// destination port's pool when the epoch conductor drains it. The
 	// packet eventually Puts into the *importing* pool, so per-pool Live
 	// stays exact and a fleet-wide leak audit is the sum over shards.
@@ -85,7 +85,7 @@ func (pl *Pool) Live() int64 {
 // Export relinquishes ownership of an outstanding packet: the packet is no
 // longer counted against this pool and MUST subsequently be Imported into
 // exactly one other pool (the shard-boundary handoff — the source port's
-// pool exports into the mailbox, the destination's imports at the epoch
+// pool exports into the lane, the destination's imports at the epoch
 // barrier). Exporting from a nil pool is a no-op: the packet was heap-
 // allocated and the importing side adopts it as foreign when it dies.
 func (pl *Pool) Export(p *Packet) {

@@ -53,7 +53,7 @@ func TestEpochBoundTable(t *testing.T) {
 		// (single-shard mode: no cross-shard deliveries to protect).
 		{"zero-lookahead-skips-clamp", 1000, 0, 100, false, true, 0, 1000},
 		{"negative-lookahead-skips-clamp", 1000, 0, 100, false, true, -5, 1000},
-		// haveEvent == false skips the clamp (idle fabric: empty mailboxes).
+		// haveEvent == false skips the clamp (idle fabric: empty lanes).
 		{"no-event-skips-clamp", 1000, 0, 100, false, false, 50, 1000},
 	}
 	for _, tc := range cases {

@@ -182,10 +182,11 @@ type shardCount struct {
 	_ [56]byte
 }
 
-// New builds a conductor over the given engines and cross-shard mailboxes.
-// lookahead must be positive when more than one engine is supplied; with a
-// single engine it is ignored (epochs span to the next task or the horizon).
-func New(engines []*sim.Engine, boxes []*netdev.Outbox, lookahead sim.Duration) *Conductor {
+// New builds a conductor over the given engines; inbound[s] lists the lanes
+// shard s receives cross-shard frames on (nil with one engine). lookahead
+// must be positive when more than one engine is supplied; with a single
+// engine it is ignored (epochs span to the next task or the horizon).
+func New(engines []*sim.Engine, inbound [][]*netdev.Lane, lookahead sim.Duration) *Conductor {
 	if len(engines) == 0 {
 		panic("psim: no engines")
 	}
@@ -198,33 +199,21 @@ func New(engines []*sim.Engine, boxes []*netdev.Outbox, lookahead sim.Duration) 
 		inbound: make([][]*netdev.Lane, n), delivered: make([]shardCount, n), seen: make([]uint64, n),
 		procs: runtime.GOMAXPROCS(0), spin: spinBound, backoff: reprobeMin,
 	}
-	shardOf := make(map[*sim.Engine]int, n)
-	for s, e := range engines {
-		shardOf[e] = s
-	}
-	lanes := make(map[[2]int]*netdev.Lane)
-	for _, b := range boxes {
-		pair := [2]int{shardOf[b.Src().Engine()], shardOf[b.Dst().Engine()]}
-		l := lanes[pair]
-		if l == nil {
-			l = new(netdev.Lane)
-			lanes[pair] = l
-			c.lanes = append(c.lanes, l)
-			c.inbound[pair[1]] = append(c.inbound[pair[1]], l)
-		}
-		b.Bind(l)
+	copy(c.inbound, inbound)
+	for _, in := range inbound {
+		c.lanes = append(c.lanes, in...)
 	}
 	return c
 }
 
 // ForCluster builds a conductor for a sharded topo build, wiring in its
-// engines, mailboxes and computed lookahead.
+// engines, lanes and computed lookahead.
 func ForCluster(cl *topo.Cluster) *Conductor {
 	la := cl.Lookahead
 	if len(cl.Engines) == 1 {
 		la = 0
 	}
-	return New(cl.Engines, cl.Outboxes(), la)
+	return New(cl.Engines, cl.Inbound(), la)
 }
 
 // AddTask registers a global barrier task firing at every multiple of every
@@ -377,12 +366,11 @@ func (c *Conductor) Close() {
 	c.workers = nil
 }
 
-// EpochBound is the conservative epoch-bound arithmetic, factored out so it
-// can be unit-tested and reused by drivers that step engines in
-// barrier-sized slices (the hybrid-fidelity packet segments): the horizon,
-// lowered to the earliest due barrier task (the task must observe a state
-// with no events in flight at its instant), and — when a lookahead applies
-// and an event is pending at minEvent — lowered to minEvent + lookahead − 1.
+// EpochBound is the conservative epoch-bound arithmetic, factored out of Run
+// so it can be unit-tested: the horizon, lowered to the earliest due barrier
+// task (the task must observe a state with no events in flight at its
+// instant), and — when a lookahead applies and an event is pending at
+// minEvent — lowered to minEvent + lookahead − 1.
 // With T the global minimum next-event time, every cross-shard frame sent
 // during such an epoch arrives at ≥ T+L > T+L−1, so bounding at T+L−1 keeps
 // all deliveries in every shard's future (engines execute events at exactly

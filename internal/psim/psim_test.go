@@ -252,7 +252,7 @@ func TestConductorBarrierTasks(t *testing.T) {
 }
 
 // TestConductorStats: a 2-shard run with cross-pod traffic must both
-// execute multiple epochs and deliver cross-shard frames through mailboxes.
+// execute multiple epochs and deliver cross-shard frames through its lanes.
 func TestConductorStats(t *testing.T) {
 	cfg := topo.TinyConfig()
 	part, err := topo.ComputePartition(cfg, 2)

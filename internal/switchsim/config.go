@@ -10,7 +10,6 @@ import (
 	"math"
 
 	"l2bm/internal/pkt"
-	"l2bm/internal/sim"
 )
 
 // Config sizes the switch buffer and its ancillary mechanisms. All byte
@@ -137,10 +136,4 @@ type Stats struct {
 	PFCReissues uint64
 	// PeakOccupancy is the high-water mark of total resident bytes.
 	PeakOccupancy int64
-}
-
-// OccupancySample is one timestamped reading of switch buffer occupancy.
-type OccupancySample struct {
-	At    sim.Time
-	Bytes int64
 }

@@ -266,10 +266,11 @@ func (s *Switch) HandleArrival(p *pkt.Packet, port *netdev.Port) {
 		panic("switchsim: no router installed on " + s.name)
 	}
 	// Engine-affinity audit (debug pools only): under the sharded runner
-	// every switch is pinned to one shard's engine, and a frame must be
-	// handed over via the ingress port's outbox — never delivered directly
-	// by another shard's engine. A violation here means a cross-shard wire
-	// was built without ConnectOn, which silently breaks determinism.
+	// every switch is pinned to one shard's engine, and a frame from another
+	// shard must be handed over through its shard-pair lane — never
+	// delivered directly by that shard's engine. A violation here means the
+	// ingress port was wired on another shard's engine, which silently
+	// breaks determinism.
 	if s.pool.Debug() && port.Engine() != s.eng {
 		panic(fmt.Sprintf("switchsim: %s received a frame on a foreign engine (port %d)",
 			s.name, port.ID))

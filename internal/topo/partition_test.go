@@ -80,9 +80,10 @@ func TestComputePartitionEveryShardOwnsARack(t *testing.T) {
 }
 
 // TestBuildShardedWiring verifies the sharded build's invariants: engine
-// affinity follows the partition, exactly the cross-shard cables carry
-// mailboxes, the lookahead equals the smallest cross-shard propagation
-// delay, and arrival keys are wiring-order identical to the classic build.
+// affinity follows the partition, there is one lane per ordered shard pair
+// some cable crosses, the lookahead equals the smallest cross-shard
+// propagation delay, and arrival keys are wiring-order identical to the
+// classic build.
 func TestBuildShardedWiring(t *testing.T) {
 	cfg := DefaultConfig()
 	part, err := ComputePartition(cfg, 2)
@@ -108,24 +109,30 @@ func TestBuildShardedWiring(t *testing.T) {
 		}
 	}
 
-	// Mailboxes exist exactly on cross-shard cables, and the registry's
-	// outbox list covers both directions of each.
-	var wantBoxes int
-	for _, l := range cl.Links() {
-		cross := part.Shards > 1 && l.CrossShard()
-		if (l.A.Outbox() != nil) != cross || (l.B.Outbox() != nil) != cross {
-			t.Fatalf("link %s: outbox presence mismatch (cross=%v)", l.Name, cross)
+	// One lane per crossed ordered shard pair, listed under its receiving
+	// shard; a one-engine build has none.
+	checkLanes := func(cl *Cluster) {
+		t.Helper()
+		wantIn := make([]int, cl.Part.Shards)
+		crossed := map[[2]int]bool{}
+		for _, l := range cl.Links() {
+			if l.CrossShard() && !crossed[[2]int{l.AShard, l.BShard}] {
+				crossed[[2]int{l.AShard, l.BShard}], crossed[[2]int{l.BShard, l.AShard}] = true, true
+				wantIn[l.AShard]++
+				wantIn[l.BShard]++
+			}
 		}
-		if cross {
-			wantBoxes += 2
+		if cl.Part.Shards > 1 && len(crossed) == 0 {
+			t.Fatalf("no cross-shard links in a %d-shard default build", cl.Part.Shards)
+		}
+		for s, in := range cl.Inbound() {
+			if len(in) != wantIn[s] {
+				t.Errorf("%d shards: shard %d receives on %d lanes, want %d", cl.Part.Shards, s, len(in), wantIn[s])
+			}
 		}
 	}
-	if wantBoxes == 0 {
-		t.Fatal("no cross-shard links in a 2-shard default build")
-	}
-	if got := len(cl.Outboxes()); got != wantBoxes {
-		t.Fatalf("Outboxes() = %d, want %d", got, wantBoxes)
-	}
+	checkLanes(cl)
+	checkLanes(MustBuild(sim.NewEngine(7), cfg, dtFactory, nil))
 
 	// Lookahead is the smallest cross-shard propagation delay. At 2 shards
 	// pods stay whole, so only agg-core trunks (5 µs) cross; at 4 shards
@@ -146,6 +153,7 @@ func TestBuildShardedWiring(t *testing.T) {
 	if cl4.Lookahead != cfg.TorAggDelay {
 		t.Fatalf("4-shard Lookahead = %v, want %v", cl4.Lookahead, cfg.TorAggDelay)
 	}
+	checkLanes(cl4)
 
 	// Arrival keys are a pure function of wiring order: identical between
 	// the classic and sharded builds, and unique across ports.

@@ -255,7 +255,7 @@ type Cluster struct {
 	// Pools holds one free list per shard (nil entries when
 	// Cfg.DisablePacketPool): a pool is single-threaded state, so each shard
 	// owns its own and cross-shard frames change pools via Export/Import at
-	// the mailbox boundary.
+	// the lane boundary.
 	Pools []*pkt.Pool
 	// ledgers holds one flow-byte ledger per shard, written by that shard's
 	// hosts and ports only (DataBytes sums them).
@@ -266,9 +266,10 @@ type Cluster struct {
 	Lookahead sim.Duration
 
 	// Link registry and per-shard liveness replicas.
-	links    []*Link
-	states   []*shardState
-	outboxes []*netdev.Outbox
+	links  []*Link
+	states []*shardState
+	// inbound[s] lists the lanes into shard s, in wiring order.
+	inbound [][]*netdev.Lane
 }
 
 // Build wires the cluster on a single engine and installs routing. Flow
@@ -284,11 +285,12 @@ func Build(eng *sim.Engine, cfg Config, newPolicy PolicyFactory, onComplete host
 
 // BuildSharded wires the cluster across len(engines) shards following part:
 // every node lives on its shard's engine, shard-local links are ordinary
-// same-engine cables, and cross-shard links get mailboxes (netdev.Outbox)
-// the psim conductor drains at barriers. Every port, at every shard count,
-// receives a global wiring-order arrival key, so frame
-// dispatch order is a function of the wiring alone and identical results
-// fall out for every shard count. onCompleteFor returns the completion
+// same-engine cables, and each direction of a cross-shard link rides the
+// netdev.Lane of its ordered shard pair, which the psim conductor seals at
+// barriers (Inbound lists them per receiving shard). Every port, at every
+// shard count, receives a global wiring-order arrival key, so frame dispatch
+// order is a function of the wiring alone and identical results fall out
+// for every shard count. onCompleteFor returns the completion
 // handler for each shard's hosts (per-shard recorders; may return nil), so
 // completion recording needs no cross-shard synchronization.
 //
@@ -352,17 +354,31 @@ func BuildSharded(engines []*sim.Engine, part *Partition, cfg Config, newPolicy 
 	// the mode-invariant tiebreak for same-tick arrivals, so it must be a
 	// pure function of the wiring, never of the shard layout.
 	nextKey := uint64(1)
-	connect := func(engA, engB *sim.Engine, a, b netdev.Node, class *netdev.LinkClass) (*netdev.Port, *netdev.Port) {
-		pa, pb := netdev.ConnectClass(engA, engB, a, b, class)
-		pa.SetArrivalKey(nextKey)
-		pb.SetArrivalKey(nextKey + 1)
-		nextKey += 2
-		if engA != engB {
+	// One lane per ordered shard pair a cable crosses, made the first time
+	// one does.
+	lanes := make(map[[2]int]*netdev.Lane)
+	cl.inbound = make([][]*netdev.Lane, part.Shards)
+	lane := func(from, to int) *netdev.Lane {
+		l := lanes[[2]int{from, to}]
+		if l == nil {
+			l = new(netdev.Lane)
+			lanes[[2]int{from, to}] = l
+			cl.inbound[to] = append(cl.inbound[to], l)
+		}
+		return l
+	}
+	connect := func(sa, sb int, a, b netdev.Node, class *netdev.LinkClass) (*netdev.Port, *netdev.Port) {
+		var ab, ba *netdev.Lane
+		if sa != sb {
+			ab, ba = lane(sa, sb), lane(sb, sa)
 			if cl.Lookahead == 0 || class.Prop < cl.Lookahead {
 				cl.Lookahead = class.Prop
 			}
-			cl.outboxes = append(cl.outboxes, pa.Outbox(), pb.Outbox())
 		}
+		pa, pb := netdev.ConnectClass(engines[sa], engines[sb], a, b, class, ab, ba)
+		pa.SetArrivalKey(nextKey)
+		pb.SetArrivalKey(nextKey + 1)
+		nextKey += 2
 		return pa, pb
 	}
 
@@ -377,7 +393,7 @@ func BuildSharded(engines []*sim.Engine, part *Partition, cfg Config, newPolicy 
 		hst := host.NewShared(eng, h, fmt.Sprintf("host%d", h), transportCfg)
 		hst.SetPool(cl.Pools[sh])
 		hst.SetLedger(&cl.ledgers[sh].Ledger)
-		hp, sp := connect(eng, engines[part.ToR[t]], hst, cl.ToRs[t], serverClass)
+		hp, sp := connect(sh, part.ToR[t], hst, cl.ToRs[t], serverClass)
 		hp.SetPool(cl.Pools[sh])
 		hp.SetLedger(&cl.ledgers[sh].Ledger)
 		hst.SetNIC(hp)
@@ -408,7 +424,7 @@ func BuildSharded(engines []*sim.Engine, part *Partition, cfg Config, newPolicy 
 			}
 			aggIdx := pod*aggsPerPod + a
 			agg := cl.Aggs[aggIdx]
-			tp, ap := connect(engines[part.ToR[t]], engines[part.Agg[aggIdx]], tor, agg, torAggClass)
+			tp, ap := connect(part.ToR[t], part.Agg[aggIdx], tor, agg, torAggClass)
 			tor.AddPort(tp)
 			agg.AddPort(ap)
 			cl.addLink(&Link{
@@ -431,7 +447,7 @@ func BuildSharded(engines []*sim.Engine, part *Partition, cfg Config, newPolicy 
 			for _, st := range cl.states {
 				st.aggCoreUp[a][c] = true
 			}
-			ap, cp := connect(engines[part.Agg[a]], engines[part.Core[c]], agg, cl.Cores[c], aggCoreClass)
+			ap, cp := connect(part.Agg[a], part.Core[c], agg, cl.Cores[c], aggCoreClass)
 			agg.AddPort(ap)
 			cl.Cores[c].AddPort(cp)
 			cl.addLink(&Link{
@@ -477,9 +493,10 @@ func (cl *Cluster) addLink(l *Link) {
 // Links returns the cluster's cable registry in deterministic build order.
 func (cl *Cluster) Links() []*Link { return cl.links }
 
-// Outboxes returns every cross-shard mailbox in deterministic wiring order
-// (both directions of each cross-shard cable). Empty on one shard.
-func (cl *Cluster) Outboxes() []*netdev.Outbox { return cl.outboxes }
+// Inbound returns, per shard, the lanes that shard receives cross-shard
+// frames on: one per ordered shard pair some cable crosses, in wiring order.
+// Every list is empty on one shard.
+func (cl *Cluster) Inbound() [][]*netdev.Lane { return cl.inbound }
 
 // SetLinkState raises or cuts the carrier on link index across every shard
 // replica. Single-threaded use only (one shard, or between epochs):
@@ -530,6 +547,15 @@ func MustBuild(eng *sim.Engine, cfg Config, newPolicy PolicyFactory, onComplete 
 	}
 	return cl
 }
+
+// The ECMP salts, one per routing layer ("tor", "agg", "core" in ASCII):
+// installRouting's routers and PathOf hash with these, so the fluid layer's
+// paths are the packet layer's.
+const (
+	saltToR  = 0x746f72
+	saltAgg  = 0x616767
+	saltCore = 0x636f7265
+)
 
 // ecmpHash spreads flows over n parallel next hops, salted so consecutive
 // layers make independent choices: FNV-1a (64-bit) over the flow id and the
@@ -609,10 +635,10 @@ func (cl *Cluster) installRouting() {
 				return p.Dst % s // local server port
 			}
 			if st.fabricDown == 0 {
-				return s + ecmpHash(p.Flow, 0x746f72, aggsPerPod) // uplink
+				return s + ecmpHash(p.Flow, saltToR, aggsPerPod) // uplink
 			}
 			dstPod := dstToR / torsPerPod
-			return s + pickECMP(p.Flow, 0x746f72, aggsPerPod, func(a int) bool {
+			return s + pickECMP(p.Flow, saltToR, aggsPerPod, func(a int) bool {
 				if !st.torAggUp[t][a] {
 					return false
 				}
@@ -644,9 +670,9 @@ func (cl *Cluster) installRouting() {
 				return dstToR % torsPerPod // down to the rack (single path)
 			}
 			if st.fabricDown == 0 {
-				return torsPerPod + ecmpHash(p.Flow, 0x616767, cfg.CoreCount) // up
+				return torsPerPod + ecmpHash(p.Flow, saltAgg, cfg.CoreCount) // up
 			}
-			return torsPerPod + pickECMP(p.Flow, 0x616767, cfg.CoreCount, func(c int) bool {
+			return torsPerPod + pickECMP(p.Flow, saltAgg, cfg.CoreCount, func(c int) bool {
 				return st.aggCoreUp[a][c] && cl.coreReaches(st, c, dstToR)
 			})
 		})
@@ -660,9 +686,9 @@ func (cl *Cluster) installRouting() {
 			dstPod := dstToR / torsPerPod
 			// Core port layout: one port per agg, in agg-id order.
 			if st.fabricDown == 0 {
-				return dstPod*aggsPerPod + ecmpHash(p.Flow, 0x636f7265, aggsPerPod)
+				return dstPod*aggsPerPod + ecmpHash(p.Flow, saltCore, aggsPerPod)
 			}
-			return dstPod*aggsPerPod + pickECMP(p.Flow, 0x636f7265, aggsPerPod, func(a int) bool {
+			return dstPod*aggsPerPod + pickECMP(p.Flow, saltCore, aggsPerPod, func(a int) bool {
 				return st.aggCoreUp[dstPod*aggsPerPod+a][ci] && st.torAggUp[dstToR][a]
 			})
 		})
@@ -698,11 +724,11 @@ func (c *Config) PathOf(f pkt.FlowID, src, dst int) PathChoice {
 		return p
 	}
 	aggsPerPod := c.AggCount / c.Pods
-	p.UpAgg = ecmpHash(f, 0x746f72, aggsPerPod)
+	p.UpAgg = ecmpHash(f, saltToR, aggsPerPod)
 	p.DownAgg = p.UpAgg
 	if p.Hops == 6 {
-		p.Core = ecmpHash(f, 0x616767, c.CoreCount)
-		p.DownAgg = ecmpHash(f, 0x636f7265, aggsPerPod)
+		p.Core = ecmpHash(f, saltAgg, c.CoreCount)
+		p.DownAgg = ecmpHash(f, saltCore, aggsPerPod)
 	}
 	return p
 }

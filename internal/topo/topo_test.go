@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"l2bm/internal/core"
@@ -156,7 +157,7 @@ func TestClusterDeliversAcrossAllPathClasses(t *testing.T) {
 func TestECMPSpreadsFlows(t *testing.T) {
 	counts := make(map[int]int)
 	for f := 0; f < 1000; f++ {
-		counts[ecmpHash(pkt.FlowID(f), 0x746f72, 2)]++
+		counts[ecmpHash(pkt.FlowID(f), saltToR, 2)]++
 	}
 	if len(counts) != 2 {
 		t.Fatalf("hash used %d buckets, want 2", len(counts))
@@ -192,7 +193,7 @@ func ecmpHashFNV(f pkt.FlowID, salt uint64, n int) int {
 
 func TestECMPHashMatchesHashFNV(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	salts := []uint64{0, 0x746f72, 0x616767, 0x636f7265, ^uint64(0)}
+	salts := []uint64{0, saltToR, saltAgg, saltCore, ^uint64(0)}
 	for i := 0; i < 20000; i++ {
 		f, salt, n := pkt.FlowID(rng.Uint64()), salts[rng.Intn(len(salts))], 1+rng.Intn(64)
 		if i%3 == 0 {
@@ -204,6 +205,76 @@ func TestECMPHashMatchesHashFNV(t *testing.T) {
 		if got, want := ecmpHash(f, salt, n), ecmpHashFNV(f, salt, n); got != want {
 			t.Fatalf("ecmpHash(%d, %#x, %d) = %d, hash/fnv form gives %d", f, salt, n, got, want)
 		}
+	}
+}
+
+// TestPathOfMatchesForwarding holds the analytic path to the routers: on the
+// paper's fabric, one small inter-rack flow at a time, the switches whose
+// ports receive anything are exactly the data path PathOf(id, src, dst) and
+// the ACK path PathOf(id, dst, src) — no switch off them, none on them
+// skipped. The fluid layer prices links by PathOf, so a router hashing with
+// another salt would move its flows onto links it never charges.
+func TestPathOfMatchesForwarding(t *testing.T) {
+	cfg := DefaultConfig()
+	eng := sim.NewEngine(3)
+	cl := MustBuild(eng, cfg, dtFactory, nil)
+	all := cl.AllSwitches()
+	received := func() []uint64 {
+		rx := make([]uint64, len(all))
+		for i, sw := range all {
+			for p := 0; p < sw.NumPorts(); p++ {
+				rx[i] += sw.Port(p).Stats().RxPackets
+			}
+		}
+		return rx
+	}
+	torsPerPod, aggsPerPod := cfg.ToRCount/cfg.Pods, cfg.AggCount/cfg.Pods
+	onPath := func(p PathChoice, want map[string]bool) {
+		want[cl.ToRs[p.SrcToR].Name()] = true
+		want[cl.ToRs[p.DstToR].Name()] = true
+		if p.Hops >= 4 {
+			want[cl.Aggs[p.SrcToR/torsPerPod*aggsPerPod+p.UpAgg].Name()] = true
+			want[cl.Aggs[p.DstToR/torsPerPod*aggsPerPod+p.DownAgg].Name()] = true
+		}
+		if p.Hops == 6 {
+			want[cl.Cores[p.Core].Name()] = true
+		}
+	}
+
+	rng := rand.New(rand.NewSource(5))
+	hosts := cfg.Hosts()
+	hops := map[int]int{}
+	for i := 0; i < 320; i++ {
+		src, dst := rng.Intn(hosts), rng.Intn(hosts)
+		if cfg.ToROf(src) == cfg.ToROf(dst) {
+			i--
+			continue
+		}
+		f := &transport.Flow{ID: pkt.FlowID(rng.Uint64() >> 1), Src: src, Dst: dst, Size: 3000,
+			Priority: pkt.PrioLossy, Class: pkt.ClassLossy}
+		if i%2 == 0 {
+			f.Priority, f.Class = pkt.PrioLossless, pkt.ClassLossless
+		}
+		want := map[string]bool{}
+		onPath(cfg.PathOf(f.ID, src, dst), want)
+		onPath(cfg.PathOf(f.ID, dst, src), want)
+		hops[cfg.Hops(src, dst)]++
+
+		before := received()
+		cl.StartFlow(f)
+		eng.RunAll()
+		got := map[string]bool{}
+		for k, rx := range received() {
+			if rx != before[k] {
+				got[all[k].Name()] = true
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("flow %d (%d→%d, %d hops) touched %v, PathOf says %v", f.ID, src, dst, cfg.Hops(src, dst), got, want)
+		}
+	}
+	if hops[4] == 0 || hops[6] == 0 {
+		t.Fatalf("path classes exercised: %v, want both intra- and inter-pod", hops)
 	}
 }
 

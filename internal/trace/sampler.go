@@ -27,12 +27,11 @@ type Probe func(now sim.Time, rec *Recorder)
 // which changes event sequence numbers but — because its callbacks are pure
 // reads — cannot change the relative order or outcome of model events.
 type Sampler struct {
-	eng     *sim.Engine
-	rec     *Recorder
-	every   sim.Duration
-	sws     []SwitchView
-	probes  []Probe
-	stopped bool
+	eng    *sim.Engine
+	rec    *Recorder
+	every  sim.Duration
+	sws    []SwitchView
+	probes []Probe
 
 	// Ticks counts the sampler's executed engine events. A sharded run arms
 	// one sampler per shard where one engine arms one, and Result.Events
@@ -64,20 +63,14 @@ func (s *Sampler) AddSwitch(v SwitchView) { s.sws = append(s.sws, v) }
 func (s *Sampler) AddProbe(p Probe) { s.probes = append(s.probes, p) }
 
 // Start schedules the first tick one interval from now and keeps ticking
-// until the simulation clock passes `until` or Stop is called.
+// until the simulation clock passes `until`.
 func (s *Sampler) Start(until sim.Time) {
 	s.until = until
 	s.eng.Schedule(s.every, s.tickFn)
 }
 
-// Stop halts the sampler after the current tick.
-func (s *Sampler) Stop() { s.stopped = true }
-
 func (s *Sampler) tick() {
 	s.Ticks++
-	if s.stopped {
-		return
-	}
 	now := s.eng.Now()
 	if now > s.until {
 		return
