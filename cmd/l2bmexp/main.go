@@ -54,9 +54,10 @@
 //
 // -fidelity hybrid runs figure/table experiments on the hybrid-fidelity
 // engine (internal/fluid): steady-state spans advance analytically, bursts
-// and congestion run at full packet fidelity. Unlike -shards this changes
-// results — within the divergence bound DESIGN.md §14 states — in exchange
-// for order-of-magnitude speedups on steady-state-heavy windows (`make
+// and congestion run at full packet fidelity, each packet segment on the
+// engines -shards gives a point. Unlike -shards this changes results —
+// within the divergence bound DESIGN.md §14 states — in exchange for
+// order-of-magnitude speedups on steady-state-heavy windows (`make
 // hybrid-demo`).
 //
 // Every run schedules events on sim.Engine's hierarchical timer wheel, tick
@@ -199,7 +200,7 @@ func run(args []string, w io.Writer) error {
 			return fmt.Errorf("-repro-out and -replay require -exp chaos")
 		}
 	}
-	if err := validateFidelity(*expName, *fidelity, *shards); err != nil {
+	if err := validateFidelity(*expName, *fidelity); err != nil {
 		return err
 	}
 	var cache *exp.ResultCache
@@ -287,14 +288,13 @@ func run(args []string, w io.Writer) error {
 }
 
 // validateFidelity rejects -fidelity combinations before any work begins:
-// unknown values, the chaos soak (its scenarios pin their own execution
-// model) and more than one shard (the hybrid controller's packet segments
-// are single-engine). Fault-plan experiments (faults, arena, parts of all) are
-// accepted: those points run at packet fidelity anyway — a fault plan is a
-// standing fidelity trigger — and the fallback is recorded per point
-// (Result.FidelityFallback) and summarized in the experiment trailer
-// instead of being silently ignored or rejected.
-func validateFidelity(expName, fidelity string, shards int) error {
+// unknown values and the chaos soak (its scenarios pin their own execution
+// model). Fault-plan experiments (faults, arena, parts of all) are accepted:
+// those points run at packet fidelity anyway — a fault plan is a standing
+// fidelity trigger — and the fallback is recorded per point
+// (Result.FidelityFallback) and summarized in the experiment trailer instead
+// of being silently ignored or rejected.
+func validateFidelity(expName, fidelity string) error {
 	switch fidelity {
 	case "":
 		return nil
@@ -305,9 +305,6 @@ func validateFidelity(expName, fidelity string, shards int) error {
 	}
 	if expName == "chaos" {
 		return fmt.Errorf("-fidelity does not apply to -exp chaos (scenarios pin their own execution model)")
-	}
-	if fidelity == exp.FidelityHybrid && shards > 1 {
-		return fmt.Errorf("-fidelity hybrid runs on at most one engine (drop -shards %d)", shards)
 	}
 	return nil
 }

@@ -209,7 +209,6 @@ func TestCLIUpfrontValidation(t *testing.T) {
 		{"-exp", "chaos", "-resume", "ckpt"},                        // chaos has its own persistence
 		{"-exp", "fig7", "-fidelity", "analytic"},                   // unknown fidelity
 		{"-exp", "chaos", "-fidelity", "hybrid"},                    // chaos pins its own engine
-		{"-exp", "fig7", "-fidelity", "hybrid", "-shards", "2"},     // hybrid segments are single-engine
 		{"-spec", "sweep.json", "-exp", "fig7"},                     // -spec pins the sweep
 		{"-spec", "sweep.json", "-scale", "tiny"},                   // ditto
 		{"-spec", "sweep.json", "-trace"},                           // ditto
@@ -474,10 +473,12 @@ func TestCLIFidelity(t *testing.T) {
 	if !strings.Contains(buf.String(), "running fig3a") {
 		t.Errorf("hybrid run produced no experiment output:\n%s", buf.String())
 	}
-	// One engine is one engine: -shards 1 is no reason to refuse hybrid
-	// fidelity, and prints what no -shards prints.
-	if got := render(t, "-exp", "fig3a", "-scale", "tiny", "-fidelity", "hybrid", "-shards", "1"); got != trailers.ReplaceAllString(buf.String(), "") {
-		t.Errorf("-fidelity hybrid -shards 1 differs from -fidelity hybrid:\n%s", got)
+	// The shard count is an execution strategy at either fidelity: -shards 1
+	// and -shards 2 print what no -shards prints.
+	for _, shards := range []string{"1", "2"} {
+		if got := render(t, "-exp", "fig3a", "-scale", "tiny", "-fidelity", "hybrid", "-shards", shards); got != trailers.ReplaceAllString(buf.String(), "") {
+			t.Errorf("-fidelity hybrid -shards %s differs from -fidelity hybrid:\n%s", shards, got)
+		}
 	}
 
 	for _, tc := range []struct {
@@ -486,7 +487,6 @@ func TestCLIFidelity(t *testing.T) {
 	}{
 		{[]string{"-exp", "fig7", "-fidelity", "analytic"}, `unknown value "analytic"`},
 		{[]string{"-exp", "chaos", "-fidelity", "hybrid"}, "does not apply"},
-		{[]string{"-exp", "fig7", "-fidelity", "hybrid", "-shards", "2"}, "at most one engine"},
 		{[]string{"-exp", "fig3a", "-resume", "ckpt", "-trace"}, "incompatible with -trace"},
 	} {
 		var out bytes.Buffer

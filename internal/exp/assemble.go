@@ -11,9 +11,10 @@
 // Everything that must agree across shard counts is either a pure function
 // of the wiring (arrival keys), replicated per shard on identically-seeded
 // engines (workload generators, fault processes), or run as a conductor
-// barrier task (the global observers, see plan.build). Per-shard observability (FCT recorders,
-// incast bookkeeping, flight recorders) is merged deterministically after
-// the run, so results are byte-identical for every legal shard count.
+// barrier task (the global observers, see plan.build). What each shard sees
+// of its flows lands in its shardLog and its flight recorder, which the
+// conductor's goroutine folds in shard order between epochs, so results are
+// byte-identical for every legal shard count.
 package exp
 
 import (
@@ -208,21 +209,56 @@ type fabric struct {
 	part    *topo.Partition
 	cl      *topo.Cluster
 	cond    *psim.Conductor
+	logs    []shardLog // one per shard; its hosts' CompletionHandler appends
 
 	tracers  []*trace.Recorder // one per shard (rings are single-threaded); nil when tracing is off
 	samplers []*trace.Sampler  // one per shard, beside its recorder
 	aud      *audit.Auditor
 	injs     []*faults.Injector // one replica per shard
 	incast   []*workload.Incast // one replica per shard (runPacket); nil without an incast stream
+	occTicks []uint64           // per shard, the ticks of a hybrid segment's occupancy chain; nil in a packet run
 	det      *faults.DeadlockDetector
 	wd       *faults.Watchdog
 }
 
-// build wires the plan's cluster across shards engines (≥ 1) seeded with
+// shardLog is what one shard saw of its flows: starts its generators'
+// launch observers append (with the ideal FCT), and completions its hosts'
+// CompletionHandler appends. Only the shard's own thread appends, and only the
+// conductor's goroutine reads, between epochs — where runPacket or a hybrid
+// segment folds every shard's log in shard order, so a flow started on its
+// source host's shard and completed on its destination's needs no lock and no
+// join.
+type shardLog struct {
+	started []metrics.FlowRecord
+	done    []flowDone
+}
+
+// flowDone is one logged completion.
+type flowDone struct {
+	id pkt.FlowID
+	at sim.Time
+}
+
+func (l *shardLog) complete(id pkt.FlowID, at sim.Time) {
+	l.done = append(l.done, flowDone{id, at})
+}
+
+// drain hands every completion logged since the last drain to fn, shard by
+// shard, and empties the logs. Call it between epochs only.
+func (f *fabric) drain(fn func(id pkt.FlowID, at sim.Time)) {
+	for s := range f.logs {
+		for _, d := range f.logs[s].done {
+			fn(d.id, d.at)
+		}
+		f.logs[s].done = f.logs[s].done[:0]
+	}
+}
+
+// build wires the plan's cluster across p.shards(ctx) engines seeded with
 // seed and arms everything that observes it apart from the flight recorder
 // (armTrace, after the workload is installed). All engines share the seed:
 // replicated generators and injectors rely on identical named streams.
-// onCompleteFor supplies each shard's flow-completion handler.
+// Every host's completions land in its shard's log.
 //
 // Arming order is part of byte identity. Every pre-run Schedule call
 // consumes an engine sequence number, and on each engine the order is:
@@ -237,8 +273,8 @@ type fabric struct {
 // watchdog. The order is fixed, not free: the detector is the one observer
 // that can write (a forced resume), so the auditor's pause-age check reads
 // the fabric before that write, and the pinned digests were captured so.
-func (p *plan) build(ctx context.Context, shards int, seed int64, onCompleteFor func(shard int) host.CompletionHandler) (*fabric, error) {
-	part, err := topo.ComputePartition(p.topo, shards)
+func (p *plan) build(ctx context.Context, seed int64) (*fabric, error) {
+	part, err := topo.ComputePartition(p.topo, p.shards(ctx))
 	if err != nil {
 		return nil, err
 	}
@@ -246,14 +282,20 @@ func (p *plan) build(ctx context.Context, shards int, seed int64, onCompleteFor 
 	for i := range engines {
 		engines[i] = p.newEngine(&p.topo, seed)
 	}
-	cl, err := topo.BuildSharded(engines, part, p.topo, p.factory, onCompleteFor)
+	logs := make([]shardLog, part.Shards)
+	handlers := make([]host.CompletionHandler, part.Shards) // one per shard, shared by its hosts
+	for s := range handlers {
+		handlers[s] = logs[s].complete
+	}
+	cl, err := topo.BuildSharded(engines, part, p.topo, p.factory,
+		func(shard int) host.CompletionHandler { return handlers[shard] })
 	if err != nil {
 		return nil, err
 	}
 	if p.spec.Hooks != nil && p.spec.Hooks.PostBuild != nil {
 		p.spec.Hooks.PostBuild(cl)
 	}
-	f := &fabric{p: p, engines: engines, part: part, cl: cl, cond: psim.ForCluster(cl)}
+	f := &fabric{p: p, engines: engines, part: part, cl: cl, cond: psim.ForCluster(cl), logs: logs}
 	if ctx.Done() != nil {
 		// ctx.Err is safe for concurrent use, as SetInterrupt requires of
 		// its poll (shard workers check it in parallel).
@@ -282,23 +324,12 @@ func (p *plan) build(ctx context.Context, shards int, seed int64, onCompleteFor 
 
 // armFaults installs the fault plan and the detection machinery.
 func (f *fabric) armFaults(fs *FaultSpec) error {
-	plan := fs.Plan
-	if plan.LinkFilter == nil && plan.FlapRate > 0 {
-		tiers := make(map[string]topo.LinkTier)
-		for _, l := range f.cl.Links() {
-			tiers[l.Name] = l.Tier
-		}
-		plan.LinkFilter = func(name string) bool {
-			t := tiers[name]
-			return t == topo.TierTorAgg || t == topo.TierAggCore
-		}
-	}
 	// One injector replica per shard, all replaying the identical plan (same
 	// named streams on identically-seeded engines). Each replica applies
 	// carrier changes to its own liveness tables and touches only the ports
 	// it owns.
 	for s, eng := range f.engines {
-		inj, err := faults.NewInjector(eng, plan, faultLinks(f.cl, s))
+		inj, err := faults.NewInjector(eng, fs.Plan, faultLinks(f.cl, s))
 		if err != nil {
 			return err
 		}
@@ -323,14 +354,16 @@ func (f *fabric) armFaults(fs *FaultSpec) error {
 }
 
 // faultLinks adapts the topology's link registry to one shard's injector
-// replica: SetLive mutates only that shard's liveness replica and owned
-// ports, through the cluster's liveness-aware routing update.
+// replica: every link but the access tier is a fabric link, and SetLive
+// mutates only that shard's liveness replica and owned ports, through the
+// cluster's liveness-aware routing update.
 func faultLinks(cl *topo.Cluster, shard int) []faults.Link {
 	links := cl.Links()
 	out := make([]faults.Link, 0, len(links))
 	for _, l := range links {
 		out = append(out, faults.Link{
 			Name: l.Name, A: l.A, B: l.B, AName: l.AName, BName: l.BName,
+			Fabric:  l.Tier != topo.TierServer,
 			SetLive: func(up bool) { cl.SetLinkStateOn(shard, l.Index, up) },
 		})
 	}
@@ -415,7 +448,14 @@ func (f *fabric) harvest(res *Result, final bool) {
 	res.CorePauseFrames += topo.SwitchStats(cl.Cores).PauseFramesSent
 
 	res.LosslessGaps += cl.LosslessGaps()
-	res.Events += f.cond.Events() + f.cond.Stats().TaskFirings - f.replicaEvents()
+	st := f.cond.Stats()
+	res.Events += f.cond.Events() + st.TaskFirings - f.replicaEvents()
+	// How the machine let the run execute: over a hybrid run's segments, the
+	// widest and the conductors' counts summed.
+	res.Shards = max(res.Shards, len(f.engines))
+	c := &res.Conductor
+	c.Epochs, c.Delivered, c.TaskFirings = c.Epochs+st.Epochs, c.Delivered+st.Delivered, c.TaskFirings+st.TaskFirings
+	c.InlineEpochs, c.Parks, c.ModeSwitches = c.InlineEpochs+st.InlineEpochs, c.Parks+st.Parks, c.ModeSwitches+st.ModeSwitches
 	res.RecoveryBytes += cl.RecoveryBytes()
 	nacks, timeouts := cl.RDMARecoveryStats()
 	res.RDMANACKs += nacks
@@ -466,10 +506,11 @@ func (f *fabric) harvest(res *Result, final bool) {
 
 // replicaEvents counts the engine events that exist only because the fabric
 // is sharded: the tick chains every shard runs its own copy of — the incast
-// query stream, the fault injector, the trace sampler — fire once per shard
-// where one engine fires them once. One simulated event, one count: replicas
-// 2…N are taken back out, so Result.Events is the same number at every shard
-// count and the result's bytes never depend on how many cores the run found.
+// query stream, the fault injector, the trace sampler, a hybrid segment's
+// occupancy chain — fire once per shard where one engine fires them once. One
+// simulated event, one count: replicas 2…N are taken back out, so
+// Result.Events is the same number at every shard count and the result's
+// bytes never depend on how many cores the run found.
 func (f *fabric) replicaEvents() uint64 {
 	var n uint64
 	for s := 1; s < len(f.engines); s++ {
@@ -481,6 +522,9 @@ func (f *fabric) replicaEvents() uint64 {
 		}
 		if f.samplers != nil {
 			n += f.samplers[s].Ticks
+		}
+		if f.occTicks != nil {
+			n += f.occTicks[s]
 		}
 	}
 	return n

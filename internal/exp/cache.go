@@ -86,8 +86,8 @@ const CheckpointVersion = 5
 
 // checkpointIneligible names the first non-serializable field set on the
 // spec, or "" when the spec is plain data and may be stored. Specs carrying
-// funcs — PolicyFactory, TopoOverride, Hooks, a fault LinkFilter — cannot be
-// hashed, and an armed flight recorder cannot be restored.
+// funcs — PolicyFactory, TopoOverride, Hooks — cannot be hashed, and an armed
+// flight recorder cannot be restored.
 func checkpointIneligible(spec HybridSpec) string {
 	switch {
 	case spec.PolicyFactory != nil:
@@ -98,8 +98,6 @@ func checkpointIneligible(spec HybridSpec) string {
 		return "Hooks"
 	case spec.Trace != nil:
 		return "Trace"
-	case spec.Faults != nil && spec.Faults.Plan.LinkFilter != nil:
-		return "Faults.Plan.LinkFilter"
 	}
 	return ""
 }

@@ -31,12 +31,12 @@ type Harness struct {
 	// read it with cmd/l2bmtrace), NNN a running point number so names are
 	// unique and worker-count independent.
 	TraceDir string
-	// Shards, when >= 1, runs every point on that many psim shards (specs
-	// carrying their own Shards keep it); 0 leaves each point to size itself
-	// to the cores the pool leaves idle — one engine per point when the grid
-	// fills the machine. Results are byte-identical for any legal shard
-	// count, so tables and progress lines do not change — only wall clock
-	// does.
+	// Shards, when >= 1, runs every point — or every packet segment of a
+	// hybrid-fidelity point — on that many psim shards (specs carrying their
+	// own Shards keep it); 0 leaves each point to size itself to the cores the
+	// pool leaves idle — one engine per point when the grid fills the
+	// machine. Results are byte-identical for any legal shard count, so tables
+	// and progress lines do not change — only wall clock does.
 	Shards int
 	// Fidelity, when non-empty, selects the execution engine for every
 	// point (specs carrying their own Fidelity keep it): FidelityPacket
@@ -50,7 +50,7 @@ type Harness struct {
 	// disk-backed cache (Cache.Dir != "") makes every grid crash-resumable —
 	// a kill loses only the points still running — and such a grid refuses
 	// upfront a spec the store cannot hold (PolicyFactory, TopoOverride,
-	// Hooks, a LinkFilter, or tracing — including Harness.Trace) rather than
+	// Hooks, or tracing — including Harness.Trace) rather than
 	// resume it wrongly. A memory-only cache serves overlapping grids within
 	// one process (Table II after Fig. 7) and lets unstorable points just run.
 	Cache *ResultCache

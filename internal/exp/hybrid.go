@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"l2bm/internal/fluid"
-	"l2bm/internal/host"
 	"l2bm/internal/metrics"
 	"l2bm/internal/pkt"
 	"l2bm/internal/sim"
@@ -27,12 +26,12 @@ import (
 //   - Fluid segments advance flows analytically until a fidelity trigger
 //     (incast burst within PreMargin, fan-in degree, occupancy guard band)
 //     fires; the triggering arrival is left for the packet segment.
-//   - Packet segments run a freshly built one-shard fabric (plan.build, the
-//     same assembler as a packet run), injecting residual flows at their
-//     remaining sizes and scheduling the not-yet-consumed arrivals as they
-//     come due, until the quiescence predicate holds (no new pause frames,
-//     low resident bytes, no standing trigger, no imminent burst) for
-//     quiesceDwell consecutive checks.
+//   - Packet segments run a freshly built fabric (plan.build, the same
+//     assembler, sizing and shard logs as a packet run), injecting residual
+//     flows at their remaining sizes and scheduling the not-yet-consumed
+//     arrivals as they come due, until the quiescence predicate holds (no
+//     new pause frames, low resident bytes, no standing trigger, no imminent
+//     burst) for quiesceDwell consecutive checks.
 //   - Hand-backs are residual-byte exact on the receive side: a flow leaves
 //     a packet segment with its receiver's contiguous delivered count
 //     (host.FlowProgress); frames still in flight at the cut (bounded by
@@ -100,7 +99,7 @@ type hybridRun struct {
 }
 
 // runHybridFluid executes one data point under the hybrid-fidelity
-// controller. Callers guarantee Shards <= 1 and Faults == nil. The plan's
+// controller. Callers guarantee Faults == nil. The plan's
 // seed is the packet run's (common random numbers across policies AND
 // across fidelities: the offered workload is identical).
 func runHybridFluid(ctx context.Context, p *plan) (*Result, error) {
@@ -230,6 +229,9 @@ func (h *hybridRun) packetSegment(segStart sim.Time, carried []*fluid.FlowState)
 	h.segIdx++
 	h.res.PacketSegments++
 
+	// live holds the flows this segment launched and has not seen complete.
+	// Only the conductor's goroutine touches it: start runs between slices,
+	// and completions reach it through the shard logs, drained after each.
 	type liveFlow struct {
 		flow     transport.Flow // pristine descriptor
 		injected int64          // payload bytes this segment carries
@@ -237,38 +239,28 @@ func (h *hybridRun) packetSegment(segStart sim.Time, carried []*fluid.FlowState)
 	}
 	live := make(map[pkt.FlowID]*liveFlow)
 
-	onComplete := func(id pkt.FlowID, at sim.Time) {
-		if _, ok := live[id]; !ok {
-			return
-		}
-		delete(live, id)
-		h.rec.Completed(id, segStart+at)
-		if h.sched.Incast != nil {
-			h.sched.Incast.OnFlowComplete(id, segStart+at)
-		}
-	}
-
-	// A segment is a one-shard run; its global observers fire at the slice
-	// loop's barriers. Per-segment seed: packet-level tie-breaks inside a
-	// burst need their own stream, decorrelated from the extraction seed.
-	f, err := p.build(h.ctx, 1, seedFor(p.spec.Name, p.spec.SeedSalt, fmt.Sprintf("hybrid-seg/%d", h.segIdx)),
-		func(int) host.CompletionHandler { return onComplete })
+	// A segment is built, sized and observed like a packet run; its global
+	// observers fire at the slice loop's barriers. Per-segment seed:
+	// packet-level tie-breaks inside a burst need their own stream,
+	// decorrelated from the extraction seed.
+	f, err := p.build(h.ctx, seedFor(p.spec.Name, p.spec.SeedSalt, fmt.Sprintf("hybrid-seg/%d", h.segIdx)))
 	if err != nil {
 		return 0, err
 	}
 	defer f.cond.Close()
-	eng, cl := f.engines[0], f.cl
+	cl := f.cl
 
-	// start launches one flow at segment-local time at, carrying injected
-	// payload bytes. The descriptor keeps its original ID (ECMP affinity)
-	// and class; the host re-stamps Start on launch. A positive warmCwnd
-	// hands lossy senders an established window (fluid residuals were
-	// mid-transfer: restarting them in slow start would understate the
-	// queue pressure they exert).
+	// start launches one flow at segment-local time at on its source host's
+	// shard, carrying injected payload bytes. The descriptor keeps its
+	// original ID (ECMP affinity) and class; the host re-stamps Start on
+	// launch. A positive warmCwnd hands lossy senders an established window
+	// (fluid residuals were mid-transfer: restarting them in slow start would
+	// understate the queue pressure they exert).
 	start := func(fl transport.Flow, injected int64, incast bool, at sim.Time, warmCwnd float64) {
 		live[fl.ID] = &liveFlow{flow: fl, injected: injected, incast: incast}
 		inj := fl
 		inj.Size = injected
+		eng := f.engines[f.part.Host[fl.Src]]
 		if warmCwnd > 0 {
 			eng.ScheduleAt(at, func() { cl.Hosts[inj.Src].StartFlowWarm(&inj, warmCwnd) })
 		} else {
@@ -294,29 +286,35 @@ func (h *hybridRun) packetSegment(segStart sim.Time, carried []*fluid.FlowState)
 		start(fs.Flow, fs.RemainingPayload(), fs.Incast, 0, warm)
 	}
 
-	// Occupancy sampling continues on the global grid: a self-rescheduling
-	// tick reads real resident bytes. Ticks beyond the cut die with the
-	// engine, and h.nextSample only advances when a tick actually runs, so
+	// Occupancy sampling continues on the global grid: one self-rescheduling
+	// chain per shard reads the real resident bytes of the ToRs that shard
+	// owns. Every chain ticks at the same instants; ticks beyond the cut die
+	// with the engines, and h.nextSample advances by the ticks that ran, so
 	// the fluid side resumes exactly where packet sampling stopped.
 	if h.nextSample <= p.window {
-		var tick func()
-		tick = func() {
-			for i, tor := range cl.ToRs {
-				occ := tor.Occupancy()
-				h.torOcc[i] = append(h.torOcc[i],
-					metrics.Reading{At: h.nextSample, Value: occ})
+		f.occTicks = make([]uint64, len(f.engines))
+		for s, eng := range f.engines {
+			next := h.nextSample
+			var tick func()
+			tick = func() {
+				f.occTicks[s]++
+				for i, tor := range cl.ToRs {
+					if f.part.ToR[i] == s {
+						h.torOcc[i] = append(h.torOcc[i], metrics.Reading{At: next, Value: tor.Occupancy()})
+					}
+				}
+				next += occupancyEvery
+				if next <= p.window {
+					eng.Schedule(occupancyEvery, tick)
+				}
 			}
-			h.nextSample += occupancyEvery
-			if h.nextSample <= p.window {
-				eng.Schedule(occupancyEvery, tick)
-			}
+			eng.ScheduleAt(next-segStart, tick)
 		}
-		eng.ScheduleAt(h.nextSample-segStart, tick)
 	}
 
-	// Flight recorder: a per-segment recorder armed exactly like a packet
-	// run's, sampling what is left of the window, re-based into the global
-	// recorder at the cut.
+	// Flight recorder: per-shard recorders armed exactly like a packet
+	// run's, sampling what is left of the window, merged and re-based into
+	// the global recorder at the cut.
 	f.armTrace(p.window - segStart)
 
 	maxLiveDegree := func() int {
@@ -361,6 +359,18 @@ func (h *hybridRun) packetSegment(segStart sim.Time, carried []*fluid.FlowState)
 		if err := h.ctx.Err(); err != nil {
 			return 0, err
 		}
+		// The slice's completions, in shard order: Completed is first-wins
+		// and a query's response time a max, so the order is immaterial.
+		f.drain(func(id pkt.FlowID, at sim.Time) {
+			if _, ok := live[id]; !ok {
+				return
+			}
+			delete(live, id)
+			h.rec.Completed(id, segStart+at)
+			if h.sched.Incast != nil {
+				h.sched.Incast.OnFlowComplete(id, segStart+at)
+			}
+		})
 		// Quiescence: no pause frames, no ECN marks, no drops this slice
 		// (congestion feedback means rates are NOT fluid-like yet), bounded
 		// resident bytes, no standing fan-in, no imminent burst.
@@ -390,6 +400,9 @@ func (h *hybridRun) packetSegment(segStart sim.Time, carried []*fluid.FlowState)
 		}
 	}
 	segEnd := segStart + localNow
+	if f.occTicks != nil {
+		h.nextSample += sim.Time(f.occTicks[0]) * occupancyEvery
+	}
 
 	// Harvest residuals: receiver-side contiguous progress bounds what the
 	// fluid layer still owes. Sorted by ID so fluid re-injection order (and
@@ -415,7 +428,7 @@ func (h *hybridRun) packetSegment(segStart sim.Time, carried []*fluid.FlowState)
 	f.harvest(h.res, segEnd >= p.horizon)
 
 	if f.tracers != nil {
-		h.tracer.Absorb(f.tracers[0], segStart)
+		h.tracer.Absorb(trace.Merge(f.tracers...), segStart)
 	}
 	return segEnd, nil
 }

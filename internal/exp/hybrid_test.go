@@ -187,9 +187,9 @@ func TestHybridDeterminism(t *testing.T) {
 }
 
 // TestHybridFidelityValidation covers the spec-level contract: hybrid
-// fidelity refuses the sharded engine, unknown fidelity strings are
-// rejected, and a fault plan (a standing fidelity trigger) falls back to
-// the classic packet path rather than erroring.
+// fidelity runs its packet segments on the sharded engine, unknown fidelity
+// strings are rejected, and a fault plan (a standing fidelity trigger) falls
+// back to the classic packet path rather than erroring.
 func TestHybridFidelityValidation(t *testing.T) {
 	base := HybridSpec{Name: "hyb-val", Policy: "L2BM", Scale: ScaleTiny,
 		RDMALoad: 0.05, TCPLoad: 0.05}
@@ -197,8 +197,13 @@ func TestHybridFidelityValidation(t *testing.T) {
 	sharded := base
 	sharded.Fidelity = FidelityHybrid
 	sharded.Shards = 2
-	if _, err := RunHybrid(sharded); err == nil {
-		t.Error("hybrid fidelity with Shards=2 should fail, got nil error")
+	sharded.Incast = &IncastSpec{Fanout: 4, RequestBytes: 200_000, QueryRate: 2000} // bursts: packet segments
+	res, err := RunHybrid(sharded)
+	if err != nil {
+		t.Fatalf("hybrid fidelity with Shards=2: %v", err)
+	}
+	if res.PacketSegments == 0 || res.Shards != 2 {
+		t.Errorf("hybrid fidelity with Shards=2: %d packet segments on %d engines, want them on two", res.PacketSegments, res.Shards)
 	}
 
 	bogus := base
@@ -210,7 +215,7 @@ func TestHybridFidelityValidation(t *testing.T) {
 	faulted := base
 	faulted.Fidelity = FidelityHybrid
 	faulted.Faults = &FaultSpec{}
-	res, err := RunHybrid(faulted)
+	res, err = RunHybrid(faulted)
 	if err != nil {
 		t.Fatalf("hybrid fidelity with a fault plan should fall back to packet: %v", err)
 	}

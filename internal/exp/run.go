@@ -6,7 +6,6 @@ import (
 	"runtime"
 
 	"l2bm/internal/faults"
-	"l2bm/internal/host"
 	"l2bm/internal/metrics"
 	"l2bm/internal/pkt"
 	"l2bm/internal/psim"
@@ -54,11 +53,12 @@ type HybridSpec struct {
 	TopoOverride func(*topo.Config) `json:"-"`
 	// SeedSalt decorrelates repeated runs of the same spec.
 	SeedSalt string
-	// Shards selects the execution strategy: N >= 1 runs the fabric on
-	// exactly N psim shards (N must not exceed the topology's ToR count), and
-	// 0 lets a packet run size itself to the cores its caller leaves idle
-	// (autoShards; one engine inside a pool that already fills the machine,
-	// and on a fabric too small to be worth a barrier).
+	// Shards selects the execution strategy: N >= 1 runs the fabric — a
+	// packet run's, or each packet segment's of a hybrid run — on exactly N
+	// psim shards (N must not exceed the topology's ToR count), and 0 lets it
+	// size itself to the cores its caller leaves idle (autoShards; one engine
+	// inside a pool that already fills the machine, and on a fabric too small
+	// to be worth a barrier).
 	// The shard count is an execution strategy, not a workload parameter:
 	// results are byte-identical for every value, Result.Events included.
 	Shards int
@@ -67,10 +67,8 @@ type HybridSpec struct {
 	// fast-forward controller (internal/fluid), which advances flows
 	// analytically between fidelity triggers and drops to full packet
 	// simulation around incast bursts, fan-in convergence and buffer
-	// pressure. Hybrid fidelity runs on at most one engine, Shards <= 1 (its
-	// packet segments are single-engine; see DESIGN.md "Run assembly"); a
-	// fault plan forces packet fidelity for the whole run (fault injection
-	// is a standing trigger that never clears).
+	// pressure. A fault plan forces packet fidelity for the whole run (fault
+	// injection is a standing trigger that never clears).
 	Fidelity string
 	// Faults, when non-nil, arms the fault-injection subsystem: the plan's
 	// events fire during the run, DCQCN switches to go-back-N recovery,
@@ -124,10 +122,8 @@ type RunHooks struct {
 
 // FaultSpec couples a fault plan with the detection machinery settings.
 type FaultSpec struct {
-	// Plan declares what to inject. If Plan.LinkFilter is nil and flapping
-	// is enabled, flaps are restricted to fabric (ToR–agg, agg–core)
-	// links: flapping an access link merely disconnects one host, which
-	// tests nothing about the fabric.
+	// Plan declares what to inject. Flaps hit fabric (ToR–agg, agg–core)
+	// links only, and a blackout must name a switch of the fabric.
 	Plan faults.Plan
 	// DetectorPeriod overrides the deadlock scan interval (0 = default).
 	DetectorPeriod sim.Duration
@@ -171,10 +167,11 @@ type Result struct {
 	// was off). Export with WriteCol. Excluded from JSON: a traced spec is
 	// never stored (the recorder is unbounded relative to point results).
 	Trace *trace.Recorder `json:"-"`
-	// Shards is the engine count a packet run executed on and Conductor what
-	// its conductor did there (epochs, inline epochs, parks). How the machine
-	// let a run execute is not part of its result: excluded from JSON, zero
-	// on a restored point and on a hybrid-fidelity one.
+	// Shards is the engine count a run executed on (a hybrid run's widest
+	// packet segment) and Conductor what its conductors did there (epochs,
+	// inline epochs, parks; summed over segments). How the machine let a run
+	// execute is not part of its result: excluded from JSON, zero on a
+	// restored point.
 	Shards    int        `json:"-"`
 	Conductor psim.Stats `json:"-"`
 
@@ -353,8 +350,18 @@ func coresAvailable(ctx context.Context) int {
 // epochs where one engine runs to the next barrier task — that a small fabric
 // never earns back: the 8-host ScaleTiny point split in two read 44–46 ms
 // against one engine's 38–42 (3,296 epochs of a few hundred events), the
-// 128-host ScaleSmall Fig. 7 points 17–25 % less than one engine's.
+// 32-host ScaleSmall Fig. 7 points 17–25 % less than one engine's.
 const minShardHosts = 16
+
+// shards is the engine count a fabric of this plan is built on — a packet
+// run's, or a hybrid run's packet segment's: the spec's Shards, or autoShards
+// of the cores ctx leaves the run when the spec says 0.
+func (p *plan) shards(ctx context.Context) int {
+	if p.spec.Shards > 0 {
+		return p.spec.Shards
+	}
+	return autoShards(&p.topo, coresAvailable(ctx))
+}
 
 // autoShards is what Shards: 0 resolves to: the largest n <= cores that
 // divides the pod count and leaves every shard minShardHosts. A whole number
@@ -371,51 +378,32 @@ func autoShards(cfg *topo.Config, cores int) int {
 	return 1
 }
 
-// runPacket executes one data point at packet fidelity on spec.Shards
-// shards, or on autoShards of them when the spec leaves the count at 0.
+// runPacket executes one data point at packet fidelity on p.shards(ctx)
+// engines.
 func runPacket(ctx context.Context, p *plan) (*Result, error) {
-	// Per-shard observability: one FCT recorder and one incast replica per
-	// shard. Completions are receiver-side, so a flow started on the source
-	// host's shard may complete on the destination's — the recorder merge
-	// joins those orphans after the run.
-	n := p.spec.Shards
-	if n == 0 {
-		n = autoShards(&p.topo, coresAvailable(ctx))
-	}
-	recs := make([]*metrics.FCTRecorder, n)
-	incastGens := make([]*workload.Incast, n)
-	onComplete := make([]host.CompletionHandler, n) // one per shard, shared by its hosts
-	for shard := range recs {
-		rec := metrics.NewFCTRecorder()
-		recs[shard] = rec
-		onComplete[shard] = func(id pkt.FlowID, at sim.Time) {
-			rec.Completed(id, at)
-			if g := incastGens[shard]; g != nil {
-				g.OnFlowComplete(id, at)
-			}
-		}
-	}
-	f, err := p.build(ctx, n, p.seed,
-		func(shard int) host.CompletionHandler { return onComplete[shard] })
+	f, err := p.build(ctx, p.seed)
 	if err != nil {
 		return nil, err
 	}
 	defer f.cond.Close()
 	cl := f.cl
 
-	// Workload generators, replicated per shard. Poisson sources draw from
-	// per-source streams, so installing each shard's owned subset launches
-	// exactly the flows a single generator would have. The incast replica
-	// runs everywhere in lockstep (same queries, same draws) and its
-	// LaunchFilter restricts actual launches to owned responders.
+	// Workload generators, replicated per shard, each logging the starts it
+	// launches. Poisson sources draw from per-source streams, so installing
+	// each shard's owned subset launches exactly the flows a single generator
+	// would have. The incast replica runs everywhere in lockstep (same
+	// queries, same draws) and its LaunchFilter restricts actual launches to
+	// owned responders.
 	wl := p.workload()
+	incastGens := make([]*workload.Incast, len(f.engines))
 	for s, eng := range f.engines {
-		rec := recs[s]
+		sl := &f.logs[s]
 		observe := func(fl *transport.Flow) {
-			rec.Started(fl, cl.IdealFCT(fl.Src, fl.Dst, fl.Size))
+			sl.started = append(sl.started,
+				metrics.FlowRecord{Flow: *fl, Ideal: cl.IdealFCT(fl.Src, fl.Dst, fl.Size)})
 		}
 		for _, cfg := range wl.Poisson {
-			if n > 1 { // a lone shard owns every sender: nothing to filter
+			if len(f.engines) > 1 { // a lone shard owns every sender: nothing to filter
 				var owned []int
 				for _, h := range cfg.Sources {
 					if f.part.Host[h] == s {
@@ -471,18 +459,33 @@ func runPacket(ctx context.Context, p *plan) (*Result, error) {
 		// across shard counts.
 		res.Trace = trace.Merge(f.tracers...)
 	}
-	rec := recs[0]
-	if n > 1 { // a lone recorder has no orphans to join
-		rec = rec.Merge(recs[1:]...)
+	// The shard logs fold into one recorder: every start, then every
+	// completion. Incast replica 0 registered every query's flows, so it
+	// hears every completion and answers for all replicas.
+	rec := metrics.NewFCTRecorder()
+	for _, l := range f.logs {
+		for i := range l.started {
+			rec.Started(&l.started[i].Flow, l.started[i].Ideal)
+		}
 	}
+	f.drain(func(id pkt.FlowID, at sim.Time) {
+		rec.Completed(id, at)
+		if wl.Incast != nil {
+			incastGens[0].OnFlowComplete(id, at)
+		}
+	})
 	summarizeFlows(res, rec)
 	if wl.Incast != nil {
-		res.QueryDelays = workload.MergeCompletedResponseTimes(incastGens...)
+		for _, g := range incastGens[1:] {
+			if err := incastGens[0].InLockstep(g); err != nil {
+				return nil, err
+			}
+		}
+		res.QueryDelays = incastGens[0].CompletedResponseTimes()
 	}
 	for _, s := range samplers {
 		res.TorOccupancy = append(res.TorOccupancy, s.Samples)
 	}
 	f.harvest(res, true)
-	res.Shards, res.Conductor = n, f.cond.Stats()
 	return res, nil
 }

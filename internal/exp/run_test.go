@@ -109,7 +109,6 @@ func TestRunHybridRefusesInvalidSpec(t *testing.T) {
 	for name, edit := range map[string]func(*HybridSpec){
 		"TCPLoad 1.5":         func(s *HybridSpec) { s.TCPLoad = 1.5 },
 		"unknown policy":      func(s *HybridSpec) { s.Policy = "nope" },
-		"hybrid, 2 shards":    func(s *HybridSpec) { s.Fidelity, s.Shards = FidelityHybrid, 2 },
 		"Scale 0":             func(s *HybridSpec) { s.Scale = 0 },
 		"NaN FlapRate":        func(s *HybridSpec) { s.Faults = &FaultSpec{Plan: faults.Plan{FlapRate: math.NaN()}} },
 		"incast below fanout": func(s *HybridSpec) { s.Incast = &IncastSpec{Fanout: 5, RequestBytes: 3, QueryRate: 100} },
@@ -133,11 +132,17 @@ func TestRunHybridRefusesInvalidSpec(t *testing.T) {
 		})
 	}
 
-	// A PolicyFactory stands in for a registered name.
+	// A PolicyFactory stands in for a registered name, and hybrid fidelity
+	// holds any shard count the fabric does.
 	spec := tinySpec("")
 	spec.PolicyFactory = func() core.Policy { return core.NewDT() }
 	if err := spec.Validate(); err != nil {
 		t.Errorf("spec with a PolicyFactory and no Policy: %v", err)
+	}
+	spec = tinySpec("DT")
+	spec.Fidelity, spec.Shards = FidelityHybrid, 2
+	if err := spec.Validate(); err != nil {
+		t.Errorf("hybrid spec at 2 shards: %v", err)
 	}
 }
 

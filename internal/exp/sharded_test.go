@@ -343,9 +343,12 @@ func TestTruncatedFlowsAcrossShards(t *testing.T) {
 // and the WriteCol export are equal at Shards 0, 1, 2 and 4 (0, 1 and 2 on the
 // two-ToR tiny fabric) for the traced incast point of the determinism suite
 // (incast replica + per-shard trace sampler), the pinned zz-observed point
-// (auditor on the barrier) and an audited + faulted point (injector replica,
-// detector, watchdog). Before Result.Events counted a replicated tick chain
-// once, every row here differed in Events alone.
+// (auditor on the barrier), an audited + faulted point (injector replica,
+// detector, watchdog) and two hybrid-fidelity points, the pinned zz-hybrid and
+// an audited, traced incast one at ScaleSmall, whose packet segments run on
+// every shard count in turn (shard logs drained per slice, per-shard occupancy
+// chains). Before Result.Events counted a replicated tick chain once, every
+// packet row here differed in Events alone.
 func TestResultBytesShardInvariant(t *testing.T) {
 	traced := shardSpec(0)
 	traced.Trace = &TraceSpec{SampleEvery: 100 * sim.Microsecond, Capacity: 1 << 17}
@@ -362,19 +365,23 @@ func TestResultBytesShardInvariant(t *testing.T) {
 		DetectorPeriod: 50 * sim.Microsecond,
 		WatchdogWindow: 300 * sim.Microsecond,
 	}
-	var observed HybridSpec
+	hybrid := shardSpec(0)
+	hybrid.Name, hybrid.Fidelity = "shards-det-hybrid", FidelityHybrid
+	hybrid.RDMALoad, hybrid.TCPLoad, hybrid.WindowOverride = 0.05, 0.05, 20*sim.Millisecond
+	hybrid.Audit, hybrid.Trace = &AuditSpec{}, traced.Trace
+	pinned := map[string]HybridSpec{}
 	for _, p := range pinnedPoints() {
-		if p.spec.Name == "zz-observed" {
-			observed = p.spec
-		}
+		pinned[p.spec.Name] = p.spec
 	}
 	for _, row := range []struct {
 		spec   HybridSpec
 		counts []int
 	}{
 		{traced, []int{0, 1, 2, 4}},
-		{observed, []int{0, 1, 2}},
+		{pinned["zz-observed"], []int{0, 1, 2}},
 		{faulted, []int{0, 1, 2, 4}},
+		{pinned["zz-hybrid"], []int{0, 1, 2}},
+		{hybrid, []int{0, 1, 2, 4}},
 	} {
 		t.Run(row.spec.Name, func(t *testing.T) {
 			t.Parallel()
@@ -386,6 +393,9 @@ func TestResultBytesShardInvariant(t *testing.T) {
 				res, err := RunHybrid(spec)
 				if err != nil {
 					t.Fatalf("shards=%d: %v", shards, err)
+				}
+				if spec.Fidelity == FidelityHybrid && (res.PacketSegments == 0 || res.FluidFlows == 0) {
+					t.Fatalf("shards=%d: %d packet segments, %d fluid flows: not a hybrid run", shards, res.PacketSegments, res.FluidFlows)
 				}
 				b, err := json.Marshal(res)
 				if err != nil {

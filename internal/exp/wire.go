@@ -13,6 +13,7 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
+	"slices"
 	"strings"
 
 	"l2bm/internal/core"
@@ -97,8 +98,8 @@ func (r *SweepRequest) Validate() error {
 // upfront so a bad point fails before any other runs. It asks for a name (it
 // seeds the run), a registered policy unless a PolicyFactory stands in for
 // one, known scale/fidelity values, loads in [0, 1], incast parameters every
-// responder can send at least a byte of, a valid fault plan, the
-// hybrid/shards exclusion and a shard count the fabric can hold.
+// responder can send at least a byte of, a valid fault plan whose blackouts
+// name switches of the fabric, and a shard count the fabric can hold.
 func (sp HybridSpec) Validate() error {
 	if sp.Name == "" {
 		return fmt.Errorf("Name is required (it seeds the run)")
@@ -121,23 +122,18 @@ func (sp HybridSpec) Validate() error {
 	default:
 		return fmt.Errorf("unknown fidelity %q (want %q or %q)", sp.Fidelity, FidelityPacket, FidelityHybrid)
 	}
-	if sp.Fidelity == FidelityHybrid && sp.Shards > 1 {
-		return fmt.Errorf("hybrid fidelity runs on at most one engine (got Shards=%d)", sp.Shards)
-	}
 	if sp.Shards < 0 {
 		return fmt.Errorf("Shards must be >= 0, got %d", sp.Shards)
 	}
-	if sp.Shards > 1 {
-		// Every shard owns at least one rack (topo.ComputePartition), so the
-		// resolved topology's ToR count is the cap; one engine fits any
-		// fabric, and a self-sized run (0) fits itself.
-		cfg := sp.Scale.Topo()
-		if sp.TopoOverride != nil {
-			sp.TopoOverride(&cfg)
-		}
-		if sp.Shards > cfg.ToRCount {
-			return fmt.Errorf("Shards = %d, but the fabric has %d ToRs (every shard owns at least one)", sp.Shards, cfg.ToRCount)
-		}
+	// The resolved fabric caps the shard count — every shard owns at least one
+	// rack (topo.ComputePartition), and a self-sized run (0) fits itself — and
+	// names the switches a blackout may take down.
+	cfg := sp.Scale.Topo()
+	if sp.TopoOverride != nil {
+		sp.TopoOverride(&cfg)
+	}
+	if sp.Shards > cfg.ToRCount {
+		return fmt.Errorf("Shards = %d, but the fabric has %d ToRs (every shard owns at least one)", sp.Shards, cfg.ToRCount)
 	}
 	for _, load := range []struct {
 		name string
@@ -155,8 +151,17 @@ func (sp HybridSpec) Validate() error {
 			return fmt.Errorf("Incast.RequestBytes = %d is fewer than Fanout = %d (every responder sends at least one byte)", in.RequestBytes, in.Fanout)
 		}
 	}
-	if sp.Faults != nil {
-		return sp.Faults.Plan.Validate()
+	if sp.Faults == nil {
+		return nil
+	}
+	if err := sp.Faults.Plan.Validate(); err != nil {
+		return err
+	}
+	names := cfg.SwitchNames()
+	for _, b := range sp.Faults.Plan.Blackouts {
+		if !slices.Contains(names, b.Switch) {
+			return fmt.Errorf("blackout names switch %q, which the fabric lacks", b.Switch)
+		}
 	}
 	return nil
 }

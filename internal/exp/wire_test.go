@@ -43,10 +43,15 @@ func TestScaleJSON(t *testing.T) {
 	}
 }
 
-// incastBelowFanout is a submission the daemon used to accept (202) and then
-// fail inside the workload generator: a request too small to give every
-// responder a byte.
-const incastBelowFanout = `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","TCPLoad":0.4,"Incast":{"Fanout":5,"RequestBytes":3,"QueryRate":100}}]}`
+// Submissions the daemon used to accept (202) and then mishandle:
+// incastBelowFanout failed inside the workload generator (a request too small
+// to give every responder a byte), blackoutInPast panicked scheduling into the
+// past, and blackoutNoSwitch ran a clean fabric (tiny has no agg9).
+const (
+	incastBelowFanout = `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","TCPLoad":0.4,"Incast":{"Fanout":5,"RequestBytes":3,"QueryRate":100}}]}`
+	blackoutInPast    = `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","TCPLoad":0.4,"Faults":{"Plan":{"Blackouts":[{"Switch":"agg0","At":-5,"Duration":1000000}]}}}]}`
+	blackoutNoSwitch  = `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","TCPLoad":0.4,"Faults":{"Plan":{"Blackouts":[{"Switch":"agg9","At":0,"Duration":1000000}]}}}]}`
+)
 
 func TestParseSweepRequest(t *testing.T) {
 	valid := `{"name":"ok","specs":[{"Name":"p0","Policy":"DT","Scale":"tiny","TCPLoad":0.4}]}`
@@ -58,12 +63,14 @@ func TestParseSweepRequest(t *testing.T) {
 		t.Errorf("parsed request wrong: %+v", req)
 	}
 
-	// One engine is legal everywhere, hybrid fidelity included, and a fabric
-	// holds as many shards as it has racks.
+	// A fabric holds as many shards as it has racks, at either fidelity, and
+	// a blackout may take down any of its switches.
 	for _, body := range []string{
 		`{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Fidelity":"hybrid","Shards":1}]}`,
+		`{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Fidelity":"hybrid","Shards":2}]}`, // hybrid sharded
 		`{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Shards":2}]}`,
 		`{"specs":[{"Name":"p","Policy":"DT","Scale":"small","Shards":4}]}`,
+		strings.Replace(blackoutNoSwitch, "agg9", "agg1", 1),
 	} {
 		if _, err := ParseSweepRequest([]byte(body)); err != nil {
 			t.Errorf("%s: %v", body, err)
@@ -80,14 +87,16 @@ func TestParseSweepRequest(t *testing.T) {
 		"unknown policy":  `{"specs":[{"Name":"p","Policy":"Nope","Scale":"tiny"}]}`,
 		"unknown scale":   `{"specs":[{"Name":"p","Policy":"DT","Scale":99}]}`,
 		"bad fidelity":    `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Fidelity":"analytic"}]}`,
-		"hybrid sharded":  `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Fidelity":"hybrid","Shards":2}]}`,
 		"removed sched":   `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Sched":"wheel"}]}`, // the field is gone: strict parsing rejects even a once-valid value
+		"removed events":  `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Faults":{"Plan":{"Scheduled":[]}}}]}`,
 		"negative shards": `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Shards":-1}]}`,
 		"shards > ToRs":   `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny"},{"Name":"q","Policy":"DT","Scale":"tiny","Shards":5}]}`, // tiny has two racks
 		"load too high":   `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","TCPLoad":1.5}]}`,
 		"load negative":   `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","RDMALoad":-0.1}]}`,
 		"bad incast":      `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Incast":{"Fanout":0,"RequestBytes":1,"QueryRate":1}}]}`,
 		"incast < fanout": incastBelowFanout, // 3 bytes cannot give 5 responders a byte each
+		"blackout < 0":    blackoutInPast,
+		"blackout ghost":  blackoutNoSwitch,
 	} {
 		if _, err := ParseSweepRequest([]byte(body)); err == nil {
 			t.Errorf("%s: want error, got success", name)
@@ -185,6 +194,8 @@ func FuzzParseSweepRequest(f *testing.F) {
 		`{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Fidelity":"hybrid","Shards":2}]}`,
 		`{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Faults":{"Plan":{"FlapRate":-1}}}]}`,
 		incastBelowFanout,
+		blackoutInPast,
+		blackoutNoSwitch,
 	} {
 		f.Add([]byte(seed))
 	}

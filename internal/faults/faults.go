@@ -18,20 +18,15 @@ import (
 // Link is one cable as the injector sees it: the two ports plus a SetLive
 // callback that raises or cuts the carrier *and* updates the topology's
 // routing liveness (the topo layer provides the closure so faults need not
-// know about Clos coordinates).
+// know about Clos coordinates). Fabric marks a switch-to-switch cable, the
+// only kind that flaps: flapping an access link merely disconnects one
+// host, which tests nothing about the fabric.
 type Link struct {
 	Name         string
 	A, B         *netdev.Port
 	AName, BName string
+	Fabric       bool
 	SetLive      func(up bool)
-}
-
-// ScheduledEvent flips one named link at a fixed time (deterministic
-// schedules, as opposed to the Poisson flap process).
-type ScheduledEvent struct {
-	Link string
-	At   sim.Time
-	Up   bool
 }
 
 // Blackout takes every link touching one switch down at At and restores
@@ -47,7 +42,7 @@ type Blackout struct {
 // a fault rate is nonzero, so arming a plan never perturbs the workload's
 // streams: common random numbers hold across clean and faulted scenarios.
 type Plan struct {
-	// FlapRate is the mean link-down events per second per eligible link
+	// FlapRate is the mean link-down events per second per Fabric link
 	// (Poisson process); zero disables flapping.
 	FlapRate float64
 	// FlapDowntime is the mean of the exponentially distributed outage
@@ -56,13 +51,6 @@ type Plan struct {
 	// FlapWindow stops scheduling new flaps this long after Install, so
 	// in-flight traffic can drain and complete; zero flaps forever.
 	FlapWindow sim.Duration
-	// LinkFilter restricts which links flap (nil = every link offered).
-	// Excluded from JSON: plans travel inside serialized specs (sweep
-	// submissions, chaos reproducers) and funcs do not serialize.
-	LinkFilter func(name string) bool `json:"-"`
-
-	// Scheduled lists deterministic link up/down events.
-	Scheduled []ScheduledEvent
 
 	// BER is the per-bit error probability applied to data frames; a
 	// corrupted frame is dropped (the FCS would have rejected it).
@@ -91,6 +79,9 @@ func (p *Plan) Validate() error {
 		return fmt.Errorf("faults: PFCLossRate = %v, want in [0, 1]", p.PFCLossRate)
 	}
 	for _, b := range p.Blackouts {
+		if b.At < 0 {
+			return fmt.Errorf("faults: blackout of %q starts before the run, at %v", b.Switch, b.At)
+		}
 		if b.Duration <= 0 {
 			return fmt.Errorf("faults: blackout of %q has non-positive duration %v", b.Switch, b.Duration)
 		}
@@ -98,16 +89,10 @@ func (p *Plan) Validate() error {
 	return nil
 }
 
-// Active reports whether the plan injects anything at all.
-func (p *Plan) Active() bool {
-	return p.FlapRate > 0 || p.BER > 0 || p.PFCLossRate > 0 ||
-		len(p.Scheduled) > 0 || len(p.Blackouts) > 0
-}
-
 // Stats counts injected faults.
 type Stats struct {
 	// LinkDownEvents and LinkUpEvents count carrier transitions from every
-	// source (flaps, scheduled events, blackouts).
+	// source (flaps, blackouts).
 	LinkDownEvents uint64
 	LinkUpEvents   uint64
 	// CorruptedFrames counts data frames dropped by the BER process.
@@ -116,8 +101,8 @@ type Stats struct {
 	LostPFC uint64
 	// BlackoutEvents counts whole-switch outages that fired.
 	BlackoutEvents uint64
-	// Firings counts the injector's executed engine events (flap, recovery,
-	// scheduled and blackout callbacks alike). Identical on every replica of
+	// Firings counts the injector's executed engine events (flap, recovery
+	// and blackout callbacks alike). Identical on every replica of
 	// a sharded run, and Result.Events counts one replica's.
 	Firings uint64
 }
@@ -137,7 +122,6 @@ type Injector struct {
 	eng       *sim.Engine
 	plan      Plan
 	links     []Link
-	byName    map[string]Link
 	installAt sim.Time
 	stats     Stats
 
@@ -150,27 +134,30 @@ type Injector struct {
 	PortFilter func(p *netdev.Port) bool
 }
 
-// NewInjector validates the plan and binds it to the links.
+// NewInjector validates the plan and binds it to the links. A blackout of a
+// switch no link touches is refused: it would silently inject nothing.
 func NewInjector(eng *sim.Engine, plan Plan, links []Link) (*Injector, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
-	byName := make(map[string]Link, len(links))
+	names := make(map[string]bool, len(links))
+	ends := make(map[string]bool)
 	for _, l := range links {
 		if l.SetLive == nil {
 			return nil, fmt.Errorf("faults: link %q has no SetLive", l.Name)
 		}
-		if _, dup := byName[l.Name]; dup {
+		if names[l.Name] {
 			return nil, fmt.Errorf("faults: duplicate link name %q", l.Name)
 		}
-		byName[l.Name] = l
+		names[l.Name] = true
+		ends[l.AName], ends[l.BName] = true, true
 	}
-	for _, ev := range plan.Scheduled {
-		if _, ok := byName[ev.Link]; !ok {
-			return nil, fmt.Errorf("faults: scheduled event names unknown link %q", ev.Link)
+	for _, b := range plan.Blackouts {
+		if !ends[b.Switch] {
+			return nil, fmt.Errorf("faults: blackout names switch %q, which no link touches", b.Switch)
 		}
 	}
-	return &Injector{eng: eng, plan: plan, links: links, byName: byName}, nil
+	return &Injector{eng: eng, plan: plan, links: links}, nil
 }
 
 // Stats returns a snapshot of the injection counters.
@@ -199,7 +186,7 @@ func (in *Injector) owns(p *netdev.Port) bool {
 }
 
 // Install arms the plan: receive hooks for frame faults, Poisson flap
-// processes, scheduled events and blackouts. Call once, before Run.
+// processes and blackouts. Call once, before Run.
 func (in *Injector) Install() {
 	in.installAt = in.eng.Now()
 
@@ -221,19 +208,10 @@ func (in *Injector) Install() {
 
 	if in.plan.FlapRate > 0 {
 		for _, l := range in.links {
-			if in.plan.LinkFilter != nil && !in.plan.LinkFilter(l.Name) {
-				continue
+			if l.Fabric {
+				in.scheduleFlap(l, in.eng.Rand("faults/flap/"+l.Name))
 			}
-			l := l
-			r := in.eng.Rand("faults/flap/" + l.Name)
-			in.scheduleFlap(l, r)
 		}
-	}
-
-	for _, ev := range in.plan.Scheduled {
-		ev := ev
-		l := in.byName[ev.Link]
-		in.eng.ScheduleAt(ev.At, func() { in.stats.Firings++; in.setLink(l, ev.Up) })
 	}
 
 	for _, b := range in.plan.Blackouts {

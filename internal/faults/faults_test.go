@@ -26,6 +26,7 @@ func TestPlanValidateRejectsGarbage(t *testing.T) {
 		{PFCLossRate: math.NaN()},
 		{PFCLossRate: 1.5},
 		{Blackouts: []Blackout{{Switch: "sw", At: 0, Duration: 0}}},
+		{Blackouts: []Blackout{{Switch: "sw", At: -5, Duration: sim.Microsecond}}}, // scheduling into the past
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -35,13 +36,6 @@ func TestPlanValidateRejectsGarbage(t *testing.T) {
 	good := Plan{FlapRate: 100, FlapDowntime: 20 * sim.Microsecond, BER: 1e-6, PFCLossRate: 0.01}
 	if err := good.Validate(); err != nil {
 		t.Errorf("valid plan rejected: %v", err)
-	}
-	if !good.Active() {
-		t.Error("plan with faults reported inactive")
-	}
-	zero := Plan{}
-	if zero.Active() {
-		t.Error("zero plan reported active")
 	}
 }
 
@@ -72,7 +66,7 @@ func testLink(eng *sim.Engine, name string) (Link, *[]bool) {
 	pa, pb := netdev.Connect(eng, a, b, 25e9, sim.Microsecond)
 	var states []bool
 	l := Link{
-		Name: name, A: pa, B: pb, AName: a.name, BName: b.name,
+		Name: name, A: pa, B: pb, AName: a.name, BName: b.name, Fabric: true,
 		SetLive: func(up bool) {
 			states = append(states, up)
 			pa.SetCarrier(up)
@@ -93,32 +87,14 @@ func TestInjectorRejectsBadBindings(t *testing.T) {
 	if _, err := NewInjector(eng, Plan{}, []Link{l1, l1}); err == nil {
 		t.Error("duplicate link names accepted")
 	}
-	plan := Plan{Scheduled: []ScheduledEvent{{Link: "ghost", At: 0, Up: false}}}
-	if _, err := NewInjector(eng, plan, []Link{l1}); err == nil {
-		t.Error("scheduled event for unknown link accepted")
+	// A blackout of a switch no bound link touches would inject nothing.
+	blackout := Plan{Blackouts: []Blackout{{Switch: "agg9", At: 0, Duration: sim.Microsecond}}}
+	if _, err := NewInjector(eng, blackout, []Link{l1}); err == nil {
+		t.Error("blackout of a switch no link touches accepted")
 	}
-}
-
-func TestScheduledEventsFireInOrder(t *testing.T) {
-	eng := sim.NewEngine(1)
-	l, states := testLink(eng, "l1")
-	plan := Plan{Scheduled: []ScheduledEvent{
-		{Link: "l1", At: sim.Millisecond, Up: false},
-		{Link: "l1", At: 2 * sim.Millisecond, Up: true},
-	}}
-	inj, err := NewInjector(eng, plan, []Link{l})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj.Install()
-	eng.Run(3 * sim.Millisecond)
-
-	if want := []bool{false, true}; !reflect.DeepEqual(*states, want) {
-		t.Fatalf("transitions = %v, want %v", *states, want)
-	}
-	st := inj.Stats()
-	if st.LinkDownEvents != 1 || st.LinkUpEvents != 1 {
-		t.Errorf("stats = %+v, want 1 down / 1 up", st)
+	blackout.Blackouts[0].Switch = l1.BName
+	if _, err := NewInjector(eng, blackout, []Link{l1}); err != nil {
+		t.Errorf("blackout of a bound link's endpoint refused: %v", err)
 	}
 }
 

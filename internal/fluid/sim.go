@@ -202,17 +202,10 @@ func (s *Sim) chargeOccupancy(occ []int64) {
 	}
 }
 
-// TorOccupancy returns the synthesized occupancy estimate of rack switch t
-// — the fluid stand-in for switchsim's resident-byte reading, so traced
-// figures stay plottable across fluid segments.
-func (s *Sim) TorOccupancy(t int) int64 {
-	occ := make([]int64, s.m.NumSwitches())
-	s.chargeOccupancy(occ)
-	return occ[t]
-}
-
 // TorOccupancies appends every rack switch's synthesized occupancy to
-// dst[:0] with a single solve — the driver's periodic sampling path.
+// dst[:0] with a single solve — the fluid stand-in for switchsim's
+// resident-byte reading, so traced figures stay plottable across fluid
+// segments.
 func (s *Sim) TorOccupancies(dst []int64) []int64 {
 	occ := make([]int64, s.m.NumSwitches())
 	s.chargeOccupancy(occ)

@@ -37,116 +37,33 @@ func (r *FlowRecord) Slowdown() float64 {
 // like the engine.
 type FCTRecorder struct {
 	flows map[pkt.FlowID]*FlowRecord
-
-	// orphans holds completions that arrived before (or without) a Started
-	// record. In a sequential run these are flows of an unobserved traffic
-	// class; in a sharded run a flow Started on its source host's shard
-	// recorder while its completion fires on the destination's, so the
-	// orphan is matched to its start when the per-shard recorders are
-	// Merged. Only the first completion per ID is retained.
-	orphans map[pkt.FlowID]sim.Time
 }
 
 // NewFCTRecorder returns an empty recorder.
 func NewFCTRecorder() *FCTRecorder {
-	return &FCTRecorder{
-		flows:   make(map[pkt.FlowID]*FlowRecord),
-		orphans: make(map[pkt.FlowID]sim.Time),
-	}
+	return &FCTRecorder{flows: make(map[pkt.FlowID]*FlowRecord)}
 }
 
-// Started records a flow at launch with its precomputed ideal FCT.
+// Started records a flow at launch with its precomputed ideal FCT. A flow
+// started twice is a wiring bug (two generators, or two shards, claiming one
+// flow), so a duplicate ID panics rather than silently replacing the record.
 func (r *FCTRecorder) Started(f *transport.Flow, ideal sim.Duration) {
+	if _, dup := r.flows[f.ID]; dup {
+		panic(fmt.Sprintf("metrics: flow %d started twice", f.ID))
+	}
 	r.flows[f.ID] = &FlowRecord{Flow: *f, Ideal: ideal}
 }
 
-// Completed records the flow's last-byte arrival. A completion for a flow
-// this recorder never saw start is parked as an orphan so a later Merge
-// can match it with the start recorded on another shard.
+// Completed records the flow's last-byte arrival; the first completion of a
+// flow wins. A completion of a flow this recorder never saw start (an
+// unobserved traffic class) is ignored.
 func (r *FCTRecorder) Completed(id pkt.FlowID, at sim.Time) {
 	rec, ok := r.flows[id]
-	if !ok {
-		if _, dup := r.orphans[id]; !dup {
-			r.orphans[id] = at
-		}
+	if !ok || rec.Done {
 		return
 	}
-	if rec.Done {
-		return
-	}
-	// Started may run before the host stamps Flow.Start; both happen at
-	// the same instant, so backfill defensively.
 	rec.End = at
 	rec.Done = true
-}
-
-// Orphans returns the number of completions still unmatched with a start.
-func (r *FCTRecorder) Orphans() int { return len(r.orphans) }
-
-// sortedFlowIDs returns the recorder's started-flow IDs ascending.
-func (r *FCTRecorder) sortedFlowIDs() []pkt.FlowID {
-	ids := make([]pkt.FlowID, 0, len(r.flows))
-	for id := range r.flows {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// sortedOrphanIDs returns the recorder's orphaned-completion IDs ascending.
-func (r *FCTRecorder) sortedOrphanIDs() []pkt.FlowID {
-	ids := make([]pkt.FlowID, 0, len(r.orphans))
-	for id := range r.orphans {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// Merge returns a new recorder holding the union of r and every other
-// recorder: flow records are unioned by pkt.FlowID (two recorders claiming
-// the same started flow is a wiring bug, so a duplicate ID panics — IDs
-// are visited in sorted order, making the panic deterministic), and orphan
-// completions from any input are matched against starts from any other, so
-// per-shard recorders — where a flow starts on the source host's shard and
-// completes on the destination's — collate into exactly the record set a
-// sequential run produces. Inputs are not mutated; records are copied.
-func (r *FCTRecorder) Merge(others ...*FCTRecorder) *FCTRecorder {
-	out := NewFCTRecorder()
-	all := make([]*FCTRecorder, 0, 1+len(others))
-	all = append(all, r)
-	all = append(all, others...)
-	for _, src := range all {
-		if src == nil {
-			continue
-		}
-		for _, id := range src.sortedFlowIDs() {
-			if _, dup := out.flows[id]; dup {
-				panic(fmt.Sprintf("metrics: flow %d started in two recorders passed to Merge", id))
-			}
-			rec := *src.flows[id]
-			out.flows[id] = &rec
-		}
-	}
-	for _, src := range all {
-		if src == nil {
-			continue
-		}
-		for _, id := range src.sortedOrphanIDs() {
-			at := src.orphans[id]
-			if rec, ok := out.flows[id]; ok {
-				if !rec.Done {
-					rec.End = at
-					rec.Done = true
-				}
-				continue
-			}
-			if _, dup := out.orphans[id]; !dup {
-				out.orphans[id] = at
-			}
-		}
-	}
-	return out
 }
 
 // Counts returns (started, completed) totals.

@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -72,6 +73,40 @@ func TestFCTRecorderIgnoresUnknownAndDuplicate(t *testing.T) {
 	if got := r.Records(0)[0].FCT(); got != 2*sim.Microsecond {
 		t.Errorf("FCT = %v, duplicate completion overwrote", got)
 	}
+	if s, c := r.Counts(); s != 1 || c != 1 {
+		t.Errorf("counts = %d/%d, want 1/1: the unknown completion became a record", s, c)
+	}
+}
+
+// TestFCTRecorderRecordsSortedByID: the record accessors come back in flow-ID
+// order whatever order the flows started in, the incomplete ones included.
+func TestFCTRecorderRecordsSortedByID(t *testing.T) {
+	r := NewFCTRecorder()
+	for _, id := range []pkt.FlowID{3, 1, 4, 2} {
+		r.Started(mkFlow(id, pkt.ClassLossy, 0), sim.Microsecond)
+	}
+	r.Completed(3, 5*sim.Microsecond)
+	r.Completed(1, 5*sim.Microsecond)
+	if recs := r.Records(0); len(recs) != 2 || recs[0].Flow.ID != 1 || recs[1].Flow.ID != 3 {
+		t.Errorf("completed records out of order: %+v", recs)
+	}
+	if inc := r.IncompleteRecords(); len(inc) != 2 || inc[0].Flow.ID != 2 || inc[1].Flow.ID != 4 {
+		t.Errorf("incomplete records out of order: %+v", inc)
+	}
+}
+
+// TestFCTRecorderPanicsOnDuplicateStart: the same flow started twice is a
+// wiring bug (two generators or two shards claiming it) and must panic
+// loudly, naming the flow, not silently replace the first record.
+func TestFCTRecorderPanicsOnDuplicateStart(t *testing.T) {
+	r := NewFCTRecorder()
+	r.Started(mkFlow(4, pkt.ClassLossy, 0), sim.Microsecond)
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "flow 4") {
+			t.Fatalf("duplicate start: panic %q, want one naming flow 4", msg)
+		}
+	}()
+	r.Started(mkFlow(4, pkt.ClassLossy, 0), sim.Microsecond)
 }
 
 func TestFCTRecorderIncompleteExcluded(t *testing.T) {

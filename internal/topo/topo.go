@@ -143,6 +143,23 @@ func (c *Config) Validate() error {
 // Hosts returns the total number of servers the configuration describes.
 func (c *Config) Hosts() int { return c.ToRCount * c.ServersPerToR }
 
+// SwitchNames returns the name of every switch the configuration builds, in
+// index order: ToRs ("tor0"…), then aggregation ("agg0"…), then core
+// ("core0"…) switches. Build names its switches from it, and a fault plan's
+// blackout must name one of them.
+func (c *Config) SwitchNames() []string {
+	names := make([]string, 0, c.ToRCount+c.AggCount+c.CoreCount)
+	for _, layer := range []struct {
+		prefix string
+		n      int
+	}{{"tor", c.ToRCount}, {"agg", c.AggCount}, {"core", c.CoreCount}} {
+		for i := 0; i < layer.n; i++ {
+			names = append(names, fmt.Sprintf("%s%d", layer.prefix, i))
+		}
+	}
+	return names
+}
+
 // MinPropDelay returns the smallest positive propagation delay in the
 // fabric, or 0 when every delay is zero. The scheduler layer sizes the
 // timer-wheel tick from it (sim.WheelGranularityFor): no two causally
@@ -330,24 +347,23 @@ func BuildSharded(engines []*sim.Engine, part *Partition, cfg Config, newPolicy 
 		}
 	}
 
-	// Flyweight descriptors: one immutable switch Config per role and one
-	// LinkClass per tier, shared across every switch/cable of that role —
-	// per-node state is then the counters, not the configuration. The three
-	// role Configs are currently equal in value, but kept separate so a
-	// per-role override (deeper-buffered cores, say) needs no re-plumbing.
-	torCfg, aggCfg, coreCfg := cfg.Switch, cfg.Switch, cfg.Switch
+	// Flyweight descriptors: one immutable switch Config and one LinkClass
+	// per tier, shared across every switch/cable — per-node state is then the
+	// counters, not the configuration.
+	swCfg := cfg.Switch
 	serverClass := &netdev.LinkClass{Rate: cfg.ServerRate, Prop: cfg.ServerDelay}
 	torAggClass := &netdev.LinkClass{Rate: cfg.FabricRate, Prop: cfg.TorAggDelay}
 	aggCoreClass := &netdev.LinkClass{Rate: cfg.FabricRate, Prop: cfg.AggCoreDelay}
 
+	names := cfg.SwitchNames()
 	for i := 0; i < cfg.ToRCount; i++ {
-		cl.ToRs = append(cl.ToRs, switchsim.NewSwitchShared(engines[part.ToR[i]], fmt.Sprintf("tor%d", i), &torCfg, newPolicy()))
+		cl.ToRs = append(cl.ToRs, switchsim.NewSwitchShared(engines[part.ToR[i]], names[i], &swCfg, newPolicy()))
 	}
 	for i := 0; i < cfg.AggCount; i++ {
-		cl.Aggs = append(cl.Aggs, switchsim.NewSwitchShared(engines[part.Agg[i]], fmt.Sprintf("agg%d", i), &aggCfg, newPolicy()))
+		cl.Aggs = append(cl.Aggs, switchsim.NewSwitchShared(engines[part.Agg[i]], names[cfg.ToRCount+i], &swCfg, newPolicy()))
 	}
 	for i := 0; i < cfg.CoreCount; i++ {
-		cl.Cores = append(cl.Cores, switchsim.NewSwitchShared(engines[part.Core[i]], fmt.Sprintf("core%d", i), &coreCfg, newPolicy()))
+		cl.Cores = append(cl.Cores, switchsim.NewSwitchShared(engines[part.Core[i]], names[cfg.ToRCount+cfg.AggCount+i], &swCfg, newPolicy()))
 	}
 
 	// nextKey numbers ports in global wiring order (1-based): the key is

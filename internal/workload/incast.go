@@ -47,8 +47,8 @@ type IncastConfig struct {
 	// satisfies the predicate launch here. Everything else — random draws,
 	// query bookkeeping, flow→query registration — still happens, keeping
 	// replicated instances on different shards in lockstep: each shard
-	// launches only the responders it owns, while the target's shard (where
-	// every response lands) can still match completions to the query.
+	// launches only the responders it owns, while any one replica can still
+	// match every flow's completion to its query.
 	// LaunchFilter requires IDTag (replicas cannot share an IDSource).
 	LaunchFilter func(src int) bool
 }
@@ -214,47 +214,22 @@ func (g *Incast) OnFlowComplete(id pkt.FlowID, at sim.Time) {
 // Queries returns all issued queries (completed or not).
 func (g *Incast) Queries() []*Query { return g.queries }
 
-// MergeCompletedResponseTimes combines the views of replicated incast
-// generators (one per shard, identical draws, disjoint LaunchFilters) into
-// the response times a single generator would have reported: each replica
-// only hears the completions of the responders it owns, so a query is
-// complete when the replicas' completion counts sum to the fanout, and its
-// Done is the max over replicas. Panics if the replicas disagree on the
-// query sequence — they run in lockstep by construction.
-func MergeCompletedResponseTimes(gens ...*Incast) []sim.Duration {
-	if len(gens) == 0 {
-		return nil
+// InLockstep reports whether replica issued the query sequence g did.
+// Replicated generators (one per shard, identical draws on identically-seeded
+// engines, disjoint LaunchFilters) agree on every query's ID, target and issue
+// time by construction, which is what lets one replica stand for all of them;
+// a difference is a lost-lockstep bug, returned as an error naming the first
+// query that differs.
+func (g *Incast) InLockstep(replica *Incast) error {
+	if len(replica.queries) != len(g.queries) {
+		return fmt.Errorf("workload: incast replicas issued %d vs %d queries", len(g.queries), len(replica.queries))
 	}
-	if len(gens) == 1 {
-		return gens[0].CompletedResponseTimes()
-	}
-	first := gens[0]
-	for _, g := range gens[1:] {
-		if len(g.queries) != len(first.queries) {
-			panic(fmt.Sprintf("workload: incast replicas issued %d vs %d queries",
-				len(g.queries), len(first.queries)))
+	for i, q := range g.queries {
+		if r := replica.queries[i]; r.ID != q.ID || r.Target != q.Target || r.Issued != q.Issued {
+			return fmt.Errorf("workload: incast replicas diverged at query %d", i)
 		}
 	}
-	var out []sim.Duration
-	for i, q0 := range first.queries {
-		fanout := first.cfg.Fanout
-		seen := 0
-		done := sim.Time(0)
-		for _, g := range gens {
-			q := g.queries[i]
-			if q.ID != q0.ID || q.Target != q0.Target || q.Issued != q0.Issued {
-				panic(fmt.Sprintf("workload: incast replicas diverged at query %d", i))
-			}
-			seen += fanout - q.pending
-			if q.Done > done {
-				done = q.Done
-			}
-		}
-		if seen == fanout {
-			out = append(out, done-q0.Issued)
-		}
-	}
-	return out
+	return nil
 }
 
 // CompletedResponseTimes returns the response times of completed queries.

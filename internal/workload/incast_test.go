@@ -1,68 +1,34 @@
 package workload
 
 import (
-	"reflect"
+	"strings"
 	"testing"
-
-	"l2bm/internal/sim"
 )
 
-// replica builds a synthetic Incast view: one generator's partial knowledge
-// of a shared query sequence, as the sharded runner sees it.
-func replica(fanout int, qs ...*Query) *Incast {
-	return &Incast{cfg: IncastConfig{Fanout: fanout}, queries: qs}
+// replica builds a synthetic Incast view: one generator's query sequence, as
+// the sharded runner sees it.
+func replica(qs ...*Query) *Incast {
+	return &Incast{queries: qs}
 }
 
-// TestMergeCompletedResponseTimes: two replicas that each heard half of a
-// query's completions must reconstruct the single-generator answer — the
-// query counts as complete exactly when the per-replica completion counts
-// sum to the fanout, with Done = max over replicas.
-func TestMergeCompletedResponseTimes(t *testing.T) {
-	// Query 0: fanout 4; replica A heard 3 completions (last at t=50),
-	// replica B heard 1 (at t=70). Together: complete, done at 70.
-	// Query 1: fanout 4; A heard 2, B heard 1 → 3 of 4, incomplete.
-	a := replica(4,
-		&Query{ID: 0, Target: 7, Issued: 10, Done: 50, pending: 1},
-		&Query{ID: 1, Target: 3, Issued: 20, Done: 90, pending: 2},
-	)
-	b := replica(4,
-		&Query{ID: 0, Target: 7, Issued: 10, Done: 70, pending: 3},
-		&Query{ID: 1, Target: 3, Issued: 20, Done: 0, pending: 3},
-	)
-	got := MergeCompletedResponseTimes(a, b)
-	want := []sim.Duration{60} // 70 - 10
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("merged response times = %v, want %v", got, want)
+// TestIncastReplicasOutOfLockstep: replicas that disagree on the query
+// sequence indicate a lost-lockstep bug and must be reported, naming the
+// query, rather than let one replica's view stand for wrong latencies.
+func TestIncastReplicasOutOfLockstep(t *testing.T) {
+	a := replica(&Query{ID: 0, Target: 1, Issued: 10}, &Query{ID: 1, Target: 3, Issued: 20})
+	if err := a.InLockstep(replica(&Query{ID: 0, Target: 1, Issued: 10}, &Query{ID: 1, Target: 3, Issued: 20})); err != nil {
+		t.Errorf("identical replicas: %v", err)
 	}
-}
-
-// TestMergeCompletedResponseTimesSingle: a single replica passes through
-// its own completed queries untouched.
-func TestMergeCompletedResponseTimesSingle(t *testing.T) {
-	g := replica(2,
-		&Query{ID: 0, Issued: 5, Done: 25, Complete: true},
-		&Query{ID: 1, Issued: 10, Done: 0, pending: 2},
-	)
-	got := MergeCompletedResponseTimes(g)
-	want := []sim.Duration{20}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("single-replica merge = %v, want %v", got, want)
-	}
-	if MergeCompletedResponseTimes() != nil {
-		t.Errorf("zero-replica merge should be nil")
-	}
-}
-
-// TestMergeCompletedResponseTimesDivergence: replicas that disagree on the
-// query sequence indicate a lost-lockstep bug and must panic loudly rather
-// than report silently wrong latencies.
-func TestMergeCompletedResponseTimesDivergence(t *testing.T) {
-	a := replica(2, &Query{ID: 0, Target: 1, Issued: 10})
-	b := replica(2, &Query{ID: 0, Target: 2, Issued: 10})
-	defer func() {
-		if recover() == nil {
-			t.Errorf("diverged replicas did not panic")
+	for name, b := range map[string]*Incast{
+		"target": replica(&Query{ID: 0, Target: 1, Issued: 10}, &Query{ID: 1, Target: 2, Issued: 20}),
+		"issued": replica(&Query{ID: 0, Target: 1, Issued: 10}, &Query{ID: 1, Target: 3, Issued: 21}),
+		"id":     replica(&Query{ID: 0, Target: 1, Issued: 10}, &Query{ID: 2, Target: 3, Issued: 20}),
+	} {
+		if err := a.InLockstep(b); err == nil || !strings.Contains(err.Error(), "query 1") {
+			t.Errorf("%s differs: error %v, want one naming query 1", name, err)
 		}
-	}()
-	MergeCompletedResponseTimes(a, b)
+	}
+	if err := a.InLockstep(replica(&Query{ID: 0, Target: 1, Issued: 10})); err == nil {
+		t.Error("replicas with different query counts reported in lockstep")
+	}
 }

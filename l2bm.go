@@ -282,9 +282,6 @@ func NewHarness(workers int) *Harness { return exp.NewHarness(workers) }
 // corruption, lost PFC frames and switch blackouts.
 type FaultPlan = faults.Plan
 
-// FaultEvent is one scheduled link up/down transition in a FaultPlan.
-type FaultEvent = faults.ScheduledEvent
-
 // Blackout takes a whole switch offline for a fixed interval.
 type Blackout = faults.Blackout
 
