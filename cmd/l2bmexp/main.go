@@ -44,13 +44,14 @@
 //
 // Orthogonally, every individual point can run on the sharded
 // conservative-time engine (internal/psim): the Clos fabric is partitioned
-// across per-shard engines, one pinned thread each, synchronized by
-// lookahead-bounded epochs. -shards N >= 1 asks for exactly N; the default
-// 0 lets each point size itself to the cores the worker pool leaves idle — a
-// one-point -exp scale takes them all, a Fig. 7 grid that already fills the
-// machine runs one engine per point. Results are byte-identical for every
-// legal shard count, so -shards changes only the timing trailer, which says
-// what the conductors did (shards, epochs, inline epochs, parks).
+// across per-shard engines synchronized by lookahead-bounded epochs, run on
+// as many pinned threads as the worker pool leaves cores idle. -shards N >= 1
+// asks for exactly N; the default 0 gives each point a shard per pod when it
+// has a second core — a one-point -exp scale runs its pods on every core, a
+// Fig. 7 grid that already fills the machine runs one engine per point.
+// Results are byte-identical for every legal shard count, so -shards changes
+// only the timing trailer, which says what the conductors did (shards,
+// threads, epochs, inline epochs, parks, idle thread-time).
 //
 // -fidelity hybrid runs figure/table experiments on the hybrid-fidelity
 // engine (internal/fluid): steady-state spans advance analytically, bursts

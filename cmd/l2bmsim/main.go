@@ -1,7 +1,7 @@
 // Command l2bmsim runs a single hybrid-traffic scenario with custom
 // parameters and prints its headline metrics — the quickest way to poke at
-// one configuration. The one point takes every core the fabric can use (one
-// shard per pod, see exp.HybridSpec.Shards); the numbers do not depend on it.
+// one configuration. The one point runs one shard per pod on the machine's
+// cores (see exp.HybridSpec.Shards); the numbers do not depend on it.
 //
 // Usage:
 //
@@ -76,8 +76,8 @@ func run(args []string, w io.Writer) error {
 		fmt.Fprintf(w, "incast: flows=%d p99 slowdown=%.2f queries=%d mean=%.2fms max=%.2fms\n",
 			len(res.IncastSlowdowns), res.Incastp99(), s.N, s.Mean, s.Max)
 	}
-	// The run sizes itself to the machine's cores (Shards: 0); what its
-	// conductor did there is the one machine-dependent part of the output.
+	// The run sizes itself (Shards: 0); what its conductor did with the
+	// machine's cores is the one machine-dependent part of the output.
 	var sharded exp.ShardedRuns
 	sharded.Add(res)
 	fmt.Fprintf(w, "simulated %v in %d events%s\n", res.EndTime, res.Events, sharded)

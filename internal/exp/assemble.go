@@ -295,7 +295,7 @@ func (p *plan) build(ctx context.Context, seed int64) (*fabric, error) {
 	if p.spec.Hooks != nil && p.spec.Hooks.PostBuild != nil {
 		p.spec.Hooks.PostBuild(cl)
 	}
-	f := &fabric{p: p, engines: engines, part: part, cl: cl, cond: psim.ForCluster(cl), logs: logs}
+	f := &fabric{p: p, engines: engines, part: part, cl: cl, cond: psim.ForCluster(cl, coresAvailable(ctx)), logs: logs}
 	if ctx.Done() != nil {
 		// ctx.Err is safe for concurrent use, as SetInterrupt requires of
 		// its poll (shard workers check it in parallel).
@@ -456,6 +456,7 @@ func (f *fabric) harvest(res *Result, final bool) {
 	c := &res.Conductor
 	c.Epochs, c.Delivered, c.TaskFirings = c.Epochs+st.Epochs, c.Delivered+st.Delivered, c.TaskFirings+st.TaskFirings
 	c.InlineEpochs, c.Parks, c.ModeSwitches = c.InlineEpochs+st.InlineEpochs, c.Parks+st.Parks, c.ModeSwitches+st.ModeSwitches
+	c.Threads, c.Busy, c.Idle = max(c.Threads, st.Threads), c.Busy+st.Busy, c.Idle+st.Idle
 	res.RecoveryBytes += cl.RecoveryBytes()
 	nacks, timeouts := cl.RDMARecoveryStats()
 	res.RDMANACKs += nacks

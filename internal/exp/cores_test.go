@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"l2bm/internal/psim"
 	"l2bm/internal/sim"
 	"l2bm/internal/topo"
 )
@@ -220,23 +221,26 @@ func TestSteeringUsesBothModes(t *testing.T) {
 	t.Log("every attempt was disturbed (parked waits); the switch count was not judged")
 }
 
-// TestPoolSharesCores: a self-sized point inside a pool takes the cores the
-// pool leaves idle. Two workers over eight points fill two procs, so every
-// point runs on one engine; one point leaves a core idle and takes it.
+// TestPoolSharesCores: a point inside a pool takes the cores the pool leaves
+// idle. Two workers over eight points fill two procs, so every self-sized
+// point runs on one engine, and an explicit Shards 2 runs both shards on one
+// thread — every epoch inline, no wait parked (it used to size its threads to
+// the procs, not its share, and fight the other worker for them); one point
+// leaves a core idle and takes it.
 func TestPoolSharesCores(t *testing.T) {
 	procs(t, 2)
-	for _, tc := range []struct{ workers, points, engines int }{{2, 8, 1}, {1, 8, 2}, {2, 1, 2}} {
+	for _, tc := range []struct{ workers, points, shards, engines int }{{2, 8, 0, 1}, {1, 8, 0, 2}, {2, 1, 0, 2}, {2, 8, 2, 2}} {
 		var mu sync.Mutex
 		var engines []int
-		spec := HybridSpec{Name: "cores", Policy: "DT", Scale: ScaleSmall, RDMALoad: 0.2, TCPLoad: 0.2,
-			WindowOverride: 100 * sim.Microsecond, DrainOverride: sim.Millisecond,
+		spec := HybridSpec{Name: "cores", Policy: "DT", Scale: ScaleSmall, RDMALoad: 0.4, TCPLoad: 0.8,
+			WindowOverride: 500 * sim.Microsecond, DrainOverride: sim.Millisecond, Shards: tc.shards,
 			Hooks: &RunHooks{PostBuild: func(cl *topo.Cluster) {
 				mu.Lock()
 				engines = append(engines, len(cl.Engines))
 				mu.Unlock()
 			}}}
 		pool := &Pool{Workers: tc.workers}
-		_, _, err := pool.Run(context.Background(), tc.points,
+		results, _, err := pool.Run(context.Background(), tc.points,
 			func(ctx context.Context, _ int) (*Result, error) { return RunHybridCtx(ctx, spec) }, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -250,28 +254,46 @@ func TestPoolSharesCores(t *testing.T) {
 				break
 			}
 		}
+		if tc.workers == 1 || tc.points == 1 {
+			continue // the point may take both cores
+		}
+		for i, res := range results {
+			if st := res.Conductor; st.InlineEpochs != st.Epochs || st.Parks != 0 || st.Threads != 1 {
+				t.Errorf("%d workers, %d points at Shards %d: point %d ran %d of %d epochs inline on %d threads with %d parks, want all inline on one, none parked",
+					tc.workers, tc.points, tc.shards, i, st.InlineEpochs, st.Epochs, st.Threads, st.Parks)
+			}
+		}
 	}
 }
 
-// TestAutoShardsNeverSplitsAPod: whatever the cores on offer, a self-sized run
-// gives every shard a whole number of pods (so the lookahead stays the
-// agg-core delay), never more shards than cores, and uses a second core
-// whenever the pod count allows — on a fabric with hosts enough to be worth a
-// barrier; the 8-host tiny one stays on one engine whatever the cores.
+// TestAutoShardsNeverSplitsAPod: a self-sized run on a fabric with hosts
+// enough to be worth a barrier gets one shard per pod whenever it is granted
+// a second core — 25 pods included, which no two-way split divides — and runs
+// them on min(cores, pods) threads; with one core, and on the 8-host tiny
+// fabric whatever the cores, it stays on one engine. A shard is a pod, so no
+// pod is ever split and the lookahead stays the agg-core delay.
 func TestAutoShardsNeverSplitsAPod(t *testing.T) {
+	tiny := topo.TinyConfig()
 	for _, pods := range []int{2, 10, 25} {
 		cfg := topo.DefaultConfig()
 		cfg.Pods, cfg.ToRCount, cfg.AggCount = pods, 2*pods, 2*pods
+		engines := make([]*sim.Engine, pods)
+		for i := range engines {
+			engines[i] = sim.NewEngine(1)
+		}
 		for cores := 1; cores <= 8; cores++ {
-			n := autoShards(&cfg, cores)
-			if n < 1 || n > cores || pods%n != 0 {
-				t.Errorf("%d pods, %d cores: %d shards", pods, cores, n)
+			n, want := autoShards(&cfg, cores), 1
+			if cores >= 2 {
+				want = pods
 			}
-			if pods%2 == 0 && cores >= 2 && n < 2 {
-				t.Errorf("%d pods, %d cores: one shard, want the second core used", pods, cores)
+			if n != want {
+				t.Errorf("%d pods, %d cores: %d shards, want %d", pods, cores, n, want)
 			}
-			if tiny := topo.TinyConfig(); autoShards(&tiny, cores) != 1 {
-				t.Errorf("the tiny fabric sized itself to %d shards on %d cores, want 1", autoShards(&tiny, cores), cores)
+			if n := autoShards(&tiny, cores); n != 1 {
+				t.Errorf("the tiny fabric sized itself to %d shards on %d cores, want 1", n, cores)
+			}
+			if th := psim.New(engines[:n], nil, 1, cores).Stats().Threads; th != min(cores, n) {
+				t.Errorf("%d pods, %d cores: %d shards on %d threads, want %d", pods, cores, n, th, min(cores, n))
 			}
 			part, err := topo.ComputePartition(cfg, n)
 			if err != nil {

@@ -75,11 +75,12 @@ type Harness struct {
 }
 
 // ShardedRuns sums, over a grid's points that ran on more than one engine, what
-// their conductors did. Shards is the widest of them (0: no point was
-// sharded); the rest are psim.Stats fields added up.
+// their conductors did. Shards and Threads are the widest of them (Shards 0:
+// no point was sharded); the rest are psim.Stats fields added up.
 type ShardedRuns struct {
-	Shards                      int
+	Shards, Threads             int
 	Epochs, InlineEpochs, Parks uint64
+	Busy, Idle                  time.Duration
 }
 
 // Add counts res when it ran on more than one engine.
@@ -87,18 +88,27 @@ func (s *ShardedRuns) Add(res *Result) {
 	if res.Shards <= 1 {
 		return
 	}
-	s.Shards = max(s.Shards, res.Shards)
-	s.Epochs += res.Conductor.Epochs
-	s.InlineEpochs += res.Conductor.InlineEpochs
-	s.Parks += res.Conductor.Parks
+	c := &res.Conductor
+	s.Shards, s.Threads = max(s.Shards, res.Shards), max(s.Threads, c.Threads)
+	s.Epochs += c.Epochs
+	s.InlineEpochs += c.InlineEpochs
+	s.Parks += c.Parks
+	s.Busy += c.Busy
+	s.Idle += c.Idle
 }
 
-// String renders the timing-trailer note, "" when no point was sharded.
+// String renders the timing-trailer note, "" when no point was sharded; the
+// idle share is of the thread-time inside parallel epochs.
 func (s ShardedRuns) String() string {
 	if s.Shards == 0 {
 		return ""
 	}
-	return fmt.Sprintf(", %d shards, %d epochs (%d inline, %d parks)", s.Shards, s.Epochs, s.InlineEpochs, s.Parks)
+	idle := 0.0
+	if s.Busy+s.Idle > 0 {
+		idle = 100 * s.Idle.Seconds() / (s.Busy + s.Idle).Seconds()
+	}
+	return fmt.Sprintf(", %d shards on %d threads, %d epochs (%d inline, %d parks, idle %.0f %%)",
+		s.Shards, s.Threads, s.Epochs, s.InlineEpochs, s.Parks, idle)
 }
 
 // NewHarness returns a harness with the given worker bound (<= 0 means

@@ -17,7 +17,8 @@ import (
 // cores with no coordination beyond collation. Each point's context says how
 // many cores are its to take — GOMAXPROCS over the workers actually running
 // — so a point that sizes itself (HybridSpec.Shards == 0) spreads over the
-// machine only when the grid is too small to fill it.
+// machine only when the grid is too small to fill it, and a sharded point of
+// either kind runs its shards on no more threads than its share.
 //
 // Determinism contract: results are collated in point-index order and the
 // emit callback fires from the collator in strictly ascending index order,

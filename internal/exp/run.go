@@ -56,9 +56,10 @@ type HybridSpec struct {
 	// Shards selects the execution strategy: N >= 1 runs the fabric — a
 	// packet run's, or each packet segment's of a hybrid run — on exactly N
 	// psim shards (N must not exceed the topology's ToR count), and 0 lets it
-	// size itself to the cores its caller leaves idle (autoShards; one engine
-	// inside a pool that already fills the machine, and on a fabric too small
-	// to be worth a barrier).
+	// size itself (autoShards: one shard per pod when its caller leaves it a
+	// second core; one engine inside a pool that already fills the machine,
+	// and on a fabric too small to be worth a barrier). Either way the shards
+	// run on at most as many threads as the caller leaves cores idle.
 	// The shard count is an execution strategy, not a workload parameter:
 	// results are byte-identical for every value, Result.Events included.
 	Shards int
@@ -169,7 +170,8 @@ type Result struct {
 	Trace *trace.Recorder `json:"-"`
 	// Shards is the engine count a run executed on (a hybrid run's widest
 	// packet segment) and Conductor what its conductors did there (epochs,
-	// inline epochs, parks; summed over segments). How the machine let a run
+	// inline epochs, parks, thread time; summed over segments, Threads the
+	// widest). How the machine let a run
 	// execute is not part of its result: excluded from JSON, zero on a
 	// restored point.
 	Shards    int        `json:"-"`
@@ -363,17 +365,17 @@ func (p *plan) shards(ctx context.Context) int {
 	return autoShards(&p.topo, coresAvailable(ctx))
 }
 
-// autoShards is what Shards: 0 resolves to: the largest n <= cores that
-// divides the pod count and leaves every shard minShardHosts. A whole number
-// of pods per shard keeps every cross-shard cable on the agg–core tier, so
-// the lookahead stays AggCoreDelay; a split pod would drop it to TorAggDelay
-// — a fifth of it on the paper's fabric, five times the epochs. n <= Pods <=
-// ToRCount, so every shard owns a rack.
+// autoShards is what Shards: 0 resolves to: one shard per pod when there is
+// a second core to run them on and every pod has minShardHosts, one engine
+// otherwise. The partition is the fabric's, not the machine's — the
+// conductor runs the pods on min(cores, Pods) threads. A pod per shard keeps
+// every cross-shard cable on the agg–core tier, so the lookahead stays
+// AggCoreDelay; a split pod would drop it to TorAggDelay — a fifth of it on
+// the paper's fabric, five times the epochs. Pods <= ToRCount, so every
+// shard owns a rack.
 func autoShards(cfg *topo.Config, cores int) int {
-	for n := min(cores, cfg.Pods, cfg.Hosts()/minShardHosts); n > 1; n-- {
-		if cfg.Pods%n == 0 {
-			return n
-		}
+	if cores > 1 && cfg.Hosts()/cfg.Pods >= minShardHosts {
+		return cfg.Pods
 	}
 	return 1
 }

@@ -9,6 +9,7 @@ import (
 	"l2bm/internal/core"
 	"l2bm/internal/faults"
 	"l2bm/internal/sim"
+	"l2bm/internal/topo"
 )
 
 // shardFingerprint serializes every deterministic observable of a Result,
@@ -342,13 +343,14 @@ func TestTruncatedFlowsAcrossShards(t *testing.T) {
 // takes from the machine — never reaches a result's bytes. json.Marshal(Result)
 // and the WriteCol export are equal at Shards 0, 1, 2 and 4 (0, 1 and 2 on the
 // two-ToR tiny fabric) for the traced incast point of the determinism suite
-// (incast replica + per-shard trace sampler), the pinned zz-observed point
-// (auditor on the barrier), an audited + faulted point (injector replica,
-// detector, watchdog) and two hybrid-fidelity points, the pinned zz-hybrid and
-// an audited, traced incast one at ScaleSmall, whose packet segments run on
-// every shard count in turn (shard logs drained per slice, per-shard occupancy
-// chains). Before Result.Events counted a replicated tick chain once, every
-// packet row here differed in Events alone.
+// (incast replica + per-shard trace sampler), the same traffic on four pods
+// (Shards 0 is four shards, claimed by fewer threads at -cpu 2), the pinned
+// zz-observed point (auditor on the barrier), an audited + faulted point
+// (injector replica, detector, watchdog) and two hybrid-fidelity points, the
+// pinned zz-hybrid and an audited, traced incast one at ScaleSmall, whose
+// packet segments run on every shard count in turn (shard logs drained per
+// slice, per-shard occupancy chains). Before Result.Events counted a
+// replicated tick chain once, every packet row here differed in Events alone.
 func TestResultBytesShardInvariant(t *testing.T) {
 	traced := shardSpec(0)
 	traced.Trace = &TraceSpec{SampleEvery: 100 * sim.Microsecond, Capacity: 1 << 17}
@@ -369,6 +371,11 @@ func TestResultBytesShardInvariant(t *testing.T) {
 	hybrid.Name, hybrid.Fidelity = "shards-det-hybrid", FidelityHybrid
 	hybrid.RDMALoad, hybrid.TCPLoad, hybrid.WindowOverride = 0.05, 0.05, 20*sim.Millisecond
 	hybrid.Audit, hybrid.Trace = &AuditSpec{}, traced.Trace
+	// Four pods of 16 hosts: Shards 0 is a shard per pod, and on fewer cores
+	// than pods its threads claim them.
+	pods := shardSpec(0)
+	pods.Name = "shards-det-4pods"
+	pods.TopoOverride = func(c *topo.Config) { c.Pods, c.ToRCount, c.AggCount, c.ServersPerToR = 4, 4, 4, 16 }
 	pinned := map[string]HybridSpec{}
 	for _, p := range pinnedPoints() {
 		pinned[p.spec.Name] = p.spec
@@ -378,6 +385,7 @@ func TestResultBytesShardInvariant(t *testing.T) {
 		counts []int
 	}{
 		{traced, []int{0, 1, 2, 4}},
+		{pods, []int{0, 1, 2, 4}},
 		{pinned["zz-observed"], []int{0, 1, 2}},
 		{faulted, []int{0, 1, 2, 4}},
 		{pinned["zz-hybrid"], []int{0, 1, 2}},

@@ -154,7 +154,7 @@ func TestFlapProcessDeterministicPerSeedAndStream(t *testing.T) {
 // runObserved runs eng to horizon the way a run drives the detector and the
 // watchdog: as a one-engine conductor with tick as a barrier task.
 func runObserved(eng *sim.Engine, every sim.Duration, tick func(now sim.Time), horizon sim.Time) {
-	cond := psim.New([]*sim.Engine{eng}, nil, 0)
+	cond := psim.New([]*sim.Engine{eng}, nil, 0, 1)
 	cond.AddTask(every, tick)
 	cond.Run(horizon)
 }

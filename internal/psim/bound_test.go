@@ -1,6 +1,7 @@
 package psim
 
 import (
+	"runtime"
 	"testing"
 
 	"l2bm/internal/sim"
@@ -90,7 +91,7 @@ func TestBarrierTaskOnBound(t *testing.T) {
 	a.Schedule(7, tick(a, 7))
 	b.Schedule(13, tick(b, 13))
 
-	c := New([]*sim.Engine{a, b}, nil, 25)
+	c := New([]*sim.Engine{a, b}, nil, 25, runtime.GOMAXPROCS(0))
 	defer c.Close()
 	var firings []sim.Time
 	c.AddTask(period, func(now sim.Time) {
@@ -143,7 +144,7 @@ func TestEventAtEpochBound(t *testing.T) {
 		t.Fatalf("first epoch bound = %d, want 14", got)
 	}
 
-	c := New([]*sim.Engine{a, b}, nil, la)
+	c := New([]*sim.Engine{a, b}, nil, la, runtime.GOMAXPROCS(0))
 	defer c.Close()
 
 	// Run to exactly the first epoch's bound: both due events execute, the

@@ -31,15 +31,21 @@
 // multiples of their period when all shard clocks agree and no events are in
 // flight — at every shard count, one engine included.
 //
-// Execution. Shard 0 runs on the goroutine that called Run; shards 1…N−1
-// each get one worker goroutine, started the first time an epoch is worth
-// running in parallel and joined by Close. Conductor and workers stay on
-// their OS threads (runtime.LockOSThread), so a shard's working set stays in
-// one core's cache, and hand each epoch over through one generation word per
-// direction, waiting by a bounded spin and then parking (gate). Epochs too
-// quiet to be worth a hand-over — the drain tail of every run — and epochs on
-// a machine whose cores are taken run inline instead: the conductor steps
-// every engine itself with the workers parked (see steer).
+// Execution. The partition is the simulation's, the threads are the
+// machine's: a run on N shards granted C cores uses min(C, N) threads. Thread
+// 0 is the goroutine that called Run; threads 1…T−1 each get one worker
+// goroutine, started the first time an epoch is worth running in parallel
+// and joined by Close. Conductor and workers stay on their OS threads
+// (runtime.LockOSThread) and hand each epoch over through one generation word
+// per direction, waiting by a bounded spin and then parking (gate). With a
+// thread per shard each thread runs its own shard every epoch, so a shard's
+// working set stays in one core's cache; with more shards than threads every
+// thread claims the shards it ran last, busiest first by the last epoch's
+// events, then the busiest the other threads have not reached, until none
+// are left (claim). Epochs too quiet to be worth a hand-over — the drain tail
+// of every run — and epochs on a machine whose cores are taken run inline
+// instead: the conductor steps every engine itself with the workers parked
+// (see steer).
 package psim
 
 import (
@@ -72,10 +78,10 @@ const spinPoll = 64
 // The steering constants (see steer). Set from the 10k-host smoke (8,604
 // epochs, 7,173 of them its drain tail) and the fig7_packet points (3,424
 // epochs; held-out seeds 6,000–8,300): a hand-over is ≈ 1–2 µs of spinning
-// when both sides are on core, and an epoch whose second-busiest shard runs
-// fewer than ~100 events (≈ 10–20 µs of work) has nothing to overlap with
-// it; the gap up to 300 is hysteresis, which kept every run measured to 1–5
-// mode switches.
+// when both sides are on core, and an epoch whose shards other than the
+// busiest run fewer than ~100 events (≈ 10–20 µs of work) has nothing to
+// overlap with it; the gap up to 300 is hysteresis, which kept every run
+// measured to 1–5 mode switches.
 const (
 	inlineBelow   = 100 // smoothed events/epoch under which epochs run inline
 	parallelAbove = 300 // … and over which they go back to parallel
@@ -119,9 +125,9 @@ type Task struct {
 }
 
 // Stats counts conductor activity over a run. Epochs, Delivered and
-// TaskFirings are functions of the simulation alone; InlineEpochs, Parks and
-// ModeSwitches say how the machine let it be executed and vary run to run —
-// they never enter a Result's bytes.
+// TaskFirings are functions of the simulation alone; the rest say how the
+// machine let it be executed and vary run to run — they never enter a
+// Result's bytes.
 type Stats struct {
 	// Epochs is the number of barrier intervals executed.
 	Epochs uint64
@@ -138,6 +144,13 @@ type Stats struct {
 	Parks uint64
 	// ModeSwitches counts changes between parallel and inline execution.
 	ModeSwitches uint64
+	// Threads is how many threads parallel epochs run the shards on:
+	// min(cores granted, shards), 1 when every epoch must run inline.
+	Threads int
+	// Busy and Idle split the thread-time inside parallel epochs: Busy is
+	// spent running shards, Idle waiting — a worker to be woken and after
+	// its last claim, the conductor in its wait for the workers.
+	Busy, Idle time.Duration
 }
 
 // Conductor synchronizes a set of per-shard engines. Build one per run with
@@ -147,7 +160,7 @@ type Conductor struct {
 	engines   []*sim.Engine
 	lanes     []*netdev.Lane   // every cross-shard lane
 	inbound   [][]*netdev.Lane // inbound[s]: the lanes shard s receives on
-	delivered []shardCount     // frames shard s delivered, written by its thread
+	slots     []shardSlot      // slots[s]: written by whichever thread runs shard s
 	lookahead sim.Duration
 	tasks     []*Task
 	stats     Stats
@@ -156,37 +169,57 @@ type Conductor struct {
 	sealedAt   sim.Time
 	haveSealed bool
 
-	// Parallel execution (see steer). procs is GOMAXPROCS at construction:
-	// with one proc there is no second core and epochs always run inline.
-	procs    int
+	// Parallel execution (see steer). threads is min(cores granted, shards):
+	// with one there is no second core and epochs always run inline.
+	threads  int
 	spin     time.Duration  // spinBound; a test zeroes it so every wait parks
-	workers  []*worker      // shard i+1's worker; nil until first needed
+	workers  []*worker      // thread t+1's worker; nil until first needed
 	exited   sync.WaitGroup // the workers' goroutines
 	gen      uint64         // hand-over generation
 	parallel bool
-	density  float64       // smoothed events/epoch of the second-busiest shard
+	density  float64       // smoothed events/epoch not on the busiest shard
 	seen     []uint64      // engine event counts at the last barrier
+	ran      []uint64      // events each shard executed in the last epoch
 	overflow int           // consecutive parallel epochs a worker outwaited the spin bound
 	clean    int           // consecutive parallel epochs none did
 	held     time.Time     // when not zero: no parallel epoch before this instant
 	backoff  time.Duration // the hold the next overflow will impose
+
+	// With more shards than threads (nil order otherwise; see claim): the
+	// shards grouped by the thread that ran them last, busiest-first by ran
+	// within a group — thread t's at order[from[t]:from[t+1]] — and the
+	// cursor per group that t and then any thread out of shards claims by.
+	order []int
+	from  []int
+	next  []claimCursor
 
 	// intr, when set, is polled between epochs (and inside each shard's
 	// engine loop); returning true abandons the run early.
 	intr func() bool
 }
 
-// shardCount is a counter padded to its own cache line.
-type shardCount struct {
-	n uint64
+// shardSlot is what a shard's thread writes during an epoch, on a cache line
+// of its own: shards run side by side on different cores.
+type shardSlot struct {
+	delivered uint64 // cross-shard frames the shard delivered
+	thread    int    // the thread that ran the shard last
+	_         [48]byte
+}
+
+// claimCursor is the next index into one thread's group of the claim order,
+// on a cache line of its own: the owner and thieves add to it.
+type claimCursor struct {
+	atomic.Int64
 	_ [56]byte
 }
 
 // New builds a conductor over the given engines; inbound[s] lists the lanes
 // shard s receives cross-shard frames on (nil with one engine). lookahead
 // must be positive when more than one engine is supplied; with a single
-// engine it is ignored (epochs span to the next task or the horizon).
-func New(engines []*sim.Engine, inbound [][]*netdev.Lane, lookahead sim.Duration) *Conductor {
+// engine it is ignored (epochs span to the next task or the horizon). cores
+// is how many cores the run may occupy: parallel epochs use min(cores,
+// shards) threads, and with one every epoch runs inline.
+func New(engines []*sim.Engine, inbound [][]*netdev.Lane, lookahead sim.Duration, cores int) *Conductor {
 	if len(engines) == 0 {
 		panic("psim: no engines")
 	}
@@ -196,8 +229,17 @@ func New(engines []*sim.Engine, inbound [][]*netdev.Lane, lookahead sim.Duration
 	n := len(engines)
 	c := &Conductor{
 		engines: engines, lookahead: lookahead,
-		inbound: make([][]*netdev.Lane, n), delivered: make([]shardCount, n), seen: make([]uint64, n),
-		procs: runtime.GOMAXPROCS(0), spin: spinBound, backoff: reprobeMin,
+		inbound: make([][]*netdev.Lane, n), slots: make([]shardSlot, n),
+		seen: make([]uint64, n), ran: make([]uint64, n),
+		threads: max(1, min(cores, n)), spin: spinBound, backoff: reprobeMin,
+	}
+	if c.threads > 1 && n > c.threads {
+		c.order, c.from, c.next = make([]int, n), make([]int, c.threads+1), make([]claimCursor, c.threads)
+		// Contiguous blocks to start; steer groups them before the first
+		// parallel epoch.
+		for s := range c.order {
+			c.order[s], c.slots[s].thread = s, s*c.threads/n
+		}
 	}
 	copy(c.inbound, inbound)
 	for _, in := range inbound {
@@ -207,13 +249,13 @@ func New(engines []*sim.Engine, inbound [][]*netdev.Lane, lookahead sim.Duration
 }
 
 // ForCluster builds a conductor for a sharded topo build, wiring in its
-// engines, lanes and computed lookahead.
-func ForCluster(cl *topo.Cluster) *Conductor {
+// engines, lanes and computed lookahead; cores is New's.
+func ForCluster(cl *topo.Cluster, cores int) *Conductor {
 	la := cl.Lookahead
 	if len(cl.Engines) == 1 {
 		la = 0
 	}
-	return New(cl.Engines, cl.Inbound(), la)
+	return New(cl.Engines, cl.Inbound(), la, cores)
 }
 
 // AddTask registers a global barrier task firing at every multiple of every
@@ -245,8 +287,9 @@ func (c *Conductor) SetInterrupt(every uint64, fn func() bool) {
 // Stats returns a snapshot of the conductor counters (valid between epochs).
 func (c *Conductor) Stats() Stats {
 	st := c.stats
-	for i := range c.delivered {
-		st.Delivered += c.delivered[i].n
+	st.Threads = c.threads
+	for i := range c.slots {
+		st.Delivered += c.slots[i].delivered
 	}
 	return st
 }
@@ -314,7 +357,8 @@ func (g *gate) await(want uint64, spin time.Duration) (parked bool) {
 	return parked
 }
 
-// worker runs one shard's epochs on its own pinned thread.
+// worker runs one thread's share of each parallel epoch on its own pinned
+// thread.
 type worker struct {
 	start gate // conductor → worker: epoch generation to run
 	done  gate // worker → conductor: epoch generation finished
@@ -322,12 +366,16 @@ type worker struct {
 	// Written by the conductor before start.set publishes them.
 	bound sim.Time
 	quit  bool
+
+	// Written by the worker before done.set publishes it: how long its
+	// claims ran.
+	busy time.Duration
 }
 
-// loop is the one worker loop: await a generation, run the shard's epoch,
-// report it, until Close publishes quit. The thread stays locked for the
+// loop is the one worker loop: await a generation, run thread t's claims,
+// report them, until Close publishes quit. The thread stays locked for the
 // goroutine's lifetime and dies with it.
-func (c *Conductor) loop(shard int, w *worker) {
+func (c *Conductor) loop(t int, w *worker) {
 	runtime.LockOSThread()
 	defer c.exited.Done()
 	for gen := uint64(1); ; gen++ {
@@ -335,20 +383,48 @@ func (c *Conductor) loop(shard int, w *worker) {
 		if w.quit {
 			return
 		}
-		c.runShard(shard, w.bound)
+		began := time.Now()
+		c.claim(t, w.bound)
+		w.busy = time.Since(began)
 		w.done.set(gen)
 	}
 }
 
-// startWorkers launches one worker per shard beyond the conductor's own.
+// startWorkers launches one worker per thread beyond the conductor's own.
 func (c *Conductor) startWorkers() {
-	for s := 1; s < len(c.engines); s++ {
+	for t := 1; t < c.threads; t++ {
 		w := new(worker)
 		w.start.wake = make(chan struct{}, 1)
 		w.done.wake = make(chan struct{}, 1)
 		c.workers = append(c.workers, w)
 		c.exited.Add(1)
-		go c.loop(s, w)
+		go c.loop(t, w)
+	}
+}
+
+// claim runs thread t's shards of a parallel epoch. With a thread per shard
+// that is shard t. Otherwise the thread claims, busiest first, the shards it
+// ran last epoch, then — out of its own — the busiest left in the other
+// threads' groups, until none is left: the heavy shards start first and the
+// light ones fill in around them (longest-first scheduling), and a shard
+// changes thread only when its thread fell behind. A stolen shard stays with
+// its thief, so a lasting imbalance is paid for once. One cursor over all
+// the shards balanced as well but moved half of them to the other core every
+// epoch: on the 10k-host point the threads were busy 1,008 ms against 909
+// and the point took 599 ms against 553 (medians of five alternations, two
+// vCPUs). Each shard is claimed by exactly one thread.
+func (c *Conductor) claim(t int, bound sim.Time) {
+	if c.order == nil {
+		c.runShard(t, bound)
+		return
+	}
+	for k := range c.next {
+		g := (t + k) % len(c.next)
+		for i := int(c.next[g].Add(1)) - 1; i < c.from[g+1]; i = int(c.next[g].Add(1)) - 1 {
+			s := c.order[i]
+			c.slots[s].thread = t
+			c.runShard(s, bound)
+		}
 	}
 }
 
@@ -398,9 +474,9 @@ func EpochBound(horizon, nextTask, minEvent sim.Time, haveTask, haveEvent bool, 
 // sim.Engine.Run) and every cross-shard frame is scheduled on its receiving
 // engine.
 func (c *Conductor) Run(horizon sim.Time) {
-	steered := len(c.engines) > 1 && c.procs > 1
+	steered := c.threads > 1
 	if steered {
-		// Shard 0 stays on this thread for the whole run. With only the
+		// Thread 0 stays on this OS thread for the whole run. With only the
 		// workers pinned, the first 10k-host sweep of a process read
 		// 1.2–1.6 s against 0.6 in 3 of 8 processes of ISSUE 24's prototype
 		// (both threads time-sliced on one vCPU, every hand-over a
@@ -479,15 +555,15 @@ func (c *Conductor) deliver() {
 // schedule the frames the last epoch sent it, then execute up to bound.
 func (c *Conductor) runShard(s int, bound sim.Time) {
 	for _, l := range c.inbound[s] {
-		c.delivered[s].n += uint64(l.Deliver())
+		c.slots[s].delivered += uint64(l.Deliver())
 	}
 	c.engines[s].Run(bound)
 }
 
-// runEpoch advances every engine to bound — side by side when parallel,
-// one after another on this goroutine otherwise (the one inline loop, which
-// is all a single engine ever runs) — and reports whether a worker outwaited
-// the conductor's spin bound.
+// runEpoch advances every engine to bound — side by side on the threads when
+// parallel, one after another on this goroutine otherwise (the one inline
+// loop, which is all a single engine ever runs) — and reports whether a
+// worker outwaited the conductor's spin bound.
 func (c *Conductor) runEpoch(bound sim.Time) (outwaited bool) {
 	if !c.parallel {
 		for s := range c.engines {
@@ -497,51 +573,58 @@ func (c *Conductor) runEpoch(bound sim.Time) (outwaited bool) {
 		return false
 	}
 	c.gen++
+	for g := range c.next { // every claim of the last epoch happened before its done.set
+		c.next[g].Store(int64(c.from[g]))
+	}
+	began := time.Now()
 	for _, w := range c.workers {
 		w.bound = bound
 		if w.start.set(c.gen) {
 			c.stats.Parks++ // the worker's: it outwaited its own bound
 		}
 	}
-	c.runShard(0, bound)
+	c.claim(0, bound)
+	busy := time.Since(began)
 	for _, w := range c.workers {
 		if w.done.await(c.gen, c.spin) {
 			c.stats.Parks++
 			outwaited = true
 		}
+		busy += w.busy
 	}
+	c.stats.Busy += busy
+	c.stats.Idle += time.Duration(c.threads)*time.Since(began) - busy
 	return outwaited
 }
 
-// steer picks the next epoch's mode from what the last one did. One
-// mechanism, two triggers:
+// steer picks the next epoch's mode from what the last one did, and the
+// claim order. One mechanism, two triggers:
 //
 //   - Density. An epoch is worth a hand-over only if there is work to
-//     overlap, and what can overlap is what the second-busiest shard has, so
-//     the conductor smooths that count (EWMA, α = 1/8) and runs inline while
-//     it is under inlineBelow, parallel again once it is over parallelAbove.
-//     60–85 % of a run's epochs are its drain tail, where only the barrier
-//     would be paid.
+//     overlap, and what can overlap is what the busiest shard does not run,
+//     so the conductor smooths that count (EWMA, α = 1/8) and runs inline
+//     while it is under inlineBelow, parallel again once it is over
+//     parallelAbove. 60–85 % of a run's epochs are its drain tail, where
+//     only the barrier would be paid.
 //   - Overflow. overflowRun parallel epochs in a row in which a worker
 //     outwaited the conductor's spin bound mean a shard's thread is not on a
 //     core; the conductor drops inline and holds there before it probes
 //     again, reprobeMin at first and twice as long after each failed probe.
 //
 // Mode is invisible to the simulation: both run the same runShard per shard
-// per epoch.
+// per epoch. So is the claim order steer regroups from what the shards ran.
 func (c *Conductor) steer(outwaited bool) {
-	var top, second uint64
+	var total, top uint64
 	for s, e := range c.engines {
 		n := e.Events()
-		d := n - c.seen[s]
-		c.seen[s] = n
-		if d > top {
-			top, second = d, top
-		} else if d > second {
-			second = d
-		}
+		c.ran[s], c.seen[s] = n-c.seen[s], n
+		total += c.ran[s]
+		top = max(top, c.ran[s])
 	}
-	c.density += (float64(second) - c.density) / 8
+	c.density += (float64(total-top) - c.density) / 8
+	if c.order != nil {
+		c.group()
+	}
 
 	was := c.parallel
 	switch {
@@ -571,4 +654,34 @@ func (c *Conductor) steer(outwaited bool) {
 	if c.parallel != was {
 		c.stats.ModeSwitches++
 	}
+}
+
+// group sorts the claim order by the thread that ran each shard last, then
+// busiest first, ties by shard, and marks where each thread's group starts.
+// It is an insertion sort in place, so the claim path allocates nothing
+// (sort.Slice would allocate its closure), and near linear on the last
+// epoch's order, which the next epoch rarely moves far.
+func (c *Conductor) group() {
+	for i := 1; i < len(c.order); i++ {
+		s, j := c.order[i], i
+		for ; j > 0 && c.claimsBefore(s, c.order[j-1]); j-- {
+			c.order[j] = c.order[j-1]
+		}
+		c.order[j] = s
+	}
+	g := 0 // from[g] is the first position whose shard's thread is >= g
+	for i, s := range c.order {
+		for ; g <= c.slots[s].thread; g++ {
+			c.from[g] = i
+		}
+	}
+	for ; g <= c.threads; g++ {
+		c.from[g] = len(c.order)
+	}
+}
+
+// claimsBefore is group's order: by last thread, then busiest, then shard.
+func (c *Conductor) claimsBefore(a, b int) bool {
+	ta, tb := c.slots[a].thread, c.slots[b].thread
+	return ta < tb || ta == tb && (c.ran[a] > c.ran[b] || c.ran[a] == c.ran[b] && a < b)
 }

@@ -68,7 +68,7 @@ func runFabric(t *testing.T, cfg topo.Config, shards int, seed int64, tweak func
 		})
 	}
 
-	c := ForCluster(cl)
+	c := ForCluster(cl, runtime.GOMAXPROCS(0))
 	defer c.Close()
 	if tweak != nil {
 		tweak(c)
@@ -168,6 +168,24 @@ func TestParallelAndParkPaths(t *testing.T) {
 	}
 }
 
+// TestClaimPaths drives the claim loop: four shards on two threads, where a
+// thread out of its own shards takes the other's, and which thread runs a
+// shard changes with the box's timing. The run must reproduce one engine's
+// both as built and with every wait parking, and say it ran parallel epochs
+// on two threads.
+func TestClaimPaths(t *testing.T) {
+	twoProcs(t)
+	cfg := topo.DefaultConfig()
+	seq, _ := runFabric(t, cfg, 1, 42, nil)
+	for _, spin := range []time.Duration{spinBound, 0} {
+		got, st := runFabric(t, cfg, 4, 42, func(c *Conductor) { c.spin = spin })
+		equalFingerprints(t, fmt.Sprintf("4 shards on 2 threads, spin %v", spin), seq, got)
+		if st.Threads != 2 || st.Epochs == st.InlineEpochs || st.Busy <= 0 || st.Idle < 0 {
+			t.Errorf("spin %v: %+v, want parallel epochs on 2 threads with their time split", spin, st)
+		}
+	}
+}
+
 // TestCloseJoinsWorkers: Close returns only once every worker goroutine has
 // exited, so nothing of a finished fabric is still reachable from a worker's
 // stack when the caller moves on; and with one proc no worker ever starts.
@@ -224,7 +242,7 @@ func TestConductorBarrierTasks(t *testing.T) {
 			Priority: pkt.PrioLossless, Class: pkt.ClassLossless,
 		})
 
-		c := ForCluster(cl)
+		c := ForCluster(cl, runtime.GOMAXPROCS(0))
 		var fired []sim.Time
 		c.AddTask(100*sim.Microsecond, func(now sim.Time) {
 			fired = append(fired, now)
@@ -269,7 +287,7 @@ func TestConductorStats(t *testing.T) {
 		ID: 7, Src: 0, Dst: cl.NumHosts() - 1, Size: 100_000,
 		Priority: pkt.PrioLossless, Class: pkt.ClassLossless,
 	})
-	c := ForCluster(cl)
+	c := ForCluster(cl, runtime.GOMAXPROCS(0))
 	defer c.Close()
 	c.Run(10 * sim.Millisecond)
 
