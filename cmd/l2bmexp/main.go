@@ -389,7 +389,7 @@ func runExperiments(harness *exp.Harness, expName string, scale exp.Scale, polic
 	for _, name := range selected {
 		start := time.Now()
 		points0, restored0 := harness.TotalPoints(), harness.RestoredPoints()
-		events0 := harness.TotalEvents()
+		events0, lines0 := harness.TotalEvents(), harness.LineEvents()
 		fallbacks0, evicted0 := harness.FidelityFallbacks(), harness.TraceRowsEvicted()
 		mem0 := exp.TakeMemSnapshot()
 		// The banner and tables are deterministic for any worker count;
@@ -412,14 +412,20 @@ func runExperiments(harness *exp.Harness, expName string, scale exp.Scale, polic
 			// simulator speed.
 			restoredNote = fmt.Sprintf(", %d of %d points restored", n, harness.TotalPoints()-points0)
 		}
+		linesNote := ""
+		if events > 0 {
+			// The share of the events the engines took off delay lines
+			// rather than the timer wheel.
+			linesNote = fmt.Sprintf(" (%.0f %% on delay lines)", 100*float64(harness.LineEvents()-lines0)/float64(events))
+		}
 		evictedNote := ""
 		if n := harness.TraceRowsEvicted() - evicted0; n > 0 {
 			// The exported traces hold only the newest rows of some run.
 			evictedNote = fmt.Sprintf(", %d trace rows evicted", n)
 		}
-		fmt.Fprintf(w, "(%s finished in %v: %s events, %s events/s aggregate across %d workers%s%s%s)\n",
+		fmt.Fprintf(w, "(%s finished in %v: %s events%s, %s events/s aggregate across %d workers%s%s%s)\n",
 			name, wall.Round(time.Millisecond),
-			siCount(float64(events)), siCount(float64(events)/wall.Seconds()), effective, harness.Sharded(), restoredNote, evictedNote)
+			siCount(float64(events)), linesNote, siCount(float64(events)/wall.Seconds()), effective, harness.Sharded(), restoredNote, evictedNote)
 		fmt.Fprintln(w, mem0.MemLine(events))
 	}
 	return nil

@@ -40,7 +40,7 @@ func TestRunSingleExperiment(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"running fig3a", "Fig 3(a)", "finished in", "events/s"} {
+	for _, want := range []string{"running fig3a", "Fig 3(a)", "finished in", "events/s", "% on delay lines)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q", want)
 		}

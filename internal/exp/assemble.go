@@ -455,6 +455,7 @@ func (f *fabric) harvest(res *Result, final bool) {
 	res.Shards = max(res.Shards, len(f.engines))
 	c := &res.Conductor
 	c.Epochs, c.Delivered, c.TaskFirings = c.Epochs+st.Epochs, c.Delivered+st.Delivered, c.TaskFirings+st.TaskFirings
+	c.LineEvents += st.LineEvents
 	c.InlineEpochs, c.Parks, c.ModeSwitches = c.InlineEpochs+st.InlineEpochs, c.Parks+st.Parks, c.ModeSwitches+st.ModeSwitches
 	c.Threads, c.Busy, c.Idle = max(c.Threads, st.Threads), c.Busy+st.Busy, c.Idle+st.Idle
 	res.RecoveryBytes += cl.RecoveryBytes()

@@ -65,6 +65,7 @@ type Harness struct {
 	points      atomic.Uint64
 	restored    atomic.Uint64
 	events      atomic.Uint64
+	lineEvents  atomic.Uint64
 	fallbacks   atomic.Uint64
 	evicted     atomic.Uint64
 	tracePoints int // points seen by trace export numbering (grids run sequentially)
@@ -202,6 +203,7 @@ func (h *Harness) runAll(specs []HybridSpec, emit EmitFunc) ([]*Result, error) {
 			h.fallbacks.Add(1)
 		}
 		h.evicted.Add(res.Trace.Stats().Evicted())
+		h.lineEvents.Add(res.Conductor.LineEvents) // zero on a restored point
 		h.sharded.Add(res)
 	}
 	if err == nil && h.TraceDir != "" {
@@ -231,6 +233,10 @@ func (h *Harness) RestoredPoints() uint64 { return h.restored.Load() }
 // points that actually ran (a restored point cost no events) — divide by
 // wall time for aggregate events/s.
 func (h *Harness) TotalEvents() uint64 { return h.events.Load() }
+
+// LineEvents returns how many of TotalEvents the engines dispatched off
+// their delay lines.
+func (h *Harness) LineEvents() uint64 { return h.lineEvents.Load() }
 
 // FidelityFallbacks returns how many completed points recorded a
 // Result.FidelityFallback — hybrid-fidelity requests that ran at packet

@@ -18,9 +18,9 @@ const (
 	SchedHeap  = "heap"
 )
 
-// heapEngine is the reference scheduler: a wheel whose single tick spans any
-// run, so every event is dispatched out of one exact heap.
-func heapEngine(_ *topo.Config, seed int64) *sim.Engine { return sim.NewEngineWheel(seed, 1<<62) }
+// heapEngine is the reference scheduler (sim.NewHeapEngine): one exact heap,
+// no delay lines.
+func heapEngine(_ *topo.Config, seed int64) *sim.Engine { return sim.NewHeapEngine(seed) }
 
 // runSched executes one spec under the given scheduler backend and returns
 // its full deterministic fingerprint plus the executed-event count (which,

@@ -108,6 +108,13 @@ type Port struct {
 	// signal. Zero value (false) means the link is up.
 	down bool
 
+	// lineMTU and lineCtrl are the engine's delay lines for the serialization
+	// of a full data frame and of a 64-byte ACK/CNP/PFC frame, nearly every
+	// frame on the wire (99.8 % of transmissions on the fig7 points and the
+	// 10k-host smoke); lineProp is the propagation line to a peer on the
+	// same engine. ConnectClass looks them up.
+	lineMTU, lineCtrl, lineProp sim.Line
+
 	rr int
 
 	// pause holds the per-priority pause clocks, allocated by the first
@@ -143,7 +150,7 @@ type Port struct {
 
 	// onTxDone and onArrive are the port's two hot-path event bodies,
 	// bound ONCE here so the per-packet schedule calls allocate nothing:
-	// the packet in flight rides in the event record's arg slot (it is its
+	// the packet in flight rides in the event's arg slot (it is its
 	// own in-flight record — serialization already finished when onTxDone
 	// fires, and propagation delay is the link constant prop).
 	onTxDone sim.ArgCallback
@@ -195,26 +202,6 @@ type pauseClocks struct {
 type LinkClass struct {
 	Rate int64
 	Prop sim.Duration
-
-	// txMTU and txCtrl are sim.TxTime at Rate of the two frame sizes that
-	// are nearly every frame on the wire (full data frames and 64-byte
-	// ACK/CNP/PFC frames: 99.8 % of transmissions on the fig7 points and
-	// the 10k-host smoke), computed by ConnectClass. They live here, once
-	// per tier, so a port pays nothing for them.
-	txMTU, txCtrl sim.Duration
-}
-
-// txTime returns sim.TxTime(size, c.Rate), sparing the two usual sizes the
-// float division and rounding. sim.TxTime is the only source of either
-// value, so the result is bit-equal to calling it (TestLinkClassTxTime).
-func (c *LinkClass) txTime(size int) sim.Duration {
-	switch size {
-	case pkt.MTUBytes:
-		return c.txMTU
-	case pkt.CtrlBytes:
-		return c.txCtrl
-	}
-	return sim.TxTime(size, c.Rate)
 }
 
 // Connect wires a full-duplex link between nodes a and b with the given line
@@ -234,20 +221,18 @@ func Connect(eng *sim.Engine, a, b Node, rateBps int64, prop sim.Duration) (*Por
 // because the link's propagation delay is at least the conductor's
 // lookahead. Cross-engine ports MUST also be given arrival keys
 // (SetArrivalKey) before traffic flows; same-engine wiring ignores the lanes
-// and degrades to exactly Connect. Wiring also completes the descriptor: its
-// two serialization times are (re)computed from Rate here, before any frame
-// can ask for them.
+// and degrades to exactly Connect. Each port takes its delay lines from its
+// own engine here: both serialization times, and the propagation delay when
+// the peer shares the engine.
 func ConnectClass(engA, engB *sim.Engine, a, b Node, class *LinkClass, ab, ba *Lane) (*Port, *Port) {
 	if class == nil || class.Rate <= 0 {
 		panic("netdev: link rate must be positive")
 	}
-	class.txMTU = sim.TxTime(pkt.MTUBytes, class.Rate)
-	class.txCtrl = sim.TxTime(pkt.CtrlBytes, class.Rate)
 	pa := &Port{eng: engA, owner: a, class: class}
 	pb := &Port{eng: engB, owner: b, class: class}
 	pa.peer, pb.peer = pb, pa
-	pa.bindHandlers()
-	pb.bindHandlers()
+	pa.bind()
+	pb.bind()
 	if engA != engB {
 		if class.Prop <= 0 {
 			panic("netdev: cross-engine links need positive propagation delay (the conservative lookahead)")
@@ -278,13 +263,19 @@ func (p *Port) ArrivalKey() uint64 { return p.key }
 // Engine returns the engine this port's local events run on.
 func (p *Port) Engine() *sim.Engine { return p.eng }
 
-// bindHandlers builds the port's two pre-bound event bodies exactly once.
-// Each wrapper closes over the port only — the per-packet state arrives via
-// the event record's arg slot — so the simulator allocates two closures per
-// PORT at wiring time instead of two per PACKET per hop at run time.
-func (p *Port) bindHandlers() {
+// bind builds the port's two pre-bound event bodies exactly once and looks
+// up its delay lines. Each wrapper closes over the port only — the
+// per-packet state arrives via the event's arg slot — so the simulator
+// allocates two closures per PORT at wiring time instead of two per PACKET
+// per hop at run time. The peer must already be set.
+func (p *Port) bind() {
 	p.onTxDone = func(arg any) { p.finishTransmit(arg.(*pkt.Packet)) }
 	p.onArrive = func(arg any) { p.receive(arg.(*pkt.Packet)) }
+	p.lineMTU = p.eng.DelayLine(sim.TxTime(pkt.MTUBytes, p.class.Rate))
+	p.lineCtrl = p.eng.DelayLine(sim.TxTime(pkt.CtrlBytes, p.class.Rate))
+	if p.peer.eng == p.eng {
+		p.lineProp = p.eng.DelayLine(p.class.Prop)
+	}
 }
 
 // SetPool installs the packet pool this port recycles consumed frames into
@@ -516,7 +507,14 @@ func (p *Port) tryTransmit() {
 		return
 	}
 	p.busy = true
-	p.eng.ScheduleArg(p.class.txTime(q.Size), p.onTxDone, q)
+	switch q.Size {
+	case pkt.MTUBytes:
+		p.eng.ScheduleLine(p.lineMTU, p.onTxDone, q)
+	case pkt.CtrlBytes:
+		p.eng.ScheduleLine(p.lineCtrl, p.onTxDone, q)
+	default:
+		p.eng.ScheduleArg(sim.TxTime(q.Size, p.class.Rate), p.onTxDone, q)
+	}
 }
 
 // nextPacket dequeues the packet to transmit, or nil when nothing is
@@ -561,10 +559,9 @@ func (p *Port) finishTransmit(q *pkt.Packet) {
 		p.lane.add(p.eng.Now()+p.class.Prop, sim.ArrivalKeyBit|p.key<<43|p.txSeq, q, p.peer)
 	case p.key != 0:
 		p.txSeq++
-		p.eng.ScheduleArrivalAt(p.eng.Now()+p.class.Prop, p.peer.onArrive, q,
-			sim.ArrivalKeyBit|p.key<<43|p.txSeq)
+		p.eng.ScheduleLineKeyed(p.lineProp, p.peer.onArrive, q, sim.ArrivalKeyBit|p.key<<43|p.txSeq)
 	default:
-		p.eng.ScheduleArg(p.class.Prop, p.peer.onArrive, q)
+		p.eng.ScheduleLine(p.lineProp, p.peer.onArrive, q)
 	}
 	p.busy = false
 	p.tryTransmit()

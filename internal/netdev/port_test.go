@@ -69,44 +69,37 @@ func TestBackToBackSerialization(t *testing.T) {
 	}
 }
 
-// TestLinkClassTxTime holds LinkClass.txTime to sim.TxTime — for every frame
-// size up to two MTUs at usual, degraded and odd line rates, on a class
-// wired once and on one shared by several cables — and checks the value the
-// transmitter actually uses: full, control and odd-sized frames interleaved
-// on one port finish serializing exactly when sim.TxTime says.
+// TestLinkClassTxTime holds the transmitter to sim.TxTime: at usual,
+// degraded and odd line rates, on a class shared by several cables (whose
+// ports share the engine's delay lines), frames of every size up to two MTUs
+// — full and control frames, which serialize on those lines, among them —
+// leave the wire back to back exactly when sim.TxTime says.
 func TestLinkClassTxTime(t *testing.T) {
-	eng := sim.NewEngine(1)
-	node := &captureNode{name: "n", eng: eng}
 	for _, rate := range []int64{1e9, 10e9, 12_500_000_000, 25e9, 40e9, 100e9, 400e9, 1_000_000_007, 7} {
+		eng := sim.NewEngine(1)
+		node := &captureNode{name: "n", eng: eng}
 		class := &LinkClass{Rate: rate}
+		var pa *Port
 		for cables := 0; cables < 3; cables++ {
-			ConnectClass(eng, eng, node, node, class, nil, nil)
+			pa, _ = ConnectClass(eng, eng, node, node, class, nil, nil)
 		}
-		for size := 0; size <= 2*pkt.MTUBytes; size++ {
-			if got, want := class.txTime(size), sim.TxTime(size, rate); got != want {
-				t.Fatalf("txTime(%d) at %d bit/s = %v, sim.TxTime gives %v", size, rate, got, want)
+		var done []sim.Time
+		pa.OnDequeue = func(*pkt.Packet) { done = append(done, eng.Now()) }
+		var want []sim.Time
+		var at sim.Time
+		for size := pkt.HeaderBytes; size <= 2*pkt.MTUBytes; size++ {
+			pa.Enqueue(data(pkt.PrioLossy, size-pkt.HeaderBytes))
+			at += sim.TxTime(size, rate)
+			want = append(want, at)
+		}
+		eng.RunAll()
+		if len(done) != len(want) {
+			t.Fatalf("%d bit/s: %d frames serialized, want %d", rate, len(done), len(want))
+		}
+		for i := range want {
+			if done[i] != want[i] {
+				t.Fatalf("%d bit/s: the %d-byte frame left the wire at %v, want %v", rate, pkt.HeaderBytes+i, done[i], want[i])
 			}
-		}
-	}
-
-	eng, _, _, pa, _ := newPair(t, 25e9, sim.Microsecond)
-	var done []sim.Time
-	pa.OnDequeue = func(*pkt.Packet) { done = append(done, eng.Now()) }
-	payloads := []int{pkt.MTUPayload, pkt.CtrlBytes - pkt.HeaderBytes, 333, pkt.MTUPayload, 333, pkt.CtrlBytes - pkt.HeaderBytes, 0, pkt.MTUPayload}
-	var want []sim.Time
-	var at sim.Time
-	for _, payload := range payloads {
-		pa.Enqueue(data(pkt.PrioLossy, payload))
-		at += sim.TxTime(payload+pkt.HeaderBytes, 25e9)
-		want = append(want, at)
-	}
-	eng.RunAll()
-	if len(done) != len(want) {
-		t.Fatalf("%d frames serialized, want %d", len(done), len(want))
-	}
-	for i := range want {
-		if done[i] != want[i] {
-			t.Errorf("frame %d (%d-byte payload) left the wire at %v, want %v", i, payloads[i], done[i], want[i])
 		}
 	}
 }

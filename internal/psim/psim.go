@@ -124,10 +124,10 @@ type Task struct {
 	next sim.Time
 }
 
-// Stats counts conductor activity over a run. Epochs, Delivered and
-// TaskFirings are functions of the simulation alone; the rest say how the
-// machine let it be executed and vary run to run — they never enter a
-// Result's bytes.
+// Stats counts conductor activity over a run. Epochs, Delivered,
+// TaskFirings and LineEvents are functions of the simulation and its shard
+// count alone; the rest say how the machine let it be executed and vary run
+// to run — none of them enter a Result's bytes.
 type Stats struct {
 	// Epochs is the number of barrier intervals executed.
 	Epochs uint64
@@ -135,6 +135,9 @@ type Stats struct {
 	Delivered uint64
 	// TaskFirings counts barrier-task executions.
 	TaskFirings uint64
+	// LineEvents counts the events the engines dispatched off their delay
+	// lines (sim.Engine.LineEvents), summed over the engines.
+	LineEvents uint64
 	// InlineEpochs counts the epochs the conductor's goroutine ran every
 	// engine itself (all of them with one engine); the rest ran in parallel.
 	InlineEpochs uint64
@@ -290,6 +293,7 @@ func (c *Conductor) Stats() Stats {
 	st.Threads = c.threads
 	for i := range c.slots {
 		st.Delivered += c.slots[i].delivered
+		st.LineEvents += c.engines[i].LineEvents()
 	}
 	return st
 }

@@ -85,10 +85,12 @@ func (r *EventRef) Pending() bool {
 	return r.ev != nil && r.ev.gen == r.gen && r.ev.live()
 }
 
-// Engine is a deterministic discrete-event scheduler with pooled event
-// records: a hierarchical timer wheel (wheel.go) parks future events in O(1)
-// buckets and flushes them a tick at a time into a 4-ary micro-heap, from
-// which every event is dispatched in exact (at, seq) order.
+// Engine is a deterministic discrete-event scheduler. Events scheduled a
+// fixed delay from now ride delay lines (line.go): sorted rings of value
+// entries. Every other event takes a pooled record, which a hierarchical
+// timer wheel (wheel.go) parks in O(1) buckets and flushes a tick at a time
+// into a 4-ary micro-heap. Each event is dispatched from the heap or a line
+// head, whichever orders first, in exact (at, seq) order.
 //
 // The zero value is not usable; construct with NewEngine or NewEngineWheel.
 // All methods must be called from the goroutine running the simulation
@@ -124,6 +126,16 @@ type Engine struct {
 	// reachable and lets buckets refer to them by uint32 index instead of by
 	// pointer.
 	all []*event
+
+	// lines are the engine's delay lines (line.go); bit i of lineMask is set
+	// while lines[i] holds events, and heads[i] is then its head's key.
+	// lineFired counts the events dispatched off them. heapOnly marks the
+	// reference engine, whose lines spill.
+	lines     []delayLine
+	lineMask  uint64
+	heads     [maxLines]lineKey
+	lineFired uint64
+	heapOnly  bool
 }
 
 // NewEngine returns an engine whose clock starts at zero and whose master
@@ -138,6 +150,17 @@ func NewEngineWheel(seed int64, granularity Duration) *Engine {
 	return &Engine{rng: NewSource(seed), w: newWheel(granularity)}
 }
 
+// NewHeapEngine returns the reference scheduler the production engine is
+// held to: one wheel tick spans any run, so every event is dispatched from
+// one exact heap, and its delay lines spill, scheduling through ScheduleArg
+// and ScheduleArrivalAt. It dispatches exactly as NewEngineWheel does at any
+// tick width, only slower; the differential tests compare the two.
+func NewHeapEngine(seed int64) *Engine {
+	e := NewEngineWheel(seed, 1<<62)
+	e.heapOnly = true
+	return e
+}
+
 // WheelGranularity returns the wheel tick width.
 func (e *Engine) WheelGranularity() Duration { return e.w.granularity() }
 
@@ -148,11 +171,15 @@ func (e *Engine) Now() Time { return e.now }
 // not counted).
 func (e *Engine) Events() uint64 { return e.fired }
 
-// Pending returns the number of events still queued — heap and wheel
-// buckets combined — including cancelled events whose slots have not been
-// reclaimed yet (compaction bounds those at roughly the live count plus a
-// constant).
-func (e *Engine) Pending() int { return len(e.queue) + e.w.count }
+// Pending returns the number of events still queued — heap, wheel buckets
+// and delay lines combined — including cancelled events whose slots have
+// not been reclaimed yet (compaction bounds those at roughly the live count
+// plus a constant).
+func (e *Engine) Pending() int { return e.slots() + e.linePending() }
+
+// slots counts the heap and bucket slots, the ones a cancelled event can
+// occupy.
+func (e *Engine) slots() int { return len(e.queue) + e.w.count }
 
 // NextEventTime returns the timestamp of the earliest live event still
 // queued, or (0, false) when no live event is pending. Cancelled records
@@ -163,22 +190,30 @@ func (e *Engine) Pending() int { return len(e.queue) + e.w.count }
 // compute each barrier window, and it doubles as an idle probe for
 // harnesses ("is anything left before the horizon?").
 func (e *Engine) NextEventTime() (Time, bool) {
+	li, lh := e.lineHead()
 	for {
 		for len(e.queue) > 0 {
 			head := e.queue[0]
 			if head.live() {
+				if li >= 0 && lh.at < head.at {
+					return lh.at, true
+				}
 				return head.at, true
 			}
 			// Dead head: reclaim it exactly like Run would have.
 			e.pop()
 			e.recycleDead(head)
 		}
-		// Heap dry: flush the wheel's next bucket into the heap. The flush
-		// only re-homes events (order is restored by the heap), so peeking
-		// stays observer-free.
-		if !e.w.advance(e) {
-			return 0, false
+		// Heap dry: unless a line head precedes every bucket, flush the
+		// wheel's next bucket into the heap. The flush only re-homes events
+		// (order is restored by the heap), so peeking stays observer-free.
+		if (li < 0 || !e.w.before(lh.at)) && e.w.advance(e) {
+			continue
 		}
+		if li >= 0 {
+			return lh.at, true
+		}
+		return 0, false
 	}
 }
 
@@ -348,21 +383,29 @@ func (e *Engine) RunAll() Time {
 func (e *Engine) run(until Time) {
 	e.stopped = false
 	for !e.stopped {
-		if len(e.queue) == 0 {
-			// Heap dry: pull the wheel's next bucket in. All wheel events
-			// sit at strictly later ticks than anything the heap held, so
-			// the flushed bucket's head is the global minimum.
-			if !e.w.advance(e) {
+		li, lh := e.lineHead()
+		if len(e.queue) == 0 && e.w.count > 0 && (li < 0 || !e.w.before(lh.at)) {
+			// Heap dry and the wheel may hold the next event: pull its next
+			// bucket in. All wheel events sit at strictly later ticks than
+			// anything the heap held, so the flushed bucket's head is the
+			// least of the wheel and heap.
+			e.w.advance(e)
+		}
+		if len(e.queue) > 0 && (li < 0 || heapFirst(e.queue[0], lh)) {
+			next := e.queue[0]
+			if next.at > until {
 				return
 			}
-			continue
-		}
-		next := e.queue[0]
-		if next.at > until {
+			e.pop()
+			e.dispatch(next)
+		} else if li >= 0 {
+			if lh.at > until {
+				return
+			}
+			e.dispatchLine(li)
+		} else {
 			return
 		}
-		e.pop()
-		e.dispatch(next)
 		if e.intrFn != nil {
 			if e.intrCount++; e.intrCount >= e.intrEvery {
 				e.intrCount = 0
@@ -471,7 +514,7 @@ const compactThreshold = 64
 // pass). This bounds Pending() at ~2× the live event count for rearm-heavy
 // users that cancel far-future timers much faster than those timers pop.
 func (e *Engine) maybeCompact() {
-	if e.cancelled < compactThreshold || 2*e.cancelled < e.Pending() {
+	if e.cancelled < compactThreshold || 2*e.cancelled < e.slots() {
 		return
 	}
 	e.compact()

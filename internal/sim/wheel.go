@@ -5,8 +5,9 @@ import "math/bits"
 // This file implements Engine's hierarchical timer wheel.
 //
 // The wheel is an overflow structure in front of the engine's exact 4-ary
-// near-heap: every event is dispatched FROM the heap, in the heap's total
-// (at, seq | arrival-key) order. Time is quantised into ticks of
+// near-heap: every event that does not ride a delay line (line.go) is
+// dispatched FROM the heap, in the total (at, seq | arrival-key) order the
+// run loop keeps across heap and lines. Time is quantised into ticks of
 // 2^shift picoseconds, and the engine maintains one invariant:
 //
 //	events with tick(at) <  floor  live in the heap (exactly ordered),
@@ -19,9 +20,10 @@ import "math/bits"
 // moves floor past it; because a bucket is emptied *entirely* before any of
 // its events can run, same-instant ties are re-ordered by the heap exactly
 // as a heap holding every pending event would have, and results are
-// byte-identical at every tick width. A tick spanning the whole run
-// (granularity 1<<62) is that all-heap reference: the identity tests hold
-// every production tick width to it.
+// byte-identical at every tick width. A tick spanning the whole run, with
+// delay lines that spill into it, is that all-heap reference
+// (NewHeapEngine): the identity tests hold every production tick width to
+// it.
 //
 // Why it is fast: the heap only ever holds the current tick or two (a
 // handful of events), so push/pop touch a cache-resident micro-heap instead
@@ -46,14 +48,14 @@ import "math/bits"
 // slot cascades or is swept: the wheel then retains memory for the peak
 // number of events pending at once, not for the sum of every slot's
 // high-water mark (on the 10,240-host smoke: capacity for 733k entries
-// against a peak of 29k pending). Level 0 stays one plain slice per tick on
-// purpose, a second representation: every event passes through it, ~2.5 per
-// flushed slot (fig7_packet), so a tick's slice is a few dozen hot bytes
-// where a chunk is a 1 KiB line-set per occupied tick. Chunking it too, on
-// this code, measured +6 … +10 % wall time on the two fig7_packet points
-// (two sets of 12 alternated rounds, slower in 40 of 48; a prototype read
-// +3 … +7 %, and +2.6 … +5 % with 256-byte chunks), to save the ~0.3 MB its
-// 256 slices retain.
+// against a peak of 29k pending). Level 0 stays one plain slice per tick, a
+// second representation: a tick's slice is a few dozen hot bytes where a
+// chunk is a 1 KiB line-set per occupied tick. That choice was measured when
+// every event still passed through level 0 (chunking it read +6 … +10 %
+// wall time on the two fig7_packet points); since hop events moved to delay
+// lines, level 0 carries only timers, odd-sized frames and cross-shard
+// arrivals, and the ~0.3 MB its 256 slices retain is the price of not
+// re-measuring.
 
 const (
 	wheelBits  = 8
@@ -207,6 +209,10 @@ func newWheel(granularity Duration) *wheel {
 func (w *wheel) granularity() Duration { return Duration(1) << w.shift }
 
 func (w *wheel) tick(at Time) uint64 { return uint64(at) >> w.shift }
+
+// before reports whether at lies at a tick below floor, so strictly before
+// every event in the buckets.
+func (w *wheel) before(at Time) bool { return w.tick(at) < w.floor }
 
 // insert routes a freshly scheduled event: past-or-current ticks go to the
 // exact heap, future ticks into the bucket picked by block equality.

@@ -14,9 +14,9 @@ import (
 // heap pays O(log n) sifts through a cache-hostile pointer array, the
 // wheel pays O(1) bucket appends plus a cache-resident micro-heap.
 //
-// The heap arm is the identity tests' reference scheduler (heapEngine: one
-// tick spans the run, so every event sits in the heap) and nothing a user can
-// select, so the ratio is informational; the wheel's own cost across commits
+// The heap arm is the identity tests' reference scheduler (NewHeapEngine:
+// one tick spans the run, so every event sits in the heap) and nothing a user
+// can select, so the ratio is informational; the wheel's own cost across commits
 // is the benchmark's ledger rows sim.event_ns.pending{64,10k,1M}.
 func BenchmarkWheelVsHeap(b *testing.B) {
 	const span = Duration(1) << 30 // ~1.07 ms, power of two for a cheap mask
@@ -28,7 +28,7 @@ func BenchmarkWheelVsHeap(b *testing.B) {
 				if kind == "wheel" {
 					eng = NewEngineWheel(1, WheelGranularityFor(Microsecond))
 				} else {
-					eng = heapEngine(1)
+					eng = NewHeapEngine(1)
 				}
 				// Deterministic xorshift so both backends replay the same
 				// offsets without touching the engine's named streams.

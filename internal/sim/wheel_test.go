@@ -12,11 +12,6 @@ import (
 // whole runs share one bucket (the wheel degenerates to the heap).
 var wheelTestGranularities = []Duration{1, 8 * Nanosecond, DefaultWheelGranularity, Millisecond}
 
-// heapEngine is the reference scheduler every tick width is held to: one
-// tick spans any run, so after the first flush every event is filed straight
-// into the exact heap — a heap-only engine without a second code path.
-func heapEngine(seed int64) *Engine { return NewEngineWheel(seed, 1<<62) }
-
 // record is one observed dispatch for order comparison.
 type record struct {
 	id int
@@ -27,19 +22,46 @@ type record struct {
 // mix on the given engine and returns the exact dispatch order. The mix
 // deliberately spans every wheel level: sub-tick delays, level-0/1/2 block
 // distances, and far-overflow timers beyond the 2^24-tick block, plus keyed
-// arrivals, zero-delay storms, and horizon-bounded Run calls.
+// arrivals, zero-delay storms, and horizon-bounded Run calls. A quarter of
+// the events ride four delay lines (0, 40, 80 and 120 ns), plain and keyed,
+// and some wheel events take multiples of 40 ns, so line heads tie each
+// other and the heap at equal instants; a zero-delay line event may set off
+// more at its own instant.
 func driveRandomWorkload(e *Engine, seed int64) []record {
 	rng := rand.New(rand.NewSource(seed))
 	var got []record
 	id := 0
 	var refs []EventRef
+	lines := []Line{e.DelayLine(0), e.DelayLine(40 * Nanosecond), e.DelayLine(80 * Nanosecond), e.DelayLine(120 * Nanosecond)}
 
 	schedule := func(depth int) {}
-	schedule = func(depth int) {
+	var onLine func(depth, li int)
+	onLine = func(depth, li int) {
 		id++
 		myID := id
+		body := func(arg any) {
+			got = append(got, record{arg.(int), e.Now()})
+			if depth >= 3 {
+				return
+			}
+			if li == 0 {
+				for k := rng.Intn(4); k > 0; k-- {
+					onLine(depth+1, 0)
+				}
+			}
+			if rng.Intn(3) > 0 {
+				schedule(depth + 1)
+			}
+		}
+		if rng.Intn(3) == 0 {
+			e.ScheduleLineKeyed(lines[li], body, myID, ArrivalKeyBit|uint64(myID)<<20|uint64(rng.Intn(1000)))
+		} else {
+			e.ScheduleLine(lines[li], body, myID)
+		}
+	}
+	schedule = func(depth int) {
 		var delay Duration
-		switch rng.Intn(6) {
+		switch rng.Intn(8) {
 		case 0:
 			delay = 0 // same-instant tie-breaks
 		case 1:
@@ -50,9 +72,16 @@ func driveRandomWorkload(e *Engine, seed int64) []record {
 			delay = Duration(rng.Int63n(int64(5 * Millisecond)))
 		case 4:
 			delay = Duration(rng.Int63n(int64(800 * Millisecond)))
-		default:
+		case 5:
 			delay = Duration(rng.Int63n(int64(30 * Second))) // far overflow
+		case 6:
+			delay = Duration(rng.Intn(4)) * 40 * Nanosecond // ties with the lines
+		default:
+			onLine(depth, rng.Intn(len(lines)))
+			return
 		}
+		id++
+		myID := id
 		if rng.Intn(4) == 0 {
 			key := ArrivalKeyBit | uint64(myID)<<20 | uint64(rng.Intn(1000))
 			e.ScheduleArrivalAt(e.Now()+delay, func(arg any) {
@@ -115,7 +144,7 @@ func driveRandomWorkload(e *Engine, seed int64) []record {
 // granularity.
 func TestWheelByteIdenticalToHeap(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
-		want := driveRandomWorkload(heapEngine(99), seed)
+		want := driveRandomWorkload(NewHeapEngine(99), seed)
 		for _, g := range wheelTestGranularities {
 			e := NewEngineWheel(99, g)
 			got := driveRandomWorkload(e, seed)
@@ -140,7 +169,7 @@ func TestWheelByteIdenticalToHeap(t *testing.T) {
 // TestWheelCountersMatchHeap checks the observable accounting (events
 // fired, final clock) agrees between backends.
 func TestWheelCountersMatchHeap(t *testing.T) {
-	h := heapEngine(3)
+	h := NewHeapEngine(3)
 	driveRandomWorkload(h, 11)
 	w := NewEngineWheel(3, 0)
 	driveRandomWorkload(w, 11)
@@ -297,7 +326,7 @@ func TestWheelBlockRolloverOrder(t *testing.T) {
 				e.RunAll()
 				return got
 			}
-			want := run(heapEngine(7))
+			want := run(NewHeapEngine(7))
 			got := run(NewEngineWheel(7, 1)) // 1 ps ticks: tick == timestamp
 			if len(got) != 3 || len(want) != 3 {
 				t.Fatalf("fired wheel=%v heap=%v, want 3 events each", got, want)
@@ -486,7 +515,7 @@ func driveChunkBoundaryWorkload(e *Engine, seed int64, fill func()) []record {
 // for, and every chunk is back in the arena when the queue is empty.
 func TestWheelChunkBoundariesMatchHeap(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4, 5} {
-		want := driveChunkBoundaryWorkload(heapEngine(9), seed, nil)
+		want := driveChunkBoundaryWorkload(NewHeapEngine(9), seed, nil)
 		e := NewEngineWheel(9, 1)
 		got := driveChunkBoundaryWorkload(e, seed, func() {
 			var l1, l2 []int
