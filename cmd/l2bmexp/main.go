@@ -61,9 +61,8 @@
 // order-of-magnitude speedups on steady-state-heavy windows (`make
 // hybrid-demo`).
 //
-// Every run schedules events on sim.Engine's hierarchical timer wheel, tick
-// sized from the fabric; the tick width never changes a result (DESIGN.md
-// §15).
+// Every run schedules events on sim.Engine: fixed-delay hops ride its delay
+// lines, everything else one exact heap (DESIGN.md §15).
 //
 // -exp scale is the hyperscale smoke (not part of -exp all): it builds a
 // pod-structured Clos of 1k (-scale tiny), 10k (small) or 100k (full)
@@ -415,8 +414,9 @@ func runExperiments(harness *exp.Harness, expName string, scale exp.Scale, polic
 		linesNote := ""
 		if events > 0 {
 			// The share of the events the engines took off delay lines
-			// rather than the timer wheel.
-			linesNote = fmt.Sprintf(" (%.0f %% on delay lines)", 100*float64(harness.LineEvents()-lines0)/float64(events))
+			// rather than the heap, and the most the heap held at once.
+			linesNote = fmt.Sprintf(" (%.0f %% on delay lines, heap peak %d)",
+				100*float64(harness.LineEvents()-lines0)/float64(events), harness.HeapPeak())
 		}
 		evictedNote := ""
 		if n := harness.TraceRowsEvicted() - evicted0; n > 0 {

@@ -40,7 +40,7 @@ func TestRunSingleExperiment(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"running fig3a", "Fig 3(a)", "finished in", "events/s", "% on delay lines)"} {
+	for _, want := range []string{"running fig3a", "Fig 3(a)", "finished in", "events/s", "% on delay lines, heap peak "} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q", want)
 		}
@@ -654,11 +654,11 @@ func TestMain(m *testing.M) {
 // mixed window with the invariant auditor armed (a violation exits nonzero)
 // inside a bounded footprint. The child's peak RSS is the kernel's own
 // figure (ru_maxrss), exact where the shell step polled /proc every 0.2 s.
-// Measured ~35 MB at 10k and ~265 MB at 100k hosts, so the bounds are ~3.5x /
-// ~2.8x headroom against flyweight regressions: an RNG stream that seeds its
+// Measured ~44 MiB at 10k and ~285 MiB at 100k hosts, so the bounds are ~2.9x /
+// ~2.7x headroom against flyweight regressions: an RNG stream that seeds its
 // 4.9 kB vector on first draw again costs +60 MB / +600 MB; ports that
-// provision eight queues and pause clocks again and a wheel
-// that retains per slot cost +35 MB / +200 MB. The tight guards are
+// provision eight queues and pause clocks again, with the since-removed
+// timer wheel retaining per slot, cost +35 MB / +200 MB. The tight guards are
 // TestScale10kLiveHeap, TestHyperscaleBytesPerHost, TestPortFootprint and
 // TestIdleHostInstallBytes.
 func TestScaleSmokePeakRSS(t *testing.T) {

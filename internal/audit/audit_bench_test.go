@@ -23,7 +23,7 @@ func BenchmarkAuditSweep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		eng := sim.NewEngineWheel(1, sim.WheelGranularityFor(cfg.MinPropDelay()))
+		eng := sim.NewEngine(1)
 		cl, err := topo.Build(eng, cfg, func() core.Policy { return core.NewDefaultL2BM() }, nil)
 		if err != nil {
 			b.Fatal(err)

@@ -39,19 +39,11 @@ import (
 	"l2bm/internal/workload"
 )
 
-// engineFunc builds one shard's engine. Production runs pass wheelEngine;
+// engineFunc builds one shard's engine. Production runs pass sim.NewEngine;
 // the scheduler-identity tests pass the reference heap through this seam,
 // which is deliberately not reachable from a spec: the backend can never
 // change a result, so it is not a run parameter.
-type engineFunc func(cfg *topo.Config, seed int64) *sim.Engine
-
-// wheelEngine builds the engine with its timer-wheel tick sized from the
-// fabric's minimum propagation delay. Every tick width dispatches in the
-// identical (at, seq | arrival-key) order; a tick spanning the whole run (one
-// exact heap) survives in the tests as the reference scheduler.
-func wheelEngine(cfg *topo.Config, seed int64) *sim.Engine {
-	return sim.NewEngineWheel(seed, sim.WheelGranularityFor(cfg.MinPropDelay()))
-}
+type engineFunc func(seed int64) *sim.Engine
 
 // plan is everything a run derives from its spec before anything is built.
 type plan struct {
@@ -280,7 +272,7 @@ func (p *plan) build(ctx context.Context, seed int64) (*fabric, error) {
 	}
 	engines := make([]*sim.Engine, part.Shards)
 	for i := range engines {
-		engines[i] = p.newEngine(&p.topo, seed)
+		engines[i] = p.newEngine(seed)
 	}
 	logs := make([]shardLog, part.Shards)
 	handlers := make([]host.CompletionHandler, part.Shards) // one per shard, shared by its hosts
@@ -455,7 +447,7 @@ func (f *fabric) harvest(res *Result, final bool) {
 	res.Shards = max(res.Shards, len(f.engines))
 	c := &res.Conductor
 	c.Epochs, c.Delivered, c.TaskFirings = c.Epochs+st.Epochs, c.Delivered+st.Delivered, c.TaskFirings+st.TaskFirings
-	c.LineEvents += st.LineEvents
+	c.LineEvents, c.HeapPeak = c.LineEvents+st.LineEvents, max(c.HeapPeak, st.HeapPeak)
 	c.InlineEpochs, c.Parks, c.ModeSwitches = c.InlineEpochs+st.InlineEpochs, c.Parks+st.Parks, c.ModeSwitches+st.ModeSwitches
 	c.Threads, c.Busy, c.Idle = max(c.Threads, st.Threads), c.Busy+st.Busy, c.Idle+st.Idle
 	res.RecoveryBytes += cl.RecoveryBytes()

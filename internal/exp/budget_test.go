@@ -19,7 +19,7 @@ import (
 // is what `go test -benchmem` reports per op.
 func TestPointAllocBudget(t *testing.T) {
 	// Shards: 1 — the budgets are the one-engine build's (a self-sized run adds
-	// the second engine's wheel and pool).
+	// a second engine and pool).
 	fig7 := HybridSpec{Name: "fig7", Scale: ScaleTiny, RDMALoad: 0.4, TCPLoad: 0.8, Shards: 1}
 	steady := HybridSpec{Name: "steady", Policy: "L2BM", Scale: ScaleTiny, Shards: 1,
 		RDMALoad: 0.02, TCPLoad: 0.02, InterRackOnly: true, WindowOverride: 40 * sim.Millisecond}
@@ -32,18 +32,14 @@ func TestPointAllocBudget(t *testing.T) {
 		spec          HybridSpec
 		allocs, bytes uint64 // measured; the budget is 1.25x
 	}{
-		{"fig7-L2BM", with(fig7, func(s *HybridSpec) { s.Policy = "L2BM" }), 7268, 1_199_000},
-		{"fig7-DT", with(fig7, func(s *HybridSpec) { s.Policy = "DT" }), 7190, 1_194_000},
-		{"fig7-L2BM-shards2", with(fig7, func(s *HybridSpec) { s.Policy, s.Shards = "L2BM", 2 }), 8425, 1_365_000},
+		{"fig7-L2BM", with(fig7, func(s *HybridSpec) { s.Policy = "L2BM" }), 6188, 1_088_000},
+		{"fig7-DT", with(fig7, func(s *HybridSpec) { s.Policy = "DT" }), 6121, 1_089_000},
+		{"fig7-L2BM-shards2", with(fig7, func(s *HybridSpec) { s.Policy, s.Shards = "L2BM", 2 }), 6771, 1_175_000},
 		{"arena-Occamy-burst", with(fig7, func(s *HybridSpec) {
 			s.Name, s.Policy, s.Incast, s.Audit = "arena", "Occamy", incastSpecFor(5), &AuditSpec{}
-		}), 7175, 1_175_000},
-		{"steady-packet", with(steady, func(s *HybridSpec) { s.Fidelity = FidelityPacket }), 9676, 1_630_000},
-		// fluid.Extract's throwaway engine is a wheel like every engine: its
-		// far-future generator ticks take the chunk arena's first 64 KiB slab
-		// and the wheel's slot arrays ~8 kB, ~75 kB over the bare heap it
-		// used to run on.
-		{"steady-hybrid", with(steady, func(s *HybridSpec) { s.Fidelity = FidelityHybrid }), 740, 149_800},
+		}), 5561, 1_013_000},
+		{"steady-packet", with(steady, func(s *HybridSpec) { s.Fidelity = FidelityPacket }), 8810, 1_538_000},
+		{"steady-hybrid", with(steady, func(s *HybridSpec) { s.Fidelity = FidelityHybrid }), 737, 76_000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := RunHybrid(tc.spec); err != nil { // warm-up: sync.Pools, lazily built tables

@@ -71,8 +71,10 @@ type Harness struct {
 	tracePoints int // points seen by trace export numbering (grids run sequentially)
 
 	// What the conductors of the last grid's points that ran on several
-	// engines did (collated after the grid, so plain fields).
-	sharded ShardedRuns
+	// engines did, and the largest heap any of its points reached (collated
+	// after the grid, so plain fields).
+	sharded  ShardedRuns
+	heapPeak int
 }
 
 // ShardedRuns sums, over a grid's points that ran on more than one engine, what
@@ -194,7 +196,7 @@ func (h *Harness) runAll(specs []HybridSpec, emit EmitFunc) ([]*Result, error) {
 		emit)
 	h.points.Add(uint64(stats.Points))
 	h.events.Add(stats.Events - restoredEvents.Load())
-	h.sharded = ShardedRuns{}
+	h.sharded, h.heapPeak = ShardedRuns{}, 0
 	for _, res := range results {
 		if res == nil {
 			continue
@@ -204,6 +206,7 @@ func (h *Harness) runAll(specs []HybridSpec, emit EmitFunc) ([]*Result, error) {
 		}
 		h.evicted.Add(res.Trace.Stats().Evicted())
 		h.lineEvents.Add(res.Conductor.LineEvents) // zero on a restored point
+		h.heapPeak = max(h.heapPeak, res.Conductor.HeapPeak)
 		h.sharded.Add(res)
 	}
 	if err == nil && h.TraceDir != "" {
@@ -248,6 +251,10 @@ func (h *Harness) FidelityFallbacks() uint64 { return h.fallbacks.Load() }
 // points' rings discarded (TraceSpec.Capacity overflowed): non-zero means
 // some exported trace holds only the newest part of its run.
 func (h *Harness) TraceRowsEvicted() uint64 { return h.evicted.Load() }
+
+// HeapPeak returns the most events one engine's heap held at once over the
+// last grid's points that ran (call between grids).
+func (h *Harness) HeapPeak() int { return h.heapPeak }
 
 // Sharded returns what the conductors of the last grid's points that ran on
 // more than one engine did — how a user on an oversubscribed box sees why a

@@ -307,7 +307,7 @@ func RunHybrid(spec HybridSpec) (*Result, error) {
 // partial state is discarded, never summarized. An uncancelled ctx is
 // observer-free: arming the poll changes no results.
 func RunHybridCtx(ctx context.Context, spec HybridSpec) (*Result, error) {
-	return runHybrid(ctx, spec, wheelEngine)
+	return runHybrid(ctx, spec, sim.NewEngine)
 }
 
 // runHybrid validates the spec and dispatches on fidelity; every path runs on
@@ -348,7 +348,7 @@ func coresAvailable(ctx context.Context) int {
 }
 
 // minShardHosts is the fewest hosts a shard of a self-sized run has behind it.
-// Being split at all has a price — lanes, a second wheel, lookahead-bound
+// Being split at all has a price — lanes, a second engine, lookahead-bound
 // epochs where one engine runs to the next barrier task — that a small fabric
 // never earns back: the 8-host ScaleTiny point split in two read 44–46 ms
 // against one engine's 38–42 (3,296 epochs of a few hundred events), the

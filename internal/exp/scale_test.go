@@ -10,15 +10,16 @@ import (
 
 // TestScale10kLiveHeap is the memory gate of the workload "where memory is
 // the headline": the -exp scale point on the 10,240-host fabric, with the
-// cluster (and through it the engine, its wheel and every port) kept alive
-// past the run. What is then live is what a running fabric retains — ports,
-// switch counter tables, hosts, the wheel's buckets, the event and packet
-// pools — and it must stay proportional to what the run used, not to what
-// the fabric provisions: 21,840 ports of which under a tenth carry a frame.
-// Measured 23 MB against a 32 MB limit; with every port provisioning eight
-// queues, eight pause clocks and eight scheduler credits and every wheel slot
-// keeping its high-water array it was 45 MB, and either of the two alone
-// still reads 33-34 MB and fails.
+// cluster (and through it the engine and every port) kept alive past the
+// run. What is then live is what a running fabric retains — ports, switch
+// counter tables, hosts, the engine's heap and delay-line rings, the event
+// and packet pools — and it must stay proportional to what the run used, not
+// to what the fabric provisions: 21,840 ports of which under a tenth carry a
+// frame.
+// Measured 27 MB against a 32 MB limit; with every port provisioning eight
+// queues, eight pause clocks and eight scheduler credits and every slot of
+// the since-removed timer wheel keeping its high-water array it was 45 MB,
+// and either of the two alone still reads 33-34 MB and fails.
 func TestScale10kLiveHeap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-host run in -short")

@@ -7,30 +7,25 @@ import (
 
 	"l2bm/internal/faults"
 	"l2bm/internal/sim"
-	"l2bm/internal/topo"
 )
 
 // The two scheduler configurations, by name. No spec can select the heap:
-// it is the reference the production wheel is held to, reached through
-// runHybrid's engine-constructor parameter.
+// it is the reference the production engine — heap plus delay lines — is
+// held to, reached through runHybrid's engine-constructor parameter.
 const (
-	SchedWheel = "wheel"
+	SchedLines = "lines"
 	SchedHeap  = "heap"
 )
 
-// heapEngine is the reference scheduler (sim.NewHeapEngine): one exact heap,
-// no delay lines.
-func heapEngine(_ *topo.Config, seed int64) *sim.Engine { return sim.NewHeapEngine(seed) }
-
 // runSched executes one spec under the given scheduler backend and returns
 // its full deterministic fingerprint plus the executed-event count (which,
-// unlike the shard suite, must ALSO match across backends: the wheel
-// re-orders nothing, it only re-homes pending events).
+// unlike the shard suite, must ALSO match across backends: the delay lines
+// re-order nothing, they only re-home pending events).
 func runSched(t *testing.T, spec HybridSpec, sched string) (string, uint64, *Result) {
 	t.Helper()
-	newEngine := wheelEngine
+	newEngine := sim.NewEngine
 	if sched == SchedHeap {
-		newEngine = heapEngine
+		newEngine = sim.NewHeapEngine
 	}
 	res, err := runHybrid(context.Background(), spec, newEngine)
 	if err != nil {
@@ -59,10 +54,10 @@ func schedSpecs() []HybridSpec {
 	}
 }
 
-// TestSchedBackendIdentity is the timer wheel's acceptance test at the
-// experiment layer: for figure-representative points, the wheel and heap
-// backends must produce byte-identical results — every observable,
-// including exported trace files and the executed-event count.
+// TestSchedBackendIdentity is the delay lines' acceptance test at the
+// experiment layer: for figure-representative points, the production engine
+// and the reference heap must produce byte-identical results — every
+// observable, including exported trace files and the executed-event count.
 func TestSchedBackendIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run determinism suite")
@@ -74,24 +69,24 @@ func TestSchedBackendIdentity(t *testing.T) {
 			spec.Trace = &TraceSpec{SampleEvery: 100 * sim.Microsecond, Capacity: 1 << 17}
 
 			heapFP, heapEvents, heapRes := runSched(t, spec, SchedHeap)
-			wheelFP, wheelEvents, wheelRes := runSched(t, spec, SchedWheel)
+			linesFP, linesEvents, linesRes := runSched(t, spec, SchedLines)
 
-			if wheelFP != heapFP {
-				t.Errorf("wheel diverged from heap:\n--- heap ---\n%.2000s\n--- wheel ---\n%.2000s",
-					heapFP, wheelFP)
+			if linesFP != heapFP {
+				t.Errorf("lines diverged from heap:\n--- heap ---\n%.2000s\n--- lines ---\n%.2000s",
+					heapFP, linesFP)
 			}
-			if wheelEvents != heapEvents {
-				t.Errorf("executed events: heap %d vs wheel %d", heapEvents, wheelEvents)
+			if linesEvents != heapEvents {
+				t.Errorf("executed events: heap %d vs lines %d", heapEvents, linesEvents)
 			}
 
-			if !bytes.Equal(colBytes(t, heapRes), colBytes(t, wheelRes)) {
-				t.Error("exported columnar trace differs between heap and wheel")
+			if !bytes.Equal(colBytes(t, heapRes), colBytes(t, linesRes)) {
+				t.Error("exported columnar trace differs between heap and lines")
 			}
 		})
 	}
 }
 
-// TestSchedBackendIdentityUnderFaults re-checks wheel-vs-heap identity with
+// TestSchedBackendIdentityUnderFaults re-checks lines-vs-heap identity with
 // the fault-injection subsystem armed: flap timers, corruption draws and
 // the PFC watchdog all schedule through the same API and must replay
 // identically on both backends.
@@ -111,30 +106,30 @@ func TestSchedBackendIdentityUnderFaults(t *testing.T) {
 		},
 	}
 	heapFP, heapEvents, heapRes := runSched(t, spec, SchedHeap)
-	wheelFP, wheelEvents, _ := runSched(t, spec, SchedWheel)
+	linesFP, linesEvents, _ := runSched(t, spec, SchedLines)
 	if heapRes.LinkDownEvents == 0 {
 		t.Fatal("fault plan injected nothing")
 	}
-	if wheelFP != heapFP {
-		t.Errorf("faulted wheel diverged from heap:\n--- heap ---\n%.2000s\n--- wheel ---\n%.2000s",
-			heapFP, wheelFP)
+	if linesFP != heapFP {
+		t.Errorf("faulted lines diverged from heap:\n--- heap ---\n%.2000s\n--- lines ---\n%.2000s",
+			heapFP, linesFP)
 	}
-	if wheelEvents != heapEvents {
-		t.Errorf("executed events: heap %d vs wheel %d", heapEvents, wheelEvents)
+	if linesEvents != heapEvents {
+		t.Errorf("executed events: heap %d vs lines %d", heapEvents, linesEvents)
 	}
 }
 
 // TestSchedBackendIdentityAcrossShards crosses the two invariance axes:
-// {heap, wheel} × {1, 2, 4} shards must all land on one fingerprint. The
-// wheel sits under the sharded conductor's conservative-time peeks
+// {heap, lines} × {1, 2, 4} shards must all land on one fingerprint. The
+// lines sit under the sharded conductor's conservative-time peeks
 // (NextEventTime) and cross-shard arrival imports, so this pins the
-// bucket/heap invariant where it is hardest to keep.
+// line/heap order where it is hardest to keep.
 func TestSchedBackendIdentityAcrossShards(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run determinism suite")
 	}
 	var ref string
-	for _, sched := range []string{SchedHeap, SchedWheel} {
+	for _, sched := range []string{SchedHeap, SchedLines} {
 		for _, shards := range []int{1, 2, 4} {
 			spec := shardSpec(shards)
 			spec.Name = "sched-det-shards"

@@ -125,9 +125,9 @@ type Task struct {
 }
 
 // Stats counts conductor activity over a run. Epochs, Delivered,
-// TaskFirings and LineEvents are functions of the simulation and its shard
-// count alone; the rest say how the machine let it be executed and vary run
-// to run — none of them enter a Result's bytes.
+// TaskFirings, LineEvents and HeapPeak are functions of the simulation and
+// its shard count alone; the rest say how the machine let it be executed and
+// vary run to run — none of them enter a Result's bytes.
 type Stats struct {
 	// Epochs is the number of barrier intervals executed.
 	Epochs uint64
@@ -138,6 +138,9 @@ type Stats struct {
 	// LineEvents counts the events the engines dispatched off their delay
 	// lines (sim.Engine.LineEvents), summed over the engines.
 	LineEvents uint64
+	// HeapPeak is the most events any one engine's heap held at once
+	// (sim.Engine.HeapPeak).
+	HeapPeak int
 	// InlineEpochs counts the epochs the conductor's goroutine ran every
 	// engine itself (all of them with one engine); the rest ran in parallel.
 	InlineEpochs uint64
@@ -294,6 +297,7 @@ func (c *Conductor) Stats() Stats {
 	for i := range c.slots {
 		st.Delivered += c.slots[i].delivered
 		st.LineEvents += c.engines[i].LineEvents()
+		st.HeapPeak = max(st.HeapPeak, c.engines[i].HeapPeak())
 	}
 	return st
 }

@@ -28,11 +28,6 @@ type event struct {
 	fn  Callback
 	afn ArgCallback
 	arg any
-
-	// idx is the record's slot in Engine.all, stamped once at allocation.
-	// Wheel buckets reference events by this index instead of by pointer so
-	// the bucket arrays stay pointer-free (see wheelEntry).
-	idx uint32
 }
 
 // live reports whether the event still has a body to run (not cancelled,
@@ -60,12 +55,11 @@ type EventRef struct {
 // already fired, was already cancelled, or was never scheduled is a no-op.
 // It reports whether the event was actually descheduled.
 //
-// A cancelled event's slot (in a wheel bucket or the near-heap) is reclaimed
-// lazily: either when its tick is flushed or its timestamp pops, or by
-// compaction once dead entries outnumber live ones (see Engine.maybeCompact)
-// — so rearm-heavy users (DCQCN RTO backoff) keep Pending() proportional to
-// the number of *live* timers, not to the rearm rate times the backoff
-// horizon.
+// A cancelled event's heap slot is reclaimed lazily: either when its
+// timestamp pops, or by compaction once dead entries outnumber live ones (see
+// Engine.maybeCompact) — so rearm-heavy users (DCQCN RTO backoff) keep
+// Pending() proportional to the number of *live* timers, not to the rearm
+// rate times the backoff horizon.
 func (r *EventRef) Cancel() bool {
 	if r.ev == nil || r.ev.gen != r.gen || !r.ev.live() {
 		r.ev = nil
@@ -87,12 +81,11 @@ func (r *EventRef) Pending() bool {
 
 // Engine is a deterministic discrete-event scheduler. Events scheduled a
 // fixed delay from now ride delay lines (line.go): sorted rings of value
-// entries. Every other event takes a pooled record, which a hierarchical
-// timer wheel (wheel.go) parks in O(1) buckets and flushes a tick at a time
-// into a 4-ary micro-heap. Each event is dispatched from the heap or a line
-// head, whichever orders first, in exact (at, seq) order.
+// entries. Every other event takes a pooled record in one exact 4-ary heap.
+// Each event is dispatched from the heap or a line head, whichever orders
+// first, in exact (at, seq) order.
 //
-// The zero value is not usable; construct with NewEngine or NewEngineWheel.
+// The zero value is not usable; construct with NewEngine.
 // All methods must be called from the goroutine running the simulation
 // (event callbacks or the caller of Run between runs).
 type Engine struct {
@@ -104,9 +97,11 @@ type Engine struct {
 	fired   uint64
 	rng     *Source
 
-	// cancelled counts events cancelled but still occupying bucket or heap
-	// slots (reclaimed lazily on flush/pop or by compaction).
+	// cancelled counts events cancelled but still occupying heap slots
+	// (reclaimed lazily on pop or by compaction); heapPeak is the most
+	// slots the heap has held at once.
 	cancelled int
+	heapPeak  int
 
 	// Interrupt polling (SetInterrupt): intrFn is consulted every intrEvery
 	// fired events; returning true stops the run like Stop. Event-count
@@ -115,17 +110,6 @@ type Engine struct {
 	intrFn    func() bool
 	intrEvery uint64
 	intrCount uint64
-
-	// w is the timer wheel: future events park in its buckets and are
-	// flushed into queue a tick at a time, so the heap stays cache-resident
-	// no matter how many events are pending.
-	w *wheel
-
-	// all registers every event record ever allocated. Records are pooled
-	// and never released, so the registry both keeps bucket-resident events
-	// reachable and lets buckets refer to them by uint32 index instead of by
-	// pointer.
-	all []*event
 
 	// lines are the engine's delay lines (line.go); bit i of lineMask is set
 	// while lines[i] holds events, and heads[i] is then its head's key.
@@ -139,30 +123,29 @@ type Engine struct {
 }
 
 // NewEngine returns an engine whose clock starts at zero and whose master
-// random source is seeded with seed, on DefaultWheelGranularity ticks.
-func NewEngine(seed int64) *Engine { return NewEngineWheel(seed, 0) }
+// random source is seeded with seed.
+func NewEngine(seed int64) *Engine { return &Engine{rng: NewSource(seed)} }
 
-// NewEngineWheel is NewEngine with an explicit wheel tick width (rounded
-// down to a power of two of picoseconds): size it from the fabric with
-// WheelGranularityFor, or pass <= 0 for DefaultWheelGranularity. The tick
-// width never changes the dispatch order, only where pending events wait.
-func NewEngineWheel(seed int64, granularity Duration) *Engine {
-	return &Engine{rng: NewSource(seed), w: newWheel(granularity)}
-}
+// NewEngineWheel returns NewEngine(seed); the tick width is ignored.
+//
+// Deprecated: the timer wheel is gone; use NewEngine.
+func NewEngineWheel(seed int64, _ Duration) *Engine { return NewEngine(seed) }
+
+// WheelGranularityFor returns d.
+//
+// Deprecated: the timer wheel is gone; NewEngine takes no tick width.
+func WheelGranularityFor(d Duration) Duration { return d }
 
 // NewHeapEngine returns the reference scheduler the production engine is
-// held to: one wheel tick spans any run, so every event is dispatched from
-// one exact heap, and its delay lines spill, scheduling through ScheduleArg
-// and ScheduleArrivalAt. It dispatches exactly as NewEngineWheel does at any
-// tick width, only slower; the differential tests compare the two.
+// held to: its delay lines spill, scheduling through ScheduleArg and
+// ScheduleArrivalAt, so every event is dispatched from the one heap. It
+// dispatches exactly as NewEngine does, only slower; the differential tests
+// compare the two.
 func NewHeapEngine(seed int64) *Engine {
-	e := NewEngineWheel(seed, 1<<62)
+	e := NewEngine(seed)
 	e.heapOnly = true
 	return e
 }
-
-// WheelGranularity returns the wheel tick width.
-func (e *Engine) WheelGranularity() Duration { return e.w.granularity() }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
@@ -171,15 +154,15 @@ func (e *Engine) Now() Time { return e.now }
 // not counted).
 func (e *Engine) Events() uint64 { return e.fired }
 
-// Pending returns the number of events still queued — heap, wheel buckets
-// and delay lines combined — including cancelled events whose slots have
-// not been reclaimed yet (compaction bounds those at roughly the live count
-// plus a constant).
-func (e *Engine) Pending() int { return e.slots() + e.linePending() }
+// Pending returns the number of events still queued — heap and delay lines
+// combined — including cancelled events whose slots have not been reclaimed
+// yet (compaction bounds those at roughly the live count plus a constant).
+func (e *Engine) Pending() int { return len(e.queue) + e.linePending() }
 
-// slots counts the heap and bucket slots, the ones a cancelled event can
-// occupy.
-func (e *Engine) slots() int { return len(e.queue) + e.w.count }
+// HeapPeak returns the most events the heap has held at once, cancelled
+// ones included: what the engine's one assumption — that delay lines leave
+// the heap small — came to on this run.
+func (e *Engine) HeapPeak() int { return e.heapPeak }
 
 // NextEventTime returns the timestamp of the earliest live event still
 // queued, or (0, false) when no live event is pending. Cancelled records
@@ -191,35 +174,27 @@ func (e *Engine) slots() int { return len(e.queue) + e.w.count }
 // harnesses ("is anything left before the horizon?").
 func (e *Engine) NextEventTime() (Time, bool) {
 	li, lh := e.lineHead()
-	for {
-		for len(e.queue) > 0 {
-			head := e.queue[0]
-			if head.live() {
-				if li >= 0 && lh.at < head.at {
-					return lh.at, true
-				}
-				return head.at, true
+	for len(e.queue) > 0 {
+		head := e.queue[0]
+		if head.live() {
+			if li >= 0 && lh.at < head.at {
+				return lh.at, true
 			}
-			// Dead head: reclaim it exactly like Run would have.
-			e.pop()
-			e.recycleDead(head)
+			return head.at, true
 		}
-		// Heap dry: unless a line head precedes every bucket, flush the
-		// wheel's next bucket into the heap. The flush only re-homes events
-		// (order is restored by the heap), so peeking stays observer-free.
-		if (li < 0 || !e.w.before(lh.at)) && e.w.advance(e) {
-			continue
-		}
-		if li >= 0 {
-			return lh.at, true
-		}
-		return 0, false
+		// Dead head: reclaim it exactly like Run would have.
+		e.pop()
+		e.recycleDead(head)
 	}
+	if li >= 0 {
+		return lh.at, true
+	}
+	return 0, false
 }
 
 // recycleDead reclaims a cancelled event record discovered outside the
-// normal dispatch path (heap-head drain, wheel flush): uncount it, clear
-// it, invalidate stale EventRefs, and return it to the free list.
+// normal dispatch path (the heap-head drain): uncount it, clear it,
+// invalidate stale EventRefs, and return it to the free list.
 func (e *Engine) recycleDead(ev *event) {
 	if e.cancelled > 0 {
 		e.cancelled--
@@ -229,8 +204,8 @@ func (e *Engine) recycleDead(ev *event) {
 	e.free = append(e.free, ev)
 }
 
-// Cancelled returns the number of cancelled events still occupying bucket or
-// heap slots (observability for the compaction policy).
+// Cancelled returns the number of cancelled events still occupying heap
+// slots (observability for the compaction policy).
 func (e *Engine) Cancelled() int { return e.cancelled }
 
 // Rand returns a named deterministic random stream derived from the engine
@@ -250,7 +225,7 @@ func (e *Engine) ScheduleAt(at Time, fn Callback) EventRef {
 	}
 	ev := e.alloc(at)
 	ev.fn = fn
-	e.w.insert(e, ev)
+	e.push(ev)
 	return EventRef{eng: e, ev: ev, gen: ev.gen}
 }
 
@@ -271,7 +246,7 @@ func (e *Engine) ScheduleArgAt(at Time, fn ArgCallback, arg any) EventRef {
 	ev := e.alloc(at)
 	ev.afn = fn
 	ev.arg = arg
-	e.w.insert(e, ev)
+	e.push(ev)
 	return EventRef{eng: e, ev: ev, gen: ev.gen}
 }
 
@@ -306,7 +281,7 @@ func (e *Engine) ScheduleArrivalAt(at Time, fn ArgCallback, arg any, key uint64)
 	ev.seq = key // override the stamped sequence with the wiring-derived key
 	ev.afn = fn
 	ev.arg = arg
-	e.w.insert(e, ev)
+	e.push(ev)
 	return EventRef{eng: e, ev: ev, gen: ev.gen}
 }
 
@@ -325,8 +300,7 @@ func (e *Engine) alloc(at Time) *event {
 		e.free = e.free[:n-1]
 		ev.clear()
 	} else {
-		ev = &event{idx: uint32(len(e.all))}
-		e.all = append(e.all, ev)
+		ev = &event{}
 	}
 	ev.at = at
 	ev.seq = e.seq
@@ -384,13 +358,6 @@ func (e *Engine) run(until Time) {
 	e.stopped = false
 	for !e.stopped {
 		li, lh := e.lineHead()
-		if len(e.queue) == 0 && e.w.count > 0 && (li < 0 || !e.w.before(lh.at)) {
-			// Heap dry and the wheel may hold the next event: pull its next
-			// bucket in. All wheel events sit at strictly later ticks than
-			// anything the heap held, so the flushed bucket's head is the
-			// least of the wheel and heap.
-			e.w.advance(e)
-		}
 		if len(e.queue) > 0 && (li < 0 || heapFirst(e.queue[0], lh)) {
 			next := e.queue[0]
 			if next.at > until {
@@ -448,10 +415,12 @@ func less(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// push inserts into the 4-ary min-heap (the wheel's near-heap: the current
-// tick or two).
+// push inserts into the 4-ary min-heap.
 func (e *Engine) push(ev *event) {
 	q := append(e.queue, ev)
+	if len(q) > e.heapPeak {
+		e.heapPeak = len(q)
+	}
 	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) / 4
@@ -505,27 +474,25 @@ func (e *Engine) siftDown(i int) {
 }
 
 // compactThreshold is the minimum number of cancelled slots before
-// compaction is even considered; below it lazy reclamation on flush and pop
-// is cheaper than sweeping the buckets and rebuilding the heap.
+// compaction is even considered; below it lazy reclamation on pop is
+// cheaper than rebuilding the heap.
 const compactThreshold = 64
 
-// maybeCompact drops dead entries from buckets and heap once cancelled slots
+// maybeCompact drops dead entries from the heap once cancelled slots
 // outnumber live ones (and there are enough of them to be worth the O(n)
 // pass). This bounds Pending() at ~2× the live event count for rearm-heavy
 // users that cancel far-future timers much faster than those timers pop.
 func (e *Engine) maybeCompact() {
-	if e.cancelled < compactThreshold || 2*e.cancelled < e.slots() {
+	if e.cancelled < compactThreshold || 2*e.cancelled < len(e.queue) {
 		return
 	}
 	e.compact()
 }
 
-// compact removes cancelled entries from every bucket and from the heap, and
-// re-heapifies. Live events keep firing in exactly the same order: dispatch
-// order is the total order (at, seq), which is independent of heap layout
-// and bucket residency.
+// compact removes cancelled entries from the heap and re-heapifies. Live
+// events keep firing in exactly the same order: dispatch order is the total
+// order (at, seq), which is independent of heap layout.
 func (e *Engine) compact() {
-	e.w.sweep(e)
 	old := e.queue
 	q := old[:0]
 	for _, ev := range old {

@@ -62,8 +62,8 @@ func TestEngineRunHorizon(t *testing.T) {
 	}
 
 	e.RunAll()
-	if fired != 2 {
-		t.Errorf("fired %d after RunAll, want 2", fired)
+	if fired != 2 || e.Pending() != 0 {
+		t.Errorf("fired %d with %d pending after RunAll, want 2 and 0", fired, e.Pending())
 	}
 }
 
@@ -352,5 +352,193 @@ func TestEngineCompactionPreservesOrder(t *testing.T) {
 		if v != i {
 			t.Fatalf("order broken at %d: got %d", i, v)
 		}
+	}
+}
+
+// record is one observed dispatch for order comparison.
+type record struct {
+	id int
+	at Time
+}
+
+// driveRandomWorkload runs an identical randomized schedule/cancel/rearm
+// mix on the given engine and returns the exact dispatch order. The mix
+// spans delays from picoseconds to tens of seconds, plus keyed arrivals,
+// zero-delay storms, and horizon-bounded Run calls. A quarter of the events
+// ride four delay lines (0, 40, 80 and 120 ns), plain and keyed, and some
+// heap events take multiples of 40 ns, so line heads tie each other and the
+// heap at equal instants; a zero-delay line event may set off more at its
+// own instant.
+func driveRandomWorkload(e *Engine, seed int64) []record {
+	rng := rand.New(rand.NewSource(seed))
+	var got []record
+	id := 0
+	var refs []EventRef
+	lines := []Line{e.DelayLine(0), e.DelayLine(40 * Nanosecond), e.DelayLine(80 * Nanosecond), e.DelayLine(120 * Nanosecond)}
+
+	schedule := func(depth int) {}
+	var onLine func(depth, li int)
+	onLine = func(depth, li int) {
+		id++
+		myID := id
+		body := func(arg any) {
+			got = append(got, record{arg.(int), e.Now()})
+			if depth >= 3 {
+				return
+			}
+			if li == 0 {
+				for k := rng.Intn(4); k > 0; k-- {
+					onLine(depth+1, 0)
+				}
+			}
+			if rng.Intn(3) > 0 {
+				schedule(depth + 1)
+			}
+		}
+		if rng.Intn(3) == 0 {
+			e.ScheduleLineKeyed(lines[li], body, myID, ArrivalKeyBit|uint64(myID)<<20|uint64(rng.Intn(1000)))
+		} else {
+			e.ScheduleLine(lines[li], body, myID)
+		}
+	}
+	schedule = func(depth int) {
+		var delay Duration
+		switch rng.Intn(8) {
+		case 0:
+			delay = 0 // same-instant tie-breaks
+		case 1:
+			delay = Duration(rng.Int63n(int64(100 * Nanosecond)))
+		case 2:
+			delay = Duration(rng.Int63n(int64(10 * Microsecond)))
+		case 3:
+			delay = Duration(rng.Int63n(int64(5 * Millisecond)))
+		case 4:
+			delay = Duration(rng.Int63n(int64(800 * Millisecond)))
+		case 5:
+			delay = Duration(rng.Int63n(int64(30 * Second)))
+		case 6:
+			delay = Duration(rng.Intn(4)) * 40 * Nanosecond // ties with the lines
+		default:
+			onLine(depth, rng.Intn(len(lines)))
+			return
+		}
+		id++
+		myID := id
+		if rng.Intn(4) == 0 {
+			key := ArrivalKeyBit | uint64(myID)<<20 | uint64(rng.Intn(1000))
+			e.ScheduleArrivalAt(e.Now()+delay, func(arg any) {
+				got = append(got, record{arg.(int), e.Now()})
+				if depth < 3 && rng.Intn(3) > 0 {
+					schedule(depth + 1)
+				}
+			}, myID, key)
+			return
+		}
+		ref := e.Schedule(delay, func() {
+			got = append(got, record{myID, e.Now()})
+			if depth < 3 && rng.Intn(3) > 0 {
+				schedule(depth + 1)
+			}
+		})
+		if rng.Intn(5) == 0 {
+			refs = append(refs, ref)
+		}
+	}
+
+	for i := 0; i < 400; i++ {
+		schedule(0)
+	}
+	// Cancel a random subset before anything runs.
+	for _, ref := range refs {
+		if rng.Intn(2) == 0 {
+			r := ref
+			r.Cancel()
+		}
+	}
+	refs = refs[:0]
+
+	// Interleave horizon-bounded runs, peeks, and more scheduling.
+	horizon := Time(0)
+	for round := 0; round < 12; round++ {
+		horizon += Duration(rng.Int63n(int64(2 * Second)))
+		e.Run(horizon)
+		if at, ok := e.NextEventTime(); ok && at < horizon {
+			panic("NextEventTime returned a past event")
+		}
+		for i := 0; i < 40; i++ {
+			schedule(0)
+		}
+		for _, ref := range refs {
+			if rng.Intn(2) == 0 {
+				r := ref
+				r.Cancel()
+			}
+		}
+		refs = refs[:0]
+	}
+	e.RunAll()
+	return got
+}
+
+// TestEngineMatchesHeapEngine is the scheduler's core contract: for the
+// same workload, the production engine dispatches exactly the same events at
+// exactly the same times in exactly the same order as the line-free
+// reference heap, and agrees with it on the events fired and the final
+// clock.
+func TestEngineMatchesHeapEngine(t *testing.T) {
+	for _, seed := range []int64{1, 7, 42} {
+		ref := NewHeapEngine(99)
+		want := driveRandomWorkload(ref, seed)
+		e := NewEngine(99)
+		got := driveRandomWorkload(e, seed)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: dispatched %d events, reference dispatched %d", seed, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: dispatch %d = %+v, reference dispatched %+v", seed, i, got[i], want[i])
+			}
+		}
+		if e.Events() != ref.Events() || e.Now() != ref.Now() {
+			t.Fatalf("seed %d: %d events, clock %v; reference %d events, clock %v",
+				seed, e.Events(), e.Now(), ref.Events(), ref.Now())
+		}
+		if e.LineEvents() == 0 || ref.LineEvents() != 0 {
+			t.Fatalf("seed %d: %d events off lines, reference %d; want some and none", seed, e.LineEvents(), ref.LineEvents())
+		}
+		checkFreeListClean(t, e, "after the random workload")
+		if n := e.Pending(); n != 0 {
+			t.Fatalf("seed %d: %d events pending after RunAll", seed, n)
+		}
+	}
+}
+
+// TestEngineNextEventTime: the conservative-time peek answers the earliest
+// live event whatever its distance, skips cancelled ones, and does not
+// disturb dispatch.
+func TestEngineNextEventTime(t *testing.T) {
+	e := NewEngine(5)
+	if _, ok := e.NextEventTime(); ok {
+		t.Fatal("empty engine reported a next event")
+	}
+	var fired []Time
+	note := func() { fired = append(fired, e.Now()) }
+	far := e.Schedule(20*Second, note)
+	e.Schedule(3*Millisecond, note)
+	near := e.Schedule(10*Microsecond, note)
+	if at, ok := e.NextEventTime(); !ok || at != Time(10*Microsecond) {
+		t.Fatalf("peek = %v,%v, want 10µs", at, ok)
+	}
+	near.Cancel()
+	if at, ok := e.NextEventTime(); !ok || at != Time(3*Millisecond) {
+		t.Fatalf("peek after cancel = %v,%v, want 3ms", at, ok)
+	}
+	far.Cancel()
+	e.RunAll()
+	if len(fired) != 1 || fired[0] != Time(3*Millisecond) {
+		t.Fatalf("fired = %v, want exactly [3ms]", fired)
+	}
+	if at, ok := e.NextEventTime(); ok {
+		t.Fatalf("drained engine reported next event at %v", at)
 	}
 }

@@ -13,11 +13,10 @@ import (
 // with one fixed delay are produced in timestamp order, because the clock
 // never goes back, so they need a FIFO, not a priority queue. A delay line
 // is that FIFO: a power-of-two ring of value entries {at, key, fn, arg},
-// with no pooled record, no registry index, no wheel bucket and no heap
-// sift. The run loop dispatches the least of the heap head and the heads of
-// the non-empty lines (a bitmask names them), so the (at, seq |
-// arrival-key) total order, and with it every result byte, is exactly the
-// wheel's.
+// with no pooled record and no heap sift. The run loop dispatches the least
+// of the heap head and the heads of the non-empty lines (a bitmask names
+// them), so the (at, seq | arrival-key) total order, and with it every
+// result byte, is exactly the one heap's.
 //
 // Keys: a plain line event takes the engine's next sequence number, exactly
 // as ScheduleArg would; a keyed one takes the caller's arrival key (and
@@ -36,7 +35,7 @@ type Line int32
 
 // maxLines is how many lines an engine dispatches from: the non-empty ones
 // are one uint64 bitmask. Further delays get lines that spill onto the
-// wheel (a fabric has a handful of link classes, so this never binds).
+// heap (a fabric has a handful of link classes, so this never binds).
 const maxLines = 64
 
 // lineKey is a line event's place in the (at, seq | arrival-key) order.

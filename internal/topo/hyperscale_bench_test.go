@@ -38,7 +38,7 @@ func BenchmarkBuildHyperscale(b *testing.B) {
 				runtime.GC()
 				runtime.ReadMemStats(&before)
 				b.StartTimer()
-				eng := sim.NewEngineWheel(1, sim.WheelGranularityFor(cfg.MinPropDelay()))
+				eng := sim.NewEngine(1)
 				cl, err := Build(eng, cfg, func() core.Policy { return core.NewDT() }, nil)
 				if err != nil {
 					b.Fatal(err)
@@ -79,7 +79,7 @@ func TestHyperscaleBytesPerHost(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	eng := sim.NewEngineWheel(1, sim.WheelGranularityFor(cfg.MinPropDelay()))
+	eng := sim.NewEngine(1)
 	cl, err := Build(eng, cfg, func() core.Policy { return core.NewDT() }, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -150,7 +150,7 @@ func TestComputePartitionHyperscale(t *testing.T) {
 	}
 }
 
-// TestHyperscaleBuildRunsSmoke builds the 1k-host fabric on a wheel engine
+// TestHyperscaleBuildRunsSmoke builds the 1k-host fabric on one engine
 // and pushes one cross-pod flow through it — the smallest end-to-end proof
 // that a hyperscale-lowered Config wires, routes and drains.
 func TestHyperscaleBuildRunsSmoke(t *testing.T) {
@@ -158,7 +158,7 @@ func TestHyperscaleBuildRunsSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := sim.NewEngineWheel(1, sim.WheelGranularityFor(cfg.MinPropDelay()))
+	eng := sim.NewEngine(1)
 	done := 0
 	cl, err := Build(eng, cfg, func() core.Policy { return core.NewDT() },
 		func(id pkt.FlowID, at sim.Time) { done++ })

@@ -161,9 +161,8 @@ func (c *Config) SwitchNames() []string {
 }
 
 // MinPropDelay returns the smallest positive propagation delay in the
-// fabric, or 0 when every delay is zero. The scheduler layer sizes the
-// timer-wheel tick from it (sim.WheelGranularityFor): no two causally
-// related events across a cable are closer than one hop.
+// fabric, or 0 when every delay is zero: no two causally related events
+// across a cable are closer than one hop.
 func (c *Config) MinPropDelay() sim.Duration {
 	min := sim.Duration(0)
 	for _, d := range []sim.Duration{c.ServerDelay, c.TorAggDelay, c.AggCoreDelay} {
