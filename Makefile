@@ -15,7 +15,7 @@ test:
 
 # Short mode skips the slow multi-policy fault sweeps; race still covers
 # every package's core paths, including the parallel experiment scheduler
-# (pool collation, cancellation, harness accounting).
+# (pool collation, cancellation, concurrent result-cache puts).
 race:
 	$(GO) test -race -short ./...
 

@@ -381,52 +381,52 @@ func runExperiments(harness *exp.Harness, expName string, scale exp.Scale, polic
 		}
 	}
 
-	effective := harness.Workers
-	if effective <= 0 {
-		effective = runtime.GOMAXPROCS(0)
+	workers := harness.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
 	for _, name := range selected {
 		start := time.Now()
-		points0, restored0 := harness.TotalPoints(), harness.RestoredPoints()
-		events0, lines0 := harness.TotalEvents(), harness.LineEvents()
-		fallbacks0, evicted0 := harness.FidelityFallbacks(), harness.TraceRowsEvicted()
 		mem0 := exp.TakeMemSnapshot()
 		// The banner and tables are deterministic for any worker count;
 		// only the timing and memory trailers below carry run-dependent
 		// numbers (determinism diffs exclude both lines).
 		fmt.Fprintf(w, "\n--- running %s at scale %s ---\n", name, scale)
-		if _, _, err := harness.Run(name, scale, policies, w); err != nil {
+		_, results, err := harness.Run(name, scale, policies, w)
+		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
 		wall := time.Since(start)
-		events := harness.TotalEvents() - events0
-		if fb := harness.FidelityFallbacks() - fallbacks0; fb > 0 {
+		t := exp.TallyResults(results)
+		if t.Fallbacks > 0 {
 			// Deterministic for any worker count (it counts results, not
 			// scheduling), so determinism diffs keep it.
-			fmt.Fprintf(w, "note: %d point(s) requested hybrid fidelity but ran at packet fidelity (fault plans are a standing fidelity trigger)\n", fb)
+			fmt.Fprintf(w, "note: %d point(s) requested hybrid fidelity but ran at packet fidelity (fault plans are a standing fidelity trigger)\n", t.Fallbacks)
 		}
 		restoredNote := ""
-		if n := harness.RestoredPoints() - restored0; n > 0 {
+		if t.Restored > 0 {
 			// Restored points cost no events; say so, or the rate reads as
 			// simulator speed.
-			restoredNote = fmt.Sprintf(", %d of %d points restored", n, harness.TotalPoints()-points0)
+			restoredNote = fmt.Sprintf(", %d of %d points restored", t.Restored, t.Points)
 		}
 		linesNote := ""
-		if events > 0 {
+		if t.Events > 0 {
 			// The share of the events the engines took off delay lines
 			// rather than the heap, and the most the heap held at once.
 			linesNote = fmt.Sprintf(" (%.0f %% on delay lines, heap peak %d)",
-				100*float64(harness.LineEvents()-lines0)/float64(events), harness.HeapPeak())
+				100*float64(t.Conductors.LineEvents)/float64(t.Events), t.Conductors.HeapPeak)
 		}
 		evictedNote := ""
-		if n := harness.TraceRowsEvicted() - evicted0; n > 0 {
+		if t.TraceRowsEvicted > 0 {
 			// The exported traces hold only the newest rows of some run.
-			evictedNote = fmt.Sprintf(", %d trace rows evicted", n)
+			evictedNote = fmt.Sprintf(", %d trace rows evicted", t.TraceRowsEvicted)
 		}
+		// A grid smaller than the pool runs on one worker per point (Pool.size).
 		fmt.Fprintf(w, "(%s finished in %v: %s events%s, %s events/s aggregate across %d workers%s%s%s)\n",
 			name, wall.Round(time.Millisecond),
-			siCount(float64(events)), linesNote, siCount(float64(events)/wall.Seconds()), effective, harness.Sharded(), restoredNote, evictedNote)
-		fmt.Fprintln(w, mem0.MemLine(events))
+			siCount(float64(t.Events)), linesNote, siCount(float64(t.Events)/wall.Seconds()), min(workers, len(results)),
+			t.Conductors, restoredNote, evictedNote)
+		fmt.Fprintln(w, mem0.MemLine(t.Events))
 	}
 	return nil
 }

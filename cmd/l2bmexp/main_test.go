@@ -34,13 +34,15 @@ func statFile(path string) (int64, error) {
 	return fi.Size(), nil
 }
 
+// TestRunSingleExperiment also pins the trailer's worker count: fig3a's two
+// points run on two workers however many -parallel allows.
 func TestRunSingleExperiment(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-exp", "fig3a", "-scale", "tiny"}, &buf); err != nil {
+	if err := run([]string{"-exp", "fig3a", "-scale", "tiny", "-parallel", "8"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"running fig3a", "Fig 3(a)", "finished in", "events/s", "% on delay lines, heap peak "} {
+	for _, want := range []string{"running fig3a", "Fig 3(a)", "finished in", "events/s", "% on delay lines, heap peak ", "aggregate across 2 workers"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q", want)
 		}

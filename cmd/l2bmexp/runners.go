@@ -54,8 +54,7 @@ func runSpec(path string, cache *exp.ResultCache, pool *exp.Pool, w io.Writer) e
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	results, _, err := pool.Run(ctx, len(req.Specs), func(ctx context.Context, i int) (*exp.Result, error) {
-		res, _, err := cache.GetOrRun(ctx, req.Specs[i])
-		return res, err
+		return cache.GetOrRun(ctx, req.Specs[i])
 	}, nil)
 	if err != nil {
 		return err

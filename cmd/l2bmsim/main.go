@@ -78,8 +78,6 @@ func run(args []string, w io.Writer) error {
 	}
 	// The run sizes itself (Shards: 0); what its conductor did with the
 	// machine's cores is the one machine-dependent part of the output.
-	var sharded exp.ShardedRuns
-	sharded.Add(res)
-	fmt.Fprintf(w, "simulated %v in %d events%s\n", res.EndTime, res.Events, sharded)
+	fmt.Fprintf(w, "simulated %v in %d events%s\n", res.EndTime, res.Events, res.Conductor)
 	return nil
 }

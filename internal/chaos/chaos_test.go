@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"strings"
@@ -69,12 +70,14 @@ func TestChaosSmoke(t *testing.T) {
 // still-failing scenario, (c) emit a reproducer that replays.
 func TestChaosCatchesAndShrinksSeededBug(t *testing.T) {
 	dir := t.TempDir()
+	var out bytes.Buffer
 	opts := Options{
 		Seeds:        2,
 		BaseSeed:     100,
 		Workers:      2,
 		ShrinkBudget: 30,
 		ReproDir:     dir,
+		Out:          &out,
 		Wrap: func(spec exp.HybridSpec) exp.HybridSpec {
 			spec.Hooks = &exp.RunHooks{PostBuild: func(cl *topo.Cluster) {
 				cl.ToRs[0].SkewSharedUsedForTest(2048)
@@ -88,6 +91,16 @@ func TestChaosCatchesAndShrinksSeededBug(t *testing.T) {
 	}
 	if len(rep.Findings) != opts.Seeds {
 		t.Fatalf("%d of %d seeded-bug scenarios flagged", len(rep.Findings), opts.Seeds)
+	}
+	// Every failed seed is reported, in seed order, before shrinking starts.
+	log := out.String()
+	fail100, fail101 := strings.Index(log, "chaos: seed 100 FAILED:"), strings.Index(log, "chaos: seed 101 FAILED:")
+	shrink := strings.Index(log, "chaos: shrinking seed")
+	if fail100 < 0 || fail101 < fail100 || shrink < fail101 {
+		t.Errorf("want both FAILED lines in seed order before the first shrink, got:\n%s", log)
+	}
+	if !strings.Contains(log, "chaos: 2 seeds, 2 findings,") {
+		t.Errorf("summary line missing or wrong:\n%s", log)
 	}
 	for _, f := range rep.Findings {
 		if !strings.Contains(f.MinimalReason, "sharedUsed") {

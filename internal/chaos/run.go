@@ -103,23 +103,25 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 	rep := &Report{Seeds: n}
 
 	pool := &exp.Pool{Workers: opts.Workers, KeepGoing: true, PointTimeout: opts.timeout()}
-	pool.Observe = func(i int, r *exp.Result, err error) {
+	results, _, err := pool.Run(ctx, n, func(pctx context.Context, i int) (*exp.Result, error) {
+		return runScenario(pctx, Generate(opts.BaseSeed+int64(i)), opts)
+	}, nil)
+	for _, r := range results {
 		if r != nil {
 			rep.Events += r.Events
 			rep.AuditChecks += r.AuditChecks
 		}
-		if opts.Out != nil && err != nil && ctx.Err() == nil {
-			fmt.Fprintf(opts.Out, "chaos: seed %d FAILED: %s\n", opts.BaseSeed+int64(i), firstLine(err.Error()))
-		}
 	}
-	_, _, err := pool.Run(ctx, n, func(pctx context.Context, i int) (*exp.Result, error) {
-		return runScenario(pctx, Generate(opts.BaseSeed+int64(i)), opts)
-	}, nil)
 
 	var fs *exp.FailureSummary
 	switch {
 	case err == nil:
 	case errors.As(err, &fs):
+		if opts.Out != nil {
+			for _, pf := range fs.Failures {
+				fmt.Fprintf(opts.Out, "chaos: seed %d FAILED: %s\n", opts.BaseSeed+int64(pf.Point), firstLine(pf.Err.Error()))
+			}
+		}
 		for _, pf := range fs.Failures {
 			f, ferr := investigate(ctx, opts, opts.BaseSeed+int64(pf.Point), pf.Err)
 			if ferr != nil {

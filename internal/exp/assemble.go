@@ -442,14 +442,7 @@ func (f *fabric) harvest(res *Result, final bool) {
 	res.LosslessGaps += cl.LosslessGaps()
 	st := f.cond.Stats()
 	res.Events += f.cond.Events() + st.TaskFirings - f.replicaEvents()
-	// How the machine let the run execute: over a hybrid run's segments, the
-	// widest and the conductors' counts summed.
-	res.Shards = max(res.Shards, len(f.engines))
-	c := &res.Conductor
-	c.Epochs, c.Delivered, c.TaskFirings = c.Epochs+st.Epochs, c.Delivered+st.Delivered, c.TaskFirings+st.TaskFirings
-	c.LineEvents, c.HeapPeak = c.LineEvents+st.LineEvents, max(c.HeapPeak, st.HeapPeak)
-	c.InlineEpochs, c.Parks, c.ModeSwitches = c.InlineEpochs+st.InlineEpochs, c.Parks+st.Parks, c.ModeSwitches+st.ModeSwitches
-	c.Threads, c.Busy, c.Idle = max(c.Threads, st.Threads), c.Busy+st.Busy, c.Idle+st.Idle
+	res.Conductor.Add(st)
 	res.RecoveryBytes += cl.RecoveryBytes()
 	nacks, timeouts := cl.RDMARecoveryStats()
 	res.RDMANACKs += nacks

@@ -275,7 +275,8 @@ func (c *ResultCache) load(key string) (json.RawMessage, bool) {
 }
 
 // Get is Lookup plus a decode: the stored canonical bytes and the Result
-// they encode, with the in-memory spec that JSON could not carry reattached.
+// they encode, with the in-memory spec that JSON could not carry reattached
+// and Restored set.
 func (c *ResultCache) Get(spec HybridSpec) (raw json.RawMessage, res *Result, ok bool) {
 	raw, ok = c.Lookup(spec)
 	if !ok {
@@ -285,7 +286,7 @@ func (c *ResultCache) Get(spec HybridSpec) (raw json.RawMessage, res *Result, ok
 	if json.Unmarshal(raw, res) != nil {
 		return nil, nil, false
 	}
-	res.Spec = spec
+	res.Spec, res.Restored = spec, true
 	return raw, res, true
 }
 
@@ -344,28 +345,28 @@ func (c *ResultCache) Put(spec HybridSpec, raw json.RawMessage) error {
 }
 
 // GetOrRun is the one way a point is computed next to a store: the stored
-// Result when c holds spec's (hit — determinism makes it indistinguishable
-// from a recomputed one), otherwise a fresh run whose canonical bytes are Put
-// before it is handed back, by whichever goroutine ran it — so a point is
-// durable the moment it finishes, whatever its neighbours are still doing. A
-// spec the store cannot hold (nil cache, func-valued field, armed recorder)
-// simply runs.
-func (c *ResultCache) GetOrRun(ctx context.Context, spec HybridSpec) (res *Result, hit bool, err error) {
+// Result when c holds spec's (Restored — determinism makes it otherwise
+// indistinguishable from a recomputed one), otherwise a fresh run whose
+// canonical bytes are Put before it is handed back, by whichever goroutine ran
+// it — so a point is durable the moment it finishes, whatever its neighbours
+// are still doing. A spec the store cannot hold (nil cache, func-valued field,
+// armed recorder) simply runs.
+func (c *ResultCache) GetOrRun(ctx context.Context, spec HybridSpec) (*Result, error) {
 	if _, res, ok := c.Get(spec); ok {
-		return res, true, nil
+		return res, nil
 	}
-	res, err = RunHybridCtx(ctx, spec)
+	res, err := RunHybridCtx(ctx, spec)
 	if err != nil || c == nil || checkpointIneligible(spec) != "" {
-		return res, false, err
+		return res, err
 	}
 	raw, err := json.Marshal(res)
 	if err != nil {
-		return nil, false, fmt.Errorf("exp: cache: spec %q: %w", spec.Name, err)
+		return nil, fmt.Errorf("exp: cache: spec %q: %w", spec.Name, err)
 	}
 	if err := c.Put(spec, raw); err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	return res, false, nil
+	return res, nil
 }
 
 // Len counts the entries on disk (test and status reporting).

@@ -114,8 +114,8 @@ func TestOneProcRunsOneEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := max(shards, 1); engines != want || res.Shards != want {
-			t.Errorf("Shards %d on one proc: %d engines (Result.Shards %d), want %d", shards, engines, res.Shards, want)
+		if want := max(shards, 1); engines != want || res.Conductor.Shards != want {
+			t.Errorf("Shards %d on one proc: %d engines (Result.Conductor.Shards %d), want %d", shards, engines, res.Conductor.Shards, want)
 		}
 		if peak > before || res.Conductor.InlineEpochs != res.Conductor.Epochs {
 			t.Errorf("Shards %d on one proc: %d goroutines at peak (%d before), %d of %d epochs inline",
@@ -150,8 +150,8 @@ func TestOversubscribedRunsFinish(t *testing.T) {
 			t.Error(err)
 			return nil
 		}
-		if want := 2 - shards; res.Shards != want {
-			t.Errorf("Shards %d on two procs ran on %d engines, want %d", shards, res.Shards, want)
+		if want := 2 - shards; res.Conductor.Shards != want {
+			t.Errorf("Shards %d on two procs ran on %d engines, want %d", shards, res.Conductor.Shards, want)
 		}
 		body, err := json.Marshal(res)
 		if err != nil {
@@ -207,8 +207,8 @@ func TestSteeringUsesBothModes(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := res.Conductor
-		if par := st.Epochs - st.InlineEpochs; res.Shards != 2 || par == 0 || st.InlineEpochs == 0 {
-			t.Fatalf("%d shards, %d parallel and %d inline epochs, want both modes on two", res.Shards, par, st.InlineEpochs)
+		if par := st.Epochs - st.InlineEpochs; res.Conductor.Shards != 2 || par == 0 || st.InlineEpochs == 0 {
+			t.Fatalf("%d shards, %d parallel and %d inline epochs, want both modes on two", res.Conductor.Shards, par, st.InlineEpochs)
 		}
 		if st.Parks > 4 {
 			continue

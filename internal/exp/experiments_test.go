@@ -84,22 +84,23 @@ func TestRunTable2Shape(t *testing.T) {
 func TestRunTable2ReusesPriorSweep(t *testing.T) {
 	h := NewHarness(0)
 	h.Cache = &ResultCache{}
-	if _, _, err := h.Run("fig7", ScaleTiny, nil, io.Discard); err != nil {
+	_, fig7, err := h.Run("fig7", ScaleTiny, nil, io.Discard)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if h.RestoredPoints() != 0 {
-		t.Fatalf("Fig. 7 on an empty store restored %d points", h.RestoredPoints())
+	if n := TallyResults(fig7).Restored; n != 0 {
+		t.Fatalf("Fig. 7 on an empty store restored %d points", n)
 	}
-	points, events := h.TotalPoints(), h.TotalEvents()
 
 	var reused bytes.Buffer
-	if _, _, err := h.Run("table2", ScaleTiny, nil, &reused); err != nil {
+	_, table2, err := h.Run("table2", ScaleTiny, nil, &reused)
+	if err != nil {
 		t.Fatal(err)
 	}
 	cells := uint64(len(table2Policies) * len(Table2Loads))
-	if h.RestoredPoints() != cells || h.TotalPoints()-points != cells || h.TotalEvents() != events {
+	if tl := TallyResults(table2); tl.Restored != cells || tl.Points != cells || tl.Events != 0 {
 		t.Errorf("Table II after Fig. 7: %d of %d points restored, %d events simulated; want %d of %d and 0",
-			h.RestoredPoints(), h.TotalPoints()-points, h.TotalEvents()-events, cells, cells)
+			tl.Restored, tl.Points, tl.Events, cells, cells)
 	}
 
 	var fresh bytes.Buffer
@@ -146,7 +147,8 @@ func TestRunTable2PartialPriorRegression(t *testing.T) {
 	h := NewHarness(0)
 	h.Cache = cache
 	var buf bytes.Buffer
-	if _, _, err := h.Run("table2", ScaleTiny, nil, &buf); err != nil {
+	_, results, err := h.Run("table2", ScaleTiny, nil, &buf)
+	if err != nil {
 		t.Fatal(err)
 	}
 	rows := tableRows(t, buf.String(), "Table II:")
@@ -169,9 +171,9 @@ func TestRunTable2PartialPriorRegression(t *testing.T) {
 	if got := rows[0][3]; got == fmt.Sprint(sentinel("ABM", 2)) {
 		t.Errorf("ABM load 2 shows a sentinel that was never stored: %q", got)
 	}
-	if h.RestoredPoints() != uint64(stored) || h.TotalEvents() == 0 {
+	if tl := TallyResults(results); tl.Restored != uint64(stored) || tl.Events == 0 {
 		t.Errorf("restored %d points (stored %d), simulated %d events; want the stored ones restored and the rest run",
-			h.RestoredPoints(), stored, h.TotalEvents())
+			tl.Restored, stored, tl.Events)
 	}
 }
 

@@ -6,14 +6,14 @@ import (
 	"io"
 	"path/filepath"
 	"runtime"
-	"sync/atomic"
 	"time"
+
+	"l2bm/internal/psim"
 )
 
-// Harness executes the rows of Experiments over a shared worker pool and
-// accumulates cross-experiment cost accounting (total points and
-// simulated events), from which callers derive aggregate events/s across
-// workers. The zero value is valid and uses GOMAXPROCS workers.
+// Harness executes the rows of Experiments over a shared worker pool. It
+// keeps no counters: what a grid cost is TallyResults over the results Run
+// returns. The zero value is valid and uses GOMAXPROCS workers.
 //
 // Rendered output is byte-identical for any worker count: points are
 // collated and progress lines emitted in spec order (see Pool).
@@ -62,56 +62,49 @@ type Harness struct {
 	// fails with *PointTimeoutError. Zero = unbounded. See Pool.PointTimeout.
 	PointTimeout time.Duration
 
-	points      atomic.Uint64
-	restored    atomic.Uint64
-	events      atomic.Uint64
-	lineEvents  atomic.Uint64
-	fallbacks   atomic.Uint64
-	evicted     atomic.Uint64
 	tracePoints int // points seen by trace export numbering (grids run sequentially)
-
-	// What the conductors of the last grid's points that ran on several
-	// engines did, and the largest heap any of its points reached (collated
-	// after the grid, so plain fields).
-	sharded  ShardedRuns
-	heapPeak int
 }
 
-// ShardedRuns sums, over a grid's points that ran on more than one engine, what
-// their conductors did. Shards and Threads are the widest of them (Shards 0:
-// no point was sharded); the rest are psim.Stats fields added up.
-type ShardedRuns struct {
-	Shards, Threads             int
-	Epochs, InlineEpochs, Parks uint64
-	Busy, Idle                  time.Duration
+// Tally is what a grid's points cost, summed from its results alone.
+type Tally struct {
+	// Points counts the results; Restored, those ResultCache served instead
+	// of the simulator.
+	Points, Restored uint64
+	// Events sums the simulated events of the points that ran (a restored
+	// point cost none) — divide by wall time for aggregate events/s.
+	Events uint64
+	// Fallbacks counts hybrid-fidelity requests that ran at packet fidelity
+	// (Result.FidelityFallback): a fault plan pinned them there.
+	Fallbacks uint64
+	// TraceRowsEvicted counts the flight-recorder rows the points' rings
+	// discarded: non-zero means some exported trace holds only the newest
+	// part of its run.
+	TraceRowsEvicted uint64
+	// Conductors folds the points' psim.Stats (zero on a restored point).
+	Conductors psim.Stats
 }
 
-// Add counts res when it ran on more than one engine.
-func (s *ShardedRuns) Add(res *Result) {
-	if res.Shards <= 1 {
-		return
+// TallyResults sums a grid's results, skipping nil entries (failed points of
+// a KeepGoing run). It is the one place a grid is counted.
+func TallyResults(results []*Result) Tally {
+	var t Tally
+	for _, res := range results {
+		if res == nil {
+			continue
+		}
+		t.Points++
+		if res.Restored {
+			t.Restored++
+		} else {
+			t.Events += res.Events
+		}
+		if res.FidelityFallback != "" {
+			t.Fallbacks++
+		}
+		t.TraceRowsEvicted += res.Trace.Stats().Evicted()
+		t.Conductors.Add(res.Conductor)
 	}
-	c := &res.Conductor
-	s.Shards, s.Threads = max(s.Shards, res.Shards), max(s.Threads, c.Threads)
-	s.Epochs += c.Epochs
-	s.InlineEpochs += c.InlineEpochs
-	s.Parks += c.Parks
-	s.Busy += c.Busy
-	s.Idle += c.Idle
-}
-
-// String renders the timing-trailer note, "" when no point was sharded; the
-// idle share is of the thread-time inside parallel epochs.
-func (s ShardedRuns) String() string {
-	if s.Shards == 0 {
-		return ""
-	}
-	idle := 0.0
-	if s.Busy+s.Idle > 0 {
-		idle = 100 * s.Idle.Seconds() / (s.Busy + s.Idle).Seconds()
-	}
-	return fmt.Sprintf(", %d shards on %d threads, %d epochs (%d inline, %d parks, idle %.0f %%)",
-		s.Shards, s.Threads, s.Epochs, s.InlineEpochs, s.Parks, idle)
+	return t
 }
 
 // NewHarness returns a harness with the given worker bound (<= 0 means
@@ -183,32 +176,9 @@ func (h *Harness) runAll(specs []HybridSpec, emit EmitFunc) ([]*Result, error) {
 	}
 
 	pool := &Pool{Workers: h.Workers, KeepGoing: h.KeepGoing, PointTimeout: h.PointTimeout}
-	var restoredEvents atomic.Uint64
-	results, stats, err := pool.Run(h.context(), len(specs),
-		func(ctx context.Context, i int) (*Result, error) {
-			res, hit, err := h.Cache.GetOrRun(ctx, specs[i])
-			if hit {
-				h.restored.Add(1)
-				restoredEvents.Add(res.Events)
-			}
-			return res, err
-		},
+	results, _, err := pool.Run(h.context(), len(specs),
+		func(ctx context.Context, i int) (*Result, error) { return h.Cache.GetOrRun(ctx, specs[i]) },
 		emit)
-	h.points.Add(uint64(stats.Points))
-	h.events.Add(stats.Events - restoredEvents.Load())
-	h.sharded, h.heapPeak = ShardedRuns{}, 0
-	for _, res := range results {
-		if res == nil {
-			continue
-		}
-		if res.FidelityFallback != "" {
-			h.fallbacks.Add(1)
-		}
-		h.evicted.Add(res.Trace.Stats().Evicted())
-		h.lineEvents.Add(res.Conductor.LineEvents) // zero on a restored point
-		h.heapPeak = max(h.heapPeak, res.Conductor.HeapPeak)
-		h.sharded.Add(res)
-	}
 	if err == nil && h.TraceDir != "" {
 		base := h.tracePoints
 		h.tracePoints += len(results)
@@ -224,42 +194,6 @@ func (h *Harness) runAll(specs []HybridSpec, emit EmitFunc) ([]*Result, error) {
 	}
 	return results, err
 }
-
-// TotalPoints returns how many simulation points completed so far.
-func (h *Harness) TotalPoints() uint64 { return h.points.Load() }
-
-// RestoredPoints returns how many of those points Cache served instead of
-// the simulator.
-func (h *Harness) RestoredPoints() uint64 { return h.restored.Load() }
-
-// TotalEvents returns the simulated-event count accumulated across all
-// points that actually ran (a restored point cost no events) — divide by
-// wall time for aggregate events/s.
-func (h *Harness) TotalEvents() uint64 { return h.events.Load() }
-
-// LineEvents returns how many of TotalEvents the engines dispatched off
-// their delay lines.
-func (h *Harness) LineEvents() uint64 { return h.lineEvents.Load() }
-
-// FidelityFallbacks returns how many completed points recorded a
-// Result.FidelityFallback — hybrid-fidelity requests that ran at packet
-// fidelity because a fault plan pinned them there. CLI trailers print the
-// delta so the fallback is never silent.
-func (h *Harness) FidelityFallbacks() uint64 { return h.fallbacks.Load() }
-
-// TraceRowsEvicted returns how many flight-recorder rows the completed
-// points' rings discarded (TraceSpec.Capacity overflowed): non-zero means
-// some exported trace holds only the newest part of its run.
-func (h *Harness) TraceRowsEvicted() uint64 { return h.evicted.Load() }
-
-// HeapPeak returns the most events one engine's heap held at once over the
-// last grid's points that ran (call between grids).
-func (h *Harness) HeapPeak() int { return h.heapPeak }
-
-// Sharded returns what the conductors of the last grid's points that ran on
-// more than one engine did — how a user on an oversubscribed box sees why a
-// run was not faster (call between grids).
-func (h *Harness) Sharded() ShardedRuns { return h.sharded }
 
 // MemSnapshot freezes the process-wide allocation counters so a caller can
 // report the memory cost of a bounded stretch of work (one experiment). The

@@ -202,8 +202,8 @@ func TestHybridFidelityValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("hybrid fidelity with Shards=2: %v", err)
 	}
-	if res.PacketSegments == 0 || res.Shards != 2 {
-		t.Errorf("hybrid fidelity with Shards=2: %d packet segments on %d engines, want them on two", res.PacketSegments, res.Shards)
+	if res.PacketSegments == 0 || res.Conductor.Shards != 2 {
+		t.Errorf("hybrid fidelity with Shards=2: %d packet segments on %d engines, want them on two", res.PacketSegments, res.Conductor.Shards)
 	}
 
 	bogus := base

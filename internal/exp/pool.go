@@ -44,12 +44,6 @@ type Pool struct {
 	// (RunHybridCtx does) fails with a *PointTimeoutError — a real point
 	// failure, never mistaken for external cancellation of the sweep.
 	PointTimeout time.Duration
-	// Observe, when non-nil, fires from the collator goroutine in strictly
-	// ascending index order — exactly once per point, successes and
-	// failures alike, never concurrently — regardless of KeepGoing or
-	// halting. The chaos soak tallies events and reports failed seeds from
-	// this hook.
-	Observe func(i int, r *Result, err error)
 }
 
 // PanicError is a point panic converted into an error: the pool contains
@@ -122,24 +116,12 @@ type PointFunc func(ctx context.Context, i int) (*Result, error)
 // first failed index, no further points are emitted.
 type EmitFunc func(i int, r *Result)
 
-// PoolStats summarizes one Run for cost accounting.
+// PoolStats summarizes one Run; what its points cost is TallyResults.
 type PoolStats struct {
 	// Points is the number of points that completed successfully.
 	Points int
-	// Events is the total simulated-event count across completed points.
-	Events uint64
-	// Wall is the scheduler's wall-clock time for the whole grid.
-	Wall time.Duration
 	// Workers is the effective worker count used.
 	Workers int
-}
-
-// EventsPerSecond is the aggregate simulation throughput across workers.
-func (s PoolStats) EventsPerSecond() float64 {
-	if s.Wall <= 0 {
-		return 0
-	}
-	return float64(s.Events) / s.Wall.Seconds()
 }
 
 // size resolves the effective worker count for an n-point grid.
@@ -163,7 +145,6 @@ func (p *Pool) Run(ctx context.Context, n int, point PointFunc, emit EmitFunc) (
 	if n <= 0 {
 		return nil, stats, ctx.Err()
 	}
-	start := time.Now()
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	ctx = context.WithValue(ctx, coresKey{}, max(1, coresAvailable(ctx)/stats.Workers))
@@ -209,9 +190,6 @@ func (p *Pool) Run(ctx context.Context, n int, point PointFunc, emit EmitFunc) (
 		i := <-done
 		ready[i] = true
 		for flushed < n && ready[flushed] {
-			if p.Observe != nil {
-				p.Observe(flushed, results[flushed], errs[flushed])
-			}
 			if errs[flushed] != nil && !p.KeepGoing {
 				halted = true
 			}
@@ -222,11 +200,9 @@ func (p *Pool) Run(ctx context.Context, n int, point PointFunc, emit EmitFunc) (
 		}
 	}
 	wg.Wait()
-	stats.Wall = time.Since(start)
 	for _, r := range results {
 		if r != nil {
 			stats.Points++
-			stats.Events += r.Events
 		}
 	}
 

@@ -48,13 +48,6 @@ func TestPoolCollatesInOrder(t *testing.T) {
 			t.Fatalf("emit order %v not ascending", emitted)
 		}
 	}
-	var wantEvents uint64
-	for i := 0; i < n; i++ {
-		wantEvents += uint64(i)
-	}
-	if stats.Events != wantEvents {
-		t.Errorf("stats.Events = %d, want %d", stats.Events, wantEvents)
-	}
 }
 
 // TestPoolFirstErrorWinsAndCancels: an injected point error aborts the
@@ -210,8 +203,9 @@ func TestFig3bTableByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestHarnessAccountsEvents: the harness accumulates per-point event
-// counts for aggregate events/s reporting.
+// TestHarnessAccountsEvents: a grid's Tally sums the events of the points
+// that ran, folds their conductor stats, and skips failed (nil) points and
+// restored points' events.
 func TestHarnessAccountsEvents(t *testing.T) {
 	h := NewHarness(2)
 	results, err := h.runAll([]HybridSpec{
@@ -221,14 +215,15 @@ func TestHarnessAccountsEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := results[0].Events + results[1].Events
-	if h.TotalEvents() != want {
-		t.Errorf("TotalEvents = %d, want %d", h.TotalEvents(), want)
+	tl := TallyResults(results)
+	if want := results[0].Events + results[1].Events; tl.Events != want || tl.Points != 2 || tl.Restored != 0 {
+		t.Errorf("tally %+v, want 2 points, none restored, %d events", tl, want)
 	}
-	if h.TotalPoints() != 2 {
-		t.Errorf("TotalPoints = %d, want 2", h.TotalPoints())
+	if want := results[0].Conductor.Epochs + results[1].Conductor.Epochs; tl.Conductors.Epochs != want || tl.Conductors.Shards != 1 {
+		t.Errorf("tally conductors %+v, want %d epochs on one shard", tl.Conductors, want)
 	}
-	if s := (PoolStats{Events: 100, Wall: 2 * time.Second}); s.EventsPerSecond() != 50 {
-		t.Errorf("EventsPerSecond = %v, want 50", s.EventsPerSecond())
+	restored := &Result{Events: 7, Restored: true}
+	if got := TallyResults(append(results, nil, restored)); got.Points != 3 || got.Restored != 1 || got.Events != tl.Events {
+		t.Errorf("tally with a failed and a restored point %+v, want 3 points, 1 restored, %d events", got, tl.Events)
 	}
 }

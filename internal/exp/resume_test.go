@@ -103,8 +103,8 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	if n := stored(t, cache); n != len(specs) {
 		t.Errorf("after resume: %d/%d points stored", n, len(specs))
 	}
-	if hits, ran := resumed.RestoredPoints(), resumed.TotalEvents(); hits == 0 || hits >= uint64(len(specs)) || ran == 0 {
-		t.Errorf("resumed harness restored %d of %d points and simulated %d events, want a strict partial of each", hits, len(specs), ran)
+	if tl := TallyResults(got); tl.Restored == 0 || tl.Restored >= uint64(len(specs)) || tl.Events == 0 {
+		t.Errorf("resumed harness restored %d of %d points and simulated %d events, want a strict partial of each", tl.Restored, len(specs), tl.Events)
 	}
 }
 
@@ -134,11 +134,12 @@ func TestCheckpointRestoreShortCircuits(t *testing.T) {
 	if got[2].Spec.Policy != specs[2].Policy {
 		t.Errorf("restored point lost its spec: %+v", got[2].Spec)
 	}
-	if h.RestoredPoints() != 1 || h.TotalPoints() != uint64(len(specs)) {
-		t.Errorf("harness counts %d restored of %d points, want 1 of %d", h.RestoredPoints(), h.TotalPoints(), len(specs))
+	tl := TallyResults(got)
+	if tl.Restored != 1 || tl.Points != uint64(len(specs)) {
+		t.Errorf("tally counts %d restored of %d points, want 1 of %d", tl.Restored, tl.Points, len(specs))
 	}
-	if want := got[0].Events + got[1].Events + got[3].Events; h.TotalEvents() != want {
-		t.Errorf("TotalEvents = %d, want the %d of the three points that ran (the restored point cost none)", h.TotalEvents(), want)
+	if want := got[0].Events + got[1].Events + got[3].Events; tl.Events != want {
+		t.Errorf("Tally.Events = %d, want the %d of the three points that ran (the restored point cost none)", tl.Events, want)
 	}
 }
 
@@ -162,7 +163,7 @@ func resumeOverDamage(t *testing.T, damage func(t *testing.T, cache *ResultCache
 		t.Fatalf("a damaged entry broke the resume: %v", err)
 	}
 	assertSameResults(t, "resumed", got, want)
-	if hits := resumed.RestoredPoints(); hits != uint64(len(specs)-1) {
+	if hits := TallyResults(got).Restored; hits != uint64(len(specs)-1) {
 		t.Errorf("restored %d points, want every one but the damaged (%d)", hits, len(specs)-1)
 	}
 	healed, ok := (&ResultCache{Dir: cache.Dir}).Lookup(specs[1])
@@ -220,11 +221,12 @@ func TestCheckpointIneligibleSpecsRefuse(t *testing.T) {
 	}
 
 	inMemory := &Harness{Cache: &ResultCache{}}
-	if _, err := inMemory.runAll(specs, nil); err != nil {
+	results, err := inMemory.runAll(specs, nil)
+	if err != nil {
 		t.Errorf("memory-only store refused a grid with an unstorable point: %v", err)
 	}
-	if inMemory.RestoredPoints() != 0 || inMemory.TotalPoints() != uint64(len(specs)) {
-		t.Errorf("memory-only first pass: %d restored of %d", inMemory.RestoredPoints(), inMemory.TotalPoints())
+	if tl := TallyResults(results); tl.Restored != 0 || tl.Points != uint64(len(specs)) {
+		t.Errorf("memory-only first pass: %d restored of %d", tl.Restored, tl.Points)
 	}
 }
 

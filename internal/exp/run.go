@@ -168,14 +168,14 @@ type Result struct {
 	// was off). Export with WriteCol. Excluded from JSON: a traced spec is
 	// never stored (the recorder is unbounded relative to point results).
 	Trace *trace.Recorder `json:"-"`
-	// Shards is the engine count a run executed on (a hybrid run's widest
-	// packet segment) and Conductor what its conductors did there (epochs,
-	// inline epochs, parks, thread time; summed over segments, Threads the
-	// widest). How the machine let a run
-	// execute is not part of its result: excluded from JSON, zero on a
-	// restored point.
-	Shards    int        `json:"-"`
+	// Conductor is what the run's conductors did: its engine count, epochs,
+	// inline epochs, parks, thread time — a hybrid run's packet segments
+	// folded by psim.Stats.Add. How the machine let a run execute is not
+	// part of its result: excluded from JSON, zero on a restored point.
 	Conductor psim.Stats `json:"-"`
+	// Restored marks a point ResultCache.Get served instead of the
+	// simulator; TallyResults counts no events for it.
+	Restored bool `json:"-"`
 
 	// PauseFrames is the total XOFF count across all switches (the Fig.
 	// 7(d)/Table II metric); the per-layer counters break it down.

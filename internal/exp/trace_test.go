@@ -100,7 +100,7 @@ func TestTracedFigureOutputByteIdentical(t *testing.T) {
 
 // TestHarnessReportsTraceEvictions: a point whose rings overflowed says how
 // many rows it lost — on its Result (trace.Merge used to zero the counts) and,
-// summed, on the harness — and a recording that fits reports none.
+// summed, in the grid's Tally — and a recording that fits reports none.
 func TestHarnessReportsTraceEvictions(t *testing.T) {
 	for _, tc := range []struct {
 		capacity  int
@@ -122,8 +122,8 @@ func TestHarnessReportsTraceEvictions(t *testing.T) {
 		if tc.wantEvict && st.OccSamples != 8 {
 			t.Errorf("capacity 8 kept %d occupancy rows", st.OccSamples)
 		}
-		if got, want := h.TraceRowsEvicted(), 2*st.Evicted(); got != want {
-			t.Errorf("capacity %d: harness counts %d evicted rows over two identical points, want %d", tc.capacity, got, want)
+		if got, want := TallyResults(results).TraceRowsEvicted, 2*st.Evicted(); got != want {
+			t.Errorf("capacity %d: tally counts %d evicted rows over two identical points, want %d", tc.capacity, got, want)
 		}
 	}
 }

@@ -124,11 +124,14 @@ type Task struct {
 	next sim.Time
 }
 
-// Stats counts conductor activity over a run. Epochs, Delivered,
+// Stats counts conductor activity over a run. Shards, Epochs, Delivered,
 // TaskFirings, LineEvents and HeapPeak are functions of the simulation and
 // its shard count alone; the rest say how the machine let it be executed and
-// vary run to run — none of them enter a Result's bytes.
+// vary run to run — none of them enter a Result's bytes. Add is the one rule
+// by which runs combine.
 type Stats struct {
+	// Shards is the engine count the run executed on.
+	Shards int
 	// Epochs is the number of barrier intervals executed.
 	Epochs uint64
 	// Delivered is the number of cross-shard frames handed over.
@@ -293,13 +296,42 @@ func (c *Conductor) SetInterrupt(every uint64, fn func() bool) {
 // Stats returns a snapshot of the conductor counters (valid between epochs).
 func (c *Conductor) Stats() Stats {
 	st := c.stats
-	st.Threads = c.threads
+	st.Shards, st.Threads = len(c.engines), c.threads
 	for i := range c.slots {
 		st.Delivered += c.slots[i].delivered
 		st.LineEvents += c.engines[i].LineEvents()
 		st.HeapPeak = max(st.HeapPeak, c.engines[i].HeapPeak())
 	}
 	return st
+}
+
+// Add folds o into s: Shards, Threads and HeapPeak take the widest, every
+// other field is summed — a hybrid run's packet segments, a grid's points.
+func (s *Stats) Add(o Stats) {
+	s.Shards, s.Threads, s.HeapPeak = max(s.Shards, o.Shards), max(s.Threads, o.Threads), max(s.HeapPeak, o.HeapPeak)
+	s.Epochs += o.Epochs
+	s.Delivered += o.Delivered
+	s.TaskFirings += o.TaskFirings
+	s.LineEvents += o.LineEvents
+	s.InlineEpochs += o.InlineEpochs
+	s.Parks += o.Parks
+	s.ModeSwitches += o.ModeSwitches
+	s.Busy += o.Busy
+	s.Idle += o.Idle
+}
+
+// String renders the timing-trailer note, "" unless a run was sharded; the
+// idle share is of the thread-time inside parallel epochs.
+func (s Stats) String() string {
+	if s.Shards <= 1 {
+		return ""
+	}
+	idle := 0.0
+	if s.Busy+s.Idle > 0 {
+		idle = 100 * s.Idle.Seconds() / (s.Busy + s.Idle).Seconds()
+	}
+	return fmt.Sprintf(", %d shards on %d threads, %d epochs (%d inline, %d parks, idle %.0f %%)",
+		s.Shards, s.Threads, s.Epochs, s.InlineEpochs, s.Parks, idle)
 }
 
 // Events sums executed events across all shard engines.

@@ -292,6 +292,9 @@ func TestConductorStats(t *testing.T) {
 	c.Run(10 * sim.Millisecond)
 
 	st := c.Stats()
+	if st.Shards != 2 {
+		t.Errorf("Shards = %d, want 2", st.Shards)
+	}
 	if st.Epochs < 2 {
 		t.Errorf("Epochs = %d, want several", st.Epochs)
 	}
@@ -300,5 +303,47 @@ func TestConductorStats(t *testing.T) {
 	}
 	if c.Events() == 0 {
 		t.Error("no events executed")
+	}
+}
+
+// TestStatsAdd: Shards, Threads and HeapPeak take the widest, every other
+// field is summed; a zero Stats (a restored point) adds nothing; String is
+// the trailer note, empty unless a run was sharded.
+func TestStatsAdd(t *testing.T) {
+	a := Stats{Shards: 2, Epochs: 1, Delivered: 2, TaskFirings: 3, LineEvents: 4, HeapPeak: 50,
+		InlineEpochs: 5, Parks: 6, ModeSwitches: 7, Threads: 4, Busy: 8, Idle: 9}
+	b := Stats{Shards: 3, Epochs: 10, Delivered: 20, TaskFirings: 30, LineEvents: 40, HeapPeak: 5,
+		InlineEpochs: 50, Parks: 60, ModeSwitches: 70, Threads: 1, Busy: 80, Idle: 90}
+	sum := Stats{Shards: 3, Epochs: 11, Delivered: 22, TaskFirings: 33, LineEvents: 44, HeapPeak: 50,
+		InlineEpochs: 55, Parks: 66, ModeSwitches: 77, Threads: 4, Busy: 88, Idle: 99}
+	for _, tc := range []struct {
+		name   string
+		acc, o Stats
+		want   Stats
+	}{
+		{"widest and summed", a, b, sum},
+		{"commutes", b, a, sum},
+		{"zero is the identity", a, Stats{}, a},
+		{"into zero", Stats{}, b, b},
+	} {
+		got := tc.acc
+		got.Add(tc.o)
+		if got != tc.want {
+			t.Errorf("%s: %+v.Add(%+v) = %+v, want %+v", tc.name, tc.acc, tc.o, got, tc.want)
+		}
+	}
+
+	for _, tc := range []struct {
+		st   Stats
+		want string
+	}{
+		{Stats{Epochs: 9}, ""},
+		{Stats{Shards: 1, Threads: 1, Epochs: 9}, ""},
+		{Stats{Shards: 2, Threads: 2, Epochs: 12, InlineEpochs: 3, Parks: 4, Busy: 3 * time.Second, Idle: time.Second},
+			", 2 shards on 2 threads, 12 epochs (3 inline, 4 parks, idle 25 %)"},
+	} {
+		if got := tc.st.String(); got != tc.want {
+			t.Errorf("%+v.String() = %q, want %q", tc.st, got, tc.want)
+		}
 	}
 }
