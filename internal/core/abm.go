@@ -13,18 +13,13 @@ import "l2bm/internal/pkt"
 // as published manages only the (lossy) egress pool and "does not consider
 // flow control at ingress" (paper §II-B); following the paper's Table II
 // behaviour, the ingress pool falls back to plain DT with the common α = 0.5.
-type ABM struct {
-	// AlphaPriority is ABM's per-priority α_p (one knob here; the paper's
-	// evaluation does not differentiate priorities).
-	AlphaPriority float64
-	// AlphaIngress is the DT factor applied at the ingress pool.
-	AlphaIngress float64
-}
+//
+// α_p is AlphaDT2 for every priority (the paper's evaluation does not
+// differentiate them).
+type ABM struct{}
 
 // NewABM returns ABM with the evaluation defaults.
-func NewABM() *ABM {
-	return &ABM{AlphaPriority: AlphaDT2, AlphaIngress: AlphaDT2}
-}
+func NewABM() *ABM { return &ABM{} }
 
 // Name implements Policy.
 func (a *ABM) Name() string { return "ABM" }
@@ -32,11 +27,7 @@ func (a *ABM) Name() string { return "ABM" }
 // IngressThreshold implements Policy: plain DT at the ingress pool, since
 // ABM itself has no ingress component.
 func (a *ABM) IngressThreshold(s StateView, _, _ int) int64 {
-	free := s.TotalShared() - s.SharedUsed()
-	if free < 0 {
-		free = 0
-	}
-	return int64(a.AlphaIngress * float64(free))
+	return ingressDT(s, AlphaDT2)
 }
 
 // EgressThreshold implements Policy: the ABM formula over the queue's class
@@ -54,7 +45,7 @@ func (a *ABM) EgressThreshold(s StateView, port, prio int) int64 {
 		n = 1
 	}
 	mu := normalizedDrainRate(s, port, prio)
-	return int64(a.AlphaPriority / float64(n) * float64(free) * mu)
+	return int64(AlphaDT2 / float64(n) * float64(free) * mu)
 }
 
 // normalizedDrainRate returns μ̂(port, prio): the queue's measured dequeue

@@ -65,7 +65,7 @@ func TestABMEgressZeroDrainFallsBack(t *testing.T) {
 	if got <= 0 {
 		t.Errorf("threshold with zero drain rate = %d, want positive fallback", got)
 	}
-	want := int64(abm.AlphaPriority / 1 * float64(s.total) / float64(pkt.NumPriorities))
+	want := int64(AlphaDT2 / 1 * float64(s.total) / float64(pkt.NumPriorities))
 	if got != want {
 		t.Errorf("fallback threshold = %d, want %d", got, want)
 	}
@@ -81,7 +81,7 @@ func TestABMZeroLineRateNoNaN(t *testing.T) {
 	s.line = 0 // drain defaults to line → a 0/0 quotient without the guard
 	abm := NewABM()
 	got := abm.EgressThreshold(s, 0, pkt.PrioLossy)
-	want := int64(abm.AlphaPriority / 1 * float64(s.total) / float64(pkt.NumPriorities))
+	want := int64(AlphaDT2 / 1 * float64(s.total) / float64(pkt.NumPriorities))
 	if got != want {
 		t.Errorf("zero-line-rate threshold = %d, want fallback %d", got, want)
 	}

@@ -71,11 +71,7 @@ func (b *BShare) Weight(s StateView, port, prio int) float64 {
 
 // IngressThreshold implements Policy: the delay-weighted DT share.
 func (b *BShare) IngressThreshold(s StateView, port, prio int) int64 {
-	free := s.TotalShared() - s.SharedUsed()
-	if free < 0 {
-		free = 0
-	}
-	return int64(b.Weight(s, port, prio) * float64(free))
+	return ingressDT(s, b.Weight(s, port, prio))
 }
 
 // EgressThreshold implements Policy: standard egress-pool DT.

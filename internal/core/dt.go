@@ -50,11 +50,7 @@ func (d *DT) Name() string { return d.PolicyName }
 
 // IngressThreshold implements Policy: α · (B − Q(t)).
 func (d *DT) IngressThreshold(s StateView, _, _ int) int64 {
-	free := s.TotalShared() - s.SharedUsed()
-	if free < 0 {
-		free = 0
-	}
-	return int64(d.AlphaIngress * float64(free))
+	return ingressDT(s, d.AlphaIngress)
 }
 
 // EgressThreshold implements Policy: α_e · (B − Q_class(t)) over the class
@@ -69,14 +65,17 @@ func (d *DT) OnEnqueue(StateView, *pkt.Packet) {}
 // OnDequeue implements Policy; DT is stateless.
 func (d *DT) OnDequeue(StateView, *pkt.Packet) {}
 
+// ingressDT is the ingress-pool dynamic threshold w·max(0, B − Q(t)) for a
+// control factor w.
+func ingressDT(s StateView, w float64) int64 {
+	return int64(w * float64(max(s.TotalShared()-s.SharedUsed(), 0)))
+}
+
 // egressDT is the shared egress-side dynamic threshold over the class pool
 // that owns priority prio.
 func egressDT(s StateView, prio int, alpha float64) int64 {
 	free := s.TotalShared() - s.EgressPoolUsed(ClassOfPriority(prio))
-	if free < 0 {
-		free = 0
-	}
-	return int64(alpha * float64(free))
+	return int64(alpha * float64(max(free, 0)))
 }
 
 // ClassOfPriority maps an 802.1p priority to the loss class its queue is

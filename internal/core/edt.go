@@ -21,20 +21,19 @@ import (
 //     the DT threshold with a tightened factor before absorbing again.
 //
 // Like ABM, EDT is an egress-pool design: the ingress pool runs classic DT
-// (α = 0.5), so PFC behaviour matches the DT2 baseline.
+// (α = 0.5), so PFC behaviour matches the DT2 baseline. The Normal state
+// runs egress DT at AlphaEgress.
 type EDT struct {
-	// AlphaEgressPool is the Normal-state egress DT factor.
-	AlphaEgressPool float64
-	// AlphaIngress is the DT factor applied at the ingress pool.
-	AlphaIngress float64
-	// EvacuateFactor tightens the threshold during evacuation (T·factor).
-	EvacuateFactor float64
-	// FreeReserve is the fraction of free buffer an absorbing queue may
-	// not touch, keeping space for other queues' reserves.
-	FreeReserve float64
-
 	states map[[2]int]*edtQueue
 }
+
+const (
+	// edtEvacuateFactor tightens the threshold during evacuation (T·factor).
+	edtEvacuateFactor = 0.5
+	// edtFreeReserve is the fraction of free buffer an absorbing queue may
+	// not touch, keeping space for other queues' reserves.
+	edtFreeReserve = 0.125
+)
 
 // edtState is the per-queue mode of EDT's state machine.
 type edtState int
@@ -54,13 +53,7 @@ type edtQueue struct {
 
 // NewEDT returns EDT with the evaluation defaults.
 func NewEDT() *EDT {
-	return &EDT{
-		AlphaEgressPool: AlphaEgress,
-		AlphaIngress:    AlphaDT2,
-		EvacuateFactor:  0.5,
-		FreeReserve:     0.125,
-		states:          make(map[[2]int]*edtQueue),
-	}
+	return &EDT{states: make(map[[2]int]*edtQueue)}
 }
 
 var _ Policy = (*EDT)(nil)
@@ -70,35 +63,23 @@ func (e *EDT) Name() string { return "EDT" }
 
 // IngressThreshold implements Policy: classic DT at the ingress pool.
 func (e *EDT) IngressThreshold(s StateView, _, _ int) int64 {
-	free := s.TotalShared() - s.SharedUsed()
-	if free < 0 {
-		free = 0
-	}
-	return int64(e.AlphaIngress * float64(free))
+	return ingressDT(s, AlphaDT2)
 }
 
 // EgressThreshold implements Policy: the EDT state machine.
 func (e *EDT) EgressThreshold(s StateView, port, prio int) int64 {
 	q := e.queue(port, prio)
 	qlen := s.EgressQueueBytes(port, prio)
-	dt := egressDT(s, prio, e.AlphaEgressPool)
+	dt := egressDT(s, prio, AlphaEgress)
 
 	e.step(s, q, qlen, dt)
 
 	switch q.state {
 	case edtAbsorb:
 		// Relax toward the free buffer, keeping a reserve for others.
-		free := s.TotalShared() - s.SharedUsed()
-		if free < 0 {
-			free = 0
-		}
-		relaxed := qlen + int64((1-e.FreeReserve)*float64(free))
-		if relaxed < dt {
-			relaxed = dt
-		}
-		return relaxed
+		return max(qlen+ingressDT(s, 1-edtFreeReserve), dt)
 	case edtEvacuate:
-		return int64(e.EvacuateFactor * float64(dt))
+		return int64(edtEvacuateFactor * float64(dt))
 	default:
 		return dt
 	}
@@ -117,7 +98,7 @@ func (e *EDT) step(s StateView, q *edtQueue, qlen, dt int64) {
 			q.state = edtEvacuate
 		}
 	case edtEvacuate:
-		if qlen <= int64(e.EvacuateFactor*float64(dt)) {
+		if qlen <= int64(edtEvacuateFactor*float64(dt)) {
 			q.state = edtNormal
 		}
 	default:
@@ -155,11 +136,11 @@ func (e *EDT) OnEnqueue(s StateView, p *pkt.Packet) {
 	// Refresh the state machine on the packet's egress queue so growth is
 	// tracked even when EgressThreshold is not consulted (lossless class).
 	q := e.queue(p.OutPort, p.Priority)
-	e.step(s, q, s.EgressQueueBytes(p.OutPort, p.Priority), egressDT(s, p.Priority, e.AlphaEgressPool))
+	e.step(s, q, s.EgressQueueBytes(p.OutPort, p.Priority), egressDT(s, p.Priority, AlphaEgress))
 }
 
 // OnDequeue implements Policy.
 func (e *EDT) OnDequeue(s StateView, p *pkt.Packet) {
 	q := e.queue(p.OutPort, p.Priority)
-	e.step(s, q, s.EgressQueueBytes(p.OutPort, p.Priority), egressDT(s, p.Priority, e.AlphaEgressPool))
+	e.step(s, q, s.EgressQueueBytes(p.OutPort, p.Priority), egressDT(s, p.Priority, AlphaEgress))
 }

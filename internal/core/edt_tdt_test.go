@@ -11,7 +11,7 @@ func TestEDTNormalMatchesDT(t *testing.T) {
 	s := newFakeState()
 	s.pool[pkt.ClassLossy] = 1 << 20
 	e := NewEDT()
-	want := egressDT(s, pkt.PrioLossy, e.AlphaEgressPool)
+	want := egressDT(s, pkt.PrioLossy, AlphaEgress)
 	if got := e.EgressThreshold(s, 0, pkt.PrioLossy); got != want {
 		t.Errorf("normal-state threshold = %d, want DT %d", got, want)
 	}
@@ -25,7 +25,7 @@ func TestEDTAbsorbsWhenDTWouldDrop(t *testing.T) {
 	e := NewEDT()
 	key := [2]int{0, pkt.PrioLossy}
 
-	dt := egressDT(s, pkt.PrioLossy, e.AlphaEgressPool)
+	dt := egressDT(s, pkt.PrioLossy, AlphaEgress)
 	// Queue reaches the DT threshold while growing: absorption.
 	s.qout[key] = dt / 2
 	e.EgressThreshold(s, 0, pkt.PrioLossy) // observe growth
@@ -43,7 +43,7 @@ func TestEDTEvacuatesAfterBurst(t *testing.T) {
 	s := newFakeState()
 	e := NewEDT()
 	key := [2]int{0, pkt.PrioLossy}
-	dt := egressDT(s, pkt.PrioLossy, e.AlphaEgressPool)
+	dt := egressDT(s, pkt.PrioLossy, AlphaEgress)
 
 	s.qout[key] = dt / 2
 	e.EgressThreshold(s, 0, pkt.PrioLossy)
@@ -56,12 +56,12 @@ func TestEDTEvacuatesAfterBurst(t *testing.T) {
 	if e.State(0, pkt.PrioLossy) != "evacuate" {
 		t.Fatalf("state = %s, want evacuate", e.State(0, pkt.PrioLossy))
 	}
-	if want := int64(e.EvacuateFactor * float64(dt)); got != want {
+	if want := int64(edtEvacuateFactor * float64(dt)); got != want {
 		t.Errorf("evacuating threshold = %d, want %d", got, want)
 	}
 
 	// Queue drains below the tightened bar: back to normal.
-	s.qout[key] = int64(e.EvacuateFactor*float64(dt)) - 1000
+	s.qout[key] = int64(edtEvacuateFactor*float64(dt)) - 1000
 	e.EgressThreshold(s, 0, pkt.PrioLossy)
 	if e.State(0, pkt.PrioLossy) != "normal" {
 		t.Errorf("state = %s, want normal after drain", e.State(0, pkt.PrioLossy))
@@ -80,7 +80,7 @@ func TestEDTIngressIsDT2(t *testing.T) {
 func TestTDTNormalMatchesDT(t *testing.T) {
 	s := newFakeState()
 	td := NewTDT()
-	want := egressDT(s, pkt.PrioLossy, td.AlphaEgressPool)
+	want := egressDT(s, pkt.PrioLossy, AlphaEgress)
 	if got := td.EgressThreshold(s, 0, pkt.PrioLossy); got != want {
 		t.Errorf("normal threshold = %d, want %d", got, want)
 	}
@@ -94,12 +94,12 @@ func TestTDTAbsorbsOnBurstWithFreeBuffer(t *testing.T) {
 	s.qout[key] = 0
 	td.EgressThreshold(s, 0, pkt.PrioLossy) // window anchor at len 0
 	// Rapid growth within the window, buffer nearly empty: absorb.
-	s.qout[key] = td.BurstBytes + 1000
+	s.qout[key] = tdtBurstBytes + 1000
 	got := td.EgressThreshold(s, 0, pkt.PrioLossy)
 	if td.State(0, pkt.PrioLossy) != "absorb" {
 		t.Fatalf("state = %s, want absorb", td.State(0, pkt.PrioLossy))
 	}
-	want := egressDT(s, pkt.PrioLossy, td.AlphaEgressPool*td.AbsorbBoost)
+	want := egressDT(s, pkt.PrioLossy, AlphaEgress*tdtAbsorbBoost)
 	if got != want {
 		t.Errorf("absorb threshold = %d, want %d", got, want)
 	}
@@ -113,7 +113,7 @@ func TestTDTNoAbsorptionWhenBufferTight(t *testing.T) {
 
 	s.qout[key] = 0
 	td.EgressThreshold(s, 0, pkt.PrioLossy)
-	s.qout[key] = td.BurstBytes * 2
+	s.qout[key] = tdtBurstBytes * 2
 	td.EgressThreshold(s, 0, pkt.PrioLossy)
 	if td.State(0, pkt.PrioLossy) != "normal" {
 		t.Errorf("state = %s, want normal (no free buffer)", td.State(0, pkt.PrioLossy))
@@ -127,7 +127,7 @@ func TestTDTEvacuatesWhenBurstCrests(t *testing.T) {
 
 	s.qout[key] = 0
 	td.EgressThreshold(s, 0, pkt.PrioLossy)
-	s.qout[key] = td.BurstBytes + 1000
+	s.qout[key] = tdtBurstBytes + 1000
 	td.EgressThreshold(s, 0, pkt.PrioLossy) // absorb
 	// Length falls: crest passed -> evacuate.
 	s.qout[key] -= 2000
@@ -135,7 +135,7 @@ func TestTDTEvacuatesWhenBurstCrests(t *testing.T) {
 	if td.State(0, pkt.PrioLossy) != "evacuate" {
 		t.Fatalf("state = %s, want evacuate", td.State(0, pkt.PrioLossy))
 	}
-	want := egressDT(s, pkt.PrioLossy, td.AlphaEgressPool*td.EvacuateCut)
+	want := egressDT(s, pkt.PrioLossy, AlphaEgress*tdtEvacuateCut)
 	if got != want {
 		t.Errorf("evacuate threshold = %d, want %d", got, want)
 	}
@@ -157,8 +157,8 @@ func TestTDTWindowResets(t *testing.T) {
 	td.EgressThreshold(s, 0, pkt.PrioLossy)
 	// Slow growth across many windows must not trigger absorption.
 	for i := 0; i < 10; i++ {
-		s.now += td.BurstWindow + sim.Microsecond
-		s.qout[key] += td.BurstBytes / 4
+		s.now += tdtBurstWindow + sim.Microsecond
+		s.qout[key] += tdtBurstBytes / 4
 		td.EgressThreshold(s, 0, pkt.PrioLossy)
 	}
 	if td.State(0, pkt.PrioLossy) != "normal" {
@@ -178,5 +178,39 @@ func TestEDTAndTDTHooksTrackState(t *testing.T) {
 	td.OnDequeue(s, p)
 	if e.Name() != "EDT" || td.Name() != "TDT" {
 		t.Error("names wrong")
+	}
+}
+
+// TDT leaves evacuation once the queue is back under its normal share: the
+// Normal-mode threshold, over the queue's class pool. With the other class
+// holding shared buffer, a bar measured against the whole shared pool is
+// lower, and a queue between the two bars would stay in evacuation.
+func TestTDTEvacuationExitsAtNormalShare(t *testing.T) {
+	s := newFakeState()
+	td := NewTDT()
+	key := [2]int{0, pkt.PrioLossy}
+
+	s.qout[key] = 0
+	td.EgressThreshold(s, 0, pkt.PrioLossy)
+	s.qout[key] = tdtBurstBytes + 1000
+	td.EgressThreshold(s, 0, pkt.PrioLossy) // absorb
+	s.qout[key] -= 2000
+	td.EgressThreshold(s, 0, pkt.PrioLossy) // crest: evacuate
+	if td.State(0, pkt.PrioLossy) != "evacuate" {
+		t.Fatalf("state = %s, want evacuate", td.State(0, pkt.PrioLossy))
+	}
+
+	// Lossless traffic holds most of the shared pool; the lossy pool is
+	// light. The queue sits above α_n·(B − SharedUsed) but under its
+	// normal share α_n·(B − EgressPoolUsed(lossy)).
+	s.used = 3 << 20
+	s.pool[pkt.ClassLossy] = 1 << 20
+	normal := egressDT(s, pkt.PrioLossy, AlphaEgress)
+	wholePool := int64(AlphaEgress * float64(s.total-s.used))
+	s.qout[key] = (wholePool + normal) / 2
+	td.EgressThreshold(s, 0, pkt.PrioLossy)
+	if td.State(0, pkt.PrioLossy) != "normal" {
+		t.Errorf("queue at %d B, under its normal share %d B: state = %s, want normal",
+			s.qout[key], normal, td.State(0, pkt.PrioLossy))
 	}
 }

@@ -14,29 +14,18 @@ import "l2bm/internal/pkt"
 // by the congested-queue count n_p(t), so FB stays blind to how many queues
 // compete for the pool. Like ABM it manages only the egress side; the
 // ingress pool falls back to plain DT with the common α = 0.5.
-type FB struct {
-	// AlphaPriority is the per-priority control factor α_p.
-	AlphaPriority float64
-	// AlphaIngress is the DT factor applied at the ingress pool.
-	AlphaIngress float64
-}
+type FB struct{}
 
 // NewFB returns FB with the evaluation defaults (α = 0.5 on both sides,
 // matching ABM so the two differ only in the 1/n term).
-func NewFB() *FB {
-	return &FB{AlphaPriority: AlphaDT2, AlphaIngress: AlphaDT2}
-}
+func NewFB() *FB { return &FB{} }
 
 // Name implements Policy.
 func (f *FB) Name() string { return "FB" }
 
 // IngressThreshold implements Policy: plain DT at the ingress pool.
 func (f *FB) IngressThreshold(s StateView, _, _ int) int64 {
-	free := s.TotalShared() - s.SharedUsed()
-	if free < 0 {
-		free = 0
-	}
-	return int64(f.AlphaIngress * float64(free))
+	return ingressDT(s, AlphaDT2)
 }
 
 // EgressThreshold implements Policy: the drain-rate-proportional share of
@@ -47,7 +36,7 @@ func (f *FB) EgressThreshold(s StateView, port, prio int) int64 {
 	if free < 0 {
 		free = 0
 	}
-	return int64(f.AlphaPriority * float64(free) * normalizedDrainRate(s, port, prio))
+	return int64(AlphaDT2 * float64(free) * normalizedDrainRate(s, port, prio))
 }
 
 // OnEnqueue implements Policy; FB keeps no per-packet state.

@@ -212,63 +212,62 @@ func (l *L2BM) Sojourn() *SojournTable { return l.sojourn }
 // A class whose bounds pin the weight (the default lossless class) is
 // answered without evaluating τ or the aggregates: the PFC check asks for a
 // lossless threshold on every lossless enqueue and dequeue, and clamp would
-// discard the result. Skipping the evaluation also skips the sojourn
-// advances it performs, which is safe because a queue advanced lazily
-// reaches the same state as one advanced at every admission: advance is
-// exact integer arithmetic carried in float64 (every term is a whole number
-// of picoseconds, magnitudes ≪ 2⁵³), max(0, ·) composes across steps, and
-// EgressPausedTime is cumulative, so the pausedDelta > elapsed clamp cannot
-// fire for a resident port (TestSojournLazyEqualsEager).
+// discard the result.
 func (l *L2BM) Weight(s StateView, port, prio int) float64 {
-	bounds := l.cfg.BoundsLossy
-	if ClassOfPriority(prio) == pkt.ClassLossless {
-		bounds = l.cfg.BoundsLossless
-	}
+	bounds := l.bounds(prio)
 	if bounds.pinned() {
 		return bounds.Min
 	}
-	tau := l.sojourn.Tau(s, port, prio)
-	if tau < l.cfg.TauFloor {
-		tau = l.cfg.TauFloor
+	c, idle := l.norm(s)
+	return l.weight(max(l.sojourn.Tau(s, port, prio), l.cfg.TauFloor), c, idle, bounds)
+}
+
+// bounds returns the weight bounds of prio's traffic class.
+func (l *L2BM) bounds(prio int) WeightBounds {
+	if ClassOfPriority(prio) == pkt.ClassLossless {
+		return l.cfg.BoundsLossless
 	}
-	var c sim.Duration
-	idle := false
+	return l.cfg.BoundsLossy
+}
+
+// norm returns Eq. 3's normalization constant C over the active queues'
+// floored τ, per cfg.Normalization, and whether no queue is active.
+func (l *L2BM) norm(s StateView) (c sim.Duration, idle bool) {
+	floor := l.cfg.TauFloor
 	switch l.cfg.Normalization {
 	case NormMaxTau:
-		maxTau, active := l.sojourn.MaxActiveTau(s, l.cfg.TauFloor)
-		idle = active == 0
-		c = maxTau
+		maxTau, active := l.sojourn.MaxActiveTau(s, floor)
+		return maxTau, active == 0
 	case NormCount:
-		_, active := l.sojourn.SumActiveTau(s, l.cfg.TauFloor)
-		idle = active == 0
-		c = sim.Duration(active) * l.cfg.TauFloor
+		active := len(l.sojourn.active)
+		return sim.Duration(active) * floor, active == 0
 	case NormMeanTau:
-		sum, active := l.sojourn.SumActiveTau(s, l.cfg.TauFloor)
-		idle = active == 0
-		if active > 0 {
-			c = sum / sim.Duration(active)
+		sum, active := l.sojourn.SumActiveTau(s, floor)
+		if active == 0 {
+			return 0, true
 		}
+		return sum / sim.Duration(active), false
 	default: // NormSumTau
-		sum, active := l.sojourn.SumActiveTau(s, l.cfg.TauFloor)
-		idle = active == 0
-		c = sum
+		sum, active := l.sojourn.SumActiveTau(s, floor)
+		return sum, active == 0
 	}
+}
+
+// weight is Eq. 4 for a queue of floored sojourn tau under constant c,
+// clamped by bounds. An idle switch degenerates to DT's uniform α, still
+// subject to the per-class bounds so thresholds never jump when traffic
+// appears.
+func (l *L2BM) weight(tau, c sim.Duration, idle bool, bounds WeightBounds) float64 {
 	w := l.cfg.Alpha
 	if !idle {
 		w = float64(c) / float64(tau) * l.cfg.Alpha
 	}
-	// An idle switch degenerates to DT's uniform α, still subject to the
-	// per-class bounds so thresholds never jump when traffic appears.
 	return bounds.clamp(w)
 }
 
 // IngressThreshold implements Policy (Eq. 3).
 func (l *L2BM) IngressThreshold(s StateView, port, prio int) int64 {
-	free := s.TotalShared() - s.SharedUsed()
-	if free < 0 {
-		free = 0
-	}
-	return int64(l.Weight(s, port, prio) * float64(free))
+	return ingressDT(s, l.Weight(s, port, prio))
 }
 
 // EgressThreshold implements Policy: standard egress-pool DT (L2BM is an
@@ -277,7 +276,7 @@ func (l *L2BM) EgressThreshold(s StateView, _, prio int) int64 {
 	return egressDT(s, prio, l.cfg.AlphaEgressPool)
 }
 
-// QueueSample is one active ingress queue's adaptive state as peeked by the
+// QueueSample is one active ingress queue's adaptive state as read by the
 // trace layer: the sojourn estimate τ (Algorithm 1), the Eq. 4 weight and
 // the Eq. 3 byte threshold it currently implies.
 type QueueSample struct {
@@ -287,64 +286,19 @@ type QueueSample struct {
 	Threshold  int64
 }
 
-// PeekSamples returns the adaptive state of every active ingress queue
-// WITHOUT advancing sojourn estimates. Weight/Tau write their advance back
-// into the congestion-detection module, so the trace sampler goes through
-// this read-only path: traced runs stay byte-identical to untraced runs by
-// construction, not by the lazy == eager argument Weight relies on. The
-// math mirrors Weight and IngressThreshold exactly: C per cfg.Normalization
-// over the peeked floored taus, w = C/τ·α clamped by the class bounds,
-// T = w·max(0, B−Q(t)).
-// PeekSamples allocates its result; tick-driven samplers should use
-// PeekSamplesAppend with a reusable buffer.
-func (l *L2BM) PeekSamples(s StateView) []QueueSample {
-	return l.PeekSamplesAppend(nil, s)
-}
-
-// PeekSamplesAppend is PeekSamples appending into dst (nil or a recycled
-// dst[:0]). The intermediate active-queue scan reuses an L2BM-owned scratch
-// buffer, so a steady-state sampling tick performs zero allocations.
+// PeekSamplesAppend appends the adaptive state of every active ingress
+// queue, in (port, prio) order, to dst (nil or a recycled dst[:0]): τ, the
+// Weight and the IngressThreshold it implies, through the same pure reads.
+// The ordered walk reuses an L2BM-owned scratch buffer, so a steady-state
+// sampling tick performs zero allocations.
 func (l *L2BM) PeekSamplesAppend(dst []QueueSample, s StateView) []QueueSample {
 	l.aqScratch = l.sojourn.PeekActiveAppend(l.aqScratch[:0], s, l.cfg.TauFloor)
-	active := l.aqScratch
-	if len(active) == 0 {
-		return dst
-	}
-	var c sim.Duration
-	switch l.cfg.Normalization {
-	case NormMaxTau:
-		for _, a := range active {
-			if a.Tau > c {
-				c = a.Tau
-			}
-		}
-	case NormCount:
-		c = sim.Duration(len(active)) * l.cfg.TauFloor
-	case NormMeanTau:
-		var sum sim.Duration
-		for _, a := range active {
-			sum += a.Tau
-		}
-		c = sum / sim.Duration(len(active))
-	default: // NormSumTau
-		for _, a := range active {
-			c += a.Tau
-		}
-	}
-	free := s.TotalShared() - s.SharedUsed()
-	if free < 0 {
-		free = 0
-	}
-	for _, a := range active {
-		w := float64(c) / float64(a.Tau) * l.cfg.Alpha
-		if ClassOfPriority(a.Prio) == pkt.ClassLossless {
-			w = l.cfg.BoundsLossless.clamp(w)
-		} else {
-			w = l.cfg.BoundsLossy.clamp(w)
-		}
+	c, idle := l.norm(s)
+	for _, a := range l.aqScratch {
+		w := l.weight(a.Tau, c, idle, l.bounds(a.Prio))
 		dst = append(dst, QueueSample{
 			Port: a.Port, Prio: a.Prio, Tau: a.Tau,
-			Weight: w, Threshold: int64(w * float64(free)),
+			Weight: w, Threshold: ingressDT(s, w),
 		})
 	}
 	return dst

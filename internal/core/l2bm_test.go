@@ -334,13 +334,12 @@ func TestPeekSamplesMatchesWeightAndThreshold(t *testing.T) {
 		enqueueWithTau(s, l, 1, pkt.PrioLossy, 2, 8*sim.Microsecond)
 		s.now += sim.Microsecond
 
-		// Peek first (must not perturb), then compare against the mutating
-		// Weight/IngressThreshold path.
-		samples := l.PeekSamples(s)
+		// Peek first, then compare against Weight/IngressThreshold.
+		samples := l.PeekSamplesAppend(nil, s)
 		if len(samples) != 2 {
-			t.Fatalf("[%v] PeekSamples = %d entries, want 2", norm, len(samples))
+			t.Fatalf("[%v] PeekSamplesAppend = %d entries, want 2", norm, len(samples))
 		}
-		again := l.PeekSamples(s)
+		again := l.PeekSamplesAppend(nil, s)
 		for i := range samples {
 			if samples[i] != again[i] {
 				t.Errorf("[%v] repeated peek diverged: %+v vs %+v", norm, samples[i], again[i])
@@ -359,8 +358,8 @@ func TestPeekSamplesMatchesWeightAndThreshold(t *testing.T) {
 
 func TestPeekSamplesIdleIsNil(t *testing.T) {
 	l := NewDefaultL2BM()
-	if got := l.PeekSamples(newFakeState()); got != nil {
-		t.Errorf("idle PeekSamples = %v, want nil", got)
+	if got := l.PeekSamplesAppend(nil, newFakeState()); got != nil {
+		t.Errorf("idle PeekSamplesAppend = %v, want nil", got)
 	}
 }
 
@@ -394,7 +393,8 @@ func TestWeightBoundsPinned(t *testing.T) {
 // A class whose bounds pin the weight is answered without evaluating the
 // sojourn table — the PFC check asks on every lossless enqueue and dequeue —
 // while an adaptive class is still evaluated, and both agree with a twin
-// policy that evaluates everything and clamps afterwards.
+// policy that evaluates everything and clamps afterwards. Neither kind of
+// Weight call moves any queue's estimate: reads never write.
 func TestL2BMPinnedClassSkipsEvaluation(t *testing.T) {
 	queues := []struct {
 		port, prio, egress int
@@ -421,11 +421,6 @@ func TestL2BMPinnedClassSkipsEvaluation(t *testing.T) {
 	if got := l.Weight(s, 0, pkt.PrioLossless); got != AlphaDT2 {
 		t.Errorf("pinned lossless weight = %v, want %v", got, AlphaDT2)
 	}
-	for _, q := range l.Sojourn().active {
-		if q.lastUpdate != enqueuedAt {
-			t.Errorf("pinned Weight advanced queue prio %d to %v", q.prio, q.lastUpdate)
-		}
-	}
 
 	def := DefaultL2BMConfig()
 	for _, q := range queues {
@@ -438,7 +433,9 @@ func TestL2BMPinnedClassSkipsEvaluation(t *testing.T) {
 			t.Errorf("Weight(%d,%d) = %v, evaluate-then-clamp twin = %v", q.port, q.prio, got, want)
 		}
 	}
-	if q := l.Sojourn().lookup(1, pkt.PrioLossy); q.lastUpdate != s.now {
-		t.Errorf("adaptive lossy Weight left its queue at %v, want advanced to %v", q.lastUpdate, s.now)
+	for _, q := range l.Sojourn().active {
+		if q.lastUpdate != enqueuedAt {
+			t.Errorf("Weight moved queue prio %d to %v, want it left at %v", q.prio, q.lastUpdate, enqueuedAt)
+		}
 	}
 }

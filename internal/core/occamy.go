@@ -44,37 +44,29 @@ type PreemptivePolicy interface {
 // the admission. The eviction shows up as a drop for the victim flow —
 // trading loss in an already-over-budget queue for admission of a packet
 // the current thresholds say deserves the space.
-type Occamy struct {
-	// AlphaIngress and AlphaEgressPool are the DT control factors.
-	AlphaIngress    float64
-	AlphaEgressPool float64
-	// MaxVictimQueues bounds how many distinct victim queues one Preempt
-	// call may drain (each round re-scans for the currently most
-	// over-threshold queue).
-	MaxVictimQueues int
-}
+type Occamy struct{}
+
+// occamyMaxVictims bounds how many distinct victim queues one Preempt call
+// may drain (each round re-scans for the currently most over-threshold
+// queue).
+const occamyMaxVictims = 4
 
 // NewOccamy returns Occamy with the evaluation defaults: the common
-// α = 0.5 on both pools and up to 4 victim queues per preemption.
-func NewOccamy() *Occamy {
-	return &Occamy{AlphaIngress: AlphaDT2, AlphaEgressPool: AlphaEgress, MaxVictimQueues: 4}
-}
+// α = 0.5 on both pools and up to occamyMaxVictims victim queues per
+// preemption.
+func NewOccamy() *Occamy { return &Occamy{} }
 
 // Name implements Policy.
 func (o *Occamy) Name() string { return "Occamy" }
 
 // IngressThreshold implements Policy: plain DT.
 func (o *Occamy) IngressThreshold(s StateView, _, _ int) int64 {
-	free := s.TotalShared() - s.SharedUsed()
-	if free < 0 {
-		free = 0
-	}
-	return int64(o.AlphaIngress * float64(free))
+	return ingressDT(s, AlphaDT2)
 }
 
 // EgressThreshold implements Policy: egress-pool DT.
 func (o *Occamy) EgressThreshold(s StateView, _, prio int) int64 {
-	return egressDT(s, prio, o.AlphaEgressPool)
+	return egressDT(s, prio, AlphaEgress)
 }
 
 // OnEnqueue implements Policy; Occamy's thresholds are stateless (the
@@ -97,7 +89,7 @@ func (o *Occamy) Preempt(s StateView, ev Evictor, p *pkt.Packet, _, out int) boo
 	}
 	need := int64(p.Size)
 	var freed int64
-	for round := 0; round < o.MaxVictimQueues && freed < need; round++ {
+	for round := 0; round < occamyMaxVictims && freed < need; round++ {
 		bestPort, bestPrio, bestExcess := -1, -1, int64(0)
 		for port := 0; port < s.NumPorts(); port++ {
 			for prio := 0; prio < pkt.NumPriorities; prio++ {

@@ -11,7 +11,8 @@ import (
 //
 // Semantics: total is the sum of the *estimated remaining drain times* of
 // the packets currently in the queue, valued as of lastUpdate. On every
-// touch the estimate is first advanced: each resident packet's remaining
+// enqueue and dequeue the estimate is first advanced (reads compute the same
+// advance and write nothing back): each resident packet's remaining
 // time shrinks by the wall time elapsed — excluding, per §III-D, time its
 // destination egress priority spent paused by downstream PFC, so pause
 // stalls are not misread as congestion. An enqueue then adds the new
@@ -23,90 +24,80 @@ type sojournQueue struct {
 	n          int
 	lastUpdate sim.Time
 
-	// resident[j] counts this queue's packets sitting at egress port j;
-	// pausedSnap[j] is EgressPausedTime(j, prio) as of lastUpdate. Both are
-	// sized to the switch's port count on first use.
-	resident   []int
-	pausedSnap []sim.Duration
-
-	// nzPorts counts egress ports with resident packets; hot is the single
-	// such port when nzPorts == 1 (the overwhelmingly common case — an
-	// ingress queue usually feeds one egress at a time — which lets advance
-	// skip the O(ports) resident scan on the admission fast path).
-	nzPorts int
-	hot     int
+	// resident lists the egress ports holding this queue's packets, in no
+	// particular order. An ingress queue usually feeds one egress at a
+	// time, so reads and advances cost O(resident ports), not O(ports).
+	resident []residentPort
 
 	// activeIdx is this queue's slot in SojournTable.active while n > 0.
 	activeIdx int
 }
 
-func (q *sojournQueue) ensure(ports int) {
-	if q.resident == nil {
-		q.resident = make([]int, ports)
-		q.pausedSnap = make([]sim.Duration, ports)
-	}
+// residentPort counts one sojournQueue's packets sitting at egress port
+// port; snap is EgressPausedTime(port, prio) as of lastUpdate.
+type residentPort struct {
+	port int
+	n    int
+	snap sim.Duration
 }
 
-// advance rolls the estimate forward to now, shrinking each resident
-// packet's remaining time by its effective elapsed time. prio is the
-// (fixed) priority of this ingress queue; excludePause selects the §III-D
-// mitigation.
-func (q *sojournQueue) advance(s StateView, prio int, excludePause bool) {
+// find returns the index of egress port j in q.resident, or -1.
+func (q *sojournQueue) find(j int) int {
+	for i := range q.resident {
+		if q.resident[i].port == j {
+			return i
+		}
+	}
+	return -1
+}
+
+// remaining returns the queue's total remaining sojourn as of now: total
+// shrunk by each resident packet's effective elapsed time, clamped at 0. It
+// writes nothing; excludePause selects the §III-D mitigation.
+func (q *sojournQueue) remaining(s StateView, excludePause bool) float64 {
+	elapsed := s.Now() - q.lastUpdate
+	if q.n == 0 || elapsed <= 0 {
+		return q.total
+	}
+	total := q.total
+	for _, r := range q.resident {
+		total -= float64(r.n) * float64(q.effective(s, r, elapsed, excludePause))
+	}
+	return max(total, 0)
+}
+
+// effective returns the part of elapsed that counts toward the sojourn of
+// the packets at r: all of it, or with pause exclusion the part not spent
+// paused since r's snapshot (the paused share clamped to elapsed).
+func (q *sojournQueue) effective(s StateView, r residentPort, elapsed sim.Duration, excludePause bool) sim.Duration {
+	if !excludePause {
+		return elapsed
+	}
+	return elapsed - min(s.EgressPausedTime(r.port, q.prio)-r.snap, elapsed)
+}
+
+// advance stores remaining as of now and re-snapshots the resident ports'
+// pause clocks. It is the estimate's one writer, called only by onEnqueue
+// and onDequeue.
+func (q *sojournQueue) advance(s StateView, excludePause bool) {
 	now := s.Now()
-	if q.n == 0 {
-		q.total = 0
-		q.lastUpdate = now
+	if q.n > 0 && now <= q.lastUpdate {
 		return
 	}
-	elapsed := now - q.lastUpdate
-	if elapsed <= 0 {
-		return
-	}
-	if q.nzPorts == 1 {
-		// Fast path: exactly one egress port is resident, so the scan
-		// would visit one nonzero entry anyway. The arithmetic below is
-		// the loop body verbatim for j = q.hot — bit-identical totals.
-		j := q.hot
-		eff := elapsed
-		if excludePause {
-			cum := s.EgressPausedTime(j, prio)
-			pausedDelta := cum - q.pausedSnap[j]
-			q.pausedSnap[j] = cum
-			if pausedDelta > elapsed {
-				pausedDelta = elapsed
-			}
-			eff -= pausedDelta
-		}
-		q.total -= float64(q.resident[j]) * float64(eff)
-	} else {
-		for j, c := range q.resident {
-			if c == 0 {
-				continue
-			}
-			eff := elapsed
-			if excludePause {
-				cum := s.EgressPausedTime(j, prio)
-				pausedDelta := cum - q.pausedSnap[j]
-				q.pausedSnap[j] = cum
-				if pausedDelta > elapsed {
-					pausedDelta = elapsed
-				}
-				eff -= pausedDelta
-			}
-			q.total -= float64(c) * float64(eff)
-		}
-	}
-	if q.total < 0 {
-		q.total = 0
-	}
+	q.total = q.remaining(s, excludePause)
 	q.lastUpdate = now
+	if excludePause {
+		for i := range q.resident {
+			q.resident[i].snap = s.EgressPausedTime(q.resident[i].port, q.prio)
+		}
+	}
 }
 
 // onEnqueue records a packet admitted to this ingress queue and destined for
 // egress port j.
-func (q *sojournQueue) onEnqueue(s StateView, j, prio int, excludePause bool) {
-	q.ensure(s.NumPorts())
-	q.advance(s, prio, excludePause)
+func (q *sojournQueue) onEnqueue(s StateView, j int, excludePause bool) {
+	q.advance(s, excludePause)
+	prio := q.prio
 	// Expected drain time of the packet: the backlog ahead of it at its
 	// output queue divided by that queue's service rate (Algorithm 1 line 8).
 	mu := s.EgressDrainRate(j, prio)
@@ -130,38 +121,29 @@ func (q *sojournQueue) onEnqueue(s StateView, j, prio int, excludePause bool) {
 		q.total += float64(expect)
 	}
 	q.n++
-	if q.resident[j] == 0 {
-		q.nzPorts++
-		if q.nzPorts == 1 {
-			q.hot = j
-		}
+	i := q.find(j)
+	if i < 0 {
+		i = len(q.resident)
+		q.resident = append(q.resident, residentPort{port: j})
 	}
-	q.resident[j]++
+	q.resident[i].n++
 	if excludePause {
-		q.pausedSnap[j] = s.EgressPausedTime(j, prio)
+		q.resident[i].snap = s.EgressPausedTime(j, prio)
 	}
 }
 
 // onDequeue records a packet leaving this ingress queue from egress port j.
-func (q *sojournQueue) onDequeue(s StateView, j, prio int, excludePause bool) {
-	q.ensure(s.NumPorts())
-	q.advance(s, prio, excludePause)
+func (q *sojournQueue) onDequeue(s StateView, j int, excludePause bool) {
+	q.advance(s, excludePause)
 	if q.n > 0 {
 		q.n--
 	}
-	if q.resident[j] > 0 {
-		q.resident[j]--
-		if q.resident[j] == 0 {
-			q.nzPorts--
-			if q.nzPorts == 1 {
-				// 2 → 1 transition: rescan once for the surviving port.
-				for i, c := range q.resident {
-					if c > 0 {
-						q.hot = i
-						break
-					}
-				}
-			}
+	if i := q.find(j); i >= 0 {
+		q.resident[i].n--
+		if q.resident[i].n == 0 {
+			last := len(q.resident) - 1
+			q.resident[i] = q.resident[last]
+			q.resident = q.resident[:last]
 		}
 	}
 	if q.n == 0 {
@@ -170,50 +152,12 @@ func (q *sojournQueue) onDequeue(s StateView, j, prio int, excludePause bool) {
 }
 
 // tau returns the average remaining sojourn time τ of resident packets as of
-// now (advancing first), or 0 for an empty queue.
-func (q *sojournQueue) tau(s StateView, prio int, excludePause bool) sim.Duration {
+// now, or 0 for an empty queue. It writes nothing.
+func (q *sojournQueue) tau(s StateView, excludePause bool) sim.Duration {
 	if q.n == 0 {
 		return 0
 	}
-	q.ensure(s.NumPorts())
-	q.advance(s, prio, excludePause)
-	return sim.Duration(q.total / float64(q.n))
-}
-
-// peekTau computes the τ that tau() would report as of now WITHOUT writing
-// the advance back: no field of q is mutated. The trace layer samples
-// through this path so that an armed recorder observes the same trajectory
-// an unarmed run would produce (the observer-effect guarantee, held by
-// construction for any StateView: tau() writes its advance back, and an
-// extra write-back is unobservable only while the pausedDelta clamp never
-// fires — true of a switch's cumulative pause clock, see L2BM.Weight, but
-// not something a read-only path should lean on).
-func (q *sojournQueue) peekTau(s StateView, prio int, excludePause bool) sim.Duration {
-	if q.n == 0 {
-		return 0
-	}
-	total := q.total
-	elapsed := s.Now() - q.lastUpdate
-	if elapsed > 0 {
-		for j, c := range q.resident {
-			if c == 0 {
-				continue
-			}
-			eff := elapsed
-			if excludePause {
-				pausedDelta := s.EgressPausedTime(j, prio) - q.pausedSnap[j]
-				if pausedDelta > elapsed {
-					pausedDelta = elapsed
-				}
-				eff -= pausedDelta
-			}
-			total -= float64(c) * float64(eff)
-		}
-		if total < 0 {
-			total = 0
-		}
-	}
-	return sim.Duration(total / float64(q.n))
+	return sim.Duration(q.remaining(s, excludePause) / float64(q.n))
 }
 
 // SojournTable is the per-switch congestion-detection module (paper §III-B):
@@ -228,14 +172,13 @@ func (q *sojournQueue) peekTau(s StateView, prio int, excludePause bool) sim.Dur
 // evaluated on almost every admission, so they must cost O(active), not
 // O(provisioned).
 //
-// Invariant: active == {q : q.n > 0}. OnEnqueue is the only creator of
-// queues and the only writer that adds to the set (at the 0→1 transition);
-// OnDequeue removes at 1→0 by swap-remove. The set's order therefore
-// depends on history, which is harmless: Σ and max over sim.Duration
-// (int64) are order-independent, and each queue's advance reads only its
-// own state and the StateView, so iterating the set in any order yields the
-// aggregates — and leaves every queue in the state — a (port, prio)-ordered
-// table walk would.
+// Invariant: active == {q : q.n > 0}. OnEnqueue and OnDequeue are the
+// table's only writers: OnEnqueue creates queues and adds to the set (at the
+// 0→1 transition), OnDequeue removes at 1→0 by swap-remove. Every read is a
+// pure function of the table and the StateView. The set's order depends on
+// history, which is harmless: Σ and max over sim.Duration (int64) are
+// order-independent, so iterating the set in any order yields the
+// aggregates a (port, prio)-ordered table walk would.
 type SojournTable struct {
 	queues       []*sojournQueue
 	active       []*sojournQueue
@@ -271,7 +214,7 @@ func (t *SojournTable) OnEnqueue(s StateView, p *pkt.Packet) {
 		q = &sojournQueue{prio: p.InPrio}
 		t.queues[idx] = q
 	}
-	q.onEnqueue(s, p.OutPort, p.InPrio, t.excludePause)
+	q.onEnqueue(s, p.OutPort, t.excludePause)
 	if q.n == 1 {
 		q.activeIdx = len(t.active)
 		t.active = append(t.active, q)
@@ -285,7 +228,7 @@ func (t *SojournTable) OnDequeue(s StateView, p *pkt.Packet) {
 		return
 	}
 	wasActive := q.n > 0
-	q.onDequeue(s, p.OutPort, p.InPrio, t.excludePause)
+	q.onDequeue(s, p.OutPort, t.excludePause)
 	if wasActive && q.n == 0 {
 		last := len(t.active) - 1
 		moved := t.active[last]
@@ -302,7 +245,7 @@ func (t *SojournTable) Tau(s StateView, port, prio int) sim.Duration {
 	if q == nil {
 		return 0
 	}
-	return q.tau(s, prio, t.excludePause)
+	return q.tau(s, t.excludePause)
 }
 
 // Resident returns the packet count tracked for ingress queue (port, prio).
@@ -314,12 +257,9 @@ func (t *SojournTable) Resident(port, prio int) int {
 	return q.n
 }
 
-// flooredTau advances q and returns its τ, at least floor.
+// flooredTau returns q's τ, at least floor.
 func (t *SojournTable) flooredTau(s StateView, q *sojournQueue, floor sim.Duration) sim.Duration {
-	if tau := q.tau(s, q.prio, t.excludePause); tau > floor {
-		return tau
-	}
-	return floor
+	return max(q.tau(s, t.excludePause), floor)
 }
 
 // SumActiveTau returns Σ τ over all ingress queues currently holding
@@ -343,40 +283,25 @@ func (t *SojournTable) MaxActiveTau(s StateView, floor sim.Duration) (maxTau sim
 	return maxTau, len(t.active)
 }
 
-// ActiveQueue is one active ingress queue's peeked sojourn estimate.
+// ActiveQueue is one active ingress queue's sojourn estimate.
 type ActiveQueue struct {
 	Port, Prio int
 	Tau        sim.Duration
 }
 
-// PeekActive returns every ingress queue currently holding packets together
-// with its τ as of now, floored at floor, WITHOUT advancing any estimate.
-// This is the trace layer's read-only window into the congestion-detection
-// module: a run sampled through PeekActive is byte-identical to an unsampled
-// run. Queues appear in (port, prio) order — the order is part of the trace
-// bytes, which is why this walks the table rather than the active set (it
-// runs per sampler tick, not per admission).
-//
-// PeekActive allocates a fresh slice per call; samplers on a tick should use
-// PeekActiveAppend with a reusable scratch buffer instead.
-func (t *SojournTable) PeekActive(s StateView, floor sim.Duration) []ActiveQueue {
-	return t.PeekActiveAppend(nil, s, floor)
-}
-
-// PeekActiveAppend is PeekActive appending into dst (which may be nil or a
-// recycled dst[:0]), returning the extended slice. A periodic sampler passes
-// the same backing buffer every tick, so steady-state sampling allocates
-// nothing.
+// PeekActiveAppend appends every ingress queue currently holding packets,
+// with its τ as of now floored at floor, to dst (nil or a recycled dst[:0])
+// and returns the extended slice. Queues appear in (port, prio) order — the
+// order is part of the trace bytes, which is why this walks the table rather
+// than the active set (it runs per sampler tick, not per admission). A
+// periodic sampler passes the same backing buffer every tick, so
+// steady-state sampling allocates nothing.
 func (t *SojournTable) PeekActiveAppend(dst []ActiveQueue, s StateView, floor sim.Duration) []ActiveQueue {
 	for idx, q := range t.queues {
 		if q == nil || q.n == 0 {
 			continue
 		}
-		tau := q.peekTau(s, q.prio, t.excludePause)
-		if tau < floor {
-			tau = floor
-		}
-		dst = append(dst, ActiveQueue{Port: idx / pkt.NumPriorities, Prio: q.prio, Tau: tau})
+		dst = append(dst, ActiveQueue{Port: idx / pkt.NumPriorities, Prio: q.prio, Tau: t.flooredTau(s, q, floor)})
 	}
 	return dst
 }

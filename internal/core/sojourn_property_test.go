@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -11,9 +13,7 @@ import (
 
 // checkActiveSet verifies the table's dense active set against a scan of
 // the table — active == {q : q.n > 0}, every member knowing its own slot —
-// and the O(active) aggregates against a full-scan oracle. The oracle peeks
-// (no write-back) before the aggregates run, so it cannot lean on state they
-// just advanced.
+// and the O(active) aggregates against a full-scan oracle.
 func checkActiveSet(t *testing.T, tab *SojournTable, s StateView, floor sim.Duration) bool {
 	t.Helper()
 	var wantSum, wantMax sim.Duration
@@ -26,10 +26,7 @@ func checkActiveSet(t *testing.T, tab *SojournTable, s StateView, floor sim.Dura
 			t.Errorf("queue with n=%d is not in the active set at its recorded slot %d", q.n, q.activeIdx)
 			return false
 		}
-		tau := q.peekTau(s, q.prio, tab.excludePause)
-		if tau < floor {
-			tau = floor
-		}
+		tau := max(q.tau(s, tab.excludePause), floor)
 		wantSum += tau
 		if tau > wantMax {
 			wantMax = tau
@@ -165,19 +162,95 @@ func TestSojournPauseExclusionMonotone(t *testing.T) {
 	}
 }
 
-// Property (the licence for L2BM.Weight answering a pinned class without
-// touching the table): a queue advanced lazily reaches the same state as
-// one advanced at every step. One scripted enqueue/dequeue/pause trace is
-// driven into two tables; the eager one is queried — per-queue τ and both
-// aggregates, all of which write their advance back — after every step, the
-// lazy one never until the end. Their τ must agree for every queue at every
-// step (the lazy side is peeked, which writes nothing back).
+// readKinds counts the kinds of read read performs: four on the table, then
+// Weight, IngressThreshold and PeekSamplesAppend under each Normalization.
+const readKinds = 4 + 3*4
+
+// read performs one kind of read on tab as of s, for ingress queue (port,
+// prio) where the kind names one. The L2BM reads go through a policy that
+// shares tab and keeps both classes adaptive, so no read is skipped.
+func read(s StateView, tab *SojournTable, kind, port, prio int) {
+	const floor = sim.Microsecond
+	switch kind {
+	case 0:
+		tab.Tau(s, port, prio)
+	case 1:
+		tab.SumActiveTau(s, floor)
+	case 2:
+		tab.MaxActiveTau(s, floor)
+	case 3:
+		tab.PeekActiveAppend(nil, s, floor)
+	default:
+		cfg := DefaultL2BMConfig()
+		cfg.Normalization = NormSumTau + Normalization((kind-4)/3)
+		cfg.BoundsLossless = WeightBounds{}
+		l := &L2BM{cfg: cfg, sojourn: tab}
+		switch (kind - 4) % 3 {
+		case 0:
+			l.Weight(s, port, prio)
+		case 1:
+			l.IngressThreshold(s, port, prio)
+		default:
+			l.PeekSamplesAppend(nil, s)
+		}
+	}
+}
+
+// readAll performs every kind of read for every queue of a ports × prios
+// table.
+func readAll(s StateView, tab *SojournTable, ports int, prios []int) {
+	for kind := 0; kind < readKinds; kind++ {
+		for port := 0; port < ports; port++ {
+			for _, prio := range prios {
+				read(s, tab, kind, port, prio)
+			}
+		}
+	}
+}
+
+// sameTables reports, through t, the first way a table read after every
+// step differs from a twin never read: any queue's state (total, n,
+// lastUpdate, resident ports with their counts and pause snapshots, ...),
+// the active set, or any queue's τ.
+func sameTables(t *testing.T, s StateView, queried, never *SojournTable, ports int, prios []int) bool {
+	t.Helper()
+	if !reflect.DeepEqual(queried, never) {
+		t.Errorf("reads wrote: queried table %s, never-queried %s", dumpTable(queried), dumpTable(never))
+		return false
+	}
+	for port := 0; port < ports; port++ {
+		for _, prio := range prios {
+			if q, n := queried.Tau(s, port, prio), never.Tau(s, port, prio); q != n {
+				t.Errorf("queue (%d,%d): queried τ = %v, never-queried τ = %v", port, prio, q, n)
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func dumpTable(tab *SojournTable) string {
+	out := fmt.Sprintf("%d active:", len(tab.active))
+	for idx, q := range tab.queues {
+		if q != nil {
+			out += fmt.Sprintf(" [%d]%+v", idx, *q)
+		}
+	}
+	return out
+}
+
+// Property: reads never write. One scripted enqueue/dequeue/pause trace is
+// driven into two tables; the queried one gets every kind of read — per-
+// queue τ, both aggregates, the ordered peek, and L2BM's Weight,
+// IngressThreshold and samples under all four Normalizations — after every
+// step, the other none. After every step the two tables must be deep-equal
+// and agree on every τ.
 //
-// The pause clock is physical, as a switch's is: a paused (port, priority)
-// accrues exactly the time that elapses, so cumulative paused time never
-// outruns the wall clock. That is the one property the argument needs; the
-// chaos test above deliberately violates it, which is why it cannot make
-// this comparison.
+// The pause clock here is physical, as a switch's is: a paused (port,
+// priority) accrues exactly the time that elapses. Purity does not need that
+// (FuzzSojournReads moves the clock freely); the argument in DESIGN.md's
+// "Reads never write" that a queue advanced only at its own events matches
+// one advanced at every read does.
 func TestSojournLazyEqualsEager(t *testing.T) {
 	const ports = 4
 	prios := []int{pkt.PrioLossless, pkt.PrioLossy}
@@ -185,7 +258,7 @@ func TestSojournLazyEqualsEager(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		s := newFakeState()
 		excl := rng.Intn(2) == 0
-		eager, lazy := NewSojournTable(excl), NewSojournTable(excl)
+		queried, never := NewSojournTable(excl), NewSojournTable(excl)
 
 		var resident []*pkt.Packet
 		pausedNow := make(map[[2]int]bool)
@@ -202,16 +275,16 @@ func TestSojournLazyEqualsEager(t *testing.T) {
 					delete(s.drain, [2]int{egress, prio})
 				}
 				p := admit(rng.Intn(ports), prio, egress)
-				eager.OnEnqueue(s, p)
-				lazy.OnEnqueue(s, p)
+				queried.OnEnqueue(s, p)
+				never.OnEnqueue(s, p)
 				resident = append(resident, p)
 			case 2: // dequeue
 				if len(resident) == 0 {
 					continue
 				}
 				i := rng.Intn(len(resident))
-				eager.OnDequeue(s, resident[i])
-				lazy.OnDequeue(s, resident[i])
+				queried.OnDequeue(s, resident[i])
+				never.OnDequeue(s, resident[i])
 				resident = append(resident[:i], resident[i+1:]...)
 			case 3: // a downstream XOFF or XON
 				k := [2]int{rng.Intn(ports), prios[rng.Intn(2)]}
@@ -226,28 +299,10 @@ func TestSojournLazyEqualsEager(t *testing.T) {
 				}
 			}
 
-			eager.SumActiveTau(s, sim.Microsecond)
-			eager.MaxActiveTau(s, sim.Microsecond)
-			for port := 0; port < ports; port++ {
-				for _, prio := range prios {
-					got := eager.Tau(s, port, prio)
-					var want sim.Duration
-					if q := lazy.lookup(port, prio); q != nil {
-						want = q.peekTau(s, prio, excl)
-					}
-					if got != want {
-						t.Errorf("step %d queue (%d,%d): eager τ = %v, lazy τ = %v", step, port, prio, got, want)
-						return false
-					}
-				}
-			}
-		}
-		for port := 0; port < ports; port++ {
-			for _, prio := range prios {
-				if e, l := eager.Tau(s, port, prio), lazy.Tau(s, port, prio); e != l {
-					t.Errorf("final queue (%d,%d): eager τ = %v, lazy τ = %v", port, prio, e, l)
-					return false
-				}
+			readAll(s, queried, ports, prios)
+			if !sameTables(t, s, queried, never, ports, prios) {
+				t.Logf("seed %d step %d", seed, step)
+				return false
 			}
 		}
 		return true
@@ -255,4 +310,59 @@ func TestSojournLazyEqualsEager(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzSojournReads decodes bytes into a script of (operation, argument)
+// pairs — enqueue, dequeue, an XOFF/XON toggle, time passing, one read of
+// any kind — and drives two tables with it, one read in full after every
+// operation. Their state and τ must stay equal. Purity needs no physical
+// pause clock, so a toggle moves the clock by any amount, backward too.
+func FuzzSojournReads(f *testing.F) {
+	f.Add([]byte{0, 0x21, 0, 0x0b, 3, 0x40, 4, 0x05, 2, 0x03, 3, 0x91, 1, 0x00, 4, 0x2f})
+	f.Add([]byte{0x80, 0x13, 2, 0x13, 0, 0x13, 3, 0xff, 2, 0x13, 3, 0x7f, 1, 0x01, 1, 0x00})
+	f.Fuzz(func(t *testing.T, script []byte) {
+		const ports = 4
+		prios := []int{pkt.PrioLossless, pkt.PrioLossy}
+		s := newFakeState()
+		excl := len(script) > 0 && script[0]&0x80 != 0
+		queried, never := NewSojournTable(excl), NewSojournTable(excl)
+		var resident []*pkt.Packet
+		for i := 0; i+1 < len(script); i += 2 {
+			arg := int(script[i+1])
+			k := [2]int{arg % ports, prios[arg/ports%2]} // an egress (port, prio)
+			switch script[i] % 5 {
+			case 0: // enqueue from ingress port arg/8 toward egress k
+				s.qout[k] = int64(arg) * 1500
+				p := admit(arg/8%ports, k[1], k[0])
+				queried.OnEnqueue(s, p)
+				never.OnEnqueue(s, p)
+				resident = append(resident, p)
+			case 1: // dequeue
+				if len(resident) == 0 {
+					continue
+				}
+				j := arg % len(resident)
+				queried.OnDequeue(s, resident[j])
+				never.OnDequeue(s, resident[j])
+				resident = append(resident[:j], resident[j+1:]...)
+			case 2: // XOFF/XON toggle of egress k
+				if _, paused := s.drain[k]; paused {
+					delete(s.drain, k)
+					delete(s.pausedFor, k)
+				} else {
+					s.drain[k] = 0
+					s.pausedFor[k] = sim.Duration(arg) * sim.Microsecond
+				}
+				s.paused[k] += sim.Duration(arg-100) * 333_333
+			case 3: // time passes
+				s.now += sim.Duration(arg) * 104_729
+			default: // one read of any kind
+				read(s, queried, arg%readKinds, arg/readKinds%ports, k[1])
+			}
+			readAll(s, queried, ports, prios)
+			if !sameTables(t, s, queried, never, ports, prios) {
+				t.Fatalf("after operation %d", i/2)
+			}
+		}
+	})
 }

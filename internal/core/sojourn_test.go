@@ -277,14 +277,13 @@ func TestPeekActiveMatchesTauWithoutMutation(t *testing.T) {
 	tab.OnEnqueue(s, admit(1, 4, 2))
 	s.now += 2 * sim.Microsecond
 
-	// Peek twice, then compare with the mutating Tau: all three must agree,
-	// and the peeks must not have advanced anything (the observer-effect
-	// guarantee the trace sampler depends on).
+	// Peek twice, then compare with Tau: all three must agree (the
+	// observer-effect guarantee the trace sampler depends on).
 	floor := sim.Duration(1)
-	peek1 := tab.PeekActive(s, floor)
-	peek2 := tab.PeekActive(s, floor)
+	peek1 := tab.PeekActiveAppend(nil, s, floor)
+	peek2 := tab.PeekActiveAppend(nil, s, floor)
 	if len(peek1) != 2 || len(peek2) != 2 {
-		t.Fatalf("PeekActive sizes = %d, %d, want 2, 2", len(peek1), len(peek2))
+		t.Fatalf("PeekActiveAppend sizes = %d, %d, want 2, 2", len(peek1), len(peek2))
 	}
 	for i := range peek1 {
 		if peek1[i] != peek2[i] {
@@ -294,7 +293,7 @@ func TestPeekActiveMatchesTauWithoutMutation(t *testing.T) {
 	// (port, prio) ordering: port 1 queue (prio 4) has index 1*8+4 = 12,
 	// port 0 queue (prio 0) index 0 — ascending index order.
 	if peek1[0].Port != 0 || peek1[0].Prio != 0 || peek1[1].Port != 1 || peek1[1].Prio != 4 {
-		t.Fatalf("PeekActive order = %+v", peek1)
+		t.Fatalf("PeekActiveAppend order = %+v", peek1)
 	}
 	if got := tab.Tau(s, 0, 0); got != peek1[0].Tau {
 		t.Errorf("Tau(0,0) = %v, peeked %v", got, peek1[0].Tau)
@@ -339,8 +338,8 @@ func TestSojournReadsDoNotAllocate(t *testing.T) {
 // BenchmarkSojournAggregatesWide prices Σ τ on a wide switch the way a long
 // run leaves it: 34 ports × 8 priorities have all carried traffic at some
 // point, two queues hold packets now. The clock moves every iteration, as
-// it does between admissions, so each call really advances the active
-// queues. The cost must follow the 2, not the 272.
+// it does between admissions, so each call really decays the active
+// queues' estimates. The cost must follow the 2, not the 272.
 func BenchmarkSojournAggregatesWide(b *testing.B) {
 	const ports = 34
 	s := newFakeState()

@@ -13,34 +13,32 @@ import (
 //   - Normal: classic DT with α_n.
 //   - Absorption: entered when the queue builds up rapidly while the switch
 //     still has plenty of free buffer (a micro-burst); the factor is raised
-//     to α_n·AbsorbBoost so the burst fits instead of dropping.
+//     to α_n·tdtAbsorbBoost so the burst fits instead of dropping.
 //   - Evacuation: entered from Absorption when the buffer is running out or
-//     the burst has passed; the factor is cut to α_n·EvacuateCut until the
+//     the burst has passed; the factor is cut to α_n·tdtEvacuateCut until the
 //     queue drains below its normal share, pushing the hoarded memory back
 //     to the pool.
 //
 // Like ABM and EDT, TDT manages the egress pool; the ingress pool runs
-// classic DT (α = 0.5).
+// classic DT (α = 0.5), and α_n is AlphaEgress.
 type TDT struct {
-	// AlphaEgressPool is the Normal-mode egress factor α_n.
-	AlphaEgressPool float64
-	// AlphaIngress is the ingress-pool DT factor.
-	AlphaIngress float64
-	// AbsorbBoost multiplies α_n during absorption.
-	AbsorbBoost float64
-	// EvacuateCut multiplies α_n during evacuation.
-	EvacuateCut float64
-	// BurstBytes is the queue growth within BurstWindow that signals a
-	// micro-burst.
-	BurstBytes int64
-	// BurstWindow is the observation window for burst detection.
-	BurstWindow sim.Duration
-	// FreeFraction is the minimum fraction of free buffer required to
-	// enter (or stay in) absorption.
-	FreeFraction float64
-
 	states map[[2]int]*tdtQueue
 }
+
+const (
+	// tdtAbsorbBoost multiplies α_n during absorption.
+	tdtAbsorbBoost = 4
+	// tdtEvacuateCut multiplies α_n during evacuation.
+	tdtEvacuateCut = 0.25
+	// tdtBurstBytes is the queue growth within tdtBurstWindow that signals
+	// a micro-burst.
+	tdtBurstBytes = 16 * pkt.MTUBytes
+	// tdtBurstWindow is the observation window for burst detection.
+	tdtBurstWindow = 20 * sim.Microsecond
+	// tdtFreeFraction is the minimum fraction of free buffer required to
+	// enter (or stay in) absorption.
+	tdtFreeFraction = 0.25
+)
 
 // tdtState is one queue's mode.
 type tdtState int
@@ -61,16 +59,7 @@ type tdtQueue struct {
 
 // NewTDT returns TDT with the evaluation defaults.
 func NewTDT() *TDT {
-	return &TDT{
-		AlphaEgressPool: AlphaEgress,
-		AlphaIngress:    AlphaDT2,
-		AbsorbBoost:     4,
-		EvacuateCut:     0.25,
-		BurstBytes:      16 * pkt.MTUBytes,
-		BurstWindow:     20 * sim.Microsecond,
-		FreeFraction:    0.25,
-		states:          make(map[[2]int]*tdtQueue),
-	}
+	return &TDT{states: make(map[[2]int]*tdtQueue)}
 }
 
 var _ Policy = (*TDT)(nil)
@@ -80,42 +69,39 @@ func (t *TDT) Name() string { return "TDT" }
 
 // IngressThreshold implements Policy: classic DT at the ingress pool.
 func (t *TDT) IngressThreshold(s StateView, _, _ int) int64 {
-	free := s.TotalShared() - s.SharedUsed()
-	if free < 0 {
-		free = 0
-	}
-	return int64(t.AlphaIngress * float64(free))
+	return ingressDT(s, AlphaDT2)
 }
 
 // EgressThreshold implements Policy.
 func (t *TDT) EgressThreshold(s StateView, port, prio int) int64 {
 	q := t.queue(port, prio)
-	t.step(s, q, s.EgressQueueBytes(port, prio))
+	t.step(s, q, s.EgressQueueBytes(port, prio), prio)
 
-	alpha := t.AlphaEgressPool
+	alpha := AlphaEgress
 	switch q.state {
 	case tdtAbsorb:
-		alpha *= t.AbsorbBoost
+		alpha *= tdtAbsorbBoost
 	case tdtEvacuate:
-		alpha *= t.EvacuateCut
+		alpha *= tdtEvacuateCut
 	}
 	return egressDT(s, prio, alpha)
 }
 
-// step advances the state machine with the queue's current length.
-func (t *TDT) step(s StateView, q *tdtQueue, qlen int64) {
+// step advances the state machine with the current length of the queue of
+// priority prio.
+func (t *TDT) step(s StateView, q *tdtQueue, qlen int64, prio int) {
 	now := s.Now()
-	if now-q.windowAt >= t.BurstWindow {
+	if now-q.windowAt >= tdtBurstWindow {
 		q.windowAt = now
 		q.windowLen = qlen
 	}
 	growth := qlen - q.windowLen
 	free := s.TotalShared() - s.SharedUsed()
-	plenty := float64(free) >= t.FreeFraction*float64(s.TotalShared())
+	plenty := float64(free) >= tdtFreeFraction*float64(s.TotalShared())
 
 	switch q.state {
 	case tdtNormal:
-		if growth >= t.BurstBytes && plenty {
+		if growth >= tdtBurstBytes && plenty {
 			q.state = tdtAbsorb
 		}
 	case tdtAbsorb:
@@ -124,20 +110,13 @@ func (t *TDT) step(s StateView, q *tdtQueue, qlen int64) {
 			q.state = tdtEvacuate
 		}
 	case tdtEvacuate:
-		if qlen <= egressShare(s, t.AlphaEgressPool) {
+		// Drained below its normal share: the Normal-mode threshold,
+		// over the same class pool.
+		if qlen <= egressDT(s, prio, AlphaEgress) {
 			q.state = tdtNormal
 		}
 	}
 	q.lastLen = qlen
-}
-
-// egressShare is the normal-mode DT share used as the evacuation exit bar.
-func egressShare(s StateView, alpha float64) int64 {
-	free := s.TotalShared() - s.SharedUsed()
-	if free < 0 {
-		free = 0
-	}
-	return int64(alpha * float64(free))
 }
 
 func (t *TDT) queue(port, prio int) *tdtQueue {
@@ -164,10 +143,10 @@ func (t *TDT) State(port, prio int) string {
 
 // OnEnqueue implements Policy.
 func (t *TDT) OnEnqueue(s StateView, p *pkt.Packet) {
-	t.step(s, t.queue(p.OutPort, p.Priority), s.EgressQueueBytes(p.OutPort, p.Priority))
+	t.step(s, t.queue(p.OutPort, p.Priority), s.EgressQueueBytes(p.OutPort, p.Priority), p.Priority)
 }
 
 // OnDequeue implements Policy.
 func (t *TDT) OnDequeue(s StateView, p *pkt.Packet) {
-	t.step(s, t.queue(p.OutPort, p.Priority), s.EgressQueueBytes(p.OutPort, p.Priority))
+	t.step(s, t.queue(p.OutPort, p.Priority), s.EgressQueueBytes(p.OutPort, p.Priority), p.Priority)
 }

@@ -366,7 +366,7 @@ func faultLinks(cl *topo.Cluster, shard int) []faults.Link {
 // on every switch feeding its shard's recorder, and a periodic occupancy +
 // L2BM weight sampler per shard running for the next until of simulated time
 // (not started when until ≤ 0). Everything here is feed-forward (probes and
-// PeekSamples are pure reads), so arming it cannot change the run's results.
+// L2BM reads are pure), so arming it cannot change the run's results.
 func (f *fabric) armTrace(until sim.Duration) {
 	ts := f.p.spec.Trace
 	if ts == nil {
