@@ -114,7 +114,14 @@ func (h *Host) SetCompletionHandler(fn CompletionHandler) { h.onComplete = fn }
 
 // StartFlow launches a transport sender for f. The flow's class picks the
 // protocol: lossless flows run DCQCN, lossy flows run DCTCP.
-func (h *Host) StartFlow(f *transport.Flow) {
+func (h *Host) StartFlow(f *transport.Flow) { h.StartFlowWarm(f, 0) }
+
+// StartFlowWarm is StartFlow for residual flows handed back from the fluid
+// fast-forward layer: lossy (DCTCP) senders begin with an established
+// congestion window of cwndBytes (when positive) instead of the cold initial
+// window. Lossless (DCQCN) senders need no warming — they start at line rate
+// and only slow down on congestion feedback — so the hint is ignored for them.
+func (h *Host) StartFlowWarm(f *transport.Flow, cwndBytes float64) {
 	if f.Src != h.id {
 		panic(fmt.Sprintf("host %d asked to start flow owned by host %d", h.id, f.Src))
 	}
@@ -130,6 +137,9 @@ func (h *Host) StartFlow(f *transport.Flow) {
 		s.Start()
 	case pkt.ClassLossy:
 		s := dctcp.NewSender(h, h.tc.DCTCP, f, nil)
+		if cwndBytes > 0 {
+			s.Warm(cwndBytes) // before Start, so the first burst ships the full window
+		}
 		if h.tcpTx == nil {
 			h.tcpTx = make(map[pkt.FlowID]*dctcp.Sender)
 		}
@@ -138,30 +148,6 @@ func (h *Host) StartFlow(f *transport.Flow) {
 	default:
 		panic(fmt.Sprintf("host: flow %d has unroutable class %v", f.ID, f.Class))
 	}
-}
-
-// StartFlowWarm is StartFlow for residual flows handed back from the fluid
-// fast-forward layer: lossy (DCTCP) senders begin with an established
-// congestion window of cwndBytes instead of the cold initial window.
-// Lossless (DCQCN) senders need no warming — they start at line rate and
-// only slow down on congestion feedback — so the hint is ignored for them.
-func (h *Host) StartFlowWarm(f *transport.Flow, cwndBytes float64) {
-	if f.Class != pkt.ClassLossy || cwndBytes <= 0 {
-		h.StartFlow(f)
-		return
-	}
-	if f.Src != h.id {
-		panic(fmt.Sprintf("host %d asked to start flow owned by host %d", h.id, f.Src))
-	}
-	f.Start = h.eng.Now()
-	h.FlowsStarted++
-	s := dctcp.NewSender(h, h.tc.DCTCP, f, nil)
-	s.Warm(cwndBytes) // before Start, so the first burst ships the full window
-	if h.tcpTx == nil {
-		h.tcpTx = make(map[pkt.FlowID]*dctcp.Sender)
-	}
-	h.tcpTx[f.ID] = s
-	s.Start()
 }
 
 // HandleArrival implements netdev.Node: demultiplex to the right endpoint,

@@ -90,19 +90,6 @@ func (r *FCTRecorder) Slowdowns(c pkt.Class) []float64 {
 	return out
 }
 
-// FCTs returns the completion times of completed flows of class c (any
-// class if c == 0), sorted ascending.
-func (r *FCTRecorder) FCTs(c pkt.Class) []sim.Duration {
-	var out []sim.Duration
-	for _, rec := range r.flows {
-		if rec.Done && (c == 0 || rec.Flow.Class == c) {
-			out = append(out, rec.FCT())
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Records returns completed flow records of class c (any class if c == 0).
 func (r *FCTRecorder) Records(c pkt.Class) []*FlowRecord {
 	var out []*FlowRecord

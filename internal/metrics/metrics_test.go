@@ -58,8 +58,8 @@ func TestFCTRecorderClassFiltering(t *testing.T) {
 	if got := len(r.Slowdowns(0)); got != 4 {
 		t.Errorf("all slowdowns = %d, want 4", got)
 	}
-	if got := len(r.FCTs(0)); got != 4 {
-		t.Errorf("FCTs = %d, want 4", got)
+	if got := len(r.Records(0)); got != 4 {
+		t.Errorf("all records = %d, want 4", got)
 	}
 }
 

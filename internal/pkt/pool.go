@@ -221,43 +221,30 @@ func (pl *Pool) Data(f FlowID, src, dst int, prio int, class Class, seq int64, p
 
 // Ack builds a pooled cumulative ACK; see NewAck.
 func (pl *Pool) Ack(f FlowID, src, dst int, cumSeq int64, ece bool) *Packet {
-	p := pl.Get()
-	p.Kind = KindAck
-	p.Flow = f
-	p.Src = src
-	p.Dst = dst
-	p.Priority = PrioControl
-	p.Class = ClassControl
-	p.Size = CtrlBytes
-	p.Seq = cumSeq
+	p := pl.control(KindAck, f, src, dst, cumSeq)
 	p.ECE = ece
 	return p
 }
 
 // CNP builds a pooled congestion-notification packet; see NewCNP.
-func (pl *Pool) CNP(f FlowID, src, dst int) *Packet {
-	p := pl.Get()
-	p.Kind = KindCNP
-	p.Flow = f
-	p.Src = src
-	p.Dst = dst
-	p.Priority = PrioControl
-	p.Class = ClassControl
-	p.Size = CtrlBytes
-	return p
-}
+func (pl *Pool) CNP(f FlowID, src, dst int) *Packet { return pl.control(KindCNP, f, src, dst, 0) }
 
 // Nack builds a pooled go-back-N NACK; see NewNack.
 func (pl *Pool) Nack(f FlowID, src, dst int, expected int64) *Packet {
+	return pl.control(KindNack, f, src, dst, expected)
+}
+
+// control builds a pooled per-flow control frame of kind carrying seq.
+func (pl *Pool) control(kind Kind, f FlowID, src, dst int, seq int64) *Packet {
 	p := pl.Get()
-	p.Kind = KindNack
+	p.Kind = kind
 	p.Flow = f
 	p.Src = src
 	p.Dst = dst
 	p.Priority = PrioControl
 	p.Class = ClassControl
 	p.Size = CtrlBytes
-	p.Seq = expected
+	p.Seq = seq
 	return p
 }
 

@@ -111,8 +111,8 @@ type mmuState struct {
 	// function of this struct and the immutable Config, so an observer that
 	// saw it pass at some version need not re-run it until the version
 	// moves (audit.Auditor does exactly that). Every write site bumps it:
-	// the charge in admitData, the release in onDequeue, each eviction in
-	// EvictLossyTail, setPaused, and SkewSharedUsedForTest —
+	// the charge in admitData, release (every dequeue and eviction),
+	// setPaused, and SkewSharedUsedForTest —
 	// TestVersionCoversEveryMMUWrite holds the list to the code.
 	version uint64
 }
@@ -404,10 +404,9 @@ var _ core.Evictor = (*Switch)(nil)
 
 // EvictLossyTail implements core.Evictor: pop packets off the TAIL of
 // lossy egress queue (port, prio) until at least want bytes are freed or
-// the queue empties, reversing the admission charges exactly (shared/
-// reserved split at the stamped ingress cell, egress counter, class pool,
-// congestion census, residency) and recording the bytes at the eviction
-// kill site of the conservation ledger. The tail packet is never the one
+// the queue empties, reversing each packet's admission charges through
+// release — the code a dequeue uses — and recording the bytes at the
+// eviction kill site of the conservation ledger. The tail packet is never the one
 // being serialized — the transmitter pops its packet before scheduling —
 // so eviction cannot corrupt an in-flight transmit.
 func (s *Switch) EvictLossyTail(port, prio int, want int64) int64 {
@@ -420,24 +419,13 @@ func (s *Switch) EvictLossyTail(port, prio int, want int64) int64 {
 		if q == nil {
 			break
 		}
-		size := int64(q.Size)
-		// Lossy packets never sit in headroom, so the reversal is always
-		// the shared/reserved split (the mirror of admitData's else-branch).
-		inCell := &s.mmu.ports[q.InPort].q[q.InPrio]
-		before := sharedPart(inCell.ing, s.cfg.ReservedPerQueue)
-		inCell.ing -= size
-		s.mmu.sharedUsed += sharedPart(inCell.ing, s.cfg.ReservedPerQueue) - before
-		s.bumpEgress(q.OutPort, q.InPrio, -size)
-		s.mmu.resident -= size
-		s.mmu.version++
 		s.stats.LossyEvictions++
 		s.stats.LossyEvictionBytes += uint64(q.Size)
 		if s.tracer != nil {
 			s.recordPacketEvent(trace.EvictLossy, port, prio, q)
 		}
-		s.policy.OnDequeue(s, q)
-		s.checkPFC(q.InPort, q.InPrio, false)
-		freed += size
+		s.release(q)
+		freed += int64(q.Size)
 		s.pool.Put(q) // sink: preempted by the policy
 	}
 	return freed
@@ -449,6 +437,15 @@ func (s *Switch) onDequeue(p *pkt.Packet) {
 	if p.Class == pkt.ClassControl || p.Kind == pkt.KindPFC {
 		return
 	}
+	s.stats.TxPackets++
+	s.release(p)
+}
+
+// release reverses p's admission charges — headroom or the shared/reserved
+// split at the stamped ingress cell, egress counter, class pool, congestion
+// census, residency — then tells the policy and re-checks PFC. A dequeue and
+// an eviction both leave the buffer through here.
+func (s *Switch) release(p *pkt.Packet) {
 	size := int64(p.Size)
 	in, prio := p.InPort, p.InPrio
 
@@ -468,7 +465,6 @@ func (s *Switch) onDequeue(p *pkt.Packet) {
 	s.bumpEgress(p.OutPort, p.InPrio, -size)
 	s.mmu.resident -= size
 	s.mmu.version++
-	s.stats.TxPackets++
 
 	s.policy.OnDequeue(s, p)
 	s.checkPFC(in, prio, false)

@@ -6,10 +6,28 @@
 package trace
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"l2bm/internal/sim"
 )
+
+// row is what merging needs of a channel's row type: its (time, switch)
+// sort key and a copy re-based by a time shift.
+type row[T any] interface {
+	stamp() (sim.Time, string)
+	shifted(sim.Time) T
+}
+
+func (s OccSample) stamp() (sim.Time, string)          { return s.At, s.Switch }
+func (s OccSample) shifted(d sim.Time) OccSample       { s.At += d; return s }
+func (e PFCEvent) stamp() (sim.Time, string)           { return e.At, e.Switch }
+func (e PFCEvent) shifted(d sim.Time) PFCEvent         { e.At += d; return e }
+func (s WeightSample) stamp() (sim.Time, string)       { return s.At, s.Switch }
+func (s WeightSample) shifted(d sim.Time) WeightSample { s.At += d; return s }
+func (e PacketEvent) stamp() (sim.Time, string)        { return e.At, e.Switch }
+func (e PacketEvent) shifted(d sim.Time) PacketEvent   { e.At += d; return e }
 
 // Merge combines the retained events of the given recorders into one new
 // recorder in canonical order: each channel is stably sorted by (time,
@@ -25,72 +43,41 @@ import (
 // evicted history; size capacities accordingly when byte-identical traces
 // matter.
 func Merge(recorders ...*Recorder) *Recorder {
-	var occ []OccSample
-	var pfc []PFCEvent
-	var weights []WeightSample
-	var pkts []PacketEvent
+	var n Stats
 	for _, r := range recorders {
-		if r == nil {
-			continue
-		}
-		occ = append(occ, r.OccSamples()...)
-		pfc = append(pfc, r.PFCEvents()...)
-		weights = append(weights, r.WeightSamples()...)
-		pkts = append(pkts, r.PacketEvents()...)
+		st := r.Stats()
+		n.OccSamples += st.OccSamples
+		n.PFCEvents += st.PFCEvents
+		n.WeightSamples += st.WeightSamples
+		n.PacketEvents += st.PacketEvents
 	}
-	sort.SliceStable(occ, func(i, j int) bool {
-		if occ[i].At != occ[j].At {
-			return occ[i].At < occ[j].At
-		}
-		return occ[i].Switch < occ[j].Switch
-	})
-	sort.SliceStable(pfc, func(i, j int) bool {
-		if pfc[i].At != pfc[j].At {
-			return pfc[i].At < pfc[j].At
-		}
-		return pfc[i].Switch < pfc[j].Switch
-	})
-	sort.SliceStable(weights, func(i, j int) bool {
-		if weights[i].At != weights[j].At {
-			return weights[i].At < weights[j].At
-		}
-		return weights[i].Switch < weights[j].Switch
-	})
-	sort.SliceStable(pkts, func(i, j int) bool {
-		if pkts[i].At != pkts[j].At {
-			return pkts[i].At < pkts[j].At
-		}
-		return pkts[i].Switch < pkts[j].Switch
-	})
-
-	maxLen := len(occ)
-	for _, n := range []int{len(pfc), len(weights), len(pkts)} {
-		if n > maxLen {
-			maxLen = n
-		}
-	}
-	if maxLen == 0 {
-		maxLen = 1
-	}
-	out := NewRecorder(maxLen)
-	for _, s := range occ {
-		out.RecordOcc(s)
-	}
-	for _, e := range pfc {
-		out.RecordPFC(e)
-	}
-	for _, s := range weights {
-		out.RecordWeight(s)
-	}
-	for _, e := range pkts {
-		out.RecordPacketEvent(e)
+	out := &Recorder{
+		occ:     newRing[OccSample](max(int(n.OccSamples), 1)),
+		pfc:     newRing[PFCEvent](max(int(n.PFCEvents), 1)),
+		weights: newRing[WeightSample](max(int(n.WeightSamples), 1)),
+		pkts:    newRing[PacketEvent](max(int(n.PacketEvents), 1)),
 	}
 	for _, r := range recorders {
-		if r != nil {
-			out.addEvictions(r)
-		}
+		out.Absorb(r, 0)
 	}
+	// Nothing was evicted, so every buffer is oldest-first from index 0.
+	sortRows(out.occ.buf)
+	sortRows(out.pfc.buf)
+	sortRows(out.weights.buf)
+	sortRows(out.pkts.buf)
 	return out
+}
+
+// sortRows stably sorts rows by (time, switch name).
+func sortRows[T row[T]](rows []T) {
+	slices.SortStableFunc(rows, func(a, b T) int {
+		at, as := a.stamp()
+		bt, bs := b.stamp()
+		if c := cmp.Compare(at, bt); c != 0 {
+			return c
+		}
+		return strings.Compare(as, bs)
+	})
 }
 
 // Absorb appends seg's retained rows to r with their timestamps shifted by
@@ -102,29 +89,17 @@ func (r *Recorder) Absorb(seg *Recorder, shift sim.Time) {
 	if r == nil || seg == nil {
 		return
 	}
-	for _, s := range seg.occ.slice() {
-		s.At += shift
-		r.occ.push(s)
-	}
-	for _, e := range seg.pfc.slice() {
-		e.At += shift
-		r.pfc.push(e)
-	}
-	for _, s := range seg.weights.slice() {
-		s.At += shift
-		r.weights.push(s)
-	}
-	for _, e := range seg.pkts.slice() {
-		e.At += shift
-		r.pkts.push(e)
-	}
-	r.addEvictions(seg)
+	absorb(&r.occ, &seg.occ, shift)
+	absorb(&r.pfc, &seg.pfc, shift)
+	absorb(&r.weights, &seg.weights, shift)
+	absorb(&r.pkts, &seg.pkts, shift)
 }
 
-// addEvictions counts what from's rings discarded as discarded by r too.
-func (r *Recorder) addEvictions(from *Recorder) {
-	r.occ.evicted += from.occ.evicted
-	r.pfc.evicted += from.pfc.evicted
-	r.weights.evicted += from.weights.evicted
-	r.pkts.evicted += from.pkts.evicted
+// absorb pushes src's retained rows, oldest first and shifted, onto dst and
+// counts src's evictions as dst's.
+func absorb[T row[T]](dst, src *ring[T], shift sim.Time) {
+	for _, v := range src.slice() {
+		dst.push(v.shifted(shift))
+	}
+	dst.evicted += src.evicted
 }

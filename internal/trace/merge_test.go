@@ -126,3 +126,87 @@ func TestAbsorbShiftsAndCarriesEvictions(t *testing.T) {
 		t.Errorf("stats after absorbing %+v, want the segment's 3 lost occupancy rows", st)
 	}
 }
+
+// fuzzSwitches name the fuzzed rows' switches so that index order and name
+// order disagree, which makes the merge's switch tie-break do real work.
+var fuzzSwitches = [4]string{"tor1", "agg0", "tor0", "core0"}
+
+// recordFuzzRow records one row on channel ch, its payload drawn from v so
+// that rows sharing a (time, switch) key stay distinguishable.
+func recordFuzzRow(r *Recorder, ch int, at sim.Time, sw string, v byte) {
+	switch ch {
+	case 0:
+		r.RecordOcc(OccSample{At: at, Switch: sw, Resident: int64(v)})
+	case 1:
+		r.RecordPFC(PFCEvent{At: at, Switch: sw, Port: int(v), Kind: PFCKind(v%5 + 1)})
+	case 2:
+		r.RecordWeight(WeightSample{At: at, Switch: sw, Weight: float64(v)})
+	default:
+		r.RecordPacketEvent(PacketEvent{At: at, Switch: sw, Size: int(v), Kind: ECNMark})
+	}
+}
+
+// shiftRows returns rows with every timestamp moved by d.
+func shiftRows[T row[T]](rows []T, d sim.Time) []T {
+	for i := range rows {
+		rows[i] = rows[i].shifted(d)
+	}
+	return rows
+}
+
+// FuzzTraceMerge decodes a byte string into a time-ordered row stream (two
+// bytes a row: channel, switch, whether the clock advances, payload — so
+// equal-time ties are frequent) and records it whole and, split by switch,
+// across 1–4 recorders the way a sharded run would. Merging the parts must
+// reproduce the whole's merge channel by channel with equal Stats, and a
+// recorder that absorbed the whole at a shift must merge to the whole's merge
+// with every row shifted.
+func FuzzTraceMerge(f *testing.F) {
+	f.Add(uint8(1), int32(0), []byte{0, 1, 4, 2, 8, 3, 12, 4})
+	f.Add(uint8(2), int32(100), []byte{16, 9, 1, 7, 5, 7, 0x21, 3, 2, 2, 6, 1, 10, 0, 14, 5})
+	f.Add(uint8(3), int32(-40), []byte{3, 1, 7, 2, 11, 3, 15, 4, 0x53, 5, 0, 6, 4, 6, 8, 6, 12, 6})
+	f.Add(uint8(4), int32(7), []byte{0xf0, 1, 0xe5, 2, 0x1a, 3, 0x3f, 4, 9, 5, 13, 6, 1, 7, 2, 8})
+	f.Fuzz(func(t *testing.T, k uint8, shift int32, in []byte) {
+		parts := make([]*Recorder, 1+int(k)%4)
+		for i := range parts {
+			parts[i] = NewRecorder(len(in))
+		}
+		whole := NewRecorder(len(in))
+		var at sim.Time
+		for i := 0; i+1 < len(in); i += 2 {
+			b := in[i]
+			if b&16 != 0 {
+				at += sim.Time(b>>5) + 1
+			}
+			sw := int(b>>2) & 3
+			recordFuzzRow(whole, int(b&3), at, fuzzSwitches[sw], in[i+1])
+			recordFuzzRow(parts[sw%len(parts)], int(b&3), at, fuzzSwitches[sw], in[i+1])
+		}
+
+		want := Merge(whole)
+		got := Merge(parts...)
+		if !reflect.DeepEqual(got.OccSamples(), want.OccSamples()) ||
+			!reflect.DeepEqual(got.PFCEvents(), want.PFCEvents()) ||
+			!reflect.DeepEqual(got.WeightSamples(), want.WeightSamples()) ||
+			!reflect.DeepEqual(got.PacketEvents(), want.PacketEvents()) {
+			t.Fatalf("merging %d parts differs from merging the whole", len(parts))
+		}
+		if got.Stats() != want.Stats() {
+			t.Fatalf("merged parts stats %+v, whole %+v", got.Stats(), want.Stats())
+		}
+
+		d := sim.Time(shift)
+		seg := NewRecorder(len(in))
+		seg.Absorb(whole, d)
+		moved := Merge(seg)
+		if !reflect.DeepEqual(moved.OccSamples(), shiftRows(want.OccSamples(), d)) ||
+			!reflect.DeepEqual(moved.PFCEvents(), shiftRows(want.PFCEvents(), d)) ||
+			!reflect.DeepEqual(moved.WeightSamples(), shiftRows(want.WeightSamples(), d)) ||
+			!reflect.DeepEqual(moved.PacketEvents(), shiftRows(want.PacketEvents(), d)) {
+			t.Fatalf("absorbing at shift %d then merging differs from the shifted merge", d)
+		}
+		if moved.Stats() != want.Stats() {
+			t.Fatalf("absorbed stats %+v, whole %+v", moved.Stats(), want.Stats())
+		}
+	})
+}

@@ -197,9 +197,6 @@ func NewRecorder(capacity int) *Recorder {
 	}
 }
 
-// Enabled reports whether the recorder is armed (non-nil).
-func (r *Recorder) Enabled() bool { return r != nil }
-
 // RecordOcc appends an occupancy sample.
 func (r *Recorder) RecordOcc(s OccSample) {
 	if r == nil {

@@ -37,6 +37,7 @@ func poissonCfg() PoissonConfig {
 		Class:      pkt.ClassLossy,
 		Window:     20 * sim.Millisecond,
 		StreamName: "test",
+		IDTag:      1,
 	}
 }
 
@@ -131,6 +132,7 @@ func TestPoissonValidation(t *testing.T) {
 		{"zero rate", func(c *PoissonConfig) { c.HostRate = 0 }},
 		{"no sizes", func(c *PoissonConfig) { c.Sizes = nil }},
 		{"zero window", func(c *PoissonConfig) { c.Window = 0 }},
+		{"zero IDTag", func(c *PoissonConfig) { c.IDTag = 0 }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -153,6 +155,7 @@ func incastCfg() IncastConfig {
 		Priority:     pkt.PrioLossless,
 		Class:        pkt.ClassLossless,
 		StreamName:   "incast-test",
+		IDTag:        2,
 	}
 }
 
@@ -273,6 +276,7 @@ func TestIncastValidation(t *testing.T) {
 		{"+Inf rate", func(c *IncastConfig) { c.QueryRate = math.Inf(1) }},
 		{"-Inf rate", func(c *IncastConfig) { c.QueryRate = math.Inf(-1) }},
 		{"zero window", func(c *IncastConfig) { c.Window = 0 }},
+		{"zero IDTag", func(c *IncastConfig) { c.IDTag = 0 }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -282,22 +286,6 @@ func TestIncastValidation(t *testing.T) {
 				t.Error("want error")
 			}
 		})
-	}
-}
-
-func TestIDSourceUniqueAndFresh(t *testing.T) {
-	ids := NewIDSource()
-	seen := make(map[pkt.FlowID]bool)
-	for i := 0; i < 1000; i++ {
-		id := ids.Next()
-		if seen[id] {
-			t.Fatal("duplicate flow ID")
-		}
-		seen[id] = true
-	}
-	// A fresh source restarts, making runs independent of process history.
-	if NewIDSource().Next() != 1 {
-		t.Error("fresh IDSource should start at 1")
 	}
 }
 
@@ -356,6 +344,7 @@ func TestIncastInstallMidRunGeneratesFullWindow(t *testing.T) {
 		Priority:     pkt.PrioLossless,
 		Class:        pkt.ClassLossless,
 		StreamName:   "incast-midrun",
+		IDTag:        2,
 	})
 	if err != nil {
 		t.Fatal(err)

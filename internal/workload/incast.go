@@ -34,13 +34,11 @@ type IncastConfig struct {
 	Observer FlowObserver
 	// StreamName salts the random streams.
 	StreamName string
-	// IDs allocates flow IDs; share one across a simulation's generators.
-	IDs *IDSource
-	// IDTag, when non-zero, switches to structured flow IDs:
-	// tag<<56 | queryID<<16 | fanout-index. Structured IDs are a pure
-	// function of the query sequence, so replicated generators running in
-	// lockstep on different shards mint identical IDs without a shared
-	// counter. IDs is ignored when IDTag is set.
+	// IDTag heads every flow ID this generator mints:
+	// tag<<56 | queryID<<16 | fanout-index. The ID is a pure function of
+	// the query sequence, so replicated generators running in lockstep on
+	// different shards mint identical IDs without a shared counter. The
+	// tag must be non-zero and unique per generator in a run.
 	IDTag byte
 	// LaunchFilter, when set, limits which responder flows this instance
 	// actually starts (Observer + StartFlow): only flows whose source host
@@ -49,7 +47,6 @@ type IncastConfig struct {
 	// replicated instances on different shards in lockstep: each shard
 	// launches only the responders it owns, while any one replica can still
 	// match every flow's completion to its query.
-	// LaunchFilter requires IDTag (replicas cannot share an IDSource).
 	LaunchFilter func(src int) bool
 }
 
@@ -66,6 +63,8 @@ func (c *IncastConfig) Validate() error {
 		return fmt.Errorf("workload: query rate %v must be finite and positive", c.QueryRate)
 	case c.Window <= 0:
 		return fmt.Errorf("workload: window must be positive")
+	case c.IDTag == 0:
+		return fmt.Errorf("workload: IDTag must be non-zero")
 	default:
 		return nil
 	}
@@ -114,20 +113,11 @@ func NewIncast(eng *sim.Engine, sink Sink, cfg IncastConfig) (*Incast, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.LaunchFilter != nil && cfg.IDTag == 0 {
-		return nil, fmt.Errorf("workload: incast LaunchFilter requires IDTag (structured IDs)")
-	}
-	if cfg.IDs == nil {
-		cfg.IDs = NewIDSource()
-	}
 	return &Incast{cfg: cfg, eng: eng, sink: sink, flowToQ: make(map[pkt.FlowID]*Query)}, nil
 }
 
 // flowID mints the ID of the launched-th responder flow of query q.
 func (g *Incast) flowID(q *Query, launched int) pkt.FlowID {
-	if g.cfg.IDTag == 0 {
-		return g.cfg.IDs.Next()
-	}
 	if q.ID >= 1<<40 || launched >= 1<<16 {
 		panic(fmt.Sprintf("workload: structured incast flow ID overflow (query=%d idx=%d)", q.ID, launched))
 	}
@@ -135,8 +125,7 @@ func (g *Incast) flowID(q *Query, launched int) pkt.FlowID {
 }
 
 // Install schedules the Poisson query stream. Queries are issued for
-// cfg.Window of simulated time from the moment Install is called (elapsed
-// window, not an absolute deadline — same fix as Poisson.Install).
+// cfg.Window of simulated time from the moment Install is called.
 func (g *Incast) Install() {
 	meanGap := sim.Duration(float64(sim.Second) / g.cfg.QueryRate)
 	arrivals := g.eng.Rand(g.cfg.StreamName + "/queries")

@@ -15,25 +15,9 @@ type Sink interface {
 }
 
 // FlowObserver is notified as each flow is created, before it starts —
-// the hook the metrics layer uses to record start times and ideal FCTs.
+// the hook the metrics layer uses to record start times and ideal
+// completion times.
 type FlowObserver func(f *transport.Flow)
-
-// IDSource hands out run-unique flow IDs. All generators feeding one
-// simulation must share one IDSource; keeping it per-run (rather than a
-// process global) makes flow IDs — and therefore ECMP path choices —
-// reproducible regardless of what else ran in the process.
-type IDSource struct {
-	next uint64
-}
-
-// NewIDSource returns a fresh allocator starting at 1.
-func NewIDSource() *IDSource { return &IDSource{} }
-
-// Next returns a fresh flow ID.
-func (s *IDSource) Next() pkt.FlowID {
-	s.next++
-	return pkt.FlowID(s.next)
-}
 
 // PoissonConfig describes one all-to-all Poisson traffic class (the paper's
 // web-search workload): every host in Sources independently generates flows
@@ -65,17 +49,14 @@ type PoissonConfig struct {
 	// StreamName salts this generator's random streams, letting several
 	// generators coexist independently.
 	StreamName string
-	// IDs allocates flow IDs; generators sharing a simulation must share
-	// one. A private allocator is used when nil.
-	IDs *IDSource
-	// IDTag, when non-zero, switches the generator to structured flow IDs:
-	// tag<<56 | src<<32 | per-source-sequence. Structured IDs depend only
-	// on (tag, source host, how-manyth flow of that source) — never on how
+	// IDTag heads every flow ID this generator mints:
+	// tag<<56 | src<<32 | per-source-sequence. The ID depends only on
+	// (tag, source host, how-manyth flow of that source) — never on how
 	// launches from different sources interleave globally — which is what
 	// lets a sharded run, where each shard drives only its own sources,
-	// mint exactly the IDs the sequential run mints. Tags must be unique
-	// per generator in a run (flow IDs seed ECMP hashing, so collisions
-	// would alias paths); IDs is ignored when IDTag is set.
+	// mint exactly the IDs the sequential run mints. The tag must be
+	// non-zero and unique per generator in a run (flow IDs seed ECMP
+	// hashing, so collisions would alias paths).
 	IDTag byte
 }
 
@@ -94,6 +75,8 @@ func (c *PoissonConfig) Validate() error {
 		return fmt.Errorf("workload: no size distribution")
 	case c.Window <= 0:
 		return fmt.Errorf("workload: window must be positive")
+	case c.IDTag == 0:
+		return fmt.Errorf("workload: IDTag must be non-zero")
 	default:
 		return nil
 	}
@@ -105,7 +88,7 @@ type Poisson struct {
 	eng  *sim.Engine
 	sink Sink
 
-	// seqBySrc numbers each source's flows for structured IDs (IDTag != 0).
+	// seqBySrc numbers each source's flows for their IDs.
 	seqBySrc map[int]uint64
 
 	// Generated counts flows started.
@@ -119,18 +102,11 @@ func NewPoisson(eng *sim.Engine, sink Sink, cfg PoissonConfig) (*Poisson, error)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.IDs == nil {
-		cfg.IDs = NewIDSource()
-	}
 	return &Poisson{cfg: cfg, eng: eng, sink: sink, seqBySrc: make(map[int]uint64)}, nil
 }
 
-// nextID mints the next flow ID for src: structured when IDTag is set,
-// from the shared sequential allocator otherwise.
+// nextID mints the next flow ID for src.
 func (g *Poisson) nextID(src int) pkt.FlowID {
-	if g.cfg.IDTag == 0 {
-		return g.cfg.IDs.Next()
-	}
 	g.seqBySrc[src]++
 	seq := g.seqBySrc[src]
 	if src < 0 || src >= 1<<24 || seq >= 1<<32 {
@@ -143,9 +119,7 @@ func (g *Poisson) nextID(src int) pkt.FlowID {
 // inter-arrival gap per host is meanSize·8 / (Load·HostRate). Traffic is
 // generated for cfg.Window of simulated time *from the moment Install is
 // called*, so a generator installed mid-run (warm-up phases, staged
-// scenarios) still offers its full window. (The guard used to compare
-// Now() against Window as an absolute deadline, silently truncating — or
-// entirely skipping — late-installed generators.)
+// scenarios) still offers its full window.
 func (g *Poisson) Install() {
 	meanGap := sim.Duration(g.cfg.Sizes.Mean() * 8 / (g.cfg.Load * float64(g.cfg.HostRate)) * float64(sim.Second))
 	if meanGap < 1 {

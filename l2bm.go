@@ -204,12 +204,6 @@ type PoissonConfig = workload.PoissonConfig
 // IncastConfig describes the fan-in query workload.
 type IncastConfig = workload.IncastConfig
 
-// IDSource allocates run-unique flow IDs.
-type IDSource = workload.IDSource
-
-// NewIDSource returns a fresh flow-ID allocator.
-func NewIDSource() *IDSource { return workload.NewIDSource() }
-
 // NewPoisson builds a Poisson generator feeding sink (a Cluster works).
 func NewPoisson(eng *Engine, sink workload.Sink, cfg PoissonConfig) (*workload.Poisson, error) {
 	return workload.NewPoisson(eng, sink, cfg)

@@ -102,10 +102,6 @@ func TestPublicWorkloadHelpers(t *testing.T) {
 	if cdf.Mean() <= 0 {
 		t.Error("CDF mean must be positive")
 	}
-	ids := l2bm.NewIDSource()
-	if ids.Next() == ids.Next() {
-		t.Error("IDSource repeated an ID")
-	}
 	if l2bm.Percentile([]float64{1, 2, 3}, 50) != 2 {
 		t.Error("Percentile facade wrong")
 	}
