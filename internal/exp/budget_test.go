@@ -34,7 +34,7 @@ func TestPointAllocBudget(t *testing.T) {
 	}{
 		{"fig7-L2BM", with(fig7, func(s *HybridSpec) { s.Policy = "L2BM" }), 6188, 1_088_000},
 		{"fig7-DT", with(fig7, func(s *HybridSpec) { s.Policy = "DT" }), 6121, 1_089_000},
-		{"fig7-L2BM-shards2", with(fig7, func(s *HybridSpec) { s.Policy, s.Shards = "L2BM", 2 }), 6771, 1_175_000},
+		{"fig7-L2BM-shards2", with(fig7, func(s *HybridSpec) { s.Policy, s.Shards = "L2BM", 2 }), 6397, 1_110_000},
 		{"arena-Occamy-burst", with(fig7, func(s *HybridSpec) {
 			s.Name, s.Policy, s.Incast, s.Audit = "arena", "Occamy", incastSpecFor(5), &AuditSpec{}
 		}), 5561, 1_013_000},

@@ -129,3 +129,35 @@ func TestPooledRunAuditBalances(t *testing.T) {
 		t.Errorf("MMU audit errors alongside pool audit: %v", res.AuditErrors)
 	}
 }
+
+// TestShardedPoolsAllocateLikeOneEngine: splitting a run across shards must
+// not make its packet pools allocate for the traffic that crossed a shard
+// boundary. A frame dies in the pool of the shard it was delivered to, so
+// without the lanes handing spares back a sender allocates afresh for every
+// frame it ever sent across; with them the fleet's fresh allocations follow
+// what is in flight, as one engine's do. The counts are exact, so the bound
+// does not depend on timing.
+func TestShardedPoolsAllocateLikeOneEngine(t *testing.T) {
+	news := func(shards int) uint64 {
+		spec := HybridSpec{Name: "b", Policy: "L2BM", Scale: ScaleTiny, RDMALoad: 0.4, TCPLoad: 0.8,
+			Incast: &IncastSpec{Fanout: 16, RequestBytes: 1 << 20, QueryRate: 3000}, Shards: shards}
+		var cl *topo.Cluster
+		spec.Hooks = &RunHooks{PostBuild: func(c *topo.Cluster) { cl = c }}
+		if _, err := RunHybrid(spec); err != nil {
+			t.Fatal(err)
+		}
+		if len(cl.Pools) != shards {
+			t.Fatalf("Shards %d built %d pools", shards, len(cl.Pools))
+		}
+		var sum uint64
+		for _, pl := range cl.Pools {
+			sum += pl.Stats().News
+		}
+		return sum
+	}
+	one, two := news(1), news(2)
+	t.Logf("fresh packets: %d on one engine, %d over two shards (%.3fx)", one, two, float64(two)/float64(one))
+	if two*100 > one*105 {
+		t.Errorf("two shards allocated %d fresh packets, one engine %d: want at most 1.05x", two, one)
+	}
+}

@@ -41,6 +41,14 @@ type Xmsg struct {
 //     side[cur^1] — on its own thread, so its event queue is only ever
 //     written from the core that runs it.
 //
+// Packets flow back the other way. A frame dies in the pool of the shard it
+// was delivered to, so a one-way stream would strand every packet it sent
+// in the receiver's free list while the sender allocated fresh ones. Deliver
+// therefore lends up to one free packet from the receiving pool per frame it
+// delivers into the side it drained, and the sender adopts them into its own
+// pool the next time it writes that side. Each pool then holds about what
+// its own shard has in flight, not what crossed out of it.
+//
 // The barrier's happens-before edges publish each hand-over; no locking is
 // needed. The sides are padded apart so the two shards' concurrent writes
 // never share a cache line.
@@ -52,14 +60,19 @@ type Lane struct {
 
 type laneSide struct {
 	msgs  []Xmsg
-	first sim.Time // earliest At in msgs (valid when msgs is non-empty)
-	_     [32]byte
+	first sim.Time      // earliest At in msgs (valid when msgs is non-empty)
+	back  []*pkt.Packet // free packets the receiving pool lent the sender
+	_     [8]byte
 }
 
 // add enqueues one frame bound for dst; called by the transmitting port's
-// finishTransmit on the sending shard's goroutine.
-func (l *Lane) add(at sim.Time, key uint64, q *pkt.Packet, dst *Port) {
+// finishTransmit on the sending shard's goroutine, with that shard's pool,
+// which first adopts whatever the receiver lent back on this side.
+func (l *Lane) add(at sim.Time, key uint64, q *pkt.Packet, dst *Port, pool *pkt.Pool) {
 	s := &l.side[l.cur]
+	if len(s.back) > 0 {
+		s.back = pool.Adopt(s.back)
+	}
 	if len(s.msgs) == 0 || at < s.first {
 		s.first = at
 	}
@@ -77,7 +90,8 @@ func (l *Lane) Seal() (first sim.Time, ok bool) {
 
 // Deliver imports every sealed frame into its receiving port's pool and
 // schedules its arrival on the receiving engine under its wiring-derived
-// key, then empties the side. It returns the number of frames delivered.
+// key, then empties the side and lends the sender up to one free packet of
+// that pool per frame. It returns the number of frames delivered.
 // The receiving engine must not be running on another thread, and every
 // arrival time is still in its future (guaranteed by the lookahead bound).
 // Order across frames and lanes is immaterial: the (timestamp, key) total
@@ -85,6 +99,10 @@ func (l *Lane) Seal() (first sim.Time, ok bool) {
 func (l *Lane) Deliver() int {
 	s := &l.side[l.cur^1]
 	n := len(s.msgs)
+	if n == 0 {
+		return 0
+	}
+	pool := s.msgs[0].dst.pool // every port a lane reaches is on one shard
 	for i := range s.msgs {
 		m := &s.msgs[i]
 		m.dst.pool.Import(m.Pkt)
@@ -92,5 +110,6 @@ func (l *Lane) Deliver() int {
 		*m = Xmsg{} // drop the references; the event record owns the frame now
 	}
 	s.msgs = s.msgs[:0]
+	s.back = pool.Lend(s.back, n)
 	return n
 }

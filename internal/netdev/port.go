@@ -556,7 +556,7 @@ func (p *Port) finishTransmit(q *pkt.Packet) {
 		}
 		p.txSeq++
 		p.pool.Export(q) // ownership moves to the lane, then the peer's pool
-		p.lane.add(p.eng.Now()+p.class.Prop, sim.ArrivalKeyBit|p.key<<43|p.txSeq, q, p.peer)
+		p.lane.add(p.eng.Now()+p.class.Prop, sim.ArrivalKeyBit|p.key<<43|p.txSeq, q, p.peer, p.pool)
 	case p.key != 0:
 		p.txSeq++
 		p.eng.ScheduleLineKeyed(p.lineProp, p.peer.onArrive, q, sim.ArrivalKeyBit|p.key<<43|p.txSeq)

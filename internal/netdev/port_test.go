@@ -506,3 +506,93 @@ func TestPortFootprint(t *testing.T) {
 		t.Fatalf("after XOFF: pause=%v queues=%d", p.pause, len(p.queues))
 	}
 }
+
+// sinkNode kills every frame it receives into its shard's pool.
+type sinkNode struct {
+	name string
+	pool *pkt.Pool
+	got  int
+}
+
+func (s *sinkNode) HandleArrival(p *pkt.Packet, _ *Port) { s.got++; s.pool.Put(p) }
+func (s *sinkNode) Name() string                         { return s.name }
+
+// TestLaneReturnsSpares drives one shard-crossing cable through the
+// conductor's barrier protocol by hand: each epoch the sender transmits m
+// frames into its lane (add), the barrier Seals the lane, and at the start
+// of the next epoch the receiver Delivers them and kills them into its own
+// pool. Without the exchange every frame strands a packet on the far side
+// and the sender allocates K·m; with it the sender allocates for the first
+// four epochs only (the first delivery on each side of the lane finds the
+// receiver with nothing free to lend, and a sender takes its frames from its
+// pool before the transmission that adopts the loan, so the fourth epoch
+// allocates too) and then lives on what comes back.
+// Only free packets move, so every other counter, and Live on both pools
+// after every epoch, reads the same either way.
+func TestLaneReturnsSpares(t *testing.T) {
+	if size := unsafe.Sizeof(laneSide{}); size != 64 {
+		t.Errorf("laneSide is %d bytes, want one 64-byte cache line per side", size)
+	}
+	const K, m, warmup = 20, 8, 4
+	type epoch struct{ txLive, rxLive int64 }
+	run := func(t *testing.T, newPool func() *pkt.Pool, exchange bool) (tx, rx pkt.PoolStats, live []epoch, warmNews uint64) {
+		engA, engB := sim.NewEngine(1), sim.NewEngine(1)
+		txPool, rxPool := newPool(), newPool()
+		a := &captureNode{name: "a", eng: engA}
+		b := &sinkNode{name: "b", pool: rxPool}
+		ab, ba := new(Lane), new(Lane)
+		pa, pb := ConnectClass(engA, engB, a, b, &LinkClass{Rate: 100e9, Prop: sim.Microsecond}, ab, ba)
+		pa.SetArrivalKey(1)
+		pb.SetArrivalKey(2)
+		pa.SetPool(txPool)
+		pb.SetPool(rxPool)
+		for k := 0; k < K; k++ {
+			bound := sim.Time(k+1) * sim.Microsecond // epoch length = the cable's delay
+			ab.Deliver()                             // the receiver's epoch starts with last epoch's frames
+			if !exchange {
+				s := &ab.side[ab.cur^1]
+				s.back = rxPool.Adopt(s.back) // hand the loan straight back: the old behaviour
+			}
+			engB.Run(bound)
+			for i := 0; i < m; i++ {
+				pa.Enqueue(txPool.Data(1, 0, 1, pkt.PrioLossy, pkt.ClassLossy, int64(i), 100))
+			}
+			engA.Run(bound)
+			ab.Seal()
+			ba.Seal()
+			live = append(live, epoch{txPool.Live(), rxPool.Live()})
+			if k == warmup-1 {
+				warmNews = txPool.Stats().News
+			}
+		}
+		if b.got != (K-1)*m {
+			t.Fatalf("receiver killed %d frames, want %d", b.got, (K-1)*m)
+		}
+		if leaked := append(txPool.Leaked(), rxPool.Leaked()...); len(leaked) != 0 {
+			t.Fatalf("debug pools report %d leaked packets: %v", len(leaked), leaked)
+		}
+		return txPool.Stats(), rxPool.Stats(), live, warmNews
+	}
+	for name, newPool := range map[string]func() *pkt.Pool{"production": pkt.NewPool, "debug": pkt.NewDebugPool} {
+		t.Run(name, func(t *testing.T) {
+			tx, rx, live, warmNews := run(t, newPool, true)
+			oldTx, oldRx, oldLive, _ := run(t, newPool, false)
+			if oldTx.News != K*m {
+				t.Fatalf("without the exchange the sender allocated %d, want K·m = %d", oldTx.News, K*m)
+			}
+			if tx.News != warmNews || tx.News > warmup*m {
+				t.Errorf("sender allocated %d packets over %d epochs of %d frames (%d after %d epochs), want at most %d, all in the warm-up",
+					tx.News, K, m, warmNews, warmup, warmup*m)
+			}
+			tx.News, oldTx.News = 0, 0
+			if tx != oldTx || rx != oldRx {
+				t.Errorf("the exchange moved a counter besides News:\n tx %+v vs %+v\n rx %+v vs %+v", tx, oldTx, rx, oldRx)
+			}
+			for k := range live {
+				if live[k] != oldLive[k] {
+					t.Fatalf("epoch %d: Live (tx, rx) = %v with the exchange, %v without", k, live[k], oldLive[k])
+				}
+			}
+		})
+	}
+}

@@ -125,6 +125,32 @@ func (pl *Pool) Import(p *Packet) {
 	}
 }
 
+// Lend moves up to n packets off the free list onto dst and returns it,
+// for the cross-shard lane to hand to the pool whose frames this one has
+// been importing. Only free packets move, so no counter changes: a packet
+// is lent as it lies, zeroed and (in debug mode) poisoned. A nil pool
+// lends nothing.
+func (pl *Pool) Lend(dst []*Packet, n int) []*Packet {
+	if pl == nil || n <= 0 {
+		return dst
+	}
+	k := len(pl.free) - min(n, len(pl.free))
+	dst = append(dst, pl.free[k:]...)
+	clear(pl.free[k:])
+	pl.free = pl.free[:k]
+	return dst
+}
+
+// Adopt appends packets another pool Lent to the free list and empties
+// the slice it was given, keeping its capacity. A nil pool drops them.
+func (pl *Pool) Adopt(src []*Packet) []*Packet {
+	if pl != nil {
+		pl.free = append(pl.free, src...)
+	}
+	clear(src)
+	return src[:0]
+}
+
 // Leaked returns the outstanding packets in debug mode (order unspecified),
 // or nil for a production or nil pool. Useful in test failure messages: the
 // packets' fields identify the leaking flow.

@@ -146,3 +146,48 @@ func TestPooledConstructorsMatchPlain(t *testing.T) {
 		}
 	}
 }
+
+// TestPoolLendAdopt: Lend and Adopt move free packets between pools and
+// nothing else — no counter moves, a lent packet keeps its debug poison
+// until the adopting pool hands it out, and a nil pool lends nothing and
+// drops what it is given.
+func TestPoolLendAdopt(t *testing.T) {
+	from, to := NewDebugPool(), NewDebugPool()
+	a, b, c := from.Get(), from.Get(), from.Get()
+	from.Put(a)
+	from.Put(b)
+	from.Put(c)
+	fromStats, toStats := from.Stats(), to.Stats()
+
+	loan := from.Lend(nil, 2)
+	if len(loan) != 2 || loan[0] != b || loan[1] != c || loan[0].Kind != KindFreed {
+		t.Fatalf("Lend(2) = %v, want the two most recently freed, still poisoned", loan)
+	}
+	if more := from.Lend(loan, 5); len(more) != 3 || more[2] != a {
+		t.Fatalf("Lend past the free list = %d packets, want the 3 there were", len(more))
+	} else {
+		loan = more
+	}
+	if rest := to.Adopt(loan); len(rest) != 0 || cap(rest) != cap(loan) || loan[0] != nil {
+		t.Fatalf("Adopt left %d packets in the loan (cap %d), first %v", len(rest), cap(rest), loan[0])
+	}
+	if from.Stats() != fromStats || to.Stats() != toStats || from.Live() != 0 || to.Live() != 0 {
+		t.Fatalf("lending moved a counter: %+v / %+v", from.Stats(), to.Stats())
+	}
+	for range 3 {
+		if p := to.Get(); p != a && p != b && p != c || p.Kind != 0 {
+			t.Fatalf("adopting pool handed out %v, want a clean lent packet", p)
+		}
+	}
+	if st := to.Stats(); st.News != 0 || len(from.free) != 0 {
+		t.Fatalf("adopting pool allocated %d, lender kept %d free", st.News, len(from.free))
+	}
+
+	var nilPool *Pool
+	if got := nilPool.Lend(nil, 4); got != nil {
+		t.Fatalf("nil pool lent %v", got)
+	}
+	if got := nilPool.Adopt([]*Packet{{}}); len(got) != 0 {
+		t.Fatalf("nil pool kept %d of what it adopted", len(got))
+	}
+}

@@ -28,11 +28,9 @@ func (s *Switch) CheckInvariants() error {
 	var congested [pkt.NumPriorities]int
 
 	for port := range s.ports {
-		pm := &s.mmu.ports[port]
 		for prio := 0; prio < pkt.NumPriorities; prio++ {
-			ing := pm.q[prio].ing
-			eg := pm.q[prio].eg
-			hr := pm.q[prio].hr
+			c := s.mmu.at(port, prio)
+			ing, eg, hr := c.ing, c.eg, c.hr
 			if ing < 0 || eg < 0 || hr < 0 {
 				return fmt.Errorf("switch %s: negative counter at (%d,%d): ing=%d eg=%d hr=%d",
 					s.name, port, prio, ing, eg, hr)
@@ -49,7 +47,7 @@ func (s *Switch) CheckInvariants() error {
 			if eg > s.cfg.CongestionMark {
 				congested[prio]++
 			}
-			if pm.pausedOn(prio) && core.ClassOfPriority(prio) != pkt.ClassLossless {
+			if s.mmu.pausedOn(port, prio) && core.ClassOfPriority(prio) != pkt.ClassLossless {
 				return fmt.Errorf("switch %s: non-lossless queue (%d,%d) is PFC-paused",
 					s.name, port, prio)
 			}
@@ -129,18 +127,18 @@ func (s *Switch) CheckDrained() error {
 		}
 	}
 	for port := range s.ports {
-		pm := &s.mmu.ports[port]
 		for prio := 0; prio < pkt.NumPriorities; prio++ {
-			if v := pm.q[prio].ing; v != 0 {
+			c := s.mmu.at(port, prio)
+			if v := c.ing; v != 0 {
 				return fmt.Errorf("switch %s: ingress (%d,%d)=%d after drain, want 0", s.name, port, prio, v)
 			}
-			if v := pm.q[prio].eg; v != 0 {
+			if v := c.eg; v != 0 {
 				return fmt.Errorf("switch %s: egress (%d,%d)=%d after drain, want 0", s.name, port, prio, v)
 			}
-			if v := pm.q[prio].hr; v != 0 {
+			if v := c.hr; v != 0 {
 				return fmt.Errorf("switch %s: headroom (%d,%d)=%d after drain, want 0", s.name, port, prio, v)
 			}
-			if pm.pausedOn(prio) {
+			if s.mmu.pausedOn(port, prio) {
 				return fmt.Errorf("switch %s: ingress (%d,%d) still PFC-paused after drain", s.name, port, prio)
 			}
 		}

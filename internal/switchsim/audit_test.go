@@ -80,11 +80,11 @@ func TestInvariantsDetectCorruption(t *testing.T) {
 	}
 	r.sw.mmu.congested[pkt.PrioLossy]--
 
-	r.sw.mmu.ports[0].setPaused(pkt.PrioLossy, true)
+	r.sw.mmu.setPaused(0, pkt.PrioLossy, true)
 	if err := r.sw.CheckInvariants(); err == nil {
 		t.Error("auditor missed lossy pause state")
 	}
-	r.sw.mmu.ports[0].setPaused(pkt.PrioLossy, false)
+	r.sw.mmu.setPaused(0, pkt.PrioLossy, false)
 
 	if err := r.sw.CheckInvariants(); err != nil {
 		t.Errorf("restored switch still flagged: %v", err)
@@ -105,8 +105,8 @@ func TestCheckDrainedDetectsLeaks(t *testing.T) {
 
 	// A balanced leak: bump both sides of the accounting so CheckInvariants
 	// passes but bytes are still "resident" after drain.
-	r.sw.mmu.ports[0].q[pkt.PrioLossy].ing += pkt.MTUBytes
-	r.sw.mmu.ports[2].q[pkt.PrioLossy].eg += pkt.MTUBytes
+	r.sw.mmu.cell(0, pkt.PrioLossy).ing += pkt.MTUBytes
+	r.sw.mmu.cell(2, pkt.PrioLossy).eg += pkt.MTUBytes
 	r.sw.mmu.poolUsed[pkt.ClassLossy] += pkt.MTUBytes
 	r.sw.mmu.resident += pkt.MTUBytes
 	if err := r.sw.CheckInvariants(); err != nil {
@@ -115,20 +115,20 @@ func TestCheckDrainedDetectsLeaks(t *testing.T) {
 	if err := r.sw.CheckDrained(); err == nil {
 		t.Error("drained auditor missed a balanced byte leak")
 	}
-	r.sw.mmu.ports[0].q[pkt.PrioLossy].ing -= pkt.MTUBytes
-	r.sw.mmu.ports[2].q[pkt.PrioLossy].eg -= pkt.MTUBytes
+	r.sw.mmu.cell(0, pkt.PrioLossy).ing -= pkt.MTUBytes
+	r.sw.mmu.cell(2, pkt.PrioLossy).eg -= pkt.MTUBytes
 	r.sw.mmu.poolUsed[pkt.ClassLossy] -= pkt.MTUBytes
 	r.sw.mmu.resident -= pkt.MTUBytes
 
 	// A wedged pause: lossless so the invariant check stays quiet.
-	r.sw.mmu.ports[0].setPaused(pkt.PrioLossless, true)
+	r.sw.mmu.setPaused(0, pkt.PrioLossless, true)
 	if err := r.sw.CheckInvariants(); err != nil {
 		t.Fatalf("lossless pause should pass the invariant check, got: %v", err)
 	}
 	if err := r.sw.CheckDrained(); err == nil {
 		t.Error("drained auditor missed a wedged PFC pause")
 	}
-	r.sw.mmu.ports[0].setPaused(pkt.PrioLossless, false)
+	r.sw.mmu.setPaused(0, pkt.PrioLossless, false)
 
 	if err := r.sw.CheckDrained(); err != nil {
 		t.Errorf("restored switch still flagged: %v", err)
@@ -143,14 +143,14 @@ func (m *mmuState) digest() uint64 {
 		binary.LittleEndian.PutUint64(b[:], uint64(v))
 		_, _ = h.Write(b[:])
 	}
-	for i := range m.ports {
-		pm := &m.ports[i]
+	for port, paused := range m.paused {
 		for prio := 0; prio < pkt.NumPriorities; prio++ {
-			word(pm.q[prio].ing)
-			word(pm.q[prio].eg)
-			word(pm.q[prio].hr)
+			c := m.at(port, prio)
+			word(c.ing)
+			word(c.eg)
+			word(c.hr)
 		}
-		word(int64(pm.paused))
+		word(int64(paused))
 	}
 	word(m.sharedUsed)
 	word(m.resident)
@@ -278,8 +278,8 @@ func TestVersionCoversPauseAsOnlyWrite(t *testing.T) {
 	// Eight lossless packets sit under the threshold of an empty switch ...
 	r.send(0, 4, 8, pkt.PrioLossless, pkt.ClassLossless)
 	r.eng.RunAll()
-	in := &r.sw.mmu.ports[0]
-	if in.pausedOn(pkt.PrioLossless) || r.sw.Stats().LosslessViolations != 0 {
+	paused := func() bool { return r.sw.mmu.pausedOn(0, pkt.PrioLossless) }
+	if paused() || r.sw.Stats().LosslessViolations != 0 {
 		t.Fatal("set-up: the lossless queue should be admitted whole and unpaused")
 	}
 	// ... until lossy traffic from three other ports eats the shared pool.
@@ -288,15 +288,15 @@ func TestVersionCoversPauseAsOnlyWrite(t *testing.T) {
 	}
 	r.eng.RunAll()
 	th := cfg.ReservedPerQueue + pol.IngressThreshold(r.sw, 0, pkt.PrioLossless)
-	if in.pausedOn(pkt.PrioLossless) || in.q[pkt.PrioLossless].ing < th {
+	if paused() || r.sw.mmu.at(0, pkt.PrioLossless).ing < th {
 		t.Fatalf("set-up: want an unpaused queue over its threshold, have occupancy %d, threshold %d, paused %v",
-			in.q[pkt.PrioLossless].ing, th, in.pausedOn(pkt.PrioLossless))
+			r.sw.mmu.at(0, pkt.PrioLossless).ing, th, paused())
 	}
 
-	before, occupancy := w.digest, in.q[pkt.PrioLossless].ing
+	before, occupancy := w.digest, r.sw.mmu.at(0, pkt.PrioLossless).ing
 	r.send(0, 4, 1, pkt.PrioLossless, pkt.ClassLossless)
 	r.eng.RunAll() // the watch checks after every event
-	if !in.pausedOn(pkt.PrioLossless) || r.sw.Stats().LosslessViolations != 1 || in.q[pkt.PrioLossless].ing != occupancy {
+	if !paused() || r.sw.Stats().LosslessViolations != 1 || r.sw.mmu.at(0, pkt.PrioLossless).ing != occupancy {
 		t.Fatal("the arrival should have been discarded uncharged and have paused the queue")
 	}
 	if w.digest == before {

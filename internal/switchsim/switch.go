@@ -46,6 +46,10 @@ type Switch struct {
 	// behaviour.
 	pool *pkt.Pool
 
+	// dequeue is onDequeue bound once: every port shares it, where a
+	// method value taken per port would allocate a closure each.
+	dequeue func(*pkt.Packet)
+
 	// tracer, when non-nil, receives flight-recorder events from the
 	// admission/dequeue/PFC paths. The hot-path cost when disabled is a
 	// single branch-on-nil per probe site (BenchmarkAdmitTraceOff), and the
@@ -55,20 +59,10 @@ type Switch struct {
 
 var _ netdev.Node = (*Switch)(nil)
 
-// portMMU packs every per-(port,priority) counter into one contiguous
-// record, interleaved by priority: everything one side of an admission
-// touches for a (port, priority) — occupancy, headroom and the pause
-// re-issue clock on the ingress side, the egress counter on the other — is
-// one 32-byte cell, so each side costs one cache line plus the paused byte
-// instead of a line per counter array.
-type portMMU struct {
-	q [pkt.NumPriorities]mmuCell
-	// paused is a per-priority bitmask of ingress queues we have XOFF'd
-	// upstream (bit i = priority i; NumPriorities <= 8 fits a byte).
-	paused uint8
-}
-
-// mmuCell is the MMU state of one (port, priority).
+// mmuCell is the MMU state of one (port, priority): everything one side of
+// an admission touches — occupancy, headroom and the pause re-issue clock on
+// the ingress side, the egress counter on the other — in one 32-byte cell,
+// so each side costs one cache line.
 type mmuCell struct {
 	// ing and eg are the ingress- and egress-pool counters Q_in and Q_out
 	// (bytes, normal path: reserved then shared).
@@ -80,22 +74,22 @@ type mmuCell struct {
 	pauseSentAt sim.Time
 }
 
-func (pm *portMMU) pausedOn(prio int) bool { return pm.paused&(1<<uint(prio)) != 0 }
-
-func (pm *portMMU) setPaused(prio int, on bool) {
-	if on {
-		pm.paused |= 1 << uint(prio)
-	} else {
-		pm.paused &^= 1 << uint(prio)
-	}
-}
-
-// mmuState holds the virtual counters of the ingress and egress pools,
-// indexed [port][priority] (the slice grows as ports are added — the
+// mmuState holds the virtual counters of the ingress and egress pools (the
 // admission path is the simulator's hottest loop, so no maps here).
 type mmuState struct {
-	// ports is the per-port counter table.
-	ports []portMMU
+	// slot maps a priority to 1 + its cell's index within a port's row, or 0
+	// while the switch has admitted no frame of it. A fabric provisions
+	// eight priorities and charges two, so cells come with the first
+	// admission of a priority, for every port at once, and a never-admitted
+	// priority reads as zero without owning a cell.
+	slot [pkt.NumPriorities]uint8
+	// width is the number of priorities with a slot: the row length.
+	width int
+	// cells holds one row of width cells per port, in slot order.
+	cells []mmuCell
+	// paused is, per port, a bitmask of the ingress queues we have XOFF'd
+	// upstream (bit i = priority i; NumPriorities <= 8 fits a byte).
+	paused []uint8
 	// sharedUsed is Q(t): bytes charged to the shared service pool
 	// (ingress-side accounting beyond each queue's reserve).
 	sharedUsed int64
@@ -113,20 +107,58 @@ type mmuState struct {
 	// moves (audit.Auditor does exactly that). Every write site bumps it:
 	// the charge in admitData, release (every dequeue and eviction),
 	// setPaused, and SkewSharedUsedForTest —
-	// TestVersionCoversEveryMMUWrite holds the list to the code.
+	// TestVersionCoversEveryMMUWrite holds the list to the code. Giving a
+	// priority its cells writes only zeros, so it moves nothing.
 	version uint64
 }
 
+// cell returns the writable cell of (port, prio), giving prio its cells on
+// every port first if the switch has not admitted it before.
+func (m *mmuState) cell(port, prio int) *mmuCell {
+	if m.slot[prio] == 0 {
+		m.addSlot(prio)
+	}
+	return &m.cells[port*m.width+int(m.slot[prio])-1]
+}
+
+// at reads the cell of (port, prio); a priority never admitted reads as a
+// zero cell and allocates nothing.
+func (m *mmuState) at(port, prio int) mmuCell {
+	s := m.slot[prio]
+	if s == 0 {
+		return mmuCell{}
+	}
+	return m.cells[port*m.width+int(s)-1]
+}
+
+// addSlot widens every port's row by one cell for prio.
+func (m *mmuState) addSlot(prio int) {
+	old, w := m.cells, m.width
+	m.width++
+	m.cells = make([]mmuCell, len(m.paused)*m.width)
+	for port := range m.paused {
+		copy(m.cells[port*m.width:], old[port*w:(port+1)*w])
+	}
+	m.slot[prio] = uint8(m.width)
+}
+
+func (m *mmuState) pausedOn(port, prio int) bool { return m.paused[port]&(1<<uint(prio)) != 0 }
+
 // setPaused flips the PFC-pause bit of ingress queue (port, prio).
 func (m *mmuState) setPaused(port, prio int, on bool) {
-	m.ports[port].setPaused(prio, on)
+	if on {
+		m.paused[port] |= 1 << uint(prio)
+	} else {
+		m.paused[port] &^= 1 << uint(prio)
+	}
 	m.version++
 }
 
-// ensurePorts grows the per-port table to cover port index n-1.
+// ensurePorts grows the per-port tables to cover port index n-1.
 func (m *mmuState) ensurePorts(n int) {
-	for len(m.ports) < n {
-		m.ports = append(m.ports, portMMU{})
+	for len(m.paused) < n {
+		m.paused = append(m.paused, 0)
+		m.cells = append(m.cells, make([]mmuCell, m.width)...)
 	}
 }
 
@@ -149,15 +181,16 @@ func NewSwitchShared(eng *sim.Engine, name string, cfg *Config, policy core.Poli
 		panic("switchsim: policy must not be nil")
 	}
 	preempt, _ := policy.(core.PreemptivePolicy)
-	return &Switch{
+	s := &Switch{
 		eng:     eng,
 		name:    name,
 		cfg:     cfg,
 		policy:  policy,
 		preempt: preempt,
-		mmu:     mmuState{},
 		rng:     eng.Rand("switch/" + name + "/ecn"),
 	}
+	s.dequeue = s.onDequeue
+	return s
 }
 
 // Name implements netdev.Node.
@@ -199,7 +232,7 @@ func (s *Switch) AddPort(p *netdev.Port) int {
 	}
 	id := len(s.ports)
 	p.ID = id
-	p.OnDequeue = s.onDequeue
+	p.OnDequeue = s.dequeue
 	s.ports = append(s.ports, p)
 	s.mmu.ensurePorts(len(s.ports))
 	return id
@@ -300,7 +333,7 @@ func (s *Switch) admitData(p *pkt.Packet, in, out int) {
 
 	inHeadroom := false
 	ingTh := s.policy.IngressThreshold(s, in, prio)
-	inCell := &s.mmu.ports[in].q[prio]
+	inCell := s.mmu.cell(in, prio)
 	if inCell.ing+size > s.cfg.ReservedPerQueue+ingTh {
 		// Over the ingress threshold: lossy drops; lossless goes to
 		// headroom (PFC is already, or is about to be, asserted).
@@ -337,7 +370,7 @@ func (s *Switch) admitData(p *pkt.Packet, in, out int) {
 
 	if p.Class == pkt.ClassLossy {
 		egTh := s.policy.EgressThreshold(s, out, prio)
-		if s.mmu.ports[out].q[prio].eg+size > s.cfg.ReservedPerQueue+egTh {
+		if s.mmu.at(out, prio).eg+size > s.cfg.ReservedPerQueue+egTh {
 			if !s.preemptRetryEgress(p, in, out, size) {
 				s.stats.LossyDropsEgress++
 				s.stats.LossyDropBytesEgress += uint64(p.Size)
@@ -388,7 +421,7 @@ func (s *Switch) preemptRetryIngress(p *pkt.Packet, in, out int, size int64) boo
 		return false
 	}
 	ingTh := s.policy.IngressThreshold(s, in, p.Priority)
-	return s.mmu.ports[in].q[p.Priority].ing+size <= s.cfg.ReservedPerQueue+ingTh
+	return s.mmu.at(in, p.Priority).ing+size <= s.cfg.ReservedPerQueue+ingTh
 }
 
 // preemptRetryEgress is preemptRetryIngress for the egress-queue check.
@@ -397,7 +430,7 @@ func (s *Switch) preemptRetryEgress(p *pkt.Packet, in, out int, size int64) bool
 		return false
 	}
 	egTh := s.policy.EgressThreshold(s, out, p.Priority)
-	return s.mmu.ports[out].q[p.Priority].eg+size <= s.cfg.ReservedPerQueue+egTh
+	return s.mmu.at(out, p.Priority).eg+size <= s.cfg.ReservedPerQueue+egTh
 }
 
 var _ core.Evictor = (*Switch)(nil)
@@ -449,7 +482,7 @@ func (s *Switch) release(p *pkt.Packet) {
 	size := int64(p.Size)
 	in, prio := p.InPort, p.InPrio
 
-	inCell := &s.mmu.ports[in].q[prio]
+	inCell := s.mmu.cell(in, prio)
 	if p.InHeadroom {
 		inCell.hr -= size
 		p.InHeadroom = false
@@ -473,7 +506,7 @@ func (s *Switch) release(p *pkt.Packet) {
 // bumpEgress adjusts the egress counter, its class pool and the congestion
 // census by delta bytes.
 func (s *Switch) bumpEgress(out, prio int, delta int64) {
-	cell := &s.mmu.ports[out].q[prio]
+	cell := s.mmu.cell(out, prio)
 	before := cell.eg
 	after := before + delta
 	cell.eg = after
@@ -496,10 +529,9 @@ func (s *Switch) checkPFC(in, prio int, arrival bool) {
 		return
 	}
 	th := s.cfg.ReservedPerQueue + s.policy.IngressThreshold(s, in, prio)
-	inMMU := &s.mmu.ports[in]
-	inCell := &inMMU.q[prio]
+	inCell := s.mmu.cell(in, prio)
 	occ := inCell.ing + inCell.hr
-	if !inMMU.pausedOn(prio) {
+	if !s.mmu.pausedOn(in, prio) {
 		if occ >= th {
 			s.mmu.setPaused(in, prio, true)
 			inCell.pauseSentAt = s.eng.Now()
@@ -570,7 +602,7 @@ func (s *Switch) pfcGuard(in int) sim.Duration {
 // maybeMarkECN applies egress-queue ECN marking: DCTCP step marking on
 // lossy queues, DCQCN RED-style marking on lossless queues.
 func (s *Switch) maybeMarkECN(p *pkt.Packet, out, prio int) {
-	backlog := s.mmu.ports[out].q[prio].eg
+	backlog := s.mmu.at(out, prio).eg
 	switch p.Class {
 	case pkt.ClassLossy:
 		if s.cfg.ECNLossyThreshold > 0 && backlog > s.cfg.ECNLossyThreshold {
@@ -631,12 +663,12 @@ func (s *Switch) EgressPoolUsed(c pkt.Class) int64 { return s.mmu.poolUsed[int(c
 
 // IngressQueueBytes implements core.StateView.
 func (s *Switch) IngressQueueBytes(port, prio int) int64 {
-	return s.mmu.ports[port].q[prio].ing
+	return s.mmu.at(port, prio).ing
 }
 
 // EgressQueueBytes implements core.StateView.
 func (s *Switch) EgressQueueBytes(port, prio int) int64 {
-	return s.mmu.ports[port].q[prio].eg
+	return s.mmu.at(port, prio).eg
 }
 
 // EgressDrainRate implements core.StateView.

@@ -2,6 +2,7 @@ package switchsim
 
 import (
 	"testing"
+	"unsafe"
 
 	"l2bm/internal/core"
 	"l2bm/internal/netdev"
@@ -395,4 +396,59 @@ func newRigSeed(t *testing.T, n int, cfg Config, pol core.Policy, rate int64, pr
 	}
 	sw.SetRouter(func(p *pkt.Packet, _ int) int { return p.Dst })
 	return r
+}
+
+// TestMMUFootprint holds the MMU to the priorities a switch has admitted. A
+// fabric provisions eight priorities per port and charges two, so a
+// priority's cells come with its first admission, a control frame (which
+// never charges the MMU) brings none, and reading a priority that was never
+// admitted, anywhere, reads zero and allocates nothing.
+func TestMMUFootprint(t *testing.T) {
+	if size := unsafe.Sizeof(mmuCell{}); size != 32 {
+		t.Errorf("mmuCell is %d bytes, want 32 (half a cache line)", size)
+	}
+	const ports = 34
+	r := newRig(t, ports, DefaultConfig(), core.NewDefaultL2BM(), 25e9, sim.Microsecond)
+	m := &r.sw.mmu
+	readAll := func(when string) {
+		t.Helper()
+		probe := pkt.NewData(1, 0, 1, pkt.PrioLossy, pkt.ClassLossy, 0, pkt.MTUPayload)
+		if allocs := testing.AllocsPerRun(10, func() {
+			for port := 0; port < ports; port++ {
+				for prio := 0; prio < pkt.NumPriorities; prio++ {
+					if r.sw.IngressQueueBytes(port, prio) != 0 || r.sw.EgressQueueBytes(port, prio) != 0 {
+						t.Fatalf("%s: (%d,%d) does not read as empty", when, port, prio)
+					}
+					probe.Priority = prio
+					r.sw.maybeMarkECN(probe, port, prio)
+				}
+			}
+			if err := r.sw.CheckDrained(); err != nil {
+				t.Fatalf("%s: %v", when, err)
+			}
+		}); allocs != 0 || probe.CE {
+			t.Fatalf("%s: reading every (port, priority) allocated (%v allocs/run) or marked ECN (%v)", when, allocs, probe.CE)
+		}
+	}
+
+	readAll("before any traffic")
+	if m.width != 0 || m.cells != nil {
+		t.Fatalf("an idle switch holds %d cells (%d per port)", len(m.cells), m.width)
+	}
+
+	r.send(0, 1, 3, pkt.PrioLossless, pkt.ClassLossless)
+	r.send(2, 3, 3, pkt.PrioLossy, pkt.ClassLossy)
+	r.hosts[4].port.Enqueue(pkt.NewAck(5, 4, 5, 0, false))
+	r.eng.RunAll()
+	if got := len(r.hosts[5].got); got != 1 {
+		t.Fatalf("the control frame was not forwarded: host 5 got %d frames", got)
+	}
+	if m.width != 2 || len(m.cells) != 2*ports || cap(m.cells) != 2*ports || m.slot[pkt.PrioControl] != 0 {
+		t.Fatalf("after lossless, lossy and control traffic: %d cells (cap %d, %d per port), control slot %d; want two per port and none for control",
+			len(m.cells), cap(m.cells), m.width, m.slot[pkt.PrioControl])
+	}
+	readAll("after the traffic drained")
+	if m.width != 2 {
+		t.Fatalf("reading took cells: %d per port", m.width)
+	}
 }
