@@ -95,6 +95,10 @@ func pinnedPoints() []pinnedPoint {
 		}), json: "fdba0033185ab861", col: "03e03a0eee25cdb2", events: 634715},
 		{spec: with(faulted("zz-fallback", "L2BM"), func(s *HybridSpec) { s.Audit, s.Fidelity = &AuditSpec{}, FidelityHybrid }),
 			json: "ce65a2c34c0ef4ec", events: 1464971},
+		// The two DT variants under the same pressure: 292 (EDT) and 827 (TDT)
+		// lossy drops, so their absorb and evacuate modes shape the bytes.
+		{spec: pressured("zz-EDT", "EDT"), json: "1639882ddf956a28", events: 319406},
+		{spec: pressured("zz-TDT", "TDT"), json: "33367036bac72e32", events: 460913},
 	}
 }
 
