@@ -21,9 +21,7 @@ import (
 //
 // Like ABM and EDT, TDT manages the egress pool; the ingress pool runs
 // classic DT (α = 0.5), and α_n is AlphaEgress.
-type TDT struct {
-	states map[[2]int]*tdtQueue
-}
+type TDT struct{ modeTable }
 
 const (
 	// tdtAbsorbBoost multiplies α_n during absorption.
@@ -40,56 +38,28 @@ const (
 	tdtFreeFraction = 0.25
 )
 
-// tdtState is one queue's mode.
-type tdtState int
-
-const (
-	tdtNormal tdtState = iota + 1
-	tdtAbsorb
-	tdtEvacuate
-)
-
-// tdtQueue tracks burst detection state for one egress queue.
-type tdtQueue struct {
-	state     tdtState
-	windowAt  sim.Time
-	windowLen int64
-	lastLen   int64
-}
-
 // NewTDT returns TDT with the evaluation defaults.
-func NewTDT() *TDT {
-	return &TDT{states: make(map[[2]int]*tdtQueue)}
-}
+func NewTDT() *TDT { return &TDT{newModeTable(tdtAdvance)} }
 
 var _ Policy = (*TDT)(nil)
 
 // Name implements Policy.
 func (t *TDT) Name() string { return "TDT" }
 
-// IngressThreshold implements Policy: classic DT at the ingress pool.
-func (t *TDT) IngressThreshold(s StateView, _, _ int) int64 {
-	return ingressDT(s, AlphaDT2)
-}
-
 // EgressThreshold implements Policy.
 func (t *TDT) EgressThreshold(s StateView, port, prio int) int64 {
-	q := t.queue(port, prio)
-	t.step(s, q, s.EgressQueueBytes(port, prio), prio)
-
 	alpha := AlphaEgress
-	switch q.state {
-	case tdtAbsorb:
+	switch t.step(s, port, prio).mode {
+	case modeAbsorb:
 		alpha *= tdtAbsorbBoost
-	case tdtEvacuate:
+	case modeEvacuate:
 		alpha *= tdtEvacuateCut
 	}
 	return egressDT(s, prio, alpha)
 }
 
-// step advances the state machine with the current length of the queue of
-// priority prio.
-func (t *TDT) step(s StateView, q *tdtQueue, qlen int64, prio int) {
+// tdtAdvance is TDT's transition rule.
+func tdtAdvance(s StateView, q *modeQueue, qlen int64, prio int) queueMode {
 	now := s.Now()
 	if now-q.windowAt >= tdtBurstWindow {
 		q.windowAt = now
@@ -99,54 +69,22 @@ func (t *TDT) step(s StateView, q *tdtQueue, qlen int64, prio int) {
 	free := s.TotalShared() - s.SharedUsed()
 	plenty := float64(free) >= tdtFreeFraction*float64(s.TotalShared())
 
-	switch q.state {
-	case tdtNormal:
+	switch q.mode {
+	case modeNormal:
 		if growth >= tdtBurstBytes && plenty {
-			q.state = tdtAbsorb
+			return modeAbsorb
 		}
-	case tdtAbsorb:
+	case modeAbsorb:
 		if !plenty || qlen < q.lastLen {
 			// Buffer pressure or the burst has crested: give it back.
-			q.state = tdtEvacuate
+			return modeEvacuate
 		}
-	case tdtEvacuate:
+	case modeEvacuate:
 		// Drained below its normal share: the Normal-mode threshold,
 		// over the same class pool.
 		if qlen <= egressDT(s, prio, AlphaEgress) {
-			q.state = tdtNormal
+			return modeNormal
 		}
 	}
-	q.lastLen = qlen
-}
-
-func (t *TDT) queue(port, prio int) *tdtQueue {
-	key := [2]int{port, prio}
-	q := t.states[key]
-	if q == nil {
-		q = &tdtQueue{state: tdtNormal}
-		t.states[key] = q
-	}
-	return q
-}
-
-// State exposes the queue's current mode for tests.
-func (t *TDT) State(port, prio int) string {
-	switch t.queue(port, prio).state {
-	case tdtAbsorb:
-		return "absorb"
-	case tdtEvacuate:
-		return "evacuate"
-	default:
-		return "normal"
-	}
-}
-
-// OnEnqueue implements Policy.
-func (t *TDT) OnEnqueue(s StateView, p *pkt.Packet) {
-	t.step(s, t.queue(p.OutPort, p.Priority), s.EgressQueueBytes(p.OutPort, p.Priority), p.Priority)
-}
-
-// OnDequeue implements Policy.
-func (t *TDT) OnDequeue(s StateView, p *pkt.Packet) {
-	t.step(s, t.queue(p.OutPort, p.Priority), s.EgressQueueBytes(p.OutPort, p.Priority), p.Priority)
+	return q.mode
 }
