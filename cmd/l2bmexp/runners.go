@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -53,16 +54,14 @@ func runSpec(path string, cache *exp.ResultCache, pool *exp.Pool, w io.Writer) e
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	results, _, err := pool.Run(ctx, len(req.Specs), func(ctx context.Context, i int) (*exp.Result, error) {
-		return cache.GetOrRun(ctx, req.Specs[i])
+	raws := make([]json.RawMessage, len(req.Specs))
+	_, _, err = pool.Run(ctx, len(req.Specs), func(ctx context.Context, i int) (*exp.Result, error) {
+		raw, res, err := cache.Point(ctx, req.Specs[i], exp.RunHybridCtx)
+		raws[i] = raw
+		return res, err
 	}, nil)
 	if err != nil {
 		return err
 	}
-	out, err := exp.MarshalResults(results)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(out)
-	return err
+	return exp.WriteRawResults(w, raws)
 }

@@ -29,9 +29,7 @@ const (
 )
 
 // NewEDT returns EDT with the evaluation defaults.
-func NewEDT() *EDT { return &EDT{newModeTable(edtAdvance)} }
-
-var _ Policy = (*EDT)(nil)
+func NewEDT() *EDT { return &EDT{modeTable{queues: make(map[[2]int]*modeQueue), advance: edtAdvance}} }
 
 // Name implements Policy.
 func (e *EDT) Name() string { return "EDT" }
@@ -54,6 +52,7 @@ func (e *EDT) EgressThreshold(s StateView, port, prio int) int64 {
 // edtAdvance is EDT's transition rule.
 func edtAdvance(s StateView, q *modeQueue, qlen int64, prio int) queueMode {
 	growing := qlen > q.lastLen
+	dt := egressDT(s, prio, AlphaEgress)
 	switch q.mode {
 	case modeAbsorb:
 		if !growing {
@@ -61,11 +60,11 @@ func edtAdvance(s StateView, q *modeQueue, qlen int64, prio int) queueMode {
 			return modeEvacuate
 		}
 	case modeEvacuate:
-		if qlen <= int64(edtEvacuateFactor*float64(egressDT(s, prio, AlphaEgress))) {
+		if qlen <= int64(edtEvacuateFactor*float64(dt)) {
 			return modeNormal
 		}
 	default:
-		if qlen >= egressDT(s, prio, AlphaEgress) && growing {
+		if qlen >= dt && growing {
 			// DT would drop while buffer remains: absorb the burst.
 			return modeAbsorb
 		}

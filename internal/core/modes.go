@@ -36,10 +36,6 @@ type modeTable struct {
 	advance func(s StateView, q *modeQueue, qlen int64, prio int) queueMode
 }
 
-func newModeTable(advance func(StateView, *modeQueue, int64, int) queueMode) modeTable {
-	return modeTable{queues: make(map[[2]int]*modeQueue), advance: advance}
-}
-
 func (m *modeTable) queue(port, prio int) *modeQueue {
 	key := [2]int{port, prio}
 	q := m.queues[key]
@@ -61,14 +57,7 @@ func (m *modeTable) step(s StateView, port, prio int) *modeQueue {
 
 // State exposes the queue's current mode for tests.
 func (m *modeTable) State(port, prio int) string {
-	switch m.queue(port, prio).mode {
-	case modeAbsorb:
-		return "absorb"
-	case modeEvacuate:
-		return "evacuate"
-	default:
-		return "normal"
-	}
+	return [...]string{"normal", "absorb", "evacuate"}[m.queue(port, prio).mode]
 }
 
 // IngressThreshold implements Policy: classic DT (α = 0.5) at the ingress

@@ -92,6 +92,8 @@ var (
 	_ Policy = (*FB)(nil)
 	_ Policy = (*BShare)(nil)
 	_ Policy = (*Occamy)(nil)
+	_ Policy = (*EDT)(nil)
+	_ Policy = (*TDT)(nil)
 
 	_ PreemptivePolicy = (*Occamy)(nil)
 )

@@ -39,9 +39,7 @@ const (
 )
 
 // NewTDT returns TDT with the evaluation defaults.
-func NewTDT() *TDT { return &TDT{newModeTable(tdtAdvance)} }
-
-var _ Policy = (*TDT)(nil)
+func NewTDT() *TDT { return &TDT{modeTable{queues: make(map[[2]int]*modeQueue), advance: tdtAdvance}} }
 
 // Name implements Policy.
 func (t *TDT) Name() string { return "TDT" }

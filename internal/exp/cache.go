@@ -282,12 +282,20 @@ func (c *ResultCache) Get(spec HybridSpec) (raw json.RawMessage, res *Result, ok
 	if !ok {
 		return nil, nil, false
 	}
-	res = new(Result)
-	if json.Unmarshal(raw, res) != nil {
-		return nil, nil, false
+	if res, err := restore(spec, raw); err == nil {
+		return raw, res, true
+	}
+	return nil, nil, false
+}
+
+// restore decodes a stored point's canonical bytes as spec's Result.
+func restore(spec HybridSpec, raw json.RawMessage) (*Result, error) {
+	res := new(Result)
+	if err := json.Unmarshal(raw, res); err != nil {
+		return nil, fmt.Errorf("exp: cache: spec %q: %w", spec.Name, err)
 	}
 	res.Spec, res.Restored = spec, true
-	return raw, res, true
+	return res, nil
 }
 
 // Put stores raw — the canonical json.Marshal bytes of spec's Result — under
@@ -344,29 +352,42 @@ func (c *ResultCache) Put(spec HybridSpec, raw json.RawMessage) error {
 	return nil
 }
 
-// GetOrRun is the one way a point is computed next to a store: the stored
-// Result when c holds spec's (Restored — determinism makes it otherwise
-// indistinguishable from a recomputed one), otherwise a fresh run whose
-// canonical bytes are Put before it is handed back, by whichever goroutine ran
-// it — so a point is durable the moment it finishes, whatever its neighbours
-// are still doing. A spec the store cannot hold (nil cache, func-valued field,
-// armed recorder) simply runs.
-func (c *ResultCache) GetOrRun(ctx context.Context, spec HybridSpec) (*Result, error) {
-	if _, res, ok := c.Get(spec); ok {
-		return res, nil
+// Point is the one way a point is computed next to a store. On a hit it
+// returns spec's stored canonical bytes and a nil Result: nothing is
+// decoded. On a miss it calls run and returns the fresh Result with its
+// canonical bytes, Put before they are handed back by whichever goroutine
+// ran the point — so a point is durable the moment it finishes, whatever
+// its neighbours are still doing, and a failed Put fails the point. A spec
+// the store cannot hold (nil cache, func-valued field, armed recorder)
+// simply runs.
+func (c *ResultCache) Point(ctx context.Context, spec HybridSpec,
+	run func(context.Context, HybridSpec) (*Result, error)) (json.RawMessage, *Result, error) {
+	if raw, ok := c.Lookup(spec); ok {
+		return raw, nil, nil
 	}
-	res, err := RunHybridCtx(ctx, spec)
-	if err != nil || c == nil || checkpointIneligible(spec) != "" {
-		return res, err
+	res, err := run(ctx, spec)
+	if err != nil {
+		return nil, nil, err
 	}
 	raw, err := json.Marshal(res)
 	if err != nil {
-		return nil, fmt.Errorf("exp: cache: spec %q: %w", spec.Name, err)
+		return nil, nil, fmt.Errorf("exp: cache: spec %q: %w", spec.Name, err)
 	}
 	if err := c.Put(spec, raw); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return res, nil
+	return raw, res, nil
+}
+
+// GetOrRun is Point over RunHybridCtx, decoding a hit: the stored Result is
+// Restored and otherwise, by determinism, indistinguishable from a
+// recomputed one.
+func (c *ResultCache) GetOrRun(ctx context.Context, spec HybridSpec) (*Result, error) {
+	raw, res, err := c.Point(ctx, spec, RunHybridCtx)
+	if err != nil || res != nil {
+		return res, err
+	}
+	return restore(spec, raw)
 }
 
 // Len counts the entries on disk (test and status reporting).

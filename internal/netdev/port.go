@@ -162,9 +162,6 @@ type Port struct {
 	// this port (the moment its buffer is released). Switches use it to
 	// decrement MMU counters.
 	OnDequeue func(p *pkt.Packet)
-	// OnPFC, when set, fires when a PFC frame from the peer takes effect
-	// on this port.
-	OnPFC func(prio int, paused bool)
 	// OnPauseTransition, when set, fires exactly when this port's transmit
 	// pause state for prio actually changes (redundant XOFFs on an
 	// already-paused priority do not fire it). The trace layer uses it to
@@ -616,9 +613,6 @@ func (p *Port) applyPFC(q *pkt.Packet) {
 			p.OnPauseTransition(prio, false)
 		}
 		p.tryTransmit()
-	}
-	if p.OnPFC != nil {
-		p.OnPFC(prio, q.PFCPause)
 	}
 }
 

@@ -229,18 +229,6 @@ func TestOnDequeueFiresAtTxComplete(t *testing.T) {
 	}
 }
 
-func TestOnPFCHookObservesBothEdges(t *testing.T) {
-	eng, _, _, pa, pb := newPair(t, 25e9, 0)
-	var events []bool
-	pb.OnPFC = func(prio int, paused bool) { events = append(events, paused) }
-	pa.SendPFC(0, true)
-	pa.SendPFC(0, false)
-	eng.RunAll()
-	if len(events) != 2 || !events[0] || events[1] {
-		t.Errorf("OnPFC events = %v, want [true false]", events)
-	}
-}
-
 func TestDuplicatePauseFramesAreIdempotent(t *testing.T) {
 	eng, _, _, pa, pb := newPair(t, 25e9, 0)
 	pa.SendPFC(0, true)

@@ -533,12 +533,12 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 // run executes one admitted sweep and then hands its slot to the next
-// queued one. Per-point flow: the cache is consulted in the worker, and a
-// hit skips the simulation entirely and yields only bytes — no Result is
-// decoded for it, here or later, unless someone asks for its /trace. Fresh
-// results are marshaled and stored from the collator (ascending order,
-// single goroutine), and /result splices the per-point bytes — cached or
-// fresh, the same bytes either way.
+// queued one. Each point goes through the cache's Point in its worker: a
+// hit skips the simulation and yields only bytes — no Result is decoded
+// for it, here or later, unless someone asks for its /trace — and a fresh
+// point is stored there the moment it finishes. The collator reports
+// points in ascending order, and /result splices the per-point bytes,
+// cached or fresh, the same bytes either way.
 func (s *Server) run(sw *sweep) {
 	defer s.finish(sw)
 	sw.setState(StateRunning, "")
@@ -548,36 +548,17 @@ func (s *Server) run(sw *sweep) {
 	pool := &exp.Pool{Workers: s.cfg.Workers}
 	fresh, _, err := pool.Run(sw.ctx, n,
 		func(ctx context.Context, i int) (*exp.Result, error) {
-			spec := sw.req.Specs[i]
-			if raw, ok := s.cache.Lookup(spec); ok {
-				pointRaw[i] = raw
-				return nil, nil
-			}
-			return s.runPoint(ctx, spec)
+			raw, res, err := s.cache.Point(ctx, sw.req.Specs[i], s.runPoint)
+			pointRaw[i] = raw
+			return res, err
 		},
 		func(i int, res *exp.Result) {
-			spec := sw.req.Specs[i]
-			cached := res == nil
-			var fallback string
-			if cached {
-				fallback = fidelityFallback(pointRaw[i])
-			} else {
-				raw, merr := json.Marshal(res)
-				if merr != nil {
-					sw.event(map[string]string{"type": "error", "error": merr.Error()})
-					return
-				}
-				pointRaw[i] = raw
-				if err := s.cache.Put(spec, raw); err != nil {
-					sw.event(map[string]string{"type": "cache-error", "error": err.Error()})
-				}
-				fallback = res.FidelityFallback
-			}
 			// Name and Policy come from the spec: a wire spec cannot carry a
 			// PolicyFactory, so its Policy is the Result's.
+			spec := sw.req.Specs[i]
 			sw.event(pointEvent{
 				Type: "point", Index: i, Name: spec.Name, Policy: spec.Policy,
-				Cached: cached, FidelityFallback: fallback,
+				Cached: res == nil, FidelityFallback: fidelityFallback(pointRaw[i]),
 			})
 		})
 
@@ -602,9 +583,9 @@ func (s *Server) run(sw *sweep) {
 // point's canonical bytes when it is set at all.
 var fallbackKey = []byte(`"FidelityFallback":`)
 
-// fidelityFallback reads a cached point's FidelityFallback for its progress
-// event. The field is rare, so the bytes are scanned for the key and only a
-// point that has it pays a decode — of that one field.
+// fidelityFallback reads a point's FidelityFallback for its progress event.
+// The field is rare, so the bytes are scanned for the key and only a point
+// that has it pays a decode — of that one field.
 func fidelityFallback(raw json.RawMessage) string {
 	if !bytes.Contains(raw, fallbackKey) {
 		return ""

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -158,6 +159,53 @@ func TestServeRoundTripByteIdentical(t *testing.T) {
 	}
 	if dec.Channel(exp.ColTCPSlowdowns) == nil {
 		t.Error("trace artifact missing the TCP slowdown channel")
+	}
+}
+
+// TestServeStoresPointsAsTheyFinish: a point is on disk once its worker
+// finishes it, not once every earlier point has — so neither a slow
+// neighbour nor a failed one costs a finished point. Not skipped under
+// -short: CI's -race pass drives concurrent worker-side Puts through here.
+func TestServeStoresPointsAsTheyFinish(t *testing.T) {
+	srv, ts := newTestServer(t, Config{CacheDir: t.TempDir(), Workers: 3})
+	release := make(chan struct{})
+	srv.runPoint = func(ctx context.Context, spec exp.HybridSpec) (*exp.Result, error) {
+		if spec.Name == "p0" {
+			select {
+			case <-release:
+				return nil, errors.New("point 0 failed")
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		return &exp.Result{Spec: spec, Policy: spec.Policy}, nil
+	}
+	stored := func() int {
+		n, err := srv.cache.Len()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+
+	status, code := submit(t, ts, `{"name":"durable","specs":[
+		{"Name":"p0","Policy":"DT","Scale":"tiny","TCPLoad":0.1},
+		{"Name":"p1","Policy":"DT","Scale":"tiny","TCPLoad":0.2},
+		{"Name":"p2","Policy":"DT","Scale":"tiny","TCPLoad":0.3}]}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: %d", code)
+	}
+	for deadline := time.Now().Add(10 * time.Second); stored() < 2 && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := stored(); n != 2 {
+		close(release)
+		t.Fatalf("%d points stored while point 0 runs, want the 2 that finished", n)
+	}
+	close(release)
+	waitState(t, ts, status.ID, StateFailed)
+	if n := stored(); n != 2 {
+		t.Errorf("%d points stored after the sweep failed, want 2", n)
 	}
 }
 

@@ -37,10 +37,10 @@ const DefaultCapacity = 1 << 16
 // (reserved + shared + headroom — the quantity the paper plots) and the
 // shared-service-pool usage Q(t) that drives every policy's threshold.
 type OccSample struct {
-	At         sim.Time `json:"at_ps"`
-	Switch     string   `json:"switch"`
-	Resident   int64    `json:"resident"`
-	SharedUsed int64    `json:"shared_used"`
+	At         sim.Time
+	Switch     string
+	Resident   int64
+	SharedUsed int64
 }
 
 // PFCKind discriminates pause-channel events.
@@ -86,25 +86,25 @@ func (k PFCKind) String() string {
 // PortPaused/PortResumed carry the transmitter's view (Switch is the node
 // owning the paused port — possibly a host NIC).
 type PFCEvent struct {
-	At     sim.Time `json:"at_ps"`
-	Switch string   `json:"switch"`
-	Port   int      `json:"port"`
-	Prio   int      `json:"prio"`
-	Kind   PFCKind  `json:"kind"`
+	At     sim.Time
+	Switch string
+	Port   int
+	Prio   int
+	Kind   PFCKind
 }
 
 // PauseInterval is one contiguous pause episode reconstructed from
 // PFCEvents (see Recorder.PauseIntervals).
 type PauseInterval struct {
-	Switch string   `json:"switch"`
-	Port   int      `json:"port"`
-	Prio   int      `json:"prio"`
-	Kind   PFCKind  `json:"kind"` // PFCAssert (MMU view) or PortPaused (TX view)
-	From   sim.Time `json:"from_ps"`
-	To     sim.Time `json:"to_ps"`
+	Switch string
+	Port   int
+	Prio   int
+	Kind   PFCKind // PFCAssert (MMU view) or PortPaused (TX view)
+	From   sim.Time
+	To     sim.Time
 	// Open marks an episode still in progress at the end of the recording
 	// (To is then the recording horizon, not a resume).
-	Open bool `json:"open,omitempty"`
+	Open bool
 }
 
 // Duration returns the episode length.
@@ -114,13 +114,13 @@ func (i PauseInterval) Duration() sim.Duration { return i.To - i.From }
 // estimate τ (Algorithm 1), the congestion-perception weight w = C/τ·α
 // (Eq. 4) and the resulting byte threshold T = w·(B−Q(t)) (Eq. 3).
 type WeightSample struct {
-	At        sim.Time     `json:"at_ps"`
-	Switch    string       `json:"switch"`
-	Port      int          `json:"port"`
-	Prio      int          `json:"prio"`
-	Tau       sim.Duration `json:"tau_ps"`
-	Weight    float64      `json:"weight"`
-	Threshold int64        `json:"threshold"`
+	At        sim.Time
+	Switch    string
+	Port      int
+	Prio      int
+	Tau       sim.Duration
+	Weight    float64
+	Threshold int64
 }
 
 // PacketEventKind discriminates per-packet admission-path events.
@@ -166,13 +166,13 @@ func (k PacketEventKind) String() string {
 // PacketEvent is one admission-path event. Port is the ingress port for
 // ingress-side kinds and the egress port for egress-side kinds.
 type PacketEvent struct {
-	At     sim.Time        `json:"at_ps"`
-	Switch string          `json:"switch"`
-	Port   int             `json:"port"`
-	Prio   int             `json:"prio"`
-	Kind   PacketEventKind `json:"kind"`
-	Size   int             `json:"size"`
-	Class  pkt.Class       `json:"class"`
+	At     sim.Time
+	Switch string
+	Port   int
+	Prio   int
+	Kind   PacketEventKind
+	Size   int
+	Class  pkt.Class
 }
 
 // Recorder is a per-run flight recorder. It is single-threaded like the
