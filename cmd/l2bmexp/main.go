@@ -42,21 +42,20 @@
 // byte-identical for any worker count — only wall clock changes. The
 // timing trailer reports aggregate simulated events/s across workers.
 //
-// Orthogonally, every individual point can run on the sharded
-// conservative-time engine (internal/psim): the Clos fabric is partitioned
-// across per-shard engines synchronized by lookahead-bounded epochs, run on
-// as many pinned threads as the worker pool leaves cores idle. -shards N >= 1
-// asks for exactly N; the default 0 gives each point a shard per pod when it
-// has a second core — a one-point -exp scale runs its pods on every core, a
-// Fig. 7 grid that already fills the machine runs one engine per point.
-// Results are byte-identical for every legal shard count, so -shards changes
-// only the timing trailer, which says what the conductors did (shards,
-// threads, epochs, inline epochs, parks, idle thread-time).
+// Orthogonally, a point sizes itself on the sharded conservative-time
+// engine (internal/psim): when the worker pool leaves it a second core, the
+// Clos fabric is partitioned one shard per pod across per-shard engines
+// synchronized by lookahead-bounded epochs — a one-point -exp scale runs its
+// pods on every core, a Fig. 7 grid that already fills the machine runs one
+// engine per point. A fixed count is a spec's Shards field (a -spec file).
+// Results are byte-identical for every legal shard count; only the timing
+// trailer says what the conductors did (shards, threads, epochs, inline
+// epochs, parks, idle thread-time).
 //
 // -fidelity hybrid runs figure/table experiments on the hybrid-fidelity
 // engine (internal/fluid): steady-state spans advance analytically, bursts
-// and congestion run at full packet fidelity, each packet segment on the
-// engines -shards gives a point. Unlike -shards this changes results —
+// and congestion run at full packet fidelity, each packet segment sizing
+// itself like a packet point. Unlike the shard count this changes results —
 // within the divergence bound DESIGN.md §14 states — in exchange for
 // order-of-magnitude speedups on steady-state-heavy windows (`make
 // hybrid-demo`).
@@ -67,7 +66,7 @@
 // -exp scale is the hyperscale smoke (not part of -exp all): it builds a
 // pod-structured Clos of 1k (-scale tiny), 10k (small) or 100k (full)
 // hosts via topo.HyperscaleConfig and runs a short mixed window through
-// the same harness, so -shards and -fidelity apply unchanged.
+// the same harness, so self-sizing and -fidelity apply unchanged.
 package main
 
 import (
@@ -99,7 +98,6 @@ func run(args []string, w io.Writer) error {
 	expName := fs.String("exp", "all", "experiment: "+strings.Join(experimentNames(), "|"))
 	scaleName := fs.String("scale", "small", "simulation scale: tiny|small|full")
 	parallel := fs.Int("parallel", 0, "worker pool size for independent grid points (0 = GOMAXPROCS, 1 = sequential)")
-	shards := fs.Int("shards", 0, "run each point on the sharded conservative-time engine with N shards (0 = sized to the cores the worker pool leaves idle, 1 = one engine); results are byte-identical for any legal N")
 	fidelity := fs.String("fidelity", "", "execution engine for figure/table experiments: packet (every MTU simulated; the default) or hybrid (fluid fast-forward between bursts; results within the DESIGN.md §14 divergence bound)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
@@ -122,9 +120,6 @@ func run(args []string, w io.Writer) error {
 	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 	if *parallel < 0 {
 		return fmt.Errorf("-parallel must be >= 0, got %d", *parallel)
-	}
-	if *shards < 0 {
-		return fmt.Errorf("-shards must be >= 0, got %d", *shards)
 	}
 	if *traceSample < 0 {
 		return fmt.Errorf("-trace-sample must be >= 0, got %v", *traceSample)
@@ -156,9 +151,9 @@ func run(args []string, w io.Writer) error {
 		conflicts []string
 	}{
 		{*specPath != "", "-spec", "the spec file pins every point's parameters",
-			[]string{"exp", "scale", "trace", "fidelity", "shards"}},
+			[]string{"exp", "scale", "trace", "fidelity"}},
 		{*expName == "chaos", "-exp chaos", "scenarios pin their own execution model",
-			[]string{"scale", "shards", "trace", "trace-out", "trace-sample", "keep-going"}},
+			[]string{"scale", "trace", "trace-out", "trace-sample", "keep-going"}},
 	} {
 		if !mode.on {
 			continue
@@ -258,7 +253,7 @@ func run(args []string, w io.Writer) error {
 		}, *replay)
 	default:
 		harness := &exp.Harness{
-			Workers: *parallel, Shards: *shards, Fidelity: *fidelity,
+			Workers: *parallel, Fidelity: *fidelity,
 			PointTimeout: *pointTimeout, KeepGoing: *keepGoing, Cache: cache,
 		}
 		if cache == nil {

@@ -92,8 +92,7 @@ func render(t *testing.T, args ...string) string {
 
 // TestParallelFlagDeterminism: the CLI's deterministic portion (everything
 // but the timing and memory trailers) must be byte-identical for every
-// execution strategy — any worker count, any shard count, flight recorder
-// armed or not — on the Fig. 7 sweep and on an arena that races the paper's
+// execution strategy — any worker count, flight recorder armed or not — on the Fig. 7 sweep and on an arena that races the paper's
 // policy, a static one and the preemptive one over its load x burst x fault
 // grid with the auditor armed. These are the gates CI used to run as shell
 // diffs of the built binary.
@@ -109,7 +108,7 @@ func TestParallelFlagDeterminism(t *testing.T) {
 			return render(t, append(append([]string{"-scale", "tiny"}, sel...), flags...)...)
 		}
 		ref := run("-parallel", "1")
-		for _, flags := range [][]string{nil, {"-shards", "1"}, {"-shards", "2"}, {"-trace", "-trace-out", t.TempDir()}} {
+		for _, flags := range [][]string{nil, {"-trace", "-trace-out", t.TempDir()}} {
 			if got := run(flags...); got != ref {
 				t.Errorf("%v: CLI output with %v differs from -parallel 1:\n--- -parallel 1 ---\n%s\n--- %v ---\n%s", sel, flags, ref, flags, got)
 			}
@@ -218,6 +217,7 @@ func TestCLIUpfrontValidation(t *testing.T) {
 		{"-spec", "nonexistent-sweep.json"},                         // missing spec file
 		{"-exp", "fig3a", "-resume", "ckpt", "-trace"},              // a stored result cannot carry its recorder
 		{"-exp", "fig3a", "-trace", "-format", "col"},               // the flag is gone: .col is the only format
+		{"-exp", "fig3a", "-shards", "2"},                           // the flag is gone: a spec's Shards is the one shard count
 		{"-exp", "fig3a", "-scale", "tiny", "-trace-out", "traces"}, // nothing is recorded without -trace
 		{"-exp", "fig3a", "-point-timeout", "-1s"},
 		{"-exp", "fig3a", "-resume", blocker + "/sub"}, // unwritable
@@ -232,21 +232,17 @@ func TestCLIUpfrontValidation(t *testing.T) {
 	}
 
 	// A flag the chaos soak cannot honour is refused with the reason, not
-	// dropped, before any scenario is fuzzed; a shard count the fabric cannot
-	// hold is refused before any point runs (only the banner is out).
+	// dropped, before any scenario is fuzzed.
 	const pinned = "scenarios pin their own execution model"
 	for _, tc := range []struct {
 		args []string
 		want string
 	}{
-		{[]string{"-exp", "chaos", "-seeds", "2", "-shards", "2"}, pinned},
 		{[]string{"-exp", "chaos", "-seeds", "2", "-scale", "full"}, pinned},
 		{[]string{"-exp", "chaos", "-seeds", "2", "-keep-going"}, pinned},
 		{[]string{"-exp", "chaos", "-seeds", "2", "-trace"}, pinned},
 		{[]string{"-exp", "chaos", "-seeds", "2", "-trace", "-trace-out", t.TempDir()}, pinned},
 		{[]string{"-exp", "chaos", "-seeds", "2", "-trace", "-trace-sample", "50us"}, pinned},
-		{[]string{"-exp", "fig7", "-scale", "tiny", "-shards", "5"}, "point 0: Shards = 5, but the fabric has 2 ToRs"},
-		{[]string{"-exp", "scale", "-scale", "tiny", "-shards", "33"}, "point 0: Shards = 33, but the fabric has 32 ToRs"},
 	} {
 		var buf bytes.Buffer
 		err := run(tc.args, &buf)
@@ -475,14 +471,6 @@ func TestCLIFidelity(t *testing.T) {
 	if !strings.Contains(buf.String(), "running fig3a") {
 		t.Errorf("hybrid run produced no experiment output:\n%s", buf.String())
 	}
-	// The shard count is an execution strategy at either fidelity: -shards 1
-	// and -shards 2 print what no -shards prints.
-	for _, shards := range []string{"1", "2"} {
-		if got := render(t, "-exp", "fig3a", "-scale", "tiny", "-fidelity", "hybrid", "-shards", shards); got != trailers.ReplaceAllString(buf.String(), "") {
-			t.Errorf("-fidelity hybrid -shards %s differs from -fidelity hybrid:\n%s", shards, got)
-		}
-	}
-
 	for _, tc := range []struct {
 		args []string
 		want string

@@ -82,7 +82,7 @@ func TestSweepsAsBarrierTask(t *testing.T) {
 	cl := buildTiny(t)
 	cl.ToRs[0].SkewSharedUsedForTest(1 << 20)
 	a := New(cl, Config{Every: 100 * sim.Microsecond})
-	cond := psim.ForCluster(cl, 1)
+	cond := psim.New(cl.Engines, cl.Inbound(), cl.Lookahead, 1)
 	defer cond.Close()
 	cond.AddTask(a.Every(), a.CheckOnce)
 	cond.Run(sim.Time(1050 * sim.Microsecond))

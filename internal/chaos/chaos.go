@@ -69,9 +69,11 @@ type Scenario struct {
 	MaxPauseAge sim.Duration // only set on clean scenarios
 }
 
-// Validate checks the scenario against the envelope the simulator accepts;
-// Generate always returns valid scenarios and every shrink transform
-// preserves validity, so a failure here means a hand-edited repro file.
+// Validate checks the scenario against the envelope the simulator accepts —
+// its own fields, then the spec it materializes, so a scenario RunHybrid
+// would refuse fails here rather than replaying as a failure. Generate
+// always returns valid scenarios and every shrink transform preserves
+// validity, so a failure here means a hand-edited repro file.
 func (sc *Scenario) Validate() error {
 	cfg := sc.topoConfig()
 	if err := cfg.Validate(); err != nil {
@@ -92,6 +94,9 @@ func (sc *Scenario) Validate() error {
 		return fmt.Errorf("chaos: incast armed without bytes/rate")
 	case sc.BlackoutAt > 0 && sc.BlackoutLen <= 0:
 		return fmt.Errorf("chaos: blackout armed without a duration")
+	}
+	if err := sc.Spec().Validate(); err != nil {
+		return fmt.Errorf("chaos: %w", err)
 	}
 	return nil
 }

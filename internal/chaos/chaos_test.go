@@ -26,6 +26,27 @@ func TestGenerateValidAndDeterministic(t *testing.T) {
 	}
 }
 
+// TestValidateRefusesWhatTheSpecRefuses: a hand-edited repro that passes
+// the scenario's own checks but materializes a spec RunHybrid refuses —
+// inter-rack traffic on a one-rack fabric — fails Validate, and -replay
+// reports that error instead of reproducing a panic.
+func TestValidateRefusesWhatTheSpecRefuses(t *testing.T) {
+	sc := Generate(1)
+	sc.Pods, sc.ToRCount, sc.AggCount, sc.CoreCount = 1, 1, 1, 1
+	sc.Shards, sc.InterRackOnly = 0, true
+	err := sc.Validate()
+	if err == nil || !strings.Contains(err.Error(), "InterRackOnly") {
+		t.Fatalf("Validate = %v, want the spec's InterRackOnly refusal", err)
+	}
+	path, werr := WriteRepro(t.TempDir(), Finding{Seed: sc.Seed, Original: sc, Minimal: sc})
+	if werr != nil {
+		t.Fatal(werr)
+	}
+	if reason, rerr := Replay(context.Background(), path, Options{}); rerr == nil || rerr.Error() != err.Error() || reason != "" {
+		t.Errorf("Replay = %q, %v; want Validate's error %q", reason, rerr, err)
+	}
+}
+
 // TestScenarioJSONRoundTrip: a scenario survives serialization exactly —
 // the property repro files depend on.
 func TestScenarioJSONRoundTrip(t *testing.T) {

@@ -50,9 +50,6 @@ func NewBShare() *BShare { return &BShare{sojourn: NewSojournTable(true)} }
 // Name implements Policy.
 func (b *BShare) Name() string { return "BShare" }
 
-// Sojourn exposes the delay estimator for tests.
-func (b *BShare) Sojourn() *SojournTable { return b.sojourn }
-
 // Weight returns the delay-ratio weight clamp(D/τ)·α for ingress queue
 // (port, prio). An idle queue's τ collapses to the floor, so the ratio
 // saturates at the class maximum — cold start degenerates to DT with the

@@ -24,7 +24,6 @@ func conformanceScenarios() map[string]*fakeState {
 	half.now = 3 * sim.Millisecond
 	for port := 0; port < half.ports; port++ {
 		for prio := 0; prio < pkt.NumPriorities; prio++ {
-			half.qin[[2]int{port, prio}] = 20_000
 			half.qout[[2]int{port, prio}] = 20_000
 		}
 	}
@@ -132,8 +131,6 @@ func conformanceTranscript(pol Policy) string {
 		}
 		p := pkt.NewData(pkt.FlowID(step%5+1), port, (port+1)%4, prio, class, int64(step)*1500, 1500)
 		p.InPort, p.InPrio, p.OutPort = port, prio, (port+1)%4
-		key := [2]int{port, prio}
-		s.qin[key] += int64(p.Size)
 		s.qout[[2]int{p.OutPort, prio}] += int64(p.Size)
 		s.used += int64(p.Size)
 		s.pool[class] += int64(p.Size)
@@ -148,8 +145,6 @@ func conformanceTranscript(pol Policy) string {
 		if step%2 == 1 {
 			q := fifo[0].p
 			fifo = fifo[1:]
-			qk := [2]int{q.InPort, q.InPrio}
-			s.qin[qk] -= int64(q.Size)
 			s.qout[[2]int{q.OutPort, q.InPrio}] -= int64(q.Size)
 			s.used -= int64(q.Size)
 			s.pool[ClassOfPriority(q.InPrio)] -= int64(q.Size)

@@ -12,7 +12,6 @@ type fakeState struct {
 	total     int64
 	used      int64
 	pool      map[pkt.Class]int64
-	qin       map[[2]int]int64
 	qout      map[[2]int]int64
 	drain     map[[2]int]int64
 	line      int64
@@ -28,7 +27,6 @@ func newFakeState() *fakeState {
 	return &fakeState{
 		total:     4 << 20, // 4 MB, the paper's switch buffer
 		pool:      make(map[pkt.Class]int64),
-		qin:       make(map[[2]int]int64),
 		qout:      make(map[[2]int]int64),
 		drain:     make(map[[2]int]int64),
 		line:      25e9,
@@ -39,15 +37,14 @@ func newFakeState() *fakeState {
 	}
 }
 
-func (f *fakeState) Now() sim.Time                          { return f.now }
-func (f *fakeState) TotalShared() int64                     { return f.total }
-func (f *fakeState) SharedUsed() int64                      { return f.used }
-func (f *fakeState) EgressPoolUsed(c pkt.Class) int64       { return f.pool[c] }
-func (f *fakeState) IngressQueueBytes(port, prio int) int64 { return f.qin[[2]int{port, prio}] }
-func (f *fakeState) EgressQueueBytes(port, prio int) int64  { return f.qout[[2]int{port, prio}] }
-func (f *fakeState) EgressLineRate(int) int64               { return f.line }
-func (f *fakeState) NumPorts() int                          { return f.ports }
-func (f *fakeState) CongestedEgressQueues(prio int) int     { return f.congested[prio] }
+func (f *fakeState) Now() sim.Time                         { return f.now }
+func (f *fakeState) TotalShared() int64                    { return f.total }
+func (f *fakeState) SharedUsed() int64                     { return f.used }
+func (f *fakeState) EgressPoolUsed(c pkt.Class) int64      { return f.pool[c] }
+func (f *fakeState) EgressQueueBytes(port, prio int) int64 { return f.qout[[2]int{port, prio}] }
+func (f *fakeState) EgressLineRate(int) int64              { return f.line }
+func (f *fakeState) NumPorts() int                         { return f.ports }
+func (f *fakeState) CongestedEgressQueues(prio int) int    { return f.congested[prio] }
 
 func (f *fakeState) EgressDrainRate(port, prio int) int64 {
 	if r, ok := f.drain[[2]int{port, prio}]; ok {

@@ -34,9 +34,6 @@ type StateView interface {
 	// for the given class (the paper keeps independent lossless and lossy
 	// egress pools).
 	EgressPoolUsed(class pkt.Class) int64
-	// IngressQueueBytes returns the ingress-pool counter Q_in for
-	// (port, priority).
-	IngressQueueBytes(port, prio int) int64
 	// EgressQueueBytes returns the egress-pool counter Q_out for
 	// (port, priority).
 	EgressQueueBytes(port, prio int) int64

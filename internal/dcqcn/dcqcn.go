@@ -170,9 +170,6 @@ func NewSender(env transport.Env, cfg Config, flow *transport.Flow, onDone func(
 	return s
 }
 
-// Flow returns the flow descriptor.
-func (s *Sender) Flow() *transport.Flow { return s.flow }
-
 // Rate returns the current sending rate in bits/s (for tests).
 func (s *Sender) Rate() float64 { return s.rc }
 

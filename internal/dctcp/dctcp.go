@@ -111,9 +111,6 @@ func NewSender(env transport.Env, cfg Config, flow *transport.Flow, onDone func(
 	return s
 }
 
-// Flow returns the flow descriptor.
-func (s *Sender) Flow() *transport.Flow { return s.flow }
-
 // Cwnd returns the current congestion window in bytes (for tests).
 func (s *Sender) Cwnd() float64 { return s.cwnd }
 

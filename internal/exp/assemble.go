@@ -203,8 +203,8 @@ type fabric struct {
 	cond    *psim.Conductor
 	logs    []shardLog // one per shard; its hosts' CompletionHandler appends
 
-	tracers  []*trace.Recorder // one per shard (rings are single-threaded); nil when tracing is off
-	samplers []*trace.Sampler  // one per shard, beside its recorder
+	tracers  []*trace.Recorder  // one per shard (rings are single-threaded); nil when tracing is off
+	samplers []*metrics.Sampler // one chain per shard, beside its recorder
 	aud      *audit.Auditor
 	injs     []*faults.Injector // one replica per shard
 	incast   []*workload.Incast // one replica per shard (runPacket); nil without an incast stream
@@ -287,7 +287,7 @@ func (p *plan) build(ctx context.Context, seed int64) (*fabric, error) {
 	if p.spec.Hooks != nil && p.spec.Hooks.PostBuild != nil {
 		p.spec.Hooks.PostBuild(cl)
 	}
-	f := &fabric{p: p, engines: engines, part: part, cl: cl, cond: psim.ForCluster(cl, coresAvailable(ctx)), logs: logs}
+	f := &fabric{p: p, engines: engines, part: part, cl: cl, cond: psim.New(cl.Engines, cl.Inbound(), cl.Lookahead, coresAvailable(ctx)), logs: logs}
 	if ctx.Done() != nil {
 		// ctx.Err is safe for concurrent use, as SetInterrupt requires of
 		// its poll (shard workers check it in parallel).
@@ -363,10 +363,12 @@ func faultLinks(cl *topo.Cluster, shard int) []faults.Link {
 }
 
 // armTrace arms the flight recorder when the spec asks for one: MMU probes
-// on every switch feeding its shard's recorder, and a periodic occupancy +
-// L2BM weight sampler per shard running for the next until of simulated time
-// (not started when until ≤ 0). Everything here is feed-forward (probes and
-// L2BM reads are pure), so arming it cannot change the run's results.
+// on every switch feeding its shard's recorder, and one sampler chain per
+// shard running for the next until of simulated time (not started when
+// until ≤ 0) that records the occupancy of the shard's switches — ToRs, then
+// aggs, then cores — and then the weight, τ and threshold of every L2BM
+// queue among them. Everything here is feed-forward (probes and L2BM reads
+// are pure), so arming it cannot change the run's results.
 func (f *fabric) armTrace(until sim.Duration) {
 	ts := f.p.spec.Trace
 	if ts == nil {
@@ -377,47 +379,45 @@ func (f *fabric) armTrace(until sim.Duration) {
 		every = occupancyEvery
 	}
 	f.tracers = make([]*trace.Recorder, len(f.engines))
-	f.samplers = make([]*trace.Sampler, len(f.engines))
-	for s, eng := range f.engines {
+	for s := range f.tracers {
 		f.tracers[s] = trace.NewRecorder(ts.Capacity)
-		f.samplers[s] = trace.NewSampler(eng, f.tracers[s], every)
 	}
-	for i, sw := range f.cl.ToRs {
-		armSwitch(sw, f.tracers[f.part.ToR[i]], f.samplers[f.part.ToR[i]])
-	}
-	for i, sw := range f.cl.Aggs {
-		armSwitch(sw, f.tracers[f.part.Agg[i]], f.samplers[f.part.Agg[i]])
-	}
-	for i, sw := range f.cl.Cores {
-		armSwitch(sw, f.tracers[f.part.Core[i]], f.samplers[f.part.Core[i]])
-	}
-	if until > 0 {
-		for _, s := range f.samplers {
-			s.Start(until) // sample the loaded phase, like the metrics samplers
+	owned := make([][]*switchsim.Switch, len(f.engines))
+	for _, tier := range []struct {
+		sws   []*switchsim.Switch
+		shard []int
+	}{{f.cl.ToRs, f.part.ToR}, {f.cl.Aggs, f.part.Agg}, {f.cl.Cores, f.part.Core}} {
+		for i, sw := range tier.sws {
+			sw.SetTracer(f.tracers[tier.shard[i]])
+			owned[tier.shard[i]] = append(owned[tier.shard[i]], sw)
 		}
 	}
-}
-
-// armSwitch points one switch's probes at rec and adds it to the sampler,
-// with an L2BM weight/τ/threshold probe when that is its policy.
-func armSwitch(sw *switchsim.Switch, rec *trace.Recorder, ts *trace.Sampler) {
-	sw.SetTracer(rec)
-	ts.AddSwitch(sw)
-	l, ok := sw.Policy().(*core.L2BM)
-	if !ok {
-		return
-	}
-	name := sw.Name()
-	var scratch []core.QueueSample // reused across ticks: zero-alloc sampling
-	ts.AddProbe(func(now sim.Time, rec *trace.Recorder) {
-		scratch = l.PeekSamplesAppend(scratch[:0], sw)
-		for _, qs := range scratch {
-			rec.RecordWeight(trace.WeightSample{
-				At: now, Switch: name, Port: qs.Port, Prio: qs.Prio,
-				Tau: qs.Tau, Weight: qs.Weight, Threshold: qs.Threshold,
-			})
+	f.samplers = make([]*metrics.Sampler, len(f.engines))
+	for s, eng := range f.engines {
+		rec, sws := f.tracers[s], owned[s]
+		var scratch []core.QueueSample // reused across ticks: zero-alloc sampling
+		f.samplers[s] = metrics.NewSampler(eng, every, func(now sim.Time) {
+			for _, sw := range sws {
+				rec.RecordOcc(trace.OccSample{At: now, Switch: sw.Name(), Resident: sw.Occupancy(), SharedUsed: sw.SharedUsed()})
+			}
+			for _, sw := range sws {
+				l, ok := sw.Policy().(*core.L2BM)
+				if !ok {
+					continue
+				}
+				scratch = l.PeekSamplesAppend(scratch[:0], sw)
+				for _, qs := range scratch {
+					rec.RecordWeight(trace.WeightSample{
+						At: now, Switch: sw.Name(), Port: qs.Port, Prio: qs.Prio,
+						Tau: qs.Tau, Weight: qs.Weight, Threshold: qs.Threshold,
+					})
+				}
+			}
+		})
+		if until > 0 {
+			f.samplers[s].Start(until) // sample the loaded phase, like the occupancy chains
 		}
-	})
+	}
 }
 
 // harvest adds the fabric's counters and findings to res: a packet run calls

@@ -31,18 +31,11 @@ type Harness struct {
 	// read it with cmd/l2bmtrace), NNN a running point number so names are
 	// unique and worker-count independent.
 	TraceDir string
-	// Shards, when >= 1, runs every point — or every packet segment of a
-	// hybrid-fidelity point — on that many psim shards (specs carrying their
-	// own Shards keep it); 0 leaves each point to size itself to the cores the
-	// pool leaves idle — one engine per point when the grid fills the
-	// machine. Results are byte-identical for any legal shard count, so tables
-	// and progress lines do not change — only wall clock does.
-	Shards int
 	// Fidelity, when non-empty, selects the execution engine for every
 	// point (specs carrying their own Fidelity keep it): FidelityPacket
 	// simulates every MTU, FidelityHybrid fast-forwards steady-state spans
-	// through the fluid layer. Unlike Shards, hybrid fidelity changes
-	// results — within the divergence bound DESIGN.md §14 states.
+	// through the fluid layer. Unlike a spec's Shards, hybrid fidelity
+	// changes results — within the divergence bound DESIGN.md §14 states.
 	Fidelity string
 	// Cache, when non-nil, is consulted per point: a point it holds is
 	// restored instead of simulated (byte-identical output either way), and
@@ -160,9 +153,6 @@ func (h *Harness) runAll(specs []HybridSpec, emit EmitFunc) ([]*Result, error) {
 		sp := &specs[i]
 		if sp.Trace == nil {
 			sp.Trace = h.Trace
-		}
-		if sp.Shards == 0 && h.Shards >= 1 { // a spec with no shard count takes the harness's
-			sp.Shards = h.Shards
 		}
 		if sp.Fidelity == "" {
 			sp.Fidelity = h.Fidelity

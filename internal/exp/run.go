@@ -440,13 +440,14 @@ func runPacket(ctx context.Context, p *plan) (*Result, error) {
 		f.incast = incastGens
 	}
 
-	// Occupancy samplers, one per ToR (the paper traces rack switches):
+	// Occupancy chains, one per ToR (the paper traces rack switches):
 	// engine-driven ticks on each ToR's own shard (pure shard-local reads,
 	// so no barrier needed).
-	samplers := make([]*metrics.Sampler, len(cl.ToRs))
+	torOcc := make([][]metrics.Reading, len(cl.ToRs))
 	for i, tor := range cl.ToRs {
-		samplers[i] = metrics.NewSampler(f.engines[f.part.ToR[i]], occupancyEvery, tor.Occupancy)
-		samplers[i].Start(p.window) // trace the loaded phase, like the paper
+		metrics.NewSampler(f.engines[f.part.ToR[i]], occupancyEvery, func(now sim.Time) {
+			torOcc[i] = append(torOcc[i], metrics.Reading{At: now, Value: tor.Occupancy()})
+		}).Start(p.window) // trace the loaded phase, like the paper
 	}
 	f.armTrace(p.window)
 
@@ -485,9 +486,7 @@ func runPacket(ctx context.Context, p *plan) (*Result, error) {
 		}
 		res.QueryDelays = incastGens[0].CompletedResponseTimes()
 	}
-	for _, s := range samplers {
-		res.TorOccupancy = append(res.TorOccupancy, s.Samples)
-	}
+	res.TorOccupancy = torOcc
 	f.harvest(res, true)
 	return res, nil
 }

@@ -112,6 +112,10 @@ func TestRunHybridRefusesInvalidSpec(t *testing.T) {
 		"Scale 0":             func(s *HybridSpec) { s.Scale = 0 },
 		"NaN FlapRate":        func(s *HybridSpec) { s.Faults = &FaultSpec{Plan: faults.Plan{FlapRate: math.NaN()}} },
 		"incast below fanout": func(s *HybridSpec) { s.Incast = &IncastSpec{Fanout: 5, RequestBytes: 3, QueryRate: 100} },
+		"InterRackOnly on one rack": func(s *HybridSpec) {
+			s.InterRackOnly = true
+			s.TopoOverride = func(c *topo.Config) { c.Pods, c.ToRCount, c.AggCount, c.CoreCount = 1, 1, 1, 1 }
+		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			spec := tinySpec("DT")

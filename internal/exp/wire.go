@@ -99,7 +99,8 @@ func (r *SweepRequest) Validate() error {
 // seeds the run), a registered policy unless a PolicyFactory stands in for
 // one, known scale/fidelity values, loads in [0, 1], incast parameters every
 // responder can send at least a byte of, a valid fault plan whose blackouts
-// name switches of the fabric, and a shard count the fabric can hold.
+// name switches of the fabric, a shard count the fabric can hold, and a
+// second rack when traffic must leave its own.
 func (sp HybridSpec) Validate() error {
 	if sp.Name == "" {
 		return fmt.Errorf("Name is required (it seeds the run)")
@@ -134,6 +135,9 @@ func (sp HybridSpec) Validate() error {
 	}
 	if sp.Shards > cfg.ToRCount {
 		return fmt.Errorf("Shards = %d, but the fabric has %d ToRs (every shard owns at least one)", sp.Shards, cfg.ToRCount)
+	}
+	if sp.InterRackOnly && cfg.ToRCount < 2 {
+		return fmt.Errorf("InterRackOnly needs at least two ToRs, but the fabric has %d", cfg.ToRCount)
 	}
 	for _, load := range []struct {
 		name string
@@ -196,17 +200,10 @@ func MarshalResults(results []*Result) ([]byte, error) {
 		}
 		raws[i] = raw
 	}
-	return MarshalRawResults(raws), nil
-}
-
-// MarshalRawResults is MarshalResults over already-marshaled point bytes
-// (the cache-hit path: stored bytes are spliced without a decode/re-encode
-// round trip that could perturb them).
-func MarshalRawResults(raws []json.RawMessage) []byte {
 	var buf bytes.Buffer
 	buf.Grow(RawResultsLen(raws))
 	_ = WriteRawResults(&buf, raws) // a bytes.Buffer write cannot fail
-	return buf.Bytes()
+	return buf.Bytes(), nil
 }
 
 // Envelope framing around the comma-joined points.
@@ -229,7 +226,7 @@ func RawResultsLen(raws []json.RawMessage) int {
 
 // WriteRawResults splices raws into the canonical envelope on w without
 // assembling it in memory first: the one implementation of the splice,
-// behind MarshalRawResults and the daemon's /result handler alike.
+// behind MarshalResults, l2bmexp -spec and the daemon's /result handler.
 func WriteRawResults(w io.Writer, raws []json.RawMessage) error {
 	if _, err := io.WriteString(w, envelopeOpen); err != nil {
 		return err

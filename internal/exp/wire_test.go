@@ -143,7 +143,7 @@ func TestSweepID(t *testing.T) {
 }
 
 // TestMarshalResultsEnvelope: the canonical envelope splices exact
-// json.Marshal bytes — MarshalResults over results and MarshalRawResults
+// json.Marshal bytes — MarshalResults over results and WriteRawResults
 // over their pre-marshaled bytes agree byte for byte.
 func TestMarshalResultsEnvelope(t *testing.T) {
 	results := []*Result{
@@ -160,8 +160,12 @@ func TestMarshalResultsEnvelope(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if cached := MarshalRawResults(raws); string(cached) != string(fresh) {
-		t.Errorf("fresh and raw envelopes differ:\n%s\n%s", fresh, cached)
+	var cached strings.Builder
+	if err := WriteRawResults(&cached, raws); err != nil {
+		t.Fatal(err)
+	}
+	if cached.String() != string(fresh) {
+		t.Errorf("fresh and raw envelopes differ:\n%s\n%s", fresh, cached.String())
 	}
 	if !strings.HasPrefix(string(fresh), `{"points":[`) || !strings.HasSuffix(string(fresh), "]}\n") {
 		t.Errorf("envelope shape wrong: %.60s", fresh)

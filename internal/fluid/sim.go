@@ -90,9 +90,6 @@ func NewSim(m *Model, p Params, arrivals []FlowArrival, now sim.Time) *Sim {
 	}
 }
 
-// Now returns the fluid clock.
-func (s *Sim) Now() sim.Time { return s.now }
-
 // Consumed returns how many of the supplied arrivals have been started.
 func (s *Sim) Consumed() int { return s.next }
 

@@ -197,15 +197,21 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-// Sampler polls a gauge on a fixed period — the paper records switch
-// occupancy every 1 ms (Fig. 8).
+// Sampler calls fn on a fixed period — the paper records switch occupancy
+// every 1 ms (Fig. 8), and the flight recorder samples on the same schedule.
+// Its ticks are ordinary engine events, which move event sequence numbers
+// but, fn being a pure read of the model, no model event's order or outcome.
 type Sampler struct {
 	eng      *sim.Engine
 	interval sim.Duration
-	gauge    func() int64
+	fn       func(now sim.Time)
+	until    sim.Time
+	tickFn   sim.Callback // tick, bound once: rescheduling allocates nothing
 
-	// Samples accumulates readings in time order.
-	Samples []Reading
+	// Ticks counts the executed ticks, the one past the horizon included.
+	// A sharded run arms one chain per shard where one engine arms one, and
+	// Result.Events counts one chain.
+	Ticks uint64
 }
 
 // Reading is one timestamped gauge value.
@@ -214,23 +220,31 @@ type Reading struct {
 	Value int64
 }
 
-// NewSampler builds a sampler polling gauge every interval once started.
-func NewSampler(eng *sim.Engine, interval sim.Duration, gauge func() int64) *Sampler {
+// NewSampler builds a sampler calling fn every interval once started. It
+// panics on a non-positive interval (a zero interval would stall the engine).
+func NewSampler(eng *sim.Engine, interval sim.Duration, fn func(now sim.Time)) *Sampler {
 	if interval <= 0 {
 		panic("metrics: sampler interval must be positive")
 	}
-	return &Sampler{eng: eng, interval: interval, gauge: gauge}
+	s := &Sampler{eng: eng, interval: interval, fn: fn}
+	s.tickFn = s.tick
+	return s
 }
 
-// Start begins sampling until the horizon (inclusive).
+// Start schedules the first tick one interval from now; fn runs at every
+// tick up to the horizon (inclusive), and the first tick past it ends the
+// chain.
 func (s *Sampler) Start(until sim.Time) {
-	var tick func()
-	tick = func() {
-		if s.eng.Now() > until {
-			return
-		}
-		s.Samples = append(s.Samples, Reading{At: s.eng.Now(), Value: s.gauge()})
-		s.eng.Schedule(s.interval, tick)
+	s.until = until
+	s.eng.Schedule(s.interval, s.tickFn)
+}
+
+func (s *Sampler) tick() {
+	s.Ticks++
+	now := s.eng.Now()
+	if now > s.until {
+		return
 	}
-	s.eng.Schedule(s.interval, tick)
+	s.fn(now)
+	s.eng.Schedule(s.interval, s.tickFn)
 }

@@ -297,25 +297,39 @@ func TestSummarizeSingleSortEquivalence(t *testing.T) {
 	}
 }
 
+// TestSamplerPolls: started half an interval into the run, the first tick
+// comes one interval later, fn runs once per tick up to and including the
+// horizon, and exactly one more tick fires past it — counted in Ticks —
+// after which the chain is gone.
 func TestSamplerPolls(t *testing.T) {
 	eng := sim.NewEngine(1)
 	v := int64(0)
 	eng.Schedule(5*sim.Millisecond, func() { v = 42 })
-	s := NewSampler(eng, sim.Millisecond, func() int64 { return v })
-	s.Start(10 * sim.Millisecond)
+	var got []Reading
+	s := NewSampler(eng, sim.Millisecond, func(now sim.Time) { got = append(got, Reading{At: now, Value: v}) })
+	const start = sim.Millisecond / 2
+	eng.Schedule(start, func() { s.Start(start + 10*sim.Millisecond) })
 	eng.RunAll()
 
-	if len(s.Samples) != 10 {
-		t.Fatalf("samples = %d, want 10", len(s.Samples))
+	if len(got) != 10 {
+		t.Fatalf("samples = %d, want 10", len(got))
 	}
-	if s.Samples[0].At != sim.Millisecond {
-		t.Errorf("first sample at %v, want 1ms", s.Samples[0].At)
+	for i, r := range got {
+		if want := start + sim.Time(i+1)*sim.Millisecond; r.At != want {
+			t.Errorf("sample %d at %v, want %v", i, r.At, want)
+		}
 	}
-	if s.Samples[3].Value != 0 || s.Samples[5].Value != 42 {
+	if got[3].Value != 0 || got[4].Value != 42 {
 		t.Error("sampler did not observe the gauge transition")
 	}
-	if last := s.Samples[9]; last.At != 10*sim.Millisecond || last.Value != 42 {
-		t.Errorf("last sample %+v, want 42 at the 10ms horizon", last)
+	if last := got[9]; last.At != start+10*sim.Millisecond || last.Value != 42 {
+		t.Errorf("last sample %+v, want 42 at the horizon", last)
+	}
+	if s.Ticks != 11 {
+		t.Errorf("Ticks = %d, want 11 (10 samples and the tick past the horizon)", s.Ticks)
+	}
+	if end := start + 11*sim.Millisecond; eng.Now() != end {
+		t.Errorf("engine drained at %v, want %v: a tick followed the one past the horizon", eng.Now(), end)
 	}
 }
 
@@ -325,7 +339,7 @@ func TestSamplerValidation(t *testing.T) {
 			t.Error("want panic on zero interval")
 		}
 	}()
-	NewSampler(sim.NewEngine(1), 0, func() int64 { return 0 })
+	NewSampler(sim.NewEngine(1), 0, func(sim.Time) {})
 }
 
 func TestSlowdownNaNOnZeroIdeal(t *testing.T) {

@@ -361,9 +361,6 @@ func (p *Port) PausedSince(prio int) sim.Time {
 	return p.pause.since[prio]
 }
 
-// Up reports whether the link carrier is up on this side.
-func (p *Port) Up() bool { return !p.down }
-
 // SetCarrier raises or cuts the link carrier on this side. While down,
 // frames arriving here are lost (counted in CarrierDrops). The fault layer
 // sets both sides of a link together, like a real cable cut.

@@ -37,7 +37,7 @@ func TestConductorInterrupt(t *testing.T) {
 			Priority: pkt.PrioLossless, Class: pkt.ClassLossless,
 		})
 
-		c := ForCluster(cl, runtime.GOMAXPROCS(0))
+		c := New(cl.Engines, cl.Inbound(), cl.Lookahead, runtime.GOMAXPROCS(0))
 		var stop atomic.Bool
 		c.AddTask(50*sim.Microsecond, func(now sim.Time) {
 			if now >= sim.Time(200*sim.Microsecond) {
@@ -78,7 +78,7 @@ func TestConductorInterruptObserverFree(t *testing.T) {
 			ID: 2, Src: 0, Dst: cl.NumHosts() - 1, Size: 200_000,
 			Priority: pkt.PrioLossless, Class: pkt.ClassLossless,
 		})
-		c := ForCluster(cl, runtime.GOMAXPROCS(0))
+		c := New(cl.Engines, cl.Inbound(), cl.Lookahead, runtime.GOMAXPROCS(0))
 		defer c.Close()
 		if arm {
 			c.SetInterrupt(16, func() bool { return false })

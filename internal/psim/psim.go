@@ -57,7 +57,6 @@ import (
 
 	"l2bm/internal/netdev"
 	"l2bm/internal/sim"
-	"l2bm/internal/topo"
 )
 
 // spinBound is how long either side of a hand-over polls the other's
@@ -163,7 +162,7 @@ type Stats struct {
 }
 
 // Conductor synchronizes a set of per-shard engines. Build one per run with
-// New or ForCluster, register barrier tasks, then Run to a horizon and Close.
+// New, register barrier tasks, then Run to a horizon and Close.
 // The zero value is not usable.
 type Conductor struct {
 	engines   []*sim.Engine
@@ -255,16 +254,6 @@ func New(engines []*sim.Engine, inbound [][]*netdev.Lane, lookahead sim.Duration
 		c.lanes = append(c.lanes, in...)
 	}
 	return c
-}
-
-// ForCluster builds a conductor for a sharded topo build, wiring in its
-// engines, lanes and computed lookahead; cores is New's.
-func ForCluster(cl *topo.Cluster, cores int) *Conductor {
-	la := cl.Lookahead
-	if len(cl.Engines) == 1 {
-		la = 0
-	}
-	return New(cl.Engines, cl.Inbound(), la, cores)
 }
 
 // AddTask registers a global barrier task firing at every multiple of every

@@ -68,7 +68,7 @@ func runFabric(t *testing.T, cfg topo.Config, shards int, seed int64, tweak func
 		})
 	}
 
-	c := ForCluster(cl, runtime.GOMAXPROCS(0))
+	c := New(cl.Engines, cl.Inbound(), cl.Lookahead, runtime.GOMAXPROCS(0))
 	defer c.Close()
 	if tweak != nil {
 		tweak(c)
@@ -242,7 +242,7 @@ func TestConductorBarrierTasks(t *testing.T) {
 			Priority: pkt.PrioLossless, Class: pkt.ClassLossless,
 		})
 
-		c := ForCluster(cl, runtime.GOMAXPROCS(0))
+		c := New(cl.Engines, cl.Inbound(), cl.Lookahead, runtime.GOMAXPROCS(0))
 		var fired []sim.Time
 		c.AddTask(100*sim.Microsecond, func(now sim.Time) {
 			fired = append(fired, now)
@@ -287,7 +287,7 @@ func TestConductorStats(t *testing.T) {
 		ID: 7, Src: 0, Dst: cl.NumHosts() - 1, Size: 100_000,
 		Priority: pkt.PrioLossless, Class: pkt.ClassLossless,
 	})
-	c := ForCluster(cl, runtime.GOMAXPROCS(0))
+	c := New(cl.Engines, cl.Inbound(), cl.Lookahead, runtime.GOMAXPROCS(0))
 	defer c.Close()
 	c.Run(10 * sim.Millisecond)
 

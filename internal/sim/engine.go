@@ -235,15 +235,10 @@ func (e *Engine) ScheduleAt(at Time, fn Callback) EventRef {
 // identical to Schedule — the event takes the next (at, seq) slot and the
 // returned EventRef cancels/compacts exactly like a closure event.
 func (e *Engine) ScheduleArg(delay Duration, fn ArgCallback, arg any) EventRef {
-	return e.ScheduleArgAt(e.now+delay, fn, arg)
-}
-
-// ScheduleArgAt runs fn(arg) at the absolute time at.
-func (e *Engine) ScheduleArgAt(at Time, fn ArgCallback, arg any) EventRef {
 	if fn == nil {
 		panic("sim: scheduling a nil callback")
 	}
-	ev := e.alloc(at)
+	ev := e.alloc(e.now + delay)
 	ev.afn = fn
 	ev.arg = arg
 	e.push(ev)

@@ -112,16 +112,10 @@ func BenchmarkAdmit(b *testing.B) { benchAdmit(b, nil, pkt.NewPool()) }
 // informational, for measuring what the pool buys.
 func BenchmarkAdmitUnpooled(b *testing.B) { benchAdmit(b, nil, nil) }
 
-// BenchmarkAdmitTraceOff measures the branch-on-nil guard with tracing
-// explicitly disarmed (benchAdmit calls SetTracer(nil)): the
-// disabled-tracing hot path, to read next to BenchmarkAdmitTraceOn. The
-// flight recorder's design budget for disabled tracing is ≤1% against a
-// probe-free switch, so TraceOff must sit at the noise floor (the benchmark's
-// ledger rows switchsim.admit_ns.L2BM / admit_traced_ns.L2BM track both).
-func BenchmarkAdmitTraceOff(b *testing.B) { benchAdmit(b, nil, pkt.NewPool()) }
-
 // BenchmarkAdmitTraceOn prices enabled tracing (ring pushes on every drop,
-// ECN mark and PFC edge) for comparison; it is informational, not guarded.
+// ECN mark and PFC edge), to read next to BenchmarkAdmit, whose disarmed
+// probes are the disabled-tracing hot path; it is informational, not
+// guarded.
 func BenchmarkAdmitTraceOn(b *testing.B) {
 	benchAdmit(b, trace.NewRecorder(0), pkt.NewPool())
 }

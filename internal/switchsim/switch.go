@@ -52,8 +52,9 @@ type Switch struct {
 
 	// tracer, when non-nil, receives flight-recorder events from the
 	// admission/dequeue/PFC paths. The hot-path cost when disabled is a
-	// single branch-on-nil per probe site (BenchmarkAdmitTraceOff), and the
-	// probes are pure reads of MMU state — tracing cannot perturb the run.
+	// single branch-on-nil per probe site (BenchmarkAdmit; armed, it is
+	// BenchmarkAdmitTraceOn), and the probes are pure reads of MMU state —
+	// tracing cannot perturb the run.
 	tracer *trace.Recorder
 }
 
@@ -198,9 +199,6 @@ func (s *Switch) Name() string { return s.name }
 
 // Policy returns the buffer-management policy in force.
 func (s *Switch) Policy() core.Policy { return s.policy }
-
-// Config returns the switch configuration.
-func (s *Switch) Config() Config { return *s.cfg }
 
 // Stats returns a snapshot of the switch counters. Pause/resume frame
 // counts are gathered from the ports at call time.
@@ -660,11 +658,6 @@ func (s *Switch) SharedUsed() int64 { return s.mmu.sharedUsed }
 
 // EgressPoolUsed implements core.StateView.
 func (s *Switch) EgressPoolUsed(c pkt.Class) int64 { return s.mmu.poolUsed[int(c)] }
-
-// IngressQueueBytes implements core.StateView.
-func (s *Switch) IngressQueueBytes(port, prio int) int64 {
-	return s.mmu.at(port, prio).ing
-}
 
 // EgressQueueBytes implements core.StateView.
 func (s *Switch) EgressQueueBytes(port, prio int) int64 {

@@ -416,7 +416,7 @@ func TestMMUFootprint(t *testing.T) {
 		if allocs := testing.AllocsPerRun(10, func() {
 			for port := 0; port < ports; port++ {
 				for prio := 0; prio < pkt.NumPriorities; prio++ {
-					if r.sw.IngressQueueBytes(port, prio) != 0 || r.sw.EgressQueueBytes(port, prio) != 0 {
+					if m.at(port, prio).ing != 0 || r.sw.EgressQueueBytes(port, prio) != 0 {
 						t.Fatalf("%s: (%d,%d) does not read as empty", when, port, prio)
 					}
 					probe.Priority = prio

@@ -754,9 +754,6 @@ func (cl *Cluster) NumHosts() int { return len(cl.Hosts) }
 // StartFlow launches f from its source host.
 func (cl *Cluster) StartFlow(f *transport.Flow) { cl.Hosts[f.Src].StartFlow(f) }
 
-// ToROf returns the index of the rack switch serving host h.
-func (cl *Cluster) ToROf(h int) int { return cl.Cfg.ToROf(h) }
-
 // Hops returns the number of links a packet traverses from src to dst.
 func (cl *Cluster) Hops(src, dst int) int { return cl.Cfg.Hops(src, dst) }
 

@@ -15,8 +15,9 @@
 //     untraced run, and two traced runs produce byte-identical trace files.
 //   - A nil *Recorder is the disabled state. Hot-path probe sites compile
 //     to a single branch-on-nil (`if s.tracer != nil { ... }`), and every
-//     Record method is additionally nil-safe, so the off cost is ≤1% on
-//     the MMU admission benchmark (BenchmarkAdmitTraceOff).
+//     Record method is additionally nil-safe. switchsim's BenchmarkAdmit
+//     and BenchmarkAdmitTraceOn price admission off and on; the benchmark
+//     ledger's trace_overhead_pct prices a whole traced sweep.
 //   - Channels are bounded rings (see ring.go): memory stays O(capacity)
 //     per channel and the most recent window survives, flight-recorder
 //     style. Eviction counts are reported via Stats.

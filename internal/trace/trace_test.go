@@ -117,68 +117,6 @@ func TestPauseIntervalReissueAfterEviction(t *testing.T) {
 	}
 }
 
-type fakeSwitch struct {
-	name string
-	occ  int64
-	shr  int64
-}
-
-func (f *fakeSwitch) Name() string      { return f.name }
-func (f *fakeSwitch) Occupancy() int64  { return f.occ }
-func (f *fakeSwitch) SharedUsed() int64 { return f.shr }
-
-func TestSamplerTicksAndStops(t *testing.T) {
-	eng := sim.NewEngine(1)
-	rec := NewRecorder(0)
-	fs := &fakeSwitch{name: "tor0"}
-	s := NewSampler(eng, rec, 100)
-	s.AddSwitch(fs)
-	probeCalls := 0
-	s.AddProbe(func(now sim.Time, r *Recorder) {
-		probeCalls++
-		r.RecordWeight(WeightSample{At: now, Switch: "tor0"})
-	})
-	// Drive the "model": occupancy grows by 7 bytes every 40ps.
-	var grow func()
-	grow = func() {
-		fs.occ += 7
-		fs.shr += 3
-		if eng.Now() < 1000 {
-			eng.Schedule(40, grow)
-		}
-	}
-	eng.Schedule(40, grow)
-	s.Start(500)
-	eng.Run(2000)
-
-	occ := rec.OccSamples()
-	// Ticks at 100..500 inclusive = 5 samples; tick at 600 observes now>until.
-	if len(occ) != 5 {
-		t.Fatalf("got %d occ samples: %+v", len(occ), occ)
-	}
-	for i, o := range occ {
-		wantAt := sim.Time(100 * (i + 1))
-		if o.At != wantAt || o.Switch != "tor0" {
-			t.Fatalf("sample %d = %+v, want at=%d", i, o, wantAt)
-		}
-		if o.Resident <= 0 || o.SharedUsed <= 0 {
-			t.Fatalf("sample %d did not observe model state: %+v", i, o)
-		}
-	}
-	if probeCalls != 5 || len(rec.WeightSamples()) != 5 {
-		t.Fatalf("probe calls=%d weights=%d, want 5/5", probeCalls, len(rec.WeightSamples()))
-	}
-}
-
-func TestSamplerRejectsNonPositiveInterval(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewSampler(every=0) did not panic")
-		}
-	}()
-	NewSampler(sim.NewEngine(1), NewRecorder(0), 0)
-}
-
 func TestStatsCountsEviction(t *testing.T) {
 	r := NewRecorder(2)
 	for i := 0; i < 5; i++ {
