@@ -41,6 +41,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 )
 
 // Version is the container version baked into the footer; readers refuse
@@ -107,12 +108,15 @@ func (c *Channel) add(name, kind string, rows int, data []byte) *Channel {
 
 // Time appends a delta+zigzag-varint encoded timestamp column.
 func (c *Channel) Time(name string, vals []int64) *Channel {
-	var buf []byte
-	var prev int64
-	var tmp [binary.MaxVarintLen64]byte
+	size, prev := 0, int64(0)
 	for _, v := range vals {
-		n := binary.PutUvarint(tmp[:], zigzag(v-prev))
-		buf = append(buf, tmp[:n]...)
+		size += uvarintLen(zigzag(v - prev))
+		prev = v
+	}
+	buf := make([]byte, 0, size)
+	prev = 0
+	for _, v := range vals {
+		buf = binary.AppendUvarint(buf, zigzag(v-prev))
 		prev = v
 	}
 	return c.add(name, KindTime, len(vals), buf)
@@ -120,22 +124,26 @@ func (c *Channel) Time(name string, vals []int64) *Channel {
 
 // Int appends a zigzag-varint encoded signed column.
 func (c *Channel) Int(name string, vals []int64) *Channel {
-	var buf []byte
-	var tmp [binary.MaxVarintLen64]byte
+	size := 0
 	for _, v := range vals {
-		n := binary.PutUvarint(tmp[:], zigzag(v))
-		buf = append(buf, tmp[:n]...)
+		size += uvarintLen(zigzag(v))
+	}
+	buf := make([]byte, 0, size)
+	for _, v := range vals {
+		buf = binary.AppendUvarint(buf, zigzag(v))
 	}
 	return c.add(name, KindInt, len(vals), buf)
 }
 
 // Uint appends a varint encoded unsigned column.
 func (c *Channel) Uint(name string, vals []uint64) *Channel {
-	var buf []byte
-	var tmp [binary.MaxVarintLen64]byte
+	size := 0
 	for _, v := range vals {
-		n := binary.PutUvarint(tmp[:], v)
-		buf = append(buf, tmp[:n]...)
+		size += uvarintLen(v)
+	}
+	buf := make([]byte, 0, size)
+	for _, v := range vals {
+		buf = binary.AppendUvarint(buf, v)
 	}
 	return c.add(name, KindUint, len(vals), buf)
 }
@@ -149,35 +157,36 @@ func (c *Channel) Float(name string, vals []float64) *Channel {
 	return c.add(name, KindFloat, len(vals), buf)
 }
 
-// Str appends a dictionary-encoded string column.
+// Str appends a dictionary-encoded string column. A first pass builds the
+// dictionary and sizes the block; a second looks each row's index up again.
 func (c *Channel) Str(name string, vals []string) *Channel {
 	var dict []string
 	idx := make(map[string]uint64)
-	rows := make([]uint64, len(vals))
-	for i, v := range vals {
+	size := 0
+	for _, v := range vals {
 		j, ok := idx[v]
 		if !ok {
 			j = uint64(len(dict))
 			idx[v] = j
 			dict = append(dict, v)
+			size += uvarintLen(uint64(len(v))) + len(v)
 		}
-		rows[i] = j
+		size += uvarintLen(j)
 	}
-	var buf []byte
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(len(dict)))
-	buf = append(buf, tmp[:n]...)
+	buf := make([]byte, 0, uvarintLen(uint64(len(dict)))+size)
+	buf = binary.AppendUvarint(buf, uint64(len(dict)))
 	for _, s := range dict {
-		n := binary.PutUvarint(tmp[:], uint64(len(s)))
-		buf = append(buf, tmp[:n]...)
+		buf = binary.AppendUvarint(buf, uint64(len(s)))
 		buf = append(buf, s...)
 	}
-	for _, j := range rows {
-		n := binary.PutUvarint(tmp[:], j)
-		buf = append(buf, tmp[:n]...)
+	for _, v := range vals {
+		buf = binary.AppendUvarint(buf, idx[v])
 	}
 	return c.add(name, KindStr, len(vals), buf)
 }
+
+// uvarintLen is the byte length of v's varint encoding.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // Footer schema types; field order here fixes the footer's JSON layout.
 type footer struct {

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"io"
 	"runtime"
 	"testing"
 
@@ -38,6 +39,7 @@ func TestPointAllocBudget(t *testing.T) {
 		{"arena-Occamy-burst", with(fig7, func(s *HybridSpec) {
 			s.Name, s.Policy, s.Incast, s.Audit = "arena", "Occamy", incastSpecFor(5), &AuditSpec{}
 		}), 5561, 1_013_000},
+		{"burst-traced", burstTracedSpec(), 5455, 2_059_000},
 		{"steady-packet", with(steady, func(s *HybridSpec) { s.Fidelity = FidelityPacket }), 8810, 1_538_000},
 		{"steady-hybrid", with(steady, func(s *HybridSpec) { s.Fidelity = FidelityHybrid }), 737, 76_000},
 	} {
@@ -48,6 +50,9 @@ func TestPointAllocBudget(t *testing.T) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			res, err := RunHybrid(tc.spec)
+			if err == nil && tc.spec.Trace != nil {
+				err = res.WriteCol(io.Discard)
+			}
 			runtime.ReadMemStats(&after)
 			if err != nil {
 				t.Fatal(err)

@@ -144,3 +144,48 @@ func TestRunDigestsPinned(t *testing.T) {
 		})
 	}
 }
+
+// burstTracedSpec is the Fig. 7 point with an incast stream on top, the
+// auditor armed and the flight recorder at its default capacity, on two
+// shards: every recorder channel fills, and Merge folds two shard recorders.
+func burstTracedSpec() HybridSpec {
+	return HybridSpec{Name: "burst", Policy: "L2BM", Scale: ScaleTiny, RDMALoad: 0.4, TCPLoad: 0.8, Shards: 2,
+		Incast: &IncastSpec{Fanout: 5, RequestBytes: 1 << 20, QueryRate: 3000},
+		Audit:  &AuditSpec{}, Trace: &TraceSpec{}}
+}
+
+// TestTracedColPinned holds the columnar export of two traced points to
+// absolute FNV-64a digests of Result.WriteCol, captured before the
+// recorder's storage, merge and export were reworked for memory: one shard
+// recorder through Merge, and two. A change to how rows are stored, merged
+// or encoded must leave these bytes alone.
+func TestTracedColPinned(t *testing.T) {
+	fig7 := HybridSpec{Name: "fig7", Policy: "L2BM", Scale: ScaleTiny, RDMALoad: 0.4, TCPLoad: 0.8, Shards: 1,
+		Trace: &TraceSpec{}}
+	for _, tc := range []struct {
+		spec HybridSpec
+		col  string
+	}{
+		{fig7, "c3819b7efdca4d1a"},
+		{burstTracedSpec(), "fc9ad86cf2e3b384"},
+	} {
+		tc := tc
+		t.Run(tc.spec.Name, func(t *testing.T) {
+			t.Parallel()
+			res, err := RunHybrid(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := res.WriteCol(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if res.Trace.Stats().Evicted() != 0 {
+				t.Fatal("the recorder evicted rows; the pin wants the whole run")
+			}
+			if got := fnvHex(buf.Bytes()); got != tc.col {
+				t.Errorf("WriteCol digest %s (%d B), want %s", got, buf.Len(), tc.col)
+			}
+		})
+	}
+}

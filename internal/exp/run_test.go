@@ -112,6 +112,15 @@ func TestRunHybridRefusesInvalidSpec(t *testing.T) {
 		"Scale 0":             func(s *HybridSpec) { s.Scale = 0 },
 		"NaN FlapRate":        func(s *HybridSpec) { s.Faults = &FaultSpec{Plan: faults.Plan{FlapRate: math.NaN()}} },
 		"incast below fanout": func(s *HybridSpec) { s.Incast = &IncastSpec{Fanout: 5, RequestBytes: 3, QueryRate: 100} },
+		// Each of the next six used to run as the default spec.
+		"negative WindowOverride": func(s *HybridSpec) { s.WindowOverride = -1_000_000 },
+		"negative DrainOverride":  func(s *HybridSpec) { s.DrainOverride = -1e9 },
+		"negative Audit.Every":    func(s *HybridSpec) { s.Audit = &AuditSpec{Every: -5} },
+		"negative Audit.MaxPauseAge": func(s *HybridSpec) {
+			s.Audit = &AuditSpec{MaxPauseAge: -sim.Microsecond}
+		},
+		"negative Trace.SampleEvery": func(s *HybridSpec) { s.Trace = &TraceSpec{SampleEvery: -sim.Microsecond} },
+		"negative Trace.Capacity":    func(s *HybridSpec) { s.Trace = &TraceSpec{Capacity: -1} },
 		"InterRackOnly on one rack": func(s *HybridSpec) {
 			s.InterRackOnly = true
 			s.TopoOverride = func(c *topo.Config) { c.Pods, c.ToRCount, c.AggCount, c.CoreCount = 1, 1, 1, 1 }

@@ -97,10 +97,11 @@ func (r *SweepRequest) Validate() error {
 // building anything, and the daemon, l2bmexp -spec and the harness check it
 // upfront so a bad point fails before any other runs. It asks for a name (it
 // seeds the run), a registered policy unless a PolicyFactory stands in for
-// one, known scale/fidelity values, loads in [0, 1], incast parameters every
-// responder can send at least a byte of, a valid fault plan whose blackouts
-// name switches of the fabric, a shard count the fabric can hold, and a
-// second rack when traffic must leave its own.
+// one, known scale/fidelity values, no negative override, period or
+// capacity, loads in [0, 1], incast parameters every responder can send at
+// least a byte of, a valid fault plan whose blackouts name switches of the
+// fabric, a shard count the fabric can hold, and a second rack when traffic
+// must leave its own.
 func (sp HybridSpec) Validate() error {
 	if sp.Name == "" {
 		return fmt.Errorf("Name is required (it seeds the run)")
@@ -125,6 +126,32 @@ func (sp HybridSpec) Validate() error {
 	}
 	if sp.Shards < 0 {
 		return fmt.Errorf("Shards must be >= 0, got %d", sp.Shards)
+	}
+	// Each of these reads zero as "the default", so a negative value would
+	// run as the default spec and cache one result under several keys. An
+	// absent Audit or Trace checks as its zero value.
+	var audit AuditSpec
+	if sp.Audit != nil {
+		audit = *sp.Audit
+	}
+	var tr TraceSpec
+	if sp.Trace != nil {
+		tr = *sp.Trace
+	}
+	for _, st := range []struct {
+		name string
+		v    int64
+	}{
+		{"WindowOverride", int64(sp.WindowOverride)},
+		{"DrainOverride", int64(sp.DrainOverride)},
+		{"Audit.Every", int64(audit.Every)},
+		{"Audit.MaxPauseAge", int64(audit.MaxPauseAge)},
+		{"Trace.SampleEvery", int64(tr.SampleEvery)},
+		{"Trace.Capacity", int64(tr.Capacity)},
+	} {
+		if st.v < 0 {
+			return fmt.Errorf("%s = %d, want >= 0 (0 means the default)", st.name, st.v)
+		}
 	}
 	// The resolved fabric caps the shard count — every shard owns at least one
 	// rack (topo.ComputePartition), and a self-sized run (0) fits itself — and

@@ -9,6 +9,7 @@ package trace
 
 import (
 	"l2bm/internal/colfmt"
+	"l2bm/internal/pkt"
 	"l2bm/internal/sim"
 )
 
@@ -24,87 +25,107 @@ const (
 // AppendCol renders every retained channel into f. Pause episodes are
 // reconstructed up to horizon (an episode still open there is closed at it
 // and flagged open). A nil recorder appends nothing.
+//
+// Columns are filled straight from the rings through one scratch slice per
+// value kind, reused column after column: the encoders copy what they are
+// handed, so export holds one column of values at a time, never a copy of a
+// channel.
 func (r *Recorder) AppendCol(f *colfmt.File, horizon sim.Time) {
 	if r == nil {
 		return
 	}
-	occ := r.OccSamples()
-	ats := make([]int64, len(occ))
-	sws := make([]string, len(occ))
-	res := make([]int64, len(occ))
-	shared := make([]int64, len(occ))
-	for i, s := range occ {
-		ats[i], sws[i], res[i], shared[i] = int64(s.At), s.Switch, s.Resident, s.SharedUsed
-	}
-	f.Channel(ColOccupancy).
-		Time("at_ps", ats).Str("switch", sws).Int("resident", res).Int("shared_used", shared)
-
-	pfc := r.PFCEvents()
-	ats = make([]int64, len(pfc))
-	sws = make([]string, len(pfc))
-	ports := make([]int64, len(pfc))
-	prios := make([]int64, len(pfc))
-	kinds := make([]string, len(pfc))
-	for i, e := range pfc {
-		ats[i], sws[i], ports[i], prios[i], kinds[i] =
-			int64(e.At), e.Switch, int64(e.Port), int64(e.Prio), e.Kind.String()
-	}
-	f.Channel(ColPFC).
-		Time("at_ps", ats).Str("switch", sws).Int("port", ports).Int("prio", prios).Str("kind", kinds)
-
 	pauses := r.PauseIntervals(horizon)
-	sws = make([]string, len(pauses))
-	ports = make([]int64, len(pauses))
-	prios = make([]int64, len(pauses))
-	views := make([]string, len(pauses))
-	froms := make([]int64, len(pauses))
-	tos := make([]int64, len(pauses))
+	rows := max(r.occ.len(), r.pfc.len(), r.weights.len(), r.pkts.len(), len(pauses))
+	sc := &scratch{ints: make([]int64, 0, rows), strs: make([]string, 0, rows)}
+
+	occ := &r.occ
+	f.Channel(ColOccupancy).
+		Time("at_ps", ints(sc, occ, func(s *OccSample) int64 { return int64(s.At) })).
+		Str("switch", strs(sc, occ, func(s *OccSample) string { return s.Switch })).
+		Int("resident", ints(sc, occ, func(s *OccSample) int64 { return s.Resident })).
+		Int("shared_used", ints(sc, occ, func(s *OccSample) int64 { return s.SharedUsed }))
+
+	pfc := &r.pfc
+	f.Channel(ColPFC).
+		Time("at_ps", ints(sc, pfc, func(e *PFCEvent) int64 { return int64(e.At) })).
+		Str("switch", strs(sc, pfc, func(e *PFCEvent) string { return e.Switch })).
+		Int("port", ints(sc, pfc, func(e *PFCEvent) int64 { return int64(e.Port) })).
+		Int("prio", ints(sc, pfc, func(e *PFCEvent) int64 { return int64(e.Prio) })).
+		Str("kind", strs(sc, pfc, func(e *PFCEvent) string { return e.Kind.String() }))
+
+	ps := adoptRing(pauses)
 	opens := make([]uint64, len(pauses))
 	for i, p := range pauses {
-		view := "mmu"
-		if p.Kind == PortPaused {
-			view = "tx"
-		}
-		var open uint64
 		if p.Open {
-			open = 1
+			opens[i] = 1
 		}
-		sws[i], ports[i], prios[i], views[i] = p.Switch, int64(p.Port), int64(p.Prio), view
-		froms[i], tos[i], opens[i] = int64(p.From), int64(p.To), open
 	}
 	f.Channel(ColPauses).
-		Str("switch", sws).Int("port", ports).Int("prio", prios).Str("view", views).
-		Time("from_ps", froms).Time("to_ps", tos).Uint("open", opens)
+		Str("switch", strs(sc, &ps, func(p *PauseInterval) string { return p.Switch })).
+		Int("port", ints(sc, &ps, func(p *PauseInterval) int64 { return int64(p.Port) })).
+		Int("prio", ints(sc, &ps, func(p *PauseInterval) int64 { return int64(p.Prio) })).
+		Str("view", strs(sc, &ps, func(p *PauseInterval) string {
+			if p.Kind == PortPaused {
+				return "tx"
+			}
+			return "mmu"
+		})).
+		Time("from_ps", ints(sc, &ps, func(p *PauseInterval) int64 { return int64(p.From) })).
+		Time("to_ps", ints(sc, &ps, func(p *PauseInterval) int64 { return int64(p.To) })).
+		Uint("open", opens)
 
-	weights := r.WeightSamples()
-	ats = make([]int64, len(weights))
-	sws = make([]string, len(weights))
-	ports = make([]int64, len(weights))
-	prios = make([]int64, len(weights))
-	taus := make([]int64, len(weights))
-	ws := make([]float64, len(weights))
-	ths := make([]int64, len(weights))
-	for i, s := range weights {
-		ats[i], sws[i], ports[i], prios[i] = int64(s.At), s.Switch, int64(s.Port), int64(s.Prio)
-		taus[i], ws[i], ths[i] = int64(s.Tau), s.Weight, s.Threshold
-	}
+	w := &r.weights
+	ws := make([]float64, 0, w.len())
+	w.walk(func(rows []WeightSample) {
+		for i := range rows {
+			ws = append(ws, rows[i].Weight)
+		}
+	})
 	f.Channel(ColWeights).
-		Time("at_ps", ats).Str("switch", sws).Int("port", ports).Int("prio", prios).
-		Int("tau_ps", taus).Float("weight", ws).Int("threshold", ths)
+		Time("at_ps", ints(sc, w, func(s *WeightSample) int64 { return int64(s.At) })).
+		Str("switch", strs(sc, w, func(s *WeightSample) string { return s.Switch })).
+		Int("port", ints(sc, w, func(s *WeightSample) int64 { return int64(s.Port) })).
+		Int("prio", ints(sc, w, func(s *WeightSample) int64 { return int64(s.Prio) })).
+		Int("tau_ps", ints(sc, w, func(s *WeightSample) int64 { return int64(s.Tau) })).
+		Float("weight", ws).
+		Int("threshold", ints(sc, w, func(s *WeightSample) int64 { return s.Threshold }))
 
-	pkts := r.PacketEvents()
-	ats = make([]int64, len(pkts))
-	sws = make([]string, len(pkts))
-	ports = make([]int64, len(pkts))
-	prios = make([]int64, len(pkts))
-	kinds = make([]string, len(pkts))
-	sizes := make([]int64, len(pkts))
-	classes := make([]string, len(pkts))
-	for i, e := range pkts {
-		ats[i], sws[i], ports[i], prios[i] = int64(e.At), e.Switch, int64(e.Port), int64(e.Prio)
-		kinds[i], sizes[i], classes[i] = e.Kind.String(), int64(e.Size), e.Class.String()
-	}
+	pk := &r.pkts
 	f.Channel(ColEvents).
-		Time("at_ps", ats).Str("switch", sws).Int("port", ports).Int("prio", prios).
-		Str("kind", kinds).Int("size", sizes).Str("class", classes)
+		Time("at_ps", ints(sc, pk, func(e *pktRow) int64 { return int64(e.At) })).
+		Str("switch", strs(sc, pk, func(e *pktRow) string { return e.Switch })).
+		Int("port", ints(sc, pk, func(e *pktRow) int64 { return int64(e.Port) })).
+		Int("prio", ints(sc, pk, func(e *pktRow) int64 { return int64(e.Prio) })).
+		Str("kind", strs(sc, pk, func(e *pktRow) string { return PacketEventKind(e.Kind).String() })).
+		Int("size", ints(sc, pk, func(e *pktRow) int64 { return int64(e.Size) })).
+		Str("class", strs(sc, pk, func(e *pktRow) string { return pkt.Class(e.Class).String() }))
+}
+
+// scratch is AppendCol's reusable column buffers, one per value kind.
+type scratch struct {
+	ints []int64
+	strs []string
+}
+
+// ints fills sc's int scratch with get of every retained row of rg,
+// oldest-first, and returns it; valid until the next ints call.
+func ints[T any](sc *scratch, rg *ring[T], get func(*T) int64) []int64 {
+	sc.ints = sc.ints[:0]
+	rg.walk(func(rows []T) {
+		for i := range rows {
+			sc.ints = append(sc.ints, get(&rows[i]))
+		}
+	})
+	return sc.ints
+}
+
+// strs is ints for string columns.
+func strs[T any](sc *scratch, rg *ring[T], get func(*T) string) []string {
+	sc.strs = sc.strs[:0]
+	rg.walk(func(rows []T) {
+		for i := range rows {
+			sc.strs = append(sc.strs, get(&rows[i]))
+		}
+	})
+	return sc.strs
 }

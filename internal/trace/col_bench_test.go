@@ -64,16 +64,16 @@ func exportCol(tb testing.TB, r *Recorder, horizon sim.Time, buf *bytes.Buffer) 
 }
 
 // TestExportColAllocBudget: exporting the 67,000-row synthetic recording
-// allocates per column and per block, not per row — 500 allocations measured
-// into a warm buffer (659 into a cold one, which is what a -benchtime=1x run
-// reads), 625 allowed; one allocation per row would be 67,000.
+// allocates per column and per block, not per row — 117 allocations measured
+// into a warm buffer (277 into a cold one, which is what a -benchtime=1x run
+// reads), 146 allowed; one allocation per row would be 67,000.
 func TestExportColAllocBudget(t *testing.T) {
 	r, horizon := benchRecorder()
 	var buf bytes.Buffer
 	allocs := testing.AllocsPerRun(5, func() { exportCol(t, r, horizon, &buf) })
 	t.Logf("%.0f allocations for a %d-byte artifact", allocs, buf.Len())
-	if allocs > 625 {
-		t.Errorf("columnar export allocates %.0f times, want <= 625 (measured 500)", allocs)
+	if allocs > 146 {
+		t.Errorf("columnar export allocates %.0f times, want <= 146 (measured 117)", allocs)
 	}
 }
 

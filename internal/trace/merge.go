@@ -26,8 +26,8 @@ func (e PFCEvent) stamp() (sim.Time, string)           { return e.At, e.Switch }
 func (e PFCEvent) shifted(d sim.Time) PFCEvent         { e.At += d; return e }
 func (s WeightSample) stamp() (sim.Time, string)       { return s.At, s.Switch }
 func (s WeightSample) shifted(d sim.Time) WeightSample { s.At += d; return s }
-func (e PacketEvent) stamp() (sim.Time, string)        { return e.At, e.Switch }
-func (e PacketEvent) shifted(d sim.Time) PacketEvent   { e.At += d; return e }
+func (e pktRow) stamp() (sim.Time, string)             { return e.At, e.Switch }
+func (e pktRow) shifted(d sim.Time) pktRow             { e.At += d; return e }
 
 // Merge combines the retained events of the given recorders into one new
 // recorder in canonical order: each channel is stably sorted by (time,
@@ -35,36 +35,44 @@ func (e PacketEvent) shifted(d sim.Time) PacketEvent   { e.At += d; return e }
 // arrive already time-ordered within one input and the stable sort
 // preserves that per-switch order while fixing a deterministic interleave
 // across switches — the result depends only on what was recorded, never on
-// how the recording was split across shards. Nil inputs are skipped; the
-// output's channels are sized to hold everything (no eviction during the
-// merge) and carry the inputs' summed eviction counts, so Stats on the
+// how the recording was split across shards. Nil inputs are skipped. Each
+// channel is written into one buffer sized to hold every input row (no
+// eviction during the merge), sorted there and adopted as the output's
+// storage; it carries the inputs' summed eviction counts, so Stats on the
 // result still says how much history the run lost. Note that per-shard rings
 // only hold identical content for every shard count as long as no input ring
 // evicted history; size capacities accordingly when byte-identical traces
 // matter.
 func Merge(recorders ...*Recorder) *Recorder {
-	var n Stats
+	return &Recorder{
+		occ:     merged(recorders, func(r *Recorder) *ring[OccSample] { return &r.occ }),
+		pfc:     merged(recorders, func(r *Recorder) *ring[PFCEvent] { return &r.pfc }),
+		weights: merged(recorders, func(r *Recorder) *ring[WeightSample] { return &r.weights }),
+		pkts:    merged(recorders, func(r *Recorder) *ring[pktRow] { return &r.pkts }),
+	}
+}
+
+// merged is one channel of Merge: the channel's rows of every non-nil
+// recorder, read in place from its ring into one exactly-sized buffer,
+// sorted there, and adopted as the result's storage.
+func merged[T row[T]](recorders []*Recorder, channel func(*Recorder) *ring[T]) ring[T] {
+	n := 0
+	var evicted uint64
 	for _, r := range recorders {
-		st := r.Stats()
-		n.OccSamples += st.OccSamples
-		n.PFCEvents += st.PFCEvents
-		n.WeightSamples += st.WeightSamples
-		n.PacketEvents += st.PacketEvents
+		if r != nil {
+			n += channel(r).len()
+			evicted += channel(r).evicted
+		}
 	}
-	out := &Recorder{
-		occ:     newRing[OccSample](max(int(n.OccSamples), 1)),
-		pfc:     newRing[PFCEvent](max(int(n.PFCEvents), 1)),
-		weights: newRing[WeightSample](max(int(n.WeightSamples), 1)),
-		pkts:    newRing[PacketEvent](max(int(n.PacketEvents), 1)),
-	}
+	buf := make([]T, 0, n)
 	for _, r := range recorders {
-		out.Absorb(r, 0)
+		if r != nil {
+			channel(r).walk(func(rows []T) { buf = append(buf, rows...) })
+		}
 	}
-	// Nothing was evicted, so every buffer is oldest-first from index 0.
-	sortRows(out.occ.buf)
-	sortRows(out.pfc.buf)
-	sortRows(out.weights.buf)
-	sortRows(out.pkts.buf)
+	sortRows(buf)
+	out := adoptRing(buf)
+	out.evicted = evicted
 	return out
 }
 
@@ -98,8 +106,10 @@ func (r *Recorder) Absorb(seg *Recorder, shift sim.Time) {
 // absorb pushes src's retained rows, oldest first and shifted, onto dst and
 // counts src's evictions as dst's.
 func absorb[T row[T]](dst, src *ring[T], shift sim.Time) {
-	for _, v := range src.slice() {
-		dst.push(v.shifted(shift))
-	}
+	src.walk(func(rows []T) {
+		for _, v := range rows {
+			dst.push(v.shifted(shift))
+		}
+	})
 	dst.evicted += src.evicted
 }

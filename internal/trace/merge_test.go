@@ -202,7 +202,7 @@ func FuzzTraceMerge(f *testing.F) {
 		if !reflect.DeepEqual(moved.OccSamples(), shiftRows(want.OccSamples(), d)) ||
 			!reflect.DeepEqual(moved.PFCEvents(), shiftRows(want.PFCEvents(), d)) ||
 			!reflect.DeepEqual(moved.WeightSamples(), shiftRows(want.WeightSamples(), d)) ||
-			!reflect.DeepEqual(moved.PacketEvents(), shiftRows(want.PacketEvents(), d)) {
+			!reflect.DeepEqual(moved.pkts.slice(), shiftRows(want.pkts.slice(), d)) {
 			t.Fatalf("absorbing at shift %d then merging differs from the shifted merge", d)
 		}
 		if moved.Stats() != want.Stats() {

@@ -31,7 +31,10 @@ import (
 )
 
 // DefaultCapacity is the per-channel ring capacity used when NewRecorder is
-// given a non-positive capacity: 64k events per channel (a few MB per run).
+// given a non-positive capacity: 64Ki rows per channel. A ring allocates
+// 256-row chunks as rows arrive, so a channel costs what it holds — 40 B an
+// occupancy sample or packet event, 48 B a PFC event, 64 B a weight sample,
+// 2.5–4 MiB when full — and Merge writes each channel into one buffer.
 const DefaultCapacity = 1 << 16
 
 // OccSample is one occupancy reading of a switch: the total resident bytes
@@ -176,6 +179,30 @@ type PacketEvent struct {
 	Class  pkt.Class
 }
 
+// pktRow is how the packet channel stores a PacketEvent: the same fields
+// with the integers narrowed to what the MMU records — ports and frame sizes
+// fit 32 bits, priorities (< 8), kinds and classes 8 — so a row takes 40 B
+// instead of 64.
+type pktRow struct {
+	At     sim.Time
+	Switch string
+	Port   int32
+	Size   int32
+	Prio   int8
+	Kind   int8
+	Class  int8
+}
+
+func (e PacketEvent) row() pktRow {
+	return pktRow{At: e.At, Switch: e.Switch, Port: int32(e.Port), Size: int32(e.Size),
+		Prio: int8(e.Prio), Kind: int8(e.Kind), Class: int8(e.Class)}
+}
+
+func (p *pktRow) event() PacketEvent {
+	return PacketEvent{At: p.At, Switch: p.Switch, Port: int(p.Port), Prio: int(p.Prio),
+		Kind: PacketEventKind(p.Kind), Size: int(p.Size), Class: pkt.Class(p.Class)}
+}
+
 // Recorder is a per-run flight recorder. It is single-threaded like the
 // engine that feeds it: all Record calls happen on the simulation
 // goroutine. The zero value is not useful; construct with NewRecorder. A
@@ -184,7 +211,7 @@ type Recorder struct {
 	occ     ring[OccSample]
 	pfc     ring[PFCEvent]
 	weights ring[WeightSample]
-	pkts    ring[PacketEvent]
+	pkts    ring[pktRow]
 }
 
 // NewRecorder returns an armed recorder whose channels each retain up to
@@ -194,7 +221,7 @@ func NewRecorder(capacity int) *Recorder {
 		occ:     newRing[OccSample](capacity),
 		pfc:     newRing[PFCEvent](capacity),
 		weights: newRing[WeightSample](capacity),
-		pkts:    newRing[PacketEvent](capacity),
+		pkts:    newRing[pktRow](capacity),
 	}
 }
 
@@ -227,7 +254,7 @@ func (r *Recorder) RecordPacketEvent(e PacketEvent) {
 	if r == nil {
 		return
 	}
-	r.pkts.push(e)
+	r.pkts.push(e.row())
 }
 
 // OccSamples returns the retained occupancy samples, oldest first.
@@ -256,10 +283,16 @@ func (r *Recorder) WeightSamples() []WeightSample {
 
 // PacketEvents returns the retained packet events, oldest first.
 func (r *Recorder) PacketEvents() []PacketEvent {
-	if r == nil {
+	if r == nil || r.pkts.len() == 0 {
 		return nil
 	}
-	return r.pkts.slice()
+	out := make([]PacketEvent, 0, r.pkts.len())
+	r.pkts.walk(func(rows []pktRow) {
+		for i := range rows {
+			out = append(out, rows[i].event())
+		}
+	})
+	return out
 }
 
 // Stats summarizes channel fill and eviction (how much history the rings
@@ -307,40 +340,42 @@ func (r *Recorder) PauseIntervals(upTo sim.Time) []PauseInterval {
 	}
 	open := make(map[key]int) // -> index into out, episode still open
 	var out []PauseInterval
-	for _, e := range r.pfc.slice() {
-		k := key{e.Switch, e.Port, e.Prio, e.Kind == PortPaused || e.Kind == PortResumed}
-		switch e.Kind {
-		case PFCAssert, PortPaused:
-			if _, dup := open[k]; dup {
-				continue // already paused (shouldn't happen; be lenient)
-			}
-			kind := PFCAssert
-			if k.tx {
-				kind = PortPaused
-			}
-			open[k] = len(out)
-			out = append(out, PauseInterval{
-				Switch: e.Switch, Port: e.Port, Prio: e.Prio,
-				Kind: kind, From: e.At, Open: true,
-			})
-		case PFCReissue:
-			// A reissue extends an (already open) episode; if the ring
-			// evicted the original assert, treat it as an episode start.
-			if _, ok := open[k]; !ok {
+	r.pfc.walk(func(rows []PFCEvent) {
+		for _, e := range rows {
+			k := key{e.Switch, e.Port, e.Prio, e.Kind == PortPaused || e.Kind == PortResumed}
+			switch e.Kind {
+			case PFCAssert, PortPaused:
+				if _, dup := open[k]; dup {
+					continue // already paused (shouldn't happen; be lenient)
+				}
+				kind := PFCAssert
+				if k.tx {
+					kind = PortPaused
+				}
 				open[k] = len(out)
 				out = append(out, PauseInterval{
 					Switch: e.Switch, Port: e.Port, Prio: e.Prio,
-					Kind: PFCAssert, From: e.At, Open: true,
+					Kind: kind, From: e.At, Open: true,
 				})
-			}
-		case PFCRelease, PortResumed:
-			if i, ok := open[k]; ok {
-				out[i].To = e.At
-				out[i].Open = false
-				delete(open, k)
+			case PFCReissue:
+				// A reissue extends an (already open) episode; if the ring
+				// evicted the original assert, treat it as an episode start.
+				if _, ok := open[k]; !ok {
+					open[k] = len(out)
+					out = append(out, PauseInterval{
+						Switch: e.Switch, Port: e.Port, Prio: e.Prio,
+						Kind: PFCAssert, From: e.At, Open: true,
+					})
+				}
+			case PFCRelease, PortResumed:
+				if i, ok := open[k]; ok {
+					out[i].To = e.At
+					out[i].Open = false
+					delete(open, k)
+				}
 			}
 		}
-	}
+	})
 	for _, i := range open {
 		out[i].To = upTo
 	}

@@ -2,9 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"l2bm/internal/colfmt"
+	"l2bm/internal/pkt"
 	"l2bm/internal/sim"
 )
 
@@ -125,5 +128,30 @@ func TestStatsCountsEviction(t *testing.T) {
 	st := r.Stats()
 	if st.OccSamples != 2 || st.OccEvicted != 3 {
 		t.Fatalf("stats=%+v, want 2 retained / 3 evicted", st)
+	}
+}
+
+// TestPacketRowRoundTrip: the packet channel stores narrowed 40-byte rows,
+// and PacketEvents gives back exactly what was recorded for every value the
+// MMU records — any port of a wide switch, priorities 0–7, frame sizes up to
+// a jumbo frame, every kind and class.
+func TestPacketRowRoundTrip(t *testing.T) {
+	if n := unsafe.Sizeof(pktRow{}); n != 40 {
+		t.Errorf("stored packet row is %d B, want 40", n)
+	}
+	r := NewRecorder(0)
+	var want []PacketEvent
+	for kind := DropLossyIngress; kind <= EvictLossy; kind++ {
+		for _, class := range []pkt.Class{pkt.ClassLossless, pkt.ClassLossy, pkt.ClassControl} {
+			for prio := 0; prio < 8; prio++ {
+				e := PacketEvent{At: sim.Time(len(want)) << 40, Switch: "tor-3", Port: 1<<16 + prio,
+					Prio: prio, Kind: kind, Size: pkt.MTUBytes * (prio + 1), Class: class}
+				r.RecordPacketEvent(e)
+				want = append(want, e)
+			}
+		}
+	}
+	if got := r.PacketEvents(); !reflect.DeepEqual(got, want) {
+		t.Errorf("packet events did not round-trip:\n got %v\nwant %v", got, want)
 	}
 }

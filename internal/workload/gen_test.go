@@ -133,6 +133,10 @@ func TestPoissonValidation(t *testing.T) {
 		{"no sizes", func(c *PoissonConfig) { c.Sizes = nil }},
 		{"zero window", func(c *PoissonConfig) { c.Window = 0 }},
 		{"zero IDTag", func(c *PoissonConfig) { c.IDTag = 0 }},
+		{"Dests only the source", func(c *PoissonConfig) { c.Sources, c.Dests = []int{3}, []int{3, 3} }},
+		{"Forbid strands one source", func(c *PoissonConfig) {
+			c.Forbid = func(src, dst int) bool { return src == 5 }
+		}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -142,6 +146,27 @@ func TestPoissonValidation(t *testing.T) {
 				t.Error("want error")
 			}
 		})
+	}
+}
+
+// TestPoissonRefusesForbidWithoutDestination: a Forbid that rejects every
+// destination used to pass NewPoisson and panic at the first arrival, after
+// 10,000 rejected draws. The constructor refuses it, so nothing is scheduled.
+func TestPoissonRefusesForbidWithoutDestination(t *testing.T) {
+	eng := sim.NewEngine(1)
+	cfg := poissonCfg()
+	cfg.Forbid = func(src, dst int) bool { return true }
+	g, err := NewPoisson(eng, &captureSink{}, cfg)
+	if err == nil || g != nil {
+		t.Fatalf("NewPoisson = %v, %v; want an error and no generator", g, err)
+	}
+	if eng.Pending() != 0 {
+		t.Errorf("%d events scheduled for a refused generator", eng.Pending())
+	}
+	// One admissible destination per source is enough.
+	cfg.Forbid = func(src, dst int) bool { return dst != (src+1)%8 }
+	if _, err := NewPoisson(eng, &captureSink{}, cfg); err != nil {
+		t.Errorf("a Forbid admitting one destination per source: %v", err)
 	}
 }
 

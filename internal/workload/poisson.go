@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"l2bm/internal/pkt"
 	"l2bm/internal/sim"
@@ -60,7 +61,8 @@ type PoissonConfig struct {
 	IDTag byte
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors, among them a source that no
+// destination other than itself is admitted for — launch would find none.
 func (c *PoissonConfig) Validate() error {
 	switch {
 	case len(c.Sources) == 0:
@@ -77,9 +79,13 @@ func (c *PoissonConfig) Validate() error {
 		return fmt.Errorf("workload: window must be positive")
 	case c.IDTag == 0:
 		return fmt.Errorf("workload: IDTag must be non-zero")
-	default:
-		return nil
 	}
+	for _, src := range c.Sources {
+		if !slices.ContainsFunc(c.Dests, func(d int) bool { return d != src && (c.Forbid == nil || !c.Forbid(src, d)) }) {
+			return fmt.Errorf("workload: source %d has no destination in Dests that Forbid admits", src)
+		}
+	}
+	return nil
 }
 
 // Poisson drives one Poisson traffic class on a cluster.
