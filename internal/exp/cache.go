@@ -133,10 +133,15 @@ func cacheKeyAt(version int, spec HybridSpec) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("exp: cache: spec %q: %w", spec.Name, err)
 	}
+	return hashKey(version, key), nil
+}
+
+// hashKey is the cache key of a spec whose canonical key (specKey) is key.
+func hashKey(version int, key []byte) string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "cachev%d registry=%s ", version, registryVersion())
 	_, _ = h.Write(key)
-	return fmt.Sprintf("%016x", h.Sum64()), nil
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // cacheHeader is the first line of every cache entry; a disk load refuses
@@ -232,6 +237,16 @@ func (c *ResultCache) Lookup(spec HybridSpec) (json.RawMessage, bool) {
 	}
 	key, err := CacheKey(spec)
 	if err != nil {
+		return nil, false
+	}
+	return c.LookupKey(key)
+}
+
+// LookupKey is Lookup by a key already derived — by CacheKey, or by
+// SweepRequest.Keys for a whole submission. The empty key, which Keys gives
+// an uncacheable spec, misses.
+func (c *ResultCache) LookupKey(key string) (json.RawMessage, bool) {
+	if c == nil || key == "" {
 		return nil, false
 	}
 	if raw, ok := c.memGet(key); ok {

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -235,5 +236,35 @@ func TestHybridFidelityValidation(t *testing.T) {
 	}
 	if clean.FidelityFallback != "" {
 		t.Errorf("clean hybrid run recorded a fallback: %q", clean.FidelityFallback)
+	}
+}
+
+// TestFidelityFallbackRule: HybridSpec.FidelityFallback, which the daemon
+// reports for a point without reading its bytes, is what the point's stored
+// Result carries, for a hybrid spec with a fault plan and for a plain one.
+func TestFidelityFallbackRule(t *testing.T) {
+	plain := HybridSpec{Name: "fb", Policy: "ABM", Scale: ScaleTiny, TCPLoad: 0.2}
+	faulted := plain
+	faulted.Fidelity, faulted.Faults = FidelityHybrid, &FaultSpec{}
+	for _, spec := range []HybridSpec{plain, faulted} {
+		res, err := RunHybrid(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stored Result
+		if err := json.Unmarshal(raw, &stored); err != nil {
+			t.Fatal(err)
+		}
+		if got := spec.FidelityFallback(); got != stored.FidelityFallback {
+			t.Errorf("fidelity %q, faults %v: rule says %q, the stored Result %q",
+				spec.Fidelity, spec.Faults != nil, got, stored.FidelityFallback)
+		}
+	}
+	if faulted.FidelityFallback() == "" {
+		t.Error("a hybrid spec with a fault plan records no fallback")
 	}
 }

@@ -319,19 +319,27 @@ func runHybrid(ctx context.Context, spec HybridSpec, newEngine engineFunc) (*Res
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	hybrid := spec.Fidelity == FidelityHybrid
-	if hybrid && spec.Faults == nil {
+	if spec.Fidelity == FidelityHybrid && spec.Faults == nil {
 		return runHybridFluid(ctx, resolve(spec, newEngine))
 	}
 	res, err := runPacket(ctx, resolve(spec, newEngine))
-	if res != nil && hybrid {
-		// A fault plan is a standing fidelity trigger: the controller would
-		// never leave packet mode, so the run is a plain packet run —
-		// recorded on the result so the fallback is never silent (CLI
-		// trailers and service events surface it).
-		res.FidelityFallback = "fault plan active: hybrid fidelity fell back to packet (faults are a standing fidelity trigger)"
+	if res != nil {
+		res.FidelityFallback = spec.FidelityFallback()
 	}
 	return res, err
+}
+
+// FidelityFallback is the Result.FidelityFallback every run of sp records,
+// decided by the spec alone: a hybrid-fidelity spec with a fault plan runs
+// as a plain packet run — a fault plan is a standing fidelity trigger, so
+// the controller would never leave packet mode — and says so, so the
+// fallback is never silent (CLI trailers and service events surface it).
+// Every other spec runs as asked and records "".
+func (sp HybridSpec) FidelityFallback() string {
+	if sp.Fidelity == FidelityHybrid && sp.Faults != nil {
+		return "fault plan active: hybrid fidelity fell back to packet (faults are a standing fidelity trigger)"
+	}
+	return ""
 }
 
 // coresKey carries the cores a run may take (an int) down a context:

@@ -211,6 +211,37 @@ func (r *SweepRequest) SweepID() string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
+// Keys is SweepID and every spec's CacheKey from one json.Marshal per spec,
+// for the daemon's submission path, which needs both. SweepID hashes each
+// spec's encoding and specKey is that same encoding whenever Shards is 0, so
+// one marshal feeds both hashes; a spec with Shards set pays CacheKey's own.
+// keys[i] is "" where CacheKey refuses spec i.
+func (r *SweepRequest) Keys() (id string, keys []string) {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "name=%s n=%d\n", r.Name, len(r.Specs))
+	keys = make([]string, len(r.Specs))
+	for i, sp := range r.Specs {
+		enc, err := json.Marshal(sp)
+		if err != nil {
+			// SweepID's Encode writes nothing for it either, and the same
+			// field fails specKey's marshal whatever Shards is.
+			continue
+		}
+		_, _ = h.Write(enc)
+		_, _ = h.Write(newline)
+		switch {
+		case checkpointIneligible(sp) != "":
+		case sp.Shards == 0:
+			keys[i] = hashKey(CheckpointVersion, enc)
+		default:
+			keys[i], _ = CacheKey(sp)
+		}
+	}
+	return fmt.Sprintf("%016x", h.Sum64()), keys
+}
+
+var newline = []byte{'\n'}
+
 // MarshalResults renders a sweep's results in the canonical envelope:
 //
 //	{"points":[<result>,<result>,…]}

@@ -2,8 +2,12 @@ package exp
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
+
+	"l2bm/internal/core"
+	"l2bm/internal/topo"
 )
 
 func TestScaleJSON(t *testing.T) {
@@ -142,6 +146,68 @@ func TestSweepID(t *testing.T) {
 	}
 }
 
+// checkSweepKeys asserts that Keys, from one marshal per spec, derives
+// exactly SweepID and every spec's CacheKey, "" where CacheKey refuses one.
+func checkSweepKeys(t *testing.T, req *SweepRequest) {
+	t.Helper()
+	id, keys := req.Keys()
+	if want := req.SweepID(); id != want {
+		t.Fatalf("Keys sweep ID %s, SweepID %s", id, want)
+	}
+	if len(keys) != len(req.Specs) {
+		t.Fatalf("%d keys for %d specs", len(keys), len(req.Specs))
+	}
+	for i, sp := range req.Specs {
+		want, err := CacheKey(sp)
+		if err != nil {
+			want = ""
+		}
+		if keys[i] != want {
+			t.Fatalf("spec %d: Keys %q, CacheKey %q (%v)", i, keys[i], want, err)
+		}
+	}
+}
+
+// TestSweepKeysOneMarshal: Keys agrees with SweepID and CacheKey for specs
+// whose encoding is their canonical key (Shards 0), for specs it is not
+// (Shards set), and for every spec CacheKey refuses — a func-valued field,
+// an armed recorder, or an encoding that fails.
+func TestSweepKeysOneMarshal(t *testing.T) {
+	base := HybridSpec{Name: "k", Policy: "DT", Scale: ScaleTiny, RDMALoad: 0.4, TCPLoad: 0.4}
+	with := func(edit func(*HybridSpec)) HybridSpec {
+		sp := base
+		edit(&sp)
+		return sp
+	}
+	rows := []struct {
+		name string
+		spec HybridSpec
+	}{
+		{"shards 0", base},
+		{"shards 2", with(func(sp *HybridSpec) { sp.Shards = 2 })},
+		{"hybrid faults shards 1", with(func(sp *HybridSpec) {
+			sp.Fidelity, sp.Faults, sp.Shards = FidelityHybrid, &FaultSpec{}, 1
+		})},
+		{"trace", with(func(sp *HybridSpec) { sp.Trace = &TraceSpec{} })},
+		{"trace shards 2", with(func(sp *HybridSpec) { sp.Trace, sp.Shards = &TraceSpec{}, 2 })},
+		{"policy factory", with(func(sp *HybridSpec) { sp.PolicyFactory = func() core.Policy { return nil } })},
+		{"topo override", with(func(sp *HybridSpec) { sp.TopoOverride = func(*topo.Config) {} })},
+		{"hooks", with(func(sp *HybridSpec) { sp.Hooks = &RunHooks{} })},
+		{"unencodable", with(func(sp *HybridSpec) { sp.TCPLoad = math.NaN() })},
+	}
+	all := &SweepRequest{Name: "all"}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			checkSweepKeys(t, &SweepRequest{Name: row.name, Specs: []HybridSpec{row.spec}})
+		})
+		all.Specs = append(all.Specs, row.spec)
+	}
+	checkSweepKeys(t, all)
+	if _, keys := all.Keys(); keys[0] == "" || keys[0] != keys[1] {
+		t.Errorf("Shards 0 and 2 keyed %q and %q, want one key", keys[0], keys[1])
+	}
+}
+
 // TestMarshalResultsEnvelope: the canonical envelope splices exact
 // json.Marshal bytes — MarshalResults over results and WriteRawResults
 // over their pre-marshaled bytes agree byte for byte.
@@ -186,7 +252,8 @@ func TestMarshalResultsEnvelope(t *testing.T) {
 // the rejection classes TestParseSweepRequest names. Parsing never panics;
 // a request it accepts holds only valid specs, and re-marshaling it parses
 // back to the same sweep ID and the same cache key for every spec — what
-// the daemon stores under is a function of the request's content alone.
+// the daemon stores under is a function of the request's content alone —
+// and Keys derives both exactly as SweepID and CacheKey do.
 func FuzzParseSweepRequest(f *testing.F) {
 	valid := `{"name":"ok","specs":[{"Name":"p0","Policy":"DT","Scale":"tiny","TCPLoad":0.4}]}`
 	for _, seed := range []string{
@@ -231,5 +298,6 @@ func FuzzParseSweepRequest(f *testing.F) {
 				t.Fatalf("spec %d cache key %q (%v) came back %q (%v)", i, want, wantErr, got, gotErr)
 			}
 		}
+		checkSweepKeys(t, req)
 	})
 }

@@ -25,7 +25,9 @@
 // makes repeated or overlapping sweeps free: a cache hit skips the
 // simulation and serves the stored canonical bytes, which are identical to
 // what the fresh run would have produced — as bytes, never decoded on the
-// way through.
+// way through. Admission bounds sweeps that simulate: one whose every point
+// is already stored is settled at submission, so it takes no slot, never
+// queues, is never refused and its 202 already reads done.
 //
 // Retention: an id stays addressable while its sweep is queued or running,
 // and afterwards for as long as it is among the most recent
@@ -195,12 +197,25 @@ type results struct {
 	pinned int
 }
 
-func newSweep(id string, req *exp.SweepRequest, bodyBytes int) *sweep {
+// newSweep builds a queued sweep; handleSubmit names it under s.mu.
+func newSweep(req *exp.SweepRequest, bodyBytes int) *sweep {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &sweep{
-		id: id, req: req, ctx: ctx, cancel: cancel,
+		req: req, ctx: ctx, cancel: cancel,
 		notify: make(chan struct{}), state: StateQueued, bytes: bodyBytes,
 	}
+}
+
+// newResults is what a done sweep serves, charged as results.pinned says.
+func newResults(raw []json.RawMessage, fresh []*exp.Result) *results {
+	res := &results{raw: raw, fresh: fresh}
+	for i, b := range raw {
+		res.pinned += len(b)
+		if fresh[i] != nil {
+			res.pinned += len(b)
+		}
+	}
+	return res
 }
 
 // appendLocked adds one NDJSON progress line and wakes streamers. Callers
@@ -234,6 +249,18 @@ func (sw *sweep) event(v any) {
 		}
 	}
 	sw.appendLocked(line)
+}
+
+// point reports point i finished, from the cache or not. Name, Policy and
+// FidelityFallback come from the spec: a wire spec cannot carry a
+// PolicyFactory, so its Policy is the Result's, and the spec alone decides
+// the fallback (exp.HybridSpec.FidelityFallback).
+func (sw *sweep) point(i int, cached bool) {
+	spec := sw.req.Specs[i]
+	sw.event(pointEvent{
+		Type: "point", Index: i, Name: spec.Name, Policy: spec.Policy,
+		Cached: cached, FidelityFallback: spec.FidelityFallback(),
+	})
 }
 
 type stateEvent struct {
@@ -342,16 +369,29 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Hash outside the lock: SweepID encodes every spec, and a 100k-point
-	// submission must not stall every other sweep's status/result/events
-	// lookup meanwhile. Only the sequence number and the admission decision
-	// need s.mu.
-	fragment := req.SweepID()
+	// Hash and look up outside the lock: Keys encodes every spec, and a
+	// 100k-point submission must not stall every other sweep's
+	// status/result/events lookup meanwhile. Only the sequence number and
+	// the admission decision need s.mu. A sweep whose every point is stored
+	// streams what run would — running, each point cached, done — and is
+	// settled before anyone can see it.
+	fragment, keys := req.Keys()
+	sw := newSweep(req, len(body))
+	var stored *results
+	if raw := s.storedPoints(keys); raw != nil {
+		sw.setState(StateRunning, "")
+		for i := range raw {
+			sw.point(i, true)
+		}
+		stored = newResults(raw, make([]*exp.Result, len(raw)))
+	}
 
 	s.mu.Lock()
 	s.seq++
-	sw := newSweep(fmt.Sprintf("sw-%03d-%.8s", s.seq, fragment), req, len(body))
+	sw.id = fmt.Sprintf("sw-%03d-%.8s", s.seq, fragment)
 	switch {
+	case stored != nil:
+		// Nothing to simulate, so nothing to admit.
 	case s.running < s.cfg.MaxConcurrent:
 		s.running++
 		go s.run(sw)
@@ -365,8 +405,27 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.sweeps[sw.id] = sw
+	if stored != nil {
+		s.settleLocked(sw, StateDone, "", stored)
+	}
 	s.mu.Unlock()
 	writeJSON(w, http.StatusAccepted, sw.status())
+}
+
+// storedPoints returns every point's stored bytes when each of keys hits
+// the cache, and nil at the first miss.
+func (s *Server) storedPoints(keys []string) []json.RawMessage {
+	if s.cache == nil {
+		return nil
+	}
+	raw := make([]json.RawMessage, len(keys))
+	for i, key := range keys {
+		var ok bool
+		if raw[i], ok = s.cache.LookupKey(key); !ok {
+			return nil
+		}
+	}
+	return raw
 }
 
 // settle ends a sweep — done with res, or failed/cancelled without — and
@@ -374,14 +433,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // old end while either retention bound is exceeded, always keeping the
 // latest. Transition and retirement share one critical section of s.mu, so
 // no request can find a terminal sweep that is not yet accounted for. The
-// callers are the run goroutine and DELETE — the only way out for a sweep
-// cancelled while queued, which never runs; whichever loses the race finds
-// the sweep terminal and does nothing. An evicted sweep is merely
-// forgotten: a streamer already attached holds the pointer and finishes
-// its stream.
+// callers are the run goroutine, DELETE — the only way out for a sweep
+// cancelled while queued, which never runs — and handleSubmit for a sweep
+// the cache answers whole; whichever loses a race finds the sweep terminal
+// and does nothing. An evicted sweep is merely forgotten: a streamer
+// already attached holds the pointer and finishes its stream.
 func (s *Server) settle(sw *sweep, state, errMsg string, res *results) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.settleLocked(sw, state, errMsg, res)
+}
+
+// settleLocked is settle for a caller holding s.mu.
+func (s *Server) settleLocked(sw *sweep, state, errMsg string, res *results) {
 	pinned, ok := sw.end(state, errMsg, res)
 	if !ok {
 		return
@@ -427,10 +491,15 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusConflict, "sweep %s is %s, not done", sw.id, state)
 		return
 	}
+	// The envelope is spliced into one buffer of its exact length and goes
+	// out in one Write.
+	var buf bytes.Buffer
+	buf.Grow(exp.RawResultsLen(res.raw))
+	_ = exp.WriteRawResults(&buf, res.raw) // a bytes.Buffer write cannot fail
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(exp.RawResultsLen(res.raw)))
-	// Headers are out; on a write error all that is left is to stop.
-	_ = exp.WriteRawResults(w, res.raw)
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	// On a write error all that is left is to stop.
+	_, _ = w.Write(buf.Bytes())
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
@@ -523,11 +592,15 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 				io.WriteString(w, "\n")
 			}
 		}
-		if flusher != nil {
-			flusher.Flush()
-		}
+		// The terminal batch is left unflushed: it goes out with the
+		// chunk terminator when the handler returns, so a client that stops
+		// reading at the terminal line has also read the end of the body and
+		// its connection stays reusable.
 		if done {
 			return
+		}
+		if flusher != nil {
+			flusher.Flush()
 		}
 	}
 }
@@ -552,49 +625,16 @@ func (s *Server) run(sw *sweep) {
 			pointRaw[i] = raw
 			return res, err
 		},
-		func(i int, res *exp.Result) {
-			// Name and Policy come from the spec: a wire spec cannot carry a
-			// PolicyFactory, so its Policy is the Result's.
-			spec := sw.req.Specs[i]
-			sw.event(pointEvent{
-				Type: "point", Index: i, Name: spec.Name, Policy: spec.Policy,
-				Cached: res == nil, FidelityFallback: fidelityFallback(pointRaw[i]),
-			})
-		})
+		func(i int, res *exp.Result) { sw.point(i, res == nil) })
 
 	switch {
 	case err == nil:
-		res := &results{raw: pointRaw, fresh: fresh}
-		for i, raw := range pointRaw {
-			res.pinned += len(raw)
-			if fresh[i] != nil {
-				res.pinned += len(raw)
-			}
-		}
-		s.settle(sw, StateDone, "", res)
+		s.settle(sw, StateDone, "", newResults(pointRaw, fresh))
 	case sw.ctx.Err() != nil:
 		s.settle(sw, StateCancelled, "cancelled by DELETE", nil)
 	default:
 		s.settle(sw, StateFailed, err.Error(), nil)
 	}
-}
-
-// fallbackKey is how Result.FidelityFallback (omitempty) appears in a
-// point's canonical bytes when it is set at all.
-var fallbackKey = []byte(`"FidelityFallback":`)
-
-// fidelityFallback reads a point's FidelityFallback for its progress event.
-// The field is rare, so the bytes are scanned for the key and only a point
-// that has it pays a decode — of that one field.
-func fidelityFallback(raw json.RawMessage) string {
-	if !bytes.Contains(raw, fallbackKey) {
-		return ""
-	}
-	var v struct{ FidelityFallback string }
-	if json.Unmarshal(raw, &v) != nil {
-		return ""
-	}
-	return v.FidelityFallback
 }
 
 // finish releases the sweep's slot and starts the next live queued sweep.

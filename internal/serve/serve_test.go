@@ -79,6 +79,26 @@ func waitState(t *testing.T, ts *httptest.Server, id, want string) statusRespons
 	return statusResponse{}
 }
 
+// awaitSSE is await over the SSE framing.
+func awaitSSE(t *testing.T, ts *httptest.Server, id string) []byte {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/sweeps/"+id+"/events", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept", "text/event-stream")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("SSE events of %s: %d, %v", id, resp.StatusCode, err)
+	}
+	return body
+}
+
 func getBody(t *testing.T, ts *httptest.Server, path string) ([]byte, int) {
 	t.Helper()
 	resp, err := http.Get(ts.URL + path)
@@ -270,6 +290,64 @@ func TestServeAdmissionControl(t *testing.T) {
 	close(release)
 	waitState(t, ts, first.ID, StateDone)
 	waitState(t, ts, second.ID, StateDone)
+}
+
+// TestServeCachedSweepAnsweredAtAdmission: with the one slot held and no
+// queue (QueueDepth -1), a sweep whose every point is stored is still
+// answered — 202 reading done, the same event lines a run streams for it
+// (the fallback point's taken from its spec) and the fresh run's bytes —
+// while a sweep with one point to simulate is refused as before.
+func TestServeCachedSweepAnsweredAtAdmission(t *testing.T) {
+	srv, ts := newTestServer(t, Config{MaxConcurrent: 1, QueueDepth: -1, CacheDir: t.TempDir()})
+	release := make(chan struct{})
+	srv.runPoint = func(ctx context.Context, spec exp.HybridSpec) (*exp.Result, error) {
+		if spec.Name == "held" {
+			select {
+			case <-release:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		return exp.RunHybridCtx(ctx, spec)
+	}
+
+	first, code := submit(t, ts, goldenBody)
+	if code != http.StatusAccepted {
+		t.Fatalf("fresh submit: %d", code)
+	}
+	await(t, ts, first.ID)
+	want, code := getBody(t, ts, "/v1/sweeps/"+first.ID+"/result")
+	if code != http.StatusOK {
+		t.Fatalf("fresh result: %d", code)
+	}
+
+	held, _ := submit(t, ts, oneSpec("held"))
+	waitState(t, ts, held.ID, StateRunning)
+
+	again, code := submit(t, ts, goldenBody)
+	if code != http.StatusAccepted {
+		t.Fatalf("cached submit with the slot held: %d, want 202", code)
+	}
+	if again.State != StateDone || again.Completed != 3 || again.CacheHits != 3 {
+		t.Errorf("cached submit answered %+v, want done with 3 of 3 points cached", again)
+	}
+	if got, want := string(await(t, ts, again.ID)), strings.Join(goldenCachedEvents, "\n")+"\n"; got != want {
+		t.Errorf("cached NDJSON stream:\n%s\nwant:\n%s", got, want)
+	}
+	if got, want := string(awaitSSE(t, ts, again.ID)), "data: "+strings.Join(goldenCachedEvents, "\n\ndata: ")+"\n\n"; got != want {
+		t.Errorf("cached SSE stream:\n%s\nwant:\n%s", got, want)
+	}
+	if got, code := getBody(t, ts, "/v1/sweeps/"+again.ID+"/result"); code != http.StatusOK || !bytes.Equal(got, want) {
+		t.Errorf("cached result: %d, equal to the fresh run's: %v", code, bytes.Equal(got, want))
+	}
+
+	partial := strings.TrimSuffix(goldenBody, "]}") + `,
+	{"Name":"g-new","Policy":"DT","Scale":"tiny","TCPLoad":0.3}]}`
+	if _, code := submit(t, ts, partial); code != http.StatusTooManyRequests {
+		t.Errorf("a sweep with one point to simulate, the slot held: %d, want 429", code)
+	}
+	close(release)
+	await(t, ts, held.ID)
 }
 
 // TestServeCancellation: DELETE dequeues a queued sweep (it never runs) and
