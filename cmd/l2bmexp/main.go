@@ -58,7 +58,9 @@
 // itself like a packet point. Unlike the shard count this changes results —
 // within the divergence bound DESIGN.md §14 states — in exchange for
 // order-of-magnitude speedups on steady-state-heavy windows (`make
-// hybrid-demo`).
+// hybrid-demo`). Faulted points always run at packet fidelity: -exp all and
+// arena run theirs as packet specs, and -exp faults, every point of which
+// carries a fault plan, refuses the flag.
 //
 // Every run schedules events on sim.Engine: fixed-delay hops ride its delay
 // lines, everything else one exact heap (DESIGN.md §15).
@@ -98,7 +100,7 @@ func run(args []string, w io.Writer) error {
 	expName := fs.String("exp", "all", "experiment: "+strings.Join(experimentNames(), "|"))
 	scaleName := fs.String("scale", "small", "simulation scale: tiny|small|full")
 	parallel := fs.Int("parallel", 0, "worker pool size for independent grid points (0 = GOMAXPROCS, 1 = sequential)")
-	fidelity := fs.String("fidelity", "", "execution engine for figure/table experiments: packet (every MTU simulated; the default) or hybrid (fluid fast-forward between bursts; results within the DESIGN.md §14 divergence bound)")
+	fidelity := fs.String("fidelity", "", "execution engine for figure/table experiments: packet (every MTU simulated; the default) or hybrid (fluid fast-forward between bursts; results within the DESIGN.md §14 divergence bound); faulted points always run at packet fidelity")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	traceOn := fs.Bool("trace", false, "arm the flight recorder on every run (occupancy, pause, weight, drop/ECN timelines)")
@@ -283,12 +285,10 @@ func run(args []string, w io.Writer) error {
 }
 
 // validateFidelity rejects -fidelity combinations before any work begins:
-// unknown values and the chaos soak (its scenarios pin their own execution
-// model). Fault-plan experiments (faults, arena, parts of all) are accepted:
-// those points run at packet fidelity anyway — a fault plan is a standing
-// fidelity trigger — and the fallback is recorded per point
-// (Result.FidelityFallback) and summarized in the experiment trailer instead
-// of being silently ignored or rejected.
+// unknown values, the chaos soak (its scenarios pin their own execution
+// model) and hybrid fidelity on -exp faults, whose every point carries a
+// fault plan and so runs at packet fidelity only. Grids that mix faulted
+// and clean points (arena, all) run their faulted points as packet specs.
 func validateFidelity(expName, fidelity string) error {
 	switch fidelity {
 	case "":
@@ -300,6 +300,9 @@ func validateFidelity(expName, fidelity string) error {
 	}
 	if expName == "chaos" {
 		return fmt.Errorf("-fidelity does not apply to -exp chaos (scenarios pin their own execution model)")
+	}
+	if expName == "faults" && fidelity == exp.FidelityHybrid {
+		return fmt.Errorf("-fidelity hybrid does not apply to -exp faults (every point carries a fault plan, which runs at packet fidelity only)")
 	}
 	return nil
 }
@@ -393,11 +396,6 @@ func runExperiments(harness *exp.Harness, expName string, scale exp.Scale, polic
 		}
 		wall := time.Since(start)
 		t := exp.TallyResults(results)
-		if t.Fallbacks > 0 {
-			// Deterministic for any worker count (it counts results, not
-			// scheduling), so determinism diffs keep it.
-			fmt.Fprintf(w, "note: %d point(s) requested hybrid fidelity but ran at packet fidelity (fault plans are a standing fidelity trigger)\n", t.Fallbacks)
-		}
 		restoredNote := ""
 		if t.Restored > 0 {
 			// Restored points cost no events; say so, or the rate reads as

@@ -551,16 +551,31 @@ func TestCLITraceColFormat(t *testing.T) {
 	}
 }
 
-// TestCLIFidelityFallbackNote: requesting hybrid fidelity on a fault-plan
-// experiment runs to completion and reports the per-point fallback in the
-// experiment trailer instead of rejecting or silently ignoring the flag.
-func TestCLIFidelityFallbackNote(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"-exp", "faults", "-scale", "tiny", "-fidelity", "hybrid"}, &buf); err != nil {
-		t.Fatalf("%v\n%s", err, buf.String())
+// TestCLIHybridFaultsRefused: a fault plan has no hybrid form, so hybrid
+// fidelity next to one is refused before any point runs — on -exp faults,
+// whose every point carries a plan, and in a -spec file.
+func TestCLIHybridFaultsRefused(t *testing.T) {
+	spec := t.TempDir() + "/sweep.json"
+	if err := os.WriteFile(spec, []byte(`{"specs":[
+		{"Name":"p0","Policy":"DT","Scale":"tiny","TCPLoad":0.2},
+		{"Name":"p1","Policy":"DT","Scale":"tiny","TCPLoad":0.2,"Fidelity":"hybrid","Faults":{}}]}`), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "ran at packet fidelity") {
-		t.Errorf("faults+hybrid output missing the fallback note:\n%s", buf.String())
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-exp", "faults", "-scale", "tiny", "-fidelity", "hybrid"}, "does not apply to -exp faults"},
+		{[]string{"-spec", spec}, `spec 1: Fidelity "hybrid" with Faults set`},
+	} {
+		var buf bytes.Buffer
+		err := run(tc.args, &buf)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("args %v: error %v, want one naming %q", tc.args, err, tc.want)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("args %v: work was done before the refusal:\n%s", tc.args, buf.String())
+		}
 	}
 }
 

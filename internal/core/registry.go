@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"hash/fnv"
 	"strings"
 )
 
@@ -20,7 +21,12 @@ type registryEntry struct {
 	ctor Constructor
 }
 
-var registry []registryEntry
+var (
+	registry []registryEntry
+	// registryVersion is RegistryVersion's value, re-derived by every
+	// Register.
+	registryVersion string
+)
 
 // Register adds a policy under name. It is called from this package's init
 // only; the panics turn registration mistakes (duplicate name, nil
@@ -39,7 +45,16 @@ func Register(name string, ctor Constructor) {
 		}
 	}
 	registry = append(registry, registryEntry{name: name, ctor: ctor})
+	h := fnv.New64a()
+	_, _ = h.Write([]byte(strings.Join(RegisteredPolicies(), ",")))
+	registryVersion = fmt.Sprintf("%016x", h.Sum64())
 }
+
+// RegistryVersion content-hashes the registry: the FNV-64a hex of the
+// comma-joined names, in registration order, so adding, removing or
+// reordering a policy changes it. Result-cache keys fold it in; a change to
+// what a registered policy does must bump exp.CheckpointVersion instead.
+func RegistryVersion() string { return registryVersion }
 
 // RegisteredPolicies returns every policy name in registration order: the
 // paper's four schemes first (L2BM, DT, DT2, ABM), then the related-work

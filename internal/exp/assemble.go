@@ -62,13 +62,14 @@ type plan struct {
 // recorder's default one.
 const occupancyEvery = 100 * sim.Microsecond
 
-// resolve derives the plan.
+// resolve derives the plan. A validated spec has one policy source, and the
+// Result.Policy label comes from it.
 func resolve(spec HybridSpec, newEngine engineFunc) *plan {
 	p := &plan{spec: spec, newEngine: newEngine, policy: spec.Policy, factory: spec.PolicyFactory}
 	if p.factory == nil {
 		name := spec.Policy
 		p.factory = func() core.Policy { return core.MustNewPolicy(name) }
-	} else if p.policy == "" {
+	} else {
 		p.policy = p.factory().Name()
 	}
 

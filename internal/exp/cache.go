@@ -34,38 +34,12 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"l2bm/internal/core"
 )
-
-// registryStamp is registryVersion's memo: the hash of the first n
-// registered names.
-type registryStamp struct {
-	n       int
-	version string
-}
-
-var registryMemo atomic.Pointer[registryStamp]
-
-// registryVersion content-hashes the policy registry (names, in
-// registration order): adding, removing or reordering policies changes
-// every cache key. Policy semantics changes must bump CheckpointVersion.
-// The registry is append-only, so the hash is memoised against its length:
-// a later core.Register lengthens it and the next call re-derives.
-func registryVersion() string {
-	names := core.RegisteredPolicies()
-	if m := registryMemo.Load(); m != nil && m.n == len(names) {
-		return m.version
-	}
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(strings.Join(names, ",")))
-	m := &registryStamp{n: len(names), version: fmt.Sprintf("%016x", h.Sum64())}
-	registryMemo.Store(m)
-	return m.version
-}
 
 // CheckpointVersion is baked into every cache key and entry header: bump it
 // whenever the Result schema or spec canonicalization changes incompatibly,
@@ -136,10 +110,14 @@ func cacheKeyAt(version int, spec HybridSpec) (string, error) {
 	return hashKey(version, key), nil
 }
 
-// hashKey is the cache key of a spec whose canonical key (specKey) is key.
+// hashKey is the cache key of a spec whose canonical key (specKey) is key:
+// the hash of "cachev<version> registry=<core.RegistryVersion> " then key.
 func hashKey(version int, key []byte) string {
+	var buf [64]byte
+	prefix := strconv.AppendInt(append(buf[:0], "cachev"...), int64(version), 10)
+	prefix = append(append(append(prefix, " registry="...), core.RegistryVersion()...), ' ')
 	h := fnv.New64a()
-	fmt.Fprintf(h, "cachev%d registry=%s ", version, registryVersion())
+	_, _ = h.Write(prefix)
 	_, _ = h.Write(key)
 	return fmt.Sprintf("%016x", h.Sum64())
 }
@@ -278,7 +256,7 @@ func (c *ResultCache) load(key string) (json.RawMessage, bool) {
 	}
 	var hdr cacheHeader
 	if json.Unmarshal(header, &hdr) != nil ||
-		hdr.Version != CheckpointVersion || hdr.Registry != registryVersion() || hdr.Key != key {
+		hdr.Version != CheckpointVersion || hdr.Registry != core.RegistryVersion() || hdr.Key != key {
 		return nil, false
 	}
 	body, terminated := bytes.CutSuffix(body, []byte{'\n'})
@@ -334,7 +312,7 @@ func (c *ResultCache) Put(spec HybridSpec, raw json.RawMessage) error {
 		c.memPut(key, raw)
 		return nil
 	}
-	hdr, err := json.Marshal(cacheHeader{Version: CheckpointVersion, Registry: registryVersion(), Key: key})
+	hdr, err := json.Marshal(cacheHeader{Version: CheckpointVersion, Registry: core.RegistryVersion(), Key: key})
 	if err != nil {
 		return fmt.Errorf("exp: cache: %w", err)
 	}

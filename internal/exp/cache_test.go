@@ -96,6 +96,20 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 	}
 }
 
+// TestCacheKeyPinned holds the key derivation to constants: the init-time
+// registry version and one spec's key. A change that moves either orphans
+// every stored entry. (TestRegistryVersionMemo's late registration runs in a
+// child process, so this process sees the init-time registry.)
+func TestCacheKeyPinned(t *testing.T) {
+	if got, want := core.RegistryVersion(), "e51f23042d885ab2"; got != want {
+		t.Errorf("registry version %s, want %s", got, want)
+	}
+	spec := HybridSpec{Name: "key-pin", Policy: "DT", Scale: ScaleTiny, RDMALoad: 0.4, TCPLoad: 0.4}
+	if got, want := mustKey(t, spec), "51f6f4659e9f93be"; got != want {
+		t.Errorf("CacheKey %s, want %s", got, want)
+	}
+}
+
 // TestResultCacheRoundTrip: Put stores the canonical bytes, Get returns
 // exactly those bytes (the byte-identity the daemon's cache-hit path relies
 // on) plus a decoded Result with the spec reattached.

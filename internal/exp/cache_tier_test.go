@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"os/exec"
 	"runtime/debug"
@@ -28,7 +29,7 @@ func tierEntry(t testing.TB) (key string, body, file []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return key, body, entryFile(CheckpointVersion, registryVersion(), key, body)
+	return key, body, entryFile(CheckpointVersion, core.RegistryVersion(), key, body)
 }
 
 func entryFile(version int, registry, key string, body []byte) []byte {
@@ -40,7 +41,7 @@ func entryFile(version int, registry, key string, body []byte) []byte {
 // which serves bytes and decodes nothing — must catch when it loads one.
 func hostileEntries(t testing.TB) map[string][]byte {
 	key, body, file := tierEntry(t)
-	reg := registryVersion()
+	reg := core.RegistryVersion()
 	return map[string][]byte{
 		"empty file":             {},
 		"header only":            file[:bytes.IndexByte(file, '\n')+1],
@@ -143,7 +144,7 @@ func FuzzCacheEntry(f *testing.F) {
 		}
 		header, rest, _ := bytes.Cut(data, []byte{'\n'})
 		var hdr cacheHeader
-		if json.Unmarshal(header, &hdr) != nil || hdr != (cacheHeader{CheckpointVersion, registryVersion(), key}) {
+		if json.Unmarshal(header, &hdr) != nil || hdr != (cacheHeader{CheckpointVersion, core.RegistryVersion(), key}) {
 			t.Fatalf("hit under header %q", header)
 		}
 		if !bytes.Equal(rest, append(append([]byte(nil), raw...), '\n')) {
@@ -357,10 +358,10 @@ func TestLookupDiskHitAllocs(t *testing.T) {
 	}
 }
 
-// TestRegistryVersionMemo: the memoised hash is the hash, and a policy
-// registered after the first derivation — which the memo has already seen a
-// shorter registry for — still changes it, and with it every cache key, so
-// entries stored before the registration miss on both tiers.
+// TestRegistryVersionMemo: the version Register keeps is the hash of the
+// registry, and a policy registered after the first key was derived still
+// changes it, and with it every cache key, so entries stored before the
+// registration miss on both tiers.
 //
 // core's registry has no Unregister: a late registration would leak into
 // every later test of this binary (and panic as a duplicate under -count
@@ -384,9 +385,9 @@ func TestRegistryVersionMemo(t *testing.T) {
 	if err := cache.Put(tierSpec, body); err != nil {
 		t.Fatal(err)
 	}
-	before, keyBefore := registryVersion(), mustKey(t, tierSpec)
-	if again := registryVersion(); again != before {
-		t.Fatalf("registryVersion is not stable: %s then %s", before, again)
+	before, keyBefore := core.RegistryVersion(), mustKey(t, tierSpec)
+	if again := core.RegistryVersion(); again != before {
+		t.Fatalf("RegistryVersion is not stable: %s then %s", before, again)
 	}
 	if _, ok := cache.Lookup(tierSpec); !ok {
 		t.Fatal("miss on an entry just put")
@@ -394,13 +395,14 @@ func TestRegistryVersionMemo(t *testing.T) {
 
 	core.Register("late-registration", func() core.Policy { return core.MustNewPolicy("DT") })
 
-	after := registryVersion()
+	after := core.RegistryVersion()
 	if after == before {
 		t.Fatal("a late registration did not change the registry version")
 	}
-	registryMemo.Store(nil)
-	if cold := registryVersion(); cold != after {
-		t.Errorf("memoised version %s, derived from scratch %s", after, cold)
+	h := fnv.New64a()
+	h.Write([]byte(strings.Join(core.RegisteredPolicies(), ",")))
+	if cold := fmt.Sprintf("%016x", h.Sum64()); cold != after {
+		t.Errorf("kept version %s, derived from scratch %s", after, cold)
 	}
 	if mustKey(t, tierSpec) == keyBefore {
 		t.Error("a late registration did not change the cache key")

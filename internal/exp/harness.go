@@ -32,10 +32,12 @@ type Harness struct {
 	// unique and worker-count independent.
 	TraceDir string
 	// Fidelity, when non-empty, selects the execution engine for every
-	// point (specs carrying their own Fidelity keep it): FidelityPacket
-	// simulates every MTU, FidelityHybrid fast-forwards steady-state spans
-	// through the fluid layer. Unlike a spec's Shards, hybrid fidelity
-	// changes results — within the divergence bound DESIGN.md §14 states.
+	// point without a fault plan (specs carrying their own Fidelity keep
+	// it): FidelityPacket simulates every MTU, FidelityHybrid fast-forwards
+	// steady-state spans through the fluid layer. A faulted point always
+	// runs at packet fidelity, under the one cache key either setting gives
+	// it. Unlike a spec's Shards, hybrid fidelity changes results — within
+	// the divergence bound DESIGN.md §14 states.
 	Fidelity string
 	// Cache, when non-nil, is consulted per point: a point it holds is
 	// restored instead of simulated (byte-identical output either way), and
@@ -66,9 +68,6 @@ type Tally struct {
 	// Events sums the simulated events of the points that ran (a restored
 	// point cost none) — divide by wall time for aggregate events/s.
 	Events uint64
-	// Fallbacks counts hybrid-fidelity requests that ran at packet fidelity
-	// (Result.FidelityFallback): a fault plan pinned them there.
-	Fallbacks uint64
 	// TraceRowsEvicted counts the flight-recorder rows the points' rings
 	// discarded: non-zero means some exported trace holds only the newest
 	// part of its run.
@@ -90,9 +89,6 @@ func TallyResults(results []*Result) Tally {
 			t.Restored++
 		} else {
 			t.Events += res.Events
-		}
-		if res.FidelityFallback != "" {
-			t.Fallbacks++
 		}
 		t.TraceRowsEvicted += res.Trace.Stats().Evicted()
 		t.Conductors.Add(res.Conductor)
@@ -154,7 +150,7 @@ func (h *Harness) runAll(specs []HybridSpec, emit EmitFunc) ([]*Result, error) {
 		if sp.Trace == nil {
 			sp.Trace = h.Trace
 		}
-		if sp.Fidelity == "" {
+		if sp.Fidelity == "" && sp.Faults == nil {
 			sp.Fidelity = h.Fidelity
 		}
 		if why := checkpointIneligible(*sp); storing && why != "" {

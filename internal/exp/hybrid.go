@@ -99,9 +99,10 @@ type hybridRun struct {
 }
 
 // runHybridFluid executes one data point under the hybrid-fidelity
-// controller. Callers guarantee Faults == nil. The plan's
-// seed is the packet run's (common random numbers across policies AND
-// across fidelities: the offered workload is identical).
+// controller. Validate refuses a fault plan at this fidelity, so a faulted
+// point never gets here: it runs at packet fidelity. The plan's seed is the
+// packet run's (common random numbers across policies AND across
+// fidelities: the offered workload is identical).
 func runHybridFluid(ctx context.Context, p *plan) (*Result, error) {
 	sched, err := fluid.Extract(p.seed, p.workload())
 	if err != nil {

@@ -1,9 +1,7 @@
 package exp
 
 import (
-	"encoding/json"
 	"math"
-	"strings"
 	"testing"
 
 	"l2bm/internal/sim"
@@ -188,9 +186,8 @@ func TestHybridDeterminism(t *testing.T) {
 }
 
 // TestHybridFidelityValidation covers the spec-level contract: hybrid
-// fidelity runs its packet segments on the sharded engine, unknown fidelity
-// strings are rejected, and a fault plan (a standing fidelity trigger) falls
-// back to the classic packet path rather than erroring.
+// fidelity runs its packet segments on the sharded engine, and unknown
+// fidelity strings are rejected.
 func TestHybridFidelityValidation(t *testing.T) {
 	base := HybridSpec{Name: "hyb-val", Policy: "L2BM", Scale: ScaleTiny,
 		RDMALoad: 0.05, TCPLoad: 0.05}
@@ -211,60 +208,5 @@ func TestHybridFidelityValidation(t *testing.T) {
 	bogus.Fidelity = "analytic"
 	if _, err := RunHybrid(bogus); err == nil {
 		t.Error("unknown fidelity should fail, got nil error")
-	}
-
-	faulted := base
-	faulted.Fidelity = FidelityHybrid
-	faulted.Faults = &FaultSpec{}
-	res, err = RunHybrid(faulted)
-	if err != nil {
-		t.Fatalf("hybrid fidelity with a fault plan should fall back to packet: %v", err)
-	}
-	if res.FluidFlows != 0 || res.PacketSegments != 0 {
-		t.Errorf("fault-plan fallback must run the classic path: FluidFlows=%d PacketSegments=%d",
-			res.FluidFlows, res.PacketSegments)
-	}
-	if !strings.Contains(res.FidelityFallback, "fault plan") {
-		t.Errorf("fallback must be recorded on the result, got FidelityFallback=%q", res.FidelityFallback)
-	}
-
-	cleanSpec := base
-	cleanSpec.Fidelity = FidelityHybrid
-	clean, err := RunHybrid(cleanSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clean.FidelityFallback != "" {
-		t.Errorf("clean hybrid run recorded a fallback: %q", clean.FidelityFallback)
-	}
-}
-
-// TestFidelityFallbackRule: HybridSpec.FidelityFallback, which the daemon
-// reports for a point without reading its bytes, is what the point's stored
-// Result carries, for a hybrid spec with a fault plan and for a plain one.
-func TestFidelityFallbackRule(t *testing.T) {
-	plain := HybridSpec{Name: "fb", Policy: "ABM", Scale: ScaleTiny, TCPLoad: 0.2}
-	faulted := plain
-	faulted.Fidelity, faulted.Faults = FidelityHybrid, &FaultSpec{}
-	for _, spec := range []HybridSpec{plain, faulted} {
-		res, err := RunHybrid(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var stored Result
-		if err := json.Unmarshal(raw, &stored); err != nil {
-			t.Fatal(err)
-		}
-		if got := spec.FidelityFallback(); got != stored.FidelityFallback {
-			t.Errorf("fidelity %q, faults %v: rule says %q, the stored Result %q",
-				spec.Fidelity, spec.Faults != nil, got, stored.FidelityFallback)
-		}
-	}
-	if faulted.FidelityFallback() == "" {
-		t.Error("a hybrid spec with a fault plan records no fallback")
 	}
 }

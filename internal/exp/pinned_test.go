@@ -93,8 +93,11 @@ func pinnedPoints() []pinnedPoint {
 			s.WindowOverride = 8 * ScaleTiny.Window()
 			s.Audit, s.Trace, s.Fidelity = &AuditSpec{}, trace, FidelityHybrid
 		}), json: "fdba0033185ab861", col: "03e03a0eee25cdb2", events: 634715},
-		{spec: with(faulted("zz-fallback", "L2BM"), func(s *HybridSpec) { s.Audit, s.Fidelity = &AuditSpec{}, FidelityHybrid }),
-			json: "ce65a2c34c0ef4ec", events: 1464971},
+		// The packet spec a hybrid request of this faulted spec ran as before
+		// Validate refused it: the same events, and that run's bytes less its
+		// FidelityFallback member (the seed excludes fidelity).
+		{spec: with(faulted("zz-fallback", "L2BM"), func(s *HybridSpec) { s.Audit = &AuditSpec{} }),
+			json: "93c19cb3861a7e7f", events: 1464971},
 		// The two DT variants under the same pressure: 292 (EDT) and 827 (TDT)
 		// lossy drops, so their absorb and evacuate modes shape the bytes.
 		{spec: pressured("zz-EDT", "EDT"), json: "1639882ddf956a28", events: 319406},
@@ -110,7 +113,7 @@ func fnvHex(b []byte) string {
 
 // TestRunDigestsPinned holds RunHybrid's output to absolute constants across
 // every way a run is assembled: one engine clean / observed / faulted, Shards
-// 1 and 2, hybrid fidelity, and the hybrid → packet fault fallback. It is not
+// 1 and 2, hybrid fidelity, and a second faulted point under audit. It is not
 // skipped in -short mode: CI's `go test -race -short` pass is what drives an
 // audited + traced point through the conductor.
 func TestRunDigestsPinned(t *testing.T) {

@@ -26,8 +26,9 @@ type HybridSpec struct {
 	// Policy is the BM scheme by name ("L2BM", "DT", "DT2", "ABM"), or use
 	// PolicyFactory for custom instances (ablations).
 	Policy string
-	// PolicyFactory overrides Policy when non-nil. Excluded from JSON (funcs
-	// do not serialize); wire specs name policies through the registry.
+	// PolicyFactory, set instead of Policy, builds a custom instance; the
+	// Result is labelled with its Name. Excluded from JSON (funcs do not
+	// serialize); wire specs name policies through the registry.
 	PolicyFactory topo.PolicyFactory `json:"-"`
 	// Scale sets topology and window; individual fields below override.
 	Scale Scale
@@ -68,8 +69,9 @@ type HybridSpec struct {
 	// fast-forward controller (internal/fluid), which advances flows
 	// analytically between fidelity triggers and drops to full packet
 	// simulation around incast bursts, fan-in convergence and buffer
-	// pressure. A fault plan forces packet fidelity for the whole run (fault
-	// injection is a standing trigger that never clears).
+	// pressure. Validate refuses it next to a fault plan: fault injection is
+	// a standing trigger that never clears, so a faulted point always runs at
+	// packet fidelity.
 	Fidelity string
 	// Faults, when non-nil, arms the fault-injection subsystem: the plan's
 	// events fire during the run, DCQCN switches to go-back-N recovery,
@@ -221,10 +223,6 @@ type Result struct {
 	FluidSteps     uint64       // fluid events (arrivals + completions) processed
 	FluidTime      sim.Duration // simulated time covered by fluid segments
 	PacketSegments int          // packet bursts the fidelity controller ran
-	// FidelityFallback, when non-empty, records why a hybrid-fidelity
-	// request ran at packet fidelity anyway (a fault plan is a standing
-	// fidelity trigger). Empty on every run that executed as asked.
-	FidelityFallback string `json:",omitempty"`
 
 	// AuditErrors lists invariant violations: the end-of-run CheckInvariants
 	// sweep over every switch always runs, and when Spec.Audit is set the
@@ -319,27 +317,10 @@ func runHybrid(ctx context.Context, spec HybridSpec, newEngine engineFunc) (*Res
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if spec.Fidelity == FidelityHybrid && spec.Faults == nil {
+	if spec.Fidelity == FidelityHybrid {
 		return runHybridFluid(ctx, resolve(spec, newEngine))
 	}
-	res, err := runPacket(ctx, resolve(spec, newEngine))
-	if res != nil {
-		res.FidelityFallback = spec.FidelityFallback()
-	}
-	return res, err
-}
-
-// FidelityFallback is the Result.FidelityFallback every run of sp records,
-// decided by the spec alone: a hybrid-fidelity spec with a fault plan runs
-// as a plain packet run — a fault plan is a standing fidelity trigger, so
-// the controller would never leave packet mode — and says so, so the
-// fallback is never silent (CLI trailers and service events surface it).
-// Every other spec runs as asked and records "".
-func (sp HybridSpec) FidelityFallback() string {
-	if sp.Fidelity == FidelityHybrid && sp.Faults != nil {
-		return "fault plan active: hybrid fidelity fell back to packet (faults are a standing fidelity trigger)"
-	}
-	return ""
+	return runPacket(ctx, resolve(spec, newEngine))
 }
 
 // coresKey carries the cores a run may take (an int) down a context:

@@ -125,6 +125,12 @@ func TestRunHybridRefusesInvalidSpec(t *testing.T) {
 			s.InterRackOnly = true
 			s.TopoOverride = func(c *topo.Config) { c.Pods, c.ToRCount, c.AggCount, c.CoreCount = 1, 1, 1, 1 }
 		},
+		// Each of the next three would run as a spec other than the one
+		// written: the two hybrid ones as their packet specs, the third
+		// under the factory's policy but Policy's label.
+		"hybrid with an empty fault plan": func(s *HybridSpec) { s.Fidelity, s.Faults = FidelityHybrid, &FaultSpec{} },
+		"hybrid with a fault plan":        func(s *HybridSpec) { s.Fidelity, s.Faults = FidelityHybrid, pinnedFaults() },
+		"Policy and PolicyFactory":        func(s *HybridSpec) { s.PolicyFactory = func() core.Policy { return core.NewDefaultL2BM() } },
 	} {
 		t.Run(name, func(t *testing.T) {
 			spec := tinySpec("DT")
@@ -143,6 +149,15 @@ func TestRunHybridRefusesInvalidSpec(t *testing.T) {
 				t.Error("a fabric was built for an invalid spec")
 			}
 		})
+	}
+
+	// A hybrid fault plan is refused by name, whatever the plan holds.
+	for _, plan := range []*FaultSpec{{}, pinnedFaults()} {
+		spec := tinySpec("DT")
+		spec.Fidelity, spec.Faults = FidelityHybrid, plan
+		if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), "Fidelity") || !strings.Contains(err.Error(), "Faults") {
+			t.Errorf("hybrid spec with fault plan %+v: Validate = %v, want an error naming Fidelity and Faults", plan, err)
+		}
 	}
 
 	// A PolicyFactory stands in for a registered name, and hybrid fidelity

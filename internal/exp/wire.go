@@ -31,22 +31,17 @@ func (s Scale) MarshalJSON() ([]byte, error) {
 	}
 }
 
-// UnmarshalJSON accepts either the CLI name or the integer form.
+// UnmarshalJSON accepts the CLI name only: a wire spec spells its scale.
 func (s *Scale) UnmarshalJSON(data []byte) error {
 	var name string
-	if err := json.Unmarshal(data, &name); err == nil {
-		v, err := ParseScale(name)
-		if err != nil {
-			return err
-		}
-		*s = v
-		return nil
+	if err := json.Unmarshal(data, &name); err != nil {
+		return fmt.Errorf("exp: scale must be a name (tiny|small|full), got %s", data)
 	}
-	var n int
-	if err := json.Unmarshal(data, &n); err != nil {
-		return fmt.Errorf("exp: scale must be a name (tiny|small|full) or integer, got %s", data)
+	v, err := ParseScale(name)
+	if err != nil {
+		return err
 	}
-	*s = Scale(n)
+	*s = v
 	return nil
 }
 
@@ -96,23 +91,26 @@ func (r *SweepRequest) Validate() error {
 // Validate is the envelope every run passes: RunHybrid checks it before
 // building anything, and the daemon, l2bmexp -spec and the harness check it
 // upfront so a bad point fails before any other runs. It asks for a name (it
-// seeds the run), a registered policy unless a PolicyFactory stands in for
-// one, known scale/fidelity values, no negative override, period or
-// capacity, loads in [0, 1], incast parameters every responder can send at
-// least a byte of, a valid fault plan whose blackouts name switches of the
-// fabric, a shard count the fabric can hold, and a second rack when traffic
-// must leave its own.
+// seeds the run), one policy source — a registered Policy or a
+// PolicyFactory, not both — known scale/fidelity values, no negative
+// override, period or capacity, loads in [0, 1], incast parameters every
+// responder can send at least a byte of, a valid fault plan whose blackouts
+// name switches of the fabric and which runs at packet fidelity, a shard
+// count the fabric can hold, and a second rack when traffic must leave its
+// own.
 func (sp HybridSpec) Validate() error {
 	if sp.Name == "" {
 		return fmt.Errorf("Name is required (it seeds the run)")
 	}
-	if sp.PolicyFactory == nil {
-		if sp.Policy == "" {
-			return fmt.Errorf("Policy is required")
+	switch {
+	case sp.PolicyFactory != nil:
+		if sp.Policy != "" {
+			return fmt.Errorf("Policy %q and a PolicyFactory are both set (a run has one policy source)", sp.Policy)
 		}
-		if !core.IsRegistered(sp.Policy) {
-			return fmt.Errorf("unknown policy %q (have %s)", sp.Policy, strings.Join(core.RegisteredPolicies(), " "))
-		}
+	case sp.Policy == "":
+		return fmt.Errorf("Policy is required")
+	case !core.IsRegistered(sp.Policy):
+		return fmt.Errorf("unknown policy %q (have %s)", sp.Policy, strings.Join(core.RegisteredPolicies(), " "))
 	}
 	switch sp.Scale {
 	case ScaleTiny, ScaleSmall, ScaleFull:
@@ -184,6 +182,12 @@ func (sp HybridSpec) Validate() error {
 	}
 	if sp.Faults == nil {
 		return nil
+	}
+	if sp.Fidelity == FidelityHybrid {
+		// A fault plan is a standing fidelity trigger: the fluid controller
+		// would never leave packet mode, so the spec could only run as the
+		// packet spec it is not.
+		return fmt.Errorf("Fidelity %q with Faults set: a faulted point runs at packet fidelity only", sp.Fidelity)
 	}
 	if err := sp.Faults.Plan.Validate(); err != nil {
 		return err

@@ -34,10 +34,11 @@ func TestScaleJSON(t *testing.T) {
 			t.Errorf("round trip %v came back %v", tc.scale, back)
 		}
 	}
-	// Integer form is accepted too (and is what unnamed values render as).
+	// A wire scale is a name: the integer an unnamed value renders as does
+	// not parse back.
 	var s Scale
-	if err := json.Unmarshal([]byte(jsonInt(int(ScaleSmall))), &s); err != nil || s != ScaleSmall {
-		t.Errorf("integer unmarshal: %v, %v", s, err)
+	if err := json.Unmarshal([]byte(jsonInt(int(ScaleSmall))), &s); err == nil {
+		t.Errorf("integer scale unmarshaled as %v", s)
 	}
 	if err := json.Unmarshal([]byte(`"galactic"`), &s); err == nil {
 		t.Error("unknown scale name unmarshaled")
@@ -90,6 +91,7 @@ func TestParseSweepRequest(t *testing.T) {
 		"missing policy":  `{"specs":[{"Name":"p","Scale":"tiny"}]}`,
 		"unknown policy":  `{"specs":[{"Name":"p","Policy":"Nope","Scale":"tiny"}]}`,
 		"unknown scale":   `{"specs":[{"Name":"p","Policy":"DT","Scale":99}]}`,
+		"integer scale":   `{"specs":[{"Name":"p","Policy":"DT","Scale":1}]}`, // ScaleTiny's value: a scale is spelled
 		"bad fidelity":    `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Fidelity":"analytic"}]}`,
 		"removed sched":   `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Sched":"wheel"}]}`, // the field is gone: strict parsing rejects even a once-valid value
 		"removed events":  `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Faults":{"Plan":{"Scheduled":[]}}}]}`,
@@ -247,6 +249,21 @@ func TestMarshalResultsEnvelope(t *testing.T) {
 	}
 }
 
+// sweepRequestSeeds seed FuzzParseSweepRequest, and the specs of those it
+// accepts seed FuzzSpecRun.
+var sweepRequestSeeds = []string{
+	`{"name":"ok","specs":[{"Name":"p0","Policy":"DT","Scale":"tiny","TCPLoad":0.4}]}`,
+	`{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Polciy":"DT"}]}`,
+	`{"name":"ok","specs":[{"Name":"p0","Policy":"DT","Scale":"tiny","TCPLoad":0.4}]}{"more":1}`,
+	`{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","TCPLoad":1.5}]}`,
+	`{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Shards":1000}]}`,
+	`{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Fidelity":"hybrid","Shards":2}]}`,
+	`{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Faults":{"Plan":{"FlapRate":-1}}}]}`,
+	incastBelowFanout,
+	blackoutInPast,
+	blackoutNoSwitch,
+}
+
 // FuzzParseSweepRequest feeds arbitrary bodies to the daemon's submission
 // parser. The seeds (replayed by plain `go test`) are a valid request and
 // the rejection classes TestParseSweepRequest names. Parsing never panics;
@@ -255,19 +272,7 @@ func TestMarshalResultsEnvelope(t *testing.T) {
 // the daemon stores under is a function of the request's content alone —
 // and Keys derives both exactly as SweepID and CacheKey do.
 func FuzzParseSweepRequest(f *testing.F) {
-	valid := `{"name":"ok","specs":[{"Name":"p0","Policy":"DT","Scale":"tiny","TCPLoad":0.4}]}`
-	for _, seed := range []string{
-		valid,
-		`{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Polciy":"DT"}]}`,
-		valid + `{"more":1}`,
-		`{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","TCPLoad":1.5}]}`,
-		`{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Shards":1000}]}`,
-		`{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Fidelity":"hybrid","Shards":2}]}`,
-		`{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Faults":{"Plan":{"FlapRate":-1}}}]}`,
-		incastBelowFanout,
-		blackoutInPast,
-		blackoutNoSwitch,
-	} {
+	for _, seed := range sweepRequestSeeds {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

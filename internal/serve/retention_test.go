@@ -305,17 +305,18 @@ func TestServeEvictedStreamFinishes(t *testing.T) {
 
 // The event lines the parent commit (decoding every hit) streamed for a
 // fully cached resubmission of goldenBody, captured before the hit path
-// stopped decoding. The third point carries the omitempty FidelityFallback.
+// stopped decoding, less the member the third point, a faulted one, carried
+// while its spec asked for hybrid fidelity (which Validate now refuses).
 const goldenBody = `{"name":"golden","specs":[
 	{"Name":"g-dt","Policy":"DT","Scale":"tiny","RDMALoad":0.4,"TCPLoad":0.4},
 	{"Name":"g-l2bm","Policy":"L2BM","Scale":"tiny","RDMALoad":0.4,"TCPLoad":0.4},
-	{"Name":"g-fallback","Policy":"ABM","Scale":"tiny","TCPLoad":0.2,"Fidelity":"hybrid","Faults":{}}]}`
+	{"Name":"g-fallback","Policy":"ABM","Scale":"tiny","TCPLoad":0.2,"Faults":{}}]}`
 
 var goldenCachedEvents = []string{
 	`{"type":"state","state":"running","completed":0,"total":3,"cacheHits":0}`,
 	`{"type":"point","index":0,"name":"g-dt","policy":"DT","cached":true}`,
 	`{"type":"point","index":1,"name":"g-l2bm","policy":"L2BM","cached":true}`,
-	`{"type":"point","index":2,"name":"g-fallback","policy":"ABM","cached":true,"fidelityFallback":"fault plan active: hybrid fidelity fell back to packet (faults are a standing fidelity trigger)"}`,
+	`{"type":"point","index":2,"name":"g-fallback","policy":"ABM","cached":true}`,
 	`{"type":"state","state":"done","completed":3,"total":3,"cacheHits":3}`,
 }
 
@@ -635,9 +636,9 @@ func hotRoundTrip(tb testing.TB, srv *Server, body string) int {
 
 // TestHotResubmitAllocs: a cached eight-point resubmission costs the request
 // parse, one marshal per spec for its keys, the sweep's bookkeeping and the
-// response buffers — 268 allocations measured, 343 under -race (whose
-// sync.Pool drops items on purpose), 420 allowed — and no decode of a stored
-// point: decoding the eight reads 536.
+// response buffers — 244 allocations measured, 307 under -race (whose
+// sync.Pool drops items on purpose), 380 allowed — and no decode of a stored
+// point: decoding the eight adds 268 more.
 func TestHotResubmitAllocs(t *testing.T) {
 	srv, err := New(Config{CacheDir: t.TempDir()})
 	if err != nil {
@@ -651,13 +652,13 @@ func TestHotResubmitAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("%.0f allocations per cached resubmission (%d B result)", allocs, size)
-	if allocs > 420 {
-		t.Errorf("a cached resubmission allocates %.0f times, want <= 420 (measured 268)", allocs)
+	if allocs > 380 {
+		t.Errorf("a cached resubmission allocates %.0f times, want <= 380 (measured 244)", allocs)
 	}
 }
 
 // BenchmarkHotResubmit prices hotRoundTrip on a filled cache: 145–178 µs
-// and 269 allocations per op on 2 vCPUs.
+// and 245 allocations per op on 2 vCPUs.
 func BenchmarkHotResubmit(b *testing.B) {
 	srv, err := New(Config{CacheDir: b.TempDir()})
 	if err != nil {

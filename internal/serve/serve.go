@@ -251,16 +251,12 @@ func (sw *sweep) event(v any) {
 	sw.appendLocked(line)
 }
 
-// point reports point i finished, from the cache or not. Name, Policy and
-// FidelityFallback come from the spec: a wire spec cannot carry a
-// PolicyFactory, so its Policy is the Result's, and the spec alone decides
-// the fallback (exp.HybridSpec.FidelityFallback).
+// point reports point i finished, from the cache or not. Name and Policy
+// come from the spec: a wire spec cannot carry a PolicyFactory, so its
+// Policy is the Result's.
 func (sw *sweep) point(i int, cached bool) {
 	spec := sw.req.Specs[i]
-	sw.event(pointEvent{
-		Type: "point", Index: i, Name: spec.Name, Policy: spec.Policy,
-		Cached: cached, FidelityFallback: spec.FidelityFallback(),
-	})
+	sw.event(pointEvent{Type: "point", Index: i, Name: spec.Name, Policy: spec.Policy, Cached: cached})
 }
 
 type stateEvent struct {
@@ -273,12 +269,11 @@ type stateEvent struct {
 }
 
 type pointEvent struct {
-	Type             string `json:"type"`
-	Index            int    `json:"index"`
-	Name             string `json:"name"`
-	Policy           string `json:"policy"`
-	Cached           bool   `json:"cached"`
-	FidelityFallback string `json:"fidelityFallback,omitempty"`
+	Type   string `json:"type"`
+	Index  int    `json:"index"`
+	Name   string `json:"name"`
+	Policy string `json:"policy"`
+	Cached bool   `json:"cached"`
 }
 
 // setState transitions the sweep and emits the matching state event

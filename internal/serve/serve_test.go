@@ -295,7 +295,7 @@ func TestServeAdmissionControl(t *testing.T) {
 // TestServeCachedSweepAnsweredAtAdmission: with the one slot held and no
 // queue (QueueDepth -1), a sweep whose every point is stored is still
 // answered — 202 reading done, the same event lines a run streams for it
-// (the fallback point's taken from its spec) and the fresh run's bytes —
+// and the fresh run's bytes —
 // while a sweep with one point to simulate is refused as before.
 func TestServeCachedSweepAnsweredAtAdmission(t *testing.T) {
 	srv, ts := newTestServer(t, Config{MaxConcurrent: 1, QueueDepth: -1, CacheDir: t.TempDir()})
@@ -470,6 +470,8 @@ func TestServeValidation(t *testing.T) {
 		"unknown policy": {`{"specs":[{"Name":"p","Policy":"Nope","Scale":"tiny"}]}`, http.StatusBadRequest},
 		"no specs":       {`{"specs":[]}`, http.StatusBadRequest},
 		"shards > ToRs":  {`{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny"},{"Name":"q","Policy":"DT","Scale":"tiny","Shards":5}]}`, http.StatusBadRequest},
+		"hybrid faults":  {`{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Fidelity":"hybrid","Faults":{}}]}`, http.StatusBadRequest},
+		"integer scale":  {`{"specs":[{"Name":"p","Policy":"DT","Scale":1}]}`, http.StatusBadRequest},
 	} {
 		resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(tc.body))
 		if err != nil {
