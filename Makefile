@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check bench arena faults chaos chaos-soak scale serve speedup trace-demo hybrid-demo clean
+.PHONY: all build vet test race check bench arena faults soak scale serve speedup trace-demo hybrid-demo clean
 
 all: check
 
@@ -40,16 +40,13 @@ arena:
 faults:
 	$(GO) run ./cmd/l2bmexp -exp faults -scale tiny
 
-# Randomized robustness soak: fuzz scenarios (topology x workload x fault
-# plan) under the global invariant auditor, shrink any failure to a minimal
-# scenario and write a runnable JSON reproducer (replay one with
-# `go run ./cmd/l2bmexp -exp chaos -replay repros/chaos-seed<N>.json`).
-# Findings exit nonzero. Default 50 seeds; chaos-soak is the nightly size.
-chaos:
-	$(GO) run ./cmd/l2bmexp -exp chaos -repro-out repros
-
-chaos-soak:
-	$(GO) run ./cmd/l2bmexp -exp chaos -seeds 200 -repro-out repros
+# Randomized robustness soak: ten minutes of FuzzSpecRun, which runs any
+# spec Validate accepts (topology x workload x fault plan) on a small fabric
+# under the global invariant auditor. Go's fuzz engine minimizes a failing
+# input and writes it under internal/exp/testdata/fuzz/, where plain
+# `go test` replays it.
+soak:
+	$(GO) test -run '^$$' -fuzz '^FuzzSpecRun$$' -fuzztime 10m ./internal/exp
 
 # Hyperscale smoke: build the 10,240-host pod Clos and run the short mixed
 # window with the invariant auditor armed (audit violations exit nonzero).

@@ -7,8 +7,7 @@
 //	l2bmexp -exp all -scale full | tee -a results.txt
 //	l2bmexp -exp fig7 -scale full -parallel 8 -cpuprofile cpu.pprof
 //
-// Experiments: fig3a fig3b fig7 table2 fig8 fig9 fig10 fig11 faults arena
-// all, plus the beyond-the-paper chaos soak (see below).
+// Experiments: fig3a fig3b fig7 table2 fig8 fig9 fig10 fig11 faults arena all.
 // The arena experiment races every registered buffer-management policy
 // (the paper's four plus the related work: EDT, TDT, BShare, Occamy, FB)
 // over a common load × burst × fault grid and emits a ranked scorecard;
@@ -21,14 +20,9 @@
 //
 // Robustness extras:
 //
-//	l2bmexp -exp chaos -seeds 200 -repro-out repros
-//	l2bmexp -exp chaos -replay repros/chaos-seed17.json
 //	l2bmexp -exp fig7 -scale full -resume ckpt -point-timeout 5m
 //
-// -exp chaos fuzzes randomized scenarios (topology × hybrid workload ×
-// fault plan) under the global invariant auditor, shrinks any failure to a
-// minimal scenario and writes a runnable JSON reproducer; findings exit
-// nonzero. -resume makes long sweeps crash-safe: every point is stored in
+// -resume makes long sweeps crash-safe: every point is stored in
 // the directory the moment it finishes (the content-hash result cache
 // l2bmd -cache uses, so the two warm each other) and any later run that
 // asks for the same point — the same command again, another experiment
@@ -78,11 +72,9 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"time"
 
-	"l2bm/internal/chaos"
 	"l2bm/internal/core"
 	"l2bm/internal/exp"
 	"l2bm/internal/sim"
@@ -111,10 +103,6 @@ func run(args []string, w io.Writer) error {
 	pointTimeout := fs.Duration("point-timeout", 0, "per-point wall-clock limit (e.g. 5m; 0 = unbounded)")
 	keepGoing := fs.Bool("keep-going", false, "record failed grid points and keep running the rest instead of halting on the first failure")
 	policiesFlag := fs.String("policies", "", "arena: comma-separated subset of registered policies to race (default: all)")
-	seeds := fs.Int("seeds", 0, "chaos: how many scenarios to fuzz (0 = 50)")
-	baseSeed := fs.Int64("base-seed", 0, "chaos: scenario i uses seed base-seed+i (rotate ranges without overlap)")
-	reproOut := fs.String("repro-out", "", "chaos: directory for runnable JSON reproducers of any findings")
-	replay := fs.String("replay", "", "chaos: replay this reproducer file instead of fuzzing")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -132,9 +120,6 @@ func run(args []string, w io.Writer) error {
 	if !*traceOn && explicit["trace-out"] {
 		return fmt.Errorf("-trace-out requires -trace (without it nothing is recorded, so nothing would be written)")
 	}
-	if *seeds < 0 {
-		return fmt.Errorf("-seeds must be >= 0, got %d", *seeds)
-	}
 	if *pointTimeout < 0 {
 		return fmt.Errorf("-point-timeout must be >= 0, got %v", *pointTimeout)
 	}
@@ -144,29 +129,14 @@ func run(args []string, w io.Writer) error {
 	}
 
 	// -spec replaces the named-experiment path entirely (the file is the
-	// sweep, so experiment-selection flags make no sense next to it), and a
-	// chaos scenario pins its own topology, engine and observers. A flag the
-	// selected mode cannot honour is refused, never silently dropped.
-	for _, mode := range []struct {
-		on        bool
-		name, why string
-		conflicts []string
-	}{
-		{*specPath != "", "-spec", "the spec file pins every point's parameters",
-			[]string{"exp", "scale", "trace", "fidelity"}},
-		{*expName == "chaos", "-exp chaos", "scenarios pin their own execution model",
-			[]string{"scale", "trace", "trace-out", "trace-sample", "keep-going"}},
-	} {
-		if !mode.on {
-			continue
-		}
-		for _, conflict := range mode.conflicts {
+	// sweep, so experiment-selection flags make no sense next to it). A flag
+	// it cannot honour is refused, never silently dropped.
+	if *specPath != "" {
+		for _, conflict := range []string{"exp", "scale", "trace", "fidelity"} {
 			if explicit[conflict] {
-				return fmt.Errorf("%s is incompatible with -%s (%s)", mode.name, conflict, mode.why)
+				return fmt.Errorf("-spec is incompatible with -%s (the spec file pins every point's parameters)", conflict)
 			}
 		}
-	}
-	if *specPath != "" {
 		if *keepGoing {
 			return fmt.Errorf("-spec is incompatible with -keep-going (the canonical result envelope has no slot for a failed point)")
 		}
@@ -185,26 +155,11 @@ func run(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *expName != "chaos" {
-		for flagName, val := range map[string]string{
-			"-seeds": strconv.Itoa(*seeds), "-base-seed": strconv.FormatInt(*baseSeed, 10),
-		} {
-			if val != "0" {
-				return fmt.Errorf("%s requires -exp chaos", flagName)
-			}
-		}
-		if *reproOut != "" || *replay != "" {
-			return fmt.Errorf("-repro-out and -replay require -exp chaos")
-		}
-	}
 	if err := validateFidelity(*expName, *fidelity); err != nil {
 		return err
 	}
 	var cache *exp.ResultCache
 	if *resume != "" {
-		if *expName == "chaos" {
-			return fmt.Errorf("-resume does not apply to -exp chaos (reproducer files are its persistence)")
-		}
 		if *traceOn {
 			return fmt.Errorf("-resume is incompatible with -trace (a stored result cannot carry its flight recorder)")
 		}
@@ -218,16 +173,6 @@ func run(args []string, w io.Writer) error {
 	if *traceOn {
 		if err := ensureWritableDir("-trace-out", *traceOut); err != nil {
 			return err
-		}
-	}
-	if *reproOut != "" {
-		if err := ensureWritableDir("-repro-out", *reproOut); err != nil {
-			return err
-		}
-	}
-	if *replay != "" {
-		if _, err := os.Stat(*replay); err != nil {
-			return fmt.Errorf("-replay: %w", err)
 		}
 	}
 
@@ -248,11 +193,6 @@ func run(args []string, w io.Writer) error {
 	case *specPath != "":
 		// Without -resume the cache is nil: every point simply runs.
 		runErr = runSpec(*specPath, cache, &exp.Pool{Workers: *parallel, PointTimeout: *pointTimeout}, w)
-	case *expName == "chaos":
-		runErr = runChaos(chaos.Options{
-			Seeds: *seeds, BaseSeed: *baseSeed, Workers: *parallel,
-			PointTimeout: *pointTimeout, ReproDir: *reproOut, Out: w,
-		}, *replay)
 	default:
 		harness := &exp.Harness{
 			Workers: *parallel, Fidelity: *fidelity,
@@ -285,10 +225,10 @@ func run(args []string, w io.Writer) error {
 }
 
 // validateFidelity rejects -fidelity combinations before any work begins:
-// unknown values, the chaos soak (its scenarios pin their own execution
-// model) and hybrid fidelity on -exp faults, whose every point carries a
-// fault plan and so runs at packet fidelity only. Grids that mix faulted
-// and clean points (arena, all) run their faulted points as packet specs.
+// unknown values and hybrid fidelity on -exp faults, whose every point
+// carries a fault plan and so runs at packet fidelity only. Grids that mix
+// faulted and clean points (arena, all) run their faulted points as packet
+// specs.
 func validateFidelity(expName, fidelity string) error {
 	switch fidelity {
 	case "":
@@ -298,9 +238,6 @@ func validateFidelity(expName, fidelity string) error {
 		return fmt.Errorf("-fidelity: unknown value %q (want %s or %s)",
 			fidelity, exp.FidelityPacket, exp.FidelityHybrid)
 	}
-	if expName == "chaos" {
-		return fmt.Errorf("-fidelity does not apply to -exp chaos (scenarios pin their own execution model)")
-	}
 	if expName == "faults" && fidelity == exp.FidelityHybrid {
 		return fmt.Errorf("-fidelity hybrid does not apply to -exp faults (every point carries a fault plan, which runs at packet fidelity only)")
 	}
@@ -308,13 +245,13 @@ func validateFidelity(expName, fidelity string) error {
 }
 
 // experimentNames is the -exp vocabulary: every row of exp.Experiments, then
-// "all" (its Paper rows, in table order) and the chaos soak.
+// "all" (its Paper rows, in table order).
 func experimentNames() []string {
 	var names []string
 	for _, e := range exp.Experiments {
 		names = append(names, e.Name)
 	}
-	return append(names, "all", "chaos")
+	return append(names, "all")
 }
 
 // validateExp rejects unknown -exp values before any work begins.

@@ -128,7 +128,7 @@ func TestExperimentTable(t *testing.T) {
 	var names, paper []string
 	seen := map[string]bool{}
 	for _, e := range exp.Experiments {
-		if seen[e.Name] || e.Name == "all" || e.Name == "chaos" {
+		if seen[e.Name] || e.Name == "all" {
 			t.Errorf("experiment name %q is taken", e.Name)
 		}
 		seen[e.Name] = true
@@ -165,7 +165,7 @@ func TestExperimentTable(t *testing.T) {
 		}
 	}
 
-	vocabulary := strings.Join(append(names, "all", "chaos"), " ")
+	vocabulary := strings.Join(append(names, "all"), " ")
 	err := run([]string{"-exp", "thirteenth"}, io.Discard)
 	if want := `unknown experiment "thirteenth" (have ` + vocabulary + ")"; err == nil || err.Error() != want {
 		t.Errorf("unknown -exp: %v, want %s", err, want)
@@ -198,18 +198,9 @@ func TestCLIUpfrontValidation(t *testing.T) {
 		{"-exp", "fig99"},
 		{"-exp", "arena", "-policies", "L2BM,BShar"}, // typo'd policy name
 		{"-exp", "arena", "-policies", "nope"},
-		{"-exp", "arena", "-policies", "L2BM,,DT"}, // empty element
-		{"-exp", "fig7", "-policies", "L2BM"},      // -policies is arena-only
-		{"-exp", "chaos", "-seeds", "-1"},
-		{"-seeds", "5"},                        // -seeds without -exp chaos
-		{"-base-seed", "7"},                    // ditto
-		{"-repro-out", "x"},                    // ditto
-		{"-replay", "x.json"},                  // ditto
-		{"-exp", "arena", "-replay", "x.json"}, // -replay is chaos-only
-		{"-exp", "chaos", "-replay", "nonexistent.json"},
-		{"-exp", "chaos", "-resume", "ckpt"},                        // chaos has its own persistence
+		{"-exp", "arena", "-policies", "L2BM,,DT"},                  // empty element
+		{"-exp", "fig7", "-policies", "L2BM"},                       // -policies is arena-only
 		{"-exp", "fig7", "-fidelity", "analytic"},                   // unknown fidelity
-		{"-exp", "chaos", "-fidelity", "hybrid"},                    // chaos pins its own engine
 		{"-spec", "sweep.json", "-exp", "fig7"},                     // -spec pins the sweep
 		{"-spec", "sweep.json", "-scale", "tiny"},                   // ditto
 		{"-spec", "sweep.json", "-trace"},                           // ditto
@@ -222,7 +213,6 @@ func TestCLIUpfrontValidation(t *testing.T) {
 		{"-exp", "fig3a", "-point-timeout", "-1s"},
 		{"-exp", "fig3a", "-resume", blocker + "/sub"}, // unwritable
 		{"-exp", "fig3a", "-trace", "-trace-out", blocker + "/sub"},
-		{"-exp", "chaos", "-repro-out", blocker + "/sub"},
 	}
 	for _, args := range cases {
 		var buf bytes.Buffer
@@ -231,26 +221,24 @@ func TestCLIUpfrontValidation(t *testing.T) {
 		}
 	}
 
-	// A flag the chaos soak cannot honour is refused with the reason, not
-	// dropped, before any scenario is fuzzed.
-	const pinned = "scenarios pin their own execution model"
+	// The randomized soak is gone (FuzzSpecRun in internal/exp fuzzes the
+	// spec surface): its experiment name and its flags are refused like any
+	// other unknown input, before anything runs.
 	for _, tc := range []struct {
 		args []string
 		want string
 	}{
-		{[]string{"-exp", "chaos", "-seeds", "2", "-scale", "full"}, pinned},
-		{[]string{"-exp", "chaos", "-seeds", "2", "-keep-going"}, pinned},
-		{[]string{"-exp", "chaos", "-seeds", "2", "-trace"}, pinned},
-		{[]string{"-exp", "chaos", "-seeds", "2", "-trace", "-trace-out", t.TempDir()}, pinned},
-		{[]string{"-exp", "chaos", "-seeds", "2", "-trace", "-trace-sample", "50us"}, pinned},
+		{[]string{"-exp", "chaos"}, `unknown experiment "chaos"`},
+		{[]string{"-seeds", "5"}, "flag provided but not defined: -seeds"},
+		{[]string{"-exp", "fig3a", "-replay", "x.json"}, "flag provided but not defined: -replay"},
 	} {
 		var buf bytes.Buffer
 		err := run(tc.args, &buf)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("args %v: error %v, want one naming %q", tc.args, err, tc.want)
 		}
-		if out := buf.String(); strings.Contains(out, "chaos:") || strings.Contains(out, "load=") || strings.Contains(out, "==") {
-			t.Errorf("args %v: work was done before the refusal:\n%s", tc.args, out)
+		if buf.Len() != 0 {
+			t.Errorf("args %v: work was done before the refusal:\n%s", tc.args, buf.String())
 		}
 	}
 }
@@ -292,18 +280,6 @@ func TestCLIArenaSmoke(t *testing.T) {
 	}
 	if strings.Contains(out, "NaN") {
 		t.Error("arena output contains NaN")
-	}
-}
-
-// TestCLIChaos: a tiny soak through the real CLI path comes back clean and
-// prints the summary line.
-func TestCLIChaos(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"-exp", "chaos", "-seeds", "3", "-parallel", "2"}, &buf); err != nil {
-		t.Fatalf("%v\n%s", err, buf.String())
-	}
-	if !strings.Contains(buf.String(), "chaos: 3 seeds, 0 findings") {
-		t.Errorf("missing soak summary:\n%s", buf.String())
 	}
 }
 
@@ -476,7 +452,6 @@ func TestCLIFidelity(t *testing.T) {
 		want string
 	}{
 		{[]string{"-exp", "fig7", "-fidelity", "analytic"}, `unknown value "analytic"`},
-		{[]string{"-exp", "chaos", "-fidelity", "hybrid"}, "does not apply"},
 		{[]string{"-exp", "fig3a", "-resume", "ckpt", "-trace"}, "incompatible with -trace"},
 	} {
 		var out bytes.Buffer

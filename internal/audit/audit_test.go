@@ -17,8 +17,8 @@ import (
 
 // buildTiny builds a minimal cluster for in-package sweeps. The
 // end-to-end auditor behavior (observer-freedom, catching seeded
-// corruption, fault tolerance) is exercised in internal/exp and
-// internal/chaos; these tests pin the package's own contract surface.
+// corruption, fault tolerance, FuzzSpecRun) is exercised in internal/exp;
+// these tests pin the package's own contract surface.
 func buildTiny(t *testing.T) *topo.Cluster {
 	t.Helper()
 	eng := sim.NewEngine(1)

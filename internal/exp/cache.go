@@ -304,8 +304,14 @@ func (c *ResultCache) Put(spec HybridSpec, raw json.RawMessage) error {
 	if c == nil {
 		return nil
 	}
-	key, err := CacheKey(spec)
-	if err != nil {
+	key, _ := CacheKey(spec)
+	return c.putKey(key, raw)
+}
+
+// putKey is Put under a key already derived; the empty key, an uncacheable
+// spec's, stores nothing.
+func (c *ResultCache) putKey(key string, raw json.RawMessage) error {
+	if c == nil || key == "" {
 		return nil
 	}
 	if c.Dir == "" {
@@ -345,17 +351,19 @@ func (c *ResultCache) Put(spec HybridSpec, raw json.RawMessage) error {
 	return nil
 }
 
-// Point is the one way a point is computed next to a store. On a hit it
-// returns spec's stored canonical bytes and a nil Result: nothing is
-// decoded. On a miss it calls run and returns the fresh Result with its
-// canonical bytes, Put before they are handed back by whichever goroutine
-// ran the point — so a point is durable the moment it finishes, whatever
-// its neighbours are still doing, and a failed Put fails the point. A spec
-// the store cannot hold (nil cache, func-valued field, armed recorder)
-// simply runs.
-func (c *ResultCache) Point(ctx context.Context, spec HybridSpec,
+// Point is the one way a point is computed next to a store. key is spec's
+// CacheKey, derived once by the caller (SweepRequest.Keys derives a whole
+// submission's); the empty key marks a spec the store cannot hold
+// (func-valued field, armed recorder), which simply runs, as every spec
+// does on a nil cache. On a hit Point returns the stored canonical bytes and
+// a nil Result: nothing is decoded. On a miss it calls run and returns the
+// fresh Result with its canonical bytes, stored before they are handed back
+// by whichever goroutine ran the point — so a point is durable the moment it
+// finishes, whatever its neighbours are still doing, and a failed store
+// fails the point.
+func (c *ResultCache) Point(ctx context.Context, key string, spec HybridSpec,
 	run func(context.Context, HybridSpec) (*Result, error)) (json.RawMessage, *Result, error) {
-	if raw, ok := c.Lookup(spec); ok {
+	if raw, ok := c.LookupKey(key); ok {
 		return raw, nil, nil
 	}
 	res, err := run(ctx, spec)
@@ -366,7 +374,7 @@ func (c *ResultCache) Point(ctx context.Context, spec HybridSpec,
 	if err != nil {
 		return nil, nil, fmt.Errorf("exp: cache: spec %q: %w", spec.Name, err)
 	}
-	if err := c.Put(spec, raw); err != nil {
+	if err := c.putKey(key, raw); err != nil {
 		return nil, nil, err
 	}
 	return raw, res, nil
@@ -376,7 +384,11 @@ func (c *ResultCache) Point(ctx context.Context, spec HybridSpec,
 // Restored and otherwise, by determinism, indistinguishable from a
 // recomputed one.
 func (c *ResultCache) GetOrRun(ctx context.Context, spec HybridSpec) (*Result, error) {
-	raw, res, err := c.Point(ctx, spec, RunHybridCtx)
+	var key string
+	if c != nil {
+		key, _ = CacheKey(spec)
+	}
+	raw, res, err := c.Point(ctx, key, spec, RunHybridCtx)
 	if err != nil || res != nil {
 		return res, err
 	}

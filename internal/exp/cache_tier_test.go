@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -315,6 +316,33 @@ func TestLookupMemHitAllocs(t *testing.T) {
 	}
 	if hitAllocs > keyAllocs+slack {
 		t.Errorf("a memory-tier hit allocates %.0f times, the key derivation alone %.0f", hitAllocs, keyAllocs)
+	}
+}
+
+// TestPointMemHitAllocs: Point takes the key its caller derived, so a
+// memory-tier hit through it allocates nothing at all, and never runs the
+// point.
+func TestPointMemHitAllocs(t *testing.T) {
+	key, body, _ := tierEntry(t)
+	cache, err := NewResultCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cache.Put(tierSpec, body); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	run := func(context.Context, HybridSpec) (*Result, error) {
+		t.Fatal("a hit ran the point")
+		return nil, nil
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if raw, res, err := cache.Point(ctx, key, tierSpec, run); err != nil || res != nil || !bytes.Equal(raw, body) {
+			t.Fatalf("Point = %q, %v, %v; want the stored bytes", raw, res, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a memory-tier hit through Point allocates %.0f times, want 0", allocs)
 	}
 }
 

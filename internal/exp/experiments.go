@@ -46,7 +46,7 @@ type Experiment struct {
 // Experiments is the evaluation in run order; its Paper rows are "-exp all".
 // The hyperscale smoke is deliberately not one of them: it is an engineering
 // harness, not a paper artifact (and at ScaleFull it builds a 100k-host
-// fabric). The chaos soak is no row at all — it fuzzes scenarios, not a grid.
+// fabric).
 var Experiments = []Experiment{
 	// Fig. 3(a): the same web-search workload (load 0.4, inter-rack) offered
 	// once as all-TCP and once as all-RDMA, comparing the switch buffer each

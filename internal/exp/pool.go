@@ -36,8 +36,8 @@ type Pool struct {
 	// cancels the rest of the grid — every point runs, successful points
 	// past a failure are still emitted (the failed index itself is not),
 	// and Run returns the successful results alongside a *FailureSummary
-	// aggregating every failure. Long soaks and chaos sweeps use this so
-	// one bad point cannot waste hours of completed work.
+	// aggregating every failure. Long sweeps (-keep-going) use this so one
+	// bad point cannot waste hours of completed work.
 	KeepGoing bool
 	// PointTimeout bounds each point's wall-clock time (0 = unbounded).
 	// The point's context expires at the deadline; a point that honors it

@@ -161,8 +161,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // notify is closed-and-replaced on every change (broadcast), so streamers
 // wait without polling.
 type sweep struct {
-	id     string
-	req    *exp.SweepRequest
+	id  string
+	req *exp.SweepRequest
+	// keys are the specs' cache keys, derived once at submission; run reads
+	// them and drops them when the pool is done.
+	keys   []string
 	ctx    context.Context
 	cancel context.CancelFunc
 
@@ -198,10 +201,10 @@ type results struct {
 }
 
 // newSweep builds a queued sweep; handleSubmit names it under s.mu.
-func newSweep(req *exp.SweepRequest, bodyBytes int) *sweep {
+func newSweep(req *exp.SweepRequest, keys []string, bodyBytes int) *sweep {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &sweep{
-		req: req, ctx: ctx, cancel: cancel,
+		req: req, keys: keys, ctx: ctx, cancel: cancel,
 		notify: make(chan struct{}), state: StateQueued, bytes: bodyBytes,
 	}
 }
@@ -371,9 +374,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// streams what run would — running, each point cached, done — and is
 	// settled before anyone can see it.
 	fragment, keys := req.Keys()
-	sw := newSweep(req, len(body))
+	sw := newSweep(req, keys, len(body))
 	var stored *results
 	if raw := s.storedPoints(keys); raw != nil {
+		sw.keys = nil
 		sw.setState(StateRunning, "")
 		for i := range raw {
 			sw.point(i, true)
@@ -616,11 +620,12 @@ func (s *Server) run(sw *sweep) {
 	pool := &exp.Pool{Workers: s.cfg.Workers}
 	fresh, _, err := pool.Run(sw.ctx, n,
 		func(ctx context.Context, i int) (*exp.Result, error) {
-			raw, res, err := s.cache.Point(ctx, sw.req.Specs[i], s.runPoint)
+			raw, res, err := s.cache.Point(ctx, sw.keys[i], sw.req.Specs[i], s.runPoint)
 			pointRaw[i] = raw
 			return res, err
 		},
 		func(i int, res *exp.Result) { sw.point(i, res == nil) })
+	sw.keys = nil
 
 	switch {
 	case err == nil:

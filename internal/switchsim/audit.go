@@ -80,9 +80,9 @@ func (s *Switch) CheckInvariants() error {
 
 // SkewSharedUsedForTest corrupts the MMU's shared-pool counter by delta
 // bytes WITHOUT touching the per-queue counters it is derived from — the
-// seeded accounting bug the chaos harness's mutation test plants to prove
-// the invariant auditor catches (and the shrinker minimizes) real
-// conservation violations. Production code must never call this.
+// seeded accounting bug TestAuditorCatchesSeededSkew plants to prove the
+// invariant auditor catches real conservation violations. Production code
+// must never call this.
 func (s *Switch) SkewSharedUsedForTest(delta int64) {
 	s.mmu.sharedUsed += delta
 	s.mmu.version++
