@@ -58,7 +58,8 @@ type SweepRequest struct {
 
 // ParseSweepRequest decodes and validates a submission strictly: unknown
 // fields are rejected (a typo'd field name must 400, not silently run a
-// different sweep), and every spec is validated before any simulation.
+// different sweep), so is anything but whitespace after the object, and
+// every spec is validated before any simulation.
 func ParseSweepRequest(data []byte) (*SweepRequest, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -66,7 +67,9 @@ func ParseSweepRequest(data []byte) (*SweepRequest, error) {
 	if err := dec.Decode(&req); err != nil {
 		return nil, fmt.Errorf("exp: sweep request: %w", err)
 	}
-	if dec.More() {
+	// Only whitespace may follow the object. More would miss a trailing
+	// ']' or '}', which it reads as the end of an enclosing value.
+	if _, err := dec.Token(); err != io.EOF {
 		return nil, fmt.Errorf("exp: sweep request: trailing data after the JSON object")
 	}
 	if err := req.Validate(); err != nil {

@@ -76,6 +76,7 @@ func TestParseSweepRequest(t *testing.T) {
 		`{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Shards":2}]}`,
 		`{"specs":[{"Name":"p","Policy":"DT","Scale":"small","Shards":4}]}`,
 		strings.Replace(blackoutNoSwitch, "agg9", "agg1", 1),
+		valid + " \r\n\t", // whitespace may follow the object
 	} {
 		if _, err := ParseSweepRequest([]byte(body)); err != nil {
 			t.Errorf("%s: %v", body, err)
@@ -86,6 +87,9 @@ func TestParseSweepRequest(t *testing.T) {
 		"syntax":          `{"specs":`,
 		"unknown field":   `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Polciy":"DT"}]}`,
 		"trailing data":   valid + `{"more":1}`,
+		"trailing ]":      valid + `]`, // json.Decoder.More reads ']' and '}' as the end of a value
+		"trailing ]junk":  valid + ` ]junk`,
+		"trailing }{":     valid + `}{"more":1}`,
 		"no specs":        `{"name":"empty","specs":[]}`,
 		"missing name":    `{"specs":[{"Policy":"DT","Scale":"tiny"}]}`,
 		"missing policy":  `{"specs":[{"Name":"p","Scale":"tiny"}]}`,

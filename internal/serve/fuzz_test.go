@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"l2bm/internal/exp"
 )
 
 // fuzzRoutes is every route of the API, one method each.
@@ -27,9 +29,11 @@ var fuzzRoutes = []struct{ method, path string }{
 // sweep ids, ?point= values and bodies. The server has no cache and its
 // points finish at once; one valid sweep is already done, so realID sends
 // a request to a sweep that exists. Whatever the input, no handler panics,
-// the status is one the API documents, every JSON body decodes, and
-// /healthz still answers 200. Plain `go test` replays the seeds; CI fuzzes
-// it briefly (-fuzz '^FuzzServeHandlers$' -fuzztime 10s).
+// the status is one the API documents, every JSON body decodes, a
+// submission is refused with 400 exactly when exp.ParseSweepRequest refuses
+// its body (memo hit or not), and /healthz still answers 200. Plain
+// `go test` replays the seeds; CI fuzzes it briefly (-fuzz
+// '^FuzzServeHandlers$' -fuzztime 10s).
 func FuzzServeHandlers(f *testing.F) {
 	srv, err := New(Config{})
 	if err != nil {
@@ -62,6 +66,8 @@ func FuzzServeHandlers(f *testing.F) {
 	f.Add(uint8(4), true, "", "99999999999999999999", []byte(nil))
 	f.Add(uint8(4), true, "", "1", []byte(nil))
 	f.Add(uint8(5), false, ".", "", []byte(nil))
+	f.Add(uint8(0), false, "", "", []byte(oneSpec("real")))     // the setup sweep's body: a memo hit
+	f.Add(uint8(0), false, "", "", []byte(oneSpec("real")+"]")) // trailing data: 400
 
 	allowed := map[int]bool{200: true, 202: true, 400: true, 404: true, 409: true, 413: true, 429: true}
 	f.Fuzz(func(t *testing.T, route uint8, useReal bool, id, point string, body []byte) {
@@ -83,6 +89,12 @@ func FuzzServeHandlers(f *testing.F) {
 		srv.ServeHTTP(w, req.WithContext(ctx))
 		if !allowed[w.Code] {
 			t.Fatalf("%s %s: status %d\n%s", rt.method, target, w.Code, w.Body.Bytes())
+		}
+		if rt.method == http.MethodPost {
+			_, err := exp.ParseSweepRequest(body)
+			if refused := w.Code == http.StatusBadRequest; refused != (err != nil) {
+				t.Fatalf("POST of %q: %d, while ParseSweepRequest says %v", body, w.Code, err)
+			}
 		}
 		if w.Header().Get("Content-Type") == "application/json" && !json.Valid(w.Body.Bytes()) {
 			t.Fatalf("%s %s: %d with a JSON body that does not decode: %q", rt.method, target, w.Code, w.Body.Bytes())

@@ -54,8 +54,8 @@ func instantPoints(srv *Server) {
 	}
 }
 
-// retention reads the server's retention ledger and checks it against the
-// sweeps it describes.
+// retention reads the server's retention ledger and checks it, and the
+// body memo, against the sweeps they describe.
 func retention(t *testing.T, srv *Server) (sweeps, retired, bytes int) {
 	t.Helper()
 	srv.mu.Lock()
@@ -69,6 +69,14 @@ func retention(t *testing.T, srv *Server) (sweeps, retired, bytes int) {
 	}
 	if sum != srv.retainedBytes {
 		t.Errorf("retainedBytes = %d, the retired sweeps' charges sum to %d", srv.retainedBytes, sum)
+	}
+	for body, sw := range srv.twins {
+		if sw.body != body || srv.sweeps[sw.id] != sw {
+			t.Errorf("the memo names sweep %s, which is not addressable or has another body", sw.id)
+		}
+	}
+	if len(srv.twins) > len(srv.sweeps) {
+		t.Errorf("the memo holds %d bodies for %d addressable sweeps", len(srv.twins), len(srv.sweeps))
 	}
 	return len(srv.sweeps), len(srv.retired), srv.retainedBytes
 }
@@ -358,6 +366,80 @@ func TestServeCachedEventsGolden(t *testing.T) {
 	}
 }
 
+// TestServeResubmitMemo: a body byte-identical to a retained sweep's shares
+// that sweep's decoded request and keys. Any other body is parsed as if
+// there were no memo: the same sweep spelled differently, one resubmitted
+// after every sweep with its bytes was evicted, and an invalid one, which
+// is refused each time and never remembered. Every valid one is settled at
+// admission under the same id fragment and serves the same result bytes.
+func TestServeResubmitMemo(t *testing.T) {
+	srv, ts := newTestServer(t, Config{CacheDir: t.TempDir()})
+	instantPoints(srv)
+	base := hotSweep()
+	first, _ := submit(t, ts, base)
+	await(t, ts, first.ID)
+	want, _ := getBody(t, ts, "/v1/sweeps/"+first.ID+"/result")
+	fragment := first.ID[strings.LastIndex(first.ID, "-"):]
+	reqOf := func(id string) *exp.SweepRequest {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return srv.sweeps[id].req
+	}
+	parsed := reqOf(first.ID)
+	specs := strings.TrimSuffix(strings.TrimPrefix(base, `{"name":"hot","specs":`), "}")
+
+	for _, tc := range []struct {
+		name  string
+		evict bool // first retire maxTerminalSweeps other sweeps
+		body  string
+		code  int
+		twin  bool // shares the first submission's request
+	}{
+		{name: "identical", body: base, code: http.StatusAccepted, twin: true},
+		{name: "whitespace", body: " " + base + "\n", code: http.StatusAccepted},
+		{name: "key order", body: `{"specs":` + specs + `,"name":"hot"}`, code: http.StatusAccepted},
+		{name: "invalid", body: base + "]", code: http.StatusBadRequest},
+		{name: "twin evicted", evict: true, body: base, code: http.StatusAccepted},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.evict {
+				for i := 0; i < maxTerminalSweeps; i++ {
+					st, _ := submit(t, ts, oneSpec(fmt.Sprintf("evict-%d", i)))
+					await(t, ts, st.ID)
+				}
+				if _, code := getBody(t, ts, "/v1/sweeps/"+first.ID); code != http.StatusNotFound {
+					t.Fatalf("the first sweep is still addressable (%d); nothing was evicted", code)
+				}
+			}
+			for try := 0; try < 2; try++ {
+				st, code := submit(t, ts, tc.body)
+				if code != tc.code {
+					t.Fatalf("submission %d: %d, want %d", try, code, tc.code)
+				}
+				if code != http.StatusAccepted {
+					continue
+				}
+				if st.State != StateDone || !strings.HasSuffix(st.ID, fragment) {
+					t.Errorf("submission %d: %s reads %s at admission, want done under fragment %s", try, st.ID, st.State, fragment)
+				}
+				if got := reqOf(st.ID) == parsed; got != tc.twin {
+					t.Errorf("submission %d: shares the first request: %v, want %v", try, got, tc.twin)
+				}
+				if got, _ := getBody(t, ts, "/v1/sweeps/"+st.ID+"/result"); !bytes.Equal(got, want) {
+					t.Errorf("submission %d: result differs from the first sweep's", try)
+				}
+			}
+			srv.mu.Lock()
+			remembered := srv.twins[tc.body] != nil
+			srv.mu.Unlock()
+			if remembered != (tc.code == http.StatusAccepted) {
+				t.Errorf("the memo holds the body: %v", remembered)
+			}
+			retention(t, srv)
+		})
+	}
+}
+
 // TestServeResultContentLength: /result announces the exact length of the
 // envelope it splices, so the body goes out unchunked.
 func TestServeResultContentLength(t *testing.T) {
@@ -385,10 +467,14 @@ func TestServeResultContentLength(t *testing.T) {
 
 // TestServeHammer drives one server from many clients at once — submit,
 // stream, status, result, trace, cancel — and then audits what is left.
-// Run under -race; the assertions are the lifecycle invariants.
+// Clients submit the same bodies concurrently, so most submissions share a
+// live sweep's request and keys through the memo; every done sweep of one
+// body serves the same result bytes. Run under -race; the assertions are
+// the lifecycle invariants.
 func TestServeHammer(t *testing.T) {
 	srv, ts := newTestServer(t, Config{MaxConcurrent: 2, QueueDepth: 4, CacheDir: t.TempDir()})
 	instantPoints(srv)
+	var results sync.Map // body -> the first done sweep's result bytes
 
 	const clients, rounds = 8, 40
 	var wg sync.WaitGroup
@@ -399,7 +485,8 @@ func TestServeHammer(t *testing.T) {
 			for k := 0; k < rounds; k++ {
 				// Six distinct sweeps: the same points are put and looked
 				// up by overlapping sweeps.
-				resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(oneSpec(fmt.Sprintf("hammer-%d", (c+k)%6))))
+				body := oneSpec(fmt.Sprintf("hammer-%d", (c+k)%6))
+				resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
 				if err != nil {
 					t.Error(err)
 					return
@@ -441,8 +528,14 @@ func TestServeHammer(t *testing.T) {
 					wantCode = http.StatusConflict
 				}
 				for _, path := range []string{"/result", "/trace?point=0"} {
-					if _, code := getBody(t, ts, "/v1/sweeps/"+st.ID+path); code != wantCode {
+					got, code := getBody(t, ts, "/v1/sweeps/"+st.ID+path)
+					if code != wantCode {
 						t.Errorf("client %d round %d: %s of a %s sweep: %d", c, k, path, last.State, code)
+					}
+					if path == "/result" && code == http.StatusOK {
+						if first, _ := results.LoadOrStore(body, got); !bytes.Equal(first.([]byte), got) {
+							t.Errorf("client %d round %d: %s serves other bytes than an earlier sweep of its body", c, k, st.ID)
+						}
 					}
 				}
 			}
@@ -634,11 +727,12 @@ func hotRoundTrip(tb testing.TB, srv *Server, body string) int {
 	return w.Body.Len()
 }
 
-// TestHotResubmitAllocs: a cached eight-point resubmission costs the request
-// parse, one marshal per spec for its keys, the sweep's bookkeeping and the
-// response buffers — 244 allocations measured, 307 under -race (whose
-// sync.Pool drops items on purpose), 380 allowed — and no decode of a stored
-// point: decoding the eight adds 268 more.
+// TestHotResubmitAllocs: a cached eight-point resubmission costs one memo
+// lookup of its body, the sweep's bookkeeping and the response buffers —
+// 124 allocations measured, 150 under -race (whose sync.Pool drops items on
+// purpose), 193 allowed (the 380/244 headroom of the parse-every-body
+// daemon) — with no request parse, no marshal for its keys and no decode of
+// a stored point: decoding the eight adds 268 more.
 func TestHotResubmitAllocs(t *testing.T) {
 	srv, err := New(Config{CacheDir: t.TempDir()})
 	if err != nil {
@@ -652,13 +746,13 @@ func TestHotResubmitAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("%.0f allocations per cached resubmission (%d B result)", allocs, size)
-	if allocs > 380 {
-		t.Errorf("a cached resubmission allocates %.0f times, want <= 380 (measured 244)", allocs)
+	if allocs > 193 {
+		t.Errorf("a cached resubmission allocates %.0f times, want <= 193 (measured 124)", allocs)
 	}
 }
 
-// BenchmarkHotResubmit prices hotRoundTrip on a filled cache: 145–178 µs
-// and 245 allocations per op on 2 vCPUs.
+// BenchmarkHotResubmit prices hotRoundTrip on a filled cache: 44–53 µs and
+// 125 allocations per op on 2 vCPUs.
 func BenchmarkHotResubmit(b *testing.B) {
 	srv, err := New(Config{CacheDir: b.TempDir()})
 	if err != nil {

@@ -27,7 +27,9 @@
 // what the fresh run would have produced — as bytes, never decoded on the
 // way through. Admission bounds sweeps that simulate: one whose every point
 // is already stored is settled at submission, so it takes no slot, never
-// queues, is never refused and its 202 already reads done.
+// queues, is never refused and its 202 already reads done. A body
+// byte-identical to a retained sweep's is not decoded again: it shares that
+// sweep's request and cache keys.
 //
 // Retention: an id stays addressable while its sweep is queued or running,
 // and afterwards for as long as it is among the most recent
@@ -113,6 +115,11 @@ type Server struct {
 	// neither, so they cannot be evicted.
 	retired       []*sweep
 	retainedBytes int
+	// twins maps a request body to the newest sweep admitted with exactly
+	// those bytes, so a byte-identical resubmission reuses its request and
+	// keys instead of decoding them again. An entry goes when its sweep is
+	// evicted, so it never outlives retention.
+	twins map[string]*sweep
 }
 
 // New builds a server. When cfg.CacheDir is set the cache directory is
@@ -130,6 +137,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		sweeps:   make(map[string]*sweep),
+		twins:    make(map[string]*sweep),
 		runPoint: exp.RunHybridCtx,
 	}
 	if cfg.CacheDir != "" {
@@ -161,13 +169,17 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // notify is closed-and-replaced on every change (broadcast), so streamers
 // wait without polling.
 type sweep struct {
-	id  string
-	req *exp.SweepRequest
-	// keys are the specs' cache keys, derived once at submission; run reads
-	// them and drops them when the pool is done.
-	keys   []string
-	ctx    context.Context
-	cancel context.CancelFunc
+	id string
+	// body is the submission, fragment its id's hash and keys the specs'
+	// cache keys, derived once from the body and kept read-only for as long
+	// as the sweep is, so a byte-identical resubmission can reuse them
+	// along with req.
+	body     string
+	fragment string
+	req      *exp.SweepRequest
+	keys     []string
+	ctx      context.Context
+	cancel   context.CancelFunc
 
 	// retained is what retirement charged against maxRetainedBytes and what
 	// eviction gives back; guarded by Server.mu.
@@ -182,7 +194,8 @@ type sweep struct {
 	events    [][]byte // NDJSON lines, no trailing newline
 	results   *results // set on done
 	// bytes is what the sweep pins: the submission body (standing in for
-	// the decoded specs), the event lines and, once done, results.pinned.
+	// the decoded specs), the cache keys, the event lines and, once done,
+	// results.pinned.
 	bytes int
 }
 
@@ -201,12 +214,16 @@ type results struct {
 }
 
 // newSweep builds a queued sweep; handleSubmit names it under s.mu.
-func newSweep(req *exp.SweepRequest, keys []string, bodyBytes int) *sweep {
+func newSweep(body, fragment string, req *exp.SweepRequest, keys []string) *sweep {
 	ctx, cancel := context.WithCancel(context.Background())
-	return &sweep{
-		req: req, keys: keys, ctx: ctx, cancel: cancel,
-		notify: make(chan struct{}), state: StateQueued, bytes: bodyBytes,
+	sw := &sweep{
+		body: body, fragment: fragment, req: req, keys: keys, ctx: ctx, cancel: cancel,
+		notify: make(chan struct{}), state: StateQueued, bytes: len(body),
 	}
+	for _, key := range keys {
+		sw.bytes += len(key)
+	}
+	return sw
 }
 
 // newResults is what a done sweep serves, charged as results.pinned says.
@@ -361,23 +378,32 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusRequestEntityTooLarge, "request exceeds %d bytes", maxRequestBytes)
 		return
 	}
-	req, err := exp.ParseSweepRequest(body)
-	if err != nil {
-		jsonError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 
-	// Hash and look up outside the lock: Keys encodes every spec, and a
-	// 100k-point submission must not stall every other sweep's
-	// status/result/events lookup meanwhile. Only the sequence number and
-	// the admission decision need s.mu. A sweep whose every point is stored
-	// streams what run would — running, each point cached, done — and is
-	// settled before anyone can see it.
-	fragment, keys := req.Keys()
-	sw := newSweep(req, keys, len(body))
+	// Decode, hash and look up outside the lock: Keys encodes every spec,
+	// and a 100k-point submission must not stall every other sweep's
+	// status/result/events lookup meanwhile. A body byte-identical to a
+	// retained sweep's skips the first two and shares that sweep's read-only
+	// request and keys. Only the memo, the sequence number and the admission
+	// decision need s.mu. A sweep whose every point is stored streams what
+	// run would — running, each point cached, done — and is settled before
+	// anyone can see it.
+	s.mu.Lock()
+	twin := s.twins[string(body)]
+	s.mu.Unlock()
+	var sw *sweep
+	if twin != nil {
+		sw = newSweep(twin.body, twin.fragment, twin.req, twin.keys)
+	} else {
+		req, err := exp.ParseSweepRequest(body)
+		if err != nil {
+			jsonError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		fragment, keys := req.Keys()
+		sw = newSweep(string(body), fragment, req, keys)
+	}
 	var stored *results
-	if raw := s.storedPoints(keys); raw != nil {
-		sw.keys = nil
+	if raw := s.storedPoints(sw.keys); raw != nil {
 		sw.setState(StateRunning, "")
 		for i := range raw {
 			sw.point(i, true)
@@ -387,7 +413,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	s.mu.Lock()
 	s.seq++
-	sw.id = fmt.Sprintf("sw-%03d-%.8s", s.seq, fragment)
+	sw.id = fmt.Sprintf("sw-%03d-%.8s", s.seq, sw.fragment)
 	switch {
 	case stored != nil:
 		// Nothing to simulate, so nothing to admit.
@@ -404,6 +430,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.sweeps[sw.id] = sw
+	s.twins[sw.body] = sw
 	if stored != nil {
 		s.settleLocked(sw, StateDone, "", stored)
 	}
@@ -457,6 +484,9 @@ func (s *Server) settleLocked(sw *sweep, state, errMsg string, res *results) {
 		s.retired[0] = nil // the backing array must not pin what the map forgot
 		s.retired = s.retired[1:]
 		delete(s.sweeps, old.id)
+		if s.twins[old.body] == old {
+			delete(s.twins, old.body)
+		}
 		s.retainedBytes -= old.retained
 	}
 }
@@ -625,7 +655,6 @@ func (s *Server) run(sw *sweep) {
 			return res, err
 		},
 		func(i int, res *exp.Result) { sw.point(i, res == nil) })
-	sw.keys = nil
 
 	switch {
 	case err == nil:
