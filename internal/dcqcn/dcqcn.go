@@ -21,74 +21,66 @@ import (
 	"l2bm/internal/transport"
 )
 
-// Config parameterizes DCQCN endpoints. Defaults follow the DCQCN paper and
-// common ns-3 implementations.
-type Config struct {
-	// MSS is the payload bytes per packet.
-	MSS int
-	// LineRate is the NIC line rate (bits/s), the initial and maximum rate.
-	LineRate int64
-	// MinRate floors the current rate (bits/s).
-	MinRate int64
-	// G is the EWMA gain for α.
-	G float64
-	// AlphaTimer is the α-decay period when no CNP arrives (55 µs).
-	AlphaTimer sim.Duration
-	// IncreaseTimer is the rate-increase timer period (300 µs).
-	IncreaseTimer sim.Duration
-	// ByteCounter triggers a rate-increase event every so many sent bytes.
-	ByteCounter int64
-	// FastRecoveryRounds is F, the stage count spent in fast recovery.
-	FastRecoveryRounds int
-	// RateAI and RateHAI are the additive and hyper increase steps (bits/s).
-	RateAI  int64
-	RateHAI int64
-	// CNPInterval is the NP-side minimum gap between CNPs per flow (50 µs).
-	CNPInterval sim.Duration
-	// NICGateBytes pauses the pacer while the NIC's lossless queue holds
+// Reaction- and notification-point parameters. The paper's evaluation runs
+// DCQCN with one setting (§IV), so these are constants, not Config fields.
+// Values follow the DCQCN paper and common ns-3 implementations; only the
+// CNP gap (≤ 1 CNP per 50 µs per flow) is tied to a stated source so far.
+const (
+	// mss is the payload bytes per packet.
+	mss = pkt.MTUPayload
+	// minRate floors the current rate (bits/s).
+	minRate = 40e6
+	// g is the EWMA gain for α.
+	g = 1.0 / 256
+	// alphaTimer is the α-decay period when no CNP arrives.
+	alphaTimer = 55 * sim.Microsecond
+	// increaseTimer is the rate-increase timer period.
+	increaseTimer = 300 * sim.Microsecond
+	// byteCounter triggers a rate-increase event every so many sent bytes.
+	byteCounter = 10 << 20
+	// fastRecoveryRounds is F, the stage count spent in fast recovery.
+	fastRecoveryRounds = 5
+	// rateAI and rateHAI are the additive and hyper increase steps (bits/s).
+	rateAI  = 40e6
+	rateHAI = 200e6
+	// cnpInterval is the NP-side minimum gap between CNPs per flow.
+	cnpInterval = 50 * sim.Microsecond
+	// nicGateBytes pauses the pacer while the NIC's lossless queue holds
 	// more than this backlog (models the HW send queue's backpressure
 	// under PFC pause).
-	NICGateBytes int
+	nicGateBytes = 64 << 10
+)
 
+// Go-back-N recovery parameters, read only when Config.GoBackN is set.
+const (
+	// ackInterval is how many in-order payload bytes the receiver lets
+	// accumulate before emitting a cumulative ACK (a FIN always ACKs).
+	ackInterval = 32 << 10
+	// nackInterval rate-limits out-of-sequence NACKs per flow, so a burst
+	// of in-flight packets behind one loss triggers one rewind, not many.
+	nackInterval = 10 * sim.Microsecond
+	// retxTimeout is the base retransmission timeout armed per
+	// transmission; it recovers tail loss (including lost FIN or ACK).
+	retxTimeout = 500 * sim.Microsecond
+	// maxRetxBackoff caps the exponential timeout backoff multiplier.
+	maxRetxBackoff = 16
+)
+
+// Config holds the two DCQCN settings a run varies: the NIC's line rate and
+// whether loss recovery is on.
+type Config struct {
+	// LineRate is the NIC line rate (bits/s), the initial and maximum rate.
+	LineRate int64
 	// GoBackN enables RoCE-style loss recovery. Off by default: a healthy
 	// PFC fabric never drops lossless packets, and the recovery machinery
 	// (ACK traffic, timers) would perturb the paper's baseline runs. The
 	// fault-injection harness turns it on.
 	GoBackN bool
-	// AckInterval is how many in-order payload bytes the receiver lets
-	// accumulate before emitting a cumulative ACK (a FIN always ACKs).
-	AckInterval int64
-	// NACKInterval rate-limits out-of-sequence NACKs per flow, so a burst
-	// of in-flight packets behind one loss triggers one rewind, not many.
-	NACKInterval sim.Duration
-	// RetxTimeout is the base retransmission timeout armed per
-	// transmission; it recovers tail loss (including lost FIN or ACK).
-	RetxTimeout sim.Duration
-	// MaxRetxBackoff caps the exponential timeout backoff multiplier.
-	MaxRetxBackoff int
 }
 
 // DefaultConfig returns DCQCN parameters for a given NIC line rate.
 func DefaultConfig(lineRate int64) Config {
-	return Config{
-		MSS:                pkt.MTUPayload,
-		LineRate:           lineRate,
-		MinRate:            40e6,
-		G:                  1.0 / 256,
-		AlphaTimer:         55 * sim.Microsecond,
-		IncreaseTimer:      300 * sim.Microsecond,
-		ByteCounter:        10 << 20,
-		FastRecoveryRounds: 5,
-		RateAI:             40e6,
-		RateHAI:            200e6,
-		CNPInterval:        50 * sim.Microsecond,
-		NICGateBytes:       64 << 10,
-		GoBackN:            false,
-		AckInterval:        32 << 10,
-		NACKInterval:       10 * sim.Microsecond,
-		RetxTimeout:        500 * sim.Microsecond,
-		MaxRetxBackoff:     16,
-	}
+	return Config{LineRate: lineRate}
 }
 
 // Sender is the DCQCN reaction point driving one RDMA flow.
@@ -146,11 +138,8 @@ func NewSender(env transport.Env, cfg Config, flow *transport.Flow, onDone func(
 	if err := flow.Validate(); err != nil {
 		panic(err.Error())
 	}
-	if cfg.MSS <= 0 || cfg.LineRate <= 0 || cfg.G <= 0 || cfg.G > 1 {
+	if cfg.LineRate <= 0 {
 		panic("dcqcn: invalid config")
-	}
-	if cfg.GoBackN && (cfg.AckInterval <= 0 || cfg.RetxTimeout <= 0 || cfg.MaxRetxBackoff < 1) {
-		panic("dcqcn: GoBackN requires positive AckInterval, RetxTimeout and MaxRetxBackoff")
 	}
 	s := &Sender{
 		env:         env,
@@ -191,12 +180,12 @@ func (s *Sender) sendNext() {
 	if s.done {
 		return
 	}
-	if s.cfg.NICGateBytes > 0 && s.env.NICBacklog(s.flow.Priority) > s.cfg.NICGateBytes {
+	if s.env.NICBacklog(s.flow.Priority) > nicGateBytes {
 		s.pacer = s.env.Schedule(sim.TxTime(pkt.MTUBytes, s.cfg.LineRate), s.sendNextFn)
 		return
 	}
 
-	payload := s.cfg.MSS
+	payload := mss
 	if rem := s.flow.Size - s.sent; rem < int64(payload) {
 		payload = int(rem)
 	}
@@ -208,12 +197,12 @@ func (s *Sender) sendNext() {
 	s.sent += int64(payload)
 	if s.cfg.GoBackN {
 		// Each transmission restarts the tail-loss timer: it only fires
-		// RetxTimeout after the *last* emission without full acknowledgement.
+		// retxTimeout after the *last* emission without full acknowledgement.
 		s.armRetx()
 	}
 
 	s.byteCount += int64(sentSize)
-	if s.byteCount >= s.cfg.ByteCounter {
+	if s.byteCount >= byteCounter {
 		s.byteCount = 0
 		s.byteStage++
 		s.increase()
@@ -275,7 +264,7 @@ func (s *Sender) armRetx() {
 	if s.done || s.sndUna >= s.sent {
 		return
 	}
-	s.retxTimer = s.env.Schedule(s.cfg.RetxTimeout*sim.Duration(s.retxBackoff), s.retxFn)
+	s.retxTimer = s.env.Schedule(retxTimeout*sim.Duration(s.retxBackoff), s.retxFn)
 }
 
 func (s *Sender) onRetxTimeout() {
@@ -283,7 +272,7 @@ func (s *Sender) onRetxTimeout() {
 		return
 	}
 	s.Timeouts++
-	if s.retxBackoff < s.cfg.MaxRetxBackoff {
+	if s.retxBackoff < maxRetxBackoff {
 		s.retxBackoff *= 2
 	}
 	s.rewind(s.sndUna)
@@ -310,7 +299,7 @@ func (s *Sender) HandleCNP() {
 		return
 	}
 	s.CNPsReceived++
-	s.alpha = (1-s.cfg.G)*s.alpha + s.cfg.G
+	s.alpha = (1-g)*s.alpha + g
 	s.rt = s.rc
 	s.rc *= 1 - s.alpha/2
 	s.clampRates()
@@ -326,16 +315,16 @@ func (s *Sender) HandleCNP() {
 func (s *Sender) restartTimers() {
 	s.alphaTimer.Cancel()
 	s.incTimer.Cancel()
-	s.alphaTimer = s.env.Schedule(s.cfg.AlphaTimer, s.alphaFn)
-	s.incTimer = s.env.Schedule(s.cfg.IncreaseTimer, s.incFn)
+	s.alphaTimer = s.env.Schedule(alphaTimer, s.alphaFn)
+	s.incTimer = s.env.Schedule(increaseTimer, s.incFn)
 }
 
 func (s *Sender) onAlphaTimer() {
 	if s.done {
 		return
 	}
-	s.alpha *= 1 - s.cfg.G
-	s.alphaTimer = s.env.Schedule(s.cfg.AlphaTimer, s.alphaFn)
+	s.alpha *= 1 - g
+	s.alphaTimer = s.env.Schedule(alphaTimer, s.alphaFn)
 }
 
 func (s *Sender) onIncreaseTimer() {
@@ -344,7 +333,7 @@ func (s *Sender) onIncreaseTimer() {
 	}
 	s.timerStage++
 	s.increase()
-	s.incTimer = s.env.Schedule(s.cfg.IncreaseTimer, s.incFn)
+	s.incTimer = s.env.Schedule(increaseTimer, s.incFn)
 }
 
 // increase applies one rate-increase event: fast recovery halves the gap to
@@ -355,7 +344,7 @@ func (s *Sender) increase() {
 		// Never cut: already at line rate.
 		return
 	}
-	f := s.cfg.FastRecoveryRounds
+	f := fastRecoveryRounds
 	maxStage := s.timerStage
 	if s.byteStage > maxStage {
 		maxStage = s.byteStage
@@ -367,17 +356,17 @@ func (s *Sender) increase() {
 	switch {
 	case maxStage <= f: // fast recovery
 	case minStage > f: // hyper increase
-		s.rt += float64(s.cfg.RateHAI)
+		s.rt += rateHAI
 	default: // additive increase
-		s.rt += float64(s.cfg.RateAI)
+		s.rt += rateAI
 	}
 	s.rc = (s.rt + s.rc) / 2
 	s.clampRates()
 }
 
 func (s *Sender) clampRates() {
-	if s.rc < float64(s.cfg.MinRate) {
-		s.rc = float64(s.cfg.MinRate)
+	if s.rc < minRate {
+		s.rc = minRate
 	}
 	if s.rc > float64(s.cfg.LineRate) {
 		s.rc = float64(s.cfg.LineRate)
@@ -456,7 +445,7 @@ func (r *Receiver) Gaps() uint64 { return r.gaps }
 func (r *Receiver) HandleData(p *pkt.Packet) {
 	if p.CE {
 		now := r.env.Now()
-		if !r.sentCNP || now-r.lastCNP >= r.cfg.CNPInterval {
+		if !r.sentCNP || now-r.lastCNP >= cnpInterval {
 			r.sentCNP = true
 			r.lastCNP = now
 			r.env.Send(r.pool.CNP(r.flowID, r.host, r.peer))
@@ -490,7 +479,7 @@ func (r *Receiver) Received() int64 { return r.recvNxt }
 
 // handleDataGBN is the strictly in-order receive path: out-of-sequence
 // packets are discarded and NACKed (rate-limited), in-order progress is
-// acknowledged cumulatively every AckInterval bytes and on FIN, and the flow
+// acknowledged cumulatively every ackInterval bytes and on FIN, and the flow
 // completes when the FIN arrives in order — gaps count recovered loss
 // events, not permanent damage.
 func (r *Receiver) handleDataGBN(p *pkt.Packet) {
@@ -498,7 +487,7 @@ func (r *Receiver) handleDataGBN(p *pkt.Packet) {
 		// A loss upstream left a hole: ask the sender to rewind.
 		r.gaps++
 		now := r.env.Now()
-		if !r.sentNACK || now-r.lastNACK >= r.cfg.NACKInterval {
+		if !r.sentNACK || now-r.lastNACK >= nackInterval {
 			r.sentNACK = true
 			r.lastNACK = now
 			r.NACKsSent++
@@ -511,7 +500,7 @@ func (r *Receiver) handleDataGBN(p *pkt.Packet) {
 		// (rate-limited) so the sender can resynchronize — without this a
 		// lost final ACK would leave the sender retransmitting forever.
 		now := r.env.Now()
-		if !r.sentDupAck || now-r.lastDupAck >= r.cfg.NACKInterval {
+		if !r.sentDupAck || now-r.lastDupAck >= nackInterval {
 			r.sentDupAck = true
 			r.lastDupAck = now
 			r.AcksSent++
@@ -521,7 +510,7 @@ func (r *Receiver) handleDataGBN(p *pkt.Packet) {
 	}
 	r.recvNxt = p.End()
 
-	if p.FlowFin || r.recvNxt-r.lastAcked >= r.cfg.AckInterval {
+	if p.FlowFin || r.recvNxt-r.lastAcked >= ackInterval {
 		r.lastAcked = r.recvNxt
 		r.AcksSent++
 		r.env.Send(r.pool.Ack(r.flowID, r.host, r.peer, r.recvNxt, false))

@@ -76,7 +76,7 @@ func TestSenderCNPCutsRateByHalfInitially(t *testing.T) {
 
 	// α starts at 1 and g is small, so the first CNP cuts by ≈ 1/2.
 	s.HandleCNP()
-	alpha := (1-cfg.G)*1 + cfg.G
+	alpha := (1-g)*1 + g
 	expected := 25e9 * (1 - alpha/2)
 	if math.Abs(s.Rate()-expected) > 1 {
 		t.Errorf("rate after first CNP = %v, want %v", s.Rate(), expected)
@@ -95,8 +95,8 @@ func TestSenderRepeatedCNPsApproachMinRate(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		s.HandleCNP()
 	}
-	if s.Rate() != float64(cfg.MinRate) {
-		t.Errorf("rate = %v after 200 CNPs, want clamp at MinRate %d", s.Rate(), cfg.MinRate)
+	if s.Rate() != minRate {
+		t.Errorf("rate = %v after 200 CNPs, want clamp at minRate %v", s.Rate(), minRate)
 	}
 }
 
@@ -109,7 +109,7 @@ func TestSenderAlphaDecaysWithoutCNPs(t *testing.T) {
 	s.HandleCNP()
 	a0 := s.Alpha()
 
-	eng.Run(eng.Now() + 10*cfg.AlphaTimer + sim.Microsecond)
+	eng.Run(eng.Now() + 10*alphaTimer + sim.Microsecond)
 	if s.Alpha() >= a0 {
 		t.Errorf("α did not decay: %v -> %v", a0, s.Alpha())
 	}
@@ -125,7 +125,7 @@ func TestSenderFastRecoveryHalvesGapToTarget(t *testing.T) {
 	rc0, rt0 := s.rc, s.rt
 
 	// One increase-timer event: fast recovery, rc = (rt+rc)/2, rt fixed.
-	eng.Run(eng.Now() + cfg.IncreaseTimer + sim.Microsecond)
+	eng.Run(eng.Now() + increaseTimer + sim.Microsecond)
 	if math.Abs(s.rc-(rt0+rc0)/2) > 1 {
 		t.Errorf("rc after FR = %v, want %v", s.rc, (rt0+rc0)/2)
 	}
@@ -138,7 +138,6 @@ func TestSenderAdditiveIncreaseRaisesTarget(t *testing.T) {
 	eng := sim.NewEngine(1)
 	env := &fakeEnv{eng: eng}
 	cfg := DefaultConfig(25e9)
-	cfg.IncreaseTimer = 10 * sim.Microsecond // fast-forward stages
 	s := NewSender(env, cfg, rdmaFlow(100<<20), nil)
 	s.Start()
 	// Two cuts leave the target rate well below line rate, so additive
@@ -148,7 +147,7 @@ func TestSenderAdditiveIncreaseRaisesTarget(t *testing.T) {
 	rt0 := s.rt
 
 	// F+2 timer events: past fast recovery, target must have grown.
-	eng.Run(eng.Now() + sim.Duration(cfg.FastRecoveryRounds+2)*cfg.IncreaseTimer + sim.Microsecond)
+	eng.Run(eng.Now() + sim.Duration(fastRecoveryRounds+2)*increaseTimer + sim.Microsecond)
 	if s.rt <= rt0 {
 		t.Errorf("rt = %v after additive stages, want > %v", s.rt, rt0)
 	}
@@ -207,7 +206,7 @@ func TestReceiverCNPRateLimit(t *testing.T) {
 	if len(env.sent) != 1 {
 		t.Fatalf("CNPs = %d, want 1 (rate limited)", len(env.sent))
 	}
-	eng.Run(cfg.CNPInterval + sim.Microsecond)
+	eng.Run(cnpInterval + sim.Microsecond)
 	r.HandleData(ce(2000))
 	if len(env.sent) != 2 {
 		t.Errorf("CNPs = %d after interval, want 2", len(env.sent))

@@ -190,18 +190,3 @@ func TestGoBackNStaleNACKsAreIgnored(t *testing.T) {
 		t.Errorf("stale NACKs taken: count=%d, want 1 (livelock guard broken)", s.NACKsReceived)
 	}
 }
-
-func TestGoBackNConfigValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("GoBackN with zero RetxTimeout must panic")
-		}
-	}()
-	cfg := DefaultConfig(25e9)
-	cfg.GoBackN = true
-	cfg.RetxTimeout = 0
-	NewSender(&gbnEnv{eng: sim.NewEngine(1)}, cfg, &transport.Flow{
-		ID: 1, Src: 0, Dst: 1, Size: 1000,
-		Priority: pkt.PrioLossless, Class: pkt.ClassLossless,
-	}, nil)
-}

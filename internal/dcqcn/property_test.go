@@ -34,7 +34,7 @@ func TestSenderRateInvariantsUnderChaos(t *testing.T) {
 					s.HandleCNP()
 				}
 			}
-			if s.rc < float64(cfg.MinRate) || s.rc > float64(cfg.LineRate) {
+			if s.rc < minRate || s.rc > float64(cfg.LineRate) {
 				return false
 			}
 			if s.rt < s.rc || s.rt > float64(cfg.LineRate) {
@@ -90,7 +90,7 @@ func TestSenderEmitsExactFlowSize(t *testing.T) {
 	}
 }
 
-// Property: the receiver emits at most ceil(duration/CNPInterval)+1 CNPs no
+// Property: the receiver emits at most ceil(duration/cnpInterval)+1 CNPs no
 // matter how many marked packets arrive.
 func TestReceiverCNPBudget(t *testing.T) {
 	f := func(seed int64, packets uint8) bool {
@@ -109,7 +109,7 @@ func TestReceiverCNPBudget(t *testing.T) {
 		eng.RunAll()
 
 		span := sim.Duration(n-1) * gap
-		budget := int(span/cfg.CNPInterval) + 1
+		budget := int(span/cnpInterval) + 1
 		return len(env.sent) <= budget && len(env.sent) >= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

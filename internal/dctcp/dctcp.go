@@ -19,31 +19,30 @@ import (
 	"l2bm/internal/transport"
 )
 
+// Sender parameters. The paper's evaluation runs DCTCP with one setting
+// (§IV), so these are constants, not Config fields.
+const (
+	// initCwndSegments is the initial window in segments.
+	initCwndSegments = 10
+	// g is DCTCP's EWMA gain for the marked-fraction estimate (1/16 per
+	// the DCTCP paper).
+	g = 1.0 / 16
+	// minRTO is the floor of the retransmission timeout (1 ms, a common
+	// datacenter setting).
+	minRTO = sim.Millisecond
+	// maxRTOBackoff caps exponential RTO backoff (as a multiplier).
+	maxRTOBackoff = 32
+)
+
 // Config parameterizes DCTCP endpoints.
 type Config struct {
 	// MSS is the payload bytes per segment.
 	MSS int
-	// InitCwndSegments is the initial window in segments.
-	InitCwndSegments int
-	// G is DCTCP's EWMA gain g for the marked-fraction estimate.
-	G float64
-	// MinRTO is the floor of the retransmission timeout.
-	MinRTO sim.Duration
-	// MaxRTOBackoff caps exponential RTO backoff (as a multiplier).
-	MaxRTOBackoff int
 }
 
-// DefaultConfig returns the DCTCP parameters used in the evaluation
-// (g = 1/16 per the DCTCP paper; 1 ms RTO floor, a common datacenter
-// setting).
+// DefaultConfig returns the DCTCP parameters used in the evaluation.
 func DefaultConfig() Config {
-	return Config{
-		MSS:              pkt.MTUPayload,
-		InitCwndSegments: 10,
-		G:                1.0 / 16,
-		MinRTO:           sim.Millisecond,
-		MaxRTOBackoff:    32,
-	}
+	return Config{MSS: pkt.MTUPayload}
 }
 
 // Sender drives one DCTCP flow.
@@ -93,7 +92,7 @@ func NewSender(env transport.Env, cfg Config, flow *transport.Flow, onDone func(
 	if err := flow.Validate(); err != nil {
 		panic(err.Error())
 	}
-	if cfg.MSS <= 0 || cfg.G <= 0 || cfg.G > 1 {
+	if cfg.MSS <= 0 {
 		panic("dctcp: invalid config")
 	}
 	s := &Sender{
@@ -101,7 +100,7 @@ func NewSender(env transport.Env, cfg Config, flow *transport.Flow, onDone func(
 		cfg:        cfg,
 		flow:       flow,
 		pool:       env.Pool(),
-		cwnd:       float64(cfg.InitCwndSegments * cfg.MSS),
+		cwnd:       float64(initCwndSegments * cfg.MSS),
 		ssthresh:   float64(flow.Size), // effectively unbounded slow start
 		alpha:      0,
 		rtoBackoff: 1,
@@ -249,7 +248,7 @@ func (s *Sender) HandleAck(ack *pkt.Packet) {
 func (s *Sender) updateAlphaWindow() {
 	if s.ackedBytes > 0 {
 		f := float64(s.markedBytes) / float64(s.ackedBytes)
-		s.alpha = (1-s.cfg.G)*s.alpha + s.cfg.G*f
+		s.alpha = (1-g)*s.alpha + g*f
 		if s.markedBytes > 0 && !s.inRecovery {
 			s.cwnd *= 1 - s.alpha/2
 			s.clampCwnd()
@@ -281,7 +280,7 @@ func (s *Sender) clampCwnd() {
 
 func (s *Sender) armRTO() {
 	backoff := sim.Duration(s.rtoBackoff)
-	s.rto = s.env.Schedule(s.cfg.MinRTO*backoff, s.rtoFn)
+	s.rto = s.env.Schedule(minRTO*backoff, s.rtoFn)
 }
 
 func (s *Sender) rearmRTO() {
@@ -306,7 +305,7 @@ func (s *Sender) onRTO() {
 	s.inRecovery = false
 	// Go-back-N from the hole.
 	s.sndNxt = s.sndUna
-	if s.rtoBackoff < s.cfg.MaxRTOBackoff {
+	if s.rtoBackoff < maxRTOBackoff {
 		s.rtoBackoff *= 2
 	}
 	s.trySend()

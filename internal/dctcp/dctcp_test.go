@@ -89,7 +89,7 @@ func TestSenderECNCutOncePerWindow(t *testing.T) {
 	if s.Alpha() <= 0 {
 		t.Error("α should grow after marked window")
 	}
-	if s.Cwnd() >= float64(cfg.InitCwndSegments*cfg.MSS)+float64(sentEnd) {
+	if s.Cwnd() >= float64(initCwndSegments*cfg.MSS)+float64(sentEnd) {
 		t.Error("cwnd should have been cut below pure slow-start growth")
 	}
 }
@@ -153,7 +153,7 @@ func TestSenderRTORecovers(t *testing.T) {
 	sentBefore := len(env.sent)
 
 	// No ACKs arrive: the RTO must fire and go-back-N.
-	eng.Run(cfg.MinRTO + sim.Microsecond)
+	eng.Run(minRTO + sim.Microsecond)
 	if s.Timeouts != 1 {
 		t.Fatalf("timeouts = %d, want 1", s.Timeouts)
 	}
@@ -167,13 +167,13 @@ func TestSenderRTORecovers(t *testing.T) {
 		t.Errorf("cwnd after RTO = %v, want 1 MSS", s.Cwnd())
 	}
 
-	// Backoff doubles: second RTO fires 2·MinRTO later.
+	// Backoff doubles: second RTO fires 2·minRTO later.
 	prevTimeouts := s.Timeouts
-	eng.Run(eng.Now() + cfg.MinRTO + sim.Microsecond)
+	eng.Run(eng.Now() + minRTO + sim.Microsecond)
 	if s.Timeouts != prevTimeouts {
 		t.Error("second RTO fired too early (no backoff)")
 	}
-	eng.Run(eng.Now() + cfg.MinRTO + sim.Microsecond)
+	eng.Run(eng.Now() + minRTO + sim.Microsecond)
 	if s.Timeouts != prevTimeouts+1 {
 		t.Error("second RTO did not fire after backoff interval")
 	}
@@ -293,7 +293,7 @@ func TestSenderConfigValidation(t *testing.T) {
 			}
 		}()
 		cfg := DefaultConfig()
-		cfg.G = 2
+		cfg.MSS = 0
 		NewSender(env, cfg, newFlow(1000), nil)
 	})
 }

@@ -24,7 +24,6 @@ import (
 
 	"l2bm/internal/audit"
 	"l2bm/internal/core"
-	"l2bm/internal/dcqcn"
 	"l2bm/internal/faults"
 	"l2bm/internal/fluid"
 	"l2bm/internal/host"
@@ -51,7 +50,7 @@ type plan struct {
 	newEngine engineFunc
 	policy    string // Result.Policy label
 	factory   topo.PolicyFactory
-	topo      topo.Config  // overrides applied; DCQCN go-back-N under a fault plan
+	topo      topo.Config  // overrides applied; go-back-N under a fault plan
 	window    sim.Duration // traffic-generation window
 	horizon   sim.Time     // window + drain
 	seed      int64
@@ -81,10 +80,7 @@ func resolve(spec HybridSpec, newEngine engineFunc) *plan {
 		// Injected loss breaks the lossless assumption, so RDMA needs the
 		// go-back-N recovery path; fault-free runs keep it off to preserve
 		// the paper's baseline byte-for-byte.
-		if p.topo.DCQCN.LineRate == 0 {
-			p.topo.DCQCN = dcqcn.DefaultConfig(p.topo.ServerRate)
-		}
-		p.topo.DCQCN.GoBackN = true
+		p.topo.GoBackN = true
 	}
 
 	p.window = spec.Scale.Window()

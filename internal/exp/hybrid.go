@@ -93,9 +93,10 @@ type hybridRun struct {
 	torOcc     [][]metrics.Reading
 	occBuf     []int64
 
-	tracer *trace.Recorder // global, re-based; nil when tracing is off
-	res    *Result
-	segIdx int
+	tracer   *trace.Recorder // global, re-based; nil when tracing is off
+	torNames []string        // the ToRs' switch names, set with tracer
+	res      *Result
+	segIdx   int
 }
 
 // runHybridFluid executes one data point under the hybrid-fidelity
@@ -131,6 +132,7 @@ func runHybridFluid(ctx context.Context, p *plan) (*Result, error) {
 	}
 	if p.spec.Trace != nil {
 		h.tracer = trace.NewRecorder(p.spec.Trace.Capacity)
+		h.torNames = p.topo.SwitchNames()[:p.topo.ToRCount]
 	}
 
 	onFluid := func(c fluid.Completion) {
@@ -203,7 +205,7 @@ func (h *hybridRun) sampleFluid(fs *fluid.Sim) {
 			// Fluid has no reserved/shared split; publish the estimate as
 			// both readings so traced figures stay continuous.
 			h.tracer.RecordOcc(trace.OccSample{
-				At: h.nextSample, Switch: fmt.Sprintf("tor%d", i),
+				At: h.nextSample, Switch: h.torNames[i],
 				Resident: occ, SharedUsed: occ,
 			})
 		}
@@ -261,12 +263,7 @@ func (h *hybridRun) packetSegment(segStart sim.Time, carried []*fluid.FlowState)
 		live[fl.ID] = &liveFlow{flow: fl, injected: injected, incast: incast}
 		inj := fl
 		inj.Size = injected
-		eng := f.engines[f.part.Host[fl.Src]]
-		if warmCwnd > 0 {
-			eng.ScheduleAt(at, func() { cl.Hosts[inj.Src].StartFlowWarm(&inj, warmCwnd) })
-		} else {
-			eng.ScheduleAt(at, func() { cl.StartFlow(&inj) })
-		}
+		f.engines[f.part.Host[fl.Src]].ScheduleAt(at, func() { cl.Hosts[inj.Src].StartFlowWarm(&inj, warmCwnd) })
 	}
 	for _, fs := range carried {
 		// Warm window for a mid-transfer lossy residual: its DCTCP

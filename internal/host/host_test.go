@@ -2,6 +2,7 @@ package host
 
 import (
 	"testing"
+	"unsafe"
 
 	"l2bm/internal/core"
 	"l2bm/internal/dcqcn"
@@ -205,5 +206,24 @@ func TestHostAccessors(t *testing.T) {
 	}
 	if h.TCPSender(1) != nil {
 		t.Error("flow registered under wrong protocol")
+	}
+}
+
+// TestTransportFootprint holds the per-flow endpoint state to its size
+// classes: every RDMA flow owns one dcqcn.Sender and one dcqcn.Receiver,
+// every TCP flow one dctcp.Sender, and each holds its Config by value, so
+// a parameter no run varies belongs in a constant, not in these structs.
+func TestTransportFootprint(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		size, want uintptr
+	}{
+		{"dcqcn.Sender", unsafe.Sizeof(dcqcn.Sender{}), 312},
+		{"dcqcn.Receiver", unsafe.Sizeof(dcqcn.Receiver{}), 160},
+		{"dctcp.Sender", unsafe.Sizeof(dctcp.Sender{}), 216},
+	} {
+		if c.size > c.want {
+			t.Errorf("%s is %d bytes, want <= %d", c.name, c.size, c.want)
+		}
 	}
 }

@@ -44,7 +44,7 @@ func (s *Switch) CheckInvariants() error {
 			egSum += eg
 			sharedSum += sharedPart(ing, s.cfg.ReservedPerQueue)
 			poolSum[int(core.ClassOfPriority(prio))] += eg
-			if eg > s.cfg.CongestionMark {
+			if eg > congestionMark {
 				congested[prio]++
 			}
 			if s.mmu.pausedOn(port, prio) && core.ClassOfPriority(prio) != pkt.ClassLossless {

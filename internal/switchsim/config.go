@@ -25,9 +25,6 @@ type Config struct {
 	// for in-flight packets arriving after XOFF was sent (paper's
 	// "headroom pool"). Sized for 2·(BDP of one hop + MTU).
 	HeadroomPerQueue int64
-	// PFCHysteresis is how far the ingress counter must fall below the
-	// threshold before XON resumes the upstream (2 MTU is typical).
-	PFCHysteresis int64
 	// ECNLossyThreshold is DCTCP-style step marking: a lossy egress queue
 	// marks CE when its backlog exceeds this many bytes.
 	ECNLossyThreshold int64
@@ -36,10 +33,16 @@ type Config struct {
 	ECNLosslessKmin int64
 	ECNLosslessKmax int64
 	ECNLosslessPmax float64
-	// CongestionMark is the egress backlog above which a queue counts as
-	// congested for ABM's n_p(t).
-	CongestionMark int64
 }
+
+const (
+	// pfcHysteresis is how far the ingress counter must fall below the
+	// threshold before XON resumes the upstream (2 MTU is typical).
+	pfcHysteresis int64 = 2 * pkt.MTUBytes
+	// congestionMark is the egress backlog above which a queue counts as
+	// congested for ABM's n_p(t).
+	congestionMark int64 = pkt.MTUBytes
+)
 
 // Validate reports configuration errors: negative pools, inverted ECN
 // bands, or non-finite probabilities — the silent-garbage inputs the fault
@@ -52,8 +55,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("switchsim: ReservedPerQueue = %d, want >= 0", c.ReservedPerQueue)
 	case c.HeadroomPerQueue < 0:
 		return fmt.Errorf("switchsim: HeadroomPerQueue = %d, want >= 0", c.HeadroomPerQueue)
-	case c.PFCHysteresis < 0:
-		return fmt.Errorf("switchsim: PFCHysteresis = %d, want >= 0", c.PFCHysteresis)
 	case c.ECNLossyThreshold < 0:
 		return fmt.Errorf("switchsim: ECNLossyThreshold = %d, want >= 0", c.ECNLossyThreshold)
 	case c.ECNLosslessKmin < 0 || c.ECNLosslessKmax < 0:
@@ -64,8 +65,6 @@ func (c *Config) Validate() error {
 			c.ECNLosslessKmin, c.ECNLosslessKmax)
 	case math.IsNaN(c.ECNLosslessPmax) || c.ECNLosslessPmax < 0 || c.ECNLosslessPmax > 1:
 		return fmt.Errorf("switchsim: ECNLosslessPmax = %v, want in [0, 1]", c.ECNLosslessPmax)
-	case c.CongestionMark < 0:
-		return fmt.Errorf("switchsim: CongestionMark = %d, want >= 0", c.CongestionMark)
 	default:
 		return nil
 	}
@@ -78,7 +77,6 @@ func DefaultConfig() Config {
 		TotalShared:      4 << 20, // 4 MB
 		ReservedPerQueue: 2 * pkt.MTUBytes,
 		HeadroomPerQueue: 160_000, // covers 2·BDP of the slowest hop (5 µs · 100 Gbps) + reaction
-		PFCHysteresis:    2 * pkt.MTUBytes,
 		// DCTCP step-marking threshold. Deliberately permissive (≈400
 		// pkts): the paper's premise (Fig. 3a) is TCP occupying a large
 		// share of the 4 MB buffer, making the ingress pool the binding
@@ -88,7 +86,6 @@ func DefaultConfig() Config {
 		ECNLosslessKmin:   5_000,
 		ECNLosslessKmax:   200_000,
 		ECNLosslessPmax:   0.01,
-		CongestionMark:    pkt.MTUBytes,
 	}
 }
 

@@ -509,11 +509,10 @@ func (s *Switch) bumpEgress(out, prio int, delta int64) {
 	after := before + delta
 	cell.eg = after
 	s.mmu.poolUsed[core.ClassOfPriority(prio)] += delta
-	mark := s.cfg.CongestionMark
 	switch {
-	case before <= mark && after > mark:
+	case before <= congestionMark && after > congestionMark:
 		s.mmu.congested[prio]++
-	case before > mark && after <= mark:
+	case before > congestionMark && after <= congestionMark:
 		s.mmu.congested[prio]--
 	}
 }
@@ -540,7 +539,7 @@ func (s *Switch) checkPFC(in, prio int, arrival bool) {
 		}
 		return
 	}
-	release := th - s.cfg.PFCHysteresis
+	release := th - pfcHysteresis
 	if release < 0 {
 		release = 0
 	}

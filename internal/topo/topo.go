@@ -45,10 +45,10 @@ type Config struct {
 	AggCoreDelay sim.Duration
 	// Switch configures every switch MMU.
 	Switch switchsim.Config
-	// DCTCP and DCQCN configure host transports. DCQCN.LineRate is
-	// overridden with ServerRate when zero.
-	DCTCP dctcp.Config
-	DCQCN dcqcn.Config
+	// GoBackN turns on DCQCN's go-back-N loss recovery at every host. The
+	// hosts' transports are otherwise fixed: DCTCP at its default and DCQCN
+	// paced at ServerRate.
+	GoBackN bool
 
 	// DisablePacketPool turns off packet recycling: every frame is heap-
 	// allocated and left to the GC, the pre-pool behaviour. The determinism
@@ -76,8 +76,6 @@ func DefaultConfig() Config {
 		TorAggDelay:   sim.Microsecond,
 		AggCoreDelay:  5 * sim.Microsecond,
 		Switch:        switchsim.DefaultConfig(),
-		DCTCP:         dctcp.DefaultConfig(),
-		DCQCN:         dcqcn.DefaultConfig(25e9),
 	}
 }
 
@@ -323,9 +321,6 @@ func BuildSharded(engines []*sim.Engine, part *Partition, cfg Config, newPolicy 
 	if part.Shards > 1 && (cfg.TorAggDelay <= 0 || cfg.AggCoreDelay <= 0) {
 		return nil, fmt.Errorf("topo: sharded builds need positive fabric propagation delays (lookahead)")
 	}
-	if cfg.DCQCN.LineRate == 0 {
-		cfg.DCQCN = dcqcn.DefaultConfig(cfg.ServerRate)
-	}
 	cl := &Cluster{Engines: engines, Part: part, Cfg: cfg}
 	cl.Pools = make([]*pkt.Pool, part.Shards)
 	if !cfg.DisablePacketPool {
@@ -399,7 +394,10 @@ func BuildSharded(engines []*sim.Engine, part *Partition, cfg Config, newPolicy 
 
 	// Servers: host h sits under ToR h/ServersPerToR on port h%ServersPerToR.
 	// Hosts follow their ToR's shard, so access links are always local.
-	transportCfg := &host.TransportConfig{DCTCP: cfg.DCTCP, DCQCN: cfg.DCQCN}
+	transportCfg := &host.TransportConfig{
+		DCTCP: dctcp.DefaultConfig(),
+		DCQCN: dcqcn.Config{LineRate: cfg.ServerRate, GoBackN: cfg.GoBackN},
+	}
 	total := cfg.ToRCount * cfg.ServersPerToR
 	for h := 0; h < total; h++ {
 		t := h / cfg.ServersPerToR

@@ -308,3 +308,22 @@ func TestMustBuildPanics(t *testing.T) {
 	}()
 	MustBuild(sim.NewEngine(1), cfg, dtFactory, nil)
 }
+
+// TestRDMAPacedAtServerRate: a host's NIC line rate is the fabric's
+// ServerRate, so an RDMA flow on a 100 Gb/s access link starts at 100 Gb/s,
+// not at the paper's 25 Gb/s default.
+func TestRDMAPacedAtServerRate(t *testing.T) {
+	cfg := TinyConfig()
+	cfg.ServerRate = 100e9
+	eng := sim.NewEngine(1)
+	cl := MustBuild(eng, cfg, dtFactory, nil)
+	f := &transport.Flow{ID: 1, Src: 0, Dst: 5, Size: 1 << 20, Priority: pkt.PrioLossless, Class: pkt.ClassLossless}
+	cl.StartFlow(f)
+	s := cl.Hosts[f.Src].RDMASender(f.ID)
+	if s == nil {
+		t.Fatal("no RDMA sender for the started flow")
+	}
+	if got := s.Rate(); got != float64(cfg.ServerRate) {
+		t.Errorf("RDMA sender rate = %v, want ServerRate %v", got, float64(cfg.ServerRate))
+	}
+}
