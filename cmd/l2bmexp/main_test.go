@@ -316,6 +316,32 @@ func TestCLIResume(t *testing.T) {
 	}
 }
 
+// TestCLIResumeScale: the hyperscale smoke picks its fabric with a
+// TopoOverride, which the store keys by the fabric it yields, so -exp scale
+// stores its point, restores it on a rerun and prints an uncached run's
+// tables either way.
+func TestCLIResumeScale(t *testing.T) {
+	want := render(t, "-exp", "scale", "-scale", "tiny")
+	dir := t.TempDir()
+	args := []string{"-exp", "scale", "-scale", "tiny", "-resume", dir}
+	if got := render(t, args...); got != want {
+		t.Errorf("stored run diverged from the uncached one:\n--- uncached ---\n%s\n--- stored ---\n%s", want, got)
+	}
+	if n := pointFiles(t, dir); n != 1 {
+		t.Fatalf("%d entries after the one-point smoke", n)
+	}
+	var second bytes.Buffer
+	if err := run(args, &second); err != nil {
+		t.Fatal(err)
+	}
+	if got := trailers.ReplaceAllString(second.String(), ""); got != want {
+		t.Errorf("resumed run diverged from the uncached one:\n--- uncached ---\n%s\n--- resumed ---\n%s", want, got)
+	}
+	if !strings.Contains(second.String(), ", 1 of 1 points restored)") {
+		t.Errorf("rerun did not restore the stored point:\n%s", second.String())
+	}
+}
+
 // TestCLIResumeSharesPointsAcrossGrids: the store is keyed by point, not by
 // sweep, so Table II after Fig. 7 on one -resume directory finds all of its
 // 20 points there, simulates none and adds no entry.

@@ -72,10 +72,7 @@ func resolve(spec HybridSpec, newEngine engineFunc) *plan {
 		p.policy = p.factory().Name()
 	}
 
-	p.topo = spec.Scale.Topo()
-	if spec.TopoOverride != nil {
-		spec.TopoOverride(&p.topo)
-	}
+	p.topo = spec.fabric()
 	if spec.Faults != nil {
 		// Injected loss breaks the lossless assumption, so RDMA needs the
 		// go-back-N recovery path; fault-free runs keep it off to preserve

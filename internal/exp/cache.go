@@ -58,16 +58,15 @@ import (
 // misses.
 const CheckpointVersion = 5
 
-// checkpointIneligible names the first non-serializable field set on the
-// spec, or "" when the spec is plain data and may be stored. Specs carrying
-// funcs — PolicyFactory, TopoOverride, Hooks — cannot be hashed, and an armed
-// flight recorder cannot be restored.
+// checkpointIneligible names the first field set on the spec that the store
+// cannot hold, or "" when the spec may be stored. A PolicyFactory or Hooks
+// func cannot be hashed, and an armed flight recorder cannot be restored. A
+// TopoOverride is keyed by the fabric it yields (specKey), so it may be
+// stored.
 func checkpointIneligible(spec HybridSpec) string {
 	switch {
 	case spec.PolicyFactory != nil:
 		return "PolicyFactory"
-	case spec.TopoOverride != nil:
-		return "TopoOverride"
 	case spec.Hooks != nil:
 		return "Hooks"
 	case spec.Trace != nil:
@@ -78,21 +77,30 @@ func checkpointIneligible(spec HybridSpec) string {
 
 // specKey is the spec's canonical form: its wire encoding (json.Marshal, the
 // bytes SweepID hashes) with Shards cleared — every shard count produces the
-// same bytes, so an entry stored at one serves all the others. Two specs with
-// equal keys produce byte-identical Results (determinism contract), so the
-// key — not the grid that asked, nor its source code — decides what a stored
-// entry matches. Every field the encoding carries is in it, one added later
-// included, so a forgotten field can cost a miss but never a misread; the
-// fields it cannot carry make a spec checkpointIneligible instead.
+// same bytes, so an entry stored at one serves all the others. A spec with a
+// TopoOverride appends the encoding of the fabric it yields (fabric), which
+// is what the func decides; the key is then two JSON objects, which no
+// plain spec's one object can equal. Two specs with equal keys produce
+// byte-identical Results (determinism contract), so the key — not the grid
+// that asked, nor its source code — decides what a stored entry matches.
+// Every field the encoding carries is in it, one added later included, so a
+// forgotten field can cost a miss but never a misread; the fields it cannot
+// carry make a spec checkpointIneligible instead.
 func specKey(spec HybridSpec) ([]byte, error) {
 	spec.Shards = 0
-	return json.Marshal(spec)
+	key, err := json.Marshal(spec)
+	if err != nil || spec.TopoOverride == nil {
+		return key, err
+	}
+	fab, err := json.Marshal(spec.fabric())
+	return append(key, fab...), err
 }
 
 // CacheKey derives the content-hash cache key for one spec: a hash over the
 // canonicalization version, the registry version and the spec's canonical
-// key (which embeds everything the seed derives from). Specs carrying funcs
-// or an armed flight recorder are uncacheable and return an error.
+// key (which embeds everything the seed derives from). A spec carrying a
+// PolicyFactory, Hooks or an armed flight recorder is uncacheable and
+// returns an error.
 func CacheKey(spec HybridSpec) (string, error) {
 	return cacheKeyAt(CheckpointVersion, spec)
 }
@@ -143,7 +151,7 @@ type memEntry struct {
 
 // ResultCache persists point results under Dir, one entry per cache key,
 // behind an in-memory LRU of the hottest entries. A nil cache ignores every
-// call (Lookup and Get always miss). The zero value is ready to use: with
+// call (LookupKey and Get always miss). The zero value is ready to use: with
 // Dir set it is disk-backed, with Dir == "" it is memory-only — Put fills the
 // LRU and nothing ever touches the file system. Safe for concurrent use.
 type ResultCache struct {
@@ -203,26 +211,14 @@ func (c *ResultCache) memPut(key string, raw json.RawMessage) {
 	}
 }
 
-// Lookup returns the stored canonical Result bytes for spec without
-// decoding them, or ok=false on any miss: no entry, an uncacheable spec, or
-// a disk entry that fails validation (stale version or registry, another
-// key's header, a torn or malformed body — left on disk, simply unused,
-// until the re-run's Put overwrites it). The returned slice is shared with
-// the memory tier and every other caller: read it, never write it.
-func (c *ResultCache) Lookup(spec HybridSpec) (json.RawMessage, bool) {
-	if c == nil {
-		return nil, false
-	}
-	key, err := CacheKey(spec)
-	if err != nil {
-		return nil, false
-	}
-	return c.LookupKey(key)
-}
-
-// LookupKey is Lookup by a key already derived — by CacheKey, or by
-// SweepRequest.Keys for a whole submission. The empty key, which Keys gives
-// an uncacheable spec, misses.
+// LookupKey returns the stored canonical Result bytes under key — derived by
+// CacheKey, or by SweepRequest.Keys for a whole submission — without
+// decoding them, or ok=false on any miss: no entry, the empty key (which
+// Keys gives an uncacheable spec), or a disk entry that fails validation
+// (stale version or registry, another key's header, a torn or malformed
+// body — left on disk, simply unused, until the re-run's Put overwrites it).
+// The returned slice is shared with the memory tier and every other caller:
+// read it, never write it.
 func (c *ResultCache) LookupKey(key string) (json.RawMessage, bool) {
 	if c == nil || key == "" {
 		return nil, false
@@ -267,27 +263,26 @@ func (c *ResultCache) load(key string) (json.RawMessage, bool) {
 	return json.RawMessage(body), true
 }
 
-// Get is Lookup plus a decode: the stored canonical bytes and the Result
-// they encode, with the in-memory spec that JSON could not carry reattached
-// and Restored set.
+// Get is LookupKey under spec's CacheKey plus a decode: the stored canonical
+// bytes and the Restored Result they encode. An uncacheable spec misses.
 func (c *ResultCache) Get(spec HybridSpec) (raw json.RawMessage, res *Result, ok bool) {
-	raw, ok = c.Lookup(spec)
+	key, _ := CacheKey(spec)
+	raw, ok = c.LookupKey(key)
 	if !ok {
 		return nil, nil, false
 	}
-	if res, err := restore(spec, raw); err == nil {
+	if res, err := restore(raw); err == nil {
 		return raw, res, true
 	}
 	return nil, nil, false
 }
 
-// restore decodes a stored point's canonical bytes as spec's Result.
-func restore(spec HybridSpec, raw json.RawMessage) (*Result, error) {
-	res := new(Result)
+// restore decodes a stored point's canonical bytes as a Restored Result.
+func restore(raw json.RawMessage) (*Result, error) {
+	res := &Result{Restored: true}
 	if err := json.Unmarshal(raw, res); err != nil {
-		return nil, fmt.Errorf("exp: cache: spec %q: %w", spec.Name, err)
+		return nil, fmt.Errorf("exp: cache: %w", err)
 	}
-	res.Spec, res.Restored = spec, true
 	return res, nil
 }
 
@@ -354,7 +349,7 @@ func (c *ResultCache) putKey(key string, raw json.RawMessage) error {
 // Point is the one way a point is computed next to a store. key is spec's
 // CacheKey, derived once by the caller (SweepRequest.Keys derives a whole
 // submission's); the empty key marks a spec the store cannot hold
-// (func-valued field, armed recorder), which simply runs, as every spec
+// (PolicyFactory, Hooks, armed recorder), which simply runs, as every spec
 // does on a nil cache. On a hit Point returns the stored canonical bytes and
 // a nil Result: nothing is decoded. On a miss it calls run and returns the
 // fresh Result with its canonical bytes, stored before they are handed back
@@ -392,7 +387,7 @@ func (c *ResultCache) GetOrRun(ctx context.Context, spec HybridSpec) (*Result, e
 	if err != nil || res != nil {
 		return res, err
 	}
-	return restore(spec, raw)
+	return restore(raw)
 }
 
 // Len counts the entries on disk (test and status reporting).

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"l2bm/internal/core"
+	"l2bm/internal/topo"
 )
 
 // TestCacheKeyCanonicalization: the cache key must depend only on what a
@@ -110,9 +111,36 @@ func TestCacheKeyPinned(t *testing.T) {
 	}
 }
 
+// TestCacheKeyTopoOverride: a TopoOverride spec is keyed by the fabric it
+// yields, not by which func yields it — two closures that build the same
+// Config share a key, a closure that builds another does not — and Keys
+// derives that key too, though its one-marshal path cannot.
+func TestCacheKeyTopoOverride(t *testing.T) {
+	base := HybridSpec{Name: "override-key", Policy: "DT", Scale: ScaleTiny, RDMALoad: 0.4, TCPLoad: 0.4}
+	halve, sameHalf, quarter := base, base, base
+	halve.TopoOverride = func(c *topo.Config) { c.Switch.TotalShared /= 2 }
+	half := topo.TinyConfig().Switch.TotalShared / 2
+	sameHalf.TopoOverride = func(c *topo.Config) { c.Switch.TotalShared = half }
+	quarter.TopoOverride = func(c *topo.Config) { c.Switch.TotalShared /= 4 }
+
+	key := mustKey(t, halve)
+	if got := mustKey(t, sameHalf); got != key {
+		t.Errorf("two closures yielding one fabric keyed %s and %s", key, got)
+	}
+	if got := mustKey(t, quarter); got == key {
+		t.Error("a different Switch.TotalShared kept the key")
+	}
+	if mustKey(t, base) == key {
+		t.Error("the override spec shares the plain spec's key")
+	}
+	if _, keys := (&SweepRequest{Specs: []HybridSpec{halve}}).Keys(); keys[0] != key {
+		t.Errorf("Keys gave the override spec %q, CacheKey %q", keys[0], key)
+	}
+}
+
 // TestResultCacheRoundTrip: Put stores the canonical bytes, Get returns
 // exactly those bytes (the byte-identity the daemon's cache-hit path relies
-// on) plus a decoded Result with the spec reattached.
+// on) plus the decoded Result, marked Restored.
 func TestResultCacheRoundTrip(t *testing.T) {
 	cache, err := NewResultCache(t.TempDir())
 	if err != nil {
@@ -138,7 +166,7 @@ func TestResultCacheRoundTrip(t *testing.T) {
 	if !bytes.Equal(gotRaw, raw) {
 		t.Errorf("cached bytes differ:\nput %s\ngot %s", raw, gotRaw)
 	}
-	if gotRes.Spec.Name != spec.Name || gotRes.Policy != "DT" || len(gotRes.RDMASlowdowns) != 2 {
+	if !gotRes.Restored || gotRes.Policy != "DT" || len(gotRes.RDMASlowdowns) != 2 {
 		t.Errorf("decoded result wrong: %+v", gotRes)
 	}
 	if n, err := cache.Len(); err != nil || n != 1 {

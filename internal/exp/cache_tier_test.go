@@ -77,7 +77,7 @@ func TestCacheHostileEntries(t *testing.T) {
 			if err := os.WriteFile(cache.path(key), data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if raw, ok := cache.Lookup(tierSpec); ok {
+			if raw, ok := cache.LookupKey(key); ok {
 				t.Fatalf("served %q from a hostile entry", raw)
 			}
 			if _, _, ok := cache.Get(tierSpec); ok {
@@ -87,7 +87,7 @@ func TestCacheHostileEntries(t *testing.T) {
 				t.Fatalf("Put over the hostile entry: %v", err)
 			}
 			reopened := &ResultCache{Dir: cache.Dir}
-			if raw, ok := reopened.Lookup(tierSpec); !ok || !bytes.Equal(raw, body) {
+			if raw, ok := reopened.LookupKey(key); !ok || !bytes.Equal(raw, body) {
 				t.Errorf("after the overwrite: ok=%v raw=%q", ok, raw)
 			}
 		})
@@ -101,7 +101,7 @@ func TestCacheHostileEntries(t *testing.T) {
 		if err := os.Mkdir(cache.path(key), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := cache.Lookup(tierSpec); ok {
+		if _, ok := cache.LookupKey(key); ok {
 			t.Fatal("a directory was a hit")
 		}
 		// The rename cannot replace a directory, so the disk tier refuses
@@ -109,7 +109,7 @@ func TestCacheHostileEntries(t *testing.T) {
 		if err := cache.Put(tierSpec, body); err == nil {
 			t.Fatal("Put over a directory succeeded")
 		}
-		if raw, ok := cache.Lookup(tierSpec); ok {
+		if raw, ok := cache.LookupKey(key); ok {
 			t.Fatalf("memory tier serves %q, which the disk tier refused", raw)
 		}
 		leftovers, err := os.ReadDir(cache.Dir)
@@ -139,7 +139,7 @@ func FuzzCacheEntry(f *testing.F) {
 		if err := os.WriteFile(cache.path(key), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		raw, ok := cache.Lookup(tierSpec)
+		raw, ok := cache.LookupKey(key)
 		if !ok {
 			return
 		}
@@ -170,7 +170,7 @@ func TestMemoryTierServesWithoutDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	reader := &ResultCache{Dir: writer.Dir}
-	first, ok := reader.Lookup(tierSpec)
+	first, ok := reader.LookupKey(key)
 	if !ok || !bytes.Equal(first, body) {
 		t.Fatalf("disk hit: ok=%v raw=%q", ok, first)
 	}
@@ -178,17 +178,17 @@ func TestMemoryTierServesWithoutDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, c := range map[string]*ResultCache{"filled by Put": writer, "filled by a disk hit": reader} {
-		raw, ok := c.Lookup(tierSpec)
+		raw, ok := c.LookupKey(key)
 		if !ok || !bytes.Equal(raw, body) {
 			t.Errorf("%s: ok=%v raw=%q", name, ok, raw)
 		}
 	}
 	// Shared, not copied: two hits return the same backing array.
-	again, _ := reader.Lookup(tierSpec)
+	again, _ := reader.LookupKey(key)
 	if &again[0] != &first[0] {
 		t.Error("a memory-tier hit copied the bytes")
 	}
-	if _, ok := (&ResultCache{Dir: writer.Dir}).Lookup(tierSpec); ok {
+	if _, ok := (&ResultCache{Dir: writer.Dir}).LookupKey(key); ok {
 		t.Error("a fresh handle hit an entry whose file is gone")
 	}
 }
@@ -242,17 +242,17 @@ func TestMemoryTierBound(t *testing.T) {
 func TestMemoryOnlyCache(t *testing.T) {
 	key, body, _ := tierEntry(t)
 	c := &ResultCache{}
-	if _, ok := c.Lookup(tierSpec); ok {
+	if _, ok := c.LookupKey(key); ok {
 		t.Fatal("hit on an empty memory-only cache")
 	}
 	if err := c.Put(tierSpec, body); err != nil {
 		t.Fatal(err)
 	}
 	raw, res, ok := c.Get(tierSpec)
-	if !ok || !bytes.Equal(raw, body) || res.Events != 7 || res.Spec.Name != tierSpec.Name {
+	if !ok || !bytes.Equal(raw, body) || res.Events != 7 || !res.Restored {
 		t.Fatalf("round trip: ok=%v raw=%q res=%+v", ok, raw, res)
 	}
-	if _, ok := (&ResultCache{}).Lookup(tierSpec); ok {
+	if _, ok := (&ResultCache{}).LookupKey(key); ok {
 		t.Error("a second memory-only cache sees the first one's entry")
 	}
 
@@ -269,7 +269,7 @@ func TestMemoryOnlyCache(t *testing.T) {
 	if c.memBytes > memTierBytes {
 		t.Errorf("memory-only tier holds %d B, bound %d", c.memBytes, memTierBytes)
 	}
-	if _, ok := c.Lookup(tierSpec); ok {
+	if _, ok := c.LookupKey(key); ok {
 		t.Error("the coldest entry survived a full tier of younger ones")
 	}
 
@@ -300,7 +300,7 @@ func TestLookupMemHitAllocs(t *testing.T) {
 		}
 	})
 	hitAllocs := testing.AllocsPerRun(200, func() {
-		if _, ok := cache.Lookup(tierSpec); !ok {
+		if _, ok := cache.LookupKey(mustKey(t, tierSpec)); !ok {
 			t.Fatal("miss on an entry just put")
 		}
 	})
@@ -376,7 +376,7 @@ func TestLookupDiskHitAllocs(t *testing.T) {
 	cache := lookupFixture(t)
 	allocs := testing.AllocsPerRun(50, func() {
 		cold := &ResultCache{Dir: cache.Dir}
-		if _, ok := cold.Lookup(tierSpec); !ok {
+		if _, ok := cold.LookupKey(mustKey(t, tierSpec)); !ok {
 			t.Fatal("miss on an entry on disk")
 		}
 	})
@@ -417,7 +417,7 @@ func TestRegistryVersionMemo(t *testing.T) {
 	if again := core.RegistryVersion(); again != before {
 		t.Fatalf("RegistryVersion is not stable: %s then %s", before, again)
 	}
-	if _, ok := cache.Lookup(tierSpec); !ok {
+	if _, ok := cache.LookupKey(keyBefore); !ok {
 		t.Fatal("miss on an entry just put")
 	}
 
@@ -432,15 +432,16 @@ func TestRegistryVersionMemo(t *testing.T) {
 	if cold := fmt.Sprintf("%016x", h.Sum64()); cold != after {
 		t.Errorf("kept version %s, derived from scratch %s", after, cold)
 	}
-	if mustKey(t, tierSpec) == keyBefore {
+	keyAfter := mustKey(t, tierSpec)
+	if keyAfter == keyBefore {
 		t.Error("a late registration did not change the cache key")
 	}
-	if _, ok := cache.Lookup(tierSpec); ok {
+	if _, ok := cache.LookupKey(keyAfter); ok {
 		t.Error("an entry stored under the old registry still hits")
 	}
 }
 
-func mustKey(t *testing.T, spec HybridSpec) string {
+func mustKey(t testing.TB, spec HybridSpec) string {
 	t.Helper()
 	key, err := CacheKey(spec)
 	if err != nil {
@@ -466,7 +467,8 @@ func TestCacheConcurrentUse(t *testing.T) {
 			for k := 0; k < 20; k++ {
 				spec := tierSpec
 				spec.SeedSalt = fmt.Sprint(k % 5)
-				if raw, ok := cache.Lookup(spec); ok && !bytes.Equal(raw, body) {
+				key, _ := CacheKey(spec)
+				if raw, ok := cache.LookupKey(key); ok && !bytes.Equal(raw, body) {
 					t.Errorf("goroutine %d: hit served %q", g, raw)
 				}
 				if (g+k)%3 == 0 {
@@ -515,7 +517,7 @@ func BenchmarkCacheLookup(b *testing.B) {
 	b.Run("mem", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, ok := cache.Lookup(tierSpec); !ok {
+			if _, ok := cache.LookupKey(mustKey(b, tierSpec)); !ok {
 				b.Fatal("miss")
 			}
 		}
@@ -524,7 +526,7 @@ func BenchmarkCacheLookup(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			cold := &ResultCache{Dir: cache.Dir}
-			if _, ok := cold.Lookup(tierSpec); !ok {
+			if _, ok := cold.LookupKey(mustKey(b, tierSpec)); !ok {
 				b.Fatal("miss")
 			}
 		}

@@ -44,10 +44,11 @@ type Harness struct {
 	// every point that does run is stored by the worker that finished it. A
 	// disk-backed cache (Cache.Dir != "") makes every grid crash-resumable —
 	// a kill loses only the points still running — and such a grid refuses
-	// upfront a spec the store cannot hold (PolicyFactory, TopoOverride,
-	// Hooks, or tracing — including Harness.Trace) rather than
-	// resume it wrongly. A memory-only cache serves overlapping grids within
-	// one process (Table II after Fig. 7) and lets unstorable points just run.
+	// upfront a spec the store cannot hold (PolicyFactory, Hooks, or
+	// tracing — including Harness.Trace) rather than resume it wrongly; a
+	// TopoOverride point is stored under the fabric it yields. A memory-only
+	// cache serves overlapping grids within one process (Table II after
+	// Fig. 7) and lets unstorable points just run.
 	Cache *ResultCache
 	// KeepGoing degrades gracefully instead of halting: a failed point is
 	// recorded and skipped, the rest of the grid still runs and emits, and
@@ -172,7 +173,7 @@ func (h *Harness) runAll(specs []HybridSpec, emit EmitFunc) ([]*Result, error) {
 			if res == nil || res.Trace == nil {
 				continue
 			}
-			path := filepath.Join(h.TraceDir, fmt.Sprintf("%03d-%s.col", base+i, res.TraceFileStem()))
+			path := filepath.Join(h.TraceDir, fmt.Sprintf("%03d-%s.col", base+i, res.TraceFileStem(specs[i])))
 			if werr := writeColFile(path, res); werr != nil {
 				return results, fmt.Errorf("exp: trace export: %w", werr)
 			}

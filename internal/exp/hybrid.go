@@ -118,7 +118,7 @@ func runHybridFluid(ctx context.Context, p *plan) (*Result, error) {
 		rec.Started(fl, p.topo.IdealFCT(fl.Src, fl.Dst, fl.Size))
 	}
 
-	res := &Result{Spec: p.spec, Policy: p.policy}
+	res := &Result{Policy: p.policy}
 	h := &hybridRun{
 		ctx:        ctx,
 		p:          p,

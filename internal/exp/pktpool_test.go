@@ -14,15 +14,14 @@ import (
 func disablePool(c *topo.Config) { c.DisablePacketPool = true }
 
 // stripPoolFields removes everything that legitimately differs between a
-// pooled run and its pool-disabled control: the pool counters, the recorder
-// pointer (trace files are diffed separately), and the spec (which carries
-// the TopoOverride closure). Everything else — every figure-level metric,
-// the event count, the end time — must match exactly.
+// pooled run and its pool-disabled control: the pool counters and the
+// recorder pointer (trace files are diffed separately). Everything else —
+// every figure-level metric, the event count, the end time — must match
+// exactly.
 func stripPoolFields(r *Result) Result {
 	c := *r
 	c.PoolGets, c.PoolLive = 0, 0
 	c.Trace = nil
-	c.Spec = HybridSpec{}
 	return c
 }
 

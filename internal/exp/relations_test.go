@@ -57,6 +57,19 @@ func relations() []relation {
 			points: []HybridSpec{small(0.6, 0)},
 			a:      "DT2", b: []string{"L2BM"},
 		},
+		// R4: BShare pins its lossless weight at DT2's α as well.
+		{
+			name:   "R4 BShare without lossy traffic",
+			points: []HybridSpec{tiny(0.4, 0), small(0.6, 0)},
+			a:      "DT2", b: []string{"BShare"},
+		},
+		// R5: at light load no lossy queue grows long enough for EDT's or
+		// TDT's threshold to bind, in whatever mode, so each runs as DT.
+		{
+			name:   "R5 DT variants at light load",
+			points: []HybridSpec{tiny(0.4, 0.1), tiny(0.4, 0.2)},
+			a:      "DT", b: []string{"EDT", "TDT"},
+		},
 	}
 }
 
@@ -108,4 +121,34 @@ func TestPolicyRelations(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzNonBindingBuffer is R1 over FuzzSpecRun's inputs: a spec fuzzSpec
+// accepts, on the fabric it draws with a shared pool no load can fill, runs
+// to the same Result under every registered policy, label blanked. Plain
+// `go test` replays the chaos seeds; CI gives it a time budget.
+func FuzzNonBindingBuffer(f *testing.F) {
+	for _, seed := range chaosSeeds {
+		f.Add([]byte(seed.spec), seed.fabric)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, fabric uint8) {
+		sp, err := fuzzSpec(data, fabric)
+		if err != nil {
+			return
+		}
+		place := sp.TopoOverride
+		sp.TopoOverride = func(c *topo.Config) {
+			place(c)
+			c.Switch.TotalShared = 1 << 40
+		}
+		policies := core.RegisteredPolicies()
+		sp.Policy = policies[0]
+		want, _ := unlabelled(t, sp)
+		for _, policy := range policies[1:] {
+			sp.Policy = policy
+			if got, _ := unlabelled(t, sp); !bytes.Equal(got, want) {
+				t.Fatalf("%s ≠ %s on fabric %d with a non-binding buffer: %s", policy, policies[0], fabric, specJSON(sp))
+			}
+		}
+	})
 }

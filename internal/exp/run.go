@@ -49,8 +49,11 @@ type HybridSpec struct {
 	// rate ramp-up after loss) needs more quiet time than a clean run.
 	DrainOverride sim.Duration
 	// TopoOverride, if set, may mutate the scale's topology/switch
-	// configuration before the cluster is built (used by ablations).
-	// Excluded from JSON like every func-valued field.
+	// configuration before the cluster is built (used by ablations and the
+	// hyperscale smoke). It must be a pure function of the Config it is
+	// given: it runs once per derivation (HybridSpec.fabric), and the cache
+	// keys the spec by the fabric it yields. Excluded from JSON like every
+	// func-valued field.
 	TopoOverride func(*topo.Config) `json:"-"`
 	// SeedSalt decorrelates repeated runs of the same spec.
 	SeedSalt string
@@ -146,13 +149,19 @@ type IncastSpec struct {
 	QueryRate float64
 }
 
-// Result is everything a figure/table needs from one run.
+// fabric is the topology spec runs on: its scale's, with TopoOverride
+// applied. Validate, the run's plan and the cache key all read it here.
+func (sp HybridSpec) fabric() topo.Config {
+	cfg := sp.Scale.Topo()
+	if sp.TopoOverride != nil {
+		sp.TopoOverride(&cfg)
+	}
+	return cfg
+}
+
+// Result is everything a figure/table needs from one run. It holds output
+// only: the spec that produced it stays with the caller.
 type Result struct {
-	// Spec is carried for in-process consumers; it is excluded from JSON
-	// (cache entries): its func-valued fields (PolicyFactory, TopoOverride,
-	// Hooks, Trace) do not serialize, and a restore reattaches the spec that
-	// asked anyway.
-	Spec   HybridSpec `json:"-"`
 	Policy string
 
 	// Per-class slowdowns of completed flows, ascending.
@@ -166,7 +175,7 @@ type Result struct {
 	// TorOccupancy traces total resident bytes per ToR switch.
 	TorOccupancy [][]metrics.Reading
 
-	// Trace is the flight recorder armed by Spec.Trace (nil when tracing
+	// Trace is the flight recorder armed by HybridSpec.Trace (nil when tracing
 	// was off). Export with WriteCol. Excluded from JSON: a traced spec is
 	// never stored (the recorder is unbounded relative to point results).
 	Trace *trace.Recorder `json:"-"`
@@ -225,12 +234,13 @@ type Result struct {
 	PacketSegments int          // packet bursts the fidelity controller ran
 
 	// AuditErrors lists invariant violations: the end-of-run CheckInvariants
-	// sweep over every switch always runs, and when Spec.Audit is set the
+	// sweep over every switch always runs, and when HybridSpec.Audit is set the
 	// in-flight auditor's violations (including drain-time conservation
 	// checks) are appended. Always empty in a correct simulator, faults or
 	// not.
 	AuditErrors []string
-	// AuditChecks counts auditor sweeps that ran (zero when Spec.Audit nil).
+	// AuditChecks counts auditor sweeps that ran (zero when HybridSpec.Audit
+	// is nil).
 	AuditChecks uint64
 
 	// PoolGets counts packet-pool checkouts over the run and PoolLive the
@@ -445,7 +455,7 @@ func runPacket(ctx context.Context, p *plan) (*Result, error) {
 		return nil, err
 	}
 
-	res := &Result{Spec: p.spec, Policy: p.policy, EndTime: f.cond.Now()}
+	res := &Result{Policy: p.policy, EndTime: f.cond.Now()}
 	if f.tracers != nil {
 		// Merged canonically, so exported trace files are byte-identical
 		// across shard counts.

@@ -89,8 +89,7 @@ func scaleGrid(scale Scale, _ []string) ([]HybridSpec, error) {
 
 func renderScale(w io.Writer, scale Scale, specs []HybridSpec, results []*Result) error {
 	hyper, res := HyperscaleFor(scale), results[0]
-	var cfg topo.Config
-	specs[0].TopoOverride(&cfg) // the fabric the point ran on
+	cfg := specs[0].fabric()
 	tab := NewTable(fmt.Sprintf("Scale smoke: %d-host hyperscale Clos (%d pods x %d ToRs x %d servers, %g:1 oversub)",
 		cfg.Hosts(), hyper.Pods, hyper.ToRsPerPod, hyper.ServersPerToR, hyper.Oversubscription),
 		"hosts", "tors", "aggs", "cores", "flows_done", "trunc", "lossy_drops", "pauses")

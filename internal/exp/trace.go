@@ -27,20 +27,21 @@ type TraceSpec struct {
 	Capacity int
 }
 
-// TraceFileStem returns the deterministic file-name stem for this run's
-// trace artifacts: "<name>-<policy>[-r<rdma>][-t<tcp>]", lowercased with
-// loads rendered as percentages (fig7-l2bm-r40-t80).
-func (r *Result) TraceFileStem() string {
+// TraceFileStem returns the deterministic file-name stem for the trace
+// artifacts of this run of spec:
+// "<name>-<policy>[-r<rdma>][-t<tcp>][-n<fanout>]", lowercased with loads
+// rendered as percentages (fig7-l2bm-r40-t80).
+func (r *Result) TraceFileStem(spec HybridSpec) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s-%s", r.Spec.Name, r.Policy)
-	if r.Spec.RDMALoad > 0 {
-		fmt.Fprintf(&b, "-r%02.0f", r.Spec.RDMALoad*100)
+	fmt.Fprintf(&b, "%s-%s", spec.Name, r.Policy)
+	if spec.RDMALoad > 0 {
+		fmt.Fprintf(&b, "-r%02.0f", spec.RDMALoad*100)
 	}
-	if r.Spec.TCPLoad > 0 {
-		fmt.Fprintf(&b, "-t%02.0f", r.Spec.TCPLoad*100)
+	if spec.TCPLoad > 0 {
+		fmt.Fprintf(&b, "-t%02.0f", spec.TCPLoad*100)
 	}
-	if r.Spec.Incast != nil {
-		fmt.Fprintf(&b, "-n%d", r.Spec.Incast.Fanout)
+	if spec.Incast != nil {
+		fmt.Fprintf(&b, "-n%d", spec.Incast.Fanout)
 	}
 	stem := strings.ToLower(b.String())
 	return strings.Map(func(c rune) rune {

@@ -161,14 +161,14 @@ func TestTracedRunsProduceByteIdenticalTraceFiles(t *testing.T) {
 
 // TestTraceFileStemShape pins the deterministic artifact naming.
 func TestTraceFileStemShape(t *testing.T) {
-	res := &Result{Spec: tinySpec("L2BM"), Policy: "L2BM"}
-	if got, want := res.TraceFileStem(), "smoke-l2bm-r40-t40"; got != want {
+	res := &Result{Policy: "L2BM"}
+	if got, want := res.TraceFileStem(tinySpec("L2BM")), "smoke-l2bm-r40-t40"; got != want {
 		t.Errorf("stem = %q, want %q", got, want)
 	}
 	spec := tinySpec("DT")
 	spec.Incast = &IncastSpec{Fanout: 8}
-	res = &Result{Spec: spec, Policy: "DT"}
-	if got, want := res.TraceFileStem(), "smoke-dt-r40-t40-n8"; got != want {
+	res = &Result{Policy: "DT"}
+	if got, want := res.TraceFileStem(spec), "smoke-dt-r40-t40-n8"; got != want {
 		t.Errorf("stem = %q, want %q", got, want)
 	}
 }

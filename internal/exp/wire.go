@@ -157,10 +157,7 @@ func (sp HybridSpec) Validate() error {
 	// The resolved fabric caps the shard count — every shard owns at least one
 	// rack (topo.ComputePartition), and a self-sized run (0) fits itself — and
 	// names the switches a blackout may take down.
-	cfg := sp.Scale.Topo()
-	if sp.TopoOverride != nil {
-		sp.TopoOverride(&cfg)
-	}
+	cfg := sp.fabric()
 	if sp.Shards > cfg.ToRCount {
 		return fmt.Errorf("Shards = %d, but the fabric has %d ToRs (every shard owns at least one)", sp.Shards, cfg.ToRCount)
 	}
@@ -220,8 +217,9 @@ func (r *SweepRequest) SweepID() string {
 
 // Keys is SweepID and every spec's CacheKey from one json.Marshal per spec,
 // for the daemon's submission path, which needs both. SweepID hashes each
-// spec's encoding and specKey is that same encoding whenever Shards is 0, so
-// one marshal feeds both hashes; a spec with Shards set pays CacheKey's own.
+// spec's encoding and specKey is that same encoding whenever Shards is 0 and
+// no TopoOverride adds its fabric, so one marshal feeds both hashes; any
+// other spec pays CacheKey's own.
 // keys[i] is "" where CacheKey refuses spec i.
 func (r *SweepRequest) Keys() (id string, keys []string) {
 	h := fnv.New64a()
@@ -238,7 +236,7 @@ func (r *SweepRequest) Keys() (id string, keys []string) {
 		_, _ = h.Write(newline)
 		switch {
 		case checkpointIneligible(sp) != "":
-		case sp.Shards == 0:
+		case sp.Shards == 0 && sp.TopoOverride == nil:
 			keys[i] = hashKey(CheckpointVersion, enc)
 		default:
 			keys[i], _ = CacheKey(sp)

@@ -176,8 +176,9 @@ func checkSweepKeys(t *testing.T, req *SweepRequest) {
 
 // TestSweepKeysOneMarshal: Keys agrees with SweepID and CacheKey for specs
 // whose encoding is their canonical key (Shards 0), for specs it is not
-// (Shards set), and for every spec CacheKey refuses — a func-valued field,
-// an armed recorder, or an encoding that fails.
+// (Shards set, or a TopoOverride whose fabric the key appends), and for
+// every spec CacheKey refuses — a PolicyFactory or Hooks func, an armed
+// recorder, or an encoding that fails.
 func TestSweepKeysOneMarshal(t *testing.T) {
 	base := HybridSpec{Name: "k", Policy: "DT", Scale: ScaleTiny, RDMALoad: 0.4, TCPLoad: 0.4}
 	with := func(edit func(*HybridSpec)) HybridSpec {
@@ -186,25 +187,30 @@ func TestSweepKeysOneMarshal(t *testing.T) {
 		return sp
 	}
 	rows := []struct {
-		name string
-		spec HybridSpec
+		name  string
+		spec  HybridSpec
+		keyed bool // CacheKey gives the spec a key
 	}{
-		{"shards 0", base},
-		{"shards 2", with(func(sp *HybridSpec) { sp.Shards = 2 })},
+		{"shards 0", base, true},
+		{"shards 2", with(func(sp *HybridSpec) { sp.Shards = 2 }), true},
 		{"hybrid faults shards 1", with(func(sp *HybridSpec) {
 			sp.Fidelity, sp.Faults, sp.Shards = FidelityHybrid, &FaultSpec{}, 1
-		})},
-		{"trace", with(func(sp *HybridSpec) { sp.Trace = &TraceSpec{} })},
-		{"trace shards 2", with(func(sp *HybridSpec) { sp.Trace, sp.Shards = &TraceSpec{}, 2 })},
-		{"policy factory", with(func(sp *HybridSpec) { sp.PolicyFactory = func() core.Policy { return nil } })},
-		{"topo override", with(func(sp *HybridSpec) { sp.TopoOverride = func(*topo.Config) {} })},
-		{"hooks", with(func(sp *HybridSpec) { sp.Hooks = &RunHooks{} })},
-		{"unencodable", with(func(sp *HybridSpec) { sp.TCPLoad = math.NaN() })},
+		}), true},
+		{"trace", with(func(sp *HybridSpec) { sp.Trace = &TraceSpec{} }), false},
+		{"trace shards 2", with(func(sp *HybridSpec) { sp.Trace, sp.Shards = &TraceSpec{}, 2 }), false},
+		{"policy factory", with(func(sp *HybridSpec) { sp.PolicyFactory = func() core.Policy { return nil } }), false},
+		{"topo override", with(func(sp *HybridSpec) { sp.TopoOverride = func(*topo.Config) {} }), true},
+		{"hooks", with(func(sp *HybridSpec) { sp.Hooks = &RunHooks{} }), false},
+		{"unencodable", with(func(sp *HybridSpec) { sp.TCPLoad = math.NaN() }), false},
 	}
 	all := &SweepRequest{Name: "all"}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			checkSweepKeys(t, &SweepRequest{Name: row.name, Specs: []HybridSpec{row.spec}})
+			req := &SweepRequest{Name: row.name, Specs: []HybridSpec{row.spec}}
+			checkSweepKeys(t, req)
+			if _, keys := req.Keys(); (keys[0] != "") != row.keyed {
+				t.Errorf("key %q, want keyed = %v", keys[0], row.keyed)
+			}
 		})
 		all.Specs = append(all.Specs, row.spec)
 	}

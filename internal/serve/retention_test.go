@@ -50,7 +50,7 @@ func del(t *testing.T, ts *httptest.Server, id string) int {
 // tests about the daemon's bookkeeping rather than the engine.
 func instantPoints(srv *Server) {
 	srv.runPoint = func(_ context.Context, spec exp.HybridSpec) (*exp.Result, error) {
-		return &exp.Result{Spec: spec, Policy: spec.Policy, Events: 1}, nil
+		return &exp.Result{Policy: spec.Policy, Events: 1}, nil
 	}
 }
 
@@ -165,7 +165,7 @@ func TestServeRetentionByteBound(t *testing.T) {
 	const pointBytes = 3 << 20
 	filler := []string{strings.Repeat("x", pointBytes)}
 	srv.runPoint = func(_ context.Context, spec exp.HybridSpec) (*exp.Result, error) {
-		return &exp.Result{Spec: spec, Policy: spec.Policy, AuditErrors: filler}, nil
+		return &exp.Result{Policy: spec.Policy, AuditErrors: filler}, nil
 	}
 	var ids []string
 	for i := 0; i < 16; i++ {

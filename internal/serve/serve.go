@@ -552,7 +552,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if res == nil {
 		// A cache hit was served as bytes; this is the one request that
 		// needs the struct, so it pays the decode.
-		res = &exp.Result{Spec: sw.req.Specs[point]}
+		res = new(exp.Result)
 		if err := json.Unmarshal(done.raw[point], res); err != nil {
 			jsonError(w, http.StatusInternalServerError, "sweep %s point %d: %v", sw.id, point, err)
 			return

@@ -198,7 +198,7 @@ func TestServeStoresPointsAsTheyFinish(t *testing.T) {
 				return nil, ctx.Err()
 			}
 		}
-		return &exp.Result{Spec: spec, Policy: spec.Policy}, nil
+		return &exp.Result{Policy: spec.Policy}, nil
 	}
 	stored := func() int {
 		n, err := srv.cache.Len()
@@ -238,7 +238,7 @@ func blockingServer(t *testing.T, cfg Config) (*Server, *httptest.Server, chan s
 	srv.runPoint = func(ctx context.Context, spec exp.HybridSpec) (*exp.Result, error) {
 		select {
 		case <-release:
-			return &exp.Result{Spec: spec, Policy: spec.Policy}, nil
+			return &exp.Result{Policy: spec.Policy}, nil
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
