@@ -46,15 +46,10 @@
 // trailer says what the conductors did (shards, threads, epochs, inline
 // epochs, parks, idle thread-time).
 //
-// -fidelity hybrid runs figure/table experiments on the hybrid-fidelity
-// engine (internal/fluid): steady-state spans advance analytically, bursts
-// and congestion run at full packet fidelity, each packet segment sizing
-// itself like a packet point. Unlike the shard count this changes results —
-// within the divergence bound DESIGN.md §14 states — in exchange for
-// order-of-magnitude speedups on steady-state-heavy windows (`make
-// hybrid-demo`). Faulted points always run at packet fidelity: -exp all and
-// arena run theirs as packet specs, and -exp faults, every point of which
-// carries a fault plan, refuses the flag.
+// Hybrid fidelity (internal/fluid: steady-state spans advance analytically,
+// bursts and congestion run at full packet fidelity) is a point's own
+// setting: a -spec file point with "Fidelity":"hybrid" (`make hybrid-demo`).
+// The named experiments are the paper's packet-level runs.
 //
 // Every run schedules events on sim.Engine: fixed-delay hops ride its delay
 // lines, everything else one exact heap (DESIGN.md §15).
@@ -62,7 +57,7 @@
 // -exp scale is the hyperscale smoke (not part of -exp all): it builds a
 // pod-structured Clos of 1k (-scale tiny), 10k (small) or 100k (full)
 // hosts via topo.HyperscaleConfig and runs a short mixed window through
-// the same harness, so self-sizing and -fidelity apply unchanged.
+// the same harness, so self-sizing applies unchanged.
 package main
 
 import (
@@ -92,7 +87,6 @@ func run(args []string, w io.Writer) error {
 	expName := fs.String("exp", "all", "experiment: "+strings.Join(experimentNames(), "|"))
 	scaleName := fs.String("scale", "small", "simulation scale: tiny|small|full")
 	parallel := fs.Int("parallel", 0, "worker pool size for independent grid points (0 = GOMAXPROCS, 1 = sequential)")
-	fidelity := fs.String("fidelity", "", "execution engine for figure/table experiments: packet (every MTU simulated; the default) or hybrid (fluid fast-forward between bursts; results within the DESIGN.md §14 divergence bound); faulted points always run at packet fidelity")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	traceOn := fs.Bool("trace", false, "arm the flight recorder on every run (occupancy, pause, weight, drop/ECN timelines)")
@@ -108,6 +102,25 @@ func run(args []string, w io.Writer) error {
 	}
 	explicit := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+
+	// -spec replaces the named-experiment path entirely (the file is the
+	// sweep, so experiment-selection flags make no sense next to it). A flag
+	// it cannot honour is refused, never silently dropped — and named first,
+	// before a check below could ask for a second flag it refuses as well.
+	if *specPath != "" {
+		for _, conflict := range []string{"exp", "scale", "trace", "trace-out", "trace-sample", "policies"} {
+			if explicit[conflict] {
+				return fmt.Errorf("-spec is incompatible with -%s (the spec file pins every point's parameters)", conflict)
+			}
+		}
+		if *keepGoing {
+			return fmt.Errorf("-spec is incompatible with -keep-going (the canonical result envelope has no slot for a failed point)")
+		}
+		if _, err := os.Stat(*specPath); err != nil {
+			return fmt.Errorf("-spec: %w", err)
+		}
+	}
+
 	if *parallel < 0 {
 		return fmt.Errorf("-parallel must be >= 0, got %d", *parallel)
 	}
@@ -128,23 +141,6 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 
-	// -spec replaces the named-experiment path entirely (the file is the
-	// sweep, so experiment-selection flags make no sense next to it). A flag
-	// it cannot honour is refused, never silently dropped.
-	if *specPath != "" {
-		for _, conflict := range []string{"exp", "scale", "trace", "fidelity"} {
-			if explicit[conflict] {
-				return fmt.Errorf("-spec is incompatible with -%s (the spec file pins every point's parameters)", conflict)
-			}
-		}
-		if *keepGoing {
-			return fmt.Errorf("-spec is incompatible with -keep-going (the canonical result envelope has no slot for a failed point)")
-		}
-		if _, err := os.Stat(*specPath); err != nil {
-			return fmt.Errorf("-spec: %w", err)
-		}
-	}
-
 	// Validate the experiment selection and every output destination before
 	// any work (or profile) starts: a typo'd -exp or an unwritable directory
 	// must fail in milliseconds, not after a long sweep.
@@ -153,9 +149,6 @@ func run(args []string, w io.Writer) error {
 	}
 	policies, err := parsePolicies(*expName, *policiesFlag)
 	if err != nil {
-		return err
-	}
-	if err := validateFidelity(*expName, *fidelity); err != nil {
 		return err
 	}
 	var cache *exp.ResultCache
@@ -195,8 +188,7 @@ func run(args []string, w io.Writer) error {
 		runErr = runSpec(*specPath, cache, &exp.Pool{Workers: *parallel, PointTimeout: *pointTimeout}, w)
 	default:
 		harness := &exp.Harness{
-			Workers: *parallel, Fidelity: *fidelity,
-			PointTimeout: *pointTimeout, KeepGoing: *keepGoing, Cache: cache,
+			Workers: *parallel, PointTimeout: *pointTimeout, KeepGoing: *keepGoing, Cache: cache,
 		}
 		if cache == nil {
 			// Memory-only, so experiments of one invocation that share
@@ -222,26 +214,6 @@ func run(args []string, w io.Writer) error {
 		}
 	}
 	return runErr
-}
-
-// validateFidelity rejects -fidelity combinations before any work begins:
-// unknown values and hybrid fidelity on -exp faults, whose every point
-// carries a fault plan and so runs at packet fidelity only. Grids that mix
-// faulted and clean points (arena, all) run their faulted points as packet
-// specs.
-func validateFidelity(expName, fidelity string) error {
-	switch fidelity {
-	case "":
-		return nil
-	case exp.FidelityPacket, exp.FidelityHybrid:
-	default:
-		return fmt.Errorf("-fidelity: unknown value %q (want %s or %s)",
-			fidelity, exp.FidelityPacket, exp.FidelityHybrid)
-	}
-	if expName == "faults" && fidelity == exp.FidelityHybrid {
-		return fmt.Errorf("-fidelity hybrid does not apply to -exp faults (every point carries a fault plan, which runs at packet fidelity only)")
-	}
-	return nil
 }
 
 // experimentNames is the -exp vocabulary: every row of exp.Experiments, then

@@ -200,13 +200,8 @@ func TestCLIUpfrontValidation(t *testing.T) {
 		{"-exp", "arena", "-policies", "nope"},
 		{"-exp", "arena", "-policies", "L2BM,,DT"},                  // empty element
 		{"-exp", "fig7", "-policies", "L2BM"},                       // -policies is arena-only
-		{"-exp", "fig7", "-fidelity", "analytic"},                   // unknown fidelity
-		{"-spec", "sweep.json", "-exp", "fig7"},                     // -spec pins the sweep
-		{"-spec", "sweep.json", "-scale", "tiny"},                   // ditto
-		{"-spec", "sweep.json", "-trace"},                           // ditto
 		{"-spec", "sweep.json", "-keep-going"},                      // the envelope cannot carry a failed point
 		{"-spec", "nonexistent-sweep.json"},                         // missing spec file
-		{"-exp", "fig3a", "-resume", "ckpt", "-trace"},              // a stored result cannot carry its recorder
 		{"-exp", "fig3a", "-trace", "-format", "col"},               // the flag is gone: .col is the only format
 		{"-exp", "fig3a", "-shards", "2"},                           // the flag is gone: a spec's Shards is the one shard count
 		{"-exp", "fig3a", "-scale", "tiny", "-trace-out", "traces"}, // nothing is recorded without -trace
@@ -223,7 +218,9 @@ func TestCLIUpfrontValidation(t *testing.T) {
 
 	// The randomized soak is gone (FuzzSpecRun in internal/exp fuzzes the
 	// spec surface): its experiment name and its flags are refused like any
-	// other unknown input, before anything runs.
+	// other unknown input, before anything runs. So is -fidelity: a point's
+	// own Fidelity field is the one way to ask for the hybrid engine. -spec
+	// names the flag it cannot honour before any check could ask for it.
 	for _, tc := range []struct {
 		args []string
 		want string
@@ -231,6 +228,14 @@ func TestCLIUpfrontValidation(t *testing.T) {
 		{[]string{"-exp", "chaos"}, `unknown experiment "chaos"`},
 		{[]string{"-seeds", "5"}, "flag provided but not defined: -seeds"},
 		{[]string{"-exp", "fig3a", "-replay", "x.json"}, "flag provided but not defined: -replay"},
+		{[]string{"-exp", "fig7", "-fidelity", "hybrid"}, "flag provided but not defined: -fidelity"},
+		{[]string{"-spec", "sweep.json", "-exp", "fig7"}, "-spec is incompatible with -exp"},
+		{[]string{"-spec", "sweep.json", "-scale", "tiny"}, "-spec is incompatible with -scale"},
+		{[]string{"-spec", "sweep.json", "-trace"}, "-spec is incompatible with -trace"},
+		{[]string{"-spec", "sweep.json", "-trace-out", "traces"}, "-spec is incompatible with -trace-out"},
+		{[]string{"-spec", "sweep.json", "-trace-sample", "5us"}, "-spec is incompatible with -trace-sample"},
+		{[]string{"-spec", "sweep.json", "-policies", "L2BM"}, "-spec is incompatible with -policies"},
+		{[]string{"-exp", "fig3a", "-resume", "ckpt", "-trace"}, "-resume is incompatible with -trace"},
 	} {
 		var buf bytes.Buffer
 		err := run(tc.args, &buf)
@@ -462,39 +467,6 @@ func TestCLIResumeDirServesDaemon(t *testing.T) {
 	}
 }
 
-// TestCLIFidelity: -fidelity hybrid runs a figure experiment end to end
-// through the real CLI path, and the rejection messages carry a one-line
-// reason naming the fix.
-func TestCLIFidelity(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"-exp", "fig3a", "-scale", "tiny", "-fidelity", "hybrid"}, &buf); err != nil {
-		t.Fatalf("-fidelity hybrid on fig3a: %v", err)
-	}
-	if !strings.Contains(buf.String(), "running fig3a") {
-		t.Errorf("hybrid run produced no experiment output:\n%s", buf.String())
-	}
-	for _, tc := range []struct {
-		args []string
-		want string
-	}{
-		{[]string{"-exp", "fig7", "-fidelity", "analytic"}, `unknown value "analytic"`},
-		{[]string{"-exp", "fig3a", "-resume", "ckpt", "-trace"}, "incompatible with -trace"},
-	} {
-		var out bytes.Buffer
-		err := run(tc.args, &out)
-		if err == nil {
-			t.Errorf("args %v: want error, got success", tc.args)
-			continue
-		}
-		if !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("args %v: error %q missing %q", tc.args, err, tc.want)
-		}
-		if out.Len() != 0 {
-			t.Errorf("args %v: validation failure still produced output:\n%s", tc.args, out.String())
-		}
-	}
-}
-
 func TestCLIProfileFlags(t *testing.T) {
 	dir := t.TempDir()
 	cpu, mem := dir+"/cpu.pprof", dir+"/mem.pprof"
@@ -552,9 +524,9 @@ func TestCLITraceColFormat(t *testing.T) {
 	}
 }
 
-// TestCLIHybridFaultsRefused: a fault plan has no hybrid form, so hybrid
-// fidelity next to one is refused before any point runs — on -exp faults,
-// whose every point carries a plan, and in a -spec file.
+// TestCLIHybridFaultsRefused: a fault plan has no hybrid form, so a -spec
+// file point asking for hybrid fidelity next to one is refused before any
+// point runs.
 func TestCLIHybridFaultsRefused(t *testing.T) {
 	spec := t.TempDir() + "/sweep.json"
 	if err := os.WriteFile(spec, []byte(`{"specs":[
@@ -566,7 +538,6 @@ func TestCLIHybridFaultsRefused(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-exp", "faults", "-scale", "tiny", "-fidelity", "hybrid"}, "does not apply to -exp faults"},
 		{[]string{"-spec", spec}, `spec 1: Fidelity "hybrid" with Faults set`},
 	} {
 		var buf bytes.Buffer
@@ -582,12 +553,15 @@ func TestCLIHybridFaultsRefused(t *testing.T) {
 
 // TestCLISpec: -spec runs a sweep-request file and emits the canonical
 // result envelope — deterministically, for any worker count — which is the
-// byte-level contract the daemon equivalence check in CI relies on.
+// byte-level contract the daemon equivalence check in CI relies on. A point's
+// own Fidelity is the one route to the hybrid engine: the steady-window point
+// runs every flow fluid, with the bytes a direct run marshals.
 func TestCLISpec(t *testing.T) {
 	path := t.TempDir() + "/sweep.json"
 	spec := `{"name":"cli-spec-test","specs":[
 		{"Name":"p-dt","Policy":"DT","Scale":"tiny","RDMALoad":0.4,"TCPLoad":0.4},
-		{"Name":"p-l2bm","Policy":"L2BM","Scale":"tiny","RDMALoad":0.4,"TCPLoad":0.4}]}`
+		{"Name":"p-l2bm","Policy":"L2BM","Scale":"tiny","RDMALoad":0.4,"TCPLoad":0.4},
+		{"Name":"steady","Policy":"L2BM","Scale":"tiny","RDMALoad":0.02,"TCPLoad":0.02,"InterRackOnly":true,"Fidelity":"hybrid","WindowOverride":40000000000}]}`
 	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -607,6 +581,24 @@ func TestCLISpec(t *testing.T) {
 	}
 	if par := render("2"); par != out {
 		t.Error("-spec output differs between -parallel 1 and -parallel 2")
+	}
+	var envelope struct{ Points []json.RawMessage }
+	if err := json.Unmarshal([]byte(out), &envelope); err != nil || len(envelope.Points) != 3 {
+		t.Fatalf("-spec envelope: %v, %d points", err, len(envelope.Points))
+	}
+	req, err := exp.ParseSweepRequest([]byte(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hybrid, err := exp.RunHybrid(req.Specs[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if direct, err := json.Marshal(hybrid); err != nil || !bytes.Equal(envelope.Points[2], direct) {
+		t.Errorf("hybrid point: -spec bytes differ from a direct RunHybrid marshal (%v)", err)
+	}
+	if hybrid.FlowsStarted == 0 || hybrid.FluidFlows != hybrid.FlowsStarted {
+		t.Errorf("hybrid steady window: %d of %d flows completed fluid, want all", hybrid.FluidFlows, hybrid.FlowsStarted)
 	}
 
 	bad := t.TempDir() + "/bad.json"

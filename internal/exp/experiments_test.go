@@ -222,50 +222,3 @@ func TestIncastFanoutClampedOnTinyTopology(t *testing.T) {
 		t.Error("no queries completed after clamping")
 	}
 }
-
-// TestArenaHybridFaultedCellsArePacket: under hybrid fidelity the arena's
-// faulted cells are the packet grid's own specs — the harness stamps its
-// fidelity only onto specs without a fault plan — so each has the packet
-// cell's cache key and Result bytes, and a packet -resume run warms a
-// hybrid one. The clean cells do run hybrid.
-func TestArenaHybridFaultedCellsArePacket(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the arena grid twice")
-	}
-	grid := func(fidelity string) ([]HybridSpec, []*Result) {
-		specs, results, err := (&Harness{Fidelity: fidelity}).Run("arena", ScaleTiny, nil, io.Discard)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return specs, results
-	}
-	packetSpecs, packet := grid("")
-	hybridSpecs, hybrid := grid(FidelityHybrid)
-	faulted := 0
-	for i, sp := range hybridSpecs {
-		if sp.Faults == nil {
-			if sp.Fidelity != FidelityHybrid {
-				t.Errorf("clean cell %s runs at fidelity %q", sp.Name, sp.Fidelity)
-			}
-			continue
-		}
-		faulted++
-		if got, want := mustKey(t, sp), mustKey(t, packetSpecs[i]); got != want {
-			t.Errorf("faulted cell %s keyed %s under hybrid fidelity, %s under packet", sp.Name, got, want)
-		}
-		got, err := json.Marshal(hybrid[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := json.Marshal(packet[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("faulted cell %s: hybrid-grid bytes differ from the packet grid's", sp.Name)
-		}
-	}
-	if faulted == 0 {
-		t.Fatal("the arena grid has no faulted cell")
-	}
-}

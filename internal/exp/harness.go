@@ -31,14 +31,6 @@ type Harness struct {
 	// read it with cmd/l2bmtrace), NNN a running point number so names are
 	// unique and worker-count independent.
 	TraceDir string
-	// Fidelity, when non-empty, selects the execution engine for every
-	// point without a fault plan (specs carrying their own Fidelity keep
-	// it): FidelityPacket simulates every MTU, FidelityHybrid fast-forwards
-	// steady-state spans through the fluid layer. A faulted point always
-	// runs at packet fidelity, under the one cache key either setting gives
-	// it. Unlike a spec's Shards, hybrid fidelity changes results — within
-	// the divergence bound DESIGN.md §14 states.
-	Fidelity string
 	// Cache, when non-nil, is consulted per point: a point it holds is
 	// restored instead of simulated (byte-identical output either way), and
 	// every point that does run is stored by the worker that finished it. A
@@ -142,17 +134,14 @@ func (h *Harness) run(e Experiment, scale Scale, policies []string, w io.Writer)
 // runAll fans the specs out across the pool and returns their results in
 // spec order; emit (optional) observes points in spec order.
 func (h *Harness) runAll(specs []HybridSpec, emit EmitFunc) ([]*Result, error) {
-	// One upfront pass: the harness's defaults land on every spec that does
-	// not set its own, then what no point could survive is refused before
+	// One upfront pass: the harness's trace lands on every spec that does
+	// not arm its own, then what no point could survive is refused before
 	// the pool starts.
 	storing := h.Cache != nil && h.Cache.Dir != ""
 	for i := range specs {
 		sp := &specs[i]
 		if sp.Trace == nil {
 			sp.Trace = h.Trace
-		}
-		if sp.Fidelity == "" && sp.Faults == nil {
-			sp.Fidelity = h.Fidelity
 		}
 		if why := checkpointIneligible(*sp); storing && why != "" {
 			return nil, fmt.Errorf("exp: point %d carries %s, which does not serialize — run without -resume or drop the field", i, why)

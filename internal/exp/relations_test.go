@@ -13,7 +13,8 @@ import (
 // after transform, policy b's Result equals policy a's byte for byte, label
 // aside, wherever holds accepts b's run. A relation needs no paper number,
 // and it catches a policy that acts through some channel other than its
-// thresholds.
+// thresholds. A row that binds must keep binding: binds, when set, must
+// accept a's run at every point.
 type relation struct {
 	name      string
 	points    []HybridSpec
@@ -21,6 +22,7 @@ type relation struct {
 	a         string
 	b         []string
 	holds     func(b *Result) bool // nil: everywhere
+	binds     func(a *Result) bool // nil: nothing asked of a's run
 }
 
 func relations() []relation {
@@ -63,6 +65,18 @@ func relations() []relation {
 			points: []HybridSpec{tiny(0.4, 0), small(0.6, 0)},
 			a:      "DT2", b: []string{"BShare"},
 		},
+		// R3 and R4 where the lossless weight binds: a shared pool cut to a
+		// sixteenth makes DT2 pause lossless senders, so a weight other than
+		// α changes when the pauses come. DT ≠ DT2 there: the pool binds.
+		{
+			name:   "R3 R4 shrunk shared pool",
+			points: []HybridSpec{tiny(0.6, 0), small(0.6, 0)},
+			transform: func(s *HybridSpec) {
+				s.TopoOverride = func(c *topo.Config) { c.Switch.TotalShared /= 16 }
+			},
+			a: "DT2", b: []string{"L2BM", "BShare"},
+			binds: func(r *Result) bool { return r.PauseFrames > 0 },
+		},
 		// R5: at light load no lossy queue grows long enough for EDT's or
 		// TDT's threshold to bind, in whatever mode, so each runs as DT.
 		{
@@ -101,7 +115,10 @@ func TestPolicyRelations(t *testing.T) {
 					rel.transform(&point)
 				}
 				point.Policy = rel.a
-				want, _ := unlabelled(t, point)
+				want, res := unlabelled(t, point)
+				if rel.binds != nil && !rel.binds(res) {
+					t.Errorf("%s does not bind at scale %v, RDMA %v, TCP %v: the row went slack", rel.a, point.Scale, point.RDMALoad, point.TCPLoad)
+				}
 				for _, b := range rel.b {
 					point.Policy = b
 					got, res := unlabelled(t, point)

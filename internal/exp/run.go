@@ -67,7 +67,7 @@ type HybridSpec struct {
 	// The shard count is an execution strategy, not a workload parameter:
 	// results are byte-identical for every value, Result.Events included.
 	Shards int
-	// Fidelity selects the execution engine: "" or FidelityPacket runs
+	// Fidelity selects the execution engine: FidelityPacket ("") runs
 	// every event through the packet engine; FidelityHybrid runs the fluid
 	// fast-forward controller (internal/fluid), which advances flows
 	// analytically between fidelity triggers and drops to full packet
@@ -99,10 +99,12 @@ type HybridSpec struct {
 	Hooks *RunHooks `json:"-"`
 }
 
-// Fidelity values for HybridSpec.Fidelity.
+// Fidelity values for HybridSpec.Fidelity, one spelling per engine: a
+// second spelling of packet would run the same point under a second cache
+// key and sweep id.
 const (
-	// FidelityPacket simulates every MTU of every flow (the default).
-	FidelityPacket = "packet"
+	// FidelityPacket simulates every MTU of every flow: the zero value.
+	FidelityPacket = ""
 	// FidelityHybrid alternates fluid fast-forward with packet bursts.
 	FidelityHybrid = "hybrid"
 )

@@ -76,9 +76,9 @@ func scaleSpec(scale Scale, cfg topo.Config) HybridSpec {
 // RDMA+TCP window under L2BM with the invariant auditor armed (violations
 // exit nonzero — this is the CI smoke), and renders fabric dimensions,
 // delivery counters and integrity in one deterministic table pair. It runs
-// through the same harness as every figure, so self-sizing and -fidelity
-// hybrid apply unchanged; the point of the experiment is that the numbers do
-// NOT change when those execution strategies do.
+// through the same harness as every figure, so self-sizing applies
+// unchanged; the point of the experiment is that the numbers do NOT change
+// when the shard count does.
 func scaleGrid(scale Scale, _ []string) ([]HybridSpec, error) {
 	cfg, err := HyperscaleFor(scale).Config()
 	if err != nil {

@@ -120,10 +120,8 @@ func (sp HybridSpec) Validate() error {
 	default:
 		return fmt.Errorf("unknown scale %d (want tiny|small|full)", int(sp.Scale))
 	}
-	switch sp.Fidelity {
-	case "", FidelityPacket, FidelityHybrid:
-	default:
-		return fmt.Errorf("unknown fidelity %q (want %q or %q)", sp.Fidelity, FidelityPacket, FidelityHybrid)
+	if sp.Fidelity != FidelityPacket && sp.Fidelity != FidelityHybrid {
+		return fmt.Errorf("unknown fidelity %q (want %q for packet or %q)", sp.Fidelity, FidelityPacket, FidelityHybrid)
 	}
 	if sp.Shards < 0 {
 		return fmt.Errorf("Shards must be >= 0, got %d", sp.Shards)

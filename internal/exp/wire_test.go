@@ -97,7 +97,8 @@ func TestParseSweepRequest(t *testing.T) {
 		"unknown scale":   `{"specs":[{"Name":"p","Policy":"DT","Scale":99}]}`,
 		"integer scale":   `{"specs":[{"Name":"p","Policy":"DT","Scale":1}]}`, // ScaleTiny's value: a scale is spelled
 		"bad fidelity":    `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Fidelity":"analytic"}]}`,
-		"removed sched":   `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Sched":"wheel"}]}`, // the field is gone: strict parsing rejects even a once-valid value
+		"packet fidelity": `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Fidelity":"packet"}]}`, // packet is spelled "": a second spelling would key the point twice
+		"removed sched":   `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Sched":"wheel"}]}`,     // the field is gone: strict parsing rejects even a once-valid value
 		"removed events":  `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Faults":{"Plan":{"Scheduled":[]}}}]}`,
 		"negative shards": `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Shards":-1}]}`,
 		"shards > ToRs":   `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny"},{"Name":"q","Policy":"DT","Scale":"tiny","Shards":5}]}`, // tiny has two racks

@@ -465,13 +465,14 @@ func TestServeValidation(t *testing.T) {
 		body string
 		want int
 	}{
-		"syntax":         {`{"specs":`, http.StatusBadRequest},
-		"unknown field":  {`{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Polciy":"x"}]}`, http.StatusBadRequest},
-		"unknown policy": {`{"specs":[{"Name":"p","Policy":"Nope","Scale":"tiny"}]}`, http.StatusBadRequest},
-		"no specs":       {`{"specs":[]}`, http.StatusBadRequest},
-		"shards > ToRs":  {`{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny"},{"Name":"q","Policy":"DT","Scale":"tiny","Shards":5}]}`, http.StatusBadRequest},
-		"hybrid faults":  {`{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Fidelity":"hybrid","Faults":{}}]}`, http.StatusBadRequest},
-		"integer scale":  {`{"specs":[{"Name":"p","Policy":"DT","Scale":1}]}`, http.StatusBadRequest},
+		"syntax":          {`{"specs":`, http.StatusBadRequest},
+		"unknown field":   {`{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Polciy":"x"}]}`, http.StatusBadRequest},
+		"unknown policy":  {`{"specs":[{"Name":"p","Policy":"Nope","Scale":"tiny"}]}`, http.StatusBadRequest},
+		"no specs":        {`{"specs":[]}`, http.StatusBadRequest},
+		"shards > ToRs":   {`{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny"},{"Name":"q","Policy":"DT","Scale":"tiny","Shards":5}]}`, http.StatusBadRequest},
+		"hybrid faults":   {`{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Fidelity":"hybrid","Faults":{}}]}`, http.StatusBadRequest},
+		"integer scale":   {`{"specs":[{"Name":"p","Policy":"DT","Scale":1}]}`, http.StatusBadRequest},
+		"packet fidelity": {`{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Fidelity":"packet"}]}`, http.StatusBadRequest},
 	} {
 		resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(tc.body))
 		if err != nil {
